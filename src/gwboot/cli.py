@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import math
 import os
 import secrets
 import sys
@@ -187,8 +186,7 @@ def cmd_bounds(args) -> int:
 
 
 def _warn_budget(d: OffspringDistribution, n: int, budget: int) -> None:
-    m = d.mean()
-    expected = math.inf if math.isinf(m) else m**n
+    expected = simulate.expected_tree_size(d, n)
     if expected > budget / 2:
         print(
             f"warning: expected tree size ~{expected:.3g} exceeds half the node budget {budget}",

@@ -177,7 +177,10 @@ def q_iterate(d: OffspringDistribution, r: int, p: float, n: int,
     for _ in range(n):
         q_next = kernels.h(ctx, p, q)
         # exact monotonicity can wobble by float rounding only
-        assert q_next <= q + 1e-12, "survival sequence must be non-increasing"
+        if q_next > q + 1e-12:
+            raise ArithmeticError(
+                f"survival sequence must be non-increasing: q={q!r} -> {q_next!r}"
+            )
         q = min(q_next, q)
         values.append(q)
     converged = len(values) >= 2 and abs(values[-1] - values[-2]) < 1e-15

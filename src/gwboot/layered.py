@@ -28,7 +28,7 @@ import numpy as np
 
 from .offspring import PreconditionError
 from .kernels import binom_lte
-from .simulate import DEFAULT_BUDGET, SampledTree, _levels_to_tree
+from .simulate import DEFAULT_BUDGET, SampledTree, _grow_tree
 
 __all__ = [
     "LayeredTreeSpec",
@@ -81,21 +81,21 @@ def build_layered_tree(
     """Deterministic layered tree down to depth_cap (leaves keep no children)."""
     if depth_cap < 0:
         raise PreconditionError("depth_cap must be >= 0")
-    level_counts = []
-    width = 1
-    total = 1
-    truncated = False
-    for t in range(depth_cap):
-        c = spec.branching_at(t)
-        level_counts.append(np.full(width, c, dtype=np.int64))
-        width *= c
-        total += width
-        if total > budget:
-            truncated = True
-            break
-    if not truncated:
-        level_counts.append(np.zeros(width, dtype=np.int64))
-    return _levels_to_tree(level_counts, depth_cap, budget, truncated)
+    return _grow_tree(_Branching(spec), None, depth_cap, budget)
+
+
+class _Branching:
+    """The layered tree as an offspring law for the level builder: call t
+    returns the branching of depth t for every vertex of that level."""
+
+    def __init__(self, spec: LayeredTreeSpec):
+        self.spec = spec
+        self.t = 0
+
+    def sample(self, rng, size: int) -> np.ndarray:
+        c = np.full(size, self.spec.branching_at(self.t), dtype=np.int64)
+        self.t += 1
+        return c
 
 
 def level_sizes(spec: LayeredTreeSpec, up_to: int) -> list[int]:

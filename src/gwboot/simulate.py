@@ -13,10 +13,15 @@ recursion.  Two independent oracles decide the fate of the root:
 On any finite tree the eternally healthy set is exactly the union of
 initially healthy blocking sets, so the two must agree on the root.
 
-Monte Carlo replicates draw from counter-based Philox streams keyed by
-(master seed, replicate index); the estimate is an order-insensitive
-integer sum, so the result is bit-identical however replicates are
-scheduled.
+Monte Carlo replicates are simulated in blocks of B trees grown together as
+one forest: one draw of child counts per level for the whole block, then
+one uniform per vertex for the marks, then one bottom-up fort pass.  B is a
+function of the law's mean, the depth n and the node budget only
+(``block_size``).  Block j draws from the counter-based Philox stream keyed
+by (master seed, block index j); the estimate is an order-insensitive
+integer sum, so the result is bit-identical however blocks are scheduled.
+The last block holds the remainder, so a run with fewer replicates is not
+a prefix of a longer one.  ``STREAM_VERSION`` names this layout.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from .offspring import OffspringDistribution, PreconditionError
 
 __all__ = [
     "DEFAULT_BUDGET",
+    "STREAM_VERSION",
     "SampledTree",
     "sample_tree",
     "sample_marks",
@@ -38,15 +44,100 @@ __all__ = [
     "root_fort_status",
     "SimEstimate",
     "estimate_qn",
+    "expected_tree_size",
+    "block_size",
     "replicate_rng",
 ]
 
 DEFAULT_BUDGET = 10_000_000
+STREAM_VERSION = 2  # blocks of block_size() trees, one Philox stream per block
+BLOCK_VERTICES = 1 << 16  # expected vertices per Monte Carlo block
 
 
 def replicate_rng(seed: int, index: int) -> np.random.Generator:
-    """Philox stream for one replicate: key = master seed, counter = index."""
+    """Philox stream for one block: key = master seed, counter = block index."""
     return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, index]))
+
+
+def expected_tree_size(d: OffspringDistribution, n: int) -> float:
+    """Expected vertex count of levels 0..n, sum_{i<=n} m^i (inf if m is)."""
+    m = d.mean()
+    if math.isinf(m):
+        return math.inf
+    total, level = 0.0, 1.0
+    for _ in range(n + 1):
+        total += level
+        level *= m
+    return total
+
+
+def block_size(d: OffspringDistribution, n: int, budget: int) -> int:
+    """Trees per Monte Carlo block: about BLOCK_VERTICES expected vertices,
+    counting each tree at most at the budget."""
+    return max(1, int(BLOCK_VERTICES // min(expected_tree_size(d, n), budget)))
+
+
+def _grow(d: OffspringDistribution, rng: Optional[np.random.Generator], n: int,
+          budget: int, roots: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """Levels 0..n of ``roots`` i.i.d. trees, grown breadth-first as one forest.
+
+    Each level's vertices lie tree by tree; one ``d.sample`` call draws the
+    child counts of a whole level.  Returns ``(offsets, dropped)``:
+    ``offsets[i]`` is ``[0, cumsum(child counts of level i)]`` and the level
+    after the last one holds leaves.  A tree whose vertex total exceeds
+    ``budget`` has the counts of the level that did it zeroed and is marked
+    in ``dropped``; growth stops once every tree is dropped.
+    """
+    offsets: list[np.ndarray] = []
+    bounds = np.arange(roots + 1)  # tree t spans bounds[t]:bounds[t+1] of a level
+    reach = bounds.copy()  # sum of the levels' bounds: tree t has reach[t+1] - reach[t] vertices
+    dropped = np.zeros(roots, dtype=bool)
+    width = total = roots
+    for _ in range(n):
+        c = d.sample(rng, width)
+        off = np.empty(width + 1, dtype=np.int64)
+        off[0] = 0
+        c.cumsum(out=off[1:])
+        offsets.append(off)
+        nxt = off[bounds]
+        reach += nxt
+        width = int(off[-1])
+        total += width
+        if total > budget:  # no tree can be over budget while the whole forest is not
+            over = (reach[1:] - reach[:-1] > budget) & ~dropped
+            if over.any():
+                c[np.repeat(over, bounds[1:] - bounds[:-1])] = 0
+                c.cumsum(out=off[1:])
+                dropped |= over
+                if dropped.all():
+                    break
+                # kept trees' widths are unchanged, so reach stays exact for them
+                nxt = off[bounds]
+                width = int(off[-1])
+        bounds = nxt
+    return offsets, dropped
+
+
+def _fort_pass(offsets: list[np.ndarray], marks: np.ndarray, r: int) -> np.ndarray:
+    """Safe flags of level 0 by the bottom-up blocking-set recursion.
+
+    ``offsets`` describes the levels as ``_grow`` does and ``marks`` holds
+    the initial infection of every vertex in breadth-first order.  A vertex
+    is unsafe iff it is infected or at least r of its children are unsafe.
+    """
+    hi = len(marks)
+    width = int(offsets[-1][-1]) if offsets else hi
+    unsafe = marks[hi - width:]
+    hi -= width
+    for off in reversed(offsets):
+        below = np.empty(len(unsafe) + 1, dtype=np.int64)
+        below[0] = 0
+        unsafe.cumsum(out=below[1:])
+        width = len(off) - 1
+        below = below[off]
+        unsafe = marks[hi - width:hi] | (below[1:] - below[:-1] >= r)
+        hi -= width
+    return ~unsafe
 
 
 @dataclass
@@ -81,25 +172,6 @@ class SampledTree:
         return par
 
 
-def _levels_to_tree(level_counts: list[np.ndarray], n: int, budget: int,
-                    truncated: bool) -> SampledTree:
-    sizes = [len(c) for c in level_counts]
-    if truncated:
-        # vertices of the last generated level become leaves
-        level_counts = level_counts[:-1] + [np.zeros(sizes[-1], dtype=np.int64)]
-    counts = np.concatenate(level_counts) if level_counts else np.zeros(1, dtype=np.int64)
-    child_start = np.empty(len(counts), dtype=np.int64)
-    child_start[0] = 1
-    np.cumsum(counts[:-1], out=child_start[1:])
-    child_start[1:] += 1
-    depth = np.repeat(np.arange(len(sizes)), sizes).astype(np.int32)
-    level_start = np.concatenate([[0], np.cumsum(sizes)]).tolist()
-    return SampledTree(
-        counts=counts.astype(np.int64), child_start=child_start, depth=depth,
-        level_start=level_start, n=n, budget=budget, truncated=truncated,
-    )
-
-
 def sample_tree(
     d: OffspringDistribution,
     n: int,
@@ -109,8 +181,9 @@ def sample_tree(
 ) -> SampledTree:
     """First n+1 levels of a Galton-Watson tree, child counts i.i.d. from d.
 
-    Exceeding the vertex budget is not an error: generation stops and the
-    result carries ``truncated=True``.
+    Exceeding the vertex budget is not an error: generation stops, the
+    vertices of the last generated level become leaves and the result
+    carries ``truncated=True``.
     """
     if n < 0:
         raise PreconditionError("depth must be >= 0")
@@ -118,21 +191,29 @@ def sample_tree(
         raise PreconditionError("budget must be >= 1")
     if rng is None:
         rng = np.random.Generator(np.random.Philox(key=0 if seed is None else seed))
-    level_counts: list[np.ndarray] = []
-    width = 1
-    total = 1
-    truncated = False
-    for _ in range(n):
-        counts = d.sample(rng, width)
-        level_counts.append(counts.astype(np.int64))
-        width = int(counts.sum())
-        total += width
-        if total > budget:
-            truncated = True
-            break
+    return _grow_tree(d, rng, n, budget)
+
+
+def _grow_tree(d, rng: Optional[np.random.Generator], n: int, budget: int) -> SampledTree:
+    """One tree from ``_grow``; ``d`` needs only a ``sample(rng, size)`` method."""
+    offsets, dropped = _grow(d, rng, n, budget, 1)
+    truncated = bool(dropped[0])
+    level_counts = [off[1:] - off[:-1] for off in offsets]
     if not truncated:
-        level_counts.append(np.zeros(width, dtype=np.int64))
-    return _levels_to_tree(level_counts, n, budget, truncated)
+        leaves = int(offsets[-1][-1]) if offsets else 1
+        level_counts.append(np.zeros(leaves, dtype=np.int64))
+    sizes = [len(c) for c in level_counts]
+    counts = np.concatenate(level_counts)
+    child_start = np.empty(len(counts), dtype=np.int64)
+    child_start[0] = 1
+    np.cumsum(counts[:-1], out=child_start[1:])
+    child_start[1:] += 1
+    return SampledTree(
+        counts=counts, child_start=child_start,
+        depth=np.repeat(np.arange(len(sizes)), sizes).astype(np.int32),
+        level_start=np.concatenate([[0], np.cumsum(sizes)]).tolist(),
+        n=n, budget=budget, truncated=truncated,
+    )
 
 
 def sample_marks(tree: SampledTree, p: float, rng: np.random.Generator) -> np.ndarray:
@@ -167,27 +248,16 @@ def run_bootstrap(tree: SampledTree, marks: np.ndarray, r: int) -> np.ndarray:
     return infected
 
 
-def _segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Sum of ``values`` over the contiguous child segments given by counts."""
-    cs = np.concatenate([[0], np.cumsum(values)])
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    return cs[ends] - cs[starts]
-
-
 def root_fort_status(tree: SampledTree, marks: np.ndarray, r: int) -> bool:
     """True iff the root stays healthy forever (lies in a healthy blocking set)."""
     if len(marks) != tree.n_vertices:
         raise PreconditionError("marks must cover all vertices")
-    healthy = ~np.asarray(marks, dtype=bool)
-    top = tree.n_levels - 1
-    safe = healthy[tree.level(top)]
-    for lev in range(top - 1, -1, -1):
-        sl = tree.level(lev)
-        counts = tree.counts[sl]
-        unsafe_children = _segment_sums(~safe, counts)
-        safe = healthy[sl] & (unsafe_children <= r - 1)
-    return bool(safe[0])
+    offsets = []
+    for lev in range(tree.n_levels - 1):
+        off = np.zeros(tree.level_start[lev + 1] - tree.level_start[lev] + 1, dtype=np.int64)
+        np.cumsum(tree.counts[tree.level(lev)], out=off[1:])
+        offsets.append(off)
+    return bool(_fort_pass(offsets, np.asarray(marks, dtype=bool), r)[0])
 
 
 @dataclass(frozen=True)
@@ -203,6 +273,7 @@ class SimEstimate:
     p: float
     n: int
     r: int
+    stream_version: int = STREAM_VERSION
 
     def as_dict(self) -> dict:
         return {
@@ -215,38 +286,22 @@ class SimEstimate:
             "p": self.p,
             "n": self.n,
             "r": self.r,
+            "stream_version": self.stream_version,
         }
 
 
-def _replicate_safe(d: OffspringDistribution, r: int, p: float, n: int,
-                    budget: int, rng: np.random.Generator) -> Optional[bool]:
-    """Root-survival indicator for one replicate; None if budget-truncated.
+def _simulate_block(d: OffspringDistribution, r: int, p: float, n: int, budget: int,
+                    roots: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Root-survival and budget-drop flags of ``roots`` replicates.
 
-    Stream order is fixed: child counts top-down, then one uniform draw per
-    vertex in breadth-first order; the tree never needs to be materialized
-    beyond its level arrays.
+    Stream order is fixed: child counts level by level for the whole
+    forest, then one uniform per vertex in breadth-first order.  A dropped
+    replicate's survival flag is False.
     """
-    level_counts = []
-    sizes = [1]
-    width = 1
-    total = 1
-    for _ in range(n):
-        counts = d.sample(rng, width)
-        level_counts.append(counts)
-        width = int(counts.sum())
-        sizes.append(width)
-        total += width
-        if total > budget:
-            return None
-    healthy = rng.random(total) >= p
-    hi = total
-    safe = healthy[hi - width:]
-    hi -= width
-    for counts, size in zip(reversed(level_counts), reversed(sizes[:-1])):
-        unsafe_children = _segment_sums(~safe, counts)
-        safe = healthy[hi - size:hi] & (unsafe_children <= r - 1)
-        hi -= size
-    return bool(safe[0])
+    offsets, dropped = _grow(d, rng, n, budget, roots)
+    total = roots + sum(int(off[-1]) for off in offsets)
+    safe = _fort_pass(offsets, rng.random(total) < p, r)
+    return safe & ~dropped, dropped
 
 
 def estimate_qn(
@@ -260,30 +315,27 @@ def estimate_qn(
 ) -> SimEstimate:
     """Mean of the root-survival indicator over independent (tree, mark) pairs.
 
-    Deterministic given (seed, replicates): replicate i consumes only its
-    own Philox stream, and the reduction is a sum of integers.
-    Budget-truncated replicates are excluded from the estimate and counted.
+    Deterministic given (seed, replicates): block j of ``block_size``
+    replicates consumes only its own Philox stream, and the reduction is a
+    sum of integers.  Budget-truncated replicates are excluded from the
+    estimate and counted.
     """
     if not 0.0 <= p <= 1.0:
         raise PreconditionError("p must lie in [0, 1]")
     if replicates < 1:
         raise PreconditionError("need at least one replicate")
+    if n < 0:
+        raise PreconditionError("depth must be >= 0")
+    if budget < 1:
+        raise PreconditionError("budget must be >= 1")
+    block = block_size(d, n, budget)
     safe_count = 0
     truncated = 0
-    # one local Philox whose counter is reset per replicate: identical
-    # streams to replicate_rng(seed, i), without the construction overhead
-    bitgen = np.random.Philox(key=seed)
-    for i in range(replicates):
-        state = bitgen.state
-        state["state"]["counter"][:] = 0
-        state["state"]["counter"][3] = i
-        state["buffer_pos"] = 4
-        bitgen.state = state
-        res = _replicate_safe(d, r, p, n, budget, np.random.Generator(bitgen))
-        if res is None:
-            truncated += 1
-        elif res:
-            safe_count += 1
+    for j, start in enumerate(range(0, replicates, block)):
+        safe, dropped = _simulate_block(d, r, p, n, budget, min(block, replicates - start),
+                                        replicate_rng(seed, j))
+        safe_count += int(np.count_nonzero(safe))
+        truncated += int(np.count_nonzero(dropped))
     effective = replicates - truncated
     if effective == 0:
         raise PreconditionError("every replicate exceeded the node budget")

@@ -227,11 +227,19 @@ def test_inconsistency_exit_code(capsys, monkeypatch):
 
 
 def test_budget_warning(capsys):
-    # deterministic tree of 341 vertices fits the budget of 400, but the
-    # expected size 4^4 = 256 exceeds half of it, so the warning fires
+    # deterministic tree of 1 + 4 + 16 + 64 + 256 = 341 vertices fits the
+    # budget of 400 but exceeds half of it, so the warning fires
     code, _, err = run_cli(
         capsys, "simulate", "--dist", "regular:b=4", "--r", "2", "--p", "0.3",
         "--n", "4", "--reps", "10", "--seed", "1", "--budget", "400",
     )
     assert code == 0
     assert "warning" in err
+    assert "expected tree size ~341 " in err
+    # the expected size counts every level: 1 + 3 + 9 + 27 + 81 = 121
+    code, _, err = run_cli(
+        capsys, "simulate", "--dist", "regular:b=3", "--r", "2", "--p", "0.3",
+        "--n", "4", "--reps", "10", "--seed", "1", "--budget", "200",
+    )
+    assert code == 0
+    assert "expected tree size ~121 " in err

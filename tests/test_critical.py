@@ -145,6 +145,15 @@ def test_q_iterate_non_increasing():
         assert np.all(diffs <= 1e-15)
 
 
+def test_q_iterate_rejects_increasing_step(monkeypatch):
+    # the invariant is checked explicitly, so it holds under python -O too
+    import gwboot.critical as critical_mod
+
+    monkeypatch.setattr(critical_mod.kernels, "h", lambda ctx, p, q: q + 1e-6)
+    with pytest.raises(ArithmeticError, match="non-increasing"):
+        q_iterate(make_distribution("regular:b=3"), 2, 0.2, 3)
+
+
 def test_q_limit_edges():
     d = make_distribution("regular:b=3")
     assert q_limit(d, 2, 0.0).value == pytest.approx(1.0)

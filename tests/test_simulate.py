@@ -7,13 +7,17 @@ import gwboot as gw
 from gwboot.critical import q_iterate
 from gwboot.offspring import PreconditionError, make_distribution
 from gwboot.simulate import (
+    STREAM_VERSION,
+    SampledTree,
+    block_size,
     estimate_qn,
+    expected_tree_size,
     replicate_rng,
     root_fort_status,
     run_bootstrap,
     sample_marks,
     sample_tree,
-    _replicate_safe,
+    _simulate_block,
 )
 
 MIXED = [
@@ -141,16 +145,150 @@ def test_estimate_qn_deterministic_replay():
 
 
 def test_estimate_order_insensitive():
-    # replicate outcomes depend only on (seed, index); any scheduling order
-    # produces the same integer sum
+    # block outcomes depend only on (seed, block index); any scheduling
+    # order of the blocks produces the same integer sum
     d = make_distribution("twopoint:b=3,a=5")
-    outcomes = [
-        bool(_replicate_safe(d, 2, 0.3, 4, 10**7, replicate_rng(4242, i)))
-        for i in range(500)
-    ]
-    est = estimate_qn(d, 2, 0.3, 4, 500, seed=4242)
-    perm = np.random.default_rng(0).permutation(500)
-    assert sum(outcomes[int(j)] for j in perm) / 500 == est.estimate
+    reps, budget = 1500, 10**7
+    size = block_size(d, 4, budget)
+    starts = range(0, reps, size)
+    assert len(starts) == 3 and reps % size  # two full blocks and a remainder
+    perm = np.random.default_rng(0).permutation(len(starts))
+    safe_count = 0
+    for j in perm:
+        j = int(j)
+        roots = min(size, reps - starts[j])
+        safe, dropped = _simulate_block(d, 2, 0.3, 4, budget, roots, replicate_rng(4242, j))
+        assert len(safe) == roots and not dropped.any()
+        safe_count += int(np.count_nonzero(safe))
+    est = estimate_qn(d, 2, 0.3, 4, reps, seed=4242, budget=budget)
+    assert safe_count == round(est.estimate * reps)
+    assert safe_count / reps == est.estimate
+
+
+class _Recorder:
+    """Offspring law that keeps a copy of every draw of child counts."""
+
+    def __init__(self, d):
+        self.d = d
+        self.draws = []
+
+    def sample(self, rng, size):
+        c = self.d.sample(rng, size)
+        self.draws.append(c.copy())
+        return c
+
+
+def _tree_alone(level_counts):
+    """SampledTree from one tree's child counts per level, leaves last."""
+    counts = np.concatenate(level_counts).astype(np.int64)
+    child_start = np.concatenate([[1], 1 + np.cumsum(counts[:-1])]).astype(np.int64)
+    sizes = [len(c) for c in level_counts]
+    return SampledTree(counts=counts, child_start=child_start,
+                       depth=np.repeat(np.arange(len(sizes)), sizes),
+                       level_start=np.concatenate([[0], np.cumsum(sizes)]).tolist(),
+                       n=len(sizes) - 1, budget=0, truncated=False)
+
+
+def _split_forest(draws, roots, budget):
+    """Per-tree level counts and drop flags, by the per-tree budget rule.
+
+    Tree t's level-i vertices are a contiguous run of level i, in tree
+    order.  A tree whose vertex total exceeds the budget keeps the level
+    that did it as leaves and has no vertices below; a kept tree ends in a
+    level of leaves.
+    """
+    trees = [[] for _ in range(roots)]
+    dropped = [False] * roots
+    totals = [1] * roots
+    widths = [1] * roots
+    for raw in draws:
+        lo = 0
+        for t in range(roots):
+            c = raw[lo:lo + widths[t]].copy()
+            lo += widths[t]
+            if dropped[t]:
+                continue
+            totals[t] += int(c.sum())
+            if totals[t] > budget:
+                dropped[t] = True
+                c[:] = 0
+            trees[t].append(c)
+            widths[t] = int(c.sum())
+    for t in range(roots):
+        if not dropped[t]:
+            trees[t].append(np.zeros(widths[t], dtype=np.int64))
+    return trees, dropped
+
+
+@pytest.mark.parametrize("spec", MIXED)
+def test_forest_matches_per_tree_oracles(spec):
+    # every tree of a block, taken out and built alone, must get the same
+    # root outcome from run_bootstrap and the same truncation flag from the
+    # per-tree budget rule as the forest gave it
+    d = make_distribution(spec)
+    rng = np.random.default_rng(7)
+    budget = 60 if spec.startswith("heavy") else 200
+    for n in range(6):
+        for p in (0.0, 1.0, float(rng.uniform(0.05, 0.6))):
+            r = int(rng.integers(2, 4))
+            roots = int(rng.integers(2, 40))
+            seed = int(rng.integers(2**62))
+            law = _Recorder(d)
+            safe, dropped = _simulate_block(law, r, p, n, budget, roots, replicate_rng(seed, 3))
+            trees, want_dropped = _split_forest(law.draws, roots, budget)
+            assert list(dropped) == want_dropped
+            if all(want_dropped):
+                assert not safe.any()
+                continue
+            # replay the block's stream: child counts level by level, then
+            # one uniform per vertex, level by level and tree by tree
+            replay = replicate_rng(seed, 3)
+            for raw in law.draws:
+                assert np.array_equal(d.sample(replay, len(raw)), raw)
+            marks = replay.random(sum(len(c) for tree in trees for c in tree)) < p
+            pos = 0
+            own = [[] for _ in range(roots)]
+            for i in range(n + 1):
+                for t, tree in enumerate(trees):
+                    if i < len(tree):
+                        own[t].append(marks[pos:pos + len(tree[i])])
+                        pos += len(tree[i])
+            assert pos == len(marks)
+            for t, tree in enumerate(trees):
+                if want_dropped[t]:
+                    assert not safe[t]
+                    continue
+                alone = _tree_alone(tree)
+                assert alone.n_levels == n + 1
+                closure = run_bootstrap(alone, np.concatenate(own[t]), r)
+                assert bool(safe[t]) == (not closure[0])
+
+
+GOLDEN_SAFE = 668  # surviving roots of the seeded call below, stream version 2
+
+
+def test_estimate_qn_stream_golden():
+    # pins the stream layout: a change to how replicates draw from their
+    # streams must fail here until STREAM_VERSION is bumped
+    d = make_distribution("geometric:b=3")
+    assert STREAM_VERSION == 2
+    assert block_size(d, 4, 10**7) == 541
+    est = estimate_qn(d, 2, 0.15, 4, 1000, seed=2024)
+    assert est.stream_version == STREAM_VERSION
+    assert est.as_dict()["stream_version"] == STREAM_VERSION
+    assert round(est.estimate * est.effective) == GOLDEN_SAFE
+
+
+def test_expected_tree_size_and_block_size():
+    assert expected_tree_size(make_distribution("regular:b=3"), 4) == 121.0
+    assert expected_tree_size(make_distribution("regular:b=2"), 0) == 1.0
+    assert expected_tree_size(make_distribution("heavy:r=2"), 3) == float("inf")
+    assert expected_tree_size(make_distribution("regular:b=9"), 400) == float("inf")
+    assert block_size(make_distribution("regular:b=3"), 4, 10**7) == 2**16 // 121
+    assert block_size(make_distribution("regular:b=3"), 4, 100) == 2**16 // 100
+    assert block_size(make_distribution("heavy:r=2"), 3, 300) == 2**16 // 300
+    assert block_size(make_distribution("heavy:r=2"), 3, 10**7) == 1
+    assert block_size(make_distribution("regular:b=3"), 10, 10**7) == 1
 
 
 def test_estimate_qn_truncation_reported():
@@ -182,3 +320,7 @@ def test_estimate_qn_rejects_bad_input():
         estimate_qn(d, 2, 1.5, 3, 10, seed=0)
     with pytest.raises(PreconditionError):
         estimate_qn(d, 2, 0.5, 3, 0, seed=0)
+    with pytest.raises(PreconditionError):
+        estimate_qn(d, 2, 0.5, -1, 10, seed=0)
+    with pytest.raises(PreconditionError):
+        estimate_qn(d, 2, 0.5, 3, 10, seed=0, budget=0)
