@@ -123,21 +123,6 @@ def g(k: int, r: int, x: float) -> float:
     return total
 
 
-def _g_vector(ks: np.ndarray, r: int, x: float) -> np.ndarray:
-    """g_k^r(x) for an array of k >= r."""
-    if x == 0.0:
-        return np.where(ks == r, float(r), 0.0)
-    if x == 1.0:
-        return np.ones_like(ks, dtype=float)
-    lx, l1x = math.log(x), math.log1p(-x)
-    lgk = gammaln(ks + 1)
-    total = np.zeros(len(ks))
-    for i in range(r):
-        lg = lgk - gammaln(i + 1) - gammaln(ks - i + 1) + (ks - i - 1) * lx + i * l1x
-        np.add(total, np.where(lg > -745.0, np.exp(lg), 0.0), out=total)
-    return total
-
-
 def _binom_lte_vector(ks: np.ndarray, q: float, m: int) -> np.ndarray:
     """P(Bin(k, q) <= m) over an array of k, small m."""
     if q <= 0.0:
@@ -159,11 +144,42 @@ def _binom_lte_vector(ks: np.ndarray, q: float, m: int) -> np.ndarray:
     return out
 
 
-def heavy_tail_deficiency(r: int, m: int, x: float) -> float:
-    """D_r(m, x) = 1 - sum_{k=r}^m (r-1)/(k(k-1)) g_k^r(x).
+def _libm_logs(vals: list) -> tuple[np.ndarray, np.ndarray]:
+    """(log x, log(1-x)) for x in (0, 1), taken from libm like ``g``.
+
+    numpy's vectorised logs can differ from libm in the last bit; max_G's
+    golden-section comparisons at the rounding floor would turn such a bit
+    into a shift of x_star, so grid and single-point evaluations share
+    libm's logs.
+    """
+    return np.array([math.log(v) for v in vals]), np.array([math.log1p(-v) for v in vals])
+
+
+def _deficiency(r: int, m: int, lx: np.ndarray, l1x: np.ndarray) -> np.ndarray:
+    """D_r(m, x) over an array of interior x, given log x and log(1-x)."""
+    e = (m - 1) * lx
+    d = np.where(e > -745.0, np.exp(e), 0.0) / m
+    for s in range(2, r):
+        # (1-x)/((s-1) x) P(Bin(m-1, 1-x) <= s-2), one log-space term per i
+        step = np.zeros(len(lx))
+        for i in range(s - 1):
+            lt = math.log(math.comb(m - 1, i) / (s - 1)) + (i + 1) * l1x + (m - 2 - i) * lx
+            np.add(step, np.where(lt > -745.0, np.exp(lt), 0.0), out=step)
+        d = s / (s - 1) * d + step
+    return d
+
+
+def heavy_tail_deficiency(r: int, m: int, x: float | np.ndarray) -> float | np.ndarray:
+    """D_r(m, x) = 1 - sum_{k=r}^m (r-1)/(k(k-1)) g_k^r(x), x a float or a 1-D array.
 
     Always in [0, r (r-1)/m]; equals (r-1)/m at x = 1 and 0 at x = 0.
     """
+    if isinstance(x, (np.ndarray, list, tuple)):
+        xs = np.asarray(x, dtype=float)
+        d = np.where(xs >= 1.0, (r - 1) / m, 0.0)
+        inner = (xs > 0.0) & (xs < 1.0)
+        d[inner] = _deficiency(r, m, *_libm_logs(xs[inner].tolist()))
+        return d
     if x <= 0.0:
         return 0.0
     if x >= 1.0:
@@ -178,15 +194,27 @@ def heavy_tail_deficiency(r: int, m: int, x: float) -> float:
 # ---------------------------------------------------------------------------
 # evaluation contexts
 
+# elements of one (x, k) block of g_k^r(x); bounds every temporary of G_minus_1
+_BLOCK = 1 << 16
 
-@dataclass
+
+@dataclass(frozen=True, eq=False)
 class GEvalContext:
-    """Frozen ingredients for evaluating G at many points.
+    """Ingredients for evaluating G at many points, fixed by ``make_context``.
+
+    Every family is held in one form,
+
+        G(x) - 1 = offset + sum_j weights_j g_{ks_j}^r(x) - defic_scale D_r(cutoff, x),
+
+    with ``log_binom[i, j] = log C(ks_j, i)`` and ``powers[i, j] = ks_j - i - 1``
+    tabulated once for i < r.  Enumerable laws put their support >= r in
+    ``ks`` (offset -1, no deficiency); the heavy and pruned laws keep only
+    their few atoms there and sum the rest through the deficiency D_r.
 
     ``eps_G`` bounds |G_true - G_computed| from the truncation of an
     infinite support: the tail mass times g_r^r <= r.  Exact (0) for finite
-    or analytically summed supports. ``pc_is_one`` marks laws with mass
-    below the threshold, whose trees never fully infect for p < 1.
+    supports. ``pc_is_one`` marks laws with mass below the threshold, whose
+    trees never fully infect for p < 1.
     """
 
     dist: OffspringDistribution
@@ -196,10 +224,38 @@ class GEvalContext:
     truncation: Optional[TruncatedDistribution]
     pc_is_one: bool
     analytic: bool
-    ks: Optional[np.ndarray] = None          # support >= r (generic path)
-    weights: Optional[np.ndarray] = None
-    ks_all: Optional[np.ndarray] = None      # full support incl. k < r
+    ks: np.ndarray
+    weights: np.ndarray
+    log_binom: np.ndarray
+    powers: np.ndarray
+    offset: float
+    defic_scale: float
+    atoms: tuple  # (k, weight) pairs of ks and weights as Python numbers
+    ks_all: Optional[np.ndarray] = None      # full support incl. k < r (enumerable laws)
     weights_all: Optional[np.ndarray] = None
+
+
+def _analytic_mixture(d, r: int, m: int) -> tuple[dict, float, float]:
+    """(atoms, offset, defic_scale) of a heavy or pruned law at threshold r.
+
+    With s = d.r, the law's body (s-1)/(k(k-1)) on max(r, s) <= k <= m is
+    (s-1)/(r-1) times heavy_tail(r) truncated at m, whose mixture is
+    1 - D_r(m, x), less the atoms r <= k < s that heavy_tail(r) has and the
+    law has not.  The pruned law adds its two reassigned atoms.
+    """
+    s = d.r
+    scale = (s - 1) / (r - 1) if m >= r else 0.0
+    atoms = {k: -(s - 1) / (k * (k - 1)) for k in range(r, min(s, m + 1))}
+    if isinstance(d, Pruned):
+        for k, w in ((s, d.alpha * d.A), (2 * s + 1, (1 - d.alpha) * d.A)):
+            if k >= r:
+                atoms[k] = atoms.get(k, 0.0) + w
+    return atoms, scale - 1.0, scale
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def make_context(
@@ -210,76 +266,104 @@ def make_context(
     if r < 2:
         raise PreconditionError("threshold r must be >= 2")
     pc_is_one = dist.prob_below(r) > 0.0
-    analytic = isinstance(dist, (HeavyTail, Pruned))
-    if analytic:
-        cutoff = dist.truncation_cutoff(tail_target)
-        trunc = None
-        eps = 0.0
-        if isinstance(dist, HeavyTail):
-            trunc = TruncatedDistribution(base=dist, cutoff=cutoff)
-            eps = r * trunc.tail_mass
-        return GEvalContext(
-            dist=dist, r=r, cutoff=cutoff, eps_G=eps, truncation=trunc,
-            pc_is_one=pc_is_one, analytic=True,
-        )
-    cutoff = dist.truncation_cutoff(tail_target)
-    if cutoff > _ENUM_CAP:
-        raise PreconditionError(
-            f"support enumeration to {cutoff} is infeasible; no analytic path for this family"
-        )
-    ks_all, w_all = dist.support_probs(upto=cutoff)
-    mask = ks_all >= r
+    cutoff = int(dist.truncation_cutoff(tail_target))
     trunc = None
     eps = 0.0
     if dist.support_max is None:
         trunc = TruncatedDistribution(base=dist, cutoff=cutoff)
         eps = r * trunc.tail_mass
+    analytic = isinstance(dist, (HeavyTail, Pruned))
+    ks_all = w_all = None
+    if analytic:
+        atoms, offset, scale = _analytic_mixture(dist, r, cutoff)
+        ks = np.array(sorted(atoms), dtype=np.int64)
+        w = np.array([atoms[k] for k in sorted(atoms)], dtype=float)
+    else:
+        if cutoff > _ENUM_CAP:
+            raise PreconditionError(
+                f"support enumeration to {cutoff} is infeasible; no analytic path for this family"
+            )
+        ks_all, w_all = dist.support_probs(upto=cutoff)
+        mask = ks_all >= r
+        ks, w, offset, scale = ks_all[mask], w_all[mask], -1.0, 0.0
+        ks_all, w_all = _frozen(ks_all), _frozen(w_all)
+    lgk = gammaln(ks + 1)
+    log_binom = np.array([lgk - gammaln(i + 1) - gammaln(ks - i + 1) for i in range(r)])
+    powers = np.array([ks - i - 1 for i in range(r)], dtype=float)
     return GEvalContext(
-        dist=dist, r=r, cutoff=int(cutoff), eps_G=eps, truncation=trunc,
-        pc_is_one=pc_is_one, analytic=False,
-        ks=ks_all[mask], weights=w_all[mask], ks_all=ks_all, weights_all=w_all,
+        dist=dist, r=r, cutoff=cutoff, eps_G=eps, truncation=trunc,
+        pc_is_one=pc_is_one, analytic=analytic,
+        ks=_frozen(ks), weights=_frozen(w), log_binom=_frozen(log_binom),
+        powers=_frozen(powers), offset=offset, defic_scale=scale,
+        atoms=tuple(zip(ks.tolist(), w.tolist())),
+        ks_all=ks_all, weights_all=w_all,
     )
 
 
-def G_minus_1(ctx: GEvalContext, x: float) -> float:
-    """G(x) - 1, computed without cancellation on the analytic path."""
-    if not 0.0 <= x <= 1.0:
+def _G_block(ctx: GEvalContext, xs: np.ndarray) -> np.ndarray:
+    """G(x) - 1 on one block of x, through a (len(xs), len(ctx.ks)) array of g_k^r(x)."""
+    vals = xs.tolist()
+    ends = [j for j, v in enumerate(vals) if v == 0.0 or v == 1.0]
+    if ends:  # any interior stand-in keeps the logs finite; the rows are overwritten below
+        vals = [0.5 if v == 0.0 or v == 1.0 else v for v in vals]
+    lx, l1x = _libm_logs(vals)
+    il1x = l1x[:, None] * np.arange(ctx.r)
+    gk = 0.0
+    for i in range(ctx.r):
+        # log C(k, i) + (k-i-1) log x + i log(1-x); terms below e^-745 are 0
+        lg = ctx.powers[i] * lx[:, None]
+        lg += ctx.log_binom[i]
+        if i:
+            lg += il1x[:, i:i + 1]
+        term = np.exp(lg)
+        term[lg <= -745.0] = 0.0
+        gk = gk + term
+    if ends:  # the limits of g: r at x = 0 when k = r (0 otherwise), 1 at x = 1
+        gk[ends] = np.where(xs[ends, None] == 0.0, np.where(ctx.ks == ctx.r, float(ctx.r), 0.0), 1.0)
+    out = gk @ ctx.weights + ctx.offset
+    if ctx.defic_scale:
+        out -= ctx.defic_scale * heavy_tail_deficiency(ctx.r, ctx.cutoff, xs)
+    return out
+
+
+def _G_point(ctx: GEvalContext, x: float) -> float:
+    """G(x) - 1 at one x, summed term by term with the scalar kernels."""
+    total = ctx.offset
+    for k, w in ctx.atoms:
+        total += w * g(k, ctx.r, x)
+    if ctx.defic_scale:
+        total -= ctx.defic_scale * heavy_tail_deficiency(ctx.r, ctx.cutoff, x)
+    return total
+
+
+def G_minus_1(ctx: GEvalContext, x: float | np.ndarray) -> float | np.ndarray:
+    """G(x) - 1 at a float or a 1-D array of x, without cancellation on the analytic path.
+
+    Arrays are evaluated in blocks of about 2^16 (x, k) elements by
+    ``_G_block``, as is a single x on a support of two or more atoms.  A
+    single x on a point mass or a heavy or pruned law is a few closed-form
+    terms: ``_G_point`` sums them in a few microseconds, where numpy's
+    per-call overhead makes a one-row block cost several times that.
+    """
+    xs = np.asarray(x, dtype=float)
+    vals = [float(xs)] if xs.ndim == 0 else xs.tolist()
+    if xs.ndim > 1 or not all(0.0 <= v <= 1.0 for v in vals):
         raise PreconditionError("x must lie in [0, 1]")
-    d = ctx.dist
-    if ctx.analytic:
-        if isinstance(d, Pruned):
-            r = ctx.r
-            if r != d.r:
-                return _mismatched_analytic_G(ctx, x) - 1.0
-            defic = heavy_tail_deficiency(r, d.k1, x)
-            return (
-                d.alpha * d.A * g(r, r, x)
-                + (1 - d.alpha) * d.A * g(2 * r + 1, r, x)
-                - defic
-            )
-        # heavy tail
-        if ctx.r != d.r:
-            return _mismatched_analytic_G(ctx, x) - 1.0
-        return -heavy_tail_deficiency(ctx.r, ctx.cutoff, x)
-    if len(ctx.ks) == 1:  # point mass: skip the vectorized machinery
-        return float(ctx.weights[0]) * g(int(ctx.ks[0]), ctx.r, x) - 1.0
-    return float(np.dot(ctx.weights, _g_vector(ctx.ks, ctx.r, x))) - 1.0
+    if xs.ndim == 0 and (ctx.analytic or len(ctx.ks) == 1):
+        return _G_point(ctx, vals[0])
+    flat = xs.reshape(-1)
+    n = len(flat)
+    blocks = max(1, -(-n * len(ctx.ks) // _BLOCK))
+    rows = max(1, -(-n // blocks))
+    out = np.empty(n)
+    for lo in range(0, n, rows):
+        out[lo:lo + rows] = _G_block(ctx, flat[lo:lo + rows])
+    return float(out[0]) if xs.ndim == 0 else out
 
 
-def G(ctx: GEvalContext, x: float) -> float:
+def G(ctx: GEvalContext, x: float | np.ndarray) -> float | np.ndarray:
     """The mixture sum_{k >= r} pmf(k) g_k^r(x) over the context's support."""
     return 1.0 + G_minus_1(ctx, x)
-
-
-def _mismatched_analytic_G(ctx: GEvalContext, x: float) -> float:
-    # threshold differs from the law's own r: no closed form, fall back to a
-    # capped direct sum with the remaining mass absorbed into eps_G
-    d = ctx.dist
-    cap = min(ctx.cutoff, _ENUM_CAP)
-    ks, w = d.support_probs(upto=cap)
-    mask = ks >= ctx.r
-    ctx.eps_G = max(ctx.eps_G, ctx.r * d.tail(cap))
-    return float(np.dot(w[mask], _g_vector(ks[mask], ctx.r, x)))
 
 
 def h(ctx: GEvalContext, p: float, x: float) -> float:
@@ -303,8 +387,9 @@ def h_with_threshold(ctx: GEvalContext, p: float, x: float, s: int) -> float:
     if p >= 1.0:
         return 0.0
     if ctx.analytic:
-        if s == ctx.r == ctx.dist.r:
-            return (1.0 - p) * x * G(ctx, x)
+        if s == ctx.r:
+            # atoms of the law below a mismatched threshold survive with probability one
+            return (1.0 - p) * x * G(ctx, x) + (1.0 - p) * ctx.dist.prob_below(s)
         d = ctx.dist
         cap = min(ctx.cutoff, _ENUM_CAP)
         ks, w = d.support_probs(upto=cap)
@@ -359,15 +444,16 @@ def _golden_max(f: Callable[[float], float], a: float, b: float, tol: float) -> 
 def max_G(ctx: GEvalContext, grid_step: float = DEFAULT_GRID_STEP) -> MaxResult:
     """Global maximum of G over [0, 1].
 
-    Dense grid scan followed by golden-section refinement on every local
-    bracket (endpoints included); modes of all supported families are wide
-    relative to the default step, which is exposed as a tunable anyway.
+    Dense grid scan, evaluated in one array call, followed by golden-section
+    refinement on every local bracket (endpoints included); modes of all
+    supported families are wide relative to the default step, which is
+    exposed as a tunable anyway.
     Ties report the smallest attaining x.
     """
     f = lambda x: G_minus_1(ctx, x)
     n = max(8, int(round(1.0 / grid_step)))
     xs = np.linspace(0.0, 1.0, n + 1)
-    vals = np.array([f(float(x)) for x in xs])
+    vals = G_minus_1(ctx, xs)
 
     candidates: list[tuple[float, float]] = [(0.0, vals[0]), (1.0, vals[-1])]
     brackets = []

@@ -37,6 +37,15 @@ def test_pc_mass_below_threshold(capsys):
     assert json.loads(out)["pc"] == 1.0
 
 
+def test_pc_mismatched_heavy_threshold(capsys):
+    # heavy:r=3 summed at threshold 2: the context is built once and evaluated in ms
+    code, out, _ = run_cli(capsys, "pc", "--dist", "heavy:r=3", "--r", "2", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["method"] == "maximization"
+    assert abs(payload["pc"]) <= payload["err"]
+
+
 def test_pc_table_output(capsys):
     code, out, _ = run_cli(capsys, "pc", "--dist", "regular:b=3", "--r", "2")
     assert code == 0

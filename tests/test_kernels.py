@@ -1,11 +1,15 @@
 """Kernel evaluation, mixtures, the survival map, and maximization."""
 
+import dataclasses
 import math
+import time
 from math import comb
 
+import numpy as np
 import pytest
 
 import gwboot as gw
+from gwboot import kernels
 from gwboot.kernels import (
     binom_lte,
     g,
@@ -258,3 +262,143 @@ def test_G_dominated_by_diagonal_kernel():
         ctx = make_context(make_distribution(spec), r)
         for x in XGRID:
             assert gw.G(ctx, x) <= g(r, r, x) + ctx.eps_G + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# array evaluation of G
+
+# every family, at thresholds matching and not matching a heavy or pruned law's own r
+ARRAY_CASES = [
+    ("regular:b=2", (2,)), ("regular:b=5", (2, 3, 4, 5)), ("regular:b=20", (2, 3, 4)),
+    ("poisson:b=4", (2, 3)), ("poisson:b=17", (2,)),
+    ("geometric:b=3", (2, 3)), ("geometric:b=19", (2,)),
+    ("twopoint:b=4,a=9", (2, 3, 4)), ("pmf:2=0.25,3=0.5,7=0.25", (2, 3)),
+    ("heavy:r=2", (2, 3)), ("heavy:r=3", (2, 3)), ("heavy:r=4", (2, 4)),
+    ("pruned:r=2,b=20", (2, 3)), ("pruned:r=3,b=8", (2, 3, 4)),
+]
+ARRAY_X = [0.0, 1e-300, 1e-9, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999,
+           1 - 1e-9, 1 - 1e-13, 1.0]
+
+
+@pytest.mark.parametrize("spec, rs", ARRAY_CASES)
+def test_G_minus_1_array_matches_points(spec, rs):
+    for r in rs:
+        ctx = make_context(make_distribution(spec), r)
+        xs = np.array(ARRAY_X + list(np.linspace(0.0, 1.0, 37)))
+        got = gw.G_minus_1(ctx, xs)
+        assert got.shape == xs.shape
+        for x, v in zip(xs, got):
+            assert abs(v - gw.G_minus_1(ctx, float(x))) <= 1e-14, (spec, r, x)
+    assert isinstance(gw.G_minus_1(ctx, 0.5), float)
+    assert gw.G_minus_1(ctx, np.array([])).shape == (0,)
+    with pytest.raises(PreconditionError):
+        gw.G_minus_1(ctx, np.array([0.5, 1.5]))
+    with pytest.raises(PreconditionError):
+        gw.G_minus_1(ctx, np.array([0.5, np.nan]))
+    with pytest.raises(PreconditionError):
+        gw.G_minus_1(ctx, np.full((2, 2), 0.5))
+
+
+def test_heavy_tail_deficiency_array_matches_points():
+    xs = np.array(ARRAY_X)
+    for r, m in [(2, 40), (3, 500), (4, 10**6), (3, 2 * 10**13)]:
+        got = heavy_tail_deficiency(r, m, xs)
+        for x, v in zip(xs, got):
+            assert v == pytest.approx(heavy_tail_deficiency(r, m, float(x)), rel=1e-12, abs=1e-300)
+
+
+@pytest.mark.parametrize("spec, r", [("heavy:r=3", 2), ("heavy:r=4", 2), ("heavy:r=2", 3),
+                                     ("heavy:r=2", 4), ("pruned:r=3,b=8", 2),
+                                     ("pruned:r=2,b=6", 3), ("pruned:r=3,b=8", 4)])
+def test_G_mismatched_threshold_matches_direct_sum(spec, r):
+    # small cutoffs, so the truncated support can be summed term by term
+    d = make_distribution(spec)
+    ctx = make_context(d, r, tail_target=1e-4)
+    assert ctx.cutoff <= 40_000
+    xs = np.array([0.0, 1e-300, 0.1, 0.5, 0.9, 0.999, 1 - 1e-6, 1.0])
+    got = gw.G_minus_1(ctx, xs)
+    for x, v in zip(xs, got):
+        direct = math.fsum(float(d.pmf(k)) * g(k, r, float(x)) for k in range(r, ctx.cutoff + 1))
+        assert v == pytest.approx(direct - 1.0, abs=1e-13)
+
+
+def test_mismatched_threshold_context_is_fixed_and_fast():
+    d = make_distribution("heavy:r=3")
+    ctx = make_context(d, 2)
+    assert ctx.eps_G == 2 * d.tail(ctx.cutoff)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ctx.eps_G = 1.0
+    with pytest.raises(ValueError):
+        ctx.weights[0] = 1.0
+    t0 = time.perf_counter()
+    res = gw.pc_exact(d, 2)
+    assert time.perf_counter() - t0 < 10.0
+    assert res.err >= ctx.eps_G / res.M**2
+    # the truncated law has G(x) = x - 2 x^(m-1)/m < 1, so p_c sits within err of 0
+    assert abs(res.pc) <= res.err
+    assert max_G(ctx).M == res.M
+    assert ctx.eps_G == 2 * d.tail(ctx.cutoff)
+    # h at the context's own threshold goes through the same mixture
+    x = 0.4
+    assert gw.h(ctx, 0.1, x) == pytest.approx(0.9 * x * gw.G(ctx, x), abs=1e-15)
+
+
+# (spec, r, x_star, M) from criterion 8's grid, as max_G reported them before
+# the grid was evaluated in one array call
+MAX_G_GOLDEN = [
+    ("regular:b=3", 2, 0.7499999918553406, 1.125),
+    ("regular:b=7", 3, 0.8632143455079044, 1.0907996216143154),
+    ("regular:b=12", 4, 0.8875445458920579, 1.0842464983069189),
+    ("poisson:b=5", 2, 0.9428090389019756, 1.0267701710974726),
+    ("poisson:b=17", 2, 0.9962847927411858, 1.0018217012476254),
+    ("geometric:b=4", 2, 0.8999999936592167, 1.041666666666666),
+    ("geometric:b=19", 2, 0.9983193274891112, 1.0008169934639843),
+    ("twopoint:b=4,a=7", 2, 0.0, 1.2),
+    ("twopoint:b=6,a=9", 2, 0.9703355648062786, 1.013943697224278),
+    ("pruned:r=2,b=21", 2, 0.9295470744029318, 1.0000000013958623),
+]
+
+
+@pytest.mark.parametrize("spec, r, x_star, M", MAX_G_GOLDEN)
+def test_max_G_golden(spec, r, x_star, M):
+    res = max_G(make_context(make_distribution(spec), r))
+    assert res.x_star == pytest.approx(x_star, abs=1e-9)
+    assert res.M == pytest.approx(M, abs=1e-13)
+
+
+def _bracket_count(vals):
+    """Brackets max_G refines for these grid values (its own rule, restated)."""
+    n = len(vals) - 1
+    count = sum(
+        1 for i in range(1, n)
+        if vals[i] >= vals[i - 1] and vals[i] >= vals[i + 1]
+        and (vals[i] > vals[i - 1] or vals[i] > vals[i + 1])
+    )
+    return count + (vals[0] > vals[1]) + (vals[-1] > vals[-2])
+
+
+@pytest.mark.parametrize("spec, r", [("regular:b=5", 3), ("poisson:b=8", 2), ("geometric:b=19", 2),
+                                     ("twopoint:b=4,a=9", 2), ("heavy:r=3", 2),
+                                     ("pruned:r=2,b=20", 2), ("pmf:2=0.25,3=0.5,7=0.25", 3)])
+def test_max_G_evaluates_grid_in_blocks(monkeypatch, spec, r):
+    ctx = make_context(make_distribution(spec), r)
+    calls = []  # one (is a single point, rows of each block) entry per G_minus_1 call
+    block, minus_1 = kernels._G_block, kernels.G_minus_1
+
+    def counting_block(c, xs):
+        calls[-1][1].append(len(xs))
+        return block(c, xs)
+
+    def counting_minus_1(c, x):
+        calls.append((np.ndim(x) == 0, []))
+        return minus_1(c, x)
+
+    monkeypatch.setattr(kernels, "_G_block", counting_block)
+    monkeypatch.setattr(kernels, "G_minus_1", counting_minus_1)
+    max_G(ctx)
+    grid = [rows for single, rows in calls if not single]
+    assert len(grid) == 1 and sum(grid[0]) == 1001
+    assert len(grid[0]) <= max(1, math.ceil(1001 * len(ctx.ks) / 2**16))
+    assert max(grid[0]) * len(ctx.ks) <= 2**16 + len(ctx.ks)
+    points = sum(single for single, _ in calls)
+    assert points < 120 * _bracket_count(minus_1(ctx, np.linspace(0.0, 1.0, 1001)))
