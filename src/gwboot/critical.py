@@ -67,7 +67,8 @@ def pc_exact(
     If P(xi < r) > 0 the tree almost surely contains initially healthy
     blocking pairs for every p < 1, so p_c = 1.  Near M = 1 (e.g. the heavy
     tail) the result carries an absolute error of order eps_G rather than a
-    claim of exactness.
+    claim of exactness, and pc is clamped to [0, 1]: a truncated M just
+    below 1 would otherwise report a p_c below 0 (err is left as it is).
     """
     if r < 2:
         raise PreconditionError("pc_exact requires r >= 2")
@@ -78,7 +79,7 @@ def pc_exact(
         )
     ctx = make_context(d, r, tail_target=tail_target)
     res = kernels.max_G(ctx, grid_step=grid_step)
-    pc = res.M_minus_1 / res.M
+    pc = min(max(res.M_minus_1 / res.M, 0.0), 1.0)
     err = (res.err + 1e-14) / res.M**2 + 1e-15
     return CriticalResult(
         pc=pc, x_star=res.x_star, M=res.M, method="maximization", err=err,

@@ -43,7 +43,7 @@ def test_pc_mismatched_heavy_threshold(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["method"] == "maximization"
-    assert abs(payload["pc"]) <= payload["err"]
+    assert 0.0 <= payload["pc"] <= payload["err"]  # the truncated M < 1 is clamped, not reported
 
 
 def test_pc_table_output(capsys):

@@ -28,6 +28,13 @@ def test_pc_regular3_r2():
     assert res.M == pytest.approx(9 / 8, abs=1e-12)
 
 
+def test_pc_exact_clamps_to_unit_interval():
+    # heavy:r=3 summed at threshold 2 truncates to G(x) = x - 2 x^(m-1)/m < 1, so M < 1
+    res = pc_exact(make_distribution("heavy:r=3"), 2)
+    assert res.M < 1.0
+    assert 0.0 <= res.pc <= res.err
+
+
 def test_pc_regular_diagonal():
     for b in range(2, 8):
         res = pc_exact(make_distribution(f"regular:b={b}"), b)
@@ -207,6 +214,24 @@ def test_fixed_point_consistency_near_pc():
         assert gw.h(ctx, p_low, res_low.value) == pytest.approx(res_low.value, abs=10 * tol)
         res_high = q_limit(d, r, p_high, tol=tol)
         assert res_high.value < 1e3 * tol
+
+
+# (spec, r, p, limit, iterations) next to p_c, as q_limit reported them when every
+# step summed the binomial cdf over the support instead of reading x G(x)
+Q_LIMIT_GOLDEN = [
+    ("regular:b=4", 3, 0.274883012674, 0.5504711058203668, 624),
+    ("poisson:b=4", 2, 0.045889653302, 1.404615015083039e-13, 289),
+    ("geometric:b=5", 2, 0.020387755102, 0.9541118357992093, 771),
+    ("twopoint:b=4,a=9", 2, 0.294, 0.01699716725503327, 2179),
+]
+
+
+@pytest.mark.parametrize("spec, r, p, limit, iterations", Q_LIMIT_GOLDEN)
+def test_q_limit_golden_next_to_pc(spec, r, p, limit, iterations):
+    res = q_limit(make_distribution(spec), r, p)
+    assert res.converged
+    assert res.value == pytest.approx(limit, abs=1e-12)
+    assert abs(res.iterations - iterations) <= 1
 
 
 def test_q_limit_iteration_cap_yields_interval(monkeypatch):

@@ -402,3 +402,112 @@ def test_max_G_evaluates_grid_in_blocks(monkeypatch, spec, r):
     assert max(grid[0]) * len(ctx.ks) <= 2**16 + len(ctx.ks)
     points = sum(single for single, _ in calls)
     assert points < 120 * _bracket_count(minus_1(ctx, np.linspace(0.0, 1.0, 1001)))
+
+
+# ---------------------------------------------------------------------------
+# one x at a time: the survival map's path
+
+
+def _criterion_8_laws():
+    laws = [(f"regular:b={b}", r) for b in range(2, 21) for r in range(2, min(b, 4) + 1)]
+    laws += [(f"{fam}:b={b}", 2) for fam in ("poisson", "geometric") for b in range(3, 21)]
+    laws += [(f"twopoint:b={b},a={a}", 2) for b in range(3, 9) for a in range(b + 1, 3 * b + 1)]
+    return laws + [(f"pruned:r=2,b={b}", 2) for b in range(15, 26)]
+
+
+# multi-atom supports at r >= 3, where the row adds i log(1-x) and sums r terms
+ROW_EXTRA = [("poisson:b=8", 3), ("geometric:b=5", 3), ("geometric:b=19", 4),
+             ("twopoint:b=4,a=9", 3), ("twopoint:b=4,a=9", 4), ("pmf:2=0.25,3=0.5,7=0.25", 3)]
+
+
+def test_G_minus_1_single_x_bitwise():
+    rng = np.random.default_rng(8)
+    xs = [1e-300, 1e-5, 1e-2, 1 - 1e-13] + rng.random(40).tolist()
+    rows = 0
+    for spec, r in _criterion_8_laws() + ROW_EXTRA:
+        ctx = make_context(make_distribution(spec), r)
+        if ctx.analytic or len(ctx.ks) < 2:
+            continue  # point masses and heavy or pruned laws are summed by _G_point
+        rows += 1
+        for x in xs:
+            single = gw.G_minus_1(ctx, x)
+            assert type(single) is float
+            assert single == gw.G_minus_1(ctx, np.array([x]))[0], (spec, r, x)
+    assert rows >= 100  # the shifted laws, the two-point laws and ROW_EXTRA
+
+
+def _h_oracle(d, r, x, cutoff):
+    """sum_k pmf(k) P(Bin(k, 1-x) <= r-1) term by term, the binomials from math.comb."""
+    if d.support_max is not None and d.support_max <= 5_000_000:
+        ks, ps = d.support_probs(upto=cutoff)
+    else:
+        ks = np.arange(d.support_min, cutoff + 1)
+        ps = [float(d.pmf(int(k))) for k in ks]
+    q = 1.0 - x
+    terms = []
+    for k, pk in zip(ks.tolist(), list(ps)):
+        cdf = 1.0 if k < r else math.fsum(comb(k, i) * q**i * x ** (k - i) for i in range(r))
+        terms.append(float(pk) * cdf)
+    return math.fsum(terms)
+
+
+# every family, with laws that have mass below the threshold; heavy and pruned
+# laws at cutoffs small enough to sum term by term
+H_CASES = [
+    ("regular:b=3", 2, None), ("regular:b=5", 3, None), ("regular:b=7", 4, None),
+    ("poisson:b=4", 2, None), ("poisson:b=6", 3, None),
+    ("geometric:b=3", 2, None), ("geometric:b=8", 3, None),
+    ("twopoint:b=4,a=9", 2, None), ("twopoint:b=3,a=6", 4, None),
+    ("pmf:1=0.5,3=0.5", 2, None), ("pmf:1=0.2,2=0.3,5=0.5", 3, None),
+    ("heavy:r=2", 2, 1e-4), ("heavy:r=3", 3, 1e-4), ("heavy:r=2", 3, 1e-4), ("heavy:r=3", 2, 1e-4),
+    ("pruned:r=3,b=8", 3, None), ("pruned:r=2,b=6", 2, None), ("pruned:r=2,b=6", 3, None),
+]
+
+
+@pytest.mark.parametrize("spec, r, tail_target", H_CASES)
+def test_h_matches_binomial_sum(spec, r, tail_target):
+    d = make_distribution(spec)
+    ctx = make_context(d, r) if tail_target is None else make_context(d, r, tail_target)
+    assert ctx.cutoff <= 40_000
+    for x in (0.0, 1e-300, 0.5, 1 - 1e-13, 1.0):
+        want = _h_oracle(d, r, x, ctx.cutoff)
+        for p in (0.0, 0.3):
+            assert abs(gw.h(ctx, p, x) - (1 - p) * want) <= 1e-14, (spec, r, x, p)
+
+
+@pytest.mark.parametrize("spec, r", [("regular:b=5", 4), ("poisson:b=6", 3), ("geometric:b=8", 3),
+                                     ("twopoint:b=3,a=6", 4), ("pmf:1=0.2,2=0.3,5=0.5", 3)])
+def test_h_with_threshold_below_r_matches_binomial_sum(spec, r):
+    d = make_distribution(spec)
+    ctx = make_context(d, r)
+    for s in range(1, r):
+        for x in (0.0, 1e-300, 0.3, 0.5, 0.9, 1 - 1e-13, 1.0):
+            want = _h_oracle(d, s, x, ctx.cutoff)
+            assert abs(gw.h_with_threshold(ctx, 0.2, x, s) - 0.8 * want) <= 1e-14, (spec, s, x)
+
+
+def test_h_with_threshold_below_r_heavy_is_fast_and_exact():
+    d = make_distribution("heavy:r=3")
+    ctx = make_context(d, 3)
+    t0 = time.perf_counter()
+    val = gw.h_with_threshold(ctx, 0.1, 0.5, 2)
+    assert time.perf_counter() - t0 < 0.05  # no enumeration of the 2e13-atom support
+    assert val == pytest.approx(0.9 * 0.5**2, abs=1e-14)  # E P(Bin(xi, 1-x) <= 1) = x^2 here
+    small = make_context(d, 3, tail_target=1e-4)
+    for s in (1, 2):
+        for x in (0.0, 1e-300, 0.1, 0.5, 0.9, 0.999, 1 - 1e-13, 1.0):
+            want = _h_oracle(d, s, x, small.cutoff)
+            assert abs(gw.h_with_threshold(small, 0.0, x, s) - want) <= 1e-14, (s, x)
+    # s = 1 with a body past the directly summed head: E[x^xi] against the series
+    wide = make_context(d, 3, tail_target=1e-5)
+    x = 0.9999
+    want = math.fsum(2 * x**k / (k * (k - 1)) for k in range(3, wide.cutoff + 1))
+    assert abs(gw.h_with_threshold(wide, 0.0, x, 1) - want) <= 1e-14
+    with pytest.raises(PreconditionError):
+        gw.h_with_threshold(ctx, 1.5, 0.5, 1)
+
+
+def test_binom_lte_large_n_is_exact():
+    # lgamma differences lose about 3 digits at n = 2e13
+    assert binom_lte(2 * 10**13, 1e-13, 1) == pytest.approx(0.40600584970982, rel=1e-12)
+    assert binom_lte(10**9, 2e-9, 3) == pytest.approx(math.exp(-2) * (1 + 2 + 2 + 4 / 3), rel=1e-8)
