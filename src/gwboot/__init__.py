@@ -10,7 +10,6 @@ from .offspring import (
     OffspringDistribution,
     PreconditionError,
     SpecError,
-    TruncatedDistribution,
     alpha_moment,
     fort_upper_moment,
     harmonic_number,

@@ -207,7 +207,8 @@ def q_limit(d: OffspringDistribution, r: int, p: float, tol: float = 1e-12,
     """Iterate h until successive values differ by less than tol.
 
     On convergence the value approximates the largest fixed point of
-    h_{r,p}.  If the iteration cap is reached the true limit is only known
+    h_{r,p}, reported with the interval [max(value - tol, 0), value].
+    If the iteration cap is reached the true limit is only known
     to lie in [0, last value]; we return that interval instead of a point.
     """
     if not 0.0 <= p <= 1.0:
@@ -220,7 +221,7 @@ def q_limit(d: OffspringDistribution, r: int, p: float, tol: float = 1e-12,
     for t in range(1, Q_ITERATION_CAP + 1):
         q_next = min(kernels.h(ctx, p, q), q)
         if abs(q - q_next) < tol:
-            return QLimitResult(value=q_next, lower=q_next - tol, upper=q_next,
+            return QLimitResult(value=q_next, lower=max(q_next - tol, 0.0), upper=q_next,
                                 converged=True, iterations=t)
         q = q_next
     return QLimitResult(value=q, lower=0.0, upper=q, converged=False,

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.special import gammaln
@@ -46,7 +46,6 @@ from .offspring import (
     OffspringDistribution,
     PreconditionError,
     Pruned,
-    TruncatedDistribution,
 )
 
 __all__ = [
@@ -205,7 +204,6 @@ class GEvalContext:
     tail_target: float
     cutoff: int
     eps_G: float
-    truncation: Optional[TruncatedDistribution]
     prob_below: float
     analytic: bool
     ks: np.ndarray
@@ -249,11 +247,7 @@ def make_context(
     if r < 2:
         raise PreconditionError("threshold r must be >= 2")
     cutoff = int(dist.truncation_cutoff(tail_target))
-    trunc = None
-    eps = 0.0
-    if dist.support_max is None:
-        trunc = TruncatedDistribution(base=dist, cutoff=cutoff)
-        eps = r * trunc.tail_mass
+    eps = r * dist.tail(cutoff) if dist.support_max is None else 0.0
     analytic = isinstance(dist, (HeavyTail, Pruned))
     if analytic:
         atoms, offset, scale = _analytic_mixture(dist, r, cutoff)
@@ -271,7 +265,7 @@ def make_context(
     log_binom = np.array([lgk - gammaln(i + 1) - gammaln(ks - i + 1) for i in range(r)])
     powers = np.array([ks - i - 1 for i in range(r)], dtype=float)
     return GEvalContext(
-        dist=dist, r=r, tail_target=tail_target, cutoff=cutoff, eps_G=eps, truncation=trunc,
+        dist=dist, r=r, tail_target=tail_target, cutoff=cutoff, eps_G=eps,
         prob_below=float(dist.prob_below(r)), analytic=analytic,
         ks=_frozen(ks), weights=_frozen(w), log_binom=_frozen(log_binom),
         powers=_frozen(powers), max_power=float(ks.max(initial=1) - 1),

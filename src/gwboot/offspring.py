@@ -16,26 +16,26 @@ be finite with positive probability.  Supported families:
 PMFs of the rational families (regular, two_point, heavy_tail and the
 pruned body) are exposed as ``fractions.Fraction`` values; the shifted
 families are floating point.  Moments that diverge are reported as the
-distinguished value ``math.inf`` rather than raising.
+distinguished value ``math.inf`` rather than raising.  Only the heavy and
+pruned laws import ``mpmath``, and only when a moment sums their tail.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import mpmath
 import numpy as np
-from scipy.special import digamma
+from scipy.special import digamma, gammaln, pdtrc, xlogy
 
 __all__ = [
     "SpecError",
     "PreconditionError",
     "DistributionSpec",
     "OffspringDistribution",
-    "TruncatedDistribution",
     "make_distribution",
     "parse_spec",
     "prune_eta",
@@ -76,8 +76,10 @@ class PreconditionError(ValueError):
 _HARMONIC_CACHE_N = 20000
 
 
+@functools.cache
 def _harmonic_prefix(n: int) -> np.ndarray:
-    # compensated cumulative sum: per-entry error stays at machine epsilon
+    # compensated cumulative sum: per-entry error stays at machine epsilon;
+    # built on first use, since most commands never need a harmonic number
     out = np.empty(n + 1)
     out[0] = 0.0
     s = 0.0
@@ -88,10 +90,8 @@ def _harmonic_prefix(n: int) -> np.ndarray:
         c = (t - s) - y
         s = t
         out[i] = s
+    out.flags.writeable = False
     return out
-
-
-_harmonic_cache = _harmonic_prefix(_HARMONIC_CACHE_N)
 
 
 def harmonic_number(n: int) -> float:
@@ -99,7 +99,7 @@ def harmonic_number(n: int) -> float:
     if n < 0:
         raise ValueError("harmonic_number needs n >= 0")
     if n <= _HARMONIC_CACHE_N:
-        return float(_harmonic_cache[n])
+        return float(_harmonic_prefix(_HARMONIC_CACHE_N)[n])
     return float(digamma(n + 1) + np.euler_gamma)
 
 
@@ -256,15 +256,12 @@ def parse_spec(text: str) -> DistributionSpec:
 class OffspringDistribution:
     """Common interface: pmf / tail mass / moments / sampling.
 
-    ``support_max`` is None for the genuinely infinite families; the pruned
-    family is finite but its support is far too large to enumerate, so it
-    reports ``enumerable = False`` like the heavy tail.
+    ``support_max`` is None for the genuinely infinite families.
     """
 
     spec: DistributionSpec
     support_min: int
     support_max: Optional[int]
-    enumerable: bool = True
 
     def pmf(self, k: int):
         raise NotImplementedError
@@ -462,9 +459,7 @@ class ShiftedPoisson(OffspringDistribution):
     def tail(self, m):
         if m < 2:
             return 1.0
-        from scipy.stats import poisson
-
-        return float(poisson.sf(m - 2, self.lam))
+        return float(pdtrc(m - 2, self.lam))
 
     def mean(self):
         return self.b
@@ -499,9 +494,7 @@ class ShiftedPoisson(OffspringDistribution):
         K = upto if upto is not None else self.truncation_cutoff(1e-13)
         ks = np.arange(2, K + 1)
         j = ks - 2
-        from scipy.stats import poisson
-
-        return ks, poisson.pmf(j, self.lam)
+        return ks, np.exp(xlogy(j, self.lam) - gammaln(j + 1) - self.lam)
 
     def sample(self, rng, size):
         return 2 + rng.poisson(self.lam, size).astype(np.int64)
@@ -569,8 +562,6 @@ class ShiftedGeometric(OffspringDistribution):
 class HeavyTail(OffspringDistribution):
     """pmf (r-1)/(k(k-1)) on k >= r; infinite mean, tail (r-1)/m."""
 
-    enumerable = False
-
     def __init__(self, spec: DistributionSpec):
         self.spec = spec
         self.r = int(spec.r)
@@ -598,6 +589,8 @@ class HeavyTail(OffspringDistribution):
         return INF
 
     def _harmonic_tail_moment(self, r):
+        import mpmath
+
         rr = self.r
         head = math.fsum(
             (rr - 1) / (k * (k - 1)) * harmonic_number(k - r) for k in range(rr, 2001)
@@ -648,8 +641,6 @@ class Pruned(OffspringDistribution):
     K/A = alpha r + (1-alpha)(2r+1) with K the unallocated part of the mean,
     which makes the mean exactly b.
     """
-
-    enumerable = False
 
     def __init__(self, spec: DistributionSpec):
         self.spec = spec
@@ -711,6 +702,8 @@ class Pruned(OffspringDistribution):
         head_top = min(self.k1, 2000)
         total = math.fsum(f(k) for k in range(r, head_top + 1))
         if self.k1 > head_top:
+            import mpmath
+
             g = lambda k: k ** (1 + alpha) * (r - 1) / (k * (k - 1))
             total += float(mpmath.sumem(g, [head_top + 1, self.k1]))
         total += self.alpha * self.A * r ** (1 + alpha)
@@ -724,6 +717,8 @@ class Pruned(OffspringDistribution):
             (rr - 1) / (k * (k - 1)) * harmonic_number(k - r) for k in range(rr, head_top + 1)
         )
         if self.k1 > head_top:
+            import mpmath
+
             f = lambda k: (rr - 1) / (k * (k - 1)) * (mpmath.psi(0, k - r + 1) + mpmath.euler)
             total += float(mpmath.sumem(f, [head_top + 1, self.k1]))
         total += self.alpha * self.A * harmonic_number(rr - r)
@@ -839,27 +834,6 @@ class ExplicitPMF(OffspringDistribution):
 
     def sample(self, rng, size):
         return rng.choice(self.ks, size=size, p=self.ps / self.ps.sum())
-
-
-@dataclass(frozen=True)
-class TruncatedDistribution:
-    """Bookkeeping for a truncated view of an infinite-support law.
-
-    Probabilities are kept as-is (sub-probability) unless renormalized;
-    ``tail_mass`` equals ``base.tail(cutoff)`` exactly.
-    """
-
-    base: OffspringDistribution
-    cutoff: int
-    renormalized: bool = False
-
-    @property
-    def tail_mass(self) -> float:
-        return self.base.tail(self.cutoff)
-
-    @property
-    def retained_mass(self) -> float:
-        return 1.0 - self.tail_mass
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,12 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import gwboot
 from gwboot.cli import main
 
 
@@ -252,3 +255,41 @@ def test_budget_warning(capsys):
     )
     assert code == 0
     assert "expected tree size ~121 " in err
+
+
+# Runs CLI commands in one fresh interpreter and prints which of the heavy
+# optional modules they imported.
+_COLD_SCRIPT = """
+import contextlib, io, json, sys
+from gwboot.cli import main
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == 0, argv
+print(json.dumps(sorted(m for m in ("mpmath", "scipy.stats") if m in sys.modules)))
+"""
+
+
+def _modules_loaded_by(commands):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gwboot.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _COLD_SCRIPT, json.dumps(commands)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_cold_commands_skip_scipy_stats_and_mpmath():
+    commands = []
+    for spec in ("regular:b=4", "poisson:b=6"):
+        commands += [
+            ["pc", "--dist", spec, "--r", "2"],
+            ["bounds", "--dist", spec, "--r", "2"],
+            ["simulate", "--dist", spec, "--r", "2", "--p", "0.1", "--n", "3",
+             "--reps", "50", "--seed", "1"],
+            ["sweep", "--dist", spec, "--r", "2", "--p-grid", "0.05:0.3:0.05"],
+        ]
+    assert _modules_loaded_by(commands) == []
+    # the heavy tail's bounds are vacuous (infinite mean) and sum no tail; the
+    # pruned law's (1+alpha)-moment sums its body with mpmath, imported on that call
+    assert _modules_loaded_by([["bounds", "--dist", "heavy:r=2", "--r", "2"]]) == []
+    assert _modules_loaded_by([["bounds", "--dist", "pruned:r=2,b=20", "--r", "2"]]) == ["mpmath"]

@@ -216,6 +216,19 @@ def test_fixed_point_consistency_near_pc():
         assert res_high.value < 1e3 * tol
 
 
+def test_q_limit_interval_stays_in_unit_interval():
+    # supercritical rows converge to about 0, where value - tol would go negative
+    rows = [("regular:b=3", 2, 0.5), ("poisson:b=4", 2, 0.3)]
+    for spec, r in [("regular:b=3", 2), ("poisson:b=4", 2), ("geometric:b=5", 2),
+                    ("twopoint:b=4,a=9", 2), ("regular:b=5", 3), ("pmf:2=0.5,4=0.5", 2)]:
+        pc = pc_exact(make_distribution(spec), r).pc
+        rows += [(spec, r, f * pc) for f in (0.5, 0.8, 1.5, 2.0)]
+    for spec, r, p in rows:
+        res = q_limit(make_distribution(spec), r, p)
+        assert res.converged
+        assert 0.0 <= res.lower <= res.value <= res.upper <= 1.0, (spec, p, res)
+
+
 # (spec, r, p, limit, iterations) next to p_c, as q_limit reported them when every
 # step summed the binomial cdf over the support instead of reading x G(x)
 Q_LIMIT_GOLDEN = [

@@ -77,6 +77,24 @@ def test_heavy_tail_cdf_closed_form():
             assert d.tail(m) == pytest.approx((r - 1) / m, abs=0)
 
 
+def test_shifted_poisson_matches_scipy_stats_bitwise():
+    # the pmf and the tail call the scipy.special ufuncs that scipy.stats.poisson
+    # wraps, so every table built from them keeps its bits
+    from scipy.stats import poisson
+
+    for b in sorted({*np.linspace(2.0, 40.0, 39)[1:], 2.0 + 1e-3, 2.5, 7 / 3, 20.0}):
+        d = make_distribution(DistributionSpec(family="shifted_poisson", b=float(b)))
+        top = d.truncation_cutoff(1e-13) + 50
+        for ks, probs in (d.support_probs(), d.support_probs(upto=top)):
+            assert ks[0] == 2
+            assert np.array_equal(probs, poisson.pmf(ks - 2, d.lam)), b
+        ms = np.arange(top + 1)
+        assert [d.tail(int(m)) for m in ms] == poisson.sf(ms - 2, d.lam).tolist(), b
+        rs = np.arange(3, top + 2)
+        assert [d.prob_below(int(r)) for r in rs] == (1.0 - poisson.sf(rs - 3, d.lam)).tolist(), b
+        assert d.prob_below(2) == 0.0
+
+
 def test_rejects_mass_at_zero():
     with pytest.raises(SpecError):
         parse_spec("pmf:0=0.5,2=0.5")
