@@ -140,33 +140,39 @@ def lb_alpha_moment(d: OffspringDistribution, r: int, alpha: float) -> float:
     return alpha_bound_constant(r, alpha) * m ** (-1.0 / alpha)
 
 
-def lb_fort(d: OffspringDistribution) -> float:
-    """Best per-atom domination lower bound for r = 2; may be negative.
-
-    Per-atom kernel maxima: g_2^2 peaks at 2; g_k^2 peaks at
-    k^(k-1) (k-2)^(k-2) / (k-1)^(2k-3) for k >= 3.  Atoms with zero mass
-    contribute nothing, and beyond the truncation cutoff the terms only
-    fall further (the peak tends to 1 while the mass vanishes).
-    """
-    if d.support_min < 2:
-        raise PreconditionError("lb_fort requires support >= 2")
-    if d.support_max is not None and not isinstance(d, Pruned):
-        ks, probs = d.support_probs()
-    else:
-        ks, probs = d.support_probs(upto=min(d.truncation_cutoff(1e-13), 200_000))
-    ks = np.asarray(ks, dtype=float)
-    probs = np.asarray(probs, dtype=float)
+def _fort_terms(ks: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """1 - 1/(p_k max_x g_k^2) for the atoms with positive mass."""
     pos = probs > 0.0
-    ks, probs = ks[pos], probs[pos]
-    if len(ks) == 0:
-        raise PreconditionError("empty support")
+    ks = np.asarray(ks[pos], dtype=float)
     # log of max_x g_k^2: log 2 at k = 2, else the peak-value formula
     log_maxg = np.where(
         ks == 2,
         math.log(2.0),
         (ks - 1) * np.log(ks) + (ks - 2) * np.log(np.maximum(ks - 2, 1)) - (2 * ks - 3) * np.log(ks - 1),
     )
-    return float(np.max(1.0 - np.exp(-log_maxg) / probs))
+    return 1.0 - np.exp(-log_maxg) / probs[pos]
+
+
+def lb_fort(d: OffspringDistribution) -> float:
+    """Best per-atom domination lower bound for r = 2; may be negative.
+
+    Per-atom kernel maxima: g_2^2 peaks at 2; g_k^2 peaks at
+    k^(k-1) (k-2)^(k-2) / (k-1)^(2k-3) for k >= 3.  Atoms with zero mass
+    contribute nothing.  Every peak is at most 2, so an atom k > m
+    contributes at most 1 - 1/(2 p_k) <= 1 - 1/(2 tail(m)); the scan over
+    the support stops at the first m where that cannot beat the best term.
+    """
+    if d.support_min < 2:
+        raise PreconditionError("lb_fort requires support >= 2")
+    top = 2 * d.support_min + 64
+    best = -math.inf
+    while True:
+        ks, probs = d.support_probs(upto=top)
+        best = max(best, float(np.max(_fort_terms(ks, probs), initial=-math.inf)))
+        t = d.tail(int(ks[-1]))
+        if t == 0.0 or 1.0 - 0.5 / t <= best:
+            return best
+        top *= 4
 
 
 def ub_fort(d: OffspringDistribution) -> float:

@@ -16,8 +16,11 @@ be finite with positive probability.  Supported families:
 PMFs of the rational families (regular, two_point, heavy_tail and the
 pruned body) are exposed as ``fractions.Fraction`` values; the shifted
 families are floating point.  Moments that diverge are reported as the
-distinguished value ``math.inf`` rather than raising.  Only the heavy and
-pruned laws import ``mpmath``, and only when a moment sums their tail.
+distinguished value ``math.inf`` rather than raising.  Series moments are
+array passes: the shifted laws sum their pmf up to a cutoff whose remainder
+is bounded from ``tail``; the heavy and pruned bodies sum their first 2000
+terms and take the rest in closed form (Euler-Maclaurin sums of powers, and
+summation by parts for harmonic numbers).
 """
 
 from __future__ import annotations
@@ -101,6 +104,15 @@ def harmonic_number(n: int) -> float:
     if n <= _HARMONIC_CACHE_N:
         return float(_harmonic_prefix(_HARMONIC_CACHE_N)[n])
     return float(digamma(n + 1) + np.euler_gamma)
+
+
+def _harmonic_numbers(n: np.ndarray) -> np.ndarray:
+    """harmonic_number over an integer array n >= 0."""
+    table = _harmonic_prefix(_HARMONIC_CACHE_N)
+    if n.max() <= _HARMONIC_CACHE_N:
+        return table[n]
+    return np.where(n <= _HARMONIC_CACHE_N, table[np.minimum(n, _HARMONIC_CACHE_N)],
+                    digamma(n + 1.0) + np.euler_gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +322,7 @@ class OffspringDistribution:
 
     def prob_below(self, r: int) -> float:
         """P(xi < r)."""
-        raise NotImplementedError
+        return 0.0 if r <= self.support_min else 1.0 - self.tail(r - 1)
 
     def truncation_cutoff(self, tail_target: float) -> int:
         """Smallest convenient K with tail(K) <= tail_target."""
@@ -440,7 +452,54 @@ class TwoPoint(OffspringDistribution):
         return np.where(u < float(self.p2), 2, self.a).astype(np.int64)
 
 
-class ShiftedPoisson(OffspringDistribution):
+class _SeriesMoments(OffspringDistribution):
+    """The four series moments of an infinite or long support, each E f(xi).
+
+    A law supplies ``_expect(f, tail)``: f maps an integer array of k to
+    f(k), and tail(a, n) is sum_{k=a}^{n} f(k)/(k(k-1)) in closed form (n
+    None: to infinity), which the heavy-tail bodies use past their head.
+    """
+
+    def _alpha_moment(self, alpha):
+        return self._expect(lambda ks: ks ** (1.0 + alpha),
+                            lambda a, n: _power_series(1.0 - alpha, _ONES, a, n))
+
+    def _harmonic_tail_moment(self, r):
+        return self._expect(lambda ks: _harmonic_numbers(ks - r), lambda a, n: _harmonic_tail(r, a, n))
+
+    def _fort_upper_moment(self):
+        return self._expect(lambda ks: 1.0 / ((ks - 1) * (2 * ks - 3)),
+                            lambda a, n: _power_series(4.0, _FORT_COEFFS, a, n))
+
+    def inverse_square_moment(self):
+        return self._expect(lambda ks: 1.0 / ks**2, lambda a, n: _power_series(4.0, _ONES, a, n))
+
+
+class _LightTail(_SeriesMoments):
+    """Moments of the shifted Poisson and geometric laws as one pmf pass.
+
+    Both laws are log-concave, so the tail ratio q(m) = tail(m+1)/tail(m)
+    never increases, and every moment here has 0 <= f(k) <= k^2 on k >= 2.
+    Summing the pmf up to K therefore leaves at most
+    E(xi^2; xi > K) = K^2 tail(K) + sum_{j>=K} (2j+1) tail(j)
+                   <= tail(K) (K^2 + (2K+1)/(1-q) + 2q/(1-q)^2),  q = q(K).
+    """
+
+    def _expect(self, f, tail) -> float:
+        K = self.truncation_cutoff(_LIGHT_TAIL_START)
+        while True:
+            ks, probs = self.support_probs(upto=K)
+            total = math.fsum((f(ks) * probs).tolist())
+            t = self.tail(K)
+            if t == 0.0:
+                return total
+            q = self.tail(K + 1) / t
+            if t * (K * K + (2 * K + 1) / (1 - q) + 2 * q / (1 - q) ** 2) <= _REL_REMAINDER * total:
+                return total
+            K *= 2
+
+
+class ShiftedPoisson(_LightTail):
     """2 + Poisson(b-2)."""
 
     def __init__(self, spec: DistributionSpec):
@@ -467,23 +526,6 @@ class ShiftedPoisson(OffspringDistribution):
     def second_factorial_moment(self):
         return self.b**2 - 2.0
 
-    def _alpha_moment(self, alpha):
-        return _series_vs_pmf(self, lambda k: float(k) ** (1 + alpha))
-
-    def _harmonic_tail_moment(self, r):
-        return _series_vs_pmf(self, lambda k: harmonic_number(k - r))
-
-    def _fort_upper_moment(self):
-        return _series_vs_pmf(self, lambda k: 1.0 / ((k - 1) * (2 * k - 3)))
-
-    def inverse_square_moment(self):
-        return _series_vs_pmf(self, lambda k: 1.0 / k**2)
-
-    def prob_below(self, r):
-        if r <= 2:
-            return 0.0
-        return 1.0 - self.tail(r - 1)
-
     def truncation_cutoff(self, tail_target):
         k = int(self.lam + 10 * math.sqrt(self.lam + 1) + 20) + 2
         while self.tail(k) > tail_target:
@@ -500,7 +542,7 @@ class ShiftedPoisson(OffspringDistribution):
         return 2 + rng.poisson(self.lam, size).astype(np.int64)
 
 
-class ShiftedGeometric(OffspringDistribution):
+class ShiftedGeometric(_LightTail):
     """P(xi = k+2) = (1/(b-1)) ((b-2)/(b-1))^k, k >= 0."""
 
     def __init__(self, spec: DistributionSpec):
@@ -526,23 +568,6 @@ class ShiftedGeometric(OffspringDistribution):
     def second_factorial_moment(self):
         return 2.0 * (self.b - 1.0) ** 2
 
-    def _alpha_moment(self, alpha):
-        return _series_vs_pmf(self, lambda k: float(k) ** (1 + alpha))
-
-    def _harmonic_tail_moment(self, r):
-        return _series_vs_pmf(self, lambda k: harmonic_number(k - r))
-
-    def _fort_upper_moment(self):
-        return _series_vs_pmf(self, lambda k: 1.0 / ((k - 1) * (2 * k - 3)))
-
-    def inverse_square_moment(self):
-        return _series_vs_pmf(self, lambda k: 1.0 / k**2)
-
-    def prob_below(self, r):
-        if r <= 2:
-            return 0.0
-        return 1.0 - self.tail(r - 1)
-
     def truncation_cutoff(self, tail_target):
         k = 2 + int(math.log(tail_target) / math.log(self.rho)) + 2
         while self.tail(k) > tail_target:
@@ -559,7 +584,7 @@ class ShiftedGeometric(OffspringDistribution):
         return 2 + (rng.geometric(1.0 / (self.b - 1.0), size) - 1).astype(np.int64)
 
 
-class HeavyTail(OffspringDistribution):
+class HeavyTail(_SeriesMoments):
     """pmf (r-1)/(k(k-1)) on k >= r; infinite mean, tail (r-1)/m."""
 
     def __init__(self, spec: DistributionSpec):
@@ -588,35 +613,8 @@ class HeavyTail(OffspringDistribution):
         # terms behave like k^(alpha-1): divergent for every alpha > 0
         return INF
 
-    def _harmonic_tail_moment(self, r):
-        import mpmath
-
-        rr = self.r
-        head = math.fsum(
-            (rr - 1) / (k * (k - 1)) * harmonic_number(k - r) for k in range(rr, 2001)
-        )
-        f = lambda k: (rr - 1) / (k * (k - 1)) * (mpmath.psi(0, k - r + 1) + mpmath.euler)
-        return head + float(mpmath.sumem(f, [2001, mpmath.inf]))
-
-    def _fort_upper_moment(self):
-        rr = self.r
-        K = 20000
-        head = math.fsum(
-            (rr - 1) / (k * (k - 1)) * (1.0 / ((k - 1) * (2 * k - 3))) for k in range(max(rr, 2), K + 1)
-        )
-        # remainder below sum of 2(r-1) k^-4
-        return head + 2 * (rr - 1) / (3 * K**3)
-
-    def inverse_square_moment(self):
-        rr = self.r
-        K = 20000
-        head = math.fsum((rr - 1) / (k**3 * (k - 1)) for k in range(rr, K + 1))
-        return head + (rr - 1) / (3 * K**3)
-
-    def prob_below(self, r):
-        if r <= self.r:
-            return 0.0
-        return 1.0 - self.tail(r - 1)
+    def _expect(self, f, tail):
+        return _body_expect(self.r, None, f, tail)
 
     def truncation_cutoff(self, tail_target):
         return max(self.r, math.ceil((self.r - 1) / tail_target))
@@ -633,7 +631,7 @@ class HeavyTail(OffspringDistribution):
         return np.maximum(k, self.r)
 
 
-class Pruned(OffspringDistribution):
+class Pruned(_SeriesMoments):
     """Heavy tail truncated at k1 with the freed mass moved to r and 2r+1.
 
     k0 is the largest m with (r-1)(H_{m-1} - H_{r-2}) <= b, k1 = k0 - 2r,
@@ -696,60 +694,9 @@ class Pruned(OffspringDistribution):
         atoms = self.alpha * self.A * r * (r - 1) + (1 - self.alpha) * self.A * (2 * r + 1) * (2 * r)
         return float(body + atoms)
 
-    def _alpha_moment(self, alpha):
-        r = self.r
-        f = lambda k: float(k) ** (1 + alpha) * (r - 1) / (k * (k - 1))
-        head_top = min(self.k1, 2000)
-        total = math.fsum(f(k) for k in range(r, head_top + 1))
-        if self.k1 > head_top:
-            import mpmath
-
-            g = lambda k: k ** (1 + alpha) * (r - 1) / (k * (k - 1))
-            total += float(mpmath.sumem(g, [head_top + 1, self.k1]))
-        total += self.alpha * self.A * r ** (1 + alpha)
-        total += (1 - self.alpha) * self.A * (2 * r + 1) ** (1 + alpha)
-        return total
-
-    def _harmonic_tail_moment(self, r):
-        rr = self.r
-        head_top = min(self.k1, 2000)
-        total = math.fsum(
-            (rr - 1) / (k * (k - 1)) * harmonic_number(k - r) for k in range(rr, head_top + 1)
-        )
-        if self.k1 > head_top:
-            import mpmath
-
-            f = lambda k: (rr - 1) / (k * (k - 1)) * (mpmath.psi(0, k - r + 1) + mpmath.euler)
-            total += float(mpmath.sumem(f, [head_top + 1, self.k1]))
-        total += self.alpha * self.A * harmonic_number(rr - r)
-        total += (1 - self.alpha) * self.A * harmonic_number(2 * rr + 1 - r)
-        return total
-
-    def _fort_upper_moment(self):
-        r = self.r
-        K = min(self.k1, 20000)
-        total = math.fsum(
-            (r - 1) / (k * (k - 1)) * (1.0 / ((k - 1) * (2 * k - 3))) for k in range(max(r, 2), K + 1)
-        )
-        if self.k1 > K:
-            total += 2 * (r - 1) / (3 * K**3)
-        total += self.alpha * self.A / ((r - 1) * (2 * r - 3)) if r > 2 else self.alpha * self.A * 1.0
-        total += (1 - self.alpha) * self.A / ((2 * r) * (4 * r - 1))
-        return total
-
-    def inverse_square_moment(self):
-        r = self.r
-        K = min(self.k1, 20000)
-        total = math.fsum((r - 1) / (k**3 * (k - 1)) for k in range(r, K + 1))
-        if self.k1 > K:
-            total += (r - 1) / (3 * K**3)
-        total += self.alpha * self.A / r**2 + (1 - self.alpha) * self.A / (2 * r + 1) ** 2
-        return total
-
-    def prob_below(self, r):
-        if r <= self.r:
-            return 0.0
-        return 1.0 - self.tail(r - 1)
+    def _expect(self, f, tail):
+        atoms = self.A * np.array([self.alpha, 1 - self.alpha]) * f(np.array([self.r, 2 * self.r + 1]))
+        return math.fsum([_body_expect(self.r, self.k1, f, tail), *atoms.tolist()])
 
     def truncation_cutoff(self, tail_target):
         return self.k1
@@ -837,35 +784,74 @@ class ExplicitPMF(OffspringDistribution):
 
 
 # ---------------------------------------------------------------------------
-# series summation with geometric remainder control
+# moment sums: light-tail stop rule and closed-form tails of the heavy body
+
+# the shifted laws start at tail(K) <= this and double K until the remainder
+# bound of _LightTail is below _REL_REMAINDER of the sum
+_LIGHT_TAIL_START = 1e-30
+_REL_REMAINDER = 2.0**-56
+
+# body terms k <= _BODY_HEAD are summed one by one; beyond, f(k)/(k(k-1)) is
+# a power series in 1/k cut after 8 terms, which leaves (1.5/2000)^8 ~ 1e-25:
+# k^a/(k-1) = sum_j k^(a-1-j), 1/(k^3(k-1)) = sum_j k^(-4-j), and
+# 1/(k(k-1)^2(2k-3)) = k^-4 (1-1/k)^-2 (1-3/(2k))^-1 / 2
+_BODY_HEAD = 2000
+_ONES = np.ones(8)
+_FORT_COEFFS = np.convolve(np.arange(1.0, 9.0), 1.5 ** np.arange(8.0))[:8] / 2
 
 
-def _series_vs_pmf(dist, f, rel_tol: float = 1e-13, hard_cap: int = 2_000_000) -> float:
-    """Sum f(k) pmf(k) over the support of a light-tailed infinite law.
+def _power_sum(s: float, a: int, n: Optional[int]) -> float:
+    """sum_{k=a}^{n} k^-s for s >= 0 by Euler-Maclaurin (n None: to infinity, s > 1).
 
-    For the shifted Poisson / geometric families the term ratios are
-    eventually decreasing (pmf ratio decreasing, f at most polynomial), so
-    once the current ratio q is below 1 the remainder is bounded by the
-    geometric tail term * q / (1 - q); stop when that bound is negligible.
+    The sum is int_a^{n+1} x^-s dx + em(a) - em(n+1) with
+    em(x) = x^-s/2 + s x^(-s-1)/12 - s(s+1)(s+2) x^(-s-3)/720.  The
+    derivatives of x^-s alternate in sign, so the error is below the first
+    omitted term s(s+1)...(s+4) a^(-s-5)/30240: under 1e-17 of the sum for
+    a > 2000 and s <= 12.
     """
-    k = dist.support_min
-    mean_hint = dist.mean()
-    prev = float(dist.pmf(k)) * f(k)
-    total = prev
-    k += 1
-    while k < hard_cap:
-        p = float(dist.pmf(k))
-        term = p * f(k)
-        total += term
-        if term > 0 and prev > 0:
-            ratio = term / prev
-            if ratio < 1.0 and k > mean_hint:
-                rem = term * ratio / (1.0 - ratio)
-                if rem <= rel_tol * max(abs(total), 1e-300):
-                    return total
-        prev = term if term > 0 else prev
-        k += 1
-    return total
+    def em(x):
+        return x**-s / 2 + s * x ** (-s - 1) / 12 - s * (s + 1) * (s + 2) * x ** (-s - 3) / 720
+
+    if n is None:
+        return a ** (1 - s) / (s - 1) + em(a)
+    e = n + 1
+    if s == 1:
+        return math.log(e / a) + em(a) - em(e)
+    return a ** (1 - s) * math.expm1((1 - s) * math.log(e / a)) / (1 - s) + em(a) - em(e)
+
+
+def _power_series(s0: float, c: np.ndarray, a: int, n: Optional[int]) -> float:
+    """sum_{k=a}^{n} sum_j c_j k^-(s0+j)."""
+    return math.fsum(cj * _power_sum(s0 + j, a, n) for j, cj in enumerate(c))
+
+
+def _harmonic_tail(r: int, a: int, n: Optional[int]) -> float:
+    """sum_{k=a}^{n} H_{k-r}/(k(k-1)) for 1 <= r < a, by summation by parts.
+
+    It equals H_{a-r}/(a-1) - H_{n-r}/n + S, with
+    S = (sum_{a-r<j<a} 1/j - sum_{n-r<j<n} 1/j)/(r-1) for r >= 2 and
+    S = sum_{k=a}^{n-1} 1/k^2 for r = 1; at n = infinity the n terms vanish.
+    """
+    parts = [harmonic_number(a - r) / (a - 1)]
+    if n is not None:
+        parts.append(-harmonic_number(n - r) / n)
+    if r == 1:
+        parts.append(_power_sum(2.0, a, None if n is None else n - 1))
+    else:
+        parts += [1.0 / ((r - 1) * j) for j in range(a - r + 1, a)]
+        if n is not None:
+            parts += [-1.0 / ((r - 1) * j) for j in range(n - r + 1, n)]
+    return math.fsum(parts)
+
+
+def _body_expect(rr: int, top: Optional[int], f, tail) -> float:
+    """sum_{k=rr}^{top} (rr-1)/(k(k-1)) f(k), the heavy-tail body (top None: infinity)."""
+    last = _BODY_HEAD if top is None else min(top, _BODY_HEAD)
+    ks = np.arange(rr, last + 1)
+    terms = ((rr - 1) / (ks * (ks - 1.0)) * f(ks)).tolist()
+    if top is None or top > _BODY_HEAD:
+        terms.append((rr - 1) * tail(_BODY_HEAD + 1, top))
+    return math.fsum(terms)
 
 
 # ---------------------------------------------------------------------------

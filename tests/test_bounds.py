@@ -7,6 +7,7 @@ import pytest
 
 import gwboot as gw
 from gwboot.bounds import (
+    _fort_terms,
     alpha_bound_constant,
     bounds_report,
     lb_alpha_moment,
@@ -188,3 +189,98 @@ def test_gautschi_inequality():
             ratio = math.exp(math.lgamma(n + s) - math.lgamma(n + 1))
             assert (1.0 / (n + 1)) ** (1 - s) <= ratio + 1e-14
             assert ratio <= (1.0 / n) ** (1 - s) + 1e-14
+
+
+# ---------------------------------------------------------------------------
+# regression pins and the lb_fort stop rule
+
+# bounds_report entries as the previous implementation computed them (fsum
+# heads with mpmath.sumem tails for the heavy body, a ratio-tested series for
+# the shifted laws).  Two kinds of entry moved, by derived amounts:
+# * ub_fort of a heavy or pruned body with more than K = 20000 atoms: its
+#   remainder 2(R-1)/(3K^3) overstated the tail sum_{k>K} (R-1)/(k(k-1)^2(2k-3))
+#   = (R-1)/(6K^3) + O(K^-4) by (R-1)/(2K^3);
+# * entries built from a series moment of a shifted law: each series stopped
+#   once a ratio estimate of its remainder fell below 1e-13 of the sum, which
+#   left up to 1e-13 of the moment out, scaled by the entry's sensitivity to it
+#   (E H_(xi-r) for lb_branching_exact, 1/alpha = 2 for lb_alpha_moment).
+BOUNDS_PINS = {
+    ("pruned:r=2,b=20", 2): {
+        "lb_branching_exact": 2.0611537695028948e-09, "lb_branching_simplified": 1.030576811219279e-10,
+        "lb_alpha_moment": 1.2746963223990916e-11, "lb_fort": 1.078296341106011e-09,
+        "lb_second_moment": 1.8355319772825674e-09, "lb_second_moment_weak": 1.8355318324079404e-09,
+        "ub_fort": 0.5367917486293592, "ub_fort_weak": 0.6120361210089718, "ub_pruned": 2.2411185750149068e-08,
+    },
+    ("pruned:r=2,b=25", 2): {
+        "lb_branching_exact": 1.3887943873317461e-11, "lb_branching_simplified": 5.555177545985608e-13,
+        "lb_alpha_moment": 8.588704083432513e-14, "lb_fort": 4.054978575140922e-12,
+        "lb_second_moment": 1.236771688230806e-11, "lb_second_moment_weak": 1.2367716874201158e-11,
+        "ub_fort": 0.5367917479811954, "ub_fort_weak": 0.6120361199743778, "ub_pruned": 1.510053817711639e-10,
+    },
+    ("pruned:r=3,b=30", 2): {
+        "lb_branching_exact": 3.4424976280241695e-14, "lb_branching_simplified": 3.1192076562800582e-15,
+        "lb_alpha_moment": 1.741192569479862e-10, "lb_fort": -1.66666628484804,
+        "lb_second_moment": 5.010841205482546e-08, "lb_second_moment_weak": 5.010825387158842e-08,
+        "ub_fort": 0.07358350926187175, "ub_fort_weak": 0.2240722899773171,
+    },
+    ("pruned:r=3,b=30", 3): {
+        "lb_branching_exact": 1.1253585882625847e-07, "lb_branching_simplified": 6.184637875386595e-09,
+        "lb_alpha_moment": 3.3238126948750796e-10, "ub_pruned": 9.978344629242815e-06,
+    },
+    ("heavy:r=2", 2): {
+        "lb_branching_exact": 0.0, "lb_alpha_moment": 0.0, "lb_fort": 0.0, "lb_second_moment": 0.0,
+        "ub_fort": 0.5367917479783569, "ub_fort_weak": 0.6120361199687171,
+    },
+    ("poisson:b=6", 2): {
+        "lb_branching_exact": 0.0009422034044265054, "lb_branching_simplified": 0.0004131253627777264,
+        "lb_alpha_moment": 5.9295974088653855e-05, "lb_fort": -3.9696449452390805,
+        "lb_second_moment": 0.015384615384615385, "lb_second_moment_weak": 0.0125,
+        "ub_fort": 0.05591929864597436, "ub_fort_weak": 0.16452382345965716,
+    },
+    ("geometric:b=4", 2): {
+        "lb_branching_exact": 0.016595689455956162, "lb_branching_simplified": 0.004578909722183545,
+        "lb_alpha_moment": 0.00017137370483201594, "lb_fort": -0.5,
+        "lb_second_moment": 0.030303030303030304, "lb_second_moment_weak": 0.022727272727272728,
+        "ub_fort": 0.3865751657694841, "ub_fort_weak": 0.49981565943212863,
+    },
+}
+
+
+@pytest.mark.parametrize("spec,r", list(BOUNDS_PINS))
+def test_bounds_report_pinned(spec, r):
+    d = make_distribution(spec)
+    entries = {e.name: e.raw for e in bounds_report(d, r, with_reference=False).entries}
+    pins = BOUNDS_PINS[spec, r]
+    assert entries.keys() == pins.keys()
+    shifted = d.spec.family in ("shifted_poisson", "shifted_geometric")
+    for name, want in pins.items():
+        rel = 1e-13
+        if name == "ub_fort" and not shifted:
+            want -= (d.r - 1) / (2 * 20000.0**3)
+        if shifted:
+            rel *= {"lb_branching_exact": max(1.0, d.harmonic_tail_moment(r)), "lb_alpha_moment": 2.0}.get(name, 1.0)
+        assert entries[name] == pytest.approx(want, rel=rel, abs=0), name
+
+
+@pytest.mark.parametrize("spec", [
+    "heavy:r=2", "heavy:r=3", "heavy:r=4", "pruned:r=2,b=8", "pruned:r=2,b=20", "pruned:r=2,b=25",
+    "pruned:r=3,b=30", "pruned:r=4,b=66", "poisson:b=6", "poisson:b=150", "geometric:b=19",
+])
+def test_lb_fort_stop_rule_matches_full_scan(spec):
+    # poisson:b=150 has its best atom past the first scanned block
+    d = make_distribution(spec)
+    ks, probs = d.support_probs(upto=200_000)
+    with np.errstate(over="ignore"):  # masses that underflow far out in the shifted laws
+        full = float(np.max(_fort_terms(ks, probs)))
+    assert lb_fort(d) == full
+
+
+def test_fort_peaks_are_at_most_two():
+    # lb_fort's stop rule rests on max_x g_k^2 <= 2 for every k >= 2
+    peaks = 1.0 / (1.0 - _fort_terms(np.arange(2, 10**6 + 1), np.ones(10**6 - 1)))
+    assert peaks[0] == 2.0 and np.all(peaks[1:] < 2.0)
+    # the peak formula against a grid maximum of g_k^2(x) = x^(k-1) + k x^(k-2) (1-x)
+    xs = np.linspace(0.0, 1.0, 200_001)
+    for k in range(2, 51):
+        grid_max = float(np.max(xs ** (k - 1) + k * xs ** (k - 2) * (1 - xs)))
+        assert grid_max == pytest.approx(peaks[k - 2], rel=1e-8)

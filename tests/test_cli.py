@@ -289,7 +289,6 @@ def test_cold_commands_skip_scipy_stats_and_mpmath():
             ["sweep", "--dist", spec, "--r", "2", "--p-grid", "0.05:0.3:0.05"],
         ]
     assert _modules_loaded_by(commands) == []
-    # the heavy tail's bounds are vacuous (infinite mean) and sum no tail; the
-    # pruned law's (1+alpha)-moment sums its body with mpmath, imported on that call
-    assert _modules_loaded_by([["bounds", "--dist", "heavy:r=2", "--r", "2"]]) == []
-    assert _modules_loaded_by([["bounds", "--dist", "pruned:r=2,b=20", "--r", "2"]]) == ["mpmath"]
+    # the heavy and pruned laws sum their moment tails in closed form
+    assert _modules_loaded_by([["bounds", "--dist", "heavy:r=2", "--r", "2"],
+                               ["bounds", "--dist", "pruned:r=2,b=20", "--r", "2"]]) == []

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -354,3 +355,118 @@ def test_prune_eta_sampling_matches_pmf():
     for k in (2, 3, 5, 10):
         freq = float(np.mean(draws == k))
         assert freq == pytest.approx(float(eta.pmf(k)), abs=4 * math.sqrt(0.25 / 200_000) + 1e-3)
+
+
+# ---------------------------------------------------------------------------
+# series moments against high-precision references
+
+
+def _heavy_reference(d, r, alpha=0.5):
+    """E xi^(1+alpha), E H_(xi-r), E 1/((xi-1)(2xi-3)), E 1/xi^2 of a heavy or pruned law, 30 digits.
+
+    The body (R-1)/(k(k-1)) on R <= k <= top is summed term by term to k = 64
+    and by mpmath.sumem beyond; E H_(xi-r) is taken as sum_{j>=1} P(xi >= r+j)/j,
+    whose terms past the atoms are rational in j.
+    """
+    R, top = d.r, getattr(d, "k1", None)
+    atoms = [] if top is None else [(R, d.alpha * d.A), (2 * R + 1, (1 - d.alpha) * d.A)]
+    with mpmath.workdps(30):
+        inv_top = 0 if top is None else mpmath.mpf(1) / top
+
+        def expect(f):
+            w = lambda k: (R - 1) * f(k) / (k * (k - 1))
+            total = mpmath.fsum(w(mpmath.mpf(k)) for k in range(R, 65 if top is None else min(top, 64) + 1))
+            if top is None or top > 64:
+                total += mpmath.sumem(w, [65, mpmath.inf if top is None else top])
+            return total + mpmath.fsum(p * f(mpmath.mpf(k)) for k, p in atoms)
+
+        def at_least_over(j):  # P(xi >= r + j) / j
+            m = r + j
+            body = (R - 1) * (1 / (mpmath.mpf(m - 1) if m > R else mpmath.mpf(R - 1)) - inv_top)
+            return (body + mpmath.fsum(p for k, p in atoms if k >= m)) / j
+
+        harmonic = mpmath.fsum(at_least_over(j) for j in range(1, 65))
+        harmonic += mpmath.sumem(at_least_over, [65, mpmath.inf if top is None else top - r])
+        out = {
+            "harmonic_tail": harmonic,
+            "fort_upper": expect(lambda k: 1 / ((k - 1) * (2 * k - 3))),
+            "inverse_square": expect(lambda k: 1 / k**2),
+        }
+        if top is not None:
+            out["alpha"] = expect(lambda k: k ** (1 + mpmath.mpf(alpha)))
+        return {name: float(v) for name, v in out.items()}
+
+
+def _moments(d, r, alpha=0.5):
+    return {
+        "alpha": d.alpha_moment(alpha),
+        "harmonic_tail": d.harmonic_tail_moment(r),
+        "fort_upper": d.fort_upper_moment(),
+        "inverse_square": d.inverse_square_moment(),
+    }
+
+
+# pruned b per r puts k1 below 2000, between 2000 and 20000, and above 1e9
+HEAVY_AND_PRUNED = [f"heavy:r={r}" for r in (2, 3, 4)] + [
+    f"pruned:r={r},b={b}" for r, bs in ((2, (8, 10, 25)), (3, (12, 16, 45)), (4, (18, 24, 66))) for b in bs
+]
+
+
+@pytest.mark.parametrize("spec", HEAVY_AND_PRUNED)
+def test_heavy_and_pruned_moments_match_reference(spec):
+    d = make_distribution(spec)
+    ref = _heavy_reference(d, d.r)
+    got = _moments(d, d.r)
+    if spec.startswith("heavy"):
+        assert got.pop("alpha") == math.inf
+    assert got.keys() == ref.keys()
+    for name, want in ref.items():
+        assert got[name] == pytest.approx(want, rel=1e-13, abs=0), name
+
+
+@pytest.mark.parametrize("spec,r", [
+    ("heavy:r=2", 1), ("heavy:r=4", 1), ("heavy:r=4", 2), ("pruned:r=2,b=8", 1),
+    ("pruned:r=2,b=25", 1), ("pruned:r=3,b=30", 2), ("pruned:r=3,b=30", 1), ("pruned:r=4,b=66", 3),
+])
+def test_harmonic_tail_moment_below_own_threshold(spec, r):
+    # r = 1 takes a sum of 1/k^2 in place of the 1/(r-1) identity; r below the
+    # law's own r shifts the harmonic index past the atoms
+    d = make_distribution(spec)
+    want = _heavy_reference(d, r)["harmonic_tail"]
+    assert d.harmonic_tail_moment(r) == pytest.approx(want, rel=1e-13, abs=0)
+
+
+def _light_reference(d, r, alpha=0.5):
+    """The four series moments of a shifted Poisson or geometric law at 40 digits."""
+    with mpmath.workdps(40):
+        b = mpmath.mpf(d.b)
+        if d.spec.family == "shifted_poisson":
+            lam = b - 2
+            p, step = mpmath.exp(-lam), lambda p, j: p * lam / j
+        else:
+            p, step = 1 / (b - 1), lambda p, j: p * (b - 2) / (b - 1)
+        sums = [mpmath.mpf(0)] * 4
+        h, k = mpmath.mpf(0), 2  # h = H_(k-r), r <= 2
+        while p > mpmath.mpf(10) ** -60 or k < 10 * d.b:
+            if k > r:
+                h += mpmath.mpf(1) / (k - r)
+            terms = (mpmath.mpf(k) ** (1 + mpmath.mpf(alpha)), h, 1 / mpmath.mpf((k - 1) * (2 * k - 3)),
+                     1 / mpmath.mpf(k * k))
+            sums = [s + p * t for s, t in zip(sums, terms)]
+            p, k = step(p, k - 1), k + 1
+        return dict(zip(("alpha", "harmonic_tail", "fort_upper", "inverse_square"), map(float, sums)))
+
+
+@pytest.mark.parametrize("spec", [
+    "poisson:b=2.001", "poisson:b=3", "poisson:b=6", "poisson:b=19", "poisson:b=40",
+    "geometric:b=2.5", "geometric:b=4", "geometric:b=20", "geometric:b=40",
+])
+def test_shifted_moments_match_reference(spec):
+    # one pmf pass with a derived remainder bound; the ratio-estimate stop rule
+    # it replaced left up to 1e-13 of each moment out
+    d = make_distribution(spec)
+    for r in (1, 2):
+        ref = _light_reference(d, r)
+        got = _moments(d, r)
+        for name, want in ref.items():
+            assert got[name] == pytest.approx(want, rel=1e-14, abs=0), (name, r)
