@@ -11,6 +11,7 @@ positive exactly in the subcritical regime p < p_c.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,12 +57,7 @@ class CriticalResult:
         }
 
 
-def pc_exact(
-    d: OffspringDistribution,
-    r: int,
-    tail_target: float = kernels.DEFAULT_TAIL_TARGET,
-    grid_step: float = kernels.DEFAULT_GRID_STEP,
-) -> CriticalResult:
+def pc_exact(d: OffspringDistribution, r: int) -> CriticalResult:
     """Critical probability via maximization of G.
 
     If P(xi < r) > 0 the tree almost surely contains initially healthy
@@ -77,8 +73,7 @@ def pc_exact(
             pc=1.0, x_star=0.0, M=math.inf, method="subcritical-mass", err=0.0,
             spec=d.spec, r=r,
         )
-    ctx = make_context(d, r, tail_target=tail_target)
-    res = kernels.max_G(ctx, grid_step=grid_step)
+    res = kernels.max_G(make_context(d, r))
     pc = min(max(res.M_minus_1 / res.M, 0.0), 1.0)
     err = (res.err + 1e-14) / res.M**2 + 1e-15
     return CriticalResult(
@@ -87,14 +82,45 @@ def pc_exact(
     )
 
 
+def _log_series(y: float, coeffs) -> float:
+    """sum_{j>=2} c_j y^j for c_2, c_3, ... from ``coeffs``, stopped once a term is
+    below 2^-60 of the sum; callers' terms shrink at least geometrically."""
+    total, yj = 0.0, y * y
+    for c in coeffs:
+        term = c * yj
+        total += term
+        if abs(term) <= 2.0**-60 * abs(total):
+            return total
+        yj *= y
+
+
 def _pc_regular_r2(b: int) -> float:
     # 1 - (b-1)^(2b-3) / (b^(b-1) (b-2)^(b-2)), exact rational for small b
     if b <= 60:
         num = Fraction((b - 1) ** (2 * b - 3))
         den = Fraction(b ** (b - 1) * (b - 2) ** (b - 2)) if b > 2 else Fraction(2)
         return float(1 - num / den)
-    log_ratio = (2 * b - 3) * math.log(b - 1) - (b - 1) * math.log(b) - (b - 2) * math.log(b - 2)
-    return 1.0 - math.exp(log_ratio)
+    # with n = b-1 the log of the ratio is -n log1p(1/n) - (n-1) log1p(-1/n), two
+    # O(1) terms that cancel to about -1/(2n^2); its series in 1/n has
+    # c_j = -1/j for even j and (j-1)/(j(j+1)) for odd j
+    coeffs = (-1.0 / j if j % 2 == 0 else (j - 1) / (j * (j + 1)) for j in itertools.count(2))
+    return -math.expm1(_log_series(1.0 / (b - 1), coeffs))
+
+
+def _poisson_log_coeffs():
+    """c_j of log(1 - p_c) = sum_{j>=2} c_j y^j, the shifted Poisson law at r = 2.
+
+    With s = sqrt((b+3)(b-1)) and y = 2/(b+1+s), 1 - p_c = (b-2) e^((b+1-s)/2) / (s-2)
+    is e^y (1-3y+y^2)/(1-2y-y^2).  The j-th power sums P_j of the roots of
+    z^2 - 3z + 1 and Q_j of z^2 - 2z - 1 are integers, so c_j = -(P_j - Q_j)/j;
+    the j = 1 term cancels the y.  The roots are at most 1 + sqrt(2) < 2.62 and
+    y <= 1/3, so the terms shrink at least like (2.62 y)^j.
+    """
+    p0, p1, q0, q1 = 2, 3, 2, 2
+    for j in itertools.count(2):
+        p0, p1 = p1, 3 * p1 - p0
+        q0, q1 = q1, 2 * q1 + q0
+        yield -(p1 - q1) / j
 
 
 def pc_closed_form(spec: DistributionSpec, r: int) -> Optional[CriticalResult]:
@@ -122,8 +148,8 @@ def pc_closed_form(spec: DistributionSpec, r: int) -> Optional[CriticalResult]:
         b = float(spec.b)
         s = math.sqrt((b + 3) * (b - 1))
         xs = (b - 5 + s) / (2 * (b - 2))
-        M = math.exp(-0.5 * (b + 1 - s)) * ((-2 + s) / (b - 2))
-        pc = 1.0 - ((b - 2) * math.exp((b + 1 - s) / 2)) / (-2 + s)
+        log_1_pc = _log_series(2.0 / (b + 1 + s), _poisson_log_coeffs())
+        pc, M = -math.expm1(log_1_pc), math.exp(-log_1_pc)
         return CriticalResult(pc, xs, M, "closed-form", 1e-14, spec, r)
     if f == "shifted_geometric" and r == 2 and spec.b >= 2.5:
         b = float(spec.b)

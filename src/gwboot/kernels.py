@@ -67,7 +67,7 @@ _ENUM_CAP = 2_000_000
 _PGF_HEAD = 2000  # terms of E[x^xi] summed one by one before Euler-Maclaurin takes over
 
 DEFAULT_TAIL_TARGET = 1e-13
-DEFAULT_GRID_STEP = 1e-3
+GRID_STEP = 1e-3
 BRACKET_WIDTH = 1e-12
 
 
@@ -322,34 +322,35 @@ def _G_row(ctx: GEvalContext, x: float) -> np.float64:
     return gk @ ctx.weights
 
 
-def _G_point(ctx: GEvalContext, x: float) -> float:
-    """G(x) - 1 at one x, summed term by term with the scalar kernels."""
-    total = ctx.offset
-    for k, w in ctx.atoms:
-        total += w * g(k, ctx.r, x)
-    if ctx.defic_scale:
-        total -= ctx.defic_scale * heavy_tail_deficiency(ctx.r, ctx.cutoff, x)
-    return total
+def _mixture(ctx: GEvalContext, x: float, base: float) -> float:
+    """base + sum_j weights_j g_{ks_j}^r(x) - defic_scale D_r(cutoff, x) at one x in [0, 1].
+
+    A point mass or a heavy or pruned law is a few closed-form terms, which
+    the scalar kernels sum in a few microseconds, where numpy's per-call
+    overhead makes a row of the tables cost several times that.  Any other
+    support at an interior x reads one row (``_G_row``).
+    """
+    if ctx.analytic or len(ctx.ks) == 1 or not 0.0 < x < 1.0:
+        total = base
+        for k, w in ctx.atoms:
+            total += w * g(k, ctx.r, x)
+        if ctx.defic_scale:
+            total -= ctx.defic_scale * heavy_tail_deficiency(ctx.r, ctx.cutoff, x)
+        return total
+    return float(_G_row(ctx, x) + base)
 
 
 def G_minus_1(ctx: GEvalContext, x: float | np.ndarray) -> float | np.ndarray:
     """G(x) - 1 at a float or a 1-D array of x, without cancellation on the analytic path.
 
     Arrays are evaluated in blocks of about 2^16 (x, k) elements by
-    ``_G_block``.  A single interior x on a support of two or more atoms
-    reads one row of the tables (``_G_row``, bit-identical to a one-row
-    block).  A single x on a point mass or a heavy or pruned law is a few
-    closed-form terms: ``_G_point`` sums them in a few microseconds, where
-    numpy's per-call overhead makes a row cost several times that.
+    ``_G_block``; a single x is ``_mixture`` from base ``ctx.offset``.
     """
     if not isinstance(x, (np.ndarray, list, tuple)):
         x = float(x)
         if not 0.0 <= x <= 1.0:
             raise PreconditionError("x must lie in [0, 1]")
-        if ctx.analytic or len(ctx.ks) == 1:
-            return _G_point(ctx, x)
-        if 0.0 < x < 1.0:
-            return float(_G_row(ctx, x) + ctx.offset)
+        return _mixture(ctx, x, ctx.offset)
     xs = np.asarray(x, dtype=float)
     if xs.ndim > 1 or not all(0.0 <= v <= 1.0 for v in xs.reshape(-1).tolist()):
         raise PreconditionError("x must lie in [0, 1]")
@@ -368,19 +369,6 @@ def G(ctx: GEvalContext, x: float | np.ndarray) -> float | np.ndarray:
     return 1.0 + G_minus_1(ctx, x)
 
 
-def _G_at(ctx: GEvalContext, x: float) -> float:
-    """G(x) at one x in [0, 1].
-
-    Enumerable mixtures are summed directly, not as 1 + (G - 1), which would
-    cancel where G is small (x near 0 at r >= 3).
-    """
-    if ctx.analytic:
-        return 1.0 + _G_point(ctx, x)
-    if len(ctx.ks) > 1 and 0.0 < x < 1.0:
-        return float(_G_row(ctx, x))
-    return sum(w * g(k, ctx.r, x) for k, w in ctx.atoms)
-
-
 def h(ctx: GEvalContext, p: float, x: float) -> float:
     """h_{r,p}(x) = (1-p) E[P(Bin(xi, 1-x) <= r-1)] = (1-p) (P(xi < r) + x G(x)).
 
@@ -388,12 +376,15 @@ def h(ctx: GEvalContext, p: float, x: float) -> float:
     with fewer than r children in its subtree can never be infected from
     below.  The rest is x G(x), read from the context's tables; p and x are
     checked here and nowhere below, so a step of the recursion costs one G.
+    G is 1 + offset plus ``_mixture`` from base 0; 1 + offset is exactly 0
+    for an enumerable law, so G is never formed as 1 + (G - 1), which would
+    cancel where G is small (x near 0 at r >= 3).
     """
     if not 0.0 <= p <= 1.0:
         raise PreconditionError("p must lie in [0, 1]")
     if not 0.0 <= x <= 1.0:
         raise PreconditionError("x must lie in [0, 1]")
-    return (1.0 - p) * (ctx.prob_below + x * _G_at(ctx, x))
+    return (1.0 - p) * (ctx.prob_below + x * ((1.0 + ctx.offset) + _mixture(ctx, x, 0.0)))
 
 
 def _pgf(ctx: GEvalContext, x: float) -> float:
@@ -475,17 +466,16 @@ def _golden_max(f: Callable[[float], float], a: float, b: float, tol: float) -> 
     return dd, fd
 
 
-def max_G(ctx: GEvalContext, grid_step: float = DEFAULT_GRID_STEP) -> MaxResult:
+def max_G(ctx: GEvalContext) -> MaxResult:
     """Global maximum of G over [0, 1].
 
-    Dense grid scan, evaluated in one array call, followed by golden-section
-    refinement on every local bracket (endpoints included); modes of all
-    supported families are wide relative to the default step, which is
-    exposed as a tunable anyway.
-    Ties report the smallest attaining x.
+    Dense grid scan with step ``GRID_STEP``, evaluated in one array
+    call, followed by golden-section refinement on every local bracket
+    (endpoints included); modes of all supported families are wide relative
+    to that step.  Ties report the smallest attaining x.
     """
     f = lambda x: G_minus_1(ctx, x)
-    n = max(8, int(round(1.0 / grid_step)))
+    n = round(1.0 / GRID_STEP)
     xs = np.linspace(0.0, 1.0, n + 1)
     vals = G_minus_1(ctx, xs)
 

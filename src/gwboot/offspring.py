@@ -16,11 +16,14 @@ be finite with positive probability.  Supported families:
 PMFs of the rational families (regular, two_point, heavy_tail and the
 pruned body) are exposed as ``fractions.Fraction`` values; the shifted
 families are floating point.  Moments that diverge are reported as the
-distinguished value ``math.inf`` rather than raising.  Series moments are
-array passes: the shifted laws sum their pmf up to a cutoff whose remainder
-is bounded from ``tail``; the heavy and pruned bodies sum their first 2000
-terms and take the rest in closed form (Euler-Maclaurin sums of powers, and
-summation by parts for harmonic numbers).
+distinguished value ``math.inf`` rather than raising.  Each moment is
+defined once, as an expectation E f(xi) that the law takes in one array
+pass: the regular, two-point and explicit laws hold their atoms as one pair
+of read-only (ks, probs) arrays and take the ``math.fsum`` of f(ks) probs;
+the shifted laws sum their pmf up to a cutoff whose remainder is bounded
+from ``tail``; the heavy and pruned bodies sum their first 2000 terms and
+take the rest in closed form (Euler-Maclaurin sums of powers, and summation
+by parts for harmonic numbers), which is infinite where the series diverges.
 """
 
 from __future__ import annotations
@@ -268,7 +271,12 @@ def parse_spec(text: str) -> DistributionSpec:
 class OffspringDistribution:
     """Common interface: pmf / tail mass / moments / sampling.
 
-    ``support_max`` is None for the genuinely infinite families.
+    ``support_max`` is None for the genuinely infinite families.  Each moment
+    is defined once, as E f(xi) through the law's ``_expect(f, tail)``: f
+    maps an integer array of k to f(k), and tail(a, n) is
+    sum_{k=a}^{n} f(k)/(k(k-1)) in closed form (n None: to infinity), which
+    the heavy-tail bodies use past their head.  A law overrides a moment
+    only where it has an exact closed form.
     """
 
     spec: DistributionSpec
@@ -282,51 +290,50 @@ class OffspringDistribution:
         """P(xi > m)."""
         raise NotImplementedError
 
-    def mean(self) -> float:
+    def _expect(self, f, tail) -> float:
+        """E f(xi); see the class docstring for f and tail."""
         raise NotImplementedError
+
+    def mean(self) -> float:
+        return self._expect(lambda ks: ks, lambda a, n: _power_series(1.0, _ONES, a, n))
 
     def second_factorial_moment(self) -> float:
         """E(xi(xi-1))."""
-        raise NotImplementedError
+        return self._expect(lambda ks: ks * (ks - 1), lambda a, n: INF if n is None else n - a + 1.0)
 
     def alpha_moment(self, alpha: float) -> float:
         """E(xi^(1+alpha)) for 0 < alpha <= 1."""
         if not 0 < alpha <= 1:
             raise PreconditionError("alpha must lie in (0, 1]")
-        return self._alpha_moment(alpha)
-
-    def _alpha_moment(self, alpha: float) -> float:
-        raise NotImplementedError
+        return self._expect(lambda ks: ks ** (1.0 + alpha),
+                            lambda a, n: _power_series(1.0 - alpha, _ONES, a, n))
 
     def harmonic_tail_moment(self, r: int) -> float:
         """E(H_{xi-r}); requires P(xi < r) = 0."""
         if self.prob_below(r) > 0:
             raise PreconditionError("harmonic_tail_moment requires support >= r")
-        return self._harmonic_tail_moment(r)
-
-    def _harmonic_tail_moment(self, r: int) -> float:
-        raise NotImplementedError
+        # an atom below r has no mass here, so its H_{k-r} may read as H_0
+        return self._expect(lambda ks: _harmonic_numbers(np.maximum(ks - r, 0)),
+                            lambda a, n: _harmonic_tail(r, a, n))
 
     def fort_upper_moment(self) -> float:
         """E(1/((xi-1)(2xi-3))); requires support >= 2."""
         if self.support_min < 2:
             raise PreconditionError("fort_upper_moment requires support >= 2")
-        return self._fort_upper_moment()
-
-    def _fort_upper_moment(self) -> float:
-        raise NotImplementedError
+        return self._expect(lambda ks: 1.0 / ((ks - 1) * (2 * ks - 3)),
+                            lambda a, n: _power_series(4.0, _FORT_COEFFS, a, n))
 
     def inverse_square_moment(self) -> float:
         """E(1/xi^2)."""
-        raise NotImplementedError
+        return self._expect(lambda ks: 1.0 / ks**2, lambda a, n: _power_series(4.0, _ONES, a, n))
 
     def prob_below(self, r: int) -> float:
         """P(xi < r)."""
         return 0.0 if r <= self.support_min else 1.0 - self.tail(r - 1)
 
     def truncation_cutoff(self, tail_target: float) -> int:
-        """Smallest convenient K with tail(K) <= tail_target."""
-        raise NotImplementedError
+        """Smallest convenient K with tail(K) <= tail_target: the top atom of a finite support."""
+        return self.support_max
 
     def support_probs(self, upto: Optional[int] = None) -> tuple[np.ndarray, np.ndarray]:
         """(ks, probs) arrays for the support truncated at ``upto``."""
@@ -342,55 +349,50 @@ class OffspringDistribution:
         return f"<{type(self).__name__} {self.label()}>"
 
 
-class Regular(OffspringDistribution):
-    def __init__(self, spec: DistributionSpec):
+class _Finite(OffspringDistribution):
+    """A law on finitely many atoms, held as read-only (ks, probs) arrays.
+
+    ``support_probs`` returns the whole support whatever ``upto`` is, and
+    every moment is one ``math.fsum`` over the atoms.
+    """
+
+    def __init__(self, spec: DistributionSpec, ks: list, probs: list):
         self.spec = spec
+        self.ks = np.array(ks, dtype=np.int64)
+        self.probs = np.array(probs, dtype=float)
+        self.ks.flags.writeable = self.probs.flags.writeable = False
+        self.support_min = int(self.ks[0])
+        self.support_max = int(self.ks[-1])
+
+    def tail(self, m):
+        return float(self.probs[self.ks > m].sum())
+
+    def prob_below(self, r):
+        return float(self.probs[self.ks < r].sum())
+
+    def support_probs(self, upto=None):
+        return self.ks, self.probs
+
+    def _expect(self, f, tail):
+        return math.fsum((f(self.ks) * self.probs).tolist())
+
+
+class Regular(_Finite):
+    def __init__(self, spec: DistributionSpec):
         self.b = int(spec.b)
-        self.support_min = self.b
-        self.support_max = self.b
+        super().__init__(spec, [self.b], [1.0])
 
     def pmf(self, k):
         return Fraction(1) if k == self.b else Fraction(0)
-
-    def tail(self, m):
-        return 1.0 if m < self.b else 0.0
-
-    def mean(self):
-        return float(self.b)
-
-    def second_factorial_moment(self):
-        return float(self.b * (self.b - 1))
-
-    def _alpha_moment(self, alpha):
-        return float(self.b) ** (1.0 + alpha)
-
-    def _harmonic_tail_moment(self, r):
-        return harmonic_number(self.b - r)
-
-    def _fort_upper_moment(self):
-        return 1.0 / ((self.b - 1) * (2 * self.b - 3))
-
-    def inverse_square_moment(self):
-        return 1.0 / self.b**2
-
-    def prob_below(self, r):
-        return 1.0 if self.b < r else 0.0
-
-    def truncation_cutoff(self, tail_target):
-        return self.b
-
-    def support_probs(self, upto=None):
-        return np.array([self.b]), np.array([1.0])
 
     def sample(self, rng, size):
         return np.full(size, self.b, dtype=np.int64)
 
 
-class TwoPoint(OffspringDistribution):
+class TwoPoint(_Finite):
     """Mass at 2 and at a, tuned so the mean equals b."""
 
     def __init__(self, spec: DistributionSpec):
-        self.spec = spec
         self.b = spec.b
         self.a = int(spec.a)
         if float(self.b) == int(self.b):
@@ -399,8 +401,7 @@ class TwoPoint(OffspringDistribution):
             bq = Fraction(self.b).limit_denominator(10**12)
         self.p2 = Fraction(self.a - bq, self.a - 2)
         self.pa = Fraction(bq - 2, self.a - 2)
-        self.support_min = 2
-        self.support_max = self.a
+        super().__init__(spec, [2, self.a], [float(self.p2), float(self.pa)])
 
     def pmf(self, k):
         if k == 2:
@@ -409,73 +410,12 @@ class TwoPoint(OffspringDistribution):
             return self.pa
         return Fraction(0)
 
-    def tail(self, m):
-        if m < 2:
-            return 1.0
-        if m < self.a:
-            return float(self.pa)
-        return 0.0
-
-    def mean(self):
-        return float(2 * self.p2 + self.a * self.pa)
-
-    def second_factorial_moment(self):
-        return float(2 * self.p2 + self.a * (self.a - 1) * self.pa)
-
-    def _alpha_moment(self, alpha):
-        return float(self.p2) * 2.0 ** (1 + alpha) + float(self.pa) * float(self.a) ** (1 + alpha)
-
-    def _harmonic_tail_moment(self, r):
-        return float(self.p2) * harmonic_number(2 - r) + float(self.pa) * harmonic_number(self.a - r)
-
-    def _fort_upper_moment(self):
-        return float(self.p2) + float(self.pa) / ((self.a - 1) * (2 * self.a - 3))
-
-    def inverse_square_moment(self):
-        return float(self.p2) / 4.0 + float(self.pa) / self.a**2
-
-    def prob_below(self, r):
-        if r <= 2:
-            return 0.0
-        if r <= self.a:
-            return float(self.p2)
-        return 1.0
-
-    def truncation_cutoff(self, tail_target):
-        return self.a
-
-    def support_probs(self, upto=None):
-        return np.array([2, self.a]), np.array([float(self.p2), float(self.pa)])
-
     def sample(self, rng, size):
         u = rng.random(size)
         return np.where(u < float(self.p2), 2, self.a).astype(np.int64)
 
 
-class _SeriesMoments(OffspringDistribution):
-    """The four series moments of an infinite or long support, each E f(xi).
-
-    A law supplies ``_expect(f, tail)``: f maps an integer array of k to
-    f(k), and tail(a, n) is sum_{k=a}^{n} f(k)/(k(k-1)) in closed form (n
-    None: to infinity), which the heavy-tail bodies use past their head.
-    """
-
-    def _alpha_moment(self, alpha):
-        return self._expect(lambda ks: ks ** (1.0 + alpha),
-                            lambda a, n: _power_series(1.0 - alpha, _ONES, a, n))
-
-    def _harmonic_tail_moment(self, r):
-        return self._expect(lambda ks: _harmonic_numbers(ks - r), lambda a, n: _harmonic_tail(r, a, n))
-
-    def _fort_upper_moment(self):
-        return self._expect(lambda ks: 1.0 / ((ks - 1) * (2 * ks - 3)),
-                            lambda a, n: _power_series(4.0, _FORT_COEFFS, a, n))
-
-    def inverse_square_moment(self):
-        return self._expect(lambda ks: 1.0 / ks**2, lambda a, n: _power_series(4.0, _ONES, a, n))
-
-
-class _LightTail(_SeriesMoments):
+class _LightTail(OffspringDistribution):
     """Moments of the shifted Poisson and geometric laws as one pmf pass.
 
     Both laws are log-concave, so the tail ratio q(m) = tail(m+1)/tail(m)
@@ -584,8 +524,11 @@ class ShiftedGeometric(_LightTail):
         return 2 + (rng.geometric(1.0 / (self.b - 1.0), size) - 1).astype(np.int64)
 
 
-class HeavyTail(_SeriesMoments):
-    """pmf (r-1)/(k(k-1)) on k >= r; infinite mean, tail (r-1)/m."""
+class HeavyTail(OffspringDistribution):
+    """pmf (r-1)/(k(k-1)) on k >= r; infinite mean, tail (r-1)/m.
+
+    E xi^(1+alpha) is infinite too, because its closed-form tail diverges.
+    """
 
     def __init__(self, spec: DistributionSpec):
         self.spec = spec
@@ -609,10 +552,6 @@ class HeavyTail(_SeriesMoments):
     def second_factorial_moment(self):
         return INF
 
-    def _alpha_moment(self, alpha):
-        # terms behave like k^(alpha-1): divergent for every alpha > 0
-        return INF
-
     def _expect(self, f, tail):
         return _body_expect(self.r, None, f, tail)
 
@@ -631,7 +570,7 @@ class HeavyTail(_SeriesMoments):
         return np.maximum(k, self.r)
 
 
-class Pruned(_SeriesMoments):
+class Pruned(OffspringDistribution):
     """Heavy tail truncated at k1 with the freed mass moved to r and 2r+1.
 
     k0 is the largest m with (r-1)(H_{m-1} - H_{r-2}) <= b, k1 = k0 - 2r,
@@ -698,9 +637,6 @@ class Pruned(_SeriesMoments):
         atoms = self.A * np.array([self.alpha, 1 - self.alpha]) * f(np.array([self.r, 2 * self.r + 1]))
         return math.fsum([_body_expect(self.r, self.k1, f, tail), *atoms.tolist()])
 
-    def truncation_cutoff(self, tail_target):
-        return self.k1
-
     def support_probs(self, upto=None):
         top = self.k1 if upto is None else min(self.k1, upto)
         if top > 5_000_000:
@@ -734,53 +670,19 @@ class Pruned(_SeriesMoments):
         return out
 
 
-class ExplicitPMF(OffspringDistribution):
+class ExplicitPMF(_Finite):
     def __init__(self, spec: DistributionSpec):
-        self.spec = spec
         atoms = sorted(spec.pmf)
-        self.ks = np.array([k for k, _ in atoms], dtype=np.int64)
-        self.ps = np.array([p for _, p in atoms], dtype=float)
-        self.support_min = int(self.ks[0])
-        self.support_max = int(self.ks[-1])
+        super().__init__(spec, [k for k, _ in atoms], [p for _, p in atoms])
 
     def pmf(self, k):
         idx = np.searchsorted(self.ks, k)
         if idx < len(self.ks) and self.ks[idx] == k:
-            return float(self.ps[idx])
+            return float(self.probs[idx])
         return 0.0
 
-    def tail(self, m):
-        return float(self.ps[self.ks > m].sum())
-
-    def mean(self):
-        return float(np.dot(self.ks, self.ps))
-
-    def second_factorial_moment(self):
-        return float(np.dot(self.ks * (self.ks - 1), self.ps))
-
-    def _alpha_moment(self, alpha):
-        return float(np.dot(self.ks.astype(float) ** (1 + alpha), self.ps))
-
-    def _harmonic_tail_moment(self, r):
-        return float(sum(p * harmonic_number(int(k) - r) for k, p in zip(self.ks, self.ps)))
-
-    def _fort_upper_moment(self):
-        return float(np.dot(1.0 / ((self.ks - 1) * (2 * self.ks - 3)), self.ps))
-
-    def inverse_square_moment(self):
-        return float(np.dot(1.0 / self.ks.astype(float) ** 2, self.ps))
-
-    def prob_below(self, r):
-        return float(self.ps[self.ks < r].sum())
-
-    def truncation_cutoff(self, tail_target):
-        return self.support_max
-
-    def support_probs(self, upto=None):
-        return self.ks.copy(), self.ps.copy()
-
     def sample(self, rng, size):
-        return rng.choice(self.ks, size=size, p=self.ps / self.ps.sum())
+        return rng.choice(self.ks, size=size, p=self.probs / self.probs.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -801,7 +703,7 @@ _FORT_COEFFS = np.convolve(np.arange(1.0, 9.0), 1.5 ** np.arange(8.0))[:8] / 2
 
 
 def _power_sum(s: float, a: int, n: Optional[int]) -> float:
-    """sum_{k=a}^{n} k^-s for s >= 0 by Euler-Maclaurin (n None: to infinity, s > 1).
+    """sum_{k=a}^{n} k^-s for s >= 0 by Euler-Maclaurin (n None: to infinity, inf for s <= 1).
 
     The sum is int_a^{n+1} x^-s dx + em(a) - em(n+1) with
     em(x) = x^-s/2 + s x^(-s-1)/12 - s(s+1)(s+2) x^(-s-3)/720.  The
@@ -813,7 +715,7 @@ def _power_sum(s: float, a: int, n: Optional[int]) -> float:
         return x**-s / 2 + s * x ** (-s - 1) / 12 - s * (s + 1) * (s + 2) * x ** (-s - 3) / 720
 
     if n is None:
-        return a ** (1 - s) / (s - 1) + em(a)
+        return a ** (1 - s) / (s - 1) + em(a) if s > 1 else INF
     e = n + 1
     if s == 1:
         return math.log(e / a) + em(a) - em(e)
@@ -847,10 +749,12 @@ def _harmonic_tail(r: int, a: int, n: Optional[int]) -> float:
 def _body_expect(rr: int, top: Optional[int], f, tail) -> float:
     """sum_{k=rr}^{top} (rr-1)/(k(k-1)) f(k), the heavy-tail body (top None: infinity)."""
     last = _BODY_HEAD if top is None else min(top, _BODY_HEAD)
+    rest = (rr - 1) * tail(_BODY_HEAD + 1, top) if top is None or top > _BODY_HEAD else 0.0
+    if math.isinf(rest):  # a divergent tail, which no head can offset
+        return rest
     ks = np.arange(rr, last + 1)
     terms = ((rr - 1) / (ks * (ks - 1.0)) * f(ks)).tolist()
-    if top is None or top > _BODY_HEAD:
-        terms.append((rr - 1) * tail(_BODY_HEAD + 1, top))
+    terms.append(rest)
     return math.fsum(terms)
 
 

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -78,6 +79,25 @@ def test_closed_form_poisson_b4():
 def test_closed_form_two_point():
     res = pc_closed_form(parse_spec("twopoint:b=4,a=9"), 2)
     assert res.pc == pytest.approx(0.3, abs=1e-15)
+
+
+@pytest.mark.parametrize("family,b", [("regular", b) for b in (61, 100, 10**3, 10**4, 10**5, 10**6)]
+                         + [("poisson", b) for b in (7 / 3, 4, 20, 100, 1e3, 1e4)])
+def test_closed_form_keeps_relative_precision_as_pc_vanishes(family, b):
+    # p_c ~ 1/(2b^2): 1 - (a ratio near 1) would keep only its absolute precision
+    with mpmath.workdps(50):
+        bm = mpmath.mpf(b)
+        if family == "regular":
+            log_ratio = (2 * bm - 3) * mpmath.log(bm - 1) - (bm - 1) * mpmath.log(bm) - (bm - 2) * mpmath.log(bm - 2)
+            ref = -mpmath.expm1(log_ratio)
+        else:
+            s = mpmath.sqrt((bm + 3) * (bm - 1))
+            ref = 1 - (bm - 2) * mpmath.exp((bm + 1 - s) / 2) / (s - 2)
+        ref = float(ref)
+    res = pc_closed_form(parse_spec(f"{family}:b={b!r}"), 2)
+    assert res.pc == pytest.approx(ref, rel=1e-12, abs=0)
+    assert abs(res.pc - ref) <= res.err
+    assert res.M == pytest.approx(1 / (1 - ref), rel=1e-15, abs=0)
 
 
 def test_closed_form_absent_cases():

@@ -427,7 +427,7 @@ def test_G_minus_1_single_x_bitwise():
     for spec, r in _criterion_8_laws() + ROW_EXTRA:
         ctx = make_context(make_distribution(spec), r)
         if ctx.analytic or len(ctx.ks) < 2:
-            continue  # point masses and heavy or pruned laws are summed by _G_point
+            continue  # point masses and heavy or pruned laws take the scalar sum of _mixture
         rows += 1
         for x in xs:
             single = gw.G_minus_1(ctx, x)

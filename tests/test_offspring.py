@@ -205,7 +205,7 @@ def test_fort_upper_moment_examples():
     oracle = sum(
         1.0 / (k * (k - 1)) / ((k - 1) * (2 * k - 3)) for k in range(2, 300_000)
     )
-    assert gw.fort_upper_moment(d) == pytest.approx(oracle, rel=1e-9)
+    assert gw.fort_upper_moment(d) == pytest.approx(oracle, rel=1e-9, abs=0)
 
 
 def test_harmonic_number_values():
@@ -236,20 +236,20 @@ def test_mass_partition_invariant(spec):
 def test_moments_match_brute_force(spec):
     d = make_distribution(spec)
     if math.isfinite(d.mean()):
-        assert d.mean() == pytest.approx(brute_force_moment(d, lambda k: k), rel=1e-9)
+        assert d.mean() == pytest.approx(brute_force_moment(d, lambda k: k), rel=1e-9, abs=0)
         assert d.second_factorial_moment() == pytest.approx(
-            brute_force_moment(d, lambda k: k * (k - 1)), rel=1e-9
+            brute_force_moment(d, lambda k: k * (k - 1)), rel=1e-9, abs=0
         )
         assert d.alpha_moment(0.5) == pytest.approx(
-            brute_force_moment(d, lambda k: k**1.5), rel=1e-9
+            brute_force_moment(d, lambda k: k**1.5), rel=1e-9, abs=0
         )
     if d.prob_below(2) == 0:
         if d.truncation_cutoff(1e-12) <= 500_000:
             assert d.harmonic_tail_moment(2) == pytest.approx(
-                brute_force_moment(d, lambda k: harmonic_number(k - 2)), rel=1e-9, abs=1e-12
+                brute_force_moment(d, lambda k: harmonic_number(k - 2)), rel=1e-9, abs=0
             )
             assert d.fort_upper_moment() == pytest.approx(
-                brute_force_moment(d, lambda k: 1 / ((k - 1) * (2 * k - 3))), rel=1e-9
+                brute_force_moment(d, lambda k: 1 / ((k - 1) * (2 * k - 3))), rel=1e-9, abs=0
             )
         else:
             # heavy tail: capped oracle, remainder below (log K + 2)/K
@@ -339,11 +339,11 @@ def test_prune_eta_moment_consistency():
     ks, probs = eta.support_probs()
     ks = ks.astype(float)
     assert eta.second_factorial_moment() == pytest.approx(
-        float((ks * (ks - 1)) @ probs), rel=1e-10
+        float((ks * (ks - 1)) @ probs), rel=1e-10, abs=0
     )
-    assert eta.alpha_moment(0.5) == pytest.approx(float(ks**1.5 @ probs), rel=1e-8)
+    assert eta.alpha_moment(0.5) == pytest.approx(float(ks**1.5 @ probs), rel=1e-8, abs=0)
     assert eta.harmonic_tail_moment(2) == pytest.approx(
-        float(sum(p * harmonic_number(int(k) - 2) for k, p in zip(ks, probs))), rel=1e-8
+        float(sum(p * harmonic_number(int(k) - 2) for k, p in zip(ks, probs))), rel=1e-8, abs=0
     )
 
 
@@ -436,6 +436,17 @@ def test_harmonic_tail_moment_below_own_threshold(spec, r):
     assert d.harmonic_tail_moment(r) == pytest.approx(want, rel=1e-13, abs=0)
 
 
+@pytest.mark.parametrize("spec", ["heavy:r=2", "heavy:r=4", "pruned:r=2,b=8", "pruned:r=2,b=25",
+                                  "pruned:r=3,b=45", "pruned:r=4,b=66", "poisson:b=6", "geometric:b=4"])
+def test_closed_form_overrides_match_generic_moments(spec):
+    # an infinite law overrides the mean and E xi(xi-1) only with exact closed forms;
+    # the one generic definition, summed through the law's _expect, agrees (inf for heavy)
+    d = make_distribution(spec)
+    for name in ("mean", "second_factorial_moment"):
+        generic = getattr(gw.OffspringDistribution, name)(d)
+        assert generic == pytest.approx(getattr(d, name)(), rel=1e-14, abs=0), name
+
+
 def _light_reference(d, r, alpha=0.5):
     """The four series moments of a shifted Poisson or geometric law at 40 digits."""
     with mpmath.workdps(40):
@@ -470,3 +481,59 @@ def test_shifted_moments_match_reference(spec):
         got = _moments(d, r)
         for name, want in ref.items():
             assert got[name] == pytest.approx(want, rel=1e-14, abs=0), (name, r)
+
+
+def _finite_reference(d, r, alpha=0.5):
+    """The six moments of a regular, two-point or explicit law, built from its spec.
+
+    The masses are exact Fractions of the spec's parameters, not the law's
+    rounded floats; E xi^(1+alpha) is taken at 40 digits, the rest exactly.
+    Atoms of zero mass contribute nothing, whatever f is there.
+    """
+    spec = d.spec
+    if spec.family == "regular":
+        atoms = [(int(spec.b), Fraction(1))]
+    elif spec.family == "two_point":
+        b, a = Fraction(spec.b), spec.a
+        atoms = [(2, (a - b) / (a - 2)), (a, (b - 2) / (a - 2))]
+    else:
+        atoms = [(k, Fraction(p)) for k, p in spec.pmf]
+    atoms = [(k, p) for k, p in atoms if p > 0]
+    with mpmath.workdps(40):
+        alpha_moment = mpmath.fsum(mpmath.mpf(p.numerator) / p.denominator * mpmath.mpf(k) ** (1 + mpmath.mpf(alpha))
+                                   for k, p in atoms)
+        return {
+            "mean": float(sum(p * k for k, p in atoms)),
+            "second_factorial": float(sum(p * k * (k - 1) for k, p in atoms)),
+            "alpha": float(alpha_moment),
+            "harmonic_tail": float(sum(p * sum(Fraction(1, i) for i in range(1, k - r + 1)) for k, p in atoms)),
+            "fort_upper": float(sum(p / ((k - 1) * (2 * k - 3)) for k, p in atoms)),
+            "inverse_square": float(sum(p / (k * k) for k, p in atoms)),
+        }
+
+
+FINITE_LAWS = (
+    [f"regular:b={b}" for b in range(2, 41)]
+    + [f"twopoint:b={b},a={a}" for b in range(3, 9) for a in range(b + 1, 3 * b + 1, 2)]
+    + [f"twopoint:b=7/2,a={a}" for a in (4, 6, 9)]
+    + ["pmf:2=0.5,4=0.5", "pmf:2=0.25,3=0.5,7=0.25", "pmf:3=0.25,4=0.5,6=0.25",
+       "pmf:3=0.1,5=0.2,6=0.3,10=0.4", "pmf:2=0,4=0.5,5=0.5"]
+)
+
+
+@pytest.mark.parametrize("spec", FINITE_LAWS)
+def test_finite_moments_match_spec_reference(spec):
+    # the law's moments read its (ks, probs) arrays; the reference reads only the spec.
+    # The last pmf has a zero-mass atom below r = 4, where H_(k-r) is undefined
+    d = make_distribution(spec)
+    k_min = min(k for k in range(1, d.support_max + 1) if d.pmf(k) > 0)
+    for r in sorted({1, 2, k_min}):
+        ref = _finite_reference(d, r)
+        got = {
+            "mean": d.mean(),
+            "second_factorial": d.second_factorial_moment(),
+            **_moments(d, r),
+        }
+        assert got.keys() == ref.keys()
+        for name, want in ref.items():
+            assert got[name] == pytest.approx(want, rel=1e-15, abs=0), (name, r)
