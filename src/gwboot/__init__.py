@@ -20,7 +20,7 @@ from .offspring import (
     prune_eta,
     second_factorial_moment,
 )
-from .kernels import G, G_minus_1, GEvalContext, MaxResult, g, h, h_with_threshold, make_context, max_G
+from .kernels import G, G_minus_1, GEvalContext, MaxResult, g, h, make_context, max_G
 from .critical import (
     CriticalResult,
     QLimitResult,

@@ -83,9 +83,11 @@ def lb_branching_exact(d: OffspringDistribution, r: int) -> float:
     if d.prob_below(r) > 0:
         raise PreconditionError("lb_branching_exact requires support >= r")
     b = d.mean()
-    if math.isinf(b):
-        return 0.0
-    return math.exp(-(b - 1.0) / (r - 1.0) - d.harmonic_tail_moment(r))
+    return 0.0 if math.isinf(b) else _branching_bound(b, d.harmonic_tail_moment(r), r)
+
+
+def _branching_bound(b: float, harmonic: float, r: int) -> float:
+    return math.exp(-(b - 1.0) / (r - 1.0) - harmonic)
 
 
 def lb_branching_simplified(b: float, r: int) -> float:
@@ -134,10 +136,11 @@ def alpha_bound_constant(r: int, alpha: float) -> float:
 
 def lb_alpha_moment(d: OffspringDistribution, r: int, alpha: float) -> float:
     """c_{r,alpha} (E xi^{1+alpha})^{-1/alpha}; vacuous 0 for infinite moment."""
-    m = d.alpha_moment(alpha)
-    if math.isinf(m):
-        return 0.0
-    return alpha_bound_constant(r, alpha) * m ** (-1.0 / alpha)
+    return _alpha_bound(d.alpha_moment(alpha), r, alpha)
+
+
+def _alpha_bound(m: float, r: int, alpha: float) -> float:
+    return 0.0 if math.isinf(m) else alpha_bound_constant(r, alpha) * m ** (-1.0 / alpha)
 
 
 def _fort_terms(ks: np.ndarray, probs: np.ndarray) -> np.ndarray:
@@ -194,7 +197,10 @@ def lb_second_moment(d: OffspringDistribution) -> float:
     (the two agree at E(xi)_2 = 3; near-degenerate laws like the point mass
     at 2 would otherwise receive an invalid bound above their true p_c).
     """
-    m2 = d.second_factorial_moment()
+    return _second_moment_bound(d.second_factorial_moment())
+
+
+def _second_moment_bound(m2: float) -> float:
     if math.isinf(m2):
         return 0.0
     if m2 >= 3.0:
@@ -204,11 +210,11 @@ def lb_second_moment(d: OffspringDistribution) -> float:
 
 def lb_second_moment_weak(d: OffspringDistribution) -> float:
     """1/(2 E(xi^2)), the looser companion of lb_second_moment."""
-    m2 = d.second_factorial_moment()
-    mu = d.mean()
-    if math.isinf(m2) or math.isinf(mu):
-        return 0.0
-    return 1.0 / (2.0 * (m2 + mu))
+    return _second_moment_weak_bound(d.second_factorial_moment(), d.mean())
+
+
+def _second_moment_weak_bound(m2: float, mu: float) -> float:
+    return 0.0 if math.isinf(m2) or math.isinf(mu) else 1.0 / (2.0 * (m2 + mu))
 
 
 def ub_regular_rd(d_reg: int, r: int) -> float:
@@ -224,7 +230,7 @@ def bounds_report(
     alpha: float = 0.5,
     with_reference: bool = True,
 ) -> BoundsReport:
-    """Assemble every applicable bound for (d, r) with validity flags."""
+    """Assemble every applicable bound for (d, r) with validity flags, reading each moment once."""
     entries: list[BoundEntry] = []
     mean_val = d.mean()
     below = d.prob_below(r) > 0
@@ -234,7 +240,7 @@ def bounds_report(
             entries.append(BoundEntry("lb_branching_exact", "lower", 0.0, 0.0, False,
                                       "vacuous: infinite mean"))
         else:
-            v = lb_branching_exact(d, r)
+            v = _branching_bound(mean_val, d.harmonic_tail_moment(r), r)
             entries.append(BoundEntry("lb_branching_exact", "lower", _clamp(v), v, True))
             if mean_val >= r:
                 v = lb_branching_simplified(mean_val, r)
@@ -245,7 +251,7 @@ def bounds_report(
         entries.append(BoundEntry("lb_alpha_moment", "lower", 0.0, 0.0, False,
                                   f"vacuous: infinite (1+{alpha:g})-moment"))
     else:
-        v = lb_alpha_moment(d, r, alpha)
+        v = _alpha_bound(m_alpha, r, alpha)
         entries.append(BoundEntry("lb_alpha_moment", "lower", _clamp(v), v, True,
                                   f"alpha={alpha:g}"))
 
@@ -258,9 +264,9 @@ def bounds_report(
             entries.append(BoundEntry("lb_second_moment", "lower", 0.0, 0.0, False,
                                       "vacuous: infinite second moment"))
         else:
-            v = lb_second_moment(d)
+            v = _second_moment_bound(m2)
             entries.append(BoundEntry("lb_second_moment", "lower", _clamp(v), v, True))
-            v = lb_second_moment_weak(d)
+            v = _second_moment_weak_bound(m2, mean_val)
             entries.append(BoundEntry("lb_second_moment_weak", "lower", _clamp(v), v, True))
         v = ub_fort(d)
         entries.append(BoundEntry("ub_fort", "upper", _clamp(v), v, True))

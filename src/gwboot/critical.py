@@ -183,7 +183,6 @@ class QTrace:
     r: int
     values: list[float]
     converged: bool
-    limit_estimate: float
 
     @property
     def q_n(self) -> float:
@@ -211,7 +210,7 @@ def q_iterate(d: OffspringDistribution, r: int, p: float, n: int,
         q = min(q_next, q)
         values.append(q)
     converged = len(values) >= 2 and abs(values[-1] - values[-2]) < 1e-15
-    return QTrace(p=p, r=r, values=values, converged=converged, limit_estimate=values[-1])
+    return QTrace(p=p, r=r, values=values, converged=converged)
 
 
 @dataclass(frozen=True)

@@ -56,7 +56,6 @@ __all__ = [
     "G",
     "G_minus_1",
     "h",
-    "h_with_threshold",
     "MaxResult",
     "max_G",
     "heavy_tail_deficiency",
@@ -64,11 +63,23 @@ __all__ = [
 
 _EXACT_COMB_MAX_K = 500
 _ENUM_CAP = 2_000_000
-_PGF_HEAD = 2000  # terms of E[x^xi] summed one by one before Euler-Maclaurin takes over
 
 DEFAULT_TAIL_TARGET = 1e-13
 GRID_STEP = 1e-3
 BRACKET_WIDTH = 1e-12
+
+
+def _log_binom_sum(n: int, m: int, l_i: float, l_rest: float, e: int = 0) -> float:
+    """sum_{i<=m} exp(log C(n, i) + i l_i + (n-i-e) l_rest); terms below e^-745 are 0.
+
+    log C(n, i) is the log of the exact integer: lgamma differences cancel
+    once n is large.
+    """
+    total = 0.0
+    for i in range(m + 1):
+        lg = math.log(math.comb(n, i)) + i * l_i + (n - i - e) * l_rest
+        total += math.exp(lg) if lg > -745.0 else 0.0
+    return total
 
 
 def binom_lte(n: int, q: float, m: int) -> float:
@@ -83,13 +94,7 @@ def binom_lte(n: int, q: float, m: int) -> float:
         return 0.0
     if n <= _EXACT_COMB_MAX_K:
         return min(1.0, math.fsum(math.comb(n, i) * q**i * (1 - q) ** (n - i) for i in range(m + 1)))
-    lq, l1q = math.log(q), math.log1p(-q)
-    total = 0.0
-    for i in range(m + 1):
-        # log C(n, i) of the exact integer: lgamma differences cancel once n is large
-        lg = math.log(math.comb(n, i)) + i * lq + (n - i) * l1q
-        total += math.exp(lg) if lg > -745.0 else 0.0
-    return min(1.0, total)
+    return min(1.0, _log_binom_sum(n, m, math.log(q), math.log1p(-q)))
 
 
 def g(k: int, r: int, x: float) -> float:
@@ -110,18 +115,7 @@ def g(k: int, r: int, x: float) -> float:
         return 1.0
     if k <= _EXACT_COMB_MAX_K:
         return math.fsum(math.comb(k, i) * x ** (k - i - 1) * (1 - x) ** i for i in range(r))
-    lx, l1x = math.log(x), math.log1p(-x)
-    total = 0.0
-    for i in range(r):
-        lg = (
-            math.lgamma(k + 1)
-            - math.lgamma(i + 1)
-            - math.lgamma(k - i + 1)
-            + (k - i - 1) * lx
-            + i * l1x
-        )
-        total += math.exp(lg) if lg > -745.0 else 0.0
-    return total
+    return _log_binom_sum(k, r - 1, math.log1p(-x), math.log(x), 1)
 
 
 def _libm_logs(vals: list) -> tuple[np.ndarray, np.ndarray]:
@@ -195,13 +189,14 @@ class GEvalContext:
     infinite support: the tail mass times g_r^r <= r.  Exact (0) for finite
     supports.  ``prob_below`` is P(xi < r), the mass the survival map ``h``
     adds to x G(x); laws with such mass never fully infect for p < 1.
-    ``tail_target`` is the one ``cutoff`` was chosen for, so contexts at
-    other thresholds can share it.
+
+    A context serves its one threshold r, with ``cutoff`` chosen for the tail
+    target given to ``make_context``.  The survival map at another threshold
+    s >= 2 is ``h(make_context(dist, s), p, x)``.
     """
 
     dist: OffspringDistribution
     r: int
-    tail_target: float
     cutoff: int
     eps_G: float
     prob_below: float
@@ -265,7 +260,7 @@ def make_context(
     log_binom = np.array([lgk - gammaln(i + 1) - gammaln(ks - i + 1) for i in range(r)])
     powers = np.array([ks - i - 1 for i in range(r)], dtype=float)
     return GEvalContext(
-        dist=dist, r=r, tail_target=tail_target, cutoff=cutoff, eps_G=eps,
+        dist=dist, r=r, cutoff=cutoff, eps_G=eps,
         prob_below=float(dist.prob_below(r)), analytic=analytic,
         ks=_frozen(ks), weights=_frozen(w), log_binom=_frozen(log_binom),
         powers=_frozen(powers), max_power=float(ks.max(initial=1) - 1),
@@ -387,44 +382,6 @@ def h(ctx: GEvalContext, p: float, x: float) -> float:
     return (1.0 - p) * (ctx.prob_below + x * ((1.0 + ctx.offset) + _mixture(ctx, x, 0.0)))
 
 
-def _pgf(ctx: GEvalContext, x: float) -> float:
-    """E[x^xi] over the law's support truncated at the context's cutoff."""
-    d = ctx.dist
-    if not ctx.analytic:
-        ks, w = d.support_probs(upto=ctx.cutoff)
-        return float(np.dot(w, x ** ks))
-    # a heavy or pruned law with own threshold R: its atoms (R and 2R+1) lie
-    # in the head, past which the pmf is (R-1)/(k(k-1)) up to the cutoff
-    head = min(ctx.cutoff, max(_PGF_HEAD, 2 * d.r + 1))
-    ks, w = d.support_probs(upto=head)
-    total = float(np.dot(w, x ** ks))
-    if head < ctx.cutoff and x ** (head + 1) > 0.0:
-        import mpmath
-
-        body = lambda k: mpmath.mpf(x) ** k / (k * (k - 1))
-        total += (d.r - 1) * float(mpmath.sumem(body, [head + 1, ctx.cutoff]))
-    return total
-
-
-def h_with_threshold(ctx: GEvalContext, p: float, x: float, s: int) -> float:
-    """h_{s,p}(x) = (1-p) E[P(Bin(xi, 1-x) <= s-1)] for 1 <= s <= r.
-
-    s = r-1 gives the non-root fort map and s = r is ``h``.  For 2 <= s < r
-    the same identity (1-p) (P(xi < s) + x G_s(x)) is read from
-    ``make_context(ctx.dist, s)``, built on each call with the context's
-    tail target; s = 1 is (1-p) E[x^xi].
-    """
-    if not 1 <= s <= ctx.r:
-        raise PreconditionError("threshold s must satisfy 1 <= s <= r")
-    if s == ctx.r:
-        return h(ctx, p, x)
-    if s > 1:
-        return h(make_context(ctx.dist, s, ctx.tail_target), p, x)
-    if not (0.0 <= p <= 1.0 and 0.0 <= x <= 1.0):
-        raise PreconditionError("p and x must lie in [0, 1]")
-    return (1.0 - p) * _pgf(ctx, x)
-
-
 # ---------------------------------------------------------------------------
 # maximization
 
@@ -435,7 +392,6 @@ class MaxResult:
 
     x_star: float
     M: float
-    bracket_width: float
     err: float
 
     @property
@@ -498,10 +454,4 @@ def max_G(ctx: GEvalContext) -> MaxResult:
 
     best = max(fb for _, fb in candidates)
     x_star = min(xb for xb, fb in candidates if fb >= best - 1e-10)
-    m_minus_1 = best
-    return MaxResult(
-        x_star=float(x_star),
-        M=1.0 + m_minus_1,
-        bracket_width=BRACKET_WIDTH,
-        err=ctx.eps_G + 1e-10,
-    )
+    return MaxResult(x_star=float(x_star), M=1.0 + best, err=ctx.eps_G + 1e-10)

@@ -20,6 +20,7 @@ has no solution in [0, 1), the fixed-point criterion for infection of the
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -115,59 +116,56 @@ def level_growth(spec: LayeredTreeSpec, up_to: int) -> tuple[list[int], list[flo
     return sizes, roots
 
 
+def _check_curve(d: int, r: int, p: float) -> None:
+    if d < r:
+        raise PreconditionError("root_infection_curve requires d >= r")
+    if not 0.0 <= p <= 1.0:
+        raise PreconditionError("p must lie in [0, 1]")
+
+
+def _safety(d: int, r: int, p: float):
+    """u_0 = 1-p, u_1, ...: u_t is the safety probability of a depth-t block's root."""
+    u = 1.0 - p
+    while True:
+        yield u
+        u = (1.0 - p) * binom_lte(d, 1.0 - u, r - 1)
+
+
+def _root_infected(d: int, r: int, p: float, u: float) -> float:
+    """P(root of the depth-n block is eventually infected), given u = u_{n-1}."""
+    return 1.0 - (1.0 - p) * binom_lte(d + 1, 1.0 - u, r - 1)
+
+
 def root_infection_curve(d: int, r: int, p: float, n_list: Sequence[int]) -> list[float]:
     """P(root of the depth-n block is eventually infected) for each n.
 
     n = 0 is the bare root: infected iff initially infected.
     """
-    if d < r:
-        raise PreconditionError("root_infection_curve requires d >= r")
-    if not 0.0 <= p <= 1.0:
-        raise PreconditionError("p must lie in [0, 1]")
-    n_max = max(n_list)
-    u = 1.0 - p  # safety probability of a leaf
-    u_by_depth = [u]
-    for _ in range(max(0, n_max - 1)):
-        u = (1.0 - p) * binom_lte(d, 1.0 - u, r - 1)
-        u_by_depth.append(u)
+    _check_curve(d, r, p)
+    u_by_depth = list(itertools.islice(_safety(d, r, p), max(1, max(n_list))))
     out = []
     for n in n_list:
         if n < 0:
             raise PreconditionError("depths must be >= 0")
-        if n == 0:
-            out.append(p)
-        else:
-            root_healthy = (1.0 - p) * binom_lte(d + 1, 1.0 - u_by_depth[n - 1], r - 1)
-            out.append(1.0 - root_healthy)
+        out.append(p if n == 0 else _root_infected(d, r, p, u_by_depth[n - 1]))
     return out
 
 
 def depth_for_infection_target(
     d: int, r: int, p: float, target: float, n_cap: int = 100_000
 ) -> Optional[int]:
-    """Smallest block depth whose root-infection probability reaches target.
+    """Smallest block depth n >= 1 whose root-infection probability reaches target.
 
-    Returns None if the curve has not reached the target by n_cap (for
-    p below the regular-tree threshold it converges to a limit < 1).
+    One forward pass of the survival recursion, stopping at the first depth
+    that reaches the target.  Returns None if the curve has not reached it
+    by n_cap (for p below the regular-tree threshold it converges to a
+    limit < 1).
     """
-    lo = 1
-    while lo <= n_cap:
-        val = root_infection_curve(d, r, p, [lo])[0]
-        if val >= target:
-            break
-        lo *= 2
-    else:
-        return None
-    hi, lo = lo, max(1, lo // 2)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if root_infection_curve(d, r, p, [mid])[0] >= target:
-            hi = mid
-        else:
-            lo = mid
-    if root_infection_curve(d, r, p, [lo])[0] >= target:
-        return lo
-    return hi
+    _check_curve(d, r, p)
+    for n, u in zip(range(1, n_cap + 1), _safety(d, r, p)):
+        if _root_infected(d, r, p, u) >= target:
+            return n
+    return None
 
 
 # ---------------------------------------------------------------------------

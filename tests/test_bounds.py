@@ -284,3 +284,18 @@ def test_fort_peaks_are_at_most_two():
     for k in range(2, 51):
         grid_max = float(np.max(xs ** (k - 1) + k * xs ** (k - 2) * (1 - xs)))
         assert grid_max == pytest.approx(peaks[k - 2], rel=1e-8)
+
+
+@pytest.mark.parametrize("spec, calls", [("regular:b=6", 6), ("poisson:b=6", 4)])
+def test_bounds_report_reads_each_moment_once(monkeypatch, spec, calls):
+    # regular: six moments by summation; poisson: mean and E xi(xi-1) are closed forms
+    d = make_distribution(spec)
+    expect, seen = type(d)._expect, []
+
+    def counting(self, f, tail):
+        seen.append(f)
+        return expect(self, f, tail)
+
+    monkeypatch.setattr(type(d), "_expect", counting)
+    bounds_report(d, 2, with_reference=False)
+    assert len(seen) == calls

@@ -1,5 +1,7 @@
 """Command-line interface: formats, exit codes, determinism, sweeps."""
 
+import ast
+import glob
 import json
 import os
 import subprocess
@@ -289,6 +291,27 @@ def test_cold_commands_skip_scipy_stats_and_mpmath():
             ["sweep", "--dist", spec, "--r", "2", "--p-grid", "0.05:0.3:0.05"],
         ]
     assert _modules_loaded_by(commands) == []
-    # the heavy and pruned laws sum their moment tails in closed form
-    assert _modules_loaded_by([["bounds", "--dist", "heavy:r=2", "--r", "2"],
-                               ["bounds", "--dist", "pruned:r=2,b=20", "--r", "2"]]) == []
+    # the heavy and pruned laws sum their moment tails in closed form, and read
+    # G at thresholds other than their own through the same telescoped sum
+    commands = [["bounds", "--dist", "heavy:r=2", "--r", "2"],
+                ["bounds", "--dist", "pruned:r=2,b=20", "--r", "2"]]
+    for spec, r in (("heavy:r=3", "2"), ("pruned:r=3,b=16", "3")):
+        commands += [["pc", "--dist", spec, "--r", r],
+                     ["sweep", "--dist", spec, "--r", r, "--p-grid", "0.05:0.3:0.05"]]
+    assert _modules_loaded_by(commands) == []
+
+
+def test_package_never_imports_mpmath():
+    # mpmath is a test dependency only; pyproject.toml does not declare it for the package
+    package = os.path.dirname(os.path.abspath(gwboot.__file__))
+    for name in sorted(glob.glob(os.path.join(package, "**", "*.py"), recursive=True)):
+        with open(name) as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                mods = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                mods = [node.module or ""]
+            else:
+                continue
+            assert not any(m.split(".")[0] == "mpmath" for m in mods), (name, node.lineno)

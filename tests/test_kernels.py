@@ -5,6 +5,7 @@ import math
 import time
 from math import comb
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -68,6 +69,18 @@ def test_g_large_k_log_space():
         for x in (0.3, 0.9, 0.999):
             want = binom.cdf(1, k, 1 - x) / x
             assert g(k, 2, x) == pytest.approx(want, rel=1e-11)
+
+
+def test_g_large_k_matches_50_digit_sum():
+    # log C(k, i) of the exact integer keeps g to a few ulps where lgamma differences lose digits
+    with mpmath.workdps(50):
+        for k in (10**4, 10**5, 10**6):
+            for x in (1 - 1 / k, 1 - 3 / k):
+                xm = mpmath.mpf(x)
+                for r in (2, 3, 4):
+                    want = mpmath.fsum(comb(k, i) * xm ** (k - i - 1) * (1 - xm) ** i
+                                       for i in range(r))
+                    assert g(k, r, x) == pytest.approx(float(want), rel=1e-12, abs=0), (k, r, x)
 
 
 def test_binom_lte_small_cases():
@@ -160,6 +173,12 @@ def test_h_zero_cases():
         assert gw.h(ctx, 1.0, x) == 0.0
     for p in (0.0, 0.3, 0.99):
         assert gw.h(ctx, p, 0.0) == 0.0
+    # for p < 1, h(x) = 0 iff x = 0
+    for spec, r in [("regular:b=4", 2), ("regular:b=4", 3), ("geometric:b=3", 2)]:
+        ctx = make_context(make_distribution(spec), r)
+        assert gw.h(ctx, 0.7, 0.0) == 0.0
+        for x in (1e-9, 0.01, 0.5, 1.0):
+            assert gw.h(ctx, 0.7, x) > 0.0, (spec, r, x)
 
 
 def test_h_at_one():
@@ -179,32 +198,6 @@ def test_h_equals_xG():
                 assert gw.h(ctx, p, x) == pytest.approx(
                     x * (1 - p) * gw.G(ctx, x), abs=1e-12
                 )
-
-
-def test_h_with_threshold():
-    ctx = make_context(make_distribution("regular:b=2"), 2)
-    # s=1: (1-p) P(Bin(b, 1-x) <= 0) = (1-p) x^b
-    assert gw.h_with_threshold(ctx, 0.0, 0.5, 1) == pytest.approx(0.25)
-    ctx3 = make_context(make_distribution("regular:b=5"), 3)
-    for p in (0.0, 0.4):
-        for x in XGRID:
-            assert gw.h_with_threshold(ctx3, p, x, 3) == pytest.approx(
-                gw.h(ctx3, p, x), abs=1e-14
-            )
-    with pytest.raises(PreconditionError):
-        gw.h_with_threshold(ctx3, 0.1, 0.5, 4)
-    with pytest.raises(PreconditionError):
-        gw.h_with_threshold(ctx3, 0.1, 0.5, 0)
-
-
-def test_h_positive_iff_x_positive():
-    # for p < 1 and any threshold s, h_{s,p}(x) = 0 iff x = 0
-    for spec, r in [("regular:b=4", 3), ("geometric:b=3", 2)]:
-        ctx = make_context(make_distribution(spec), r)
-        for s in range(1, r + 1):
-            assert gw.h_with_threshold(ctx, 0.7, 0.0, s) == 0.0
-            for x in (1e-9, 0.01, 0.5, 1.0):
-                assert gw.h_with_threshold(ctx, 0.7, x, s) > 0.0
 
 
 def test_h_includes_subthreshold_mass():
@@ -341,6 +334,11 @@ def test_mismatched_threshold_context_is_fixed_and_fast():
     # h at the context's own threshold goes through the same mixture
     x = 0.4
     assert gw.h(ctx, 0.1, x) == pytest.approx(0.9 * x * gw.G(ctx, x), abs=1e-15)
+    # a context below the law's own threshold plus one h: no enumeration of the 2e13-atom support
+    t0 = time.perf_counter()
+    val = gw.h(make_context(d, 2), 0.1, 0.5)
+    assert time.perf_counter() - t0 < 0.05
+    assert val == pytest.approx(0.9 * 0.5**2, abs=1e-14)  # E P(Bin(xi, 1-x) <= 1) = x^2 here
 
 
 # (spec, r, x_star, M) from criterion 8's grid, as max_G reported them before
@@ -454,11 +452,14 @@ def _h_oracle(d, r, x, cutoff):
 # every family, with laws that have mass below the threshold; heavy and pruned
 # laws at cutoffs small enough to sum term by term
 H_CASES = [
-    ("regular:b=3", 2, None), ("regular:b=5", 3, None), ("regular:b=7", 4, None),
-    ("poisson:b=4", 2, None), ("poisson:b=6", 3, None),
-    ("geometric:b=3", 2, None), ("geometric:b=8", 3, None),
-    ("twopoint:b=4,a=9", 2, None), ("twopoint:b=3,a=6", 4, None),
-    ("pmf:1=0.5,3=0.5", 2, None), ("pmf:1=0.2,2=0.3,5=0.5", 3, None),
+    ("regular:b=3", 2, None), ("regular:b=5", 2, None), ("regular:b=5", 3, None),
+    ("regular:b=7", 4, None),
+    ("poisson:b=4", 2, None), ("poisson:b=6", 2, None), ("poisson:b=6", 3, None),
+    ("geometric:b=3", 2, None), ("geometric:b=8", 2, None), ("geometric:b=8", 3, None),
+    ("twopoint:b=4,a=9", 2, None), ("twopoint:b=3,a=6", 2, None), ("twopoint:b=3,a=6", 3, None),
+    ("twopoint:b=3,a=6", 4, None),
+    ("pmf:1=0.5,3=0.5", 2, None), ("pmf:1=0.2,2=0.3,5=0.5", 2, None),
+    ("pmf:1=0.2,2=0.3,5=0.5", 3, None),
     ("heavy:r=2", 2, 1e-4), ("heavy:r=3", 3, 1e-4), ("heavy:r=2", 3, 1e-4), ("heavy:r=3", 2, 1e-4),
     ("pruned:r=3,b=8", 3, None), ("pruned:r=2,b=6", 2, None), ("pruned:r=2,b=6", 3, None),
 ]
@@ -469,42 +470,10 @@ def test_h_matches_binomial_sum(spec, r, tail_target):
     d = make_distribution(spec)
     ctx = make_context(d, r) if tail_target is None else make_context(d, r, tail_target)
     assert ctx.cutoff <= 40_000
-    for x in (0.0, 1e-300, 0.5, 1 - 1e-13, 1.0):
+    for x in (0.0, 1e-300, 0.1, 0.3, 0.5, 0.9, 0.999, 1 - 1e-13, 1.0):
         want = _h_oracle(d, r, x, ctx.cutoff)
         for p in (0.0, 0.3):
             assert abs(gw.h(ctx, p, x) - (1 - p) * want) <= 1e-14, (spec, r, x, p)
-
-
-@pytest.mark.parametrize("spec, r", [("regular:b=5", 4), ("poisson:b=6", 3), ("geometric:b=8", 3),
-                                     ("twopoint:b=3,a=6", 4), ("pmf:1=0.2,2=0.3,5=0.5", 3)])
-def test_h_with_threshold_below_r_matches_binomial_sum(spec, r):
-    d = make_distribution(spec)
-    ctx = make_context(d, r)
-    for s in range(1, r):
-        for x in (0.0, 1e-300, 0.3, 0.5, 0.9, 1 - 1e-13, 1.0):
-            want = _h_oracle(d, s, x, ctx.cutoff)
-            assert abs(gw.h_with_threshold(ctx, 0.2, x, s) - 0.8 * want) <= 1e-14, (spec, s, x)
-
-
-def test_h_with_threshold_below_r_heavy_is_fast_and_exact():
-    d = make_distribution("heavy:r=3")
-    ctx = make_context(d, 3)
-    t0 = time.perf_counter()
-    val = gw.h_with_threshold(ctx, 0.1, 0.5, 2)
-    assert time.perf_counter() - t0 < 0.05  # no enumeration of the 2e13-atom support
-    assert val == pytest.approx(0.9 * 0.5**2, abs=1e-14)  # E P(Bin(xi, 1-x) <= 1) = x^2 here
-    small = make_context(d, 3, tail_target=1e-4)
-    for s in (1, 2):
-        for x in (0.0, 1e-300, 0.1, 0.5, 0.9, 0.999, 1 - 1e-13, 1.0):
-            want = _h_oracle(d, s, x, small.cutoff)
-            assert abs(gw.h_with_threshold(small, 0.0, x, s) - want) <= 1e-14, (s, x)
-    # s = 1 with a body past the directly summed head: E[x^xi] against the series
-    wide = make_context(d, 3, tail_target=1e-5)
-    x = 0.9999
-    want = math.fsum(2 * x**k / (k * (k - 1)) for k in range(3, wide.cutoff + 1))
-    assert abs(gw.h_with_threshold(wide, 0.0, x, 1) - want) <= 1e-14
-    with pytest.raises(PreconditionError):
-        gw.h_with_threshold(ctx, 1.5, 0.5, 1)
 
 
 def test_binom_lte_large_n_is_exact():

@@ -115,6 +115,15 @@ def test_curve_supercritical_saturates():
     assert depth_for_infection_target(10, 2, 0.25, 0.99) is not None
 
 
+def test_depth_for_infection_target_finds_first_crossing_below_cap():
+    # the crossing at 745 is no power of two, and the next one (1024) lies past the cap
+    curve = root_infection_curve(10, 2, 0.005963, [744, 745])
+    assert curve[0] < 0.99 <= curve[1]
+    assert depth_for_infection_target(10, 2, 0.005963, 0.99, n_cap=1000) == 745
+    assert depth_for_infection_target(10, 2, 0.005963, 0.99, n_cap=744) is None
+    assert depth_for_infection_target(10, 2, 0.25, 0.0) == 1
+
+
 def test_curve_subcritical_limit_matches_q_limit():
     # below the regular-tree threshold the interior recursion converges to
     # the survival limit of the degree-d law
