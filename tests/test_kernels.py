@@ -173,7 +173,10 @@ def test_h_zero_cases():
         assert gw.h(ctx, 1.0, x) == 0.0
     for p in (0.0, 0.3, 0.99):
         assert gw.h(ctx, p, 0.0) == 0.0
-    # for p < 1, h(x) = 0 iff x = 0
+
+
+def test_h_positive_iff_x_positive():
+    # for p < 1 and any threshold r >= 2, h(x) = 0 iff x = 0
     for spec, r in [("regular:b=4", 2), ("regular:b=4", 3), ("geometric:b=3", 2)]:
         ctx = make_context(make_distribution(spec), r)
         assert gw.h(ctx, 0.7, 0.0) == 0.0
@@ -334,11 +337,21 @@ def test_mismatched_threshold_context_is_fixed_and_fast():
     # h at the context's own threshold goes through the same mixture
     x = 0.4
     assert gw.h(ctx, 0.1, x) == pytest.approx(0.9 * x * gw.G(ctx, x), abs=1e-15)
-    # a context below the law's own threshold plus one h: no enumeration of the 2e13-atom support
+
+
+def test_h_with_threshold_below_r_heavy_is_fast_and_exact():
+    # h at a threshold below the law's own r = 3
+    d = make_distribution("heavy:r=3")
     t0 = time.perf_counter()
     val = gw.h(make_context(d, 2), 0.1, 0.5)
-    assert time.perf_counter() - t0 < 0.05
+    assert time.perf_counter() - t0 < 0.05  # no enumeration of the 2e13-atom support
     assert val == pytest.approx(0.9 * 0.5**2, abs=1e-14)  # E P(Bin(xi, 1-x) <= 1) = x^2 here
+    small = make_context(d, 2, tail_target=1e-4)
+    for x in (0.0, 1e-300, 0.1, 0.5, 0.9, 0.999, 1 - 1e-13, 1.0):
+        want = _h_oracle(d, 2, x, small.cutoff)
+        assert abs(gw.h(small, 0.0, x) - want) <= 1e-14, x
+    with pytest.raises(PreconditionError):
+        gw.h(make_context(d, 2), 1.5, 0.5)
 
 
 # (spec, r, x_star, M) from criterion 8's grid, as max_G reported them before
