@@ -14,7 +14,6 @@ Reals in CSV output carry 17 significant digits so doubles round-trip.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import secrets
@@ -44,31 +43,11 @@ def _fmt_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _default_budget() -> int:
+def _budget(args) -> int:
+    if args.budget is not None:
+        return args.budget
     raw = os.environ.get(BUDGET_ENV)
-    if raw:
-        return int(raw)
-    return simulate.DEFAULT_BUDGET
-
-
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-        return
-    directory = os.path.dirname(os.path.abspath(out_path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".gwboot-")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, out_path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _json_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return int(raw) if raw else simulate.DEFAULT_BUDGET
 
 
 def _csv_value(v) -> str:
@@ -79,12 +58,32 @@ def _csv_value(v) -> str:
     return str(v)
 
 
-def _csv(rows: list[dict], columns: list[str]) -> str:
-    buf = io.StringIO()
-    buf.write(",".join(columns) + "\n")
-    for row in rows:
-        buf.write(",".join(_csv_value(row.get(c, "")) for c in columns) + "\n")
-    return buf.getvalue()
+def _write(args, payload, rows: list[dict], columns: list[str],
+           table: list[str] | None = None) -> None:
+    """Write ``payload`` as JSON, ``rows`` as CSV under ``columns``, or the table
+    lines, as ``--format`` asks; a command without a table writes CSV.  With
+    ``--out`` the text replaces that file atomically."""
+    if args.format == "json":
+        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    elif args.format == "table" and table is not None:
+        text = "\n".join(table) + "\n"
+    else:
+        lines = [",".join(columns)]
+        lines += [",".join(_csv_value(row.get(c, "")) for c in columns) for row in rows]
+        text = "\n".join(lines) + "\n"
+    if args.out is None:
+        sys.stdout.write(text)
+        return
+    directory = os.path.dirname(os.path.abspath(args.out))
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".gwboot-")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, args.out)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def _resolve_seed(args) -> int:
@@ -127,27 +126,11 @@ def cmd_pc(args) -> int:
                 file=sys.stderr,
             )
             return EXIT_INCONSISTENT
-        res = critical.CriticalResult(
-            pc=closed.pc, x_star=closed.x_star, M=closed.M, method="closed-form",
-            err=closed.err, spec=d.spec, r=args.r,
-        )
+        res = closed
     payload = res.as_dict()
-    if args.format == "json":
-        _emit(_json_dumps(payload), args.out)
-    elif args.format == "csv":
-        cols = ["spec", "r", "pc", "x_star", "M", "method", "err"]
-        _emit(_csv([payload], cols), args.out)
-    else:
-        lines = [
-            f"spec:    {payload['spec']}",
-            f"r:       {payload['r']}",
-            f"pc:      {_fmt_float(payload['pc'])}",
-            f"x_star:  {_fmt_float(payload['x_star'])}",
-            f"M:       {_fmt_float(payload['M'])}",
-            f"method:  {payload['method']}",
-            f"err:     {_fmt_float(payload['err'])}",
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
+    columns = ["spec", "r", "pc", "x_star", "M", "method", "err"]
+    _write(args, payload, [payload], columns,
+           [f"{c + ':':<9}{_csv_value(payload[c])}" for c in columns])
     return EXIT_OK
 
 
@@ -155,29 +138,24 @@ def cmd_bounds(args) -> int:
     d = make_distribution(parse_spec(args.dist))
     report = bounds_mod.bounds_report(d, args.r, alpha=args.alpha)
     problems = bounds_mod.sandwich_violations(report)
+    spec = d.spec.label()
+    entries = [e.as_dict() for e in report.entries]
     payload = {
-        "spec": d.spec.label(),
+        "spec": spec,
         "r": args.r,
         "pc": report.pc_ref.as_dict() if report.pc_ref else None,
-        "bounds": [e.as_dict() for e in report.entries],
+        "bounds": entries,
     }
-    if args.format == "json":
-        _emit(_json_dumps(payload), args.out)
-    elif args.format == "csv":
-        rows = [
-            {"spec": payload["spec"], "r": args.r, **e.as_dict()} for e in report.entries
-        ]
-        _emit(_csv(rows, ["spec", "r", "name", "kind", "value", "raw", "valid", "note"]), args.out)
-    else:
-        lines = [f"spec: {payload['spec']}   r: {args.r}"]
-        if report.pc_ref:
-            lines.append(f"pc:   {_fmt_float(report.pc_ref.pc)}  (err {report.pc_ref.err:.2e})")
-        lines.append(f"{'name':<26} {'kind':<6} {'value':<24} valid  note")
-        for e in report.entries:
-            lines.append(
-                f"{e.name:<26} {e.kind:<6} {_fmt_float(e.value):<24} {str(e.valid).lower():<6} {e.note}"
-            )
-        _emit("\n".join(lines) + "\n", args.out)
+    table = [f"spec: {spec}   r: {args.r}"]
+    if report.pc_ref:
+        table.append(f"pc:   {_fmt_float(report.pc_ref.pc)}  (err {report.pc_ref.err:.2e})")
+    table.append(f"{'name':<26} {'kind':<6} {'value':<24} valid  note")
+    for e in report.entries:
+        table.append(
+            f"{e.name:<26} {e.kind:<6} {_fmt_float(e.value):<24} {str(e.valid).lower():<6} {e.note}"
+        )
+    _write(args, payload, [{"spec": spec, "r": args.r, **e} for e in entries],
+           ["spec", "r", "name", "kind", "value", "raw", "valid", "note"], table)
     if problems:
         for msg in problems:
             print(f"error: sandwich violation: {msg}", file=sys.stderr)
@@ -194,40 +172,35 @@ def _warn_budget(d: OffspringDistribution, n: int, budget: int) -> None:
         )
 
 
+# the CSV columns of a Monte Carlo row; JSON and the table add ``truncated``
+_MC_COLUMNS = ["spec", "r", "p", "n", "N", "seed", "qhat", "se", "q_exact", "z"]
+
+
+def _mc_row(d: OffspringDistribution, r: int, p: float, n: int, reps: int, seed: int,
+            budget: int) -> dict:
+    """The estimate of q_n beside the exact recursion and its z-score.
+
+    q_exact and z are empty when the recursion rejects the threshold or the
+    estimate has zero standard error.
+    """
+    est = simulate.estimate_qn(d, r, p, n, reps, seed, budget=budget)
+    try:
+        q_exact = critical.q_iterate(d, r, p, n).q_n
+    except PreconditionError:
+        q_exact = ""
+    z = (est.estimate - q_exact) / est.se if q_exact != "" and est.se > 0 else ""
+    return {"spec": d.spec.label(), "r": r, "p": p, "n": n, "N": reps, "seed": seed,
+            "qhat": est.estimate, "se": est.se, "q_exact": q_exact, "z": z,
+            "truncated": est.truncated}
+
+
 def cmd_simulate(args) -> int:
     d = make_distribution(parse_spec(args.dist))
     seed = _resolve_seed(args)
-    budget = args.budget if args.budget is not None else _default_budget()
+    budget = _budget(args)
     _warn_budget(d, args.n, budget)
-    est = simulate.estimate_qn(d, args.r, args.p, args.n, args.reps, seed, budget=budget)
-    q_exact = None
-    try:
-        q_exact = critical.q_iterate(d, args.r, args.p, args.n).q_n
-    except PreconditionError:
-        pass
-    z = None
-    if q_exact is not None and est.se > 0:
-        z = (est.estimate - q_exact) / est.se
-    row = {
-        "spec": d.spec.label(),
-        "r": args.r,
-        "p": args.p,
-        "n": args.n,
-        "N": args.reps,
-        "seed": seed,
-        "qhat": est.estimate,
-        "se": est.se,
-        "q_exact": q_exact if q_exact is not None else "",
-        "z": z if z is not None else "",
-        "truncated": est.truncated,
-    }
-    if args.format == "json":
-        _emit(_json_dumps(row), args.out)
-    elif args.format == "csv":
-        _emit(_csv([row], ["spec", "r", "p", "n", "N", "seed", "qhat", "se", "q_exact", "z"]), args.out)
-    else:
-        lines = [f"{k}: {_csv_value(v)}" for k, v in row.items()]
-        _emit("\n".join(lines) + "\n", args.out)
+    row = _mc_row(d, args.r, args.p, args.n, args.reps, seed, budget)
+    _write(args, row, [row], _MC_COLUMNS, [f"{k}: {_csv_value(v)}" for k, v in row.items()])
     return EXIT_OK
 
 
@@ -264,30 +237,21 @@ def cmd_sweep(args) -> int:
         grid = _parse_grid(args.p_grid)
         d = make_distribution(parse_spec(args.dist))
         seed = _resolve_seed(args) if args.reps else None
-        budget = args.budget if args.budget is not None else _default_budget()
-        columns = ["spec", "r", "p", "qlimit", "converged", "status"]
-        if args.reps:
-            columns = ["spec", "r", "p", "n", "N", "seed", "qhat", "se", "q_exact", "z",
-                       "qlimit", "converged", "status"]
+        budget = _budget(args)
+        columns = (_MC_COLUMNS if args.reps else ["spec", "r", "p"]) + [
+            "qlimit", "converged", "status"]
         for p in grid:
             row = {"spec": d.spec.label(), "r": args.r, "p": p, "status": "ok"}
             try:
                 ql = critical.q_limit(d, args.r, p)
                 row.update(qlimit=ql.value, converged=ql.converged)
                 if args.reps:
-                    est = simulate.estimate_qn(d, args.r, p, args.n, args.reps, seed,
-                                               budget=budget)
-                    q_exact = critical.q_iterate(d, args.r, p, args.n).q_n
-                    z = (est.estimate - q_exact) / est.se if est.se > 0 else ""
-                    row.update(n=args.n, N=args.reps, seed=seed, qhat=est.estimate,
-                               se=est.se, q_exact=q_exact, z=z)
+                    row.update(_mc_row(d, args.r, p, args.n, args.reps, seed, budget))
+                    del row["truncated"]  # sweep rows carry the CSV columns only
             except (SpecError, PreconditionError) as exc:
                 row["status"] = f"error: {exc}"
             rows.append(row)
-    if args.format == "json":
-        _emit(_json_dumps(rows), args.out)
-    else:
-        _emit(_csv(rows, columns), args.out)
+    _write(args, rows, rows, columns)
     return EXIT_OK
 
 
@@ -295,10 +259,9 @@ def cmd_sweep(args) -> int:
 # argument parsing
 
 
-def _add_common(p: argparse.ArgumentParser, *, need_r: bool = True) -> None:
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dist", required=True, help="distribution spec, e.g. regular:b=5")
-    if need_r:
-        p.add_argument("--r", type=int, required=True, help="infection threshold r >= 2")
+    p.add_argument("--r", type=int, required=True, help="infection threshold r >= 2")
     p.add_argument("--format", choices=("table", "json", "csv"), default="table")
     p.add_argument("--out", default=None, help="write output atomically to this path")
 

@@ -189,25 +189,28 @@ class QTrace:
         return self.values[-1]
 
 
-def q_iterate(d: OffspringDistribution, r: int, p: float, n: int,
-              ctx: Optional[GEvalContext] = None) -> QTrace:
+def _step(ctx: GEvalContext, p: float, q: float) -> float:
+    """q_{t+1} = h_{r,p}(q_t), checked to be non-increasing."""
+    q_next = kernels.h(ctx, p, q)
+    # exact monotonicity can wobble by float rounding only
+    if q_next > q + 1e-12:
+        raise ArithmeticError(
+            f"survival sequence must be non-increasing: q={q!r} -> {q_next!r}"
+        )
+    return min(q_next, q)
+
+
+def q_iterate(d: OffspringDistribution, r: int, p: float, n: int) -> QTrace:
     """q_0 = 1-p, q_{t+1} = h_{r,p}(q_t), for n steps."""
     if not 0.0 <= p <= 1.0:
         raise PreconditionError("p must lie in [0, 1]")
     if n < 0:
         raise PreconditionError("n must be >= 0")
-    if ctx is None:
-        ctx = make_context(d, r)
+    ctx = make_context(d, r)
     q = 1.0 - p
     values = [q]
     for _ in range(n):
-        q_next = kernels.h(ctx, p, q)
-        # exact monotonicity can wobble by float rounding only
-        if q_next > q + 1e-12:
-            raise ArithmeticError(
-                f"survival sequence must be non-increasing: q={q!r} -> {q_next!r}"
-            )
-        q = min(q_next, q)
+        q = _step(ctx, p, q)
         values.append(q)
     converged = len(values) >= 2 and abs(values[-1] - values[-2]) < 1e-15
     return QTrace(p=p, r=r, values=values, converged=converged)
@@ -227,8 +230,7 @@ class QLimitResult:
         return self.value
 
 
-def q_limit(d: OffspringDistribution, r: int, p: float, tol: float = 1e-12,
-            ctx: Optional[GEvalContext] = None) -> QLimitResult:
+def q_limit(d: OffspringDistribution, r: int, p: float, tol: float = 1e-12) -> QLimitResult:
     """Iterate h until successive values differ by less than tol.
 
     On convergence the value approximates the largest fixed point of
@@ -240,11 +242,10 @@ def q_limit(d: OffspringDistribution, r: int, p: float, tol: float = 1e-12,
         raise PreconditionError("p must lie in [0, 1]")
     if tol <= 0:
         raise PreconditionError("tol must be positive")
-    if ctx is None:
-        ctx = make_context(d, r)
+    ctx = make_context(d, r)
     q = 1.0 - p
     for t in range(1, Q_ITERATION_CAP + 1):
-        q_next = min(kernels.h(ctx, p, q), q)
+        q_next = _step(ctx, p, q)
         if abs(q - q_next) < tol:
             return QLimitResult(value=q_next, lower=max(q_next - tol, 0.0), upper=q_next,
                                 converged=True, iterations=t)

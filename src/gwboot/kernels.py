@@ -118,19 +118,21 @@ def g(k: int, r: int, x: float) -> float:
     return _log_binom_sum(k, r - 1, math.log1p(-x), math.log(x), 1)
 
 
-def _libm_logs(vals: list) -> tuple[np.ndarray, np.ndarray]:
-    """(log x, log(1-x)) for x in (0, 1), taken from libm like ``g``.
+def _libm_logs(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(log x, log(1-x)) taken from libm like ``g``, with x = 1/2 standing in
+    outside (0, 1) so that every log is finite.
 
     numpy's vectorised logs can differ from libm in the last bit; max_G's
     golden-section comparisons at the rounding floor would turn such a bit
     into a shift of x_star, so grid and single-point evaluations share
     libm's logs.
     """
+    vals = np.where((xs > 0.0) & (xs < 1.0), xs, 0.5).tolist()
     return np.array([math.log(v) for v in vals]), np.array([math.log1p(-v) for v in vals])
 
 
-def _deficiency(r: int, m: int, lx: np.ndarray, l1x: np.ndarray) -> np.ndarray:
-    """D_r(m, x) over an array of interior x, given log x and log(1-x)."""
+def _deficiency(r: int, m: int, xs: np.ndarray, lx: np.ndarray, l1x: np.ndarray) -> np.ndarray:
+    """D_r(m, x) over an array of x, given ``_libm_logs(xs)``: 0 for x <= 0, (r-1)/m for x >= 1."""
     e = (m - 1) * lx
     d = np.where(e > -745.0, np.exp(e), 0.0) / m
     for s in range(2, r):
@@ -140,7 +142,7 @@ def _deficiency(r: int, m: int, lx: np.ndarray, l1x: np.ndarray) -> np.ndarray:
             lt = math.log(math.comb(m - 1, i) / (s - 1)) + (i + 1) * l1x + (m - 2 - i) * lx
             np.add(step, np.where(lt > -745.0, np.exp(lt), 0.0), out=step)
         d = s / (s - 1) * d + step
-    return d
+    return np.where(xs >= 1.0, (r - 1) / m, np.where(xs > 0.0, d, 0.0))
 
 
 def heavy_tail_deficiency(r: int, m: int, x: float | np.ndarray) -> float | np.ndarray:
@@ -150,10 +152,7 @@ def heavy_tail_deficiency(r: int, m: int, x: float | np.ndarray) -> float | np.n
     """
     if isinstance(x, (np.ndarray, list, tuple)):
         xs = np.asarray(x, dtype=float)
-        d = np.where(xs >= 1.0, (r - 1) / m, 0.0)
-        inner = (xs > 0.0) & (xs < 1.0)
-        d[inner] = _deficiency(r, m, *_libm_logs(xs[inner].tolist()))
-        return d
+        return _deficiency(r, m, xs, *_libm_logs(xs))
     if x <= 0.0:
         return 0.0
     if x >= 1.0:
@@ -195,7 +194,6 @@ class GEvalContext:
     s >= 2 is ``h(make_context(dist, s), p, x)``.
     """
 
-    dist: OffspringDistribution
     r: int
     cutoff: int
     eps_G: float
@@ -260,7 +258,7 @@ def make_context(
     log_binom = np.array([lgk - gammaln(i + 1) - gammaln(ks - i + 1) for i in range(r)])
     powers = np.array([ks - i - 1 for i in range(r)], dtype=float)
     return GEvalContext(
-        dist=dist, r=r, cutoff=cutoff, eps_G=eps,
+        r=r, cutoff=cutoff, eps_G=eps,
         prob_below=float(dist.prob_below(r)), analytic=analytic,
         ks=_frozen(ks), weights=_frozen(w), log_binom=_frozen(log_binom),
         powers=_frozen(powers), max_power=float(ks.max(initial=1) - 1),
@@ -271,11 +269,7 @@ def make_context(
 
 def _G_block(ctx: GEvalContext, xs: np.ndarray) -> np.ndarray:
     """G(x) - 1 on one block of x, through a (len(xs), len(ctx.ks)) array of g_k^r(x)."""
-    vals = xs.tolist()
-    ends = [j for j, v in enumerate(vals) if v == 0.0 or v == 1.0]
-    if ends:  # any interior stand-in keeps the logs finite; the rows are overwritten below
-        vals = [0.5 if v == 0.0 or v == 1.0 else v for v in vals]
-    lx, l1x = _libm_logs(vals)
+    lx, l1x = _libm_logs(xs)
     il1x = l1x[:, None] * np.arange(ctx.r)
     gk = 0.0
     for i in range(ctx.r):
@@ -287,11 +281,12 @@ def _G_block(ctx: GEvalContext, xs: np.ndarray) -> np.ndarray:
         term = np.exp(lg)
         term[lg <= -745.0] = 0.0
         gk = gk + term
-    if ends:  # the limits of g: r at x = 0 when k = r (0 otherwise), 1 at x = 1
-        gk[ends] = np.where(xs[ends, None] == 0.0, np.where(ctx.ks == ctx.r, float(ctx.r), 0.0), 1.0)
+    # the limits of g: r at x = 0 when k = r (0 otherwise), 1 at x = 1
+    ends = (xs == 0.0) | (xs == 1.0)
+    gk[ends] = np.where(xs[ends, None] == 0.0, np.where(ctx.ks == ctx.r, float(ctx.r), 0.0), 1.0)
     out = gk @ ctx.weights + ctx.offset
     if ctx.defic_scale:
-        out -= ctx.defic_scale * heavy_tail_deficiency(ctx.r, ctx.cutoff, xs)
+        out -= ctx.defic_scale * _deficiency(ctx.r, ctx.cutoff, xs, lx, l1x)
     return out
 
 
@@ -347,7 +342,7 @@ def G_minus_1(ctx: GEvalContext, x: float | np.ndarray) -> float | np.ndarray:
             raise PreconditionError("x must lie in [0, 1]")
         return _mixture(ctx, x, ctx.offset)
     xs = np.asarray(x, dtype=float)
-    if xs.ndim > 1 or not all(0.0 <= v <= 1.0 for v in xs.reshape(-1).tolist()):
+    if xs.ndim > 1 or not ((xs >= 0.0) & (xs <= 1.0)).all():  # NaN fails both
         raise PreconditionError("x must lie in [0, 1]")
     flat = xs.reshape(-1)
     n = len(flat)
@@ -436,14 +431,11 @@ def max_G(ctx: GEvalContext) -> MaxResult:
     vals = G_minus_1(ctx, xs)
 
     candidates: list[tuple[float, float]] = [(0.0, vals[0]), (1.0, vals[-1])]
-    brackets = []
-    for i in range(1, n):
-        if vals[i] < vals[i - 1] or vals[i] < vals[i + 1]:
-            continue
-        # plateaus of exactly equal values spawn no brackets except at
-        # their strict edges, so flat stretches cost nothing
-        if vals[i] > vals[i - 1] or vals[i] > vals[i + 1]:
-            brackets.append((xs[i - 1], xs[i + 1]))
+    # interior local maxima; plateaus of exactly equal values spawn no brackets
+    # except at their strict edges, so flat stretches cost nothing
+    mid, left, right = vals[1:-1], vals[:-2], vals[2:]
+    peaks = np.flatnonzero((mid >= left) & (mid >= right) & ((mid > left) | (mid > right))) + 1
+    brackets = [(xs[i - 1], xs[i + 1]) for i in peaks.tolist()]
     if vals[0] > vals[1]:
         brackets.append((0.0, xs[1]))
     if vals[-1] > vals[-2]:

@@ -159,12 +159,17 @@ def depth_for_infection_target(
     One forward pass of the survival recursion, stopping at the first depth
     that reaches the target.  Returns None if the curve has not reached it
     by n_cap (for p below the regular-tree threshold it converges to a
-    limit < 1).
+    limit < 1), or once u_t repeats in floating point, after which the
+    curve is constant.
     """
     _check_curve(d, r, p)
+    prev = None
     for n, u in zip(range(1, n_cap + 1), _safety(d, r, p)):
+        if u == prev:
+            return None
         if _root_infected(d, r, p, u) >= target:
             return n
+        prev = u
     return None
 
 

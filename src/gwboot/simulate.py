@@ -147,7 +147,6 @@ class SampledTree:
 
     counts: np.ndarray
     child_start: np.ndarray
-    depth: np.ndarray
     level_start: list[int]  # level_start[i] .. level_start[i+1] is level i
     n: int
     budget: int
@@ -210,7 +209,6 @@ def _grow_tree(d, rng: Optional[np.random.Generator], n: int, budget: int) -> Sa
     child_start[1:] += 1
     return SampledTree(
         counts=counts, child_start=child_start,
-        depth=np.repeat(np.arange(len(sizes)), sizes).astype(np.int32),
         level_start=np.concatenate([[0], np.cumsum(sizes)]).tolist(),
         n=n, budget=budget, truncated=truncated,
     )

@@ -259,6 +259,89 @@ def test_budget_warning(capsys):
     assert "expected tree size ~121 " in err
 
 
+
+# the documented CSV columns; JSON and table carry the same keys, and
+# simulate's JSON and table add ``truncated``
+_PC_KEYS = ["spec", "r", "pc", "x_star", "M", "method", "err"]
+_BOUND_KEYS = ["spec", "r", "name", "kind", "value", "raw", "valid", "note"]
+_MC_KEYS = ["spec", "r", "p", "n", "N", "seed", "qhat", "se", "q_exact", "z"]
+
+
+def _carries(text, value):
+    """True iff a CSV or table field shows the JSON value; reals carry 17 digits."""
+    if isinstance(value, bool):
+        return text == ("true" if value else "false")
+    if isinstance(value, float):
+        return float(text) == value
+    return text == str(value)
+
+
+def _check_csv(text, rows, keys):
+    lines = text.splitlines()
+    assert lines[0].split(",") == keys
+    assert len(lines) == len(rows) + 1
+    for line, row in zip(lines[1:], rows):
+        fields = line.split(",")
+        assert len(fields) == len(keys)
+        assert all(_carries(f, row[k]) for f, k in zip(fields, keys)), (line, row)
+
+
+def _check_key_lines(text, payload, keys):
+    """A table of ``key: value`` lines, one per key in order."""
+    pairs = [line.split(":", 1) for line in text.splitlines()]
+    assert [k for k, _ in pairs] == keys
+    assert all(_carries(v.strip(), payload[k]) for k, v in pairs)
+
+
+@pytest.mark.parametrize("argv", [
+    ["pc", "--dist", "poisson:b=6", "--r", "2"],
+    ["pc", "--dist", "heavy:r=3", "--r", "2"],
+    ["bounds", "--dist", "poisson:b=6", "--r", "2"],
+    ["simulate", "--dist", "regular:b=3", "--r", "2", "--p", "0.2", "--n", "4",
+     "--reps", "300", "--seed", "7"],
+    ["simulate", "--dist", "geometric:b=3", "--r", "2", "--p", "0", "--n", "3",
+     "--reps", "50", "--seed", "1"],
+    ["sweep", "--dist", "regular:b=3", "--r", "2", "--p-grid", "0.1:0.3:0.1", "--n", "3",
+     "--reps", "200", "--seed", "5"],
+    ["sweep", "--dist", "regular:b=3", "--r", "2", "--b-grid", "3:8:1"],
+])
+def test_formats_carry_the_same_values(capsys, argv):
+    out = {}
+    for fmt in ("table", "csv", "json"):
+        code, out[fmt], _ = run_cli(capsys, *argv, "--format", fmt)
+        assert code == 0
+    payload = json.loads(out["json"])
+    cmd = argv[0]
+    if cmd == "pc":
+        assert sorted(payload) == sorted(_PC_KEYS)
+        _check_csv(out["csv"], [payload], _PC_KEYS)
+        _check_key_lines(out["table"], payload, _PC_KEYS)
+    elif cmd == "bounds":
+        assert sorted(payload) == ["bounds", "pc", "r", "spec"]
+        rows = [{"spec": payload["spec"], "r": payload["r"], **e} for e in payload["bounds"]]
+        assert all(sorted(e) == sorted(_BOUND_KEYS[2:]) for e in payload["bounds"])
+        _check_csv(out["csv"], rows, _BOUND_KEYS)
+        lines = out["table"].splitlines()
+        assert lines[0] == f"spec: {payload['spec']}   r: {payload['r']}"
+        assert _carries(lines[1].split()[1], payload["pc"]["pc"])
+        assert lines[2].split() == ["name", "kind", "value", "valid", "note"]
+        assert len(lines) == 3 + len(rows)
+        for line, e in zip(lines[3:], payload["bounds"]):
+            name, kind, value, valid, *note = line.split(None, 4)
+            assert [name, kind, valid] == [e["name"], e["kind"], str(e["valid"]).lower()]
+            assert _carries(value, e["value"]) and " ".join(note) == e["note"]
+    elif cmd == "simulate":
+        assert sorted(payload) == sorted(_MC_KEYS + ["truncated"])
+        _check_csv(out["csv"], [payload], _MC_KEYS)
+        _check_key_lines(out["table"], payload, _MC_KEYS + ["truncated"])
+    else:
+        keys = (_MC_KEYS + ["qlimit", "converged", "status"] if "--p-grid" in argv else
+                ["spec", "r", "b", "pc", "x_star", "M", "err", "pc_times_2b2", "method", "status"])
+        assert all(sorted(row) == sorted(keys) for row in payload)
+        _check_csv(out["csv"], payload, keys)
+        assert out["table"] == out["csv"]  # sweep has no table of its own
+
+
 # Runs CLI commands in one fresh interpreter and prints which of the heavy
 # optional modules they imported.
 _COLD_SCRIPT = """

@@ -179,6 +179,8 @@ def test_q_iterate_rejects_increasing_step(monkeypatch):
     monkeypatch.setattr(critical_mod.kernels, "h", lambda ctx, p, q: q + 1e-6)
     with pytest.raises(ArithmeticError, match="non-increasing"):
         q_iterate(make_distribution("regular:b=3"), 2, 0.2, 3)
+    with pytest.raises(ArithmeticError, match="non-increasing"):
+        q_limit(make_distribution("regular:b=3"), 2, 0.2)
 
 
 def test_q_limit_edges():

@@ -394,11 +394,16 @@ def _bracket_count(vals):
 def test_max_G_evaluates_grid_in_blocks(monkeypatch, spec, r):
     ctx = make_context(make_distribution(spec), r)
     calls = []  # one (is a single point, rows of each block) entry per G_minus_1 call
-    block, minus_1 = kernels._G_block, kernels.G_minus_1
+    block, minus_1, logs = kernels._G_block, kernels.G_minus_1, kernels._libm_logs
+    log_calls = []
 
     def counting_block(c, xs):
         calls[-1][1].append(len(xs))
         return block(c, xs)
+
+    def counting_logs(xs):
+        log_calls.append(len(xs))
+        return logs(xs)
 
     def counting_minus_1(c, x):
         calls.append((np.ndim(x) == 0, []))
@@ -406,9 +411,12 @@ def test_max_G_evaluates_grid_in_blocks(monkeypatch, spec, r):
 
     monkeypatch.setattr(kernels, "_G_block", counting_block)
     monkeypatch.setattr(kernels, "G_minus_1", counting_minus_1)
+    monkeypatch.setattr(kernels, "_libm_logs", counting_logs)
     max_G(ctx)
     grid = [rows for single, rows in calls if not single]
     assert len(grid) == 1 and sum(grid[0]) == 1001
+    # one pass of libm logs per block, shared with the heavy and pruned deficiency
+    assert log_calls == grid[0]
     assert len(grid[0]) <= max(1, math.ceil(1001 * len(ctx.ks) / 2**16))
     assert max(grid[0]) * len(ctx.ks) <= 2**16 + len(ctx.ks)
     points = sum(single for single, _ in calls)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import gwboot as gw
+from gwboot import layered
 from gwboot.critical import pc_exact, q_limit
 from gwboot.kernels import binom_lte
 from gwboot.layered import (
@@ -122,6 +123,21 @@ def test_depth_for_infection_target_finds_first_crossing_below_cap():
     assert depth_for_infection_target(10, 2, 0.005963, 0.99, n_cap=1000) == 745
     assert depth_for_infection_target(10, 2, 0.005963, 0.99, n_cap=744) is None
     assert depth_for_infection_target(10, 2, 0.25, 0.0) == 1
+
+
+def test_depth_for_infection_target_stops_at_float_fixed_point(monkeypatch):
+    # below the threshold u_t stops changing after a few dozen steps; the
+    # search must give up there rather than run all 100,000 default steps
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return binom_lte(*args)
+
+    monkeypatch.setattr(layered, "binom_lte", counting)
+    assert depth_for_infection_target(10, 2, 0.003, 0.99) is None
+    assert len(calls) < 1000
+    assert depth_for_infection_target(10, 2, 0.0059625089967288766, 0.99) == 67395
 
 
 def test_curve_subcritical_limit_matches_q_limit():

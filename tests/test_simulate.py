@@ -184,7 +184,6 @@ def _tree_alone(level_counts):
     child_start = np.concatenate([[1], 1 + np.cumsum(counts[:-1])]).astype(np.int64)
     sizes = [len(c) for c in level_counts]
     return SampledTree(counts=counts, child_start=child_start,
-                       depth=np.repeat(np.arange(len(sizes)), sizes),
                        level_start=np.concatenate([[0], np.cumsum(sizes)]).tolist(),
                        n=len(sizes) - 1, budget=0, truncated=False)
 
