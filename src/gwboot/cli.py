@@ -8,12 +8,15 @@ table), ``simulate`` (Monte Carlo estimate of the survival probability),
 
 Exit codes: 0 success, 2 parse error, 3 violated precondition, 4 internal
 inconsistency (a bound or closed form contradicting the exact value).
-Reals in CSV output carry 17 significant digits so doubles round-trip.
+Reals in CSV output carry 17 significant digits so doubles round-trip;
+a CSV field with a comma (a spec label, an error status) is quoted.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import secrets
@@ -68,9 +71,11 @@ def _write(args, payload, rows: list[dict], columns: list[str],
     elif args.format == "table" and table is not None:
         text = "\n".join(table) + "\n"
     else:
-        lines = [",".join(columns)]
-        lines += [",".join(_csv_value(row.get(c, "")) for c in columns) for row in rows]
-        text = "\n".join(lines) + "\n"
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_csv_value(row.get(c, "")) for c in columns] for row in rows)
+        text = buf.getvalue()
     if args.out is None:
         sys.stdout.write(text)
         return
@@ -115,18 +120,24 @@ def _parse_grid(text: str) -> list[float]:
 # subcommands
 
 
+def _pc_result(d: OffspringDistribution, r: int) -> tuple[critical.CriticalResult, str | None]:
+    """The closed form where one exists, else ``pc_exact``; with a message when
+    a closed form contradicts the maximization, whose result is returned then."""
+    res = critical.pc_exact(d, r)
+    closed = critical.pc_closed_form(d.spec, r)
+    if closed is None:
+        return res, None
+    if abs(closed.pc - res.pc) > CONSISTENCY_TOL + res.err:
+        return res, f"closed form pc={closed.pc!r} contradicts maximization pc={res.pc!r}"
+    return closed, None
+
+
 def cmd_pc(args) -> int:
     d = make_distribution(parse_spec(args.dist))
-    res = critical.pc_exact(d, args.r)
-    closed = critical.pc_closed_form(d.spec, args.r)
-    if closed is not None:
-        if abs(closed.pc - res.pc) > CONSISTENCY_TOL + res.err:
-            print(
-                f"error: closed form pc={closed.pc!r} contradicts maximization pc={res.pc!r}",
-                file=sys.stderr,
-            )
-            return EXIT_INCONSISTENT
-        res = closed
+    res, problem = _pc_result(d, args.r)
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
+        return EXIT_INCONSISTENT
     payload = res.as_dict()
     columns = ["spec", "r", "pc", "x_star", "M", "method", "err"]
     _write(args, payload, [payload], columns,
@@ -211,6 +222,7 @@ def cmd_sweep(args) -> int:
     if (args.p_grid is None) == (args.b_grid is None):
         raise SpecError("sweep needs exactly one of --p-grid or --b-grid")
     rows: list[dict] = []
+    problems: list[str] = []
     if args.b_grid is not None:
         grid = _parse_grid(args.b_grid)
         base = parse_spec(args.dist)
@@ -225,11 +237,14 @@ def cmd_sweep(args) -> int:
                 spec = type(base)(family=base.family, b=b, a=base.a, r=base.r)
                 d = make_distribution(spec)
                 row["spec"] = spec.label()
-                res = critical.pc_exact(d, args.r)
+                res, problem = _pc_result(d, args.r)
                 row.update(pc=res.pc, x_star=res.x_star, M=res.M, err=res.err,
                            method=res.method)
                 if args.r == 2:
                     row["pc_times_2b2"] = res.pc * 2.0 * b * b
+                if problem is not None:
+                    row["status"] = f"error: {problem}"
+                    problems.append(f"{spec.label()}: {problem}")
             except (SpecError, PreconditionError) as exc:
                 row["status"] = f"error: {exc}"
             rows.append(row)
@@ -252,7 +267,9 @@ def cmd_sweep(args) -> int:
                 row["status"] = f"error: {exc}"
             rows.append(row)
     _write(args, rows, rows, columns)
-    return EXIT_OK
+    for msg in problems:
+        print(f"error: {msg}", file=sys.stderr)
+    return EXIT_INCONSISTENT if problems else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,13 @@ adjacent low-degree vertices eventually form healthy blocking sets.
 
 The survival sequence starts at q_0 = 1 - p and iterates q_{t+1} =
 h_{r,p}(q_t); it decreases to the largest fixed point of h, which is
-positive exactly in the subcritical regime p < p_c.
+positive exactly in the subcritical regime p < p_c.  ``q_limit`` brackets
+that limit instead of stepping until the step is small: the iterates are
+upper bounds, an Aitken extrapolate with h(l) > l is a lower bound, and a
+safeguarded secant closes the bracket.  A limit of 0 has two certificates,
+a bound of G over pieces of [0, q_t] from the kernel tables and, once the
+steps decay sublinearly next to p_c, the maximum M of G; within the error
+of M the limit is left as the interval [0, q_t].
 """
 
 from __future__ import annotations
@@ -17,9 +23,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+import numpy as np
+
 from .offspring import DistributionSpec, OffspringDistribution, PreconditionError
 from . import kernels
-from .kernels import GEvalContext, make_context
+from .kernels import GRID_STEP, GEvalContext, make_context
 
 __all__ = [
     "CriticalResult",
@@ -218,7 +226,12 @@ def q_iterate(d: OffspringDistribution, r: int, p: float, n: int) -> QTrace:
 
 @dataclass(frozen=True)
 class QLimitResult:
-    """Limit of the survival recursion; an interval when the cap is hit."""
+    """Limit of the survival recursion and a bracket [lower, upper] around it.
+
+    Without a certified bracket ``converged`` is False and the bracket is
+    [0, value], value being the last iterate.  ``iterations`` counts
+    evaluations of h.
+    """
 
     value: float
     lower: float
@@ -230,25 +243,216 @@ class QLimitResult:
         return self.value
 
 
-def q_limit(d: OffspringDistribution, r: int, p: float, tol: float = 1e-12) -> QLimitResult:
-    """Iterate h until successive values differ by less than tol.
+# 2^-48 (32 ulps) per unit of the terms summed for h(x) - x: the stated
+# rounding bound, at least 5 times the largest error of h seen against
+# 40-digit sums over the same atoms (20 ulps of h, 4 units of terms)
+_H_ROUNDING = 2.0**-48
+# the zero certificate cuts [0, q] into this many pieces, splits a piece whose
+# bound fails into as many again, and gives up after this many rounds or
+# once more pieces fail than it started with
+_ZERO_PIECES = 16
+_ZERO_ROUNDS = 6
+# steps at which the step ratio is read for sublinear decay: 64, 128, 256, ...
+_SUBLINEAR_FROM = 64
 
-    On convergence the value approximates the largest fixed point of
-    h_{r,p}, reported with the interval [max(value - tol, 0), value].
-    If the iteration cap is reached the true limit is only known
-    to lie in [0, last value]; we return that interval instead of a point.
+
+class _LimitSearch:
+    """One ``q_limit`` call: the context, p, tol and the h evaluations made so far."""
+
+    def __init__(self, ctx: GEvalContext, p: float, tol: float):
+        self.ctx, self.p, self.tol = ctx, p, tol
+        self.evals = 0
+        # |terms| summed for G(x): the offset and every weight times g_k^r <= r
+        self.terms = abs(1.0 + ctx.offset) + ctx.r * float(np.abs(ctx.weights).sum())
+
+    def f(self, x: float) -> float:
+        """h(x) - x, counted as one evaluation."""
+        self.evals += 1
+        return kernels.h(self.ctx, self.p, x) - x
+
+    def eps(self, x: float) -> float:
+        """Bound on the error of ``f(x)`` against h(x) - x of the untruncated law.
+
+        Rounding is ``_H_ROUNDING`` per unit of x, P(xi < r) and the terms of
+        x G(x); the tail beyond the cutoff adds at most tail g_{cutoff+1}^r(x),
+        because g_k^r(x) falls with k.
+        """
+        ctx, p = self.ctx, self.p
+        e = _H_ROUNDING * (x + (1.0 - p) * (ctx.prob_below + x * self.terms))
+        if ctx.eps_G:
+            e += (1.0 - p) * x * ctx.eps_G / ctx.r * kernels.g(ctx.cutoff + 1, ctx.r, x)
+        return e
+
+    def certified_zero(self) -> QLimitResult:
+        return QLimitResult(0.0, 0.0, 0.0, True, self.evals)
+
+    def run(self) -> QLimitResult:
+        ctx, p = self.ctx, self.p
+        can_die = ctx.prob_below == 0.0  # with mass below r, h(0) > 0 and the limit too
+        q, x1, x0 = 1.0 - p, None, None
+        zero_from, gap_seen, t = q, None, 0
+        while self.evals < Q_ITERATION_CAP:
+            if q == 0.0:
+                return self.certified_zero()
+            # h(q) + eps(q) >= h(q) of the untruncated law >= q*, so every iterate
+            # stays an upper bound on q* through rounding and truncation
+            e = self.eps(q)
+            h_q = _step(ctx, p, q)
+            self.evals += 1
+            if h_q + e >= q:
+                return self.stalled(q, h_q - q, can_die)
+            x0, x1, q = x1, q, h_q + e
+            t += 1
+            if x0 is None:
+                continue
+            d1, d2 = x0 - x1, x1 - q
+            if can_die and t >= _SUBLINEAR_FROM and t & (t - 1) == 0:
+                # next to a tangency the steps shrink like 1/t^2: 1 - d2/d1 halves
+                # whenever t doubles, where linear decay keeps it constant
+                gap = 1.0 - d2 / d1
+                if gap_seen is not None and gap <= 0.75 * gap_seen:
+                    res = self.decide_by_max(q)
+                    if res is not None:
+                        return res
+                    can_die = False
+                gap_seen = gap
+            if t % 3 or d2 >= d1:
+                continue
+            # Aitken's extrapolate q - d2^2/(d1 - d2), moved down by half its
+            # distance from q: it errs to either side by a few percent of it
+            lower = q - 1.5 * d2 * d2 / (d1 - d2)
+            if can_die and lower <= q * 2.0**-10:  # the extrapolate points to 0
+                if q <= zero_from:
+                    if self.zero_certified(q):
+                        return self.certified_zero()
+                    zero_from = q / 2
+            elif 0.0 < lower and x1 - lower <= GRID_STEP:
+                f_lower = self.f(lower)
+                if f_lower > self.eps(lower):
+                    return self.close(lower, f_lower, x1, -(d2 + e))
+        return QLimitResult(q, 0.0, q, False, self.evals)
+
+    def stalled(self, q: float, f_q: float, can_die: bool) -> QLimitResult:
+        """h(q) - q lies within eps(q): look for a lower end max(q - w, 0), w = tol/2,
+        tol, 2 tol, ... up to ``GRID_STEP``; past that p is next to p_c."""
+        w = self.tol / 2
+        while w <= GRID_STEP and self.evals < Q_ITERATION_CAP:
+            lower = max(q - w, 0.0)
+            f_lower = self.f(lower)
+            if f_lower > self.eps(lower):
+                return self.close(lower, f_lower, q, f_q)
+            if lower == 0.0:
+                break
+            w *= 2
+        res = self.decide_by_max(q) if can_die else None
+        return res or QLimitResult(q, 0.0, q, False, self.evals)
+
+    def zero_certified(self, q: float) -> bool:
+        """True if (1-p) G < 1 on (0, q], so that h(x) < x there and 0 is the limit."""
+        edges = np.linspace(0.0, q, _ZERO_PIECES + 1)
+        a, b = edges[:-1], edges[1:]
+        for _ in range(_ZERO_ROUNDS):
+            a, b = a[b > a], b[b > a]  # pieces that underflow to a point hold no x > 0
+            bad = (1.0 - self.p) * kernels.G_upper(self.ctx, a, b) >= 1.0
+            n = int(bad.sum())
+            if n == 0:
+                return True
+            if n > _ZERO_PIECES:
+                return False
+            a, b = a[bad, None], b[bad, None]
+            cuts = a + (b - a) * (np.arange(_ZERO_PIECES + 1) / _ZERO_PIECES)
+            cuts[:, 0], cuts[:, -1] = a[:, 0], b[:, 0]  # the pieces still cover [a, b]
+            a, b = cuts[:, :-1].ravel(), cuts[:, 1:].ravel()
+        return False
+
+    def decide_by_max(self, q: float) -> Optional[QLimitResult]:
+        """Compare (1-p)(M +- err) with 1: the limit 0, None for a positive limit,
+        or [0, q] unconverged where p lies within max_G's err of p_c."""
+        res = kernels.max_G(self.ctx)
+        if (1.0 - self.p) * (res.M + res.err) < 1.0:
+            return self.certified_zero()
+        if (1.0 - self.p) * (res.M - res.err) > 1.0:
+            return None
+        return QLimitResult(q, 0.0, q, False, self.evals)
+
+    def close(self, lo: float, f_lo: float, hi: float, f_hi: float) -> QLimitResult:
+        """Shrink [lo, hi] to width tol: f(lo) > eps(lo), hi an upper bound on q*.
+
+        Illinois secant steps (the value kept at an end that survives twice is
+        halved), kept tol/2 inside the bracket so that a point on the far side
+        of the root is tried, with a bisection whenever two steps did not
+        halve the width.
+        """
+        tol = self.tol
+        s_lo, s_hi, side, widths = f_lo, f_hi, 0, [hi - lo]
+        while hi - lo > tol and self.evals < Q_ITERATION_CAP:
+            if len(widths) >= 3 and hi - lo > widths[-3] / 2:
+                m = 0.5 * (lo + hi)
+            else:
+                m = hi - s_hi * (hi - lo) / (s_hi - s_lo)
+            m = min(max(m, lo + tol / 2), hi - tol / 2)
+            if not lo < m < hi:
+                break
+            fm, e = self.f(m), self.eps(m)
+            if fm > e:
+                lo, f_lo, s_lo = m, fm, fm
+                s_hi = s_hi / 2 if side == 1 else s_hi
+                side = 1
+            elif fm < -e:
+                hi, f_hi, s_hi = m, fm, fm
+                s_lo = s_lo / 2 if side == -1 else s_lo
+                side = -1
+            else:
+                return self.band(lo, f_lo, hi, f_hi, m, e)
+            widths.append(hi - lo)
+        # the secant point of the final bracket, inside it
+        value = min(max(hi - f_hi * (hi - lo) / (f_hi - f_lo), lo), hi)
+        return QLimitResult(value, lo, hi, True, self.evals)
+
+    def band(self, lo: float, f_lo: float, hi: float, f_hi: float, m: float,
+             e: float) -> QLimitResult:
+        """The sign of f(m) is below the rounding bound e: the root lies within
+        about 2e/slope of m, so probe m +- max(tol/2, 3e/slope) for new ends."""
+        w = max(self.tol / 2, 3.0 * e * (hi - lo) / (f_lo - f_hi))
+        if lo < m - w and self.f(m - w) > self.eps(m - w):
+            lo = m - w
+        if m + w < hi and self.f(m + w) < -self.eps(m + w):
+            hi = m + w
+        return QLimitResult(m, lo, hi, True, self.evals)
+
+
+def q_limit(d: OffspringDistribution, r: int, p: float, tol: float = 1e-12) -> QLimitResult:
+    """Limit of q_0 = 1-p, q_{t+1} = h_{r,p}(q_t): the largest fixed point q* of h on [0, 1-p].
+
+    h is increasing and below x on (q*, 1-p], so iterates from 1-p are upper
+    bounds on q*; each step adds eps(q), a bound on the error of h(q) - q,
+    so that they stay upper bounds through rounding and the truncated tail
+    of an infinite support.  eps is ``_H_ROUNDING`` (2^-48) per unit of x,
+    P(xi < r) and the terms of x G(x), plus tail * g_{cutoff+1}^r(x); a sign
+    of h(x) - x counts only where its size exceeds eps(x).
+
+    Every third step the Aitken extrapolate of the last three iterates,
+    moved down by half its distance, is proposed as a lower end l and
+    accepted when h(l) - l > eps(l), which proves l <= q*.  The bracket
+    [l, iterate] is then closed to width tol by Illinois secant steps with a
+    bisection safeguard.  Where the sign of h(x) - x is undecided inside it,
+    the bracket is about the band |h(x) - x| <= eps(x): at most a few eps
+    over the slope |1 - h'| wider than tol.  The upper end assumes that G has
+    no mode narrower than ``GRID_STEP``, the assumption ``max_G`` makes, so
+    the bracket starts only once iterate - l <= GRID_STEP.
+
+    Two certificates cover a limit of 0 (with P(xi < r) = 0).  Where the
+    extrapolate points to 0, ``kernels.G_upper`` bounds G over pieces of
+    [0, q_t] from the context's tables, and (1-p) G < 1 there makes h(x) < x
+    on (0, q_t].  Where the step ratio shows sublinear decay (the steps of a
+    tangency shrink like 1/t^2), ``max_G`` is called once: (1-p)(M + err) < 1
+    certifies 0, (1-p)(M - err) > 1 a positive limit, and for p within its
+    err of p_c, where neither can hold, the result is [0, last iterate] with
+    converged False.  So it is after ``Q_ITERATION_CAP`` evaluations of h;
+    ``iterations`` counts them.
     """
     if not 0.0 <= p <= 1.0:
         raise PreconditionError("p must lie in [0, 1]")
     if tol <= 0:
         raise PreconditionError("tol must be positive")
-    ctx = make_context(d, r)
-    q = 1.0 - p
-    for t in range(1, Q_ITERATION_CAP + 1):
-        q_next = _step(ctx, p, q)
-        if abs(q - q_next) < tol:
-            return QLimitResult(value=q_next, lower=max(q_next - tol, 0.0), upper=q_next,
-                                converged=True, iterations=t)
-        q = q_next
-    return QLimitResult(value=q, lower=0.0, upper=q, converged=False,
-                        iterations=Q_ITERATION_CAP)
+    return _LimitSearch(make_context(d, r), p, tol).run()

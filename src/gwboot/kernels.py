@@ -55,6 +55,7 @@ __all__ = [
     "make_context",
     "G",
     "G_minus_1",
+    "G_upper",
     "h",
     "MaxResult",
     "max_G",
@@ -345,13 +346,41 @@ def G_minus_1(ctx: GEvalContext, x: float | np.ndarray) -> float | np.ndarray:
     if xs.ndim > 1 or not ((xs >= 0.0) & (xs <= 1.0)).all():  # NaN fails both
         raise PreconditionError("x must lie in [0, 1]")
     flat = xs.reshape(-1)
-    n = len(flat)
+    out = np.empty(len(flat))
+    for rows in _row_blocks(ctx, len(flat)):
+        out[rows] = _G_block(ctx, flat[rows])
+    return float(out[0]) if xs.ndim == 0 else out
+
+
+def _row_blocks(ctx: GEvalContext, n: int) -> list[slice]:
+    """Slices of n rows, each with about ``_BLOCK`` (row, k) elements or fewer."""
     blocks = max(1, -(-n * len(ctx.ks) // _BLOCK))
     rows = max(1, -(-n // blocks))
-    out = np.empty(n)
-    for lo in range(0, n, rows):
-        out[lo:lo + rows] = _G_block(ctx, flat[lo:lo + rows])
-    return float(out[0]) if xs.ndim == 0 else out
+    return [slice(lo, lo + rows) for lo in range(0, n, rows)]
+
+
+def G_upper(ctx: GEvalContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Upper bounds on G over the pieces [a_j, b_j], 0 <= a_j < b_j <= 1, in one pass.
+
+    On a piece x^(k-i-1) <= b^(k-i-1) and (1-x)^i <= (1-a)^i, so each
+    positive weight's g_k^r is at most sum_{i<r} C(k,i) b^(k-i-1) (1-a)^i
+    from the context's tables; negative weights and the deficiency only lower
+    G and are left out, and the truncated tail adds at most ``eps_G``.  The
+    bound is raised by 2^-36 for the rounding of exp, log and the sum, and by
+    4 ulps of log (k+1)! at the largest k for the tables: gammaln differences
+    leave log C(k, i) up to a few ulps of log k! off.
+    """
+    lb, l1a = np.log(b), np.log1p(-a)
+    w = np.maximum(ctx.weights, 0.0)
+    out = np.empty(len(b))
+    for rows in _row_blocks(ctx, len(b)):
+        gk = 0.0
+        for i in range(ctx.r):
+            gk = gk + np.exp(ctx.powers[i] * lb[rows, None] + ctx.log_binom[i] + i * l1a[rows, None])
+        out[rows] = gk @ w
+    k = ctx.max_power + 2.0
+    rel = 2.0**-36 + 2.0**-51 * math.lgamma(k + 1.0)
+    return (out + (1.0 + ctx.offset)) * (1.0 + rel) + ctx.eps_G
 
 
 def G(ctx: GEvalContext, x: float | np.ndarray) -> float | np.ndarray:
@@ -430,7 +459,7 @@ def max_G(ctx: GEvalContext) -> MaxResult:
     xs = np.linspace(0.0, 1.0, n + 1)
     vals = G_minus_1(ctx, xs)
 
-    candidates: list[tuple[float, float]] = [(0.0, vals[0]), (1.0, vals[-1])]
+    candidates = [(0.0, float(vals[0])), (1.0, float(vals[-1]))]
     # interior local maxima; plateaus of exactly equal values spawn no brackets
     # except at their strict edges, so flat stretches cost nothing
     mid, left, right = vals[1:-1], vals[:-2], vals[2:]

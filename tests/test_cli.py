@@ -1,7 +1,9 @@
 """Command-line interface: formats, exit codes, determinism, sweeps."""
 
 import ast
+import csv
 import glob
+import io
 import json
 import os
 import subprocess
@@ -130,6 +132,57 @@ def test_sweep_b_grid_scaled_column(capsys, tmp_path):
     # pc(T_b,2) * 2b^2 -> 1 from above as b grows
     assert vals[-1] < vals[0]
     assert abs(vals[-1] - 1.0) < 0.15
+
+
+@pytest.mark.parametrize("argv, columns, spec", [
+    (["pc", "--dist", "pruned:r=2,b=20", "--r", "2"], 7, "pruned:r=2,b=20"),
+    (["pc", "--dist", "twopoint:b=4,a=9", "--r", "2"], 7, "twopoint:b=4,a=9"),
+    (["sweep", "--dist", "pruned:r=2,b=20", "--r", "2", "--b-grid", "30:40:5"], 10,
+     "pruned:r=2,b=30"),
+])
+def test_csv_quotes_fields_with_commas(capsys, argv, columns, spec):
+    # spec labels and error statuses may hold commas; every row parses back whole
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert len(rows[0]) == columns
+    assert all(len(row) == columns for row in rows[1:])
+    assert rows[1][rows[0].index("spec")] == spec
+
+
+def test_sweep_b_grid_prefers_closed_form_like_pc(capsys):
+    code, out, _ = run_cli(capsys, "sweep", "--dist", "regular:b=3", "--r", "2",
+                           "--b-grid", "3:5:1", "--format", "json")
+    assert code == 0
+    for row in json.loads(out):
+        code, pc_out, _ = run_cli(capsys, "pc", "--dist", row["spec"], "--r", "2", "--format", "json")
+        assert code == 0
+        pc = json.loads(pc_out)
+        assert row["method"] == pc["method"] == "closed-form"
+        assert [row[k] for k in ("pc", "x_star", "M", "err")] == [pc[k] for k in ("pc", "x_star", "M", "err")]
+    assert json.loads(out)[0]["x_star"] == 0.75
+
+
+def test_sweep_b_grid_flags_contradicting_closed_form(capsys, monkeypatch):
+    import gwboot.critical as critical
+
+    real = critical.pc_closed_form
+
+    def shifted(spec, r):
+        res = real(spec, r)
+        return None if res is None else critical.CriticalResult(
+            res.pc + 0.01, res.x_star, res.M, res.method, res.err, spec, r)
+
+    monkeypatch.setattr(critical, "pc_closed_form", shifted)
+    code, out, err = run_cli(capsys, "sweep", "--dist", "regular:b=3", "--r", "2",
+                             "--b-grid", "3:4:1", "--format", "json")
+    assert code == 4
+    rows = json.loads(out)
+    assert all(row["status"].startswith("error: closed form") for row in rows)
+    assert all(row["method"] == "maximization" for row in rows)
+    assert err.count("contradicts maximization") == 2
+    code, _, err = run_cli(capsys, "pc", "--dist", "regular:b=3", "--r", "2")
+    assert code == 4 and "contradicts maximization" in err
 
 
 def test_sweep_empty_grid_header_only(capsys):

@@ -1,6 +1,7 @@
 """Critical probabilities and the survival recursion."""
 
 import math
+import time
 from fractions import Fraction
 
 import mpmath
@@ -221,8 +222,7 @@ def test_q_limit_is_largest_fixed_point():
 
 
 def test_fixed_point_consistency_near_pc():
-    # the step-based stop leaves a terminal value of order tol (1-p)/p when
-    # h has slope 1-p at the origin, hence the 1e3 classification margin
+    # 1% either side of p_c: a positive fixed point of h below, the limit 0 above
     for spec, r in [("regular:b=3", 2), ("geometric:b=3", 2), ("regular:b=5", 3)]:
         d = make_distribution(spec)
         crit = pc_exact(d, r)
@@ -235,7 +235,7 @@ def test_fixed_point_consistency_near_pc():
         ctx = make_context(d, r)
         assert gw.h(ctx, p_low, res_low.value) == pytest.approx(res_low.value, abs=10 * tol)
         res_high = q_limit(d, r, p_high, tol=tol)
-        assert res_high.value < 1e3 * tol
+        assert res_high.converged and res_high.value == 0.0
 
 
 def test_q_limit_interval_stays_in_unit_interval():
@@ -251,22 +251,122 @@ def test_q_limit_interval_stays_in_unit_interval():
         assert 0.0 <= res.lower <= res.value <= res.upper <= 1.0, (spec, p, res)
 
 
-# (spec, r, p, limit, iterations) next to p_c, as q_limit reported them when every
-# step summed the binomial cdf over the support instead of reading x G(x)
+# (spec, r, p, limit, evaluations) next to p_c: the limit is the largest root of
+# h(x) - x on [0, 1-p] from a 50-digit mpmath bisection over the full pmf (the
+# poisson row lies above p_c), and evaluations bounds the h calls, about 1.5
+# times those made when the rows were derived
 Q_LIMIT_GOLDEN = [
-    ("regular:b=4", 3, 0.274883012674, 0.5504711058203668, 624),
-    ("poisson:b=4", 2, 0.045889653302, 1.404615015083039e-13, 289),
-    ("geometric:b=5", 2, 0.020387755102, 0.9541118357992093, 771),
-    ("twopoint:b=4,a=9", 2, 0.294, 0.01699716725503327, 2179),
+    ("regular:b=4", 3, 0.274883012674, "0.55047110579115279010790640", 180),
+    ("poisson:b=4", 2, 0.045889653302, "0", 200),
+    ("geometric:b=5", 2, 0.020387755102, "0.95411183575702066165744350", 120),
+    ("twopoint:b=4,a=9", 2, 0.294, "0.016997167140263448719014700", 580),
 ]
 
 
-@pytest.mark.parametrize("spec, r, p, limit, iterations", Q_LIMIT_GOLDEN)
-def test_q_limit_golden_next_to_pc(spec, r, p, limit, iterations):
+@pytest.mark.parametrize("spec, r, p, limit, evaluations", Q_LIMIT_GOLDEN)
+def test_q_limit_golden_next_to_pc(spec, r, p, limit, evaluations):
     res = q_limit(make_distribution(spec), r, p)
     assert res.converged
-    assert res.value == pytest.approx(limit, abs=1e-12)
-    assert abs(res.iterations - iterations) <= 1
+    with mpmath.workdps(50):
+        assert mpmath.mpf(res.lower) <= mpmath.mpf(limit) <= mpmath.mpf(res.upper)
+    assert res.value == pytest.approx(float(limit), abs=1e-12)
+    assert res.iterations <= evaluations
+
+
+def _poly_limit(atoms, r, p):
+    """Largest root of h(x) - x on [0, 1-p] for a finite law, by mpmath's
+    polyroots on the exact polynomial (atoms: (k, Fraction) pairs)."""
+    c = [Fraction(0)] * (max(k for k, _ in atoms) + 1)  # c[j] multiplies x^j
+    for k, w in atoms:
+        if k < r:
+            c[0] += w
+            continue
+        for i in range(r):  # C(k, i) (1-x)^i x^(k-i)
+            for j in range(i + 1):
+                c[k - i + j] += w * math.comb(k, i) * math.comb(i, j) * (-1) ** j
+    c = [(1 - Fraction(p)) * v for v in c]
+    c[1] -= 1
+    with mpmath.workdps(50):
+        coeffs = [mpmath.mpf(v.numerator) / v.denominator for v in reversed(c)]
+        while coeffs[0] == 0:
+            coeffs.pop(0)
+        roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=200)
+        top = 1 - mpmath.mpf(Fraction(p).numerator) / Fraction(p).denominator
+        real = [mpmath.re(z) for z in roots if abs(mpmath.im(z)) < mpmath.mpf(10) ** -30]
+        inside = [x for x in real if -mpmath.mpf(10) ** -40 <= x <= top]
+        return max(inside) if inside else mpmath.mpf(0)
+
+
+@pytest.mark.parametrize("spec, r, atoms", [
+    ("regular:b=3", 2, [(3, Fraction(1))]),
+    ("regular:b=4", 3, [(4, Fraction(1))]),
+    ("twopoint:b=4,a=9", 2, [(2, Fraction(5, 7)), (9, Fraction(2, 7))]),
+    ("twopoint:b=3,a=6", 2, [(2, Fraction(3, 4)), (6, Fraction(1, 4))]),
+    ("pmf:2=0.5,4=0.5", 2, [(2, Fraction(1, 2)), (4, Fraction(1, 2))]),
+    ("pmf:3=0.25,4=0.5,6=0.25", 3, [(3, Fraction(1, 4)), (4, Fraction(1, 2)), (6, Fraction(1, 4))]),
+])
+def test_q_limit_bracket_contains_50_digit_limit(spec, r, atoms):
+    from gwboot.critical import _LimitSearch
+
+    d = make_distribution(spec)
+    ctx = make_context(d, r)
+    pc, tol = pc_exact(d, r).pc, 1e-12
+    for ratio in (0.5, 0.95, 0.999, 1.001, 1.05, 2.0):
+        p = ratio * pc
+        res = q_limit(d, r, p, tol=tol)
+        limit = _poly_limit(atoms, r, p)
+        assert res.converged, (spec, ratio)
+        with mpmath.workdps(50):
+            assert mpmath.mpf(res.lower) <= limit <= mpmath.mpf(res.upper), (spec, ratio, res)
+        assert res.lower <= res.value <= res.upper
+        # past tol only by the band where the sign of h(x) - x is below its rounding
+        # bound: a few eps over the slope |1 - h'| at the limit
+        x = float(limit)
+        if x > 0:
+            slope = abs(1 - (gw.h(ctx, p, x + 1e-7) - gw.h(ctx, p, x - 1e-7)) / 2e-7)
+            band = 8 * _LimitSearch(ctx, p, tol).eps(x) / slope
+        else:
+            band = 0.0
+        assert res.upper - res.lower <= tol + band, (spec, ratio, res)
+
+
+@pytest.mark.parametrize("spec", ["regular:b=3", "poisson:b=4", "twopoint:b=4,a=9"])
+def test_q_limit_at_pc_returns_unconverged_interval_fast(spec):
+    # within max_G's err of p_c neither certificate exists: [0, last iterate], at once
+    d = make_distribution(spec)
+    crit = pc_exact(d, 2)
+    timings = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        res = q_limit(d, 2, crit.pc)
+        timings.append(time.perf_counter() - t0)
+    assert min(timings) < 0.05
+    assert not res.converged
+    assert res.lower == 0.0 and res.upper == res.value
+    assert res.lower <= crit.x_star <= res.upper
+
+
+def test_q_limit_certifies_zero_on_pruned_law_fast():
+    # p = 1e-5 is far above p_c ~ 4e-9, but the iterate once crept down for 1e6 steps
+    d = make_distribution("pruned:r=2,b=20")
+    timings = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        res = q_limit(d, 2, 1e-5)
+        timings.append(time.perf_counter() - t0)
+    assert min(timings) < 0.05
+    assert res.converged
+    assert res.value == 0.0 and res.lower == 0.0 and res.upper == 0.0
+
+
+def test_results_hold_python_floats():
+    # two-point laws with a >= 2b - 1 peak at the grid end x = 0
+    d = make_distribution("twopoint:b=4,a=9")
+    crit = pc_exact(d, 2)
+    res = q_limit(d, 2, 0.5 * crit.pc)
+    assert crit.x_star == 0.0
+    for v in (crit.pc, crit.M, crit.x_star, crit.err, res.value, res.lower, res.upper):
+        assert type(v) is float
 
 
 def test_q_limit_iteration_cap_yields_interval(monkeypatch):
