@@ -263,7 +263,8 @@ Q_LIMIT_GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize("spec, r, p, limit, evaluations", Q_LIMIT_GOLDEN)
+@pytest.mark.parametrize("spec, r, p, limit, evaluations", Q_LIMIT_GOLDEN,
+                         ids=[f"{spec}-{r}-{p}" for spec, r, p, _, _ in Q_LIMIT_GOLDEN])
 def test_q_limit_golden_next_to_pc(spec, r, p, limit, evaluations):
     res = q_limit(make_distribution(spec), r, p)
     assert res.converged
