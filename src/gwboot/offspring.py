@@ -28,6 +28,7 @@ by parts for harmonic numbers), which is infinite where the series diverges.
 
 from __future__ import annotations
 
+import decimal
 import functools
 import math
 from dataclasses import dataclass
@@ -35,7 +36,6 @@ from fractions import Fraction
 from typing import Optional
 
 import numpy as np
-from scipy.special import digamma, gammaln, pdtrc, xlogy
 
 __all__ = [
     "SpecError",
@@ -100,13 +100,24 @@ def _harmonic_prefix(n: int) -> np.ndarray:
     return out
 
 
+def _harmonic_series(n):
+    """H_n = ln n + gamma + 1/(2n) - 1/(12n^2) + 1/(120n^4) for n > the cache, float or array.
+
+    The psi asymptotic series is alternating and enveloping, so the first
+    omitted term 1/(252n^6) < 1e-27 bounds the truncation; the rounding of
+    ln n leaves a few ulps of H_n.
+    """
+    inv2 = 1.0 / (n * n)
+    return np.log(n) + np.euler_gamma + 0.5 / n - inv2 * (1.0 / 12 - inv2 / 120)
+
+
 def harmonic_number(n: int) -> float:
-    """H_n = sum_{i=1}^n 1/i, with H_0 = 0.  Uses digamma beyond the cache."""
+    """H_n = sum_{i=1}^n 1/i, with H_0 = 0.  The psi asymptotic series beyond the cache."""
     if n < 0:
         raise ValueError("harmonic_number needs n >= 0")
     if n <= _HARMONIC_CACHE_N:
         return float(_harmonic_prefix(_HARMONIC_CACHE_N)[n])
-    return float(digamma(n + 1) + np.euler_gamma)
+    return float(_harmonic_series(float(n)))
 
 
 def _harmonic_numbers(n: np.ndarray) -> np.ndarray:
@@ -115,7 +126,33 @@ def _harmonic_numbers(n: np.ndarray) -> np.ndarray:
     if n.max() <= _HARMONIC_CACHE_N:
         return table[n]
     return np.where(n <= _HARMONIC_CACHE_N, table[np.minimum(n, _HARMONIC_CACHE_N)],
-                    digamma(n + 1.0) + np.euler_gamma)
+                    _harmonic_series(np.maximum(n, _HARMONIC_CACHE_N).astype(float)))
+
+
+# Euler's gamma to 50 digits, and B_2k/(2k) for k = 1..14 as (numerator, denominator)
+_EULER_GAMMA_50 = decimal.Decimal("0.57721566490153286060651209008240243104215933593992")
+_BERNOULLI_OVER_2K = ((1, 12), (-1, 120), (1, 252), (-1, 240), (1, 132), (-691, 32760), (1, 12),
+                      (-3617, 8160), (43867, 14364), (-174611, 6600), (77683, 276),
+                      (-236364091, 65520), (657931, 12), (-3392780147, 3480))
+
+
+def _harmonic_decimal(n: int) -> decimal.Decimal:
+    """H_n to 50 digits, under a context of precision 50 or more.
+
+    Below 100 the terms are summed; from 100 on H_n = ln n + gamma + 1/(2n)
+    - sum_k B_2k/(2k n^2k) to k = 14, where the first omitted term
+    |B_30|/(30 n^30) < 3e-53.
+    """
+    D = decimal.Decimal
+    if n < 100:
+        return sum((1 / D(i) for i in range(1, n + 1)), D(0))
+    dn = D(n)
+    total = dn.ln() + _EULER_GAMMA_50 + 1 / (2 * dn)
+    power = D(1)
+    for num, den in _BERNOULLI_OVER_2K:
+        power *= dn * dn
+        total -= D(num) / (den * power)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +485,7 @@ class ShiftedPoisson(_LightTail):
         self.lam = self.b - 2.0
         self.support_min = 2
         self.support_max = None
+        self._cdf_memo: dict[int, tuple[float, float]] = {}
 
     def pmf(self, k):
         if k < 2:
@@ -455,10 +493,49 @@ class ShiftedPoisson(_LightTail):
         j = k - 2
         return math.exp(-self.lam + j * math.log(self.lam) - math.lgamma(j + 1)) if self.lam > 0 else (1.0 if j == 0 else 0.0)
 
+    def _cdf(self, n: int) -> tuple[float, float]:
+        """(P(X <= n), P(X > n)) for X ~ Poisson(lam) and n >= 0.
+
+        The side whose terms fall away from n is summed from its pmf at the
+        edge by the ratio of successive terms: lam/j upwards when n+1 > lam,
+        j/lam downwards otherwise.  With q the first ratio, every later one is
+        smaller, so a term t leaves at most t q/(1-q) after it; the sum stops
+        once that is below 2^-53 of the sum.  The other side is 1 minus it.
+        Results are kept per n: the moment sums ask for the same few tails.
+        """
+        if n in self._cdf_memo:
+            return self._cdf_memo[n]
+        lam = self.lam
+        if n + 1 > lam:
+            q = lam / (n + 2)
+            stop = 2.0**-53 * (1.0 - q) / q
+            j = n + 1
+            t = s = self.pmf(j + 2)
+            while t > stop * s:
+                j += 1
+                t *= lam / j
+                s += t
+            out = 1.0 - s, s
+        else:
+            q = n / lam
+            stop = 2.0**-53 * (1.0 - q)
+            j = n
+            t = s = self.pmf(j + 2)
+            while j > 0 and t * q > stop * s:
+                t *= j / lam
+                j -= 1
+                s += t
+            out = s, 1.0 - s
+        self._cdf_memo[n] = out
+        return out
+
     def tail(self, m):
         if m < 2:
             return 1.0
-        return float(pdtrc(m - 2, self.lam))
+        return self._cdf(m - 2)[1]
+
+    def prob_below(self, r):
+        return 0.0 if r <= 2 else self._cdf(r - 3)[0]
 
     def mean(self):
         return self.b
@@ -473,10 +550,26 @@ class ShiftedPoisson(_LightTail):
         return k
 
     def support_probs(self, upto=None):
+        """The pmf from its value at the mode m, by the ratios lam/j above m and j/lam below.
+
+        Each entry carries the rounding of m log(lam) - lgamma(m+1) - lam plus
+        one ulp per ratio step.
+        """
         K = upto if upto is not None else self.truncation_cutoff(1e-13)
         ks = np.arange(2, K + 1)
-        j = ks - 2
-        return ks, np.exp(xlogy(j, self.lam) - gammaln(j + 1) - self.lam)
+        if K < 2:
+            return ks, np.zeros(0)
+        lam = self.lam
+        m = min(int(lam), K - 2)
+        j = ks - 2.0
+        # f[j] = p_j/p_{j-1} above m and p_j/p_{j+1} below it, f[m] = p_m
+        f = np.empty(K - 1)
+        np.divide(lam, j[m + 1:], out=f[m + 1:])
+        np.divide(j[1:m + 1], lam, out=f[:m])
+        f[m] = self.pmf(m + 2)
+        np.multiply.accumulate(f[m:], out=f[m:])
+        np.multiply.accumulate(f[m::-1], out=f[m::-1])
+        return ks, f
 
     def sample(self, rng, size):
         return 2 + rng.poisson(self.lam, size).astype(np.int64)
@@ -589,8 +682,11 @@ class Pruned(OffspringDistribution):
             raise PreconditionError(f"pruned construction needs k0 > 4r; got k0={self.k0}")
         self.k1 = self.k0 - 2 * r
         self.A = (r - 1) / self.k1
-        body_mean = (r - 1) * (harmonic_number(self.k1 - 1) - harmonic_number(r - 2))
-        self.K = b - body_mean
+        # K is b less a body mean close to b: take the difference at 50 digits
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            body_mean = (r - 1) * (_harmonic_decimal(self.k1 - 1) - _harmonic_decimal(r - 2))
+            self.K = float(decimal.Decimal(b) - body_mean)
         ratio = self.K / self.A
         self.alpha = (2 * r + 1 - ratio) / (r + 1)
         if not 0.0 < self.alpha < 1.0:
@@ -770,8 +866,8 @@ def _k0_search(r: int, b: float) -> int:
     """Largest m with (r-1)(H_{m-1} - H_{r-2}) <= b.
 
     The gap between consecutive values of the left side is (r-1)/m, far
-    above digamma's ~1e-15 evaluation error for every reachable m, so a
-    float bisection plus an integer scan of the boundary is reliable.
+    above the few-ulp error of ``harmonic_number`` for every reachable m, so
+    a float bisection plus an integer scan of the boundary is reliable.
     """
     lo, hi = r, 2 * r
     while _prune_score(r, hi, b) <= 0:

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -205,18 +206,6 @@ def test_gautschi_inequality():
 #   left up to 1e-13 of the moment out, scaled by the entry's sensitivity to it
 #   (E H_(xi-r) for lb_branching_exact, 1/alpha = 2 for lb_alpha_moment).
 BOUNDS_PINS = {
-    ("pruned:r=2,b=20", 2): {
-        "lb_branching_exact": 2.0611537695028948e-09, "lb_branching_simplified": 1.030576811219279e-10,
-        "lb_alpha_moment": 1.2746963223990916e-11, "lb_fort": 1.078296341106011e-09,
-        "lb_second_moment": 1.8355319772825674e-09, "lb_second_moment_weak": 1.8355318324079404e-09,
-        "ub_fort": 0.5367917486293592, "ub_fort_weak": 0.6120361210089718, "ub_pruned": 2.2411185750149068e-08,
-    },
-    ("pruned:r=2,b=25", 2): {
-        "lb_branching_exact": 1.3887943873317461e-11, "lb_branching_simplified": 5.555177545985608e-13,
-        "lb_alpha_moment": 8.588704083432513e-14, "lb_fort": 4.054978575140922e-12,
-        "lb_second_moment": 1.236771688230806e-11, "lb_second_moment_weak": 1.2367716874201158e-11,
-        "ub_fort": 0.5367917479811954, "ub_fort_weak": 0.6120361199743778, "ub_pruned": 1.510053817711639e-10,
-    },
     ("pruned:r=3,b=30", 2): {
         "lb_branching_exact": 3.4424976280241695e-14, "lb_branching_simplified": 3.1192076562800582e-15,
         "lb_alpha_moment": 1.741192569479862e-10, "lb_fort": -1.66666628484804,
@@ -246,10 +235,60 @@ BOUNDS_PINS = {
 }
 
 
-@pytest.mark.parametrize("spec,r", list(BOUNDS_PINS))
+def _pruned_r2_entries_50(d):
+    """bounds_report entries of a pruned law with r = 2 at threshold 2, at 50 digits.
+
+    alpha is rebuilt from 50-digit harmonic numbers.  The body (1/(k(k-1)) on
+    2 <= k <= k1) is summed to k = 64 and by mpmath.sumem beyond; E H_(xi-2) =
+    sum_j P(xi >= 2+j)/j telescopes to 1 - 1/(k1-1) - H_(k1-2)/k1 plus the atom
+    at 5.  Atom 2, of mass 1/2 + alpha A and peak 2, gives lb_fort.
+    """
+    with mpmath.workdps(50):
+        b, k1 = mpmath.mpf(d.b), d.k1
+        A = 1 / mpmath.mpf(k1)
+        alpha = (5 - (b - mpmath.harmonic(k1 - 1)) / A) / 3
+        atoms = ((2, alpha * A), (5, (1 - alpha) * A))
+
+        def expect(f):
+            w = lambda k: f(k) / (k * (k - 1))
+            body = mpmath.fsum(w(mpmath.mpf(k)) for k in range(2, 65)) + mpmath.sumem(w, [65, k1])
+            return body + mpmath.fsum(p * f(mpmath.mpf(k)) for k, p in atoms)
+
+        harmonic = 1 - 1 / mpmath.mpf(k1 - 1) - mpmath.harmonic(k1 - 2) / k1 + (1 - alpha) * A * mpmath.mpf(11) / 6
+        m2 = k1 - 1 + mpmath.fsum(p * k * (k - 1) for k, p in atoms)
+        out = {
+            "lb_branching_exact": mpmath.exp(-(b - 1) - harmonic),
+            "lb_branching_simplified": mpmath.exp(-b) / b,
+            "lb_alpha_moment": expect(lambda k: k**1.5) ** -2 / 72,  # c_{2,1/2} = 1/72
+            "lb_fort": 1 - 1 / (2 * (mpmath.mpf(1) / 2 + alpha * A)),
+            "lb_second_moment": 1 / (2 * m2 - 3),
+            "lb_second_moment_weak": 1 / (2 * (m2 + b)),
+            "ub_fort": expect(lambda k: 1 / ((k - 1) * (2 * k - 3))),
+            "ub_fort_weak": 4 * expect(lambda k: 1 / k**2),
+            "ub_pruned": 4 * mpmath.e * mpmath.exp(-b),
+        }
+        return {name: float(v) for name, v in out.items()}
+
+
+# rows checked against _pruned_r2_entries_50 in place of recorded values: their
+# entries follow alpha, which moved by 2.3e-6 relative once K = b - (r-1)(H_(k1-1)
+# - H_(r-2)) was taken at 50 digits
+REFERENCE_ROWS = [("pruned:r=2,b=20", 2), ("pruned:r=2,b=25", 2)]
+
+
+@pytest.mark.parametrize("spec,r", REFERENCE_ROWS + list(BOUNDS_PINS))
 def test_bounds_report_pinned(spec, r):
     d = make_distribution(spec)
     entries = {e.name: e.raw for e in bounds_report(d, r, with_reference=False).entries}
+    if (spec, r) in REFERENCE_ROWS:
+        want = _pruned_r2_entries_50(d)
+        assert entries.keys() == want.keys()
+        for name, value in want.items():
+            # lb_fort = 1 - 1/(2 p_2) reads p_2 = 1/2 + alpha A as a double, within
+            # 2^-54, which moves it by 2^-53; the ratio's rounding adds as much
+            # (2^-52 is 1e-7 of lb_fort at b = 20; alpha's old error moved it 1.5e-15)
+            assert entries[name] == pytest.approx(value, rel=1e-13, abs=2.0**-52 if name == "lb_fort" else 0), name
+        return
     pins = BOUNDS_PINS[spec, r]
     assert entries.keys() == pins.keys()
     shifted = d.spec.family in ("shifted_poisson", "shifted_geometric")

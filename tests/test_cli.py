@@ -395,15 +395,15 @@ def test_formats_carry_the_same_values(capsys, argv):
         assert out["table"] == out["csv"]  # sweep has no table of its own
 
 
-# Runs CLI commands in one fresh interpreter and prints which of the heavy
-# optional modules they imported.
+# Runs CLI commands in one fresh interpreter and prints which modules of the
+# test-only packages mpmath and scipy they imported.
 _COLD_SCRIPT = """
 import contextlib, io, json, sys
 from gwboot.cli import main
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main(argv) == 0, argv
-print(json.dumps(sorted(m for m in ("mpmath", "scipy.stats") if m in sys.modules)))
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("mpmath", "scipy"))))
 """
 
 
@@ -437,8 +437,8 @@ def test_cold_commands_skip_scipy_stats_and_mpmath():
     assert _modules_loaded_by(commands) == []
 
 
-def test_package_never_imports_mpmath():
-    # mpmath is a test dependency only; pyproject.toml does not declare it for the package
+def test_package_never_imports_mpmath_or_scipy():
+    # mpmath and scipy are test dependencies only; pyproject.toml does not declare them for the package
     package = os.path.dirname(os.path.abspath(gwboot.__file__))
     for name in sorted(glob.glob(os.path.join(package, "**", "*.py"), recursive=True)):
         with open(name) as fh:
@@ -450,4 +450,4 @@ def test_package_never_imports_mpmath():
                 mods = [node.module or ""]
             else:
                 continue
-            assert not any(m.split(".")[0] == "mpmath" for m in mods), (name, node.lineno)
+            assert not any(m.split(".")[0] in ("mpmath", "scipy") for m in mods), (name, node.lineno)

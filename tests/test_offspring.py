@@ -1,5 +1,7 @@
 """Offspring distribution construction, moments, and the pruned family."""
 
+import decimal
+import itertools
 import math
 from fractions import Fraction
 
@@ -14,6 +16,8 @@ from gwboot.offspring import (
     DistributionSpec,
     PreconditionError,
     SpecError,
+    _harmonic_decimal,
+    _harmonic_numbers,
     harmonic_number,
     make_distribution,
     parse_spec,
@@ -78,22 +82,34 @@ def test_heavy_tail_cdf_closed_form():
             assert d.tail(m) == pytest.approx((r - 1) / m, abs=0)
 
 
-def test_shifted_poisson_matches_scipy_stats_bitwise():
-    # the pmf and the tail call the scipy.special ufuncs that scipy.stats.poisson
-    # wraps, so every table built from them keeps its bits
-    from scipy.stats import poisson
-
+def test_shifted_poisson_matches_50_digit_reference():
+    # pmf, tail and prob_below against 50-digit sums of the pmf: relative error at
+    # most 1.8e-13, or 1.8e-13 of 2^-1022 below the normal range.  The scipy.special
+    # path the package used before erred in the normal range by up to 1.97e-13 on
+    # the pmf (b = 39, k = 153) and 1.81e-13 on the tail (b = 39, m = 156), and by
+    # 100% on prob_below, which it took as 1 - tail: P(xi < 3) = e^-38 at b = 40
+    # read 0
+    tol, tiny = 1.8e-13, 2.0**-1022
     for b in sorted({*np.linspace(2.0, 40.0, 39)[1:], 2.0 + 1e-3, 2.5, 7 / 3, 20.0}):
         d = make_distribution(DistributionSpec(family="shifted_poisson", b=float(b)))
         top = d.truncation_cutoff(1e-13) + 50
+        with mpmath.workdps(50):
+            lam = mpmath.mpf(d.lam)
+            pmf = [mpmath.exp(-lam)]  # P(xi = j + 2), on until the rest is below 1e-30 of P(xi = top + 2)
+            while len(pmf) <= top or pmf[-1] > mpmath.mpf(10) ** -30 * pmf[top]:
+                pmf.append(pmf[-1] * lam / len(pmf))
+            below = list(itertools.accumulate(pmf))  # below[n] = P(xi <= n + 2)
+            above = list(itertools.accumulate(reversed(pmf)))[::-1] + [0]  # above[n] = P(xi >= n + 2)
+
+        def close(got, want):
+            return abs(got - want) <= tol * max(want, tiny)
+
         for ks, probs in (d.support_probs(), d.support_probs(upto=top)):
-            assert ks[0] == 2
-            assert np.array_equal(probs, poisson.pmf(ks - 2, d.lam)), b
-        ms = np.arange(top + 1)
-        assert [d.tail(int(m)) for m in ms] == poisson.sf(ms - 2, d.lam).tolist(), b
-        rs = np.arange(3, top + 2)
-        assert [d.prob_below(int(r)) for r in rs] == (1.0 - poisson.sf(rs - 3, d.lam)).tolist(), b
+            assert ks.tolist() == list(range(2, len(ks) + 2)), b
+            assert all(close(p, pmf[k - 2]) for k, p in zip(ks.tolist(), probs.tolist())), b
+        assert all(close(d.tail(m), above[max(m - 1, 0)]) for m in range(top + 1)), b
         assert d.prob_below(2) == 0.0
+        assert all(close(d.prob_below(r), below[r - 3]) for r in range(3, top + 2)), b
 
 
 def test_rejects_mass_at_zero():
@@ -212,10 +228,24 @@ def test_harmonic_number_values():
     assert harmonic_number(0) == 0.0
     assert harmonic_number(1) == 1.0
     assert harmonic_number(4) == pytest.approx(25 / 12)
-    # digamma regime agrees with the cached prefix sums
+    # asymptotic-series regime agrees with the cached prefix sums
     n = 30000
     direct = math.fsum(1.0 / i for i in range(1, n + 1))
     assert harmonic_number(n) == pytest.approx(direct, rel=1e-13)
+
+
+def test_harmonic_numbers_match_50_digit_reference():
+    # the float cache and psi series within 2 ulps; the 50-digit Decimal H_n,
+    # summed below 100 and by the psi series from 100 on, within 1e-48
+    with mpmath.workdps(60):
+        for n in (0, 1, 2, 3, 99, 100, 1000, 20000, 20001, 20002, 10**5, 4989185, 10**9, 10**15):
+            want = mpmath.harmonic(n)
+            assert abs(harmonic_number(n) - want) <= 2 * 2.0**-52 * want, n
+            assert _harmonic_numbers(np.array([n, 3]))[0] == harmonic_number(n), n
+            with decimal.localcontext() as ctx:
+                ctx.prec = 50
+                got = _harmonic_decimal(n)
+            assert abs(mpmath.mpf(str(got)) - want) <= mpmath.mpf(10) ** -48, n
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +334,7 @@ def test_prune_eta_threshold_3():
 
 
 def test_prune_eta_b15_mean_by_direct_summation():
-    # independent of the digamma path: harmonic sum by brute force
+    # independent of the psi series: harmonic sum by brute force
     eta = prune_eta(2, 15.0)
     ks = np.arange(2, eta.k1 + 1, dtype=np.float64)
     body_mean = float(np.sum(1.0 / (ks - 1.0)))
@@ -324,6 +354,22 @@ def test_prune_eta_b20_facts():
         if m > 10:
             head += (1.0 / 10 - 1.0 / m)  # heavy-tail body mass on (10, m]
         assert head + eta.tail(m) == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("r, b", [(2, 4), (2, 8), (2, 20), (2, 25), (2, 30), (3, 12), (3, 30), (3, 60),
+                                  (4, 18), (4, 66), (4, 90)])
+def test_prune_eta_alpha_matches_50_digit_reference(r, b):
+    # K = b - (r-1)(H_(k1-1) - H_(r-2)) is b less a body mean close to b; from
+    # 50-digit harmonic numbers alpha keeps all but a few ulps even where K is
+    # 1e-12 of b (r = 2, b = 30: 0.04339104292617, where double harmonic
+    # numbers gave 0.0466)
+    eta = prune_eta(r, float(b))
+    with mpmath.workdps(50):
+        H = mpmath.harmonic
+        assert (r - 1) * (H(eta.k0 - 1) - H(r - 2)) <= b < (r - 1) * (H(eta.k0) - H(r - 2))
+        K = b - (r - 1) * (H(eta.k1 - 1) - H(r - 2))
+        alpha = (2 * r + 1 - K * eta.k1 / (r - 1)) / (r + 1)
+    assert eta.alpha == pytest.approx(float(alpha), rel=1e-14, abs=0)
 
 
 def test_prune_eta_below_validity_rejected():
