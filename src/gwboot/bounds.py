@@ -230,7 +230,12 @@ def bounds_report(
     alpha: float = 0.5,
     with_reference: bool = True,
 ) -> BoundsReport:
-    """Assemble every applicable bound for (d, r) with validity flags, reading each moment once."""
+    """Assemble every applicable bound for (d, r) with validity flags, reading each moment once.
+
+    ``alpha`` is the exponent of the (1+alpha)-moment bound and must lie in (0, 1).
+    """
+    if not 0.0 < alpha < 1.0:  # NaN fails too
+        raise PreconditionError("alpha must lie in (0, 1)")
     entries: list[BoundEntry] = []
     mean_val = d.mean()
     below = d.prob_below(r) > 0
@@ -246,7 +251,7 @@ def bounds_report(
                 v = lb_branching_simplified(mean_val, r)
                 entries.append(BoundEntry("lb_branching_simplified", "lower", _clamp(v), v, True))
 
-    m_alpha = d.alpha_moment(alpha) if 0 < alpha < 1 else math.inf
+    m_alpha = d.alpha_moment(alpha)
     if math.isinf(m_alpha):
         entries.append(BoundEntry("lb_alpha_moment", "lower", 0.0, 0.0, False,
                                   f"vacuous: infinite (1+{alpha:g})-moment"))

@@ -453,6 +453,6 @@ def q_limit(d: OffspringDistribution, r: int, p: float, tol: float = 1e-12) -> Q
     """
     if not 0.0 <= p <= 1.0:
         raise PreconditionError("p must lie in [0, 1]")
-    if tol <= 0:
+    if not tol > 0:  # NaN fails too
         raise PreconditionError("tol must be positive")
     return _LimitSearch(make_context(d, r), p, tol).run()

@@ -40,12 +40,7 @@ from typing import Callable
 
 import numpy as np
 
-from .offspring import (
-    HeavyTail,
-    OffspringDistribution,
-    PreconditionError,
-    Pruned,
-)
+from .offspring import HeavyTail, OffspringDistribution, PreconditionError
 
 __all__ = [
     "g",
@@ -215,15 +210,14 @@ def _analytic_mixture(d, r: int, m: int) -> tuple[dict, float, float]:
     With s = d.r, the law's body (s-1)/(k(k-1)) on max(r, s) <= k <= m is
     (s-1)/(r-1) times heavy_tail(r) truncated at m, whose mixture is
     1 - D_r(m, x), less the atoms r <= k < s that heavy_tail(r) has and the
-    law has not.  The pruned law adds its two reassigned atoms.
+    law has not, plus the law's own ``atoms`` (the pruned law's two).
     """
     s = d.r
     scale = (s - 1) / (r - 1) if m >= r else 0.0
     atoms = {k: -(s - 1) / (k * (k - 1)) for k in range(r, min(s, m + 1))}
-    if isinstance(d, Pruned):
-        for k, w in ((s, d.alpha * d.A), (2 * s + 1, (1 - d.alpha) * d.A)):
-            if k >= r:
-                atoms[k] = atoms.get(k, 0.0) + w
+    for k, w in d.atoms:
+        if k >= r:
+            atoms[k] = atoms.get(k, 0.0) + w
     return atoms, scale - 1.0, scale
 
 
@@ -239,9 +233,11 @@ def make_context(
 ) -> GEvalContext:
     if r < 2:
         raise PreconditionError("threshold r must be >= 2")
+    if not 0.0 < tail_target < 1.0:  # NaN fails too
+        raise PreconditionError("tail_target must lie in (0, 1)")
     cutoff = int(dist.truncation_cutoff(tail_target))
     eps = r * dist.tail(cutoff) if dist.support_max is None else 0.0
-    analytic = isinstance(dist, (HeavyTail, Pruned))
+    analytic = isinstance(dist, HeavyTail)
     if analytic:
         atoms, offset, scale = _analytic_mixture(dist, r, cutoff)
         ks = np.array(sorted(atoms), dtype=np.int64)
@@ -402,13 +398,16 @@ def h(ctx: GEvalContext, p: float, x: float) -> float:
     checked here and nowhere below, so a step of the recursion costs one G.
     G is 1 + offset plus ``_mixture`` from base 0; 1 + offset is exactly 0
     for an enumerable law, so G is never formed as 1 + (G - 1), which would
-    cancel where G is small (x near 0 at r >= 3).
+    cancel where G is small (x near 0 at r >= 3).  A heavy or pruned law at
+    a threshold below its own keeps G only to a few 1e-16 absolute, which
+    can round x G(x) below 0 near x = 0; it is clamped there.
     """
     if not 0.0 <= p <= 1.0:
         raise PreconditionError("p must lie in [0, 1]")
     if not 0.0 <= x <= 1.0:
         raise PreconditionError("x must lie in [0, 1]")
-    return (1.0 - p) * (ctx.prob_below + x * ((1.0 + ctx.offset) + _mixture(ctx, x, 0.0)))
+    xg = x * ((1.0 + ctx.offset) + _mixture(ctx, x, 0.0))
+    return (1.0 - p) * (ctx.prob_below + (0.0 if xg < 0.0 else xg))
 
 
 # ---------------------------------------------------------------------------

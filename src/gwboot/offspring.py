@@ -24,6 +24,13 @@ the shifted laws sum their pmf up to a cutoff whose remainder is bounded
 from ``tail``; the heavy and pruned bodies sum their first 2000 terms and
 take the rest in closed form (Euler-Maclaurin sums of powers, and summation
 by parts for harmonic numbers), which is infinite where the series diverges.
+
+The heavy and pruned laws are one body: ``HeavyTail`` is the pmf
+(r-1)/(k(k-1)) on r <= k <= ``top`` plus a tuple of (k, mass) ``atoms``,
+with no top and no atoms for the heavy law; ``Pruned`` sets top = k1 and
+its two atoms.  Its k0, K and alpha come from decimal harmonic numbers
+that keep 50 digits of K, so pruned laws build for every b up to 100 at
+r = 2..4.
 """
 
 from __future__ import annotations
@@ -129,25 +136,27 @@ def _harmonic_numbers(n: np.ndarray) -> np.ndarray:
                     _harmonic_series(np.maximum(n, _HARMONIC_CACHE_N).astype(float)))
 
 
-# Euler's gamma to 50 digits, and B_2k/(2k) for k = 1..14 as (numerator, denominator)
-_EULER_GAMMA_50 = decimal.Decimal("0.57721566490153286060651209008240243104215933593992")
+# Euler's gamma to 120 digits, and B_2k/(2k) for k = 1..14 as (numerator, denominator)
+_EULER_GAMMA_DIGITS = 120
+_EULER_GAMMA = decimal.Decimal("0.577215664901532860606512090082402431042159335939923598805767"
+                               "234884867726777664670936947063291746749514631447249807082481")
 _BERNOULLI_OVER_2K = ((1, 12), (-1, 120), (1, 252), (-1, 240), (1, 132), (-691, 32760), (1, 12),
                       (-3617, 8160), (43867, 14364), (-174611, 6600), (77683, 276),
                       (-236364091, 65520), (657931, 12), (-3392780147, 3480))
 
 
 def _harmonic_decimal(n: int) -> decimal.Decimal:
-    """H_n to 50 digits, under a context of precision 50 or more.
+    """H_n to the context's precision, which may be at most ``_EULER_GAMMA_DIGITS``.
 
     Below 100 the terms are summed; from 100 on H_n = ln n + gamma + 1/(2n)
     - sum_k B_2k/(2k n^2k) to k = 14, where the first omitted term
-    |B_30|/(30 n^30) < 3e-53.
+    |B_30|/(30 n^30) < 3e-53 (100/n)^30.
     """
     D = decimal.Decimal
     if n < 100:
         return sum((1 / D(i) for i in range(1, n + 1)), D(0))
     dn = D(n)
-    total = dn.ln() + _EULER_GAMMA_50 + 1 / (2 * dn)
+    total = dn.ln() + _EULER_GAMMA + 1 / (2 * dn)
     power = D(1)
     for num, den in _BERNOULLI_OVER_2K:
         power *= dn * dn
@@ -618,44 +627,67 @@ class ShiftedGeometric(_LightTail):
 
 
 class HeavyTail(OffspringDistribution):
-    """pmf (r-1)/(k(k-1)) on k >= r; infinite mean, tail (r-1)/m.
+    """The heavy-tail body (r-1)/(k(k-1)) on r <= k <= ``top``, plus ``atoms``.
 
-    E xi^(1+alpha) is infinite too, because its closed-form tail diverges.
+    The heavy law itself has no top (infinite mean, tail (r-1)/m) and no
+    atoms; ``Pruned`` cuts the body at k1 and adds two (k, mass) atoms.
+    Every moment is the body's sum (``_body_expect``) plus the atoms', and
+    is infinite where the closed-form tail of an uncut body diverges.
     """
+
+    top: Optional[int] = None
+    atoms: tuple[tuple[int, float], ...] = ()
 
     def __init__(self, spec: DistributionSpec):
         self.spec = spec
         self.r = int(spec.r)
         self.support_min = self.r
-        self.support_max = None
+        self.support_max = self.top
 
     def pmf(self, k):
-        if k < self.r:
-            return Fraction(0)
-        return Fraction(self.r - 1, k * (k - 1))
+        in_body = k >= self.r and (self.top is None or k <= self.top)
+        body = Fraction(self.r - 1, k * (k - 1)) if in_body else Fraction(0)
+        for j, w in self.atoms:
+            if k == j:
+                return float(body) + w
+        return body
 
     def tail(self, m):
-        if m < self.r:
+        r = self.r
+        if m < r:
             return 1.0
-        return (self.r - 1) / m
-
-    def mean(self):
-        return INF
-
-    def second_factorial_moment(self):
-        return INF
+        if self.top is None:
+            return (r - 1) / m
+        if m >= self.top:
+            return 0.0
+        # body mass on (m, top], plus the atoms above m
+        return (r - 1) / m - (r - 1) / self.top + sum(w for j, w in self.atoms if j > m)
 
     def _expect(self, f, tail):
-        return _body_expect(self.r, None, f, tail)
+        body = _body_expect(self.r, self.top, f, tail)
+        if not self.atoms:
+            return body
+        ks, ws = (np.array(c) for c in zip(*self.atoms))
+        return math.fsum([body, *(ws * f(ks)).tolist()])
 
     def truncation_cutoff(self, tail_target):
+        if self.top is not None:
+            return self.top
         return max(self.r, math.ceil((self.r - 1) / tail_target))
 
     def support_probs(self, upto=None):
-        if upto is None or upto > 5_000_000:
-            raise PreconditionError("heavy_tail support cannot be enumerated without a cutoff <= 5e6")
-        ks = np.arange(self.r, upto + 1)
-        return ks, (self.r - 1.0) / (ks * (ks - 1.0))
+        top = upto
+        if self.top is not None:
+            top = self.top if upto is None else min(self.top, upto)
+        if top is None or top > 5_000_000:
+            raise PreconditionError("a heavy-tail support cannot be enumerated beyond 5e6; "
+                                    "give a smaller cutoff or use the analytic path")
+        ks = np.arange(self.r, top + 1)
+        probs = (self.r - 1.0) / (ks * (ks - 1.0))
+        for j, w in self.atoms:
+            if j <= top:
+                probs[j - self.r] += w
+        return ks, probs
 
     def sample(self, rng, size):
         u = rng.random(size)
@@ -663,61 +695,59 @@ class HeavyTail(OffspringDistribution):
         return np.maximum(k, self.r)
 
 
-class Pruned(OffspringDistribution):
+class Pruned(HeavyTail):
     """Heavy tail truncated at k1 with the freed mass moved to r and 2r+1.
 
     k0 is the largest m with (r-1)(H_{m-1} - H_{r-2}) <= b, k1 = k0 - 2r,
     A = (r-1)/k1 is the truncated mass, and alpha in (0,1) solves
     K/A = alpha r + (1-alpha)(2r+1) with K the unallocated part of the mean,
     which makes the mean exactly b.
+
+    k0, K and alpha come from decimal harmonic numbers.  K is b less a body
+    mean close to b, about (r-1)/k1 in size, so the working precision is 50
+    digits beyond those of k0; alpha, whose formula cancels as alpha goes
+    to 0, is rounded to a double only at the end.  With
+    T = b/(r-1) + H_{r-2}, k0 is about e^(T - gamma), and since
+    H_{m-1} ~ ln(m - 1/2) + gamma the nearest integer to e^(T - gamma) is
+    k0 or one off; the search steps from it to H_{k0-1} <= T < H_{k0}.
     """
 
     def __init__(self, spec: DistributionSpec):
-        self.spec = spec
-        self.r = int(spec.r)
-        self.b = float(spec.b)
-        r, b = self.r, self.b
-        self.k0 = _k0_search(r, b)
-        if self.k0 <= 4 * r:
-            raise PreconditionError(f"pruned construction needs k0 > 4r; got k0={self.k0}")
-        self.k1 = self.k0 - 2 * r
-        self.A = (r - 1) / self.k1
-        # K is b less a body mean close to b: take the difference at 50 digits
+        r, b = int(spec.r), float(spec.b)
+        # k0 has at most int(T/ln 10) + 1 digits and T at most 3 before the point
+        t = b / (r - 1) + harmonic_number(r - 2)
+        prec = 55 + int(t / math.log(10))
+        if prec > _EULER_GAMMA_DIGITS:
+            raise PreconditionError("pruned construction needs b/(r-1) + H_(r-2) < "
+                                    f"{(_EULER_GAMMA_DIGITS - 54) * math.log(10):.2f}")
+        D = decimal.Decimal
         with decimal.localcontext() as ctx:
-            ctx.prec = 50
-            body_mean = (r - 1) * (_harmonic_decimal(self.k1 - 1) - _harmonic_decimal(r - 2))
-            self.K = float(decimal.Decimal(b) - body_mean)
-        ratio = self.K / self.A
-        self.alpha = (2 * r + 1 - ratio) / (r + 1)
+            ctx.prec = prec
+            T = D(b) / (r - 1) + _harmonic_decimal(r - 2)
+            k0 = int((T - _EULER_GAMMA).exp() + D("0.5"))
+            h = _harmonic_decimal(k0 - 1)  # H_{k0-1} while k0 steps
+            while h > T:
+                k0 -= 1
+                h -= 1 / D(k0)
+            while h + 1 / D(k0) <= T:
+                h += 1 / D(k0)
+                k0 += 1
+            if k0 <= 4 * r:
+                raise PreconditionError(f"pruned construction needs k0 > 4r; got k0={k0}")
+            k1 = k0 - 2 * r
+            # K = b - (r-1)(H_{k1-1} - H_{r-2}) = (r-1)(T - H_{k1-1})
+            K = (r - 1) * (T - h + sum(1 / D(j) for j in range(k1, k0)))
+            alpha = (2 * r + 1 - K * k1 / (r - 1)) / (r + 1)
+        self.b, self.k0, self.k1, self.K = b, k0, k1, float(K)
+        self.A = (r - 1) / k1
+        self.alpha = float(alpha)
         if not 0.0 < self.alpha < 1.0:
             raise PreconditionError(
                 f"pruned construction inconsistent: alpha={self.alpha!r} outside (0,1)"
             )
-        self.support_min = r
-        self.support_max = self.k1
-
-    def _base(self, k: int) -> Fraction:
-        if self.r <= k <= self.k1:
-            return Fraction(self.r - 1, k * (k - 1))
-        return Fraction(0)
-
-    def pmf(self, k):
-        base = self._base(k)
-        if k == self.r:
-            return float(base) + self.alpha * self.A
-        if k == 2 * self.r + 1:
-            return float(base) + (1.0 - self.alpha) * self.A
-        return base
-
-    def tail(self, m):
-        r = self.r
-        if m < r:
-            return 1.0
-        if m >= self.k1:
-            return 0.0
-        body = (r - 1) / m - (r - 1) / self.k1  # base mass on (m, k1]
-        extra = 0.0 if m >= 2 * r + 1 else (1.0 - self.alpha) * self.A
-        return body + extra
+        self.top = k1
+        self.atoms = ((r, self.alpha * self.A), (2 * r + 1, (1.0 - self.alpha) * self.A))
+        super().__init__(spec)
 
     def mean(self):
         body = (self.r - 1) * (harmonic_number(self.k1 - 1) - harmonic_number(self.r - 2))
@@ -728,21 +758,6 @@ class Pruned(OffspringDistribution):
         body = (r - 1) * (self.k1 - r + 1)
         atoms = self.alpha * self.A * r * (r - 1) + (1 - self.alpha) * self.A * (2 * r + 1) * (2 * r)
         return float(body + atoms)
-
-    def _expect(self, f, tail):
-        atoms = self.A * np.array([self.alpha, 1 - self.alpha]) * f(np.array([self.r, 2 * self.r + 1]))
-        return math.fsum([_body_expect(self.r, self.k1, f, tail), *atoms.tolist()])
-
-    def support_probs(self, upto=None):
-        top = self.k1 if upto is None else min(self.k1, upto)
-        if top > 5_000_000:
-            raise PreconditionError("pruned support too large to enumerate; use the analytic path")
-        ks = np.arange(self.r, top + 1)
-        probs = (self.r - 1.0) / (ks * (ks - 1.0))
-        probs[0] += self.alpha * self.A
-        if 2 * self.r + 1 <= top:
-            probs[self.r + 1] += (1 - self.alpha) * self.A  # index of k = 2r+1
-        return ks, probs
 
     def sample(self, rng, size):
         r, A, al, k1 = self.r, self.A, self.alpha, self.k1
@@ -852,37 +867,6 @@ def _body_expect(rr: int, top: Optional[int], f, tail) -> float:
     terms = ((rr - 1) / (ks * (ks - 1.0)) * f(ks)).tolist()
     terms.append(rest)
     return math.fsum(terms)
-
-
-# ---------------------------------------------------------------------------
-# pruned construction helpers
-
-
-def _prune_score(r: int, m: int, b: float) -> float:
-    return (r - 1) * (harmonic_number(m - 1) - harmonic_number(r - 2)) - b
-
-
-def _k0_search(r: int, b: float) -> int:
-    """Largest m with (r-1)(H_{m-1} - H_{r-2}) <= b.
-
-    The gap between consecutive values of the left side is (r-1)/m, far
-    above the few-ulp error of ``harmonic_number`` for every reachable m, so
-    a float bisection plus an integer scan of the boundary is reliable.
-    """
-    lo, hi = r, 2 * r
-    while _prune_score(r, hi, b) <= 0:
-        lo, hi = hi, hi * 4
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _prune_score(r, mid, b) <= 0:
-            lo = mid
-        else:
-            hi = mid
-    while _prune_score(r, lo + 1, b) <= 0:
-        lo += 1
-    while lo > r and _prune_score(r, lo, b) > 0:
-        lo -= 1
-    return lo
 
 
 # ---------------------------------------------------------------------------

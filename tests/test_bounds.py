@@ -176,6 +176,25 @@ def test_report_regular10_rows_and_sandwich():
     assert sandwich_violations(rep) == []
 
 
+@pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, math.nan])
+def test_report_rejects_alpha_outside_unit_interval(alpha):
+    # alpha = 1 used to mark the (1+1)-moment infinite, though E xi^2 = 25 here
+    with pytest.raises(PreconditionError):
+        bounds_report(make_distribution("regular:b=5"), 2, alpha=alpha)
+
+
+@pytest.mark.parametrize("r, b", [(2, 32.7), (2, 34.5), (2, 40), (2, 100), (3, 65.2), (3, 100),
+                                  (4, 92), (4, 99.7)])
+def test_pruned_far_from_threshold_smoke(r, b):
+    # laws the double-precision k0 search could not build
+    d = prune_eta(r, b)
+    rep = bounds_report(d, r)
+    assert 0.0 <= rep.pc_ref.pc <= 1.0
+    assert sandwich_violations(rep) == []
+    draws = d.sample(np.random.default_rng(5), 20_000)
+    assert draws.min() >= r and draws.max() <= d.k1
+
+
 def test_report_two_point_fort_equals_pc():
     rep = bounds_report(make_distribution("twopoint:b=4,a=9"), 2)
     by_name = {e.name: e for e in rep.entries}

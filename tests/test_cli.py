@@ -71,6 +71,13 @@ def test_precondition_exit_code(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("alpha", ["1", "0", "nan"])
+def test_bounds_alpha_outside_unit_interval_exit_code(capsys, alpha):
+    code, out, err = run_cli(capsys, "bounds", "--dist", "regular:b=5", "--r", "2", "--alpha", alpha)
+    assert code == 3
+    assert out == "" and "alpha" in err
+
+
 def test_bounds_table(capsys):
     code, out, _ = run_cli(capsys, "bounds", "--dist", "regular:b=10", "--r", "2")
     assert code == 0

@@ -61,6 +61,13 @@ def test_pc_rejects_r_below_2():
         pc_exact(make_distribution("regular:b=3"), 1)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan])
+def test_q_limit_rejects_tol_that_is_not_positive(tol):
+    # a NaN tol used to end the search at once and report convergence
+    with pytest.raises(PreconditionError):
+        q_limit(make_distribution("regular:b=3"), 2, 0.05, tol=tol)
+
+
 # ---------------------------------------------------------------------------
 # closed forms
 

@@ -547,6 +547,24 @@ def test_h_matches_binomial_sum(spec, r, tail_target):
             assert abs(gw.h(ctx, p, x) - (1 - p) * want) <= 1e-14, (spec, r, x, p)
 
 
+@pytest.mark.parametrize("spec", ["heavy:r=4", "pruned:r=4,b=18"])
+def test_h_is_non_negative_below_the_laws_threshold(spec):
+    # at r = 2 both laws are offset + atoms - scale D_2 with offset 2 and
+    # negative atoms, which left -4.0e-25 at x = 1e-9 before x G(x) was clamped;
+    # the true x G(x) is about x^3
+    ctx = make_context(make_distribution(spec), 2)
+    for x in (1e-12, 1e-9, 1e-6):
+        assert 0.0 <= gw.h(ctx, 0.1, x) <= 2 * x**3, x
+
+
+@pytest.mark.parametrize("spec, tail_target", [("heavy:r=2", 0.0), ("geometric:b=4", math.nan),
+                                               ("poisson:b=4", math.nan), ("poisson:b=4", 1.0),
+                                               ("heavy:r=3", -1e-3)])
+def test_make_context_rejects_tail_target_outside_unit_interval(spec, tail_target):
+    with pytest.raises(PreconditionError):
+        make_context(make_distribution(spec), 2, tail_target=tail_target)
+
+
 def test_binom_lte_large_n_is_exact():
     # lgamma differences lose about 3 digits at n = 2e13
     assert binom_lte(2 * 10**13, 1e-13, 1) == pytest.approx(0.40600584970982, rel=1e-12)

@@ -356,20 +356,42 @@ def test_prune_eta_b20_facts():
         assert head + eta.tail(m) == pytest.approx(1.0, abs=1e-10)
 
 
+PRUNED_FAR = [(2, 32.7), (2, 34.5), (2, 40), (2, 100), (3, 65.2), (3, 100), (4, 92), (4, 99.7)]
+
+
 @pytest.mark.parametrize("r, b", [(2, 4), (2, 8), (2, 20), (2, 25), (2, 30), (3, 12), (3, 30), (3, 60),
-                                  (4, 18), (4, 66), (4, 90)])
+                                  (4, 18), (4, 66), (4, 90)] + PRUNED_FAR)
 def test_prune_eta_alpha_matches_50_digit_reference(r, b):
-    # K = b - (r-1)(H_(k1-1) - H_(r-2)) is b less a body mean close to b; from
-    # 50-digit harmonic numbers alpha keeps all but a few ulps even where K is
-    # 1e-12 of b (r = 2, b = 30: 0.04339104292617, where double harmonic
-    # numbers gave 0.0466)
+    # K = b - (r-1)(H_(k1-1) - H_(r-2)) is b less a body mean close to b, about
+    # (r-1)/k1 in size; from decimal harmonic numbers alpha keeps all but a few
+    # ulps even where K is 1e-12 of b (r = 2, b = 30: 0.04339104292617, where
+    # double harmonic numbers gave 0.0466). The reference K keeps 50 digits
+    # of its own: at r = 2, b = 100 (k0 = 1.5e43) a plain 50-digit K is off by
+    # 3.5e-6 of alpha.
     eta = prune_eta(r, float(b))
     with mpmath.workdps(50):
         H = mpmath.harmonic
         assert (r - 1) * (H(eta.k0 - 1) - H(r - 2)) <= b < (r - 1) * (H(eta.k0) - H(r - 2))
+    with mpmath.workdps(50 + len(str(eta.k0))):
         K = b - (r - 1) * (H(eta.k1 - 1) - H(r - 2))
         alpha = (2 * r + 1 - K * eta.k1 / (r - 1)) / (r + 1)
     assert eta.alpha == pytest.approx(float(alpha), rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_prune_eta_builds_up_to_b_100(r):
+    # the 0.1-grid of b from the validity threshold to 100, every third point:
+    # k0 brackets b at 50 digits and alpha lies in (0, 1)
+    start = math.ceil(10 * (r - 1) * math.log(4 * math.e * r)) / 10
+    grid = [round(start + 0.1 * i, 1) for i in range(round(10 * (100 - start)) + 1)]
+    with mpmath.workdps(50):
+        H = mpmath.harmonic
+        for b in grid[::3] + [100.0]:
+            eta = prune_eta(r, b)
+            lo, hi = ((r - 1) * (H(m) - H(r - 2)) for m in (eta.k0 - 1, eta.k0))
+            assert lo <= b < hi, b
+            assert 0.0 < eta.alpha < 1.0 and eta.k1 == eta.k0 - 2 * r, b
+            assert eta.mean() == pytest.approx(b, rel=1e-14), b
 
 
 def test_prune_eta_below_validity_rejected():
@@ -377,6 +399,29 @@ def test_prune_eta_below_validity_rejected():
     threshold = (r - 1) * math.log(4 * math.e * r)
     with pytest.raises(SpecError):
         prune_eta(r, threshold - 0.1)
+
+
+@pytest.mark.parametrize("r, m", [(2, 13), (2, 400), (2, 10**6), (2, 10**12), (3, 60), (4, 200),
+                                  (4, 10**12)])
+def test_prune_eta_k0_on_both_sides_of_a_step(r, m):
+    # k0 steps from m - 1 to m where b reaches (r-1)(H_(m-1) - H_(r-2)): the
+    # double at or just above that value gives m, the double below it m - 1
+    # (while the steps (r-1)/m are wider than the doubles' spacing)
+    with mpmath.workdps(60):
+        step = (r - 1) * (mpmath.harmonic(m - 1) - mpmath.harmonic(r - 2))
+        at = float(step)
+        if at < step:
+            at = math.nextafter(at, math.inf)
+    assert prune_eta(r, at).k0 == m
+    assert prune_eta(r, math.nextafter(at, 0.0)).k0 == m - 1
+
+
+def test_prune_eta_beyond_the_decimal_precision_rejected():
+    # gamma is held to 120 digits, which serves k0 up to about 1e65
+    assert prune_eta(2, 151.9).k0 > 10**65
+    for b in (152.0, 1000.0):
+        with pytest.raises(PreconditionError):
+            prune_eta(2, b)
 
 
 def test_prune_eta_moment_consistency():
