@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .offspring import OffspringDistribution, PreconditionError, Pruned
+from .offspring import HeavyTail, OffspringDistribution, PreconditionError, Pruned
 from .critical import CriticalResult, pc_exact
 
 __all__ = [
@@ -143,8 +143,13 @@ def _alpha_bound(m: float, r: int, alpha: float) -> float:
     return 0.0 if math.isinf(m) else alpha_bound_constant(r, alpha) * m ** (-1.0 / alpha)
 
 
-def _fort_terms(ks: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """1 - 1/(p_k max_x g_k^2) for the atoms with positive mass."""
+def _fort_terms(ks: np.ndarray, probs: np.ndarray, excess_2: float = 0.0) -> np.ndarray:
+    """1 - 1/(p_k max_x g_k^2) for the atoms with positive mass.
+
+    A positive ``excess_2`` is p_2 - 1/2 held apart from the double p_2; the
+    k = 2 term 1 - 1/(2 p_2) is then taken as 2 excess_2 / (1 + 2 excess_2),
+    which does not cancel when p_2 is close to 1/2.
+    """
     pos = probs > 0.0
     ks = np.asarray(ks[pos], dtype=float)
     # log of max_x g_k^2: log 2 at k = 2, else the peak-value formula
@@ -153,7 +158,17 @@ def _fort_terms(ks: np.ndarray, probs: np.ndarray) -> np.ndarray:
         math.log(2.0),
         (ks - 1) * np.log(ks) + (ks - 2) * np.log(np.maximum(ks - 2, 1)) - (2 * ks - 3) * np.log(ks - 1),
     )
-    return 1.0 - np.exp(-log_maxg) / probs[pos]
+    terms = 1.0 - np.exp(-log_maxg) / probs[pos]
+    if excess_2 > 0.0:
+        terms[ks == 2] = 2.0 * excess_2 / (1.0 + 2.0 * excess_2)
+    return terms
+
+
+def _excess_2(d: OffspringDistribution) -> float:
+    """p_2 - 1/2 for a heavy-tail body with r = 2 (body mass 1/2 at k = 2): its atom at 2; else 0."""
+    if isinstance(d, HeavyTail) and d.r == 2:
+        return sum(w for k, w in d.atoms if k == 2)
+    return 0.0
 
 
 def lb_fort(d: OffspringDistribution) -> float:
@@ -164,14 +179,17 @@ def lb_fort(d: OffspringDistribution) -> float:
     contribute nothing.  Every peak is at most 2, so an atom k > m
     contributes at most 1 - 1/(2 p_k) <= 1 - 1/(2 tail(m)); the scan over
     the support stops at the first m where that cannot beat the best term.
+    A pruned law with r = 2 has p_2 = 1/2 + a, with a its atom at 2; its
+    k = 2 term is 2a/(1 + 2a), read from a rather than from the double p_2.
     """
     if d.support_min < 2:
         raise PreconditionError("lb_fort requires support >= 2")
     top = 2 * d.support_min + 64
     best = -math.inf
+    excess_2 = _excess_2(d)
     while True:
         ks, probs = d.support_probs(upto=top)
-        best = max(best, float(np.max(_fort_terms(ks, probs), initial=-math.inf)))
+        best = max(best, float(np.max(_fort_terms(ks, probs, excess_2), initial=-math.inf)))
         t = d.tail(int(ks[-1]))
         if t == 0.0 or 1.0 - 0.5 / t <= best:
             return best

@@ -34,6 +34,7 @@ its two reassigned atoms.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -267,26 +268,55 @@ def make_context(
     )
 
 
-def _G_block(ctx: GEvalContext, xs: np.ndarray) -> np.ndarray:
-    """G(x) - 1 on one block of x, through a (len(xs), len(ctx.ks)) array of g_k^r(x)."""
-    lx, l1x = _libm_logs(xs)
-    il1x = l1x[:, None] * np.arange(ctx.r)
-    gk = 0.0
+def _g_sum(ctx: GEvalContext, lx: np.ndarray, l1x: np.ndarray, mask: bool) -> np.ndarray:
+    """(len(lx), len(ctx.ks)) array of sum_{i<r} C(k, i) x^(k-i-1) (1-x)^i from the
+    logs of x and 1-x (or any values in their place), summed in log space term by term.
+
+    Each term is formed in place, (k-i-1) log x, + log C(k, i), + i log(1-x),
+    then exp, and added to the terms before it in order of i; with ``mask``,
+    terms whose log is <= -745 are 0.
+    """
+    shape = (len(lx), len(ctx.ks))
+    gk, lg = np.empty(shape), np.empty(shape)
     for i in range(ctx.r):
-        # log C(k, i) + (k-i-1) log x + i log(1-x); terms below e^-745 are 0
-        lg = ctx.powers[i] * lx[:, None]
-        lg += ctx.log_binom[i]
+        term = lg if i else gk
+        np.multiply(ctx.powers[i], lx[:, None], out=term)
+        term += ctx.log_binom[i]
         if i:
-            lg += il1x[:, i:i + 1]
-        term = np.exp(lg)
-        term[lg <= -745.0] = 0.0
-        gk = gk + term
+            term += l1x[:, None] * i
+        under = term <= -745.0 if mask else None
+        np.exp(term, out=term)
+        if mask:
+            term[under] = 0.0
+        if i:
+            gk += term
+    return gk
+
+
+def _G_block(ctx: GEvalContext, xs: np.ndarray, lx: np.ndarray, l1x: np.ndarray) -> np.ndarray:
+    """G(x) - 1 on one block of x given ``_libm_logs(xs)``, through a
+    (len(xs), len(ctx.ks)) array of g_k^r(x).
+
+    log C(k, i) >= 0 and k-i-1 <= max_power bound every log term from below
+    by max_power log x + (r-1) log(1-x), so the e^-745 underflow mask is
+    applied only in blocks where that bound reaches -740 (room for rounding).
+    """
+    mask = bool((ctx.max_power * lx + (ctx.r - 1) * l1x).min() <= -740.0)
+    gk = _g_sum(ctx, lx, l1x, mask)
     # the limits of g: r at x = 0 when k = r (0 otherwise), 1 at x = 1
     ends = (xs == 0.0) | (xs == 1.0)
     gk[ends] = np.where(xs[ends, None] == 0.0, np.where(ctx.ks == ctx.r, float(ctx.r), 0.0), 1.0)
     out = gk @ ctx.weights + ctx.offset
     if ctx.defic_scale:
         out -= ctx.defic_scale * _deficiency(ctx.r, ctx.cutoff, xs, lx, l1x)
+    return out
+
+
+def _G_blocks(ctx: GEvalContext, xs: np.ndarray, lx: np.ndarray, l1x: np.ndarray) -> np.ndarray:
+    """G(x) - 1 on a 1-D array of x given its logs, one ``_G_block`` per ``_row_blocks`` slice."""
+    out = np.empty(len(xs))
+    for rows in _row_blocks(ctx, len(xs)):
+        out[rows] = _G_block(ctx, xs[rows], lx[rows], l1x[rows])
     return out
 
 
@@ -345,9 +375,7 @@ def G_minus_1(ctx: GEvalContext, x: float | np.ndarray) -> float | np.ndarray:
     if xs.ndim > 1 or not ((xs >= 0.0) & (xs <= 1.0)).all():  # NaN fails both
         raise PreconditionError("x must lie in [0, 1]")
     flat = xs.reshape(-1)
-    out = np.empty(len(flat))
-    for rows in _row_blocks(ctx, len(flat)):
-        out[rows] = _G_block(ctx, flat[rows])
+    out = _G_blocks(ctx, flat, *_libm_logs(flat))
     return float(out[0]) if xs.ndim == 0 else out
 
 
@@ -375,10 +403,7 @@ def G_upper(ctx: GEvalContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     w = np.maximum(ctx.weights, 0.0)
     out = np.empty(len(b))
     for rows in _row_blocks(ctx, len(b)):
-        gk = 0.0
-        for i in range(ctx.r):
-            gk = gk + np.exp(ctx.powers[i] * lb[rows, None] + ctx.log_binom[i] + i * l1a[rows, None])
-        out[rows] = gk @ w
+        out[rows] = _g_sum(ctx, lb[rows], l1a[rows], mask=False) @ w
     k = ctx.max_power + 2.0
     rel = 2.0**-36 + 2.0**-51 * math.lgamma(k + 1.0)
     return (out + (1.0 + ctx.offset)) * (1.0 + rel) + ctx.eps_G
@@ -450,18 +475,31 @@ def _golden_max(f: Callable[[float], float], a: float, b: float, tol: float) -> 
     return dd, fd
 
 
+@functools.cache
+def _grid() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``max_G``'s scan points and their ``_libm_logs``, built once per process, read-only."""
+    xs = np.linspace(0.0, 1.0, round(1.0 / GRID_STEP) + 1)
+    return tuple(_frozen(a) for a in (xs, *_libm_logs(xs)))
+
+
 def max_G(ctx: GEvalContext) -> MaxResult:
     """Global maximum of G over [0, 1].
 
-    Dense grid scan with step ``GRID_STEP``, evaluated in one array
-    call, followed by golden-section refinement on every local bracket
-    (endpoints included); modes of all supported families are wide relative
-    to that step.  Ties report the smallest attaining x.
+    Dense grid scan with step ``GRID_STEP``, followed by golden-section
+    refinement on every local bracket (endpoints included); modes of all
+    supported families are wide relative to that step.  Ties report the
+    smallest attaining x.  The grid and its libm logs are computed once per
+    process; G - 1 on it is ``G_minus_1``'s array path, bit for bit, in
+    blocks that apply the underflow mask only where its bound can reach it.
+
+    The refinement stops at brackets of width ``BRACKET_WIDTH``, but where G
+    is flat to its rounding floor the golden section's comparisons are ties
+    of rounding, so x_star is resolved only to the width of that flat top:
+    about 1e-8 relative on the pruned laws, not 1e-12.
     """
     f = lambda x: G_minus_1(ctx, x)
-    n = round(1.0 / GRID_STEP)
-    xs = np.linspace(0.0, 1.0, n + 1)
-    vals = G_minus_1(ctx, xs)
+    xs, lx, l1x = _grid()
+    vals = _G_blocks(ctx, xs, lx, l1x)
 
     candidates = [(0.0, float(vals[0])), (1.0, float(vals[-1]))]
     # interior local maxima; plateaus of exactly equal values spawn no brackets

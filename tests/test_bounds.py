@@ -8,6 +8,7 @@ import pytest
 
 import gwboot as gw
 from gwboot.bounds import (
+    _excess_2,
     _fort_terms,
     alpha_bound_constant,
     bounds_report,
@@ -303,10 +304,7 @@ def test_bounds_report_pinned(spec, r):
         want = _pruned_r2_entries_50(d)
         assert entries.keys() == want.keys()
         for name, value in want.items():
-            # lb_fort = 1 - 1/(2 p_2) reads p_2 = 1/2 + alpha A as a double, within
-            # 2^-54, which moves it by 2^-53; the ratio's rounding adds as much
-            # (2^-52 is 1e-7 of lb_fort at b = 20; alpha's old error moved it 1.5e-15)
-            assert entries[name] == pytest.approx(value, rel=1e-13, abs=2.0**-52 if name == "lb_fort" else 0), name
+            assert entries[name] == pytest.approx(value, rel=1e-13, abs=0), name
         return
     pins = BOUNDS_PINS[spec, r]
     assert entries.keys() == pins.keys()
@@ -329,8 +327,20 @@ def test_lb_fort_stop_rule_matches_full_scan(spec):
     d = make_distribution(spec)
     ks, probs = d.support_probs(upto=200_000)
     with np.errstate(over="ignore"):  # masses that underflow far out in the shifted laws
-        full = float(np.max(_fort_terms(ks, probs)))
+        full = float(np.max(_fort_terms(ks, probs, _excess_2(d))))
     assert lb_fort(d) == full
+
+
+@pytest.mark.parametrize("b", range(15, 26))
+def test_lb_fort_pruned_r2_matches_50_digit_reference(b):
+    # the best term is atom 2's 1 - 1/(2 p_2) with p_2 = 1/2 + alpha A: from the
+    # double p_2 it cancels (8.8e-8 relative at b = 20), from alpha A it does not
+    d = make_distribution(f"pruned:r=2,b={b}")
+    with mpmath.workdps(50):
+        A = 1 / mpmath.mpf(d.k1)
+        alpha = (5 - (mpmath.mpf(d.b) - mpmath.harmonic(d.k1 - 1)) / A) / 3
+        want = float(2 * alpha * A / (1 + 2 * alpha * A))
+    assert lb_fort(d) == pytest.approx(want, rel=1e-13, abs=0)
 
 
 def test_fort_peaks_are_at_most_two():

@@ -443,34 +443,68 @@ def _bracket_count(vals):
                                      ("pruned:r=2,b=20", 2), ("pmf:2=0.25,3=0.5,7=0.25", 3)])
 def test_max_G_evaluates_grid_in_blocks(monkeypatch, spec, r):
     ctx = make_context(make_distribution(spec), r)
-    calls = []  # one (is a single point, rows of each block) entry per G_minus_1 call
+    max_G(ctx)  # the grid and its logs exist from here on
+    blocks, points, log_calls = [], [], []  # rows per block, ndim-0 flag per G_minus_1 call, logs taken
     block, minus_1, logs = kernels._G_block, kernels.G_minus_1, kernels._libm_logs
-    log_calls = []
 
-    def counting_block(c, xs):
-        calls[-1][1].append(len(xs))
-        return block(c, xs)
+    def counting_block(c, xs, lx, l1x):
+        blocks.append(len(xs))
+        return block(c, xs, lx, l1x)
 
     def counting_logs(xs):
         log_calls.append(len(xs))
         return logs(xs)
 
     def counting_minus_1(c, x):
-        calls.append((np.ndim(x) == 0, []))
+        points.append(np.ndim(x) == 0)
         return minus_1(c, x)
 
     monkeypatch.setattr(kernels, "_G_block", counting_block)
     monkeypatch.setattr(kernels, "G_minus_1", counting_minus_1)
     monkeypatch.setattr(kernels, "_libm_logs", counting_logs)
     max_G(ctx)
-    grid = [rows for single, rows in calls if not single]
-    assert len(grid) == 1 and sum(grid[0]) == 1001
-    # one pass of libm logs per block, shared with the heavy and pruned deficiency
-    assert log_calls == grid[0]
-    assert len(grid[0]) <= max(1, math.ceil(1001 * len(ctx.ks) / 2**16))
-    assert max(grid[0]) * len(ctx.ks) <= 2**16 + len(ctx.ks)
-    points = sum(single for single, _ in calls)
-    assert points < 120 * _bracket_count(minus_1(ctx, np.linspace(0.0, 1.0, 1001)))
+    # one pass over the grid in blocks; G_minus_1 only refines single points
+    assert sum(blocks) == 1001 and all(points)
+    # the grid's logs are computed once per process: a second max_G takes none,
+    # also not for the heavy and pruned deficiency
+    assert log_calls == []
+    assert len(blocks) <= max(1, math.ceil(1001 * len(ctx.ks) / 2**16))
+    assert max(blocks) * len(ctx.ks) <= 2**16 + len(ctx.ks)
+    assert len(points) < 120 * _bracket_count(minus_1(ctx, np.linspace(0.0, 1.0, 1001)))
+
+
+# heavy and pruned laws at their own threshold and at mismatched ones
+ANALYTIC_THRESHOLDS = [(spec, r) for spec in ("heavy:r=2", "heavy:r=3", "heavy:r=4", "pruned:r=2,b=20",
+                                              "pruned:r=3,b=30", "pruned:r=4,b=66") for r in (2, 3, 4)]
+
+
+def test_max_G_grid_is_G_minus_1_bitwise(monkeypatch):
+    # the cached grid logs and the block-wise mask are a fast path, not a fork:
+    # max_G scans exactly G_minus_1 on np.linspace(0, 1, 1001)
+    xs = np.linspace(0.0, 1.0, 1001)
+    blocks_of, seen = kernels._G_blocks, []
+
+    def recording(*args):
+        seen.append(blocks_of(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(kernels, "_G_blocks", recording)
+    for spec, r in _criterion_8_laws() + ROW_EXTRA + ANALYTIC_THRESHOLDS:
+        ctx = make_context(make_distribution(spec), r)
+        want = gw.G_minus_1(ctx, xs)
+        seen.clear()
+        max_G(ctx)
+        assert len(seen) == 1, (spec, r)
+        assert seen[0].tobytes() == want.tobytes(), (spec, r)
+
+
+def test_max_G_grid_is_read_only():
+    xs, lx, l1x = kernels._grid()
+    assert np.array_equal(xs, np.linspace(0.0, 1.0, 1001))
+    assert kernels._grid()[0] is xs  # built once
+    for a in (xs, lx, l1x):
+        with pytest.raises(ValueError):
+            a[1] = 0.5
 
 
 # ---------------------------------------------------------------------------
