@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundEntry:
     name: str
     kind: str  # "lower" | "upper"
@@ -62,7 +62,7 @@ class BoundEntry:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class BoundsReport:
     entries: list[BoundEntry]
     pc_ref: Optional[CriticalResult]

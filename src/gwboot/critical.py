@@ -43,7 +43,7 @@ __all__ = [
 Q_ITERATION_CAP = 1_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CriticalResult:
     pc: float
     x_star: float
@@ -224,7 +224,7 @@ def q_iterate(d: OffspringDistribution, r: int, p: float, n: int) -> QTrace:
     return QTrace(p=p, r=r, values=values, converged=converged)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QLimitResult:
     """Limit of the survival recursion and a bracket [lower, upper] around it.
 

@@ -63,6 +63,9 @@ _ENUM_CAP = 2_000_000
 DEFAULT_TAIL_TARGET = 1e-13
 GRID_STEP = 1e-3
 BRACKET_WIDTH = 1e-12
+_X_REL = 1e-9  # max_G refines to this fraction of the distance to the nearer end
+_TIE_REL = 1e-10  # max_G's candidates within this fraction of |M - 1| of the best tie
+_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0  # the golden section of a bracket's side
 
 
 def _log_binom_sum(n: int, m: int, l_i: float, l_rest: float, e: int = 0) -> float:
@@ -119,7 +122,7 @@ def _libm_logs(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     outside (0, 1) so that every log is finite.
 
     numpy's vectorised logs can differ from libm in the last bit; max_G's
-    golden-section comparisons at the rounding floor would turn such a bit
+    refinement's comparisons at the rounding floor would turn such a bit
     into a shift of x_star, so grid and single-point evaluations share
     libm's logs.
     """
@@ -439,7 +442,7 @@ def h(ctx: GEvalContext, p: float, x: float) -> float:
 # maximization
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MaxResult:
     """Location and value of the maximum of G on [0, 1]."""
 
@@ -452,27 +455,77 @@ class MaxResult:
         return self.M - 1.0
 
 
-def _golden_max(f: Callable[[float], float], a: float, b: float, tol: float) -> tuple[float, float]:
-    """Golden-section maximum of a unimodal f on [a, b]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    invphi2 = (3.0 - math.sqrt(5.0)) / 2.0
-    h_ = b - a
-    c, dd = a + invphi2 * h_, a + invphi * h_
-    fc, fd = f(c), f(dd)
-    while h_ > tol:
-        if fc >= fd:
-            b, dd, fd = dd, c, fc
-            h_ = b - a
-            c = a + invphi2 * h_
-            fc = f(c)
+_Point = tuple[float, float]  # (x, f(x))
+
+
+def _brent_max(f: Callable[[float], float], a: float, b: float, x: _Point, w: _Point, v: _Point) -> _Point:
+    """(x, f(x)) at the largest f that Brent's method finds on [a, b], seeded
+    with three points (x, f(x)) in [a, b] already evaluated: x the best, w the
+    next, v the last.
+
+    Each step takes the vertex of the parabola through x, w and v when it lies
+    inside the bracket and moves less than half the step before last (the
+    first step less than half the bracket), and a golden section of the larger
+    side of x otherwise; no step is shorter than tol = (BRACKET_WIDTH +
+    ``_X_REL`` min(x, 1-x)) / 4.  It stops once both ends lie within 2 tol of
+    x.  The relative term follows the distance to the nearer end, where the
+    modes of G are as narrow as that distance (``pruned:r=4,b=66`` at r = 2
+    peaks 5e-11 from x = 1).  A unimodal f is maximized; on any f the result
+    is the best point evaluated, so never below the seed x.
+    """
+    (x, fx), (w, fw), (v, fv) = x, w, v
+    d = e = b - a
+    while True:
+        m = 0.5 * (a + b)
+        tol = 0.25 * (BRACKET_WIDTH + _X_REL * min(x, 1.0 - x))
+        if abs(x - m) <= 2.0 * tol - 0.5 * (b - a):
+            return x, fx
+        p = q = e_prev = 0.0
+        if abs(e) > tol:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            p, q = (-p, q) if q > 0.0 else (p, -q)
+            e_prev, e = e, d
+        if abs(p) < abs(0.5 * q * e_prev) and q * (a - x) < p < q * (b - x):
+            d = p / q
+            if x + d - a < 2.0 * tol or b - (x + d) < 2.0 * tol:
+                d = tol if x < m else -tol
         else:
-            a, c, fc = c, dd, fd
-            h_ = b - a
-            dd = a + invphi * h_
-            fd = f(dd)
-    if fc >= fd:
-        return c, fc
-    return dd, fd
+            e = (b if x < m else a) - x
+            d = _GOLDEN * e
+        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
+        fu = f(u)
+        if fu >= fx:
+            a, b = (a, x) if u < x else (x, b)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            a, b = (u, b) if u < x else (a, u)
+            if fu >= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu >= fv or v == x or v == w:
+                v, fv = u, fu
+
+
+def _refine(f: Callable[[float], float], lo: _Point, hi: _Point, mid: _Point | None = None) -> _Point:
+    """The best point of f that ``_brent_max`` finds between the grid points lo
+    and hi: about the grid point ``mid`` between them, or, without one, next to
+    the end of [0, 1] that lo or hi is, where f falls away from that end.
+
+    An end piece is first probed at ``BRACKET_WIDTH`` from its end.  Where f
+    there is below f at the end, the mode of a unimodal f lies within
+    ``BRACKET_WIDTH`` of the end, which is returned after that one evaluation.
+    """
+    if mid is not None:
+        w, v = sorted((lo, hi), key=lambda q: q[1], reverse=True)
+        return _brent_max(f, lo[0], hi[0], mid, w, v)
+    end, inner = (lo, hi) if lo[0] == 0.0 else (hi, lo)
+    u = BRACKET_WIDTH if end[0] == 0.0 else 1.0 - BRACKET_WIDTH
+    probe = (u, f(u))
+    if probe[1] < end[1]:
+        return end
+    return _brent_max(f, lo[0], hi[0], probe, end, inner)
 
 
 @functools.cache
@@ -482,39 +535,70 @@ def _grid() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(_frozen(a) for a in (xs, *_libm_logs(xs)))
 
 
+def _tie_floor(best: float) -> float:
+    """The least G - 1 that ties ``best``: best less ``_TIE_REL`` |best|."""
+    return best - _TIE_REL * abs(best)
+
+
+def _brackets(ctx: GEvalContext, xs: np.ndarray, vals: np.ndarray) -> list[tuple[int, int]]:
+    """(lo, hi) grid indices of the pieces of [0, 1] that may hold the maximum.
+
+    The pieces are the grid neighbours of every interior local maximum of
+    ``vals`` and the end pieces where G falls away from x = 0 or x = 1;
+    plateaus of exactly equal values spawn pieces only at their strict edges,
+    so flat stretches cost nothing.  A piece whose ``G_upper`` bound lies below
+    1 plus the tie floor of the best grid value is dropped: no value in it
+    could tie the best grid value or any better one.
+    """
+    mid, left, right = vals[1:-1], vals[:-2], vals[2:]
+    peaks = np.flatnonzero((mid >= left) & (mid >= right) & ((mid > left) | (mid > right))).tolist()
+    pieces = [(i, i + 2) for i in peaks]
+    n = len(xs) - 1
+    if vals[0] > vals[1]:
+        pieces.append((0, 1))
+    if vals[n] > vals[n - 1]:
+        pieces.append((n - 1, n))
+    if not pieces:
+        return []
+    lo, hi = np.array(pieces).T
+    upper = G_upper(ctx, xs[lo], xs[hi])
+    floor = 1.0 + _tie_floor(float(vals.max()))
+    return [piece for piece, bound in zip(pieces, upper.tolist()) if bound >= floor]
+
+
 def max_G(ctx: GEvalContext) -> MaxResult:
     """Global maximum of G over [0, 1].
 
-    Dense grid scan with step ``GRID_STEP``, followed by golden-section
-    refinement on every local bracket (endpoints included); modes of all
-    supported families are wide relative to that step.  Ties report the
-    smallest attaining x.  The grid and its libm logs are computed once per
-    process; G - 1 on it is ``G_minus_1``'s array path, bit for bit, in
-    blocks that apply the underflow mask only where its bound can reach it.
+    A scan of a grid with step ``GRID_STEP`` finds the pieces that may hold
+    the maximum (``_brackets``): the grid neighbours of each local maximum and
+    the end pieces where G falls away from x = 0 or 1, less those whose
+    ``G_upper`` bound, from one vectorised call, cannot reach the best grid
+    value.  Each piece left is refined (``_refine``) by Brent's method seeded
+    with its three grid points, so its first step is a parabola's vertex.  An
+    end piece is first probed at ``BRACKET_WIDTH`` from its end; where G there
+    is below G at the end, the mode lies within ``BRACKET_WIDTH`` of the end
+    under the unimodality assumed of every piece, and the piece takes no
+    further evaluation.  Modes of all supported
+    families are wide relative to the grid step.  The grid and its libm logs
+    are computed once per process; G - 1 on it is ``G_minus_1``'s array path,
+    bit for bit.
 
-    The refinement stops at brackets of width ``BRACKET_WIDTH``, but where G
-    is flat to its rounding floor the golden section's comparisons are ties
-    of rounding, so x_star is resolved only to the width of that flat top:
-    about 1e-8 relative on the pruned laws, not 1e-12.
+    Candidates within ``_TIE_REL`` |M - 1| of the best tie, and ties report
+    the smallest x.  The refinement stops at brackets of width
+    ``BRACKET_WIDTH`` plus ``_X_REL`` times the distance to the nearer end,
+    but where G is flat to its rounding floor the comparisons are ties of
+    rounding, so x_star is resolved only to the width of that flat top: about
+    1e-8 relative on the pruned laws, 1e-7 on ``geometric:b=4`` at r = 4.
     """
     f = lambda x: G_minus_1(ctx, x)
     xs, lx, l1x = _grid()
     vals = _G_blocks(ctx, xs, lx, l1x)
+    pt = lambda i: (float(xs[i]), float(vals[i]))
 
-    candidates = [(0.0, float(vals[0])), (1.0, float(vals[-1]))]
-    # interior local maxima; plateaus of exactly equal values spawn no brackets
-    # except at their strict edges, so flat stretches cost nothing
-    mid, left, right = vals[1:-1], vals[:-2], vals[2:]
-    peaks = np.flatnonzero((mid >= left) & (mid >= right) & ((mid > left) | (mid > right))) + 1
-    brackets = [(xs[i - 1], xs[i + 1]) for i in peaks.tolist()]
-    if vals[0] > vals[1]:
-        brackets.append((0.0, xs[1]))
-    if vals[-1] > vals[-2]:
-        brackets.append((xs[-2], 1.0))
-    for a, b in brackets:
-        xb, fb = _golden_max(f, float(a), float(b), BRACKET_WIDTH)
-        candidates.append((xb, fb))
+    candidates = [pt(0), pt(-1)]
+    for lo, hi in _brackets(ctx, xs, vals):
+        candidates.append(_refine(f, pt(lo), pt(hi), pt(lo + 1) if hi - lo == 2 else None))
 
     best = max(fb for _, fb in candidates)
-    x_star = min(xb for xb, fb in candidates if fb >= best - 1e-10)
+    x_star = min(xb for xb, fb in candidates if fb >= _tie_floor(best))
     return MaxResult(x_star=float(x_star), M=1.0 + best, err=ctx.eps_G + 1e-10)

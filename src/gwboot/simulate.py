@@ -258,7 +258,7 @@ def root_fort_status(tree: SampledTree, marks: np.ndarray, r: int) -> bool:
     return bool(_fort_pass(offsets, np.asarray(marks, dtype=bool), r)[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimEstimate:
     """Monte Carlo estimate of the root-survival probability q_n."""
 

@@ -403,3 +403,52 @@ def test_pc_upper_estimate_M_minus_1():
     for spec, r in [("regular:b=4", 2), ("poisson:b=5", 2), ("heavy:r=2", 2)]:
         res = pc_exact(make_distribution(spec), r)
         assert res.pc <= (res.M - 1.0) + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# result objects
+
+
+def _public_results():
+    """One result of each type the public calls return."""
+    d = make_distribution("poisson:b=7")
+    report = gw.bounds_report(d, 2)
+    return [
+        pc_exact(d, 2),
+        q_limit(d, 2, 0.5),
+        report,
+        report.entries[0],
+        gw.estimate_qn(d, 2, 0.5, 3, 8, seed=1),
+        gw.max_G(make_context(d, 2)),
+    ]
+
+
+_AS_DICT_KEYS = {
+    "CriticalResult": ["pc", "x_star", "M", "method", "err", "spec", "r"],
+    "BoundEntry": ["name", "kind", "value", "raw", "valid", "note"],
+    "SimEstimate": ["estimate", "se", "replicates", "effective", "truncated", "seed", "p", "n",
+                    "r", "stream_version"],
+}
+
+
+def test_result_types_have_slots():
+    import dataclasses
+    import pickle
+
+    names = []
+    for res in _public_results():
+        cls = type(res)
+        names.append(cls.__name__)
+        assert not hasattr(res, "__dict__"), cls
+        assert cls.__slots__ == tuple(f.name for f in dataclasses.fields(res))
+        assert pickle.loads(pickle.dumps(res)) == res
+        other = dataclasses.replace(res)
+        assert other == res and other is not res
+        if cls.__name__ in _AS_DICT_KEYS:
+            out = res.as_dict()
+            assert list(out) == _AS_DICT_KEYS[cls.__name__]
+            for key, value in out.items():
+                want = getattr(res, key)
+                assert value == (want.label() if key == "spec" else want)
+    assert names == ["CriticalResult", "QLimitResult", "BoundsReport", "BoundEntry", "SimEstimate",
+                     "MaxResult"]

@@ -427,15 +427,16 @@ def test_max_G_golden(spec, r, x_star, M):
         assert abs(got_M - M_ref) <= 1e-13
 
 
-def _bracket_count(vals):
-    """Brackets max_G refines for these grid values (its own rule, restated)."""
+def _grid_pieces(vals):
+    """(lo, hi) grid indices of the pieces max_G considers for these grid values
+    before ``G_upper`` drops any (its own rule, restated)."""
     n = len(vals) - 1
-    count = sum(
-        1 for i in range(1, n)
+    pieces = [
+        (i - 1, i + 1) for i in range(1, n)
         if vals[i] >= vals[i - 1] and vals[i] >= vals[i + 1]
         and (vals[i] > vals[i - 1] or vals[i] > vals[i + 1])
-    )
-    return count + (vals[0] > vals[1]) + (vals[-1] > vals[-2])
+    ]
+    return pieces + [(0, 1)] * bool(vals[0] > vals[1]) + [(n - 1, n)] * bool(vals[-1] > vals[-2])
 
 
 @pytest.mark.parametrize("spec, r", [("regular:b=5", 3), ("poisson:b=8", 2), ("geometric:b=19", 2),
@@ -470,7 +471,7 @@ def test_max_G_evaluates_grid_in_blocks(monkeypatch, spec, r):
     assert log_calls == []
     assert len(blocks) <= max(1, math.ceil(1001 * len(ctx.ks) / 2**16))
     assert max(blocks) * len(ctx.ks) <= 2**16 + len(ctx.ks)
-    assert len(points) < 120 * _bracket_count(minus_1(ctx, np.linspace(0.0, 1.0, 1001)))
+    assert len(points) < 120 * len(_grid_pieces(minus_1(ctx, np.linspace(0.0, 1.0, 1001))))
 
 
 # heavy and pruned laws at their own threshold and at mismatched ones
@@ -505,6 +506,121 @@ def test_max_G_grid_is_read_only():
     for a in (xs, lx, l1x):
         with pytest.raises(ValueError):
             a[1] = 0.5
+
+
+def _counted(f):
+    """f and a list that records the points it is called at."""
+    seen = []
+
+    def counting(x):
+        seen.append(x)
+        return f(x)
+
+    return counting, seen
+
+
+@pytest.mark.parametrize("f, c", [(lambda x: -((x - 0.62213) ** 2), 0.62213),
+                                  (lambda x: -((x - 0.36364) ** 2) * (1.0 + 5.0 * x), 0.36364),
+                                  (lambda x: -((x - 0.9004) ** 4) * (2.0 - x), 0.9004)],
+                         ids=["quadratic", "cubic", "quartic"])
+def test_refine_finds_an_interior_maximum(f, c):
+    # f(c) = 0 and f < 0 around it, so f has its full relative precision near c
+    a = round(c, 3) - 1e-3
+    g, seen = _counted(f)
+    x, fx = kernels._refine(g, (a, f(a)), (a + 2e-3, f(a + 2e-3)), (a + 1e-3, f(a + 1e-3)))
+    assert abs(x - c) <= 1e-9
+    assert fx == f(x) and fx >= f(a + 1e-3)
+    assert len(seen) <= 20
+    assert all(a <= u <= a + 2e-3 for u in seen)
+
+
+@pytest.mark.parametrize("f, lo, hi, end", [(lambda x: 1.0 - x, 0.0, 1e-3, 0.0),
+                                            (lambda x: x * x, 0.999, 1.0, 1.0),
+                                            (lambda x: -2.0 * x, 0.0, 1e-3, 0.0)],
+                         ids=["falls-from-0", "rises-to-1", "steep-from-0"])
+def test_refine_settles_a_maximum_at_an_end_with_one_probe(f, lo, hi, end):
+    g, seen = _counted(f)
+    assert kernels._refine(g, (lo, f(lo)), (hi, f(hi))) == (end, f(end))
+    assert len(seen) == 1
+    assert abs(seen[0] - end) == pytest.approx(kernels.BRACKET_WIDTH, rel=1e-3)
+
+
+def test_refine_leaves_an_end_whose_probe_rises():
+    # f falls from 0 to 1e-3 on the grid, but its mode lies inside the piece
+    f = lambda x: -((x - 3e-4) ** 2)
+    g, seen = _counted(f)
+    x, _ = kernels._refine(g, (0.0, f(0.0)), (1e-3, f(1e-3)))
+    assert abs(x - 3e-4) <= 1e-9
+    assert 1 < len(seen) <= 20
+
+
+def test_brent_max_terminates_on_a_flat_function():
+    g, seen = _counted(lambda x: 0.25)
+    x, fx = kernels._brent_max(g, 0.4, 0.402, (0.401, 0.25), (0.4, 0.25), (0.402, 0.25))
+    assert 0.4 <= x <= 0.402 and fx == 0.25
+    # golden sections of a 2e-3 bracket down to BRACKET_WIDTH: about 45 steps
+    assert len(seen) <= 60
+
+
+@pytest.mark.parametrize("spec, r, most", [("poisson:b=8", 2, 20), ("twopoint:b=4,a=9", 2, 3)])
+def test_max_G_single_point_evaluations(monkeypatch, spec, r, most):
+    # golden sections took 47 on poisson:b=8; twopoint:b=4,a=9 has its maximum at x = 0
+    ctx = make_context(make_distribution(spec), r)
+    calls = []
+    minus_1 = kernels.G_minus_1
+    monkeypatch.setattr(kernels, "G_minus_1", lambda c, x: calls.append(x) or minus_1(c, x))
+    max_G(ctx)
+    assert 0 < len(calls) <= most and all(np.ndim(x) == 0 for x in calls)
+
+
+@pytest.mark.parametrize("spec, r", [("pruned:r=2,b=25", 2), ("pruned:r=2,b=30", 2), ("pruned:r=2,b=34", 2)])
+def test_max_G_x_star_of_pruned_laws_near_their_mode(spec, r):
+    # G(0) - 1 is 4.1e-12, 1.4e-14 and 1.5e-15 here: within 1e-10 of M - 1, but
+    # not within 1e-10 |M - 1| of it, so x = 0 is no tie
+    res = max_G(make_context(make_distribution(spec), r))
+    assert 0.85 < res.x_star < 0.97
+    assert res.M > 1.0
+
+
+@pytest.mark.parametrize("spec, r", [("twopoint:b=4,a=7", 2), ("regular:b=2", 2), ("heavy:r=3", 3)])
+def test_max_G_x_star_at_zero(spec, r):
+    assert max_G(make_context(make_distribution(spec), r)).x_star == 0.0
+
+
+def test_max_G_dominates_its_neighbourhood():
+    # no point within 1e-4 of x_star beats M by more than the rounding of G at
+    # its top: the refinement stopped at the top, not short of it.  G - 1 at
+    # neighbouring floats of a flat top spreads over +-3 ulps of M by rounding
+    # alone (geometric:b=8: 13% of 2001 points within 1e-8 of x* read above M,
+    # the highest by 3 ulps), while stopping 1e-7 short costs 1400 ulps there
+    for spec, r in _criterion_8_laws() + ROW_EXTRA:
+        ctx = make_context(make_distribution(spec), r)
+        res = max_G(ctx)
+        xs = np.clip(np.linspace(res.x_star - 1e-4, res.x_star + 1e-4, 201), 0.0, 1.0)
+        assert gw.G_minus_1(ctx, xs).max() - res.M_minus_1 <= 4 * math.ulp(res.M), (spec, r)
+
+
+def test_max_G_drops_only_pieces_below_the_tie_floor():
+    xs, lx, l1x = kernels._grid()
+    dropped_total = 0
+    for spec, r in _criterion_8_laws() + ROW_EXTRA + ANALYTIC_THRESHOLDS:
+        ctx = make_context(make_distribution(spec), r)
+        vals = gw.G_minus_1(ctx, xs)
+        kept = kernels._brackets(ctx, xs, vals)
+        pieces = _grid_pieces(vals)
+        assert set(kept) <= set(pieces), (spec, r)
+        dropped = [p for p in pieces if p not in kept]
+        dropped_total += len(dropped)
+        if not dropped:
+            continue
+        lo, hi = np.array(dropped).T
+        floor = kernels._tie_floor(float(vals.max()))
+        assert (kernels.G_upper(ctx, xs[lo], xs[hi]) < 1.0 + floor).all(), (spec, r)
+        # and the bound holds: G on each dropped piece stays below the tie floor of M
+        top = kernels._tie_floor(max_G(ctx).M_minus_1)
+        for a, b in zip(xs[lo], xs[hi]):
+            assert gw.G_minus_1(ctx, np.linspace(a, b, 201)).max() < top, (spec, r, a)
+    assert dropped_total > 0  # regular:b=18 at r = 2 alone drops 4 plateau edges near x = 0.08
 
 
 # ---------------------------------------------------------------------------
