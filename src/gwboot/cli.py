@@ -18,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import secrets
 import sys
@@ -40,6 +41,7 @@ EXIT_INCONSISTENT = 4
 
 BUDGET_ENV = "GWBOOT_BUDGET"
 CONSISTENCY_TOL = 1e-6
+GRID_MAX_POINTS = 100_000
 
 
 def _fmt_float(x: float) -> str:
@@ -50,7 +52,12 @@ def _budget(args) -> int:
     if args.budget is not None:
         return args.budget
     raw = os.environ.get(BUDGET_ENV)
-    return int(raw) if raw else simulate.DEFAULT_BUDGET
+    if not raw:
+        return simulate.DEFAULT_BUDGET
+    try:
+        return int(raw)
+    except ValueError:
+        raise SpecError(f"{BUDGET_ENV} must be an integer; got {raw!r}") from None
 
 
 def _csv_value(v) -> str:
@@ -104,8 +111,12 @@ def _parse_grid(text: str) -> list[float]:
         a, b, step = (float(t) for t in text.split(":"))
     except Exception:
         raise SpecError(f"malformed grid {text!r}; expected start:stop:step")
+    if not all(math.isfinite(v) for v in (a, b, step)):
+        raise SpecError(f"grid {text!r} needs a finite start, stop and step")
     if step <= 0:
         raise SpecError("grid step must be positive")
+    if (b - a) / step >= GRID_MAX_POINTS:
+        raise SpecError(f"grid {text!r} has more than {GRID_MAX_POINTS} points")
     out = []
     v = a
     i = 0

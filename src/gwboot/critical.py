@@ -11,8 +11,9 @@ that limit instead of stepping until the step is small: the iterates are
 upper bounds, an Aitken extrapolate with h(l) > l is a lower bound, and a
 safeguarded secant closes the bracket.  A limit of 0 has two certificates,
 a bound of G over pieces of [0, q_t] from the kernel tables and, once the
-steps decay sublinearly next to p_c, the maximum M of G; within the error
-of M the limit is left as the interval [0, q_t].
+steps decay sublinearly next to p_c, p_c itself, formed from the maximum of
+G by the rule ``pc_exact`` uses; within its err of p_c the limit is left as
+the interval [0, q_t].
 """
 
 from __future__ import annotations
@@ -82,12 +83,18 @@ def pc_exact(d: OffspringDistribution, r: int) -> CriticalResult:
             spec=d.spec, r=r,
         )
     res = kernels.max_G(make_context(d, r))
-    pc = min(max(res.M_minus_1 / res.M, 0.0), 1.0)
-    err = (res.err + 1e-14) / res.M**2 + 1e-15
+    pc, err = _pc_of_max(res)
     return CriticalResult(
         pc=pc, x_star=res.x_star, M=res.M, method="maximization", err=err,
         spec=d.spec, r=r,
     )
+
+
+def _pc_of_max(res: kernels.MaxResult) -> tuple[float, float]:
+    """(p_c, err) from the maximum of G: p_c = (M-1)/M clamped to [0, 1], formed
+    from ``M_minus_1`` so that a p_c far below 1 keeps the bits of G - 1."""
+    M = res.M
+    return min(max(res.M_minus_1 / M, 0.0), 1.0), (res.err + 1e-14) / M**2 + 1e-15
 
 
 def _log_series(y: float, coeffs) -> float:
@@ -190,7 +197,6 @@ class QTrace:
     p: float
     r: int
     values: list[float]
-    converged: bool
 
     @property
     def q_n(self) -> float:
@@ -220,8 +226,7 @@ def q_iterate(d: OffspringDistribution, r: int, p: float, n: int) -> QTrace:
     for _ in range(n):
         q = _step(ctx, p, q)
         values.append(q)
-    converged = len(values) >= 2 and abs(values[-1] - values[-2]) < 1e-15
-    return QTrace(p=p, r=r, values=values, converged=converged)
+    return QTrace(p=p, r=r, values=values)
 
 
 @dataclass(frozen=True, slots=True)
@@ -366,12 +371,13 @@ class _LimitSearch:
         return False
 
     def decide_by_max(self, q: float) -> Optional[QLimitResult]:
-        """Compare (1-p)(M +- err) with 1: the limit 0, None for a positive limit,
-        or [0, q] unconverged where p lies within max_G's err of p_c."""
-        res = kernels.max_G(self.ctx)
-        if (1.0 - self.p) * (res.M + res.err) < 1.0:
+        """The side of p_c that p lies on, by ``pc_exact``'s rule: the limit 0 for
+        p > p_c + err, None (a positive limit) for p < p_c - err, and [0, q]
+        unconverged where p lies within err of p_c."""
+        pc, err = _pc_of_max(kernels.max_G(self.ctx))
+        if self.p > pc + err:
             return self.certified_zero()
-        if (1.0 - self.p) * (res.M - res.err) > 1.0:
+        if self.p < pc - err:
             return None
         return QLimitResult(q, 0.0, q, False, self.evals)
 
@@ -445,11 +451,12 @@ def q_limit(d: OffspringDistribution, r: int, p: float, tol: float = 1e-12) -> Q
     extrapolate points to 0, ``kernels.G_upper`` bounds G over pieces of
     [0, q_t] from the context's tables, and (1-p) G < 1 there makes h(x) < x
     on (0, q_t].  Where the step ratio shows sublinear decay (the steps of a
-    tangency shrink like 1/t^2), ``max_G`` is called once: (1-p)(M + err) < 1
-    certifies 0, (1-p)(M - err) > 1 a positive limit, and for p within its
-    err of p_c, where neither can hold, the result is [0, last iterate] with
-    converged False.  So it is after ``Q_ITERATION_CAP`` evaluations of h;
-    ``iterations`` counts them.
+    tangency shrink like 1/t^2), ``max_G`` is called once and p_c and its err
+    are formed from it as in ``pc_exact``: p > p_c + err certifies 0,
+    p < p_c - err a positive limit, and for p within err of p_c, where
+    neither can hold, the result is [0, last iterate] with converged False.
+    So it is after ``Q_ITERATION_CAP`` evaluations of h; ``iterations``
+    counts them.
     """
     if not 0.0 <= p <= 1.0:
         raise PreconditionError("p must lie in [0, 1]")

@@ -197,7 +197,6 @@ class GEvalContext:
     cutoff: int
     eps_G: float
     prob_below: float
-    analytic: bool
     ks: np.ndarray
     weights: np.ndarray
     log_binom: np.ndarray
@@ -214,9 +213,14 @@ def _analytic_mixture(d, r: int, m: int) -> tuple[dict, float, float]:
     With s = d.r, the law's body (s-1)/(k(k-1)) on max(r, s) <= k <= m is
     (s-1)/(r-1) times heavy_tail(r) truncated at m, whose mixture is
     1 - D_r(m, x), less the atoms r <= k < s that heavy_tail(r) has and the
-    law has not, plus the law's own ``atoms`` (the pruned law's two).
+    law has not, plus the law's own ``atoms`` (the pruned law's two).  Like
+    an enumerated support, those atoms may number at most ``_ENUM_CAP``.
     """
     s = d.r
+    if min(s, m + 1) - r > _ENUM_CAP:
+        raise PreconditionError(
+            f"a law of threshold {s} at r = {r} needs more than {_ENUM_CAP} atoms; infeasible"
+        )
     scale = (s - 1) / (r - 1) if m >= r else 0.0
     atoms = {k: -(s - 1) / (k * (k - 1)) for k in range(r, min(s, m + 1))}
     for k, w in d.atoms:
@@ -241,8 +245,7 @@ def make_context(
         raise PreconditionError("tail_target must lie in (0, 1)")
     cutoff = int(dist.truncation_cutoff(tail_target))
     eps = r * dist.tail(cutoff) if dist.support_max is None else 0.0
-    analytic = isinstance(dist, HeavyTail)
-    if analytic:
+    if isinstance(dist, HeavyTail):
         atoms, offset, scale = _analytic_mixture(dist, r, cutoff)
         ks = np.array(sorted(atoms), dtype=np.int64)
         w = np.array([atoms[k] for k in sorted(atoms)], dtype=float)
@@ -263,7 +266,7 @@ def make_context(
     powers = np.array([ks - i - 1 for i in range(r)], dtype=float)
     return GEvalContext(
         r=r, cutoff=cutoff, eps_G=eps,
-        prob_below=float(dist.prob_below(r)), analytic=analytic,
+        prob_below=float(dist.prob_below(r)),
         ks=_frozen(ks), weights=_frozen(w), log_binom=_frozen(log_binom),
         powers=_frozen(powers), max_power=float(ks.max(initial=1) - 1),
         offset=offset, defic_scale=scale,
@@ -353,7 +356,7 @@ def _mixture(ctx: GEvalContext, x: float, base: float) -> float:
     overhead makes a row of the tables cost several times that.  Any other
     support at an interior x reads one row (``_G_row``).
     """
-    if ctx.analytic or len(ctx.ks) == 1 or not 0.0 < x < 1.0:
+    if ctx.defic_scale or len(ctx.ks) == 1 or not 0.0 < x < 1.0:
         total = base
         for k, w in ctx.atoms:
             total += w * g(k, ctx.r, x)
@@ -444,15 +447,20 @@ def h(ctx: GEvalContext, p: float, x: float) -> float:
 
 @dataclass(frozen=True, slots=True)
 class MaxResult:
-    """Location and value of the maximum of G on [0, 1]."""
+    """Location of the maximum of G on [0, 1] and its value, held as M - 1.
+
+    M - 1 is the best G - 1 that ``max_G`` evaluated, with every bit it has:
+    on the heavy and pruned laws G - 1 carries no O(1) offset, so it keeps
+    full relative precision where M rounds to 1.
+    """
 
     x_star: float
-    M: float
+    M_minus_1: float
     err: float
 
     @property
-    def M_minus_1(self) -> float:
-        return self.M - 1.0
+    def M(self) -> float:
+        return 1.0 + self.M_minus_1
 
 
 _Point = tuple[float, float]  # (x, f(x))
@@ -601,4 +609,4 @@ def max_G(ctx: GEvalContext) -> MaxResult:
 
     best = max(fb for _, fb in candidates)
     x_star = min(xb for xb, fb in candidates if fb >= _tie_floor(best))
-    return MaxResult(x_star=float(x_star), M=1.0 + best, err=ctx.eps_G + 1e-10)
+    return MaxResult(x_star=float(x_star), M_minus_1=best, err=ctx.eps_G + 1e-10)

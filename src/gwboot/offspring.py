@@ -73,6 +73,9 @@ FAMILIES = (
 )
 
 _PMF_MASS_TOL = 1e-12
+# integer parameters (regular b, two-point a, r, pmf support points) stop at
+# 2^53, below which a double holds every integer and int64 holds them with room
+_INT_PARAM_MAX = 2**53
 
 
 class SpecError(ValueError):
@@ -182,6 +185,11 @@ class DistributionSpec:
         if self.family not in FAMILIES:
             raise SpecError(f"unknown family {self.family!r}")
         f = self.family
+        if self.b is not None and not math.isfinite(self.b):
+            raise SpecError(f"b must be finite; got {self.b!r}")
+        ints = [self.a, self.r, self.b if f == "regular" else None] + [k for k, _ in self.pmf or ()]
+        if any(abs(v) > _INT_PARAM_MAX for v in ints if v is not None):
+            raise SpecError(f"integer parameters must lie within 2^53 = {_INT_PARAM_MAX}")
         if f == "regular":
             if self.b is None or self.b != int(self.b) or self.b < 1:
                 raise SpecError("regular requires integer b >= 1")
@@ -219,10 +227,10 @@ class DistributionSpec:
                 if k in seen:
                     raise SpecError(f"duplicate support point {k}")
                 seen.add(k)
-                if p < 0:
-                    raise SpecError(f"negative probability at k={k}")
+                if not p >= 0:  # NaN fails too
+                    raise SpecError(f"probability at k={k} must be >= 0; got {p!r}")
                 total += p
-            if abs(total - 1.0) > _PMF_MASS_TOL:
+            if not abs(total - 1.0) <= _PMF_MASS_TOL:
                 raise SpecError(f"probabilities sum to {total!r}, not 1")
 
     def label(self) -> str:
@@ -738,7 +746,7 @@ class Pruned(HeavyTail):
             # K = b - (r-1)(H_{k1-1} - H_{r-2}) = (r-1)(T - H_{k1-1})
             K = (r - 1) * (T - h + sum(1 / D(j) for j in range(k1, k0)))
             alpha = (2 * r + 1 - K * k1 / (r - 1)) / (r + 1)
-        self.b, self.k0, self.k1, self.K = b, k0, k1, float(K)
+        self.b, self.k0, self.k1 = b, k0, k1
         self.A = (r - 1) / k1
         self.alpha = float(alpha)
         if not 0.0 < self.alpha < 1.0:

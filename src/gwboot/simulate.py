@@ -148,8 +148,6 @@ class SampledTree:
     counts: np.ndarray
     child_start: np.ndarray
     level_start: list[int]  # level_start[i] .. level_start[i+1] is level i
-    n: int
-    budget: int
     truncated: bool
 
     @property
@@ -210,7 +208,7 @@ def _grow_tree(d, rng: Optional[np.random.Generator], n: int, budget: int) -> Sa
     return SampledTree(
         counts=counts, child_start=child_start,
         level_start=np.concatenate([[0], np.cumsum(sizes)]).tolist(),
-        n=n, budget=budget, truncated=truncated,
+        truncated=truncated,
     )
 
 

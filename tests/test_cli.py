@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -76,6 +77,46 @@ def test_bounds_alpha_outside_unit_interval_exit_code(capsys, alpha):
     code, out, err = run_cli(capsys, "bounds", "--dist", "regular:b=5", "--r", "2", "--alpha", alpha)
     assert code == 3
     assert out == "" and "alpha" in err
+
+
+_BIG = str(10**23)
+
+
+@pytest.mark.parametrize("argv", [
+    # a grid without end or with a NaN never returned, or returned one row or none
+    ["sweep", "--dist", "regular:b=3", "--r", "2", "--p-grid", "0:inf:0.5"],
+    ["sweep", "--dist", "regular:b=3", "--r", "2", "--b-grid", "3:inf:1"],
+    ["sweep", "--dist", "regular:b=3", "--r", "2", "--p-grid", "0:1:nan"],
+    ["sweep", "--dist", "regular:b=3", "--r", "2", "--p-grid", "nan:1:0.1"],
+    ["sweep", "--dist", "regular:b=3", "--r", "2", "--p-grid", "0:1e300:1e-300"],
+    # infinite b, a NaN probability, integers past 2^53
+    ["pc", "--dist", "poisson:b=inf", "--r", "2"],
+    ["pc", "--dist", "geometric:b=inf", "--r", "2"],
+    ["pc", "--dist", "pruned:r=2,b=inf", "--r", "2"],
+    ["pc", "--dist", "pmf:2=nan,3=1", "--r", "2"],
+    ["pc", "--dist", "regular:b=9223372036854775807", "--r", "2"],
+    ["pc", "--dist", f"twopoint:b=3,a={_BIG}", "--r", "2"],
+    ["pc", "--dist", f"pmf:{_BIG}=1", "--r", "2"],
+    # a heavy law summed below its own threshold has one atom per k in between
+    ["pc", "--dist", f"heavy:r={_BIG}", "--r", "2"],
+    ["pc", "--dist", "heavy:r=1000000000000", "--r", "2"],
+])
+def test_malformed_numbers_exit_with_one_error_line(capsys, argv):
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert code in (2, 3)
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_budget_env_variable_must_be_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("GWBOOT_BUDGET", "abc")
+    code, out, err = run_cli(
+        capsys, "simulate", "--dist", "regular:b=3", "--r", "2", "--p", "0.2",
+        "--n", "3", "--reps", "5", "--seed", "1",
+    )
+    assert code == 2
+    assert out == "" and err == "error: GWBOOT_BUDGET must be an integer; got 'abc'\n"
 
 
 def test_bounds_table(capsys):

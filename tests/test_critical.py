@@ -367,6 +367,19 @@ def test_q_limit_certifies_zero_on_pruned_law_fast():
     assert res.value == 0.0 and res.lower == 0.0 and res.upper == 0.0
 
 
+def test_q_limit_decides_the_side_of_a_tiny_pc_by_pc_exact():
+    # p_c ~ 3.8e-9 with err 1e-10: q_limit reads the side of p_c from pc_exact's
+    # p_c and err, so at p_c it claims nothing and 2 err away it takes a side
+    d = make_distribution("pruned:r=2,b=20")
+    crit = pc_exact(d, 2)
+    at = q_limit(d, 2, crit.pc)
+    assert not at.converged and at.lower == 0.0 and at.upper == at.value
+    above = q_limit(d, 2, crit.pc + 2 * crit.err)
+    assert above.converged and above.value == 0.0
+    below = q_limit(d, 2, crit.pc - 2 * crit.err)
+    assert below.converged and below.lower > 0.0
+
+
 def test_results_hold_python_floats():
     # two-point laws with a >= 2b - 1 peak at the grid end x = 0
     d = make_distribution("twopoint:b=4,a=9")
@@ -396,6 +409,17 @@ def test_pc_monotone_in_regular_degree():
             cur = pc_exact(make_distribution(f"regular:b={b}"), r).pc
             assert cur <= prev + 1e-12
             prev = cur
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_pc_of_pruned_laws_stays_between_the_papers_bounds_to_b_100(r):
+    # p_c e^{b/(r-1)} is flat in b (1.84, 1.44 and 1.37): p_c is never rounded to 0
+    for b in range(10, 101, 10):
+        if b < (r - 1) * math.log(4 * math.e * r):
+            continue  # r = 4, b = 10 lies below the law's validity threshold
+        pc = pc_exact(make_distribution(f"pruned:r={r},b={b}"), r).pc
+        assert gw.lb_branching_simplified(b, r) < pc < gw.ub_pruned(r, b)[0], (r, b)
+        assert 1.3 < pc * math.exp(b / (r - 1)) < 1.9, (r, b)
 
 
 def test_pc_upper_estimate_M_minus_1():

@@ -374,32 +374,52 @@ MAX_G_GOLDEN = [
 ]
 
 
+def _g_50(k, r, x):
+    return mpmath.fsum(comb(k, i) * x ** (k - i - 1) * (1 - x) ** i for i in range(r))
+
+
+def _deficiency_50(r, m, x):
+    """D_r(m, x) by the recursion of the kernels' docstring, term by term in mpmath."""
+    if x == 0:
+        return mpmath.mpf(0)
+    d = x ** (m - 1) / m
+    for s in range(2, r):
+        tail = mpmath.fsum(mpmath.binomial(m - 1, i) * (1 - x) ** i * x ** (m - 1 - i)
+                           for i in range(s - 1))
+        d = s * d / (s - 1) + (1 - x) / ((s - 1) * x) * tail
+    return d
+
+
 def _G_50(d, r):
     """G of a law of the golden rows as an mpmath function: the exact atoms of a
     finite law; for r = 2 on support >= 2, G(x) = (phi(x) + (1-x) phi'(x))/x with
-    phi the pgf, in closed form for the shifted laws; and 1 - x^(k1-1)/k1 (the
-    pruned body, by the deficiency identity) plus the two atoms of the pruned law,
-    whose alpha is rebuilt from 50-digit harmonic numbers.
+    phi the pgf, in closed form for the shifted laws; and, at the pruned law's own
+    r, 1 - D_r(k1, x) (its body, by the deficiency identity) plus its atoms at r
+    and 2r+1, whose alpha is rebuilt from harmonic numbers at 50 digits beyond
+    those of k1.
     """
     mp = mpmath.mpf
     family = d.spec.family
     if family in ("regular", "two_point"):
         atoms = [(k, mp(d.pmf(k).numerator) / d.pmf(k).denominator) for k in d.ks.tolist() if k >= r]
-        return lambda x: mpmath.fsum(p * mpmath.fsum(comb(k, i) * x ** (k - i - 1) * (1 - x) ** i for i in range(r))
-                                     for k, p in atoms)
+        return lambda x: mpmath.fsum(p * _g_50(k, r, x) for k, p in atoms)
+    if family == "pruned":
+        assert d.r == r
+        k1 = d.k1
+        with mpmath.workdps(mpmath.mp.dps + len(str(k1))):
+            b, H = mp(d.b), lambda n: mpmath.harmonic(n) - mpmath.harmonic(r - 2)
+            assert (r - 1) * H(d.k0 - 1) <= b < (r - 1) * H(d.k0)
+            A = mp(r - 1) / k1
+            alpha = (2 * r + 1 - (b - (r - 1) * H(k1 - 1)) / A) / (r + 1)
+        return lambda x: (1 - _deficiency_50(r, k1, x)
+                          + A * (alpha * _g_50(r, r, x) + (1 - alpha) * _g_50(2 * r + 1, r, x)))
     assert r == 2
     if family == "shifted_poisson":
         lam = mp(d.lam)
         return lambda x: mpmath.exp(lam * (x - 1)) * (x + (1 - x) * (2 + lam * x))
-    if family == "shifted_geometric":
-        rho = (mp(d.b) - 2) / (mp(d.b) - 1)
-        return lambda x: (1 - rho) / (1 - rho * x) * (x + (1 - x) * (2 + rho * x / (1 - rho * x)))
-    assert family == "pruned" and d.r == 2
-    b, k1 = mp(d.b), d.k1
-    assert mpmath.harmonic(d.k0 - 1) <= b < mpmath.harmonic(d.k0)
-    A = mp(1) / k1
-    alpha = (5 - (b - mpmath.harmonic(k1 - 1)) / A) / 3
-    return lambda x: 1 - x ** (k1 - 1) / k1 + A * (alpha * (2 - x) + (1 - alpha) * (5 * x**3 - 4 * x**4))
+    assert family == "shifted_geometric"
+    rho = (mp(d.b) - 2) / (mp(d.b) - 1)
+    return lambda x: (1 - rho) / (1 - rho * x) * (x + (1 - x) * (2 + rho * x / (1 - rho * x)))
 
 
 def _max_G_50(d, r):
@@ -425,6 +445,23 @@ def test_max_G_golden(spec, r, x_star, M):
     for got_x, got_M in ((res.x_star, res.M), (x_star, M)):
         assert abs(got_x - x_ref) <= 8.2e-9
         assert abs(got_M - M_ref) <= 1e-13
+
+
+# pruned laws where p_c runs from 4e-9 down to 5e-44: every bit of p_c comes from
+# G - 1, none from M = 1 + (G - 1), which would round p_c to a multiple of 2^-52
+PRUNED_PC_50 = ([(2, b) for b in (20, 25, 30, 34, 37)] + [(3, b) for b in (30, 60, 80, 100)]
+                + [(4, b) for b in (40, 70, 100)])
+
+
+@pytest.mark.parametrize("r, b", PRUNED_PC_50)
+def test_pc_exact_of_pruned_laws_matches_50_digit_maximum(r, b):
+    d = make_distribution(f"pruned:r={r},b={b}")
+    res = gw.pc_exact(d, r)
+    _, M_ref = _max_G_50(d, r)
+    with mpmath.workdps(50):
+        pc_ref = (M_ref - 1) / M_ref
+        assert pc_ref > 0
+        assert abs(res.pc - pc_ref) <= 1e-12 * pc_ref, (res.pc, pc_ref)
 
 
 def _grid_pieces(vals):
@@ -645,7 +682,7 @@ def test_G_minus_1_single_x_bitwise():
     rows = 0
     for spec, r in _criterion_8_laws() + ROW_EXTRA:
         ctx = make_context(make_distribution(spec), r)
-        if ctx.analytic or len(ctx.ks) < 2:
+        if ctx.defic_scale or len(ctx.ks) < 2:
             continue  # point masses and heavy or pruned laws take the scalar sum of _mixture
         rows += 1
         for x in xs:

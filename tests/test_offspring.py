@@ -122,6 +122,20 @@ def test_rejects_negative_probability():
         DistributionSpec(family="explicit_pmf", pmf=((2, -0.1), (3, 1.1)))
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(family="explicit_pmf", pmf=((2, math.nan), (3, 1.0))),  # every comparison with NaN is false
+    dict(family="shifted_poisson", b=math.inf),
+    dict(family="pruned", r=2, b=math.nan),
+    dict(family="regular", b=2.0**60),
+    dict(family="two_point", b=3.0, a=10**23),
+    dict(family="heavy_tail", r=10**23),
+    dict(family="explicit_pmf", pmf=((10**23, 1.0),)),
+])
+def test_rejects_non_finite_and_out_of_range_numbers(kwargs):
+    with pytest.raises(SpecError):
+        DistributionSpec(**kwargs)
+
+
 def test_rejects_two_point_a_below_b():
     with pytest.raises(SpecError):
         parse_spec("twopoint:b=9,a=4")

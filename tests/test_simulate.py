@@ -185,7 +185,7 @@ def _tree_alone(level_counts):
     sizes = [len(c) for c in level_counts]
     return SampledTree(counts=counts, child_start=child_start,
                        level_start=np.concatenate([[0], np.cumsum(sizes)]).tolist(),
-                       n=len(sizes) - 1, budget=0, truncated=False)
+                       truncated=False)
 
 
 def _split_forest(draws, roots, budget):
