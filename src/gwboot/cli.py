@@ -195,6 +195,7 @@ def _warn_budget(d: OffspringDistribution, n: int, budget: int) -> None:
 
 
 # the CSV columns of a Monte Carlo row; JSON and the table add ``truncated``
+# and ``stream_version``
 _MC_COLUMNS = ["spec", "r", "p", "n", "N", "seed", "qhat", "se", "q_exact", "z"]
 
 
@@ -213,7 +214,7 @@ def _mc_row(d: OffspringDistribution, r: int, p: float, n: int, reps: int, seed:
     z = (est.estimate - q_exact) / est.se if q_exact != "" and est.se > 0 else ""
     return {"spec": d.spec.label(), "r": r, "p": p, "n": n, "N": reps, "seed": seed,
             "qhat": est.estimate, "se": est.se, "q_exact": q_exact, "z": z,
-            "truncated": est.truncated}
+            "truncated": est.truncated, "stream_version": est.stream_version}
 
 
 def cmd_simulate(args) -> int:
@@ -272,8 +273,8 @@ def cmd_sweep(args) -> int:
                 ql = critical.q_limit(d, args.r, p)
                 row.update(qlimit=ql.value, converged=ql.converged)
                 if args.reps:
-                    row.update(_mc_row(d, args.r, p, args.n, args.reps, seed, budget))
-                    del row["truncated"]  # sweep rows carry the CSV columns only
+                    mc = _mc_row(d, args.r, p, args.n, args.reps, seed, budget)
+                    row.update((k, mc[k]) for k in _MC_COLUMNS)  # sweep rows carry the CSV columns only
             except (SpecError, PreconditionError) as exc:
                 row["status"] = f"error: {exc}"
             rows.append(row)

@@ -41,7 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from .offspring import HeavyTail, OffspringDistribution, PreconditionError
+from .offspring import ENUM_CAP, HeavyTail, OffspringDistribution, PreconditionError
 
 __all__ = [
     "g",
@@ -58,7 +58,6 @@ __all__ = [
 ]
 
 _EXACT_COMB_MAX_K = 500
-_ENUM_CAP = 2_000_000
 
 DEFAULT_TAIL_TARGET = 1e-13
 GRID_STEP = 1e-3
@@ -214,12 +213,12 @@ def _analytic_mixture(d, r: int, m: int) -> tuple[dict, float, float]:
     (s-1)/(r-1) times heavy_tail(r) truncated at m, whose mixture is
     1 - D_r(m, x), less the atoms r <= k < s that heavy_tail(r) has and the
     law has not, plus the law's own ``atoms`` (the pruned law's two).  Like
-    an enumerated support, those atoms may number at most ``_ENUM_CAP``.
+    an enumerated support, those atoms may number at most ``ENUM_CAP``.
     """
     s = d.r
-    if min(s, m + 1) - r > _ENUM_CAP:
+    if min(s, m + 1) - r > ENUM_CAP:
         raise PreconditionError(
-            f"a law of threshold {s} at r = {r} needs more than {_ENUM_CAP} atoms; infeasible"
+            f"a law of threshold {s} at r = {r} needs more than {ENUM_CAP} atoms; infeasible"
         )
     scale = (s - 1) / (r - 1) if m >= r else 0.0
     atoms = {k: -(s - 1) / (k * (k - 1)) for k in range(r, min(s, m + 1))}
@@ -250,13 +249,15 @@ def make_context(
         ks = np.array(sorted(atoms), dtype=np.int64)
         w = np.array([atoms[k] for k in sorted(atoms)], dtype=float)
     else:
-        if cutoff > _ENUM_CAP:
+        if dist.support_max is None and cutoff > ENUM_CAP:  # one atom per k up to the cutoff
             raise PreconditionError(
                 f"support enumeration to {cutoff} is infeasible; no analytic path for this family"
             )
         ks_all, w_all = dist.support_probs(upto=cutoff)
         mask = ks_all >= r
         ks, w, offset, scale = ks_all[mask], w_all[mask], -1.0, 0.0
+        if len(ks) > ENUM_CAP:
+            raise PreconditionError(f"a support of {len(ks)} atoms at k >= {r} is infeasible")
     # log C(k, i) = sum_{j<i} log(k-j) - log i!, a sum of i logs rather than a
     # difference of log-factorials near log k!
     log_binom = np.zeros((r, len(ks)))

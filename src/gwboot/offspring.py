@@ -73,6 +73,9 @@ FAMILIES = (
 )
 
 _PMF_MASS_TOL = 1e-12
+# the most atoms a support may enumerate: a finite law's atoms at or above
+# the threshold, or an infinite law's atoms up to its truncation cutoff
+ENUM_CAP = 2_000_000
 # integer parameters (regular b, two-point a, r, pmf support points) stop at
 # 2^53, below which a double holds every integer and int64 holds them with room
 _INT_PARAM_MAX = 2**53
@@ -562,6 +565,12 @@ class ShiftedPoisson(_LightTail):
 
     def truncation_cutoff(self, tail_target):
         k = int(self.lam + 10 * math.sqrt(self.lam + 1) + 20) + 2
+        if k > ENUM_CAP:
+            # tail(k) would sum O(sqrt(lam)) ratio terms for a support that
+            # no caller can enumerate
+            raise PreconditionError(
+                f"{self.label()} needs more than {ENUM_CAP} atoms to truncate; infeasible"
+            )
         while self.tail(k) > tail_target:
             k = int(1.5 * k) + 10
         return k
@@ -598,19 +607,20 @@ class ShiftedGeometric(_LightTail):
     def __init__(self, spec: DistributionSpec):
         self.spec = spec
         self.b = float(spec.b)
-        self.rho = (self.b - 2.0) / (self.b - 1.0)
+        # log((b-2)/(b-1)), which stays below 0 where the ratio rounds to 1
+        self.log_rho = math.log1p(-1.0 / (self.b - 1.0))
         self.support_min = 2
         self.support_max = None
 
     def pmf(self, k):
         if k < 2:
             return 0.0
-        return (1.0 / (self.b - 1.0)) * self.rho ** (k - 2)
+        return math.exp((k - 2) * self.log_rho) / (self.b - 1.0)
 
     def tail(self, m):
         if m < 1:
             return 1.0
-        return self.rho ** (m - 1)
+        return math.exp((m - 1) * self.log_rho)
 
     def mean(self):
         return self.b
@@ -619,7 +629,7 @@ class ShiftedGeometric(_LightTail):
         return 2.0 * (self.b - 1.0) ** 2
 
     def truncation_cutoff(self, tail_target):
-        k = 2 + int(math.log(tail_target) / math.log(self.rho)) + 2
+        k = 2 + int(math.log(tail_target) / self.log_rho) + 2
         while self.tail(k) > tail_target:
             k += 10
         return k
@@ -627,7 +637,7 @@ class ShiftedGeometric(_LightTail):
     def support_probs(self, upto=None):
         K = upto if upto is not None else self.truncation_cutoff(1e-13)
         ks = np.arange(2, K + 1)
-        return ks, (1.0 / (self.b - 1.0)) * self.rho ** (ks - 2)
+        return ks, np.exp((ks - 2) * self.log_rho) / (self.b - 1.0)
 
     def sample(self, rng, size):
         # numpy's geometric counts trials (>= 1); we want failures before success

@@ -15,17 +15,25 @@ initially healthy blocking sets, so the two must agree on the root.
 
 Monte Carlo replicates are simulated in blocks of B trees grown together as
 one forest: one draw of child counts per level for the whole block, then
-one uniform per vertex for the marks, then one bottom-up fort pass.  B is a
-function of the law's mean, the depth n and the node budget only
-(``block_size``).  Block j draws from the counter-based Philox stream keyed
-by (master seed, block index j); the estimate is an order-insensitive
+the marks of all its vertices (``_draw_marks``), then one bottom-up fort
+pass.  B is a function of the law's mean, the depth n and the node budget
+only (``block_size``).  Block j draws from the counter-based Philox stream
+keyed by (master seed, block index j); the estimate is an order-insensitive
 integer sum, so the result is bit-identical however blocks are scheduled.
 The last block holds the remainder, so a run with fewer replicates is not
-a prefix of a longer one.  ``STREAM_VERSION`` names this layout.
+a prefix of a longer one.
+
+``STREAM_VERSION`` names the layout of a block's stream.  Version 3 is:
+the child counts level by level; then ceil(N/8) raw 64-bit words read as
+little-endian bytes, one byte U per vertex in breadth-first order (level
+by level, tree by tree within a level); then one uniform V per vertex with
+U = floor(256 p), in that order.  A vertex is marked iff U < floor(256 p),
+or U = floor(256 p) and V < 256 p - floor(256 p).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -50,13 +58,66 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 10_000_000
-STREAM_VERSION = 2  # blocks of block_size() trees, one Philox stream per block
+STREAM_VERSION = 3  # one byte per vertex for the marks, a uniform per tie
 BLOCK_VERTICES = 1 << 16  # expected vertices per Monte Carlo block
+_LITTLE_U64 = np.dtype("<u8")
+
+
+@functools.cache
+def _philox_key_type() -> type:
+    """A seed sequence that hands a 128-bit Philox key to the bit generator as it is.
+
+    ``Philox(key=...)`` seeds a ``SeedSequence`` from OS entropy before it
+    discards it for the key; a seed sequence that returns the key costs
+    none of that and gives the same state.  Made on first use, so that
+    importing gwboot does not load ``numpy.random``.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class PhiloxKey(ISeedSequence):
+        __slots__ = ("words",)
+
+        def __init__(self, key: int):
+            self.words = np.array([key & 0xFFFF_FFFF_FFFF_FFFF, key >> 64], dtype=np.uint64)
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return PhiloxKey
 
 
 def replicate_rng(seed: int, index: int) -> np.random.Generator:
-    """Philox stream for one block: key = master seed, counter = block index."""
-    return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, index]))
+    """Philox stream for one block: key = master seed, counter = block index.
+
+    The same stream as ``Philox(key=seed, counter=[0, 0, 0, index])``.
+    """
+    seed = int(seed)
+    if not 0 <= seed < 1 << 128:
+        raise PreconditionError("seed must lie in [0, 2^128)")
+    key = _philox_key_type()(seed)
+    return np.random.Generator(np.random.Philox(key, counter=[0, 0, 0, index]))
+
+
+def _draw_marks(rng: np.random.Generator, size: int, p: float) -> np.ndarray:
+    """``size`` i.i.d. Bernoulli(p) marks from one byte per mark.
+
+    Draws ceil(size/8) raw words, read as little-endian bytes U; with
+    t = floor(256 p), mark i is U_i < t, and each tie U_i = t draws a
+    uniform V, marked iff V < 256 p - t.  Both 256 p and 256 p - t are
+    exact, so P(mark) is p rounded up to a multiple of 2^-61.
+    """
+    words = rng.bit_generator.random_raw((size + 7) >> 3)
+    u = np.frombuffer(words.astype(_LITTLE_U64, copy=False), dtype=np.uint8, count=size)
+    scaled = 256.0 * p
+    t = int(scaled)
+    if t == 256:  # p = 1: every byte is below 256, which a uint8 cannot hold
+        return np.ones(size, dtype=bool)
+    t8 = np.uint8(t)
+    marks = u < t8
+    tied = (u == t8).nonzero()[0]
+    if len(tied):
+        marks[tied] = rng.random(len(tied)) < scaled - t
+    return marks
 
 
 def expected_tree_size(d: OffspringDistribution, n: int) -> float:
@@ -187,7 +248,7 @@ def sample_tree(
     if budget < 1:
         raise PreconditionError("budget must be >= 1")
     if rng is None:
-        rng = np.random.Generator(np.random.Philox(key=0 if seed is None else seed))
+        rng = replicate_rng(0 if seed is None else seed, 0)
     return _grow_tree(d, rng, n, budget)
 
 
@@ -213,10 +274,15 @@ def _grow_tree(d, rng: Optional[np.random.Generator], n: int, budget: int) -> Sa
 
 
 def sample_marks(tree: SampledTree, p: float, rng: np.random.Generator) -> np.ndarray:
-    """I.i.d. Bernoulli(p) initial-infection marks, one per vertex."""
+    """I.i.d. Bernoulli(p) initial-infection marks, one per vertex.
+
+    Drawn as a Monte Carlo block draws them (stream version 3): one byte of
+    ceil(N/8) raw words per vertex in breadth-first order, then one uniform
+    per vertex whose byte equals floor(256 p); see ``_draw_marks``.
+    """
     if not 0.0 <= p <= 1.0:
         raise PreconditionError("p must lie in [0, 1]")
-    return rng.random(tree.n_vertices) < p
+    return _draw_marks(rng, tree.n_vertices, p)
 
 
 def run_bootstrap(tree: SampledTree, marks: np.ndarray, r: int) -> np.ndarray:
@@ -291,12 +357,12 @@ def _simulate_block(d: OffspringDistribution, r: int, p: float, n: int, budget: 
     """Root-survival and budget-drop flags of ``roots`` replicates.
 
     Stream order is fixed: child counts level by level for the whole
-    forest, then one uniform per vertex in breadth-first order.  A dropped
-    replicate's survival flag is False.
+    forest, then the marks of every vertex in breadth-first order, drawn by
+    ``_draw_marks``.  A dropped replicate's survival flag is False.
     """
     offsets, dropped = _grow(d, rng, n, budget, roots)
     total = roots + sum(int(off[-1]) for off in offsets)
-    safe = _fort_pass(offsets, rng.random(total) < p, r)
+    safe = _fort_pass(offsets, _draw_marks(rng, total, p), r)
     return safe & ~dropped, dropped
 
 

@@ -109,6 +109,25 @@ def test_malformed_numbers_exit_with_one_error_line(capsys, argv):
     assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("spec", ["geometric:b=1e17", "poisson:b=1e17"])
+def test_shifted_laws_too_wide_to_enumerate_fail_fast(capsys, spec):
+    # (b-2)/(b-1) rounds to 1 and the Poisson tail sums O(sqrt(b)) terms:
+    # these raised a ZeroDivisionError and never returned
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "pc", "--dist", spec, "--r", "2")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 3
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**128)])
+def test_simulate_seed_outside_the_philox_key_range(capsys, seed):
+    code, out, err = run_cli(capsys, "simulate", "--dist", "regular:b=3", "--r", "2", "--p", "0.2",
+                             "--n", "3", "--reps", "5", "--seed", seed)
+    assert code == 3
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_budget_env_variable_must_be_an_integer(capsys, monkeypatch):
     monkeypatch.setenv("GWBOOT_BUDGET", "abc")
     code, out, err = run_cli(
@@ -362,7 +381,7 @@ def test_budget_warning(capsys):
 
 
 # the documented CSV columns; JSON and table carry the same keys, and
-# simulate's JSON and table add ``truncated``
+# simulate's JSON and table add ``truncated`` and ``stream_version``
 _PC_KEYS = ["spec", "r", "pc", "x_star", "M", "method", "err"]
 _BOUND_KEYS = ["spec", "r", "name", "kind", "value", "raw", "valid", "note"]
 _MC_KEYS = ["spec", "r", "p", "n", "N", "seed", "qhat", "se", "q_exact", "z"]
@@ -432,9 +451,10 @@ def test_formats_carry_the_same_values(capsys, argv):
             assert [name, kind, valid] == [e["name"], e["kind"], str(e["valid"]).lower()]
             assert _carries(value, e["value"]) and " ".join(note) == e["note"]
     elif cmd == "simulate":
-        assert sorted(payload) == sorted(_MC_KEYS + ["truncated"])
+        assert sorted(payload) == sorted(_MC_KEYS + ["truncated", "stream_version"])
+        assert payload["stream_version"] == gwboot.simulate.STREAM_VERSION == 3
         _check_csv(out["csv"], [payload], _MC_KEYS)
-        _check_key_lines(out["table"], payload, _MC_KEYS + ["truncated"])
+        _check_key_lines(out["table"], payload, _MC_KEYS + ["truncated", "stream_version"])
     else:
         keys = (_MC_KEYS + ["qlimit", "converged", "status"] if "--p-grid" in argv else
                 ["spec", "r", "b", "pc", "x_star", "M", "err", "pc_times_2b2", "method", "status"])

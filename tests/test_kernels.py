@@ -403,6 +403,9 @@ def _G_50(d, r):
     if family in ("regular", "two_point"):
         atoms = [(k, mp(d.pmf(k).numerator) / d.pmf(k).denominator) for k in d.ks.tolist() if k >= r]
         return lambda x: mpmath.fsum(p * _g_50(k, r, x) for k, p in atoms)
+    if family == "explicit_pmf":  # the weights as the law holds them
+        atoms = [(k, mp(p)) for k, p in zip(d.ks.tolist(), d.probs.tolist()) if k >= r]
+        return lambda x: mpmath.fsum(p * _g_50(k, r, x) for k, p in atoms)
     if family == "pruned":
         assert d.r == r
         k1 = d.k1
@@ -462,6 +465,24 @@ def test_pc_exact_of_pruned_laws_matches_50_digit_maximum(r, b):
         pc_ref = (M_ref - 1) / M_ref
         assert pc_ref > 0
         assert abs(res.pc - pc_ref) <= 1e-12 * pc_ref, (res.pc, pc_ref)
+
+
+def test_pc_exact_of_a_law_with_a_far_atom_matches_50_digit_maximum():
+    # two atoms, the larger beyond what was once a cap on the largest atom
+    d = make_distribution("pmf:3=0.9,3000000=0.1")
+    res = gw.pc_exact(d, 2)
+    _, M_ref = _max_G_50(d, 2)
+    with mpmath.workdps(50):
+        assert abs(res.pc - (M_ref - 1) / M_ref) <= res.err
+
+
+def test_make_context_caps_the_number_of_atoms(monkeypatch):
+    monkeypatch.setattr(kernels, "ENUM_CAP", 2)
+    assert len(make_context(make_distribution("pmf:1=0.5,2=0.25,3000000=0.25"), 2).ks) == 2
+    with pytest.raises(gw.PreconditionError):
+        make_context(make_distribution("pmf:2=0.5,3=0.25,4=0.25"), 2)
+    with pytest.raises(gw.PreconditionError):  # an infinite law: one atom per k up to the cutoff
+        make_context(make_distribution("geometric:b=3"), 2)
 
 
 def _grid_pieces(vals):

@@ -152,6 +152,16 @@ def test_shifted_families_require_b_above_2():
             parse_spec(f"{fam}:b=2")
 
 
+def test_geometric_tail_where_the_ratio_rounds_to_one():
+    # (b-2)/(b-1) is 1.0 in double at b = 1e17; its log is not 0
+    b = 1e17
+    d = make_distribution(f"geometric:b={b}")
+    assert d.tail(10**17 + 1) == pytest.approx(math.exp(-1e17 / (b - 1)), rel=1e-12)
+    assert d.pmf(10**17 + 2) == pytest.approx(math.exp(-1e17 / (b - 1)) / (b - 1), rel=1e-12)
+    k = d.truncation_cutoff(1e-13)
+    assert d.tail(k) <= 1e-13 and k < 31 * b
+
+
 # ---------------------------------------------------------------------------
 # parsing grammar
 

@@ -1,5 +1,7 @@
 """Tree sampling, bootstrap dynamics, and Monte Carlo estimation."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from gwboot.simulate import (
     run_bootstrap,
     sample_marks,
     sample_tree,
+    _draw_marks,
     _simulate_block,
 )
 
@@ -219,6 +222,21 @@ def _split_forest(draws, roots, budget):
     return trees, dropped
 
 
+def _replay_marks(stream, size, p):
+    """Marks of stream version 3, spelled out: ceil(size/8) raw 64-bit words,
+    each cut into bytes from the least significant up, one byte U per vertex;
+    with t = floor(256 p) a vertex is marked iff U < t, and each vertex with
+    U == t, in order, takes one uniform V and is marked iff V < 256 p - t."""
+    words = stream.bit_generator.random_raw(-(-size // 8))
+    u = [(int(w) >> (8 * i)) & 0xFF for w in words for i in range(8)][:size]
+    t = math.floor(256 * p)
+    marks = [b < t for b in u]
+    ties = [i for i, b in enumerate(u) if b == t]
+    for i, v in zip(ties, stream.random(len(ties))):
+        marks[i] = bool(v < 256 * p - t)
+    return np.array(marks, dtype=bool)
+
+
 @pytest.mark.parametrize("spec", MIXED)
 def test_forest_matches_per_tree_oracles(spec):
     # every tree of a block, taken out and built alone, must get the same
@@ -240,11 +258,11 @@ def test_forest_matches_per_tree_oracles(spec):
                 assert not safe.any()
                 continue
             # replay the block's stream: child counts level by level, then
-            # one uniform per vertex, level by level and tree by tree
+            # the marks of every vertex, level by level and tree by tree
             replay = replicate_rng(seed, 3)
             for raw in law.draws:
                 assert np.array_equal(d.sample(replay, len(raw)), raw)
-            marks = replay.random(sum(len(c) for tree in trees for c in tree)) < p
+            marks = _replay_marks(replay, sum(len(c) for tree in trees for c in tree), p)
             pos = 0
             own = [[] for _ in range(roots)]
             for i in range(n + 1):
@@ -263,14 +281,58 @@ def test_forest_matches_per_tree_oracles(spec):
                 assert bool(safe[t]) == (not closure[0])
 
 
-GOLDEN_SAFE = 668  # surviving roots of the seeded call below, stream version 2
+@pytest.mark.parametrize("p", [0.0, 1.0, 0.5, 0.1072, 27 / 256, np.nextafter(27 / 256, 0),
+                               np.nextafter(0.0, 1), np.nextafter(1.0, 0)])
+def test_sample_marks_follows_the_spelled_out_stream(p):
+    # same marks and same draws consumed as the stream version 3 layout
+    tree = sample_tree(make_distribution("geometric:b=3"), 5, seed=8)
+    assert tree.n_vertices % 8  # a part word at the end
+    for j in range(4):
+        rng, replay = replicate_rng(31, j), replicate_rng(31, j)
+        assert np.array_equal(sample_marks(tree, float(p), rng),
+                              _replay_marks(replay, tree.n_vertices, p))
+        assert np.array_equal(rng.bit_generator.random_raw(3), replay.bit_generator.random_raw(3))
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0, 1 / 256, np.nextafter(1 / 256, 0), 27 / 256,
+                               np.nextafter(27 / 256, 0), np.nextafter(27 / 256, 1), 0.5, 0.1072,
+                               np.nextafter(1.0, 0)])
+def test_mark_frequency_is_p(p):
+    # 2^24 marks: t/256 - 1 ulp is marked 1/256 more often through ties than
+    # its byte threshold alone gives, about 40 standard errors
+    p = float(p)
+    size = 1 << 24
+    hits = int(np.count_nonzero(_draw_marks(replicate_rng(2026, 1), size, p)))
+    if p in (0.0, 1.0):
+        assert hits == p * size
+        return
+    z = (hits - p * size) / math.sqrt(size * p * (1.0 - p))
+    assert abs(z) <= 4.0, (p, hits, z)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2024, 2**62 + 7, 2**63, 2**64 - 1, 2**64 + 3, 2**128 - 1])
+def test_replicate_rng_is_philox_keyed_by_seed_and_block(seed):
+    for j in (0, 1, 3, 2**40):
+        want = np.random.Philox(key=seed, counter=[0, 0, 0, j]).random_raw(9)
+        assert np.array_equal(replicate_rng(seed, j).bit_generator.random_raw(9), want)
+        assert np.array_equal(replicate_rng(np.uint64(seed % 2**64), j).bit_generator.random_raw(9),
+                              np.random.Philox(key=seed % 2**64, counter=[0, 0, 0, j]).random_raw(9))
+
+
+def test_replicate_rng_rejects_seeds_outside_the_key_range():
+    for seed in (-1, 2**128):
+        with pytest.raises(PreconditionError):
+            replicate_rng(seed, 0)
+
+
+GOLDEN_SAFE = 685  # surviving roots of the seeded call below, stream version 3
 
 
 def test_estimate_qn_stream_golden():
     # pins the stream layout: a change to how replicates draw from their
     # streams must fail here until STREAM_VERSION is bumped
     d = make_distribution("geometric:b=3")
-    assert STREAM_VERSION == 2
+    assert STREAM_VERSION == 3
     assert block_size(d, 4, 10**7) == 541
     est = estimate_qn(d, 2, 0.15, 4, 1000, seed=2024)
     assert est.stream_version == STREAM_VERSION
