@@ -267,8 +267,8 @@ class _LimitSearch:
     def __init__(self, ctx: GEvalContext, p: float, tol: float):
         self.ctx, self.p, self.tol = ctx, p, tol
         self.evals = 0
-        # |terms| summed for G(x): the offset and every weight times g_k^r <= r
-        self.terms = abs(1.0 + ctx.offset) + ctx.r * float(np.abs(ctx.weights).sum())
+        # |terms| summed for G(x): defic_scale and every weight times g_k^r <= r
+        self.terms = ctx.defic_scale + ctx.r * float(np.abs(ctx.weights).sum())
 
     def f(self, x: float) -> float:
         """h(x) - x, counted as one evaluation."""

@@ -41,7 +41,8 @@ from typing import Callable
 
 import numpy as np
 
-from .offspring import ENUM_CAP, HeavyTail, OffspringDistribution, PreconditionError
+from .offspring import (DEFAULT_TAIL_TARGET, ENUM_CAP, HeavyTail, OffspringDistribution, PreconditionError,
+                        too_many_atoms)
 
 __all__ = [
     "g",
@@ -59,7 +60,6 @@ __all__ = [
 
 _EXACT_COMB_MAX_K = 500
 
-DEFAULT_TAIL_TARGET = 1e-13
 GRID_STEP = 1e-3
 BRACKET_WIDTH = 1e-12
 _X_REL = 1e-9  # max_G refines to this fraction of the distance to the nearer end
@@ -175,12 +175,13 @@ class GEvalContext:
 
     Every family is held in one form,
 
-        G(x) - 1 = offset + sum_j weights_j g_{ks_j}^r(x) - defic_scale D_r(cutoff, x),
+        G(x) = defic_scale + sum_j weights_j g_{ks_j}^r(x) - defic_scale D_r(cutoff, x),
 
     with ``log_binom[i, j] = log C(ks_j, i)`` and ``powers[i, j] = ks_j - i - 1``
     tabulated once for i < r.  Enumerable laws put their support >= r in
-    ``ks`` (offset -1, no deficiency); the heavy and pruned laws keep only
-    their few atoms there and sum the rest through the deficiency D_r.
+    ``ks`` (defic_scale 0: no constant, no deficiency); the heavy and pruned
+    laws keep only their few atoms there and sum the rest through the
+    deficiency D_r.  G - 1 starts from ``defic_scale - 1.0``.
 
     ``eps_G`` bounds |G_true - G_computed| from the truncation of an
     infinite support: the tail mass times g_r^r <= r.  Exact (0) for finite
@@ -201,13 +202,12 @@ class GEvalContext:
     log_binom: np.ndarray
     powers: np.ndarray
     max_power: float  # the largest k - 1 in ``powers``
-    offset: float
     defic_scale: float
     atoms: tuple  # (k, weight) pairs of ks and weights as Python numbers
 
 
-def _analytic_mixture(d, r: int, m: int) -> tuple[dict, float, float]:
-    """(atoms, offset, defic_scale) of a heavy or pruned law at threshold r.
+def _analytic_mixture(d, r: int, m: int) -> tuple[dict, float]:
+    """(atoms, defic_scale) of a heavy or pruned law at threshold r.
 
     With s = d.r, the law's body (s-1)/(k(k-1)) on max(r, s) <= k <= m is
     (s-1)/(r-1) times heavy_tail(r) truncated at m, whose mixture is
@@ -217,15 +217,13 @@ def _analytic_mixture(d, r: int, m: int) -> tuple[dict, float, float]:
     """
     s = d.r
     if min(s, m + 1) - r > ENUM_CAP:
-        raise PreconditionError(
-            f"a law of threshold {s} at r = {r} needs more than {ENUM_CAP} atoms; infeasible"
-        )
+        raise too_many_atoms(f"a law of threshold {s} at r = {r}")
     scale = (s - 1) / (r - 1) if m >= r else 0.0
     atoms = {k: -(s - 1) / (k * (k - 1)) for k in range(r, min(s, m + 1))}
     for k, w in d.atoms:
         if k >= r:
             atoms[k] = atoms.get(k, 0.0) + w
-    return atoms, scale - 1.0, scale
+    return atoms, scale
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -245,19 +243,17 @@ def make_context(
     cutoff = int(dist.truncation_cutoff(tail_target))
     eps = r * dist.tail(cutoff) if dist.support_max is None else 0.0
     if isinstance(dist, HeavyTail):
-        atoms, offset, scale = _analytic_mixture(dist, r, cutoff)
+        atoms, scale = _analytic_mixture(dist, r, cutoff)
         ks = np.array(sorted(atoms), dtype=np.int64)
         w = np.array([atoms[k] for k in sorted(atoms)], dtype=float)
     else:
         if dist.support_max is None and cutoff > ENUM_CAP:  # one atom per k up to the cutoff
-            raise PreconditionError(
-                f"support enumeration to {cutoff} is infeasible; no analytic path for this family"
-            )
+            raise too_many_atoms(f"{dist.label()} truncated at tail {tail_target:g}")
         ks_all, w_all = dist.support_probs(upto=cutoff)
         mask = ks_all >= r
-        ks, w, offset, scale = ks_all[mask], w_all[mask], -1.0, 0.0
+        ks, w, scale = ks_all[mask], w_all[mask], 0.0
         if len(ks) > ENUM_CAP:
-            raise PreconditionError(f"a support of {len(ks)} atoms at k >= {r} is infeasible")
+            raise too_many_atoms(f"{dist.label()} at k >= {r}")
     # log C(k, i) = sum_{j<i} log(k-j) - log i!, a sum of i logs rather than a
     # difference of log-factorials near log k!
     log_binom = np.zeros((r, len(ks)))
@@ -270,7 +266,7 @@ def make_context(
         prob_below=float(dist.prob_below(r)),
         ks=_frozen(ks), weights=_frozen(w), log_binom=_frozen(log_binom),
         powers=_frozen(powers), max_power=float(ks.max(initial=1) - 1),
-        offset=offset, defic_scale=scale,
+        defic_scale=scale,
         atoms=tuple(zip(ks.tolist(), w.tolist())),
     )
 
@@ -313,7 +309,7 @@ def _G_block(ctx: GEvalContext, xs: np.ndarray, lx: np.ndarray, l1x: np.ndarray)
     # the limits of g: r at x = 0 when k = r (0 otherwise), 1 at x = 1
     ends = (xs == 0.0) | (xs == 1.0)
     gk[ends] = np.where(xs[ends, None] == 0.0, np.where(ctx.ks == ctx.r, float(ctx.r), 0.0), 1.0)
-    out = gk @ ctx.weights + ctx.offset
+    out = gk @ ctx.weights + (ctx.defic_scale - 1.0)
     if ctx.defic_scale:
         out -= ctx.defic_scale * _deficiency(ctx.r, ctx.cutoff, xs, lx, l1x)
     return out
@@ -331,7 +327,7 @@ def _G_row(ctx: GEvalContext, x: float) -> np.float64:
     """sum_j weights_j g_{ks_j}^r(x) at one interior x, from the (r, k) tables at once.
 
     Every element sees the operations of ``_G_block`` in the same order, so
-    ``_G_row(ctx, x) + ctx.offset`` is bit-identical to a one-row block.
+    ``_G_row(ctx, x) + (ctx.defic_scale - 1.0)`` is bit-identical to a one-row block.
     """
     lx, l1x = math.log(x), math.log1p(-x)
     lg = ctx.powers * lx
@@ -371,13 +367,13 @@ def G_minus_1(ctx: GEvalContext, x: float | np.ndarray) -> float | np.ndarray:
     """G(x) - 1 at a float or a 1-D array of x, without cancellation on the analytic path.
 
     Arrays are evaluated in blocks of about 2^16 (x, k) elements by
-    ``_G_block``; a single x is ``_mixture`` from base ``ctx.offset``.
+    ``_G_block``; a single x is ``_mixture`` from base ``defic_scale - 1.0``.
     """
     if not isinstance(x, (np.ndarray, list, tuple)):
         x = float(x)
         if not 0.0 <= x <= 1.0:
             raise PreconditionError("x must lie in [0, 1]")
-        return _mixture(ctx, x, ctx.offset)
+        return _mixture(ctx, x, ctx.defic_scale - 1.0)
     xs = np.asarray(x, dtype=float)
     if xs.ndim > 1 or not ((xs >= 0.0) & (xs <= 1.0)).all():  # NaN fails both
         raise PreconditionError("x must lie in [0, 1]")
@@ -413,7 +409,7 @@ def G_upper(ctx: GEvalContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         out[rows] = _g_sum(ctx, lb[rows], l1a[rows], mask=False) @ w
     k = ctx.max_power + 2.0
     rel = 2.0**-36 + 2.0**-51 * math.lgamma(k + 1.0)
-    return (out + (1.0 + ctx.offset)) * (1.0 + rel) + ctx.eps_G
+    return (out + ctx.defic_scale) * (1.0 + rel) + ctx.eps_G
 
 
 def G(ctx: GEvalContext, x: float | np.ndarray) -> float | np.ndarray:
@@ -428,7 +424,7 @@ def h(ctx: GEvalContext, p: float, x: float) -> float:
     with fewer than r children in its subtree can never be infected from
     below.  The rest is x G(x), read from the context's tables; p and x are
     checked here and nowhere below, so a step of the recursion costs one G.
-    G is 1 + offset plus ``_mixture`` from base 0; 1 + offset is exactly 0
+    G is defic_scale plus ``_mixture`` from base 0; defic_scale is exactly 0
     for an enumerable law, so G is never formed as 1 + (G - 1), which would
     cancel where G is small (x near 0 at r >= 3).  A heavy or pruned law at
     a threshold below its own keeps G only to a few 1e-16 absolute, which
@@ -438,7 +434,7 @@ def h(ctx: GEvalContext, p: float, x: float) -> float:
         raise PreconditionError("p must lie in [0, 1]")
     if not 0.0 <= x <= 1.0:
         raise PreconditionError("x must lie in [0, 1]")
-    xg = x * ((1.0 + ctx.offset) + _mixture(ctx, x, 0.0))
+    xg = x * (ctx.defic_scale + _mixture(ctx, x, 0.0))
     return (1.0 - p) * (ctx.prob_below + (0.0 if xg < 0.0 else xg))
 
 

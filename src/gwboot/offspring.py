@@ -25,6 +25,10 @@ from ``tail``; the heavy and pruned bodies sum their first 2000 terms and
 take the rest in closed form (Euler-Maclaurin sums of powers, and summation
 by parts for harmonic numbers), which is infinite where the series diverges.
 
+The shifted Poisson law reads its tail, P(xi < r), cutoff and atoms from one
+table of P(X = j), j <= J = floor(lam + 15 sqrt(lam)) + 100, divided by its
+own sum; by Bernstein's bound less than e^-112 of mass lies past J.
+
 The heavy and pruned laws are one body: ``HeavyTail`` is the pmf
 (r-1)/(k(k-1)) on r <= k <= ``top`` plus a tuple of (k, mass) ``atoms``,
 with no top and no atoms for the heavy law; ``Pruned`` sets top = k1 and
@@ -73,9 +77,11 @@ FAMILIES = (
 )
 
 _PMF_MASS_TOL = 1e-12
-# the most atoms a support may enumerate: a finite law's atoms at or above
-# the threshold, or an infinite law's atoms up to its truncation cutoff
+# the most atoms an enumeration may hold: a finite law's atoms at or above the
+# threshold, an infinite law's up to its truncation cutoff, a pmf table's entries
 ENUM_CAP = 2_000_000
+# the tail mass a truncated infinite support leaves unless a caller asks otherwise
+DEFAULT_TAIL_TARGET = 1e-13
 # integer parameters (regular b, two-point a, r, pmf support points) stop at
 # 2^53, below which a double holds every integer and int64 holds them with room
 _INT_PARAM_MAX = 2**53
@@ -87,6 +93,11 @@ class SpecError(ValueError):
 
 class PreconditionError(ValueError):
     """An operation was called outside its stated precondition."""
+
+
+def too_many_atoms(what: str) -> PreconditionError:
+    """The one refusal of an enumeration past ``ENUM_CAP`` atoms."""
+    return PreconditionError(f"{what} needs more than {ENUM_CAP} atoms; infeasible")
 
 
 # ---------------------------------------------------------------------------
@@ -480,9 +491,13 @@ class _LightTail(OffspringDistribution):
     Summing the pmf up to K therefore leaves at most
     E(xi^2; xi > K) = K^2 tail(K) + sum_{j>=K} (2j+1) tail(j)
                    <= tail(K) (K^2 + (2K+1)/(1-q) + 2q/(1-q)^2),  q = q(K).
+    The sum runs past the default cutoff and is not capped; it refuses only the
+    laws ``make_context`` refuses, with more than ``ENUM_CAP`` atoms at that cutoff.
     """
 
     def _expect(self, f, tail) -> float:
+        if self.truncation_cutoff(DEFAULT_TAIL_TARGET) > ENUM_CAP:
+            raise too_many_atoms(f"{self.label()} truncated at tail {DEFAULT_TAIL_TARGET:g}")
         K = self.truncation_cutoff(_LIGHT_TAIL_START)
         while True:
             ks, probs = self.support_probs(upto=K)
@@ -497,7 +512,18 @@ class _LightTail(OffspringDistribution):
 
 
 class ShiftedPoisson(_LightTail):
-    """2 + Poisson(b-2)."""
+    """2 + Poisson(b-2): ``tail``, ``prob_below``, ``truncation_cutoff`` and
+    ``support_probs`` read one table of P(X = j), X ~ Poisson(lam), j = 0..J.
+
+    J = floor(lam + 15 sqrt(lam)) + 100: by Bernstein's bound
+    P(X >= lam + t) <= exp(-t^2/(2(lam + t/3))) at t = 15 sqrt(lam) + 100, less
+    than e^-112 lies past J, which the table reads as 0.  From ``pmf`` at the
+    mode m = floor(lam), the ratios lam/j above m and j/lam below it fill the
+    table, which is divided by its own sum so that the anchor's rounding
+    cancels.  P(X <= j) and P(X >= j) are each summed from their small end; a
+    start at j = 0 keeps a tiny P(xi < r) precise.  A table of more than
+    ``ENUM_CAP`` entries is refused before it is built.
+    """
 
     def __init__(self, spec: DistributionSpec):
         self.spec = spec
@@ -505,7 +531,6 @@ class ShiftedPoisson(_LightTail):
         self.lam = self.b - 2.0
         self.support_min = 2
         self.support_max = None
-        self._cdf_memo: dict[int, tuple[float, float]] = {}
 
     def pmf(self, k):
         if k < 2:
@@ -513,49 +538,40 @@ class ShiftedPoisson(_LightTail):
         j = k - 2
         return math.exp(-self.lam + j * math.log(self.lam) - math.lgamma(j + 1)) if self.lam > 0 else (1.0 if j == 0 else 0.0)
 
-    def _cdf(self, n: int) -> tuple[float, float]:
-        """(P(X <= n), P(X > n)) for X ~ Poisson(lam) and n >= 0.
-
-        The side whose terms fall away from n is summed from its pmf at the
-        edge by the ratio of successive terms: lam/j upwards when n+1 > lam,
-        j/lam downwards otherwise.  With q the first ratio, every later one is
-        smaller, so a term t leaves at most t q/(1-q) after it; the sum stops
-        once that is below 2^-53 of the sum.  The other side is 1 minus it.
-        Results are kept per n: the moment sums ask for the same few tails.
-        """
-        if n in self._cdf_memo:
-            return self._cdf_memo[n]
+    @functools.cached_property
+    def _table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only (P(X = j), P(X <= j), P(X >= j)) for j = 0..J, built on first use."""
         lam = self.lam
-        if n + 1 > lam:
-            q = lam / (n + 2)
-            stop = 2.0**-53 * (1.0 - q) / q
-            j = n + 1
-            t = s = self.pmf(j + 2)
-            while t > stop * s:
-                j += 1
-                t *= lam / j
-                s += t
-            out = 1.0 - s, s
-        else:
-            q = n / lam
-            stop = 2.0**-53 * (1.0 - q)
-            j = n
-            t = s = self.pmf(j + 2)
-            while j > 0 and t * q > stop * s:
-                t *= j / lam
-                j -= 1
-                s += t
-            out = s, 1.0 - s
-        self._cdf_memo[n] = out
+        J = int(lam + 15.0 * math.sqrt(lam)) + 100
+        if J >= ENUM_CAP:
+            raise too_many_atoms(f"{self.label()}'s pmf table")
+        m = int(lam)
+        # p[j] = P(X=j)/P(X=j-1) above m and P(X=j)/P(X=j+1) below it, p[m] = P(X=m)
+        j = np.arange(J + 1.0)
+        p = np.empty(J + 1)
+        np.divide(lam, j[m + 1:], out=p[m + 1:])
+        np.divide(j[1:m + 1], lam, out=p[:m])
+        p[m] = self.pmf(m + 2)
+        np.multiply.accumulate(p[m:], out=p[m:])
+        np.multiply.accumulate(p[m::-1], out=p[m::-1])
+        p /= p.sum()
+        out = p, np.add.accumulate(p), np.add.accumulate(p[::-1])[::-1]
+        for a in out:
+            a.flags.writeable = False
         return out
 
     def tail(self, m):
         if m < 2:
             return 1.0
-        return self._cdf(m - 2)[1]
+        above = self._table[2]
+        # the running sums may end a few ulps above 1
+        return min(1.0, float(above[m - 1])) if m - 1 < len(above) else 0.0
 
     def prob_below(self, r):
-        return 0.0 if r <= 2 else self._cdf(r - 3)[0]
+        if r <= 2:
+            return 0.0
+        below = self._table[1]
+        return min(1.0, float(below[min(r - 3, len(below) - 1)]))
 
     def mean(self):
         return self.b
@@ -565,37 +581,15 @@ class ShiftedPoisson(_LightTail):
 
     def truncation_cutoff(self, tail_target):
         k = int(self.lam + 10 * math.sqrt(self.lam + 1) + 20) + 2
-        if k > ENUM_CAP:
-            # tail(k) would sum O(sqrt(lam)) ratio terms for a support that
-            # no caller can enumerate
-            raise PreconditionError(
-                f"{self.label()} needs more than {ENUM_CAP} atoms to truncate; infeasible"
-            )
         while self.tail(k) > tail_target:
             k = int(1.5 * k) + 10
         return k
 
     def support_probs(self, upto=None):
-        """The pmf from its value at the mode m, by the ratios lam/j above m and j/lam below.
-
-        Each entry carries the rounding of m log(lam) - lgamma(m+1) - lam plus
-        one ulp per ratio step.
-        """
-        K = upto if upto is not None else self.truncation_cutoff(1e-13)
-        ks = np.arange(2, K + 1)
-        if K < 2:
-            return ks, np.zeros(0)
-        lam = self.lam
-        m = min(int(lam), K - 2)
-        j = ks - 2.0
-        # f[j] = p_j/p_{j-1} above m and p_j/p_{j+1} below it, f[m] = p_m
-        f = np.empty(K - 1)
-        np.divide(lam, j[m + 1:], out=f[m + 1:])
-        np.divide(j[1:m + 1], lam, out=f[:m])
-        f[m] = self.pmf(m + 2)
-        np.multiply.accumulate(f[m:], out=f[m:])
-        np.multiply.accumulate(f[m::-1], out=f[m::-1])
-        return ks, f
+        """The table's atoms 2..upto, or 2..J+2 where upto lies past the table."""
+        K = upto if upto is not None else self.truncation_cutoff(DEFAULT_TAIL_TARGET)
+        probs = self._table[0][:max(K - 1, 0)]
+        return np.arange(2, len(probs) + 2), probs
 
     def sample(self, rng, size):
         return 2 + rng.poisson(self.lam, size).astype(np.int64)
@@ -635,7 +629,7 @@ class ShiftedGeometric(_LightTail):
         return k
 
     def support_probs(self, upto=None):
-        K = upto if upto is not None else self.truncation_cutoff(1e-13)
+        K = upto if upto is not None else self.truncation_cutoff(DEFAULT_TAIL_TARGET)
         ks = np.arange(2, K + 1)
         return ks, np.exp((ks - 2) * self.log_rho) / (self.b - 1.0)
 
@@ -697,9 +691,8 @@ class HeavyTail(OffspringDistribution):
         top = upto
         if self.top is not None:
             top = self.top if upto is None else min(self.top, upto)
-        if top is None or top > 5_000_000:
-            raise PreconditionError("a heavy-tail support cannot be enumerated beyond 5e6; "
-                                    "give a smaller cutoff or use the analytic path")
+        if top is None or top - self.r + 1 > ENUM_CAP:
+            raise too_many_atoms(f"{self.label()} up to k = {'infinity' if top is None else top}")
         ks = np.arange(self.r, top + 1)
         probs = (self.r - 1.0) / (ks * (ks - 1.0))
         for j, w in self.atoms:

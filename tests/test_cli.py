@@ -120,6 +120,17 @@ def test_shifted_laws_too_wide_to_enumerate_fail_fast(capsys, spec):
     assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("spec", ["geometric:b=1e17", "geometric:b=1e6", "poisson:b=1e17"])
+def test_bounds_on_laws_too_wide_to_enumerate_fail_fast(capsys, spec):
+    # the moment sums refuse the laws pc refuses; geometric:b=1e17 raised a
+    # numpy ValueError traceback and geometric:b=1e6 enumerated for over 10 s
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "bounds", "--dist", spec, "--r", "2")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 3
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2**128)])
 def test_simulate_seed_outside_the_philox_key_range(capsys, seed):
     code, out, err = run_cli(capsys, "simulate", "--dist", "regular:b=3", "--r", "2", "--p", "0.2",

@@ -108,6 +108,14 @@ def test_closed_form_keeps_relative_precision_as_pc_vanishes(family, b):
     assert res.M == pytest.approx(1 / (1 - ref), rel=1e-15, abs=0)
 
 
+def test_pc_exact_poisson_b1e4_matches_closed_form():
+    # the enumerated pmf summed to 1 - 5.8e-12 and p_c read 1.15e-3 relative low
+    res = pc_exact(make_distribution("poisson:b=1e4"), 2)
+    closed = pc_closed_form(parse_spec("poisson:b=1e4"), 2)
+    assert res.method == "maximization"
+    assert res.pc == pytest.approx(closed.pc, rel=1e-6, abs=0)
+
+
 def test_closed_form_absent_cases():
     assert pc_closed_form(parse_spec("twopoint:b=4,a=6"), 2) is None  # a < 2b-1
     assert pc_closed_form(parse_spec("regular:b=7"), 3) is None

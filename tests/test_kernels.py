@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import gwboot as gw
-from gwboot import kernels
+from gwboot import kernels, offspring
 from gwboot.kernels import (
     binom_lte,
     g,
@@ -485,6 +485,28 @@ def test_make_context_caps_the_number_of_atoms(monkeypatch):
         make_context(make_distribution("geometric:b=3"), 2)
 
 
+def test_moment_sums_refuse_exactly_the_laws_make_context_refuses(monkeypatch):
+    # one ENUM_CAP rule at make_context's default cutoff; the moments' own,
+    # longer enumeration is not capped
+    for module in (offspring, kernels):
+        monkeypatch.setattr(module, "ENUM_CAP", 200)
+    refused = {}
+    for spec in [f"geometric:b={b}" for b in (3, 5, 8, 9, 12)] + [f"poisson:b={b}" for b in (3, 20, 40)]:
+        try:
+            make_context(make_distribution(spec), 2)
+        except PreconditionError:
+            refused[spec] = True
+        else:
+            refused[spec] = False
+        d = make_distribution(spec)
+        if refused[spec]:
+            with pytest.raises(PreconditionError):
+                d.alpha_moment(0.5)
+        else:
+            assert d.alpha_moment(0.5) > 0.0
+    assert set(refused.values()) == {True, False}
+
+
 def _grid_pieces(vals):
     """(lo, hi) grid indices of the pieces max_G considers for these grid values
     before ``G_upper`` drops any (its own rule, restated)."""
@@ -715,7 +737,7 @@ def test_G_minus_1_single_x_bitwise():
 
 def _h_oracle(d, r, x, cutoff):
     """sum_k pmf(k) P(Bin(k, 1-x) <= r-1) term by term, the binomials from math.comb."""
-    if d.support_max is not None and d.support_max <= 5_000_000:
+    if d.support_max is not None and d.support_max <= offspring.ENUM_CAP:
         ks, ps = d.support_probs(upto=cutoff)
     else:
         ks = np.arange(d.support_min, cutoff + 1)
@@ -757,7 +779,7 @@ def test_h_matches_binomial_sum(spec, r, tail_target):
 
 @pytest.mark.parametrize("spec", ["heavy:r=4", "pruned:r=4,b=18"])
 def test_h_is_non_negative_below_the_laws_threshold(spec):
-    # at r = 2 both laws are offset + atoms - scale D_2 with offset 2 and
+    # at r = 2 both laws are G = scale + atoms - scale D_2 with scale 3 and
     # negative atoms, which left -4.0e-25 at x = 1e-9 before x G(x) was clamped;
     # the true x G(x) is about x^3
     ctx = make_context(make_distribution(spec), 2)

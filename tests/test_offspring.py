@@ -112,6 +112,38 @@ def test_shifted_poisson_matches_50_digit_reference():
         assert all(close(d.prob_below(r), below[r - 3]) for r in range(3, top + 2)), b
 
 
+@pytest.mark.parametrize("b", [1e3, 1e4, 1e5])
+def test_shifted_poisson_support_and_tail_sum_to_one(b):
+    # the pmf table is divided by its own sum; built from an unnormalised
+    # anchor at the mode, the atoms and tail summed to 1 - 5.7e-13, 1 - 5.8e-12
+    # and 1 + 2.1e-10 at these b, the error of the anchor exp(-lam + m log lam - lgamma(m+1))
+    d = make_distribution(f"poisson:b={b}")
+    K = d.truncation_cutoff(1e-13)
+    _, probs = d.support_probs(upto=K)
+    assert abs(math.fsum(probs.tolist()) + d.tail(K) - 1.0) <= 4 * math.ulp(1.0)
+
+
+def test_shifted_poisson_probabilities_stay_at_most_one():
+    # the table's running sums of P(X = j) can end a few ulps above 1
+    for b in np.arange(2.05, 60.0, 0.25).tolist():
+        d = make_distribution(DistributionSpec(family="shifted_poisson", b=b))
+        top = d.truncation_cutoff(1e-30) + 200  # past the table's last entry
+        assert max(d.tail(m) for m in range(top)) <= 1.0, b
+        assert max(d.prob_below(r) for r in range(top)) <= 1.0, b
+
+
+@pytest.mark.parametrize("b, r", [(332, 10), (700, 6)])
+def test_shifted_poisson_keeps_a_tiny_mass_below_r(b, r):
+    # P(xi < r) is 4.16e-130 and 4.15e-296: a table that started nearer the
+    # mode than j = 0 would read 0 here, and pc_exact would maximise G instead
+    d = make_distribution(f"poisson:b={b}")
+    with mpmath.workdps(40):
+        lam = mpmath.mpf(b - 2)
+        want = mpmath.exp(-lam) * mpmath.fsum(lam**j / mpmath.factorial(j) for j in range(r - 2))
+    assert d.prob_below(r) == pytest.approx(float(want), rel=1e-12, abs=0)
+    assert gw.pc_exact(d, r).method == "subcritical-mass"
+
+
 def test_rejects_mass_at_zero():
     with pytest.raises(SpecError):
         parse_spec("pmf:0=0.5,2=0.5")
