@@ -252,6 +252,8 @@ def bounds_report(
 
     ``alpha`` is the exponent of the (1+alpha)-moment bound and must lie in (0, 1).
     """
+    if r < 2:
+        raise PreconditionError("bounds_report requires r >= 2")
     if not 0.0 < alpha < 1.0:  # NaN fails too
         raise PreconditionError("alpha must lie in (0, 1)")
     entries: list[BoundEntry] = []

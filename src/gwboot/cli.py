@@ -221,6 +221,7 @@ def cmd_simulate(args) -> int:
     d = make_distribution(parse_spec(args.dist))
     seed = _resolve_seed(args)
     budget = _budget(args)
+    simulate.check_estimate_args(args.r, args.p, args.n, args.reps, budget)
     _warn_budget(d, args.n, budget)
     row = _mc_row(d, args.r, args.p, args.n, args.reps, seed, budget)
     _write(args, row, [row], _MC_COLUMNS, [f"{k}: {_csv_value(v)}" for k, v in row.items()])

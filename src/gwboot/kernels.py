@@ -13,10 +13,12 @@ p_c = 1 - 1/M.  The one-level survival map has one form for every law,
 
     h_{r,p}(x) = (1-p) E[P(Bin(xi, 1-x) <= r-1)] = (1-p) (P(xi < r) + x G(x)),
 
-with P(xi < r) stored in the evaluation context and G(x) at a single x read
-from the context's log-binomial tables: one step of the survival recursion
-costs about 10 us on a support of a few hundred atoms and 2-6 us on a
-point mass or a heavy or pruned law (2-vCPU Xeon, numpy 2.4).
+with P(xi < r) stored in the evaluation context.  One term loop,
+``_g_sum``, reads the context's log-binomial tables for a block of x and for
+G(x) at a single x alike: one step of the survival recursion costs about
+10 us on a support of a few hundred atoms and 2-6 us on a point mass or a
+heavy or pruned law, which sum their few terms in scalar code (2-vCPU Xeon,
+numpy 2.4).
 
 For the heavy-tail law with pmf (r-1)/(k(k-1)) the full mixture is
 identically 1, and the deficiency of a truncated mixture,
@@ -28,7 +30,8 @@ satisfies D_2(m,x) = x^(m-1)/m and
     D_{s+1}(m,x) = s/(s-1) D_s(m,x) + (1-x)/((s-1) x) P(Bin(m-1,1-x) <= s-2),
 
 which lets us evaluate truncations at cutoffs far beyond anything a direct
-sum could reach.  The pruned family reuses the same deficiency, shifted by
+sum could reach.  One log-space form of it (``_deficiency``) serves a float
+and an array of x.  The pruned family reuses the same deficiency, shifted by
 its two reassigned atoms.
 """
 
@@ -129,43 +132,42 @@ def _libm_logs(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.array([math.log(v) for v in vals]), np.array([math.log1p(-v) for v in vals])
 
 
-def _deficiency(r: int, m: int, xs: np.ndarray, lx: np.ndarray, l1x: np.ndarray) -> np.ndarray:
-    """D_r(m, x) over an array of x, given ``_libm_logs(xs)``: 0 for x <= 0, (r-1)/m for x >= 1."""
-    e = (m - 1) * lx
-    d = np.where(e > -745.0, np.exp(e), 0.0) / m
+def _deficiency(r: int, m: int, lx: float | np.ndarray, l1x: float | np.ndarray):
+    """D_r(m, x) at interior x from log x and log(1-x), floats or arrays alike.
+
+    The recursion's step (1-x)/((s-1) x) P(Bin(m-1, 1-x) <= s-2) is summed
+    one log-space term per i.
+    """
+    d = np.exp((m - 1) * lx) / m
     for s in range(2, r):
-        # (1-x)/((s-1) x) P(Bin(m-1, 1-x) <= s-2), one log-space term per i
-        step = np.zeros(len(lx))
+        step = 0.0
         for i in range(s - 1):
-            lt = math.log(math.comb(m - 1, i) / (s - 1)) + (i + 1) * l1x + (m - 2 - i) * lx
-            np.add(step, np.where(lt > -745.0, np.exp(lt), 0.0), out=step)
+            step = step + np.exp(math.log(math.comb(m - 1, i) / (s - 1)) + (i + 1) * l1x + (m - 2 - i) * lx)
         d = s / (s - 1) * d + step
-    return np.where(xs >= 1.0, (r - 1) / m, np.where(xs > 0.0, d, 0.0))
+    return d
 
 
 def heavy_tail_deficiency(r: int, m: int, x: float | np.ndarray) -> float | np.ndarray:
     """D_r(m, x) = 1 - sum_{k=r}^m (r-1)/(k(k-1)) g_k^r(x), x a float or a 1-D array.
 
-    Always in [0, r (r-1)/m]; equals (r-1)/m at x = 1 and 0 at x = 0.
+    Always in [0, r (r-1)/m]; equals (r-1)/m at x = 1 and 0 at x = 0.  A float
+    and an array element take the same operations, so they agree bit for bit.
     """
     if isinstance(x, (np.ndarray, list, tuple)):
         xs = np.asarray(x, dtype=float)
-        return _deficiency(r, m, xs, *_libm_logs(xs))
+        return np.where(xs >= 1.0, (r - 1) / m, np.where(xs > 0.0, _deficiency(r, m, *_libm_logs(xs)), 0.0))
     if x <= 0.0:
         return 0.0
     if x >= 1.0:
         return (r - 1) / m
-    lx = math.log(x)
-    d = math.exp((m - 1) * lx) / m if (m - 1) * lx > -745.0 else 0.0
-    for s in range(2, r):
-        d = s / (s - 1) * d + (1 - x) / ((s - 1) * x) * binom_lte(m - 1, 1.0 - x, s - 2)
-    return d
+    return float(_deficiency(r, m, math.log(x), math.log1p(-x)))
 
 
 # ---------------------------------------------------------------------------
 # evaluation contexts
 
-# elements of one (x, k) block of g_k^r(x); bounds every temporary of G_minus_1
+# (x, k) elements of one block of g_k^r(x); ``_g_sum``'s (i, x, k) temporary
+# holds r times as many, 2 MB at r = 4
 _BLOCK = 1 << 16
 
 
@@ -177,11 +179,12 @@ class GEvalContext:
 
         G(x) = defic_scale + sum_j weights_j g_{ks_j}^r(x) - defic_scale D_r(cutoff, x),
 
-    with ``log_binom[i, j] = log C(ks_j, i)`` and ``powers[i, j] = ks_j - i - 1``
-    tabulated once for i < r.  Enumerable laws put their support >= r in
-    ``ks`` (defic_scale 0: no constant, no deficiency); the heavy and pruned
-    laws keep only their few atoms there and sum the rest through the
-    deficiency D_r.  G - 1 starts from ``defic_scale - 1.0``.
+    with ``log_binom[i, 0, j] = log C(ks_j, i)`` and ``powers[i, 0, j] = ks_j - i - 1``
+    tabulated once for i < r, shaped (r, 1, len(ks)) so that a float log x
+    and an (n, 1) column of them broadcast alike.  Enumerable laws put their
+    support >= r in ``ks`` (defic_scale 0: no constant, no deficiency); the
+    heavy and pruned laws keep only their few atoms there and sum the rest
+    through the deficiency D_r.  G - 1 starts from ``defic_scale - 1.0``.
 
     ``eps_G`` bounds |G_true - G_computed| from the truncation of an
     infinite support: the tail mass times g_r^r <= r.  Exact (0) for finite
@@ -201,7 +204,6 @@ class GEvalContext:
     weights: np.ndarray
     log_binom: np.ndarray
     powers: np.ndarray
-    max_power: float  # the largest k - 1 in ``powers``
     defic_scale: float
     atoms: tuple  # (k, weight) pairs of ks and weights as Python numbers
 
@@ -256,62 +258,54 @@ def make_context(
             raise too_many_atoms(f"{dist.label()} at k >= {r}")
     # log C(k, i) = sum_{j<i} log(k-j) - log i!, a sum of i logs rather than a
     # difference of log-factorials near log k!
-    log_binom = np.zeros((r, len(ks)))
+    log_binom = np.zeros((r, 1, len(ks)))
     for i in range(1, r):
         log_binom[i] = log_binom[i - 1] + np.log(ks - (i - 1.0))
-    log_binom -= np.array([math.lgamma(i + 1.0) for i in range(r)])[:, None]
-    powers = np.array([ks - i - 1 for i in range(r)], dtype=float)
+    log_binom -= np.array([math.lgamma(i + 1.0) for i in range(r)])[:, None, None]
     return GEvalContext(
         r=r, cutoff=cutoff, eps_G=eps,
         prob_below=float(dist.prob_below(r)),
         ks=_frozen(ks), weights=_frozen(w), log_binom=_frozen(log_binom),
-        powers=_frozen(powers), max_power=float(ks.max(initial=1) - 1),
+        powers=_frozen(ks - 1.0 - np.arange(r, dtype=float)[:, None, None]),
         defic_scale=scale,
         atoms=tuple(zip(ks.tolist(), w.tolist())),
     )
 
 
-def _g_sum(ctx: GEvalContext, lx: np.ndarray, l1x: np.ndarray, mask: bool) -> np.ndarray:
-    """(len(lx), len(ctx.ks)) array of sum_{i<r} C(k, i) x^(k-i-1) (1-x)^i from the
-    logs of x and 1-x (or any values in their place), summed in log space term by term.
+def _g_sum(ctx: GEvalContext, lx: float | np.ndarray, l1x: float | np.ndarray) -> np.ndarray:
+    """sum_{i<r} C(k, i) x^(k-i-1) (1-x)^i for each k of ``ctx.ks``, from the logs
+    of x and 1-x (or any values in their place), summed in log space term by term.
 
-    Each term is formed in place, (k-i-1) log x, + log C(k, i), + i log(1-x),
-    then exp, and added to the terms before it in order of i; with ``mask``,
-    terms whose log is <= -745 are 0.
+    A float log x gives one row, shape (1, len(ks)); an (n, 1) column gives a
+    block, shape (n, len(ks)).  Each term is formed in place, (k-i-1) log x,
+    + log C(k, i), + i log(1-x), then exp, and added to the terms before it in
+    order of i, so a row and the same x in a block agree bit for bit.
     """
-    shape = (len(lx), len(ctx.ks))
-    gk, lg = np.empty(shape), np.empty(shape)
-    for i in range(ctx.r):
-        term = lg if i else gk
-        np.multiply(ctx.powers[i], lx[:, None], out=term)
-        term += ctx.log_binom[i]
-        if i:
-            term += l1x[:, None] * i
-        under = term <= -745.0 if mask else None
-        np.exp(term, out=term)
-        if mask:
-            term[under] = 0.0
-        if i:
-            gk += term
+    lg = ctx.powers * lx
+    lg += ctx.log_binom
+    for i in range(1, ctx.r):
+        lg[i] += l1x * i
+    np.exp(lg, out=lg)
+    gk = lg[0]
+    for i in range(1, ctx.r):
+        gk += lg[i]
     return gk
 
 
 def _G_block(ctx: GEvalContext, xs: np.ndarray, lx: np.ndarray, l1x: np.ndarray) -> np.ndarray:
     """G(x) - 1 on one block of x given ``_libm_logs(xs)``, through a
     (len(xs), len(ctx.ks)) array of g_k^r(x).
-
-    log C(k, i) >= 0 and k-i-1 <= max_power bound every log term from below
-    by max_power log x + (r-1) log(1-x), so the e^-745 underflow mask is
-    applied only in blocks where that bound reaches -740 (room for rounding).
     """
-    mask = bool((ctx.max_power * lx + (ctx.r - 1) * l1x).min() <= -740.0)
-    gk = _g_sum(ctx, lx, l1x, mask)
-    # the limits of g: r at x = 0 when k = r (0 otherwise), 1 at x = 1
+    gk = _g_sum(ctx, lx[:, None], l1x[:, None])
+    # the limits at x = 0 and at x = 1: g_k^r is r when k = r (0 otherwise) and 1,
+    # D_r is 0 and (r-1)/m
     ends = (xs == 0.0) | (xs == 1.0)
     gk[ends] = np.where(xs[ends, None] == 0.0, np.where(ctx.ks == ctx.r, float(ctx.r), 0.0), 1.0)
     out = gk @ ctx.weights + (ctx.defic_scale - 1.0)
     if ctx.defic_scale:
-        out -= ctx.defic_scale * _deficiency(ctx.r, ctx.cutoff, xs, lx, l1x)
+        d = _deficiency(ctx.r, ctx.cutoff, lx, l1x)
+        d[ends] = np.where(xs[ends] == 0.0, 0.0, (ctx.r - 1) / ctx.cutoff)
+        out -= ctx.defic_scale * d
     return out
 
 
@@ -323,35 +317,14 @@ def _G_blocks(ctx: GEvalContext, xs: np.ndarray, lx: np.ndarray, l1x: np.ndarray
     return out
 
 
-def _G_row(ctx: GEvalContext, x: float) -> np.float64:
-    """sum_j weights_j g_{ks_j}^r(x) at one interior x, from the (r, k) tables at once.
-
-    Every element sees the operations of ``_G_block`` in the same order, so
-    ``_G_row(ctx, x) + (ctx.defic_scale - 1.0)`` is bit-identical to a one-row block.
-    """
-    lx, l1x = math.log(x), math.log1p(-x)
-    lg = ctx.powers * lx
-    lg += ctx.log_binom
-    for i in range(1, ctx.r):
-        lg[i] += l1x * i
-    term = np.exp(lg)
-    # log C(k, i) >= 0 and k-i-1 <= max_power bound every lg from below; the
-    # mask changes nothing unless that bound reaches -745 (-740 leaves room for rounding)
-    if ctx.max_power * lx + (ctx.r - 1) * l1x <= -740.0:
-        term[lg <= -745.0] = 0.0
-    gk = term[0]
-    for i in range(1, ctx.r):
-        gk = gk + term[i]
-    return gk @ ctx.weights
-
-
 def _mixture(ctx: GEvalContext, x: float, base: float) -> float:
     """base + sum_j weights_j g_{ks_j}^r(x) - defic_scale D_r(cutoff, x) at one x in [0, 1].
 
     A point mass or a heavy or pruned law is a few closed-form terms, which
     the scalar kernels sum in a few microseconds, where numpy's per-call
     overhead makes a row of the tables cost several times that.  Any other
-    support at an interior x reads one row (``_G_row``).
+    support at an interior x is one row of ``_g_sum``, bit for bit the
+    one-row block of ``G_minus_1``'s array path.
     """
     if ctx.defic_scale or len(ctx.ks) == 1 or not 0.0 < x < 1.0:
         total = base
@@ -360,7 +333,7 @@ def _mixture(ctx: GEvalContext, x: float, base: float) -> float:
         if ctx.defic_scale:
             total -= ctx.defic_scale * heavy_tail_deficiency(ctx.r, ctx.cutoff, x)
         return total
-    return float(_G_row(ctx, x) + base)
+    return float(_g_sum(ctx, math.log(x), math.log1p(-x))[0] @ ctx.weights + base)
 
 
 def G_minus_1(ctx: GEvalContext, x: float | np.ndarray) -> float | np.ndarray:
@@ -402,12 +375,12 @@ def G_upper(ctx: GEvalContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     by at most about r^2 ulps of log k, below 2^-36 for r < 60 at any k the
     tables hold; the log-factorial term is a margin beyond that.
     """
-    lb, l1a = np.log(b), np.log1p(-a)
+    lb, l1a = np.log(b)[:, None], np.log1p(-a)[:, None]
     w = np.maximum(ctx.weights, 0.0)
     out = np.empty(len(b))
     for rows in _row_blocks(ctx, len(b)):
-        out[rows] = _g_sum(ctx, lb[rows], l1a[rows], mask=False) @ w
-    k = ctx.max_power + 2.0
+        out[rows] = _g_sum(ctx, lb[rows], l1a[rows]) @ w
+    k = float(ctx.ks.max(initial=1)) + 1.0
     rel = 2.0**-36 + 2.0**-51 * math.lgamma(k + 1.0)
     return (out + ctx.defic_scale) * (1.0 + rel) + ctx.eps_G
 

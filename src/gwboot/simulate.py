@@ -51,6 +51,7 @@ __all__ = [
     "run_bootstrap",
     "root_fort_status",
     "SimEstimate",
+    "check_estimate_args",
     "estimate_qn",
     "expected_tree_size",
     "block_size",
@@ -366,6 +367,24 @@ def _simulate_block(d: OffspringDistribution, r: int, p: float, n: int, budget: 
     return safe & ~dropped, dropped
 
 
+def check_estimate_args(r: int, p: float, n: int, replicates: int, budget: int) -> None:
+    """Raise ``PreconditionError`` unless ``estimate_qn`` can take these arguments.
+
+    r = 1 is accepted: a vertex with a single unsafe child is unsafe.  At
+    r <= 0 every vertex would count as unsafe, so the threshold is refused.
+    """
+    if r < 1:
+        raise PreconditionError("threshold r must be >= 1")
+    if not 0.0 <= p <= 1.0:
+        raise PreconditionError("p must lie in [0, 1]")
+    if replicates < 1:
+        raise PreconditionError("need at least one replicate")
+    if n < 0:
+        raise PreconditionError("depth must be >= 0")
+    if budget < 1:
+        raise PreconditionError("budget must be >= 1")
+
+
 def estimate_qn(
     d: OffspringDistribution,
     r: int,
@@ -382,14 +401,7 @@ def estimate_qn(
     sum of integers.  Budget-truncated replicates are excluded from the
     estimate and counted.
     """
-    if not 0.0 <= p <= 1.0:
-        raise PreconditionError("p must lie in [0, 1]")
-    if replicates < 1:
-        raise PreconditionError("need at least one replicate")
-    if n < 0:
-        raise PreconditionError("depth must be >= 0")
-    if budget < 1:
-        raise PreconditionError("budget must be >= 1")
+    check_estimate_args(r, p, n, replicates, budget)
     block = block_size(d, n, budget)
     safe_count = 0
     truncated = 0

@@ -72,6 +72,30 @@ def test_precondition_exit_code(capsys):
     assert "error" in err
 
 
+def test_bounds_threshold_below_2_exit_code(capsys):
+    # refused before the branching bound, which divides by r - 1
+    code, out, err = run_cli(capsys, "bounds", "--dist", "regular:b=3", "--r", "1")
+    assert code == 3
+    assert out == "" and err.splitlines() == ["error: bounds_report requires r >= 2"]
+
+
+@pytest.mark.parametrize("r", ["0", "-1"])
+def test_simulate_threshold_below_1_exit_code(capsys, r):
+    # at r <= 0 every vertex would count as unsafe, whatever its marks
+    code, out, err = run_cli(capsys, "simulate", "--dist", "regular:b=3", "--r", r, "--p", "0.2",
+                             "--n", "3", "--reps", "5", "--seed", "1")
+    assert code == 3
+    assert out == "" and err.splitlines() == ["error: threshold r must be >= 1"]
+
+
+def test_simulate_validates_before_it_warns(capsys):
+    # a budget of 0 is refused before the budget warning is printed
+    code, out, err = run_cli(capsys, "simulate", "--dist", "regular:b=3", "--r", "2", "--p", "0.2",
+                             "--n", "3", "--reps", "5", "--seed", "1", "--budget", "0")
+    assert code == 3
+    assert out == "" and err.splitlines() == ["error: budget must be >= 1"]
+
+
 @pytest.mark.parametrize("alpha", ["1", "0", "nan"])
 def test_bounds_alpha_outside_unit_interval_exit_code(capsys, alpha):
     code, out, err = run_cli(capsys, "bounds", "--dist", "regular:b=5", "--r", "2", "--alpha", alpha)

@@ -303,6 +303,17 @@ def test_heavy_tail_deficiency_array_matches_points():
             assert v == pytest.approx(heavy_tail_deficiency(r, m, float(x)), rel=1e-12, abs=1e-300)
 
 
+DEFICIENCY_X = [1e-300, 1e-9, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 1 - 1e-9, 1 - 1e-13]
+
+
+@pytest.mark.parametrize("r, m", [(2, 40), (3, 500), (3, 501), (4, 10**6), (3, 2 * 10**13), (4, 10**13)])
+def test_heavy_tail_deficiency_has_one_definition(r, m):
+    # a float and an element of an array take the same operations: the same bits
+    got = heavy_tail_deficiency(r, m, np.array(DEFICIENCY_X))
+    for x, v in zip(DEFICIENCY_X, got.tolist()):
+        assert heavy_tail_deficiency(r, m, x) == v, (r, m, x)
+
+
 @pytest.mark.parametrize("spec, r", [("heavy:r=3", 2), ("heavy:r=4", 2), ("heavy:r=2", 3),
                                      ("heavy:r=2", 4), ("pruned:r=3,b=8", 2),
                                      ("pruned:r=2,b=6", 3), ("pruned:r=3,b=8", 4)])
@@ -560,7 +571,7 @@ ANALYTIC_THRESHOLDS = [(spec, r) for spec in ("heavy:r=2", "heavy:r=3", "heavy:r
 
 
 def test_max_G_grid_is_G_minus_1_bitwise(monkeypatch):
-    # the cached grid logs and the block-wise mask are a fast path, not a fork:
+    # the cached grid logs are a fast path, not a fork:
     # max_G scans exactly G_minus_1 on np.linspace(0, 1, 1001)
     xs = np.linspace(0.0, 1.0, 1001)
     blocks_of, seen = kernels._G_blocks, []

@@ -385,3 +385,7 @@ def test_estimate_qn_rejects_bad_input():
         estimate_qn(d, 2, 0.5, -1, 10, seed=0)
     with pytest.raises(PreconditionError):
         estimate_qn(d, 2, 0.5, 3, 10, seed=0, budget=0)
+    for r in (0, -1):  # every vertex would count as unsafe
+        with pytest.raises(PreconditionError):
+            estimate_qn(d, r, 0.5, 3, 10, seed=0)
+    assert estimate_qn(d, 1, 0.5, 3, 10, seed=0).r == 1
