@@ -16,25 +16,27 @@ be finite with positive probability.  Supported families:
 PMFs of the rational families (regular, two_point, heavy_tail and the
 pruned body) are exposed as ``fractions.Fraction`` values; the shifted
 families are floating point.  Moments that diverge are reported as the
-distinguished value ``math.inf`` rather than raising.  Each moment is
-defined once, as an expectation E f(xi) that the law takes in one array
-pass: the regular, two-point and explicit laws hold their atoms as one pair
-of read-only (ks, probs) arrays and take the ``math.fsum`` of f(ks) probs;
-the shifted laws sum their pmf up to a cutoff whose remainder is bounded
-from ``tail``; the heavy and pruned bodies sum their first 2000 terms and
-take the rest in closed form (Euler-Maclaurin sums of powers, and summation
-by parts for harmonic numbers), which is infinite where the series diverges.
+distinguished value ``math.inf`` rather than raising.  Each law is held
+once, and ``pmf``, ``sample`` and every moment read that holding; each
+moment is defined once, as an expectation E f(xi) taken in one array pass:
 
-The shifted Poisson law reads its tail, P(xi < r), cutoff and atoms from one
-table of P(X = j), j <= J = floor(lam + 15 sqrt(lam)) + 100, divided by its
-own sum; by Bernstein's bound less than e^-112 of mass lies past J.
-
-The heavy and pruned laws are one body: ``HeavyTail`` is the pmf
-(r-1)/(k(k-1)) on r <= k <= ``top`` plus a tuple of (k, mass) ``atoms``,
-with no top and no atoms for the heavy law; ``Pruned`` sets top = k1 and
-its two atoms.  Its k0, K and alpha come from decimal harmonic numbers
-that keep 50 digits of K, so pruned laws build for every b up to 100 at
-r = 2..4.
+* the regular, two-point and explicit laws share one finite base: their
+  atoms of positive mass with exact pmf values, also as read-only (ks,
+  probs) arrays.  A moment is the ``math.fsum`` of f(ks) probs; ``sample``
+  searches a uniform per draw in the cumulative sums (a point mass draws none);
+* the shifted laws sum their pmf up to a cutoff whose remainder is bounded
+  from ``tail``.  The Poisson law reads its tail, P(xi < r), cutoff and atoms
+  from one table of P(X = j), j <= J = floor(lam + 15 sqrt(lam)) + 100,
+  divided by its own sum; by Bernstein's bound less than e^-112 lies past J;
+* the heavy and pruned laws are one body: ``HeavyTail`` is the pmf
+  (r-1)/(k(k-1)) on r <= k <= ``top`` plus a tuple of (k, mass) ``atoms``,
+  with no top and no atoms for the heavy law; ``Pruned`` sets top = k1 and
+  its two atoms, from k0, K and alpha taken with decimal harmonic numbers
+  that keep 50 digits of K, so pruned laws build for every b up to 100 at
+  r = 2..4.  A moment sums the body's first 2000 terms and takes the rest in
+  closed form (Euler-Maclaurin sums of powers, and summation by parts for
+  harmonic numbers), infinite where the series diverges; ``sample`` inverts
+  the body's CDF 1 - (r-1)/k between the atoms.
 """
 
 from __future__ import annotations
@@ -85,6 +87,7 @@ DEFAULT_TAIL_TARGET = 1e-13
 # integer parameters (regular b, two-point a, r, pmf support points) stop at
 # 2^53, below which a double holds every integer and int64 holds them with room
 _INT_PARAM_MAX = 2**53
+_INT64_MAX = 2**63 - 1
 
 
 class SpecError(ValueError):
@@ -344,7 +347,8 @@ class OffspringDistribution:
     maps an integer array of k to f(k), and tail(a, n) is
     sum_{k=a}^{n} f(k)/(k(k-1)) in closed form (n None: to infinity), which
     the heavy-tail bodies use past their head.  A law overrides a moment
-    only where it has an exact closed form.
+    only where it has an exact closed form: the shifted laws' mean b and
+    E xi(xi-1).  ``pmf``, ``sample`` and ``_expect`` read one holding of the law.
     """
 
     spec: DistributionSpec
@@ -418,19 +422,26 @@ class OffspringDistribution:
 
 
 class _Finite(OffspringDistribution):
-    """A law on finitely many atoms, held as read-only (ks, probs) arrays.
+    """A law on finitely many atoms of positive mass; a zero atom is dropped.
 
-    ``support_probs`` returns the whole support whatever ``upto`` is, and
-    every moment is one ``math.fsum`` over the atoms.
+    The atoms map k to its exact pmf value (a ``Fraction`` for the regular and
+    two-point laws, the spec's float for an explicit pmf), which ``pmf`` looks
+    up (an exact 0 off the support).  The same atoms as read-only (ks, probs)
+    arrays give ``support_probs`` (whatever ``upto`` is), every moment (one
+    ``math.fsum``) and ``sample``.
     """
 
-    def __init__(self, spec: DistributionSpec, ks: list, probs: list):
+    def __init__(self, spec: DistributionSpec, atoms: list):
         self.spec = spec
-        self.ks = np.array(ks, dtype=np.int64)
-        self.probs = np.array(probs, dtype=float)
+        self._pmf = {k: p for k, p in sorted(atoms) if p > 0}
+        self.ks = np.array(list(self._pmf), dtype=np.int64)
+        self.probs = np.array([float(p) for p in self._pmf.values()])
         self.ks.flags.writeable = self.probs.flags.writeable = False
         self.support_min = int(self.ks[0])
         self.support_max = int(self.ks[-1])
+
+    def pmf(self, k):
+        return self._pmf.get(k, 0)
 
     def tail(self, m):
         return float(self.probs[self.ks > m].sum())
@@ -444,17 +455,24 @@ class _Finite(OffspringDistribution):
     def _expect(self, f, tail):
         return math.fsum((f(self.ks) * self.probs).tolist())
 
-
-class Regular(_Finite):
-    def __init__(self, spec: DistributionSpec):
-        self.b = int(spec.b)
-        super().__init__(spec, [self.b], [1.0])
-
-    def pmf(self, k):
-        return Fraction(1) if k == self.b else Fraction(0)
+    @functools.cached_property
+    def _cdf(self) -> np.ndarray:
+        # F at every atom but the last, which takes all the mass above
+        return np.cumsum(self.probs[:-1])
 
     def sample(self, rng, size):
-        return np.full(size, self.b, dtype=np.int64)
+        """The first atom whose F exceeds a uniform u; a point mass draws nothing."""
+        if len(self.ks) == 1:
+            return np.full(size, self.ks[0], dtype=np.int64)
+        return self.ks[np.searchsorted(self._cdf, rng.random(size), side="right")]
+
+
+class Regular(_Finite):
+    """Point mass at b: the b-ary tree."""
+
+    def __init__(self, spec: DistributionSpec):
+        self.b = int(spec.b)
+        super().__init__(spec, [(self.b, Fraction(1))])
 
 
 class TwoPoint(_Finite):
@@ -469,18 +487,14 @@ class TwoPoint(_Finite):
             bq = Fraction(self.b).limit_denominator(10**12)
         self.p2 = Fraction(self.a - bq, self.a - 2)
         self.pa = Fraction(bq - 2, self.a - 2)
-        super().__init__(spec, [2, self.a], [float(self.p2), float(self.pa)])
+        super().__init__(spec, [(2, self.p2), (self.a, self.pa)])
 
-    def pmf(self, k):
-        if k == 2:
-            return self.p2
-        if k == self.a:
-            return self.pa
-        return Fraction(0)
 
-    def sample(self, rng, size):
-        u = rng.random(size)
-        return np.where(u < float(self.p2), 2, self.a).astype(np.int64)
+class ExplicitPMF(_Finite):
+    """The spec's (k, probability) atoms."""
+
+    def __init__(self, spec: DistributionSpec):
+        super().__init__(spec, [(k, float(p)) for k, p in spec.pmf])
 
 
 class _LightTail(OffspringDistribution):
@@ -493,7 +507,17 @@ class _LightTail(OffspringDistribution):
                    <= tail(K) (K^2 + (2K+1)/(1-q) + 2q/(1-q)^2),  q = q(K).
     The sum runs past the default cutoff and is not capped; it refuses only the
     laws ``make_context`` refuses, with more than ``ENUM_CAP`` atoms at that cutoff.
+    Both laws have support {2, 3, ...} and mean b.
     """
+
+    def __init__(self, spec: DistributionSpec):
+        self.spec = spec
+        self.b = float(spec.b)
+        self.support_min = 2
+        self.support_max = None
+
+    def mean(self):
+        return self.b
 
     def _expect(self, f, tail) -> float:
         if self.truncation_cutoff(DEFAULT_TAIL_TARGET) > ENUM_CAP:
@@ -526,11 +550,8 @@ class ShiftedPoisson(_LightTail):
     """
 
     def __init__(self, spec: DistributionSpec):
-        self.spec = spec
-        self.b = float(spec.b)
+        super().__init__(spec)
         self.lam = self.b - 2.0
-        self.support_min = 2
-        self.support_max = None
 
     def pmf(self, k):
         if k < 2:
@@ -573,9 +594,6 @@ class ShiftedPoisson(_LightTail):
         below = self._table[1]
         return min(1.0, float(below[min(r - 3, len(below) - 1)]))
 
-    def mean(self):
-        return self.b
-
     def second_factorial_moment(self):
         return self.b**2 - 2.0
 
@@ -599,12 +617,9 @@ class ShiftedGeometric(_LightTail):
     """P(xi = k+2) = (1/(b-1)) ((b-2)/(b-1))^k, k >= 0."""
 
     def __init__(self, spec: DistributionSpec):
-        self.spec = spec
-        self.b = float(spec.b)
+        super().__init__(spec)
         # log((b-2)/(b-1)), which stays below 0 where the ratio rounds to 1
         self.log_rho = math.log1p(-1.0 / (self.b - 1.0))
-        self.support_min = 2
-        self.support_max = None
 
     def pmf(self, k):
         if k < 2:
@@ -615,9 +630,6 @@ class ShiftedGeometric(_LightTail):
         if m < 1:
             return 1.0
         return math.exp((m - 1) * self.log_rho)
-
-    def mean(self):
-        return self.b
 
     def second_factorial_moment(self):
         return 2.0 * (self.b - 1.0) ** 2
@@ -645,6 +657,8 @@ class HeavyTail(OffspringDistribution):
     atoms; ``Pruned`` cuts the body at k1 and adds two (k, mass) atoms.
     Every moment is the body's sum (``_body_expect``) plus the atoms', and
     is infinite where the closed-form tail of an uncut body diverges.
+    ``sample`` reads the same ``top`` and ``atoms``: with neither it is
+    ceil((r-1)/(1-u)), clipped below at r.
     """
 
     top: Optional[int] = None
@@ -700,10 +714,36 @@ class HeavyTail(OffspringDistribution):
                 probs[j - self.r] += w
         return ks, probs
 
+    @functools.cached_property
+    def _pieces(self) -> tuple[np.ndarray, ...]:
+        """(edges, shift, lo, hi): the CDF cut into runs lo..hi of the body and atoms j..j.
+
+        Piece i takes the uniforms in (edges[i-1], edges[i]]; on it
+        F(k) = 1 - (r-1)/k + shift, the mass of the atoms up to k.
+        """
+        r = self.r
+        pieces, shift, start = [], 0.0, r
+        for j, w in self.atoms:
+            if start < j:
+                pieces.append((1.0 - (r - 1) / (j - 1) + shift, shift, start, j - 1))
+            shift += w
+            pieces.append((1.0 - (r - 1) / j + shift, shift, j, j))
+            start = j + 1
+        # a draw is at most (r-1) 2^53, so a top past int64 bounds nothing
+        end = min(self.top or _INT64_MAX, _INT64_MAX)
+        if start <= end:
+            pieces.append((1.0, shift, start, end))
+        edges, shifts, lo, hi = (np.array(c) for c in zip(*pieces))
+        return edges[:-1], shifts, lo, hi
+
     def sample(self, rng, size):
+        """The smallest k with F(k) >= u, by the piece of F that u falls in."""
+        edges, shift, lo, hi = self._pieces
         u = rng.random(size)
-        k = np.ceil((self.r - 1) / (1.0 - u)).astype(np.int64)
-        return np.maximum(k, self.r)
+        i = np.searchsorted(edges, u) if len(edges) else 0
+        k = np.ceil((self.r - 1) / (1.0 - (u - shift[i]))).astype(np.int64)
+        np.maximum(k, lo[i], out=k)
+        return np.minimum(k, hi[i], out=k)
 
 
 class Pruned(HeavyTail):
@@ -759,52 +799,6 @@ class Pruned(HeavyTail):
         self.top = k1
         self.atoms = ((r, self.alpha * self.A), (2 * r + 1, (1.0 - self.alpha) * self.A))
         super().__init__(spec)
-
-    def mean(self):
-        body = (self.r - 1) * (harmonic_number(self.k1 - 1) - harmonic_number(self.r - 2))
-        return body + self.A * (self.alpha * self.r + (1.0 - self.alpha) * (2 * self.r + 1))
-
-    def second_factorial_moment(self):
-        r = self.r
-        body = (r - 1) * (self.k1 - r + 1)
-        atoms = self.alpha * self.A * r * (r - 1) + (1 - self.alpha) * self.A * (2 * r + 1) * (2 * r)
-        return float(body + atoms)
-
-    def sample(self, rng, size):
-        r, A, al, k1 = self.r, self.A, self.alpha, self.k1
-        u = rng.random(size)
-        out = np.empty(size, dtype=np.int64)
-        c_r = 1.0 / r + al * A                    # F(r)
-        c_mid = 1.0 - (r - 1) / (2 * r) + al * A  # F(2r)
-        c_atom = 1.0 - (r - 1) / (2 * r + 1) + A  # F(2r+1)
-        lo = u <= c_r
-        mid = (~lo) & (u <= c_mid)
-        atom = (~lo) & (~mid) & (u <= c_atom)
-        hi = ~(lo | mid | atom)
-        out[lo] = r
-        out[mid] = np.clip(
-            np.ceil((r - 1) / (1.0 - (u[mid] - al * A))).astype(np.int64), r + 1, 2 * r
-        )
-        out[atom] = 2 * r + 1
-        out[hi] = np.clip(
-            np.ceil((r - 1) / (1.0 - (u[hi] - A))).astype(np.int64), 2 * r + 2, k1
-        )
-        return out
-
-
-class ExplicitPMF(_Finite):
-    def __init__(self, spec: DistributionSpec):
-        atoms = sorted(spec.pmf)
-        super().__init__(spec, [k for k, _ in atoms], [p for _, p in atoms])
-
-    def pmf(self, k):
-        idx = np.searchsorted(self.ks, k)
-        if idx < len(self.ks) and self.ks[idx] == k:
-            return float(self.probs[idx])
-        return 0.0
-
-    def sample(self, rng, size):
-        return rng.choice(self.ks, size=size, p=self.probs / self.probs.sum())
 
 
 # ---------------------------------------------------------------------------

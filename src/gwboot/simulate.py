@@ -24,7 +24,7 @@ The last block holds the remainder, so a run with fewer replicates is not
 a prefix of a longer one.
 
 ``STREAM_VERSION`` names the layout of a block's stream.  Version 3 is:
-the child counts level by level; then ceil(N/8) raw 64-bit words read as
+the child counts level by level (none for a law with one atom); then ceil(N/8) raw 64-bit words read as
 little-endian bytes, one byte U per vertex in breadth-first order (level
 by level, tree by tree within a level); then one uniform V per vertex with
 U = floor(256 p), in that order.  A vertex is marked iff U < floor(256 p),

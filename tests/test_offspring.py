@@ -65,6 +65,20 @@ def test_two_point_pmf_values():
     assert d.pmf(3) == 0
 
 
+@pytest.mark.parametrize("spec, same", [("pmf:1=0,3=1", "regular:b=3"), ("twopoint:b=5,a=5", "regular:b=5"),
+                                        ("pmf:2=0,4=0.5,5=0.5", "pmf:4=0.5,5=0.5")])
+def test_zero_mass_atoms_are_not_held(spec, same):
+    # an atom of zero mass shapes neither the support nor the stream: these laws
+    # hold the atoms of the law they equal and replay its draws
+    d, e = make_distribution(spec), make_distribution(same)
+    assert (d.support_min, d.support_max) == (e.support_min, e.support_max)
+    assert [a.tolist() for a in d.support_probs()] == [a.tolist() for a in e.support_probs()]
+    assert all(d.pmf(k) == e.pmf(k) for k in range(7))
+    rng_d, rng_e = np.random.default_rng(3), np.random.default_rng(3)
+    assert np.array_equal(d.sample(rng_d, 1000), e.sample(rng_e, 1000))
+    assert rng_d.bit_generator.state == rng_e.bit_generator.state
+
+
 def test_heavy_tail_pmf_values():
     d = make_distribution("heavy:r=2")
     assert d.pmf(2) == Fraction(1, 2)
@@ -481,7 +495,7 @@ def test_prune_eta_beyond_the_decimal_precision_rejected():
 
 
 def test_prune_eta_moment_consistency():
-    # closed-form second factorial moment vs enumeration (small case)
+    # moments summed through _expect vs enumeration (small case)
     eta = prune_eta(2, 4.0)
     ks, probs = eta.support_probs()
     ks = ks.astype(float)
@@ -492,6 +506,31 @@ def test_prune_eta_moment_consistency():
     assert eta.harmonic_tail_moment(2) == pytest.approx(
         float(sum(p * harmonic_number(int(k) - 2) for k, p in zip(ks, probs))), rel=1e-8, abs=0
     )
+
+
+INVERSION_LAWS = [
+    "regular:b=3", "twopoint:b=4,a=9", "twopoint:b=7/2,a=6", "twopoint:b=5,a=5", "pmf:2=0.5,4=0.5",
+    "pmf:3=0.1,5=0.2,6=0.3,10=0.4", "pmf:1=0,3=0.25,4=0.5,6=0.25",
+    "heavy:r=2", "heavy:r=3", "heavy:r=4",
+    "pruned:r=2,b=4", "pruned:r=2,b=8", "pruned:r=3,b=12", "pruned:r=4,b=18",
+]
+
+
+@pytest.mark.parametrize("spec", INVERSION_LAWS)
+def test_sample_inverts_own_pmf(spec):
+    # sample reads one uniform u per draw (a point mass reads none) and returns
+    # the smallest k with F(k) >= u, F summed from pmf() up to K = 3000; a draw
+    # with u > F(K) need only lie past K.  The pruned laws here end below K
+    d = make_distribution(spec)
+    K = 3000
+    F = np.array([float(c) for c in itertools.accumulate(d.pmf(k) for k in range(1, K + 1))])
+    draws = d.sample(np.random.default_rng(11), 20_000)
+    u = np.random.default_rng(11).random(20_000)
+    first = np.searchsorted(F, u) + 1  # smallest k with F(k) >= u, K + 1 past the table
+    inside = first <= K
+    assert inside.mean() > 0.99
+    assert np.array_equal(draws[inside], first[inside])
+    assert (draws[~inside] > K).all()
 
 
 def test_prune_eta_sampling_matches_pmf():
@@ -586,12 +625,26 @@ def test_harmonic_tail_moment_below_own_threshold(spec, r):
 @pytest.mark.parametrize("spec", ["heavy:r=2", "heavy:r=4", "pruned:r=2,b=8", "pruned:r=2,b=25",
                                   "pruned:r=3,b=45", "pruned:r=4,b=66", "poisson:b=6", "geometric:b=4"])
 def test_closed_form_overrides_match_generic_moments(spec):
-    # an infinite law overrides the mean and E xi(xi-1) only with exact closed forms;
-    # the one generic definition, summed through the law's _expect, agrees (inf for heavy)
+    # the shifted laws override the mean and E xi(xi-1) only with exact closed
+    # forms; the heavy and pruned laws override neither.  The one generic
+    # definition, summed through the law's _expect, and the law's own method
+    # agree with the closed forms: inf for heavy; for pruned, b and
+    # (r-1)(k1-r+1) + alpha A r(r-1) + (1-alpha) A (2r+1)2r, body plus atoms
     d = make_distribution(spec)
-    for name in ("mean", "second_factorial_moment"):
+    if d.spec.family == "heavy_tail":
+        closed = (math.inf, math.inf)
+    elif d.spec.family == "pruned":
+        r, A, al = d.r, d.A, d.alpha
+        closed = (d.b, (r - 1) * (d.k1 - r + 1) + al * A * r * (r - 1) + (1 - al) * A * (2 * r + 1) * 2 * r)
+        assert "mean" not in vars(type(d)) and "second_factorial_moment" not in vars(type(d))
+    elif d.spec.family == "shifted_poisson":
+        closed = (d.b, d.b**2 - 2.0)
+    else:
+        closed = (d.b, 2.0 * (d.b - 1.0) ** 2)
+    for name, want in zip(("mean", "second_factorial_moment"), closed):
         generic = getattr(gw.OffspringDistribution, name)(d)
-        assert generic == pytest.approx(getattr(d, name)(), rel=1e-14, abs=0), name
+        assert generic == pytest.approx(want, rel=1e-14, abs=0), name
+        assert getattr(d, name)() == pytest.approx(want, rel=1e-14, abs=0), name
 
 
 def _light_reference(d, r, alpha=0.5):

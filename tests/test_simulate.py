@@ -325,19 +325,31 @@ def test_replicate_rng_rejects_seeds_outside_the_key_range():
             replicate_rng(seed, 0)
 
 
-GOLDEN_SAFE = 685  # surviving roots of the seeded call below, stream version 3
+# seeded calls at seed 2024, stream version 3: (spec, r, p, n, replicates, budget,
+# block size, surviving roots, truncated replicates).  Besides the shifted
+# geometric law they cover the finite sampler (two-point, explicit pmf) and the
+# heavy-body sampler (heavy, under a budget that truncates, and pruned)
+STREAM_GOLDENS = [
+    ("geometric:b=3", 2, 0.15, 4, 1000, 10**7, 541, 685, 0),
+    ("twopoint:b=4,a=9", 2, 0.25, 4, 1000, 10**7, 192, 321, 0),
+    ("pmf:3=0.25,4=0.5,6=0.25", 3, 0.2, 4, 1000, 10**7, 153, 744, 0),
+    ("heavy:r=2", 2, 0.3, 4, 300, 2000, 32, 54, 86),
+    ("pruned:r=2,b=4", 2, 0.3, 3, 300, 10**7, 771, 82, 0),
+]
 
 
-def test_estimate_qn_stream_golden():
+@pytest.mark.parametrize("spec, r, p, n, reps, budget, block, safe, truncated", STREAM_GOLDENS,
+                         ids=[g[0] for g in STREAM_GOLDENS])
+def test_estimate_qn_stream_golden(spec, r, p, n, reps, budget, block, safe, truncated):
     # pins the stream layout: a change to how replicates draw from their
     # streams must fail here until STREAM_VERSION is bumped
-    d = make_distribution("geometric:b=3")
+    d = make_distribution(spec)
     assert STREAM_VERSION == 3
-    assert block_size(d, 4, 10**7) == 541
-    est = estimate_qn(d, 2, 0.15, 4, 1000, seed=2024)
+    assert block_size(d, n, budget) == block
+    est = estimate_qn(d, r, p, n, reps, seed=2024, budget=budget)
     assert est.stream_version == STREAM_VERSION
     assert est.as_dict()["stream_version"] == STREAM_VERSION
-    assert round(est.estimate * est.effective) == GOLDEN_SAFE
+    assert (round(est.estimate * est.effective), est.truncated) == (safe, truncated)
 
 
 def test_expected_tree_size_and_block_size():
