@@ -15,7 +15,7 @@ flag instead of raising, so a report can always be assembled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -52,14 +52,7 @@ class BoundEntry:
     note: str = ""
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "value": self.value,
-            "raw": self.raw,
-            "valid": self.valid,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 @dataclass(slots=True)

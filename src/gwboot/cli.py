@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -228,9 +229,6 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-_B_SWEEP_FAMILIES = {"regular", "shifted_poisson", "shifted_geometric", "pruned"}
-
-
 def cmd_sweep(args) -> int:
     if (args.p_grid is None) == (args.b_grid is None):
         raise SpecError("sweep needs exactly one of --p-grid or --b-grid")
@@ -239,7 +237,7 @@ def cmd_sweep(args) -> int:
     if args.b_grid is not None:
         grid = _parse_grid(args.b_grid)
         base = parse_spec(args.dist)
-        if base.family not in _B_SWEEP_FAMILIES:
+        if base.b is None:  # a family that takes b always has one
             raise SpecError(f"family {base.family} has no b parameter to sweep")
         columns = ["spec", "r", "b", "pc", "x_star", "M", "err", "method", "status"]
         if args.r == 2:
@@ -247,7 +245,7 @@ def cmd_sweep(args) -> int:
         for b in grid:
             row = {"b": b, "r": args.r, "status": "ok"}
             try:
-                spec = type(base)(family=base.family, b=b, a=base.a, r=base.r)
+                spec = dataclasses.replace(base, b=b)
                 d = make_distribution(spec)
                 row["spec"] = spec.label()
                 res, problem = _pc_result(d, args.r)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional
 
@@ -55,15 +55,10 @@ class CriticalResult:
     r: Optional[int] = None
 
     def as_dict(self) -> dict:
-        return {
-            "pc": self.pc,
-            "x_star": self.x_star,
-            "M": self.M,
-            "method": self.method,
-            "err": self.err,
-            "spec": self.spec.label() if self.spec else None,
-            "r": self.r,
-        }
+        """The fields by name, with the spec as its label."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["spec"] = self.spec.label() if self.spec else None
+        return out
 
 
 def pc_exact(d: OffspringDistribution, r: int) -> CriticalResult:

@@ -292,16 +292,17 @@ def _g_sum(ctx: GEvalContext, lx: float | np.ndarray, l1x: float | np.ndarray) -
     return gk
 
 
-def _G_block(ctx: GEvalContext, xs: np.ndarray, lx: np.ndarray, l1x: np.ndarray) -> np.ndarray:
-    """G(x) - 1 on one block of x given ``_libm_logs(xs)``, through a
-    (len(xs), len(ctx.ks)) array of g_k^r(x).
+def _G_block(ctx: GEvalContext, xs: np.ndarray, lx: np.ndarray, l1x: np.ndarray,
+             base: float) -> np.ndarray:
+    """``_mixture`` from ``base`` on one block of x given ``_libm_logs(xs)``, through
+    a (len(xs), len(ctx.ks)) array of g_k^r(x).
     """
     gk = _g_sum(ctx, lx[:, None], l1x[:, None])
     # the limits at x = 0 and at x = 1: g_k^r is r when k = r (0 otherwise) and 1,
     # D_r is 0 and (r-1)/m
     ends = (xs == 0.0) | (xs == 1.0)
     gk[ends] = np.where(xs[ends, None] == 0.0, np.where(ctx.ks == ctx.r, float(ctx.r), 0.0), 1.0)
-    out = gk @ ctx.weights + (ctx.defic_scale - 1.0)
+    out = gk @ ctx.weights + base
     if ctx.defic_scale:
         d = _deficiency(ctx.r, ctx.cutoff, lx, l1x)
         d[ends] = np.where(xs[ends] == 0.0, 0.0, (ctx.r - 1) / ctx.cutoff)
@@ -309,11 +310,13 @@ def _G_block(ctx: GEvalContext, xs: np.ndarray, lx: np.ndarray, l1x: np.ndarray)
     return out
 
 
-def _G_blocks(ctx: GEvalContext, xs: np.ndarray, lx: np.ndarray, l1x: np.ndarray) -> np.ndarray:
-    """G(x) - 1 on a 1-D array of x given its logs, one ``_G_block`` per ``_row_blocks`` slice."""
+def _G_blocks(ctx: GEvalContext, xs: np.ndarray, lx: np.ndarray, l1x: np.ndarray,
+              base: float) -> np.ndarray:
+    """``_mixture`` from ``base`` on a 1-D array of x given its logs, one ``_G_block``
+    per ``_row_blocks`` slice."""
     out = np.empty(len(xs))
     for rows in _row_blocks(ctx, len(xs)):
-        out[rows] = _G_block(ctx, xs[rows], lx[rows], l1x[rows])
+        out[rows] = _G_block(ctx, xs[rows], lx[rows], l1x[rows], base)
     return out
 
 
@@ -336,23 +339,29 @@ def _mixture(ctx: GEvalContext, x: float, base: float) -> float:
     return float(_g_sum(ctx, math.log(x), math.log1p(-x))[0] @ ctx.weights + base)
 
 
-def G_minus_1(ctx: GEvalContext, x: float | np.ndarray) -> float | np.ndarray:
-    """G(x) - 1 at a float or a 1-D array of x, without cancellation on the analytic path.
+def _mixture_at(ctx: GEvalContext, x: float | np.ndarray, base: float) -> float | np.ndarray:
+    """``_mixture`` from ``base`` at a float or a 1-D array of x in [0, 1].
 
     Arrays are evaluated in blocks of about 2^16 (x, k) elements by
-    ``_G_block``; a single x is ``_mixture`` from base ``defic_scale - 1.0``.
+    ``_G_block``; a single x is ``_mixture``.
     """
     if not isinstance(x, (np.ndarray, list, tuple)):
         x = float(x)
         if not 0.0 <= x <= 1.0:
             raise PreconditionError("x must lie in [0, 1]")
-        return _mixture(ctx, x, ctx.defic_scale - 1.0)
+        return _mixture(ctx, x, base)
     xs = np.asarray(x, dtype=float)
     if xs.ndim > 1 or not ((xs >= 0.0) & (xs <= 1.0)).all():  # NaN fails both
         raise PreconditionError("x must lie in [0, 1]")
     flat = xs.reshape(-1)
-    out = _G_blocks(ctx, flat, *_libm_logs(flat))
+    out = _G_blocks(ctx, flat, *_libm_logs(flat), base)
     return float(out[0]) if xs.ndim == 0 else out
+
+
+def G_minus_1(ctx: GEvalContext, x: float | np.ndarray) -> float | np.ndarray:
+    """G(x) - 1 at a float or a 1-D array of x, from base ``defic_scale - 1.0``:
+    without cancellation on the analytic path."""
+    return _mixture_at(ctx, x, ctx.defic_scale - 1.0)
 
 
 def _row_blocks(ctx: GEvalContext, n: int) -> list[slice]:
@@ -386,8 +395,9 @@ def G_upper(ctx: GEvalContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def G(ctx: GEvalContext, x: float | np.ndarray) -> float | np.ndarray:
-    """The mixture sum_{k >= r} pmf(k) g_k^r(x) over the context's support."""
-    return 1.0 + G_minus_1(ctx, x)
+    """The mixture sum_{k >= r} pmf(k) g_k^r(x) over the context's support, from
+    base ``defic_scale``: never 1 + (G - 1), which cancels where G is small."""
+    return _mixture_at(ctx, x, ctx.defic_scale)
 
 
 def h(ctx: GEvalContext, p: float, x: float) -> float:
@@ -570,7 +580,7 @@ def max_G(ctx: GEvalContext) -> MaxResult:
     """
     f = lambda x: G_minus_1(ctx, x)
     xs, lx, l1x = _grid()
-    vals = _G_blocks(ctx, xs, lx, l1x)
+    vals = _G_blocks(ctx, xs, lx, l1x, ctx.defic_scale - 1.0)
     pt = lambda i: (float(xs[i]), float(vals[i]))
 
     candidates = [pt(0), pt(-1)]

@@ -2,16 +2,20 @@
 
 Every distribution here is an integer law with support contained in
 {1, 2, 3, ...}; mass at 0 is rejected because the corresponding tree would
-be finite with positive probability.  Supported families:
+be finite with positive probability.  Each family is declared once, in the
+table ``_FAMILIES`` at the end of the module: its spec name, its parameters
+in label order and its class.  ``DistributionSpec.label``, ``parse_spec``,
+``make_distribution`` and the refusal of a parameter the family does not take
+all read that row.  The families, each with its spec name and parameters:
 
-* ``regular(b)``        -- point mass at b (the b-ary tree)
-* ``two_point(b, a)``   -- mass (a-b)/(a-2) at 2 and (b-2)/(a-2) at a, mean b
-* ``shifted_poisson(b)``   -- 2 + Poisson(b-2), mean b
-* ``shifted_geometric(b)`` -- 2 + Geometric_0(1/(b-1)), mean b
-* ``heavy_tail(r)``     -- pmf (r-1)/(k(k-1)) on k >= r, infinite mean
-* ``pruned(r, b)``      -- heavy_tail(r) truncated to {r..k1} with the
+* ``regular`` (``regular:b``)          -- point mass at b (the b-ary tree)
+* ``two_point`` (``twopoint:b,a``)     -- mass (a-b)/(a-2) at 2 and (b-2)/(a-2) at a, mean b
+* ``shifted_poisson`` (``poisson:b``)  -- 2 + Poisson(b-2), mean b
+* ``shifted_geometric`` (``geometric:b``) -- 2 + Geometric_0(1/(b-1)), mean b
+* ``heavy_tail`` (``heavy:r``)         -- pmf (r-1)/(k(k-1)) on k >= r, infinite mean
+* ``pruned`` (``pruned:r,b``)          -- heavy_tail(r) truncated to {r..k1} with the
   removed mass reassigned to r and 2r+1 so that the mean equals b exactly
-* ``explicit_pmf``      -- finite list of (k, probability) atoms
+* ``explicit_pmf`` (``pmf:k=p,...``)   -- finite list of (k, probability) atoms
 
 PMFs of the rational families (regular, two_point, heavy_tail and the
 pruned body) are exposed as ``fractions.Fraction`` values; the shifted
@@ -44,7 +48,7 @@ from __future__ import annotations
 import decimal
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional
 
@@ -68,16 +72,6 @@ __all__ = [
 
 INF = math.inf
 
-FAMILIES = (
-    "regular",
-    "two_point",
-    "shifted_poisson",
-    "shifted_geometric",
-    "heavy_tail",
-    "pruned",
-    "explicit_pmf",
-)
-
 _PMF_MASS_TOL = 1e-12
 # the most atoms an enumeration may hold: a finite law's atoms at or above the
 # threshold, an infinite law's up to its truncation cutoff, a pmf table's entries
@@ -88,6 +82,7 @@ DEFAULT_TAIL_TARGET = 1e-13
 # 2^53, below which a double holds every integer and int64 holds them with room
 _INT_PARAM_MAX = 2**53
 _INT64_MAX = 2**63 - 1
+_TINY = 2.0**-1022  # the smallest normal double
 
 
 class SpecError(ValueError):
@@ -199,9 +194,14 @@ class DistributionSpec:
     pmf: Optional[tuple[tuple[int, float], ...]] = None
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        if self.family not in _FAMILIES:
             raise SpecError(f"unknown family {self.family!r}")
         f = self.family
+        params = _FAMILIES[f][1]
+        extra = [x.name for x in fields(self)[1:]
+                 if x.name not in params and getattr(self, x.name) is not None]
+        if extra:
+            raise SpecError(f"family {f} takes only {', '.join(params)}; got {', '.join(extra)}")
         if self.b is not None and not math.isfinite(self.b):
             raise SpecError(f"b must be finite; got {self.b!r}")
         ints = [self.a, self.r, self.b if f == "regular" else None] + [k for k, _ in self.pmf or ()]
@@ -251,20 +251,10 @@ class DistributionSpec:
                 raise SpecError(f"probabilities sum to {total!r}, not 1")
 
     def label(self) -> str:
-        f = self.family
-        if f == "regular":
-            return f"regular:b={_fmt(self.b)}"
-        if f == "two_point":
-            return f"twopoint:b={_fmt(self.b)},a={self.a}"
-        if f == "shifted_poisson":
-            return f"poisson:b={_fmt(self.b)}"
-        if f == "shifted_geometric":
-            return f"geometric:b={_fmt(self.b)}"
-        if f == "heavy_tail":
-            return f"heavy:r={self.r}"
-        if f == "pruned":
-            return f"pruned:r={self.r},b={_fmt(self.b)}"
-        return "pmf:" + ",".join(f"{k}={_fmt(p)}" for k, p in self.pmf)
+        """The spec string: the family's name and its parameters in the table's order."""
+        name, params, _ = _FAMILIES[self.family]
+        pairs = self.pmf if self.pmf is not None else [(k, getattr(self, k)) for k in params]
+        return name + ":" + ",".join(f"{k}={_fmt(v)}" for k, v in pairs)
 
 
 def _fmt(x) -> str:
@@ -279,19 +269,6 @@ def _parse_real(tok: str) -> float:
         num, den = tok.split("/", 1)
         return float(Fraction(int(num), int(den)))
     return float(tok)
-
-
-_SPEC_ALIASES = {
-    "regular": "regular",
-    "twopoint": "two_point",
-    "two_point": "two_point",
-    "poisson": "shifted_poisson",
-    "geometric": "shifted_geometric",
-    "heavy": "heavy_tail",
-    "heavytail": "heavy_tail",
-    "pruned": "pruned",
-    "pmf": "explicit_pmf",
-}
 
 
 def parse_spec(text: str) -> DistributionSpec:
@@ -544,9 +521,14 @@ class ShiftedPoisson(_LightTail):
     than e^-112 lies past J, which the table reads as 0.  From ``pmf`` at the
     mode m = floor(lam), the ratios lam/j above m and j/lam below it fill the
     table, which is divided by its own sum so that the anchor's rounding
-    cancels.  P(X <= j) and P(X >= j) are each summed from their small end; a
-    start at j = 0 keeps a tiny P(xi < r) precise.  A table of more than
-    ``ENUM_CAP`` entries is refused before it is built.
+    cancels.  Below the mode a product under 2^-1022 is a whole multiple of
+    2^-1074 and stalls once a ratio j/lam rounds it back to itself; from the
+    highest stall down the table reads 0.  Summing the stalled entries put
+    P(xi < r) off by up to 1.3e-11 of max(P(xi < r), 2^-1022) at b = 1e5;
+    zeroed, it is off by at most 8.2e-14 of that up to b = 1e6.  P(X <= j)
+    and P(X >= j) are each summed from their small end; a start at j = 0
+    keeps a tiny P(xi < r) precise.  A table of more than ``ENUM_CAP``
+    entries is refused before it is built.
     """
 
     def __init__(self, spec: DistributionSpec):
@@ -575,6 +557,10 @@ class ShiftedPoisson(_LightTail):
         p[m] = self.pmf(m + 2)
         np.multiply.accumulate(p[m:], out=p[m:])
         np.multiply.accumulate(p[m::-1], out=p[m::-1])
+        # a subnormal product that a ratio j/lam < 1 no longer lowers has stalled
+        stalls = np.flatnonzero((p[:m] < _TINY) & (p[:m] >= p[1:m + 1]))
+        if len(stalls):
+            p[:stalls[-1] + 1] = 0.0
         p /= p.sum()
         out = p, np.add.accumulate(p), np.add.accumulate(p[::-1])[::-1]
         for a in out:
@@ -878,22 +864,11 @@ def _body_expect(rr: int, top: Optional[int], f, tail) -> float:
 # public constructors and functional wrappers
 
 
-_CLASS_FOR_FAMILY = {
-    "regular": Regular,
-    "two_point": TwoPoint,
-    "shifted_poisson": ShiftedPoisson,
-    "shifted_geometric": ShiftedGeometric,
-    "heavy_tail": HeavyTail,
-    "pruned": Pruned,
-    "explicit_pmf": ExplicitPMF,
-}
-
-
 def make_distribution(spec: DistributionSpec | str) -> OffspringDistribution:
     """Build an offspring distribution from a validated spec or CLI string."""
     if isinstance(spec, str):
         spec = parse_spec(spec)
-    return _CLASS_FOR_FAMILY[spec.family](spec)
+    return _FAMILIES[spec.family][2](spec)
 
 
 def prune_eta(r: int, b: float) -> Pruned:
@@ -919,3 +894,17 @@ def harmonic_tail_moment(d: OffspringDistribution, r: int) -> float:
 
 def fort_upper_moment(d: OffspringDistribution) -> float:
     return d.fort_upper_moment()
+
+
+# each family once: its spec name, its parameters in label order, its class
+_FAMILIES = {
+    "regular": ("regular", ("b",), Regular),
+    "two_point": ("twopoint", ("b", "a"), TwoPoint),
+    "shifted_poisson": ("poisson", ("b",), ShiftedPoisson),
+    "shifted_geometric": ("geometric", ("b",), ShiftedGeometric),
+    "heavy_tail": ("heavy", ("r",), HeavyTail),
+    "pruned": ("pruned", ("r", "b"), Pruned),
+    "explicit_pmf": ("pmf", ("pmf",), ExplicitPMF),
+}
+_SPEC_ALIASES = {name: family for family, (name, _, _) in _FAMILIES.items()}
+_SPEC_ALIASES.update(two_point="two_point", heavytail="heavy_tail")

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -339,18 +339,7 @@ class SimEstimate:
     stream_version: int = STREAM_VERSION
 
     def as_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "se": self.se,
-            "replicates": self.replicates,
-            "effective": self.effective,
-            "truncated": self.truncated,
-            "seed": self.seed,
-            "p": self.p,
-            "n": self.n,
-            "r": self.r,
-            "stream_version": self.stream_version,
-        }
+        return asdict(self)
 
 
 def _simulate_block(d: OffspringDistribution, r: int, p: float, n: int, budget: int,

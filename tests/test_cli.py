@@ -66,6 +66,19 @@ def test_parse_error_exit_code(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["pc", "--dist", "regular:b=5,r=7,a=3", "--r", "2"],
+    ["pc", "--dist", "heavy:r=2,b=5", "--r", "2"],
+    ["bounds", "--dist", "poisson:b=5,a=9", "--r", "2"],
+    ["sweep", "--dist", "geometric:b=3,r=2", "--r", "2", "--b-grid", "3:5:1"],
+])
+def test_parameters_the_family_does_not_take_exit_2(capsys, argv):
+    # these exited 0 and dropped the parameter: pc printed spec: regular:b=5
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == "" and len(err.splitlines()) == 1 and "takes only" in err
+
+
 def test_precondition_exit_code(capsys):
     code, _, err = run_cli(capsys, "pc", "--dist", "regular:b=3", "--r", "1")
     assert code == 3
@@ -265,6 +278,18 @@ def test_sweep_b_grid_prefers_closed_form_like_pc(capsys):
     assert json.loads(out)[0]["x_star"] == 0.75
 
 
+def test_sweep_b_grid_of_a_two_point_law(capsys):
+    # any family with b sweeps it, keeping its other parameters; b = 11 > a is refused in its row
+    code, out, _ = run_cli(capsys, "sweep", "--dist", "twopoint:b=4,a=9", "--r", "2",
+                           "--b-grid", "3:11:1", "--format", "json")
+    assert code == 0
+    rows = json.loads(out)
+    assert [row["spec"] for row in rows[:3]] == ["twopoint:b=3,a=9", "twopoint:b=4,a=9", "twopoint:b=5,a=9"]
+    assert [row["pc"] for row in rows[:3]] == pytest.approx([5 / 12, 0.3, 0.125], rel=1e-14)
+    assert [row["method"] for row in rows[:3]] == ["closed-form"] * 3
+    assert [row["status"] for row in rows] == ["ok"] * 7 + ["error: two_point requires a >= b"] * 2
+
+
 def test_sweep_b_grid_flags_contradicting_closed_form(capsys, monkeypatch):
     import gwboot.critical as critical
 
@@ -420,6 +445,19 @@ def test_budget_warning(capsys):
 _PC_KEYS = ["spec", "r", "pc", "x_star", "M", "method", "err"]
 _BOUND_KEYS = ["spec", "r", "name", "kind", "value", "raw", "valid", "note"]
 _MC_KEYS = ["spec", "r", "p", "n", "N", "seed", "qhat", "se", "q_exact", "z"]
+
+
+def test_result_dicts_keep_their_json_keys():
+    # the JSON keys of pc, of each bounds row and of an estimate, in field order
+    d = gwboot.make_distribution("poisson:b=6")
+    res = gwboot.pc_exact(d, 2)
+    assert list(res.as_dict()) == ["pc", "x_star", "M", "method", "err", "spec", "r"]
+    assert res.as_dict()["spec"] == "poisson:b=6"
+    entry = gwboot.bounds.bounds_report(d, 2).entries[0]
+    assert list(entry.as_dict()) == ["name", "kind", "value", "raw", "valid", "note"]
+    est = gwboot.simulate.estimate_qn(d, 2, 0.2, 2, 10, 1)
+    assert list(est.as_dict()) == ["estimate", "se", "replicates", "effective", "truncated", "seed",
+                                   "p", "n", "r", "stream_version"]
 
 
 def _carries(text, value):

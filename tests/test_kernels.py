@@ -130,6 +130,15 @@ def test_G_regular_is_single_kernel():
             assert gw.G(ctx, x) == pytest.approx(g(b, r, x), abs=1e-12)
 
 
+def test_G_keeps_its_bits_where_it_is_small():
+    # G was formed as 1 + (G - 1), which read 0.0 here
+    ctx = make_context(make_distribution("regular:b=10"), 3)
+    want = g(10, 3, 1e-3)
+    assert want == pytest.approx(4.492e-20, rel=1e-3)
+    assert gw.G(ctx, 1e-3) == pytest.approx(want, rel=1e-14, abs=0)
+    assert gw.G(ctx, np.array([1e-3, 0.5]))[0] == pytest.approx(want, rel=1e-14, abs=0)
+
+
 def test_G_heavy_tail_is_one():
     ctx = make_context(make_distribution("heavy:r=2"), 2, tail_target=1e-10)
     for x in XGRID:
@@ -539,9 +548,9 @@ def test_max_G_evaluates_grid_in_blocks(monkeypatch, spec, r):
     blocks, points, log_calls = [], [], []  # rows per block, ndim-0 flag per G_minus_1 call, logs taken
     block, minus_1, logs = kernels._G_block, kernels.G_minus_1, kernels._libm_logs
 
-    def counting_block(c, xs, lx, l1x):
+    def counting_block(c, xs, *rest):
         blocks.append(len(xs))
-        return block(c, xs, lx, l1x)
+        return block(c, xs, *rest)
 
     def counting_logs(xs):
         log_calls.append(len(xs))

@@ -146,6 +146,34 @@ def test_shifted_poisson_probabilities_stay_at_most_one():
         assert max(d.prob_below(r) for r in range(top)) <= 1.0, b
 
 
+@pytest.mark.parametrize("b", [1e4, 1e5])
+def test_shifted_poisson_deep_lower_tail_matches_50_digit_reference(b):
+    # P(xi < r) within 1.8e-13 of max(P, 2^-1022) from below the mode down to
+    # r = b/2, through the subnormal range.  The table's products below the mode
+    # stall at a few 2^-1074 once a ratio j/lam no longer lowers them; summed,
+    # the stalled entries read 4.94e-320 at b = 1e5, r = 0.6 b, and erred by up
+    # to 1.26e-11 of 2^-1022 at b = 1e5 (3.1e-13 at b = 1e4)
+    tol, tiny = 1.8e-13, 2.0**-1022
+    d = make_distribution(f"poisson:b={b}")
+    s = math.sqrt(d.lam)
+    ns = sorted({int(d.lam - c * s) for c in np.arange(30.0, 40.0, 0.25)} | {int(0.6 * d.lam), int(d.lam) // 2})
+    with mpmath.workdps(50):
+        lam = mpmath.mpf(d.lam)
+
+        def below(n):  # P(X <= n), summed down from n until the terms are below 1e-40 of the sum
+            term = mpmath.exp(-lam + n * mpmath.log(lam) - mpmath.loggamma(n + 1))
+            total = term
+            while n > 0 and term > mpmath.mpf(10) ** -40 * total:
+                term *= n / lam
+                n -= 1
+                total += term
+            return float(total)
+
+        for n in ns:
+            want = below(n)
+            assert abs(d.prob_below(n + 3) - want) <= tol * max(want, tiny), (n, d.prob_below(n + 3), want)
+
+
 @pytest.mark.parametrize("b, r", [(332, 10), (700, 6)])
 def test_shifted_poisson_keeps_a_tiny_mass_below_r(b, r):
     # P(xi < r) is 4.16e-130 and 4.15e-296: a table that started nearer the
@@ -219,10 +247,45 @@ def test_parse_case_insensitive_and_rational():
 
 
 def test_parse_roundtrip_labels():
-    for s in ALL_SPECS:
+    for s in ALL_SPECS + ["pruned:r=2,b=20"]:
         spec = parse_spec(s)
         again = parse_spec(spec.label())
         assert again == spec
+
+
+@pytest.mark.parametrize("text, label", [
+    ("regular:b=5", "regular:b=5"),
+    ("TwoPoint:a=6,b=3.5", "twopoint:b=3.5,a=6"),
+    ("two_point:b=4,a=9", "twopoint:b=4,a=9"),
+    ("poisson:b=7/2", "poisson:b=3.5"),
+    ("geometric:b=4.25", "geometric:b=4.25"),
+    ("heavytail:r=3", "heavy:r=3"),
+    ("pruned:r=3,b=30.5", "pruned:r=3,b=30.5"),
+    ("pruned:b=20,r=2", "pruned:r=2,b=20"),
+    ("pmf:4=1/2,2=0.5", "pmf:4=0.5,2=0.5"),
+])
+def test_label_bytes_per_family(text, label):
+    # each family's name and its parameters in a fixed order, whatever the input order
+    assert parse_spec(text).label() == label
+
+
+@pytest.mark.parametrize("text", ["regular:b=5,r=7,a=3", "heavy:r=2,b=5", "poisson:b=5,a=9",
+                                  "geometric:b=4,r=2", "twopoint:b=4,a=9,r=2", "pruned:r=2,b=20,a=3"])
+def test_parse_refuses_parameters_the_family_does_not_take(text):
+    # these parsed and dropped the extra parameter: regular:b=5,r=7,a=3 read as regular:b=5
+    with pytest.raises(SpecError, match="takes only"):
+        parse_spec(text)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(family="regular", b=5, r=7),
+    dict(family="heavy_tail", r=2, b=5.0),
+    dict(family="explicit_pmf", pmf=((2, 1.0),), b=2.0),
+    dict(family="two_point", b=4.0, a=9, pmf=((2, 1.0),)),
+])
+def test_spec_refuses_parameters_the_family_does_not_take(kwargs):
+    with pytest.raises(SpecError, match="takes only"):
+        DistributionSpec(**kwargs)
 
 
 def test_parse_garbage_rejected():
