@@ -29,7 +29,7 @@ import numpy as np
 
 from .offspring import PreconditionError
 from .kernels import binom_lte
-from .simulate import DEFAULT_BUDGET, SampledTree, _grow_tree
+from .simulate import DEFAULT_BUDGET, SampledTree, _grow
 
 __all__ = [
     "LayeredTreeSpec",
@@ -82,21 +82,9 @@ def build_layered_tree(
     """Deterministic layered tree down to depth_cap (leaves keep no children)."""
     if depth_cap < 0:
         raise PreconditionError("depth_cap must be >= 0")
-    return _grow_tree(_Branching(spec), None, depth_cap, budget)
-
-
-class _Branching:
-    """The layered tree as an offspring law for the level builder: call t
-    returns the branching of depth t for every vertex of that level."""
-
-    def __init__(self, spec: LayeredTreeSpec):
-        self.spec = spec
-        self.t = 0
-
-    def sample(self, rng, size: int) -> np.ndarray:
-        c = np.full(size, self.spec.branching_at(self.t), dtype=np.int64)
-        self.t += 1
-        return c
+    offsets, dropped = _grow(lambda t, w: np.full(w, spec.branching_at(t), dtype=np.int64),
+                             depth_cap, budget, 1)
+    return SampledTree(offsets, bool(dropped[0]))
 
 
 def level_sizes(spec: LayeredTreeSpec, up_to: int) -> list[int]:

@@ -207,6 +207,8 @@ class DistributionSpec:
         ints = [self.a, self.r, self.b if f == "regular" else None] + [k for k, _ in self.pmf or ()]
         if any(abs(v) > _INT_PARAM_MAX for v in ints if v is not None):
             raise SpecError(f"integer parameters must lie within 2^53 = {_INT_PARAM_MAX}")
+        if self.r is not None and not float(self.r).is_integer():  # NaN fails too
+            raise SpecError(f"{f} requires integer r; got {self.r!r}")
         if f == "regular":
             if self.b is None or self.b != int(self.b) or self.b < 1:
                 raise SpecError("regular requires integer b >= 1")
@@ -800,6 +802,11 @@ _REL_REMAINDER = 2.0**-56
 # k^a/(k-1) = sum_j k^(a-1-j), 1/(k^3(k-1)) = sum_j k^(-4-j), and
 # 1/(k(k-1)^2(2k-3)) = k^-4 (1-1/k)^-2 (1-3/(2k))^-1 / 2
 _BODY_HEAD = 2000
+# the head k = 2.._BODY_HEAD and k(k-1) (exact in double), read-only: every
+# body, whatever its r and top, sums a slice of it
+_HEAD_KS = np.arange(2, _BODY_HEAD + 1)
+_HEAD_KK1 = _HEAD_KS * (_HEAD_KS - 1.0)
+_HEAD_KS.flags.writeable = _HEAD_KK1.flags.writeable = False
 _ONES = np.ones(8)
 _FORT_COEFFS = np.convolve(np.arange(1.0, 9.0), 1.5 ** np.arange(8.0))[:8] / 2
 
@@ -854,8 +861,8 @@ def _body_expect(rr: int, top: Optional[int], f, tail) -> float:
     rest = (rr - 1) * tail(_BODY_HEAD + 1, top) if top is None or top > _BODY_HEAD else 0.0
     if math.isinf(rest):  # a divergent tail, which no head can offset
         return rest
-    ks = np.arange(rr, last + 1)
-    terms = ((rr - 1) / (ks * (ks - 1.0)) * f(ks)).tolist()
+    head = slice(rr - 2, max(rr - 2, last - 1))  # k = rr..last
+    terms = ((rr - 1) / _HEAD_KK1[head] * f(_HEAD_KS[head])).tolist()
     terms.append(rest)
     return math.fsum(terms)
 

@@ -1,14 +1,19 @@
 """Galton-Watson tree sampling and bootstrap dynamics.
 
-Trees are stored breadth-first to a fixed depth n: vertices at depth n keep
-no children, matching the truncated-tree semantics of the survival
-recursion.  Two independent oracles decide the fate of the root:
+Trees are grown breadth-first to a fixed depth n by one level builder,
+``_grow``, and kept in the form it builds: per level, the offsets
+[0, cumsum(child counts)].  Vertices at depth n keep no children, matching
+the truncated-tree semantics of the survival recursion.  A ``SampledTree``
+is the offsets of one root; a Monte Carlo block is those of a forest.  Two
+independent oracles decide the fate of the root of a ``SampledTree``:
 
 * ``run_bootstrap`` iterates the infection update rule (neighbourhood =
-  parent + children) to its fixed point;
-* ``root_fort_status`` runs the bottom-up blocking-set recursion: a vertex
-  is safe iff it is initially healthy and at most r-1 of its children are
-  unsafe, leaves being safe iff healthy.
+  parent + children) to its fixed point, with the child ranges and parents
+  read off the offsets;
+* ``root_fort_status`` runs ``_fort_pass``, the bottom-up blocking-set
+  recursion that Monte Carlo blocks also use: a vertex is safe iff it is
+  initially healthy and at most r-1 of its children are unsafe, leaves
+  being safe iff healthy.
 
 On any finite tree the eternally healthy set is exactly the union of
 initially healthy blocking sets, so the two must agree on the root.
@@ -36,7 +41,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import asdict, dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -139,24 +144,25 @@ def block_size(d: OffspringDistribution, n: int, budget: int) -> int:
     return max(1, int(BLOCK_VERTICES // min(expected_tree_size(d, n), budget)))
 
 
-def _grow(d: OffspringDistribution, rng: Optional[np.random.Generator], n: int,
-          budget: int, roots: int) -> tuple[list[np.ndarray], np.ndarray]:
-    """Levels 0..n of ``roots`` i.i.d. trees, grown breadth-first as one forest.
+def _grow(draw: Callable[[int, int], np.ndarray], n: int, budget: int,
+          roots: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """Levels 0..n of ``roots`` trees, grown breadth-first as one forest.
 
-    Each level's vertices lie tree by tree; one ``d.sample`` call draws the
-    child counts of a whole level.  Returns ``(offsets, dropped)``:
-    ``offsets[i]`` is ``[0, cumsum(child counts of level i)]`` and the level
-    after the last one holds leaves.  A tree whose vertex total exceeds
-    ``budget`` has the counts of the level that did it zeroed and is marked
-    in ``dropped``; growth stops once every tree is dropped.
+    Each level's vertices lie tree by tree; ``draw(i, width)`` gives the
+    child counts of all ``width`` vertices of level i at once.  Returns
+    ``(offsets, dropped)``: ``offsets[i]`` is
+    ``[0, cumsum(child counts of level i)]`` and the level after the last
+    one holds leaves.  A tree whose vertex total exceeds ``budget`` has the
+    counts of the level that did it zeroed and is marked in ``dropped``;
+    growth stops once every tree is dropped.
     """
     offsets: list[np.ndarray] = []
     bounds = np.arange(roots + 1)  # tree t spans bounds[t]:bounds[t+1] of a level
     reach = bounds.copy()  # sum of the levels' bounds: tree t has reach[t+1] - reach[t] vertices
     dropped = np.zeros(roots, dtype=bool)
     width = total = roots
-    for _ in range(n):
-        c = d.sample(rng, width)
+    for i in range(n):
+        c = draw(i, width)
         off = np.empty(width + 1, dtype=np.int64)
         off[0] = 0
         c.cumsum(out=off[1:])
@@ -204,31 +210,25 @@ def _fort_pass(offsets: list[np.ndarray], marks: np.ndarray, r: int) -> np.ndarr
 
 @dataclass
 class SampledTree:
-    """Breadth-first tree: children of vertex v occupy
-    child_start[v] .. child_start[v] + counts[v]."""
+    """One tree as ``_grow`` builds it, its vertices numbered breadth-first.
 
-    counts: np.ndarray
-    child_start: np.ndarray
-    level_start: list[int]  # level_start[i] .. level_start[i+1] is level i
+    ``offsets[i]`` is ``[0, cumsum(child counts of level i)]``: the
+    children of the j-th vertex of level i are the vertices
+    ``offsets[i][j]`` to ``offsets[i][j+1] - 1`` of level i+1.  The level
+    after the last one in ``offsets`` holds leaves; a truncated tree's is
+    empty.
+    """
+
+    offsets: list[np.ndarray]
     truncated: bool
 
     @property
-    def n_vertices(self) -> int:
-        return len(self.counts)
+    def level_sizes(self) -> list[int]:
+        return [1] + [int(off[-1]) for off in self.offsets]
 
     @property
-    def n_levels(self) -> int:
-        return len(self.level_start) - 1
-
-    def level(self, i: int) -> slice:
-        return slice(self.level_start[i], self.level_start[i + 1])
-
-    def parents(self) -> np.ndarray:
-        par = np.empty(self.n_vertices, dtype=np.int64)
-        par[0] = -1
-        if self.n_vertices > 1:
-            par[1:] = np.repeat(np.arange(self.n_vertices), self.counts)
-        return par
+    def n_vertices(self) -> int:
+        return sum(self.level_sizes)
 
 
 def sample_tree(
@@ -250,28 +250,8 @@ def sample_tree(
         raise PreconditionError("budget must be >= 1")
     if rng is None:
         rng = replicate_rng(0 if seed is None else seed, 0)
-    return _grow_tree(d, rng, n, budget)
-
-
-def _grow_tree(d, rng: Optional[np.random.Generator], n: int, budget: int) -> SampledTree:
-    """One tree from ``_grow``; ``d`` needs only a ``sample(rng, size)`` method."""
-    offsets, dropped = _grow(d, rng, n, budget, 1)
-    truncated = bool(dropped[0])
-    level_counts = [off[1:] - off[:-1] for off in offsets]
-    if not truncated:
-        leaves = int(offsets[-1][-1]) if offsets else 1
-        level_counts.append(np.zeros(leaves, dtype=np.int64))
-    sizes = [len(c) for c in level_counts]
-    counts = np.concatenate(level_counts)
-    child_start = np.empty(len(counts), dtype=np.int64)
-    child_start[0] = 1
-    np.cumsum(counts[:-1], out=child_start[1:])
-    child_start[1:] += 1
-    return SampledTree(
-        counts=counts, child_start=child_start,
-        level_start=np.concatenate([[0], np.cumsum(sizes)]).tolist(),
-        truncated=truncated,
-    )
+    offsets, dropped = _grow(lambda i, w: d.sample(rng, w), n, budget, 1)
+    return SampledTree(offsets, bool(dropped[0]))
 
 
 def sample_marks(tree: SampledTree, p: float, rng: np.random.Generator) -> np.ndarray:
@@ -286,20 +266,39 @@ def sample_marks(tree: SampledTree, p: float, rng: np.random.Generator) -> np.nd
     return _draw_marks(rng, tree.n_vertices, p)
 
 
+def _check_threshold(r: int) -> None:
+    """Raise ``PreconditionError`` unless r >= 1.
+
+    r = 1 is accepted: a vertex with a single unsafe child is unsafe.  At
+    r <= 0 every vertex would count as unsafe, so the threshold is refused.
+    """
+    if r < 1:
+        raise PreconditionError("threshold r must be >= 1")
+
+
 def run_bootstrap(tree: SampledTree, marks: np.ndarray, r: int) -> np.ndarray:
-    """Final infected set of the update dynamics on the sampled tree."""
-    if len(marks) != tree.n_vertices:
-        raise PreconditionError("marks must cover all vertices")
+    """Final infected set of the update dynamics on the sampled tree.
+
+    Child ranges and parents are read off ``tree.offsets`` here, not through
+    ``_fort_pass``, so that the two oracles share no code past the tree.
+    """
+    _check_threshold(r)
     n_v = tree.n_vertices
-    parent = tree.parents()
-    infected = np.asarray(marks, dtype=bool).copy()
-    cnt = np.zeros(n_v, dtype=np.int64)
-    stack = list(np.flatnonzero(infected))
-    counts = tree.counts
-    child_start = tree.child_start
+    if len(marks) != n_v:
+        raise PreconditionError("marks must cover all vertices")
+    sizes = tree.level_sizes
+    # first[v] .. first[v+1] - 1 are the children of vertex v; level i+1
+    # starts at vertex sum(sizes[:i+1])
+    first = np.concatenate([start + off[:-1] for start, off in zip(np.cumsum(sizes), tree.offsets)]
+                           + [np.full(sizes[-1] + 1, n_v)])
+    parent = [-1] + np.repeat(np.arange(n_v), np.diff(first)).tolist()
+    first = first.tolist()
+    infected = np.array(marks, dtype=bool)
+    cnt = [0] * n_v
+    stack = np.flatnonzero(infected).tolist()
     while stack:
         u = stack.pop()
-        neigh = list(range(child_start[u], child_start[u] + counts[u]))
+        neigh = list(range(first[u], first[u + 1]))
         if parent[u] >= 0:
             neigh.append(parent[u])
         for v in neigh:
@@ -313,14 +312,10 @@ def run_bootstrap(tree: SampledTree, marks: np.ndarray, r: int) -> np.ndarray:
 
 def root_fort_status(tree: SampledTree, marks: np.ndarray, r: int) -> bool:
     """True iff the root stays healthy forever (lies in a healthy blocking set)."""
+    _check_threshold(r)
     if len(marks) != tree.n_vertices:
         raise PreconditionError("marks must cover all vertices")
-    offsets = []
-    for lev in range(tree.n_levels - 1):
-        off = np.zeros(tree.level_start[lev + 1] - tree.level_start[lev] + 1, dtype=np.int64)
-        np.cumsum(tree.counts[tree.level(lev)], out=off[1:])
-        offsets.append(off)
-    return bool(_fort_pass(offsets, np.asarray(marks, dtype=bool), r)[0])
+    return bool(_fort_pass(tree.offsets, np.asarray(marks, dtype=bool), r)[0])
 
 
 @dataclass(frozen=True, slots=True)
@@ -350,20 +345,15 @@ def _simulate_block(d: OffspringDistribution, r: int, p: float, n: int, budget: 
     forest, then the marks of every vertex in breadth-first order, drawn by
     ``_draw_marks``.  A dropped replicate's survival flag is False.
     """
-    offsets, dropped = _grow(d, rng, n, budget, roots)
+    offsets, dropped = _grow(lambda i, w: d.sample(rng, w), n, budget, roots)
     total = roots + sum(int(off[-1]) for off in offsets)
     safe = _fort_pass(offsets, _draw_marks(rng, total, p), r)
     return safe & ~dropped, dropped
 
 
 def check_estimate_args(r: int, p: float, n: int, replicates: int, budget: int) -> None:
-    """Raise ``PreconditionError`` unless ``estimate_qn`` can take these arguments.
-
-    r = 1 is accepted: a vertex with a single unsafe child is unsafe.  At
-    r <= 0 every vertex would count as unsafe, so the threshold is refused.
-    """
-    if r < 1:
-        raise PreconditionError("threshold r must be >= 1")
+    """Raise ``PreconditionError`` unless ``estimate_qn`` can take these arguments."""
+    _check_threshold(r)
     if not 0.0 <= p <= 1.0:
         raise PreconditionError("p must lie in [0, 1]")
     if replicates < 1:

@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 
 import gwboot as gw
@@ -35,10 +34,8 @@ def closed_form_boundary_sizes(spec, ell):
 def test_build_small_example():
     spec = LayeredTreeSpec(d=3, b=2, n_seq=(1,), m_seq=(1,))
     t = build_layered_tree(spec, 2)
-    sizes = [t.level_start[i + 1] - t.level_start[i] for i in range(t.n_levels)]
-    assert sizes == [1, 4, 12]
-    assert t.counts[0] == 4
-    assert np.all(t.counts[t.level(1)] == 3)
+    assert t.level_sizes == [1, 4, 12]
+    assert [list(off) for off in t.offsets] == [[0, 4], [0, 3, 6, 9, 12]]
     _, roots = level_growth(spec, 2)
     assert roots[2] == pytest.approx(math.sqrt(12), abs=1e-12)
 
@@ -62,8 +59,7 @@ def test_level_sizes_match_product_formula():
 def test_level_sizes_match_built_tree():
     spec = LayeredTreeSpec(d=3, b=2, n_seq=(2, 1), m_seq=(1, 2))
     t = build_layered_tree(spec, 6)
-    built = [t.level_start[i + 1] - t.level_start[i] for i in range(t.n_levels)]
-    assert built == level_sizes(spec, 6)
+    assert t.level_sizes == level_sizes(spec, 6)
 
 
 def test_regular_only_level_sizes():

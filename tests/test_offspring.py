@@ -210,6 +210,17 @@ def test_rejects_non_finite_and_out_of_range_numbers(kwargs):
         DistributionSpec(**kwargs)
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(family="heavy_tail", r=2.5),
+    dict(family="pruned", r=2.5, b=20.0),
+    dict(family="heavy_tail", r=math.nan),
+])
+def test_rejects_non_integer_r(kwargs):
+    # r = 2.5 labelled itself heavy:r=2.5, which parse_spec refuses, and built the r = 2 law
+    with pytest.raises(SpecError, match="integer r"):
+        DistributionSpec(**kwargs)
+
+
 def test_rejects_two_point_a_below_b():
     with pytest.raises(SpecError):
         parse_spec("twopoint:b=9,a=4")

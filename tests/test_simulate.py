@@ -37,39 +37,42 @@ def test_sample_tree_regular_is_deterministic_shape():
     t = sample_tree(make_distribution("regular:b=3"), 2, seed=5)
     assert t.n_vertices == 13  # 1 + 3 + 9
     assert not t.truncated
-    sizes = [t.level_start[i + 1] - t.level_start[i] for i in range(t.n_levels)]
-    assert sizes == [1, 3, 9]
-    assert np.all(t.counts[t.level(2)] == 0)  # truncation boundary keeps no children
+    assert t.level_sizes == [1, 3, 9]
+    # two levels of offsets: the truncation boundary keeps no children
+    assert [list(off) for off in t.offsets] == [[0, 3], [0, 3, 6, 9]]
 
 
 def test_sample_tree_depth_zero():
     t = sample_tree(make_distribution("geometric:b=4"), 0, seed=1)
     assert t.n_vertices == 1
-    assert t.counts[0] == 0
+    assert t.offsets == []
 
 
 def test_sample_tree_replay_identical():
     d = make_distribution("twopoint:b=4,a=9")
     t1 = sample_tree(d, 3, seed=99)
     t2 = sample_tree(d, 3, seed=99)
-    assert np.array_equal(t1.counts, t2.counts)
+    assert all(np.array_equal(a, b) for a, b in zip(t1.offsets, t2.offsets, strict=True))
     t3 = sample_tree(d, 3, seed=100)
-    assert not np.array_equal(t1.counts, t3.counts)
+    assert not all(np.array_equal(a, b) for a, b in zip(t1.offsets, t3.offsets, strict=True))
 
 
 def test_sample_tree_budget_flag():
     t = sample_tree(make_distribution("regular:b=3"), 10, budget=50, seed=0)
     assert t.truncated
     assert t.n_vertices <= 50
-    assert np.all(t.counts[t.level(t.n_levels - 1)] == 0)
+    assert t.level_sizes == [1, 3, 9, 27, 0]  # the level that went over keeps no children
 
 
-def test_parents_structure():
+def test_bootstrap_reads_children_and_parents_from_offsets():
+    # vertices 3 and 4 are the children of vertex 1, 5 and 6 of vertex 2
     t = sample_tree(make_distribution("regular:b=2"), 2, seed=0)
-    par = t.parents()
-    assert par[0] == -1
-    assert list(par[1:3]) == [0, 0]
-    assert list(par[3:]) == [1, 1, 2, 2]
+    marks = np.zeros(t.n_vertices, dtype=bool)
+    marks[[3, 4]] = True
+    out = run_bootstrap(t, marks, 2)
+    assert out[1]
+    assert not out[0] and not out[2]
+    assert not out[5:].any()
 
 
 def test_bootstrap_all_infected_stays():
@@ -121,6 +124,25 @@ def test_dual_oracle_small_batch():
         assert bool(closure[0]) == (not root_fort_status(t, marks, r))
         checked += 1
     assert checked == 800
+
+
+@pytest.mark.parametrize("spec", MIXED)
+def test_single_tree_api_equals_a_one_root_block(spec):
+    # sample_tree, sample_marks and root_fort_status on block j's stream give
+    # the root outcome and truncation flag of a block of one replicate
+    d = make_distribution(spec)
+    seen_truncated = False
+    for seed in (3, 2024, 2**64 + 5):
+        for j, n, p, r, budget in ((0, 0, 0.3, 2, 10), (1, 3, 0.2, 2, 10**4), (2, 4, 0.1, 3, 20),
+                                   (7, 5, 0.05, 1, 10**4), (9, 2, 0.5, 2, 10**4)):
+            rng = replicate_rng(seed, j)
+            tree = sample_tree(d, n, budget=budget, rng=rng)
+            marks = sample_marks(tree, p, rng)
+            safe, dropped = _simulate_block(d, r, p, n, budget, 1, replicate_rng(seed, j))
+            assert tree.truncated == bool(dropped[0])
+            assert (root_fort_status(tree, marks, r) and not tree.truncated) == bool(safe[0])
+            seen_truncated |= tree.truncated
+    assert seen_truncated
 
 
 def test_estimate_qn_edge_probabilities():
@@ -183,11 +205,8 @@ class _Recorder:
 
 def _tree_alone(level_counts):
     """SampledTree from one tree's child counts per level, leaves last."""
-    counts = np.concatenate(level_counts).astype(np.int64)
-    child_start = np.concatenate([[1], 1 + np.cumsum(counts[:-1])]).astype(np.int64)
-    sizes = [len(c) for c in level_counts]
-    return SampledTree(counts=counts, child_start=child_start,
-                       level_start=np.concatenate([[0], np.cumsum(sizes)]).tolist(),
+    assert not level_counts[-1].any()
+    return SampledTree(offsets=[np.concatenate([[0], np.cumsum(c)]) for c in level_counts[:-1]],
                        truncated=False)
 
 
@@ -276,7 +295,7 @@ def test_forest_matches_per_tree_oracles(spec):
                     assert not safe[t]
                     continue
                 alone = _tree_alone(tree)
-                assert alone.n_levels == n + 1
+                assert alone.level_sizes == [len(c) for c in tree] and len(tree) == n + 1
                 closure = run_bootstrap(alone, np.concatenate(own[t]), r)
                 assert bool(safe[t]) == (not closure[0])
 
@@ -401,3 +420,18 @@ def test_estimate_qn_rejects_bad_input():
         with pytest.raises(PreconditionError):
             estimate_qn(d, r, 0.5, 3, 10, seed=0)
     assert estimate_qn(d, 1, 0.5, 3, 10, seed=0).r == 1
+
+
+def test_single_tree_oracles_refuse_r_below_one():
+    # at r = 0 the fort pass would call every vertex unsafe while the
+    # dynamics infect nothing; both refuse it as estimate_qn does
+    t = sample_tree(make_distribution("regular:b=3"), 3, seed=0)
+    marks = np.zeros(t.n_vertices, dtype=bool)
+    for r in (0, -1):
+        with pytest.raises(PreconditionError):
+            run_bootstrap(t, marks, r)
+        with pytest.raises(PreconditionError):
+            root_fort_status(t, marks, r)
+    marks[4] = True  # a child of vertex 1
+    assert list(np.flatnonzero(run_bootstrap(t, marks, 1))) == list(range(t.n_vertices))
+    assert not root_fort_status(t, marks, 1)
