@@ -15,10 +15,12 @@ p_c = 1 - 1/M.  The one-level survival map has one form for every law,
 
 with P(xi < r) stored in the evaluation context.  One term loop,
 ``_g_sum``, reads the context's log-binomial tables for a block of x and for
-G(x) at a single x alike: one step of the survival recursion costs about
-10 us on a support of a few hundred atoms and 2-6 us on a point mass or a
-heavy or pruned law, which sum their few terms in scalar code (2-vCPU Xeon,
-numpy 2.4).
+G(x) at a single x alike, and each x's sum over the support is its own dot
+product (``_row_dots``), so G at a point has the same bits in any array: one
+step of the survival recursion costs about 10 us on a support of a few
+hundred atoms and 2-6 us on a point mass or a heavy or pruned law, which sum
+their few terms in scalar code (2-vCPU Xeon, numpy 2.4).  ``max_G`` scans a
+grid of x, on a large support only where ``G_upper`` cannot rule G out.
 
 For the heavy-tail law with pmf (r-1)/(k(k-1)) the full mixture is
 identically 1, and the deficiency of a truncated mixture,
@@ -68,6 +70,7 @@ BRACKET_WIDTH = 1e-12
 _X_REL = 1e-9  # max_G refines to this fraction of the distance to the nearer end
 _TIE_REL = 1e-10  # max_G's candidates within this fraction of |M - 1| of the best tie
 _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0  # the golden section of a bracket's side
+_COARSE = (25, 5)  # max_G's coarse grid steps, in grid points, coarsest first
 
 
 def _log_binom_sum(n: int, m: int, l_i: float, l_rest: float, e: int = 0) -> float:
@@ -292,17 +295,24 @@ def _g_sum(ctx: GEvalContext, lx: float | np.ndarray, l1x: float | np.ndarray) -
     return gk
 
 
+def _row_dots(gk: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """gk_j . w for each row j of gk, one dot per row: a row's bits do not depend
+    on the rows beside it, as those of a matrix-vector product (gemv) do."""
+    return (gk[:, None, :] @ w[:, None])[:, 0, 0]
+
+
 def _G_block(ctx: GEvalContext, xs: np.ndarray, lx: np.ndarray, l1x: np.ndarray,
              base: float) -> np.ndarray:
     """``_mixture`` from ``base`` on one block of x given ``_libm_logs(xs)``, through
-    a (len(xs), len(ctx.ks)) array of g_k^r(x).
+    a (len(xs), len(ctx.ks)) array of g_k^r(x) whose rows ``_row_dots`` sums
+    one by one: a value does not depend on the block it is computed in.
     """
     gk = _g_sum(ctx, lx[:, None], l1x[:, None])
     # the limits at x = 0 and at x = 1: g_k^r is r when k = r (0 otherwise) and 1,
     # D_r is 0 and (r-1)/m
     ends = (xs == 0.0) | (xs == 1.0)
     gk[ends] = np.where(xs[ends, None] == 0.0, np.where(ctx.ks == ctx.r, float(ctx.r), 0.0), 1.0)
-    out = gk @ ctx.weights + base
+    out = _row_dots(gk, ctx.weights) + base
     if ctx.defic_scale:
         d = _deficiency(ctx.r, ctx.cutoff, lx, l1x)
         d[ends] = np.where(xs[ends] == 0.0, 0.0, (ctx.r - 1) / ctx.cutoff)
@@ -326,16 +336,20 @@ def _mixture(ctx: GEvalContext, x: float, base: float) -> float:
     A point mass or a heavy or pruned law is a few closed-form terms, which
     the scalar kernels sum in a few microseconds, where numpy's per-call
     overhead makes a row of the tables cost several times that.  Any other
-    support at an interior x is one row of ``_g_sum``, bit for bit the
-    one-row block of ``G_minus_1``'s array path.
+    support is one row of ``_g_sum`` (at x = 0 and 1, a one-row block), bit
+    for bit the same x in any block of ``G_minus_1``'s array path.
     """
-    if ctx.defic_scale or len(ctx.ks) == 1 or not 0.0 < x < 1.0:
+    if ctx.defic_scale or len(ctx.ks) == 1:
         total = base
         for k, w in ctx.atoms:
             total += w * g(k, ctx.r, x)
         if ctx.defic_scale:
             total -= ctx.defic_scale * heavy_tail_deficiency(ctx.r, ctx.cutoff, x)
         return total
+    if not 0.0 < x < 1.0:  # the limits at the ends, as a one-row block
+        xs = np.array([x])
+        return float(_G_block(ctx, xs, *_libm_logs(xs), base)[0])
+    # one dot, as each row of a block (``_row_dots``)
     return float(_g_sum(ctx, math.log(x), math.log1p(-x))[0] @ ctx.weights + base)
 
 
@@ -388,7 +402,7 @@ def G_upper(ctx: GEvalContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     w = np.maximum(ctx.weights, 0.0)
     out = np.empty(len(b))
     for rows in _row_blocks(ctx, len(b)):
-        out[rows] = _g_sum(ctx, lb[rows], l1a[rows]) @ w
+        out[rows] = _row_dots(_g_sum(ctx, lb[rows], l1a[rows]), w)
     k = float(ctx.ks.max(initial=1)) + 1.0
     rel = 2.0**-36 + 2.0**-51 * math.lgamma(k + 1.0)
     return (out + ctx.defic_scale) * (1.0 + rel) + ctx.eps_G
@@ -537,6 +551,10 @@ def _brackets(ctx: GEvalContext, xs: np.ndarray, vals: np.ndarray) -> list[tuple
     so flat stretches cost nothing.  A piece whose ``G_upper`` bound lies below
     1 plus the tie floor of the best grid value is dropped: no value in it
     could tie the best grid value or any better one.
+
+    ``vals`` is NaN where ``_scan`` evaluated nothing.  A comparison with NaN
+    is False, so a peak needs the point and both its neighbours evaluated, and
+    the best grid value is the best evaluated one (``fmax`` skips NaN).
     """
     mid, left, right = vals[1:-1], vals[:-2], vals[2:]
     peaks = np.flatnonzero((mid >= left) & (mid >= right) & ((mid > left) | (mid > right))).tolist()
@@ -550,8 +568,50 @@ def _brackets(ctx: GEvalContext, xs: np.ndarray, vals: np.ndarray) -> list[tuple
         return []
     lo, hi = np.array(pieces).T
     upper = G_upper(ctx, xs[lo], xs[hi])
-    floor = 1.0 + _tie_floor(float(vals.max()))
+    floor = 1.0 + _tie_floor(float(np.fmax.reduce(vals)))
     return [piece for piece, bound in zip(pieces, upper.tolist()) if bound >= floor]
+
+
+def _scan(ctx: GEvalContext) -> np.ndarray:
+    """G - 1 on ``_grid()`` where ``_brackets`` may need it, NaN elsewhere.
+
+    A grid that fits one block (1001 len(ks) <= ``_BLOCK`` elements) is
+    evaluated whole.  Otherwise every ``_COARSE[0]``-th point is evaluated, and
+    the points 0, 1, n-1 and n of the end pieces.  Each interval between them,
+    widened by one grid step on each side, is bounded by one ``G_upper`` call;
+    an interval is kept only if its bound, raised by 2^-34 relative for the
+    rounding of ``G_upper`` (2^-36), reaches 1 plus the tie floor of the best
+    value so far.  The kept intervals are split to every ``_COARSE[1]``-th
+    point and bounded in the same way, and the kept ones then to the grid.
+
+    A bound on an interval is one on every 3-point piece and grid point in it,
+    so a dropped interval holds no piece that ``_brackets`` would keep from the
+    whole grid, and no value above the best one evaluated.  G at a point does
+    not depend on the points evaluated with it (``_row_dots``), so the pieces
+    kept, their values and the best value are those of a whole-grid scan, bit
+    for bit.
+    """
+    xs, lx, l1x = _grid()
+    base = ctx.defic_scale - 1.0
+    n = len(xs) - 1
+    if (n + 1) * len(ctx.ks) <= _BLOCK:
+        return _G_blocks(ctx, xs, lx, l1x, base)
+    vals = np.full(n + 1, np.nan)
+
+    def fill(idx: np.ndarray) -> None:
+        idx = idx[np.isnan(vals[idx])]
+        vals[idx] = _G_blocks(ctx, xs[idx], lx[idx], l1x[idx], base)
+
+    step = _COARSE[0]
+    starts = np.arange(0, n, step)
+    fill(np.r_[starts, n, 1, n - 1])
+    for sub in _COARSE[1:] + (1,):
+        bound = G_upper(ctx, xs[np.maximum(starts - 1, 0)], xs[np.minimum(starts + step + 1, n)])
+        starts = starts[bound * (1.0 + 2.0**-34) >= 1.0 + _tie_floor(float(np.fmax.reduce(vals)))]
+        starts = (starts[:, None] + np.arange(0, step, sub)).ravel()
+        fill(starts)
+        step = sub
+    return vals
 
 
 def max_G(ctx: GEvalContext) -> MaxResult:
@@ -561,15 +621,19 @@ def max_G(ctx: GEvalContext) -> MaxResult:
     the maximum (``_brackets``): the grid neighbours of each local maximum and
     the end pieces where G falls away from x = 0 or 1, less those whose
     ``G_upper`` bound, from one vectorised call, cannot reach the best grid
-    value.  Each piece left is refined (``_refine``) by Brent's method seeded
-    with its three grid points, so its first step is a parabola's vertex.  An
-    end piece is first probed at ``BRACKET_WIDTH`` from its end; where G there
-    is below G at the end, the mode lies within ``BRACKET_WIDTH`` of the end
-    under the unimodality assumed of every piece, and the piece takes no
-    further evaluation.  Modes of all supported
-    families are wide relative to the grid step.  The grid and its libm logs
-    are computed once per process; G - 1 on it is ``G_minus_1``'s array path,
-    bit for bit.
+    value.  On a support too large for one block the scan goes coarse to
+    fine (``_scan``): it evaluates only the grid pieces whose ``G_upper``
+    bound can reach the best value so far, and finds the same pieces and
+    values as a scan of the whole grid, bit for bit.  Each piece left is
+    refined (``_refine``) by Brent's method seeded with its three grid
+    points, so its first step is a parabola's vertex.  An end piece is first
+    probed at ``BRACKET_WIDTH`` from its end; where G there is below G at the
+    end, the mode lies within ``BRACKET_WIDTH`` of the end under the
+    unimodality assumed of every piece, and the piece takes no further
+    evaluation.  Modes of all supported families are wide relative to the
+    grid step.  The grid and its libm logs are computed once per process;
+    each value G - 1 on it is ``G_minus_1`` at that x, bit for bit, whether
+    in an array or alone.
 
     Candidates within ``_TIE_REL`` |M - 1| of the best tie, and ties report
     the smallest x.  The refinement stops at brackets of width
@@ -579,8 +643,8 @@ def max_G(ctx: GEvalContext) -> MaxResult:
     1e-8 relative on the pruned laws, 1e-7 on ``geometric:b=4`` at r = 4.
     """
     f = lambda x: G_minus_1(ctx, x)
-    xs, lx, l1x = _grid()
-    vals = _G_blocks(ctx, xs, lx, l1x, ctx.defic_scale - 1.0)
+    xs = _grid()[0]
+    vals = _scan(ctx)
     pt = lambda i: (float(xs[i]), float(vals[i]))
 
     candidates = [pt(0), pt(-1)]

@@ -145,7 +145,7 @@ def harmonic_number(n: int) -> float:
 def _harmonic_numbers(n: np.ndarray) -> np.ndarray:
     """harmonic_number over an integer array n >= 0."""
     table = _harmonic_prefix(_HARMONIC_CACHE_N)
-    if n.max() <= _HARMONIC_CACHE_N:
+    if n.max(initial=0) <= _HARMONIC_CACHE_N:
         return table[n]
     return np.where(n <= _HARMONIC_CACHE_N, table[np.minimum(n, _HARMONIC_CACHE_N)],
                     _harmonic_series(np.maximum(n, _HARMONIC_CACHE_N).astype(float)))
@@ -858,7 +858,7 @@ def _harmonic_tail(r: int, a: int, n: Optional[int]) -> float:
 def _body_expect(rr: int, top: Optional[int], f, tail) -> float:
     """sum_{k=rr}^{top} (rr-1)/(k(k-1)) f(k), the heavy-tail body (top None: infinity)."""
     last = _BODY_HEAD if top is None else min(top, _BODY_HEAD)
-    rest = (rr - 1) * tail(_BODY_HEAD + 1, top) if top is None or top > _BODY_HEAD else 0.0
+    rest = (rr - 1) * tail(max(_BODY_HEAD + 1, rr), top) if top is None or top > _BODY_HEAD else 0.0
     if math.isinf(rest):  # a divergent tail, which no head can offset
         return rest
     head = slice(rr - 2, max(rr - 2, last - 1))  # k = rr..last

@@ -539,18 +539,25 @@ def _grid_pieces(vals):
     return pieces + [(0, 1)] * bool(vals[0] > vals[1]) + [(n - 1, n)] * bool(vals[-1] > vals[-2])
 
 
+def _one_block(ctx):
+    """Whether max_G scans this context's grid whole: 1001 rows fit one block."""
+    return 1001 * len(ctx.ks) <= kernels._BLOCK
+
+
 @pytest.mark.parametrize("spec, r", [("regular:b=5", 3), ("poisson:b=8", 2), ("geometric:b=19", 2),
                                      ("twopoint:b=4,a=9", 2), ("heavy:r=3", 2),
                                      ("pruned:r=2,b=20", 2), ("pmf:2=0.25,3=0.5,7=0.25", 3)])
 def test_max_G_evaluates_grid_in_blocks(monkeypatch, spec, r):
     ctx = make_context(make_distribution(spec), r)
     max_G(ctx)  # the grid and its logs exist from here on
-    blocks, points, log_calls = [], [], []  # rows per block, ndim-0 flag per G_minus_1 call, logs taken
+    blocks, read, points, log_calls = [], [], [], []  # rows per block, (x, G - 1) read, ndim-0 flags, logs taken
     block, minus_1, logs = kernels._G_block, kernels.G_minus_1, kernels._libm_logs
 
     def counting_block(c, xs, *rest):
         blocks.append(len(xs))
-        return block(c, xs, *rest)
+        out = block(c, xs, *rest)
+        read.extend(zip(xs.tolist(), out.tolist()))
+        return out
 
     def counting_logs(xs):
         log_calls.append(len(xs))
@@ -564,8 +571,14 @@ def test_max_G_evaluates_grid_in_blocks(monkeypatch, spec, r):
     monkeypatch.setattr(kernels, "G_minus_1", counting_minus_1)
     monkeypatch.setattr(kernels, "_libm_logs", counting_logs)
     max_G(ctx)
-    # one pass over the grid in blocks; G_minus_1 only refines single points
-    assert sum(blocks) == 1001 and all(points)
+    monkeypatch.undo()
+    assert all(points)  # G_minus_1 only refines single points
+    if _one_block(ctx):  # one pass over the whole grid
+        assert sum(blocks) == 1001
+    else:  # the points G_upper cannot rule out, each G at its own x bit for bit
+        assert len(read) == len({x for x, _ in read}) < 1001
+        for x, v in read:
+            assert v == minus_1(ctx, x), (spec, r, x)
     # the grid's logs are computed once per process: a second max_G takes none,
     # also not for the heavy and pruned deficiency
     assert log_calls == []
@@ -580,23 +593,77 @@ ANALYTIC_THRESHOLDS = [(spec, r) for spec in ("heavy:r=2", "heavy:r=3", "heavy:r
 
 
 def test_max_G_grid_is_G_minus_1_bitwise(monkeypatch):
-    # the cached grid logs are a fast path, not a fork:
-    # max_G scans exactly G_minus_1 on np.linspace(0, 1, 1001)
+    # the cached grid logs are a fast path, not a fork: every grid value max_G
+    # reads is G_minus_1 on np.linspace(0, 1, 1001) at that point, and a grid
+    # that fits one block is read whole, in one call
     xs = np.linspace(0.0, 1.0, 1001)
     blocks_of, seen = kernels._G_blocks, []
 
-    def recording(*args):
-        seen.append(blocks_of(*args))
-        return seen[-1]
+    def recording(c, x, *rest):
+        seen.append((np.rint(x * 1000).astype(int), blocks_of(c, x, *rest)))
+        return seen[-1][1]
 
     monkeypatch.setattr(kernels, "_G_blocks", recording)
+    pruned = 0
     for spec, r in _criterion_8_laws() + ROW_EXTRA + ANALYTIC_THRESHOLDS:
         ctx = make_context(make_distribution(spec), r)
         want = gw.G_minus_1(ctx, xs)
         seen.clear()
         max_G(ctx)
-        assert len(seen) == 1, (spec, r)
-        assert seen[0].tobytes() == want.tobytes(), (spec, r)
+        if _one_block(ctx):
+            assert len(seen) == 1, (spec, r)
+            assert seen[0][1].tobytes() == want.tobytes(), (spec, r)
+            continue
+        pruned += 1
+        idx = np.concatenate([i for i, _ in seen])
+        assert len(idx) == len(set(idx.tolist())) < 1001, (spec, r)
+        assert np.concatenate([v for _, v in seen]).tobytes() == want[idx].tobytes(), (spec, r)
+    assert pruned >= 20  # 27 of 191: the larger Poisson and geometric laws
+
+
+# supports of several blocks, where max_G evaluates only part of the grid
+SCAN_EXTRA = [("geometric:b=60", 2), ("poisson:b=1000", 2), ("pmf:3=0.9,3000000=0.1", 2)]
+
+
+def test_max_G_pruned_scan_equals_a_whole_grid_scan(monkeypatch):
+    # with every grid one block, max_G evaluates all 1001 points: the pieces it
+    # refines, and so its result, are the same bit for bit
+    laws = _criterion_8_laws() + ROW_EXTRA + ANALYTIC_THRESHOLDS + SCAN_EXTRA
+    got = {law: max_G(make_context(make_distribution(law[0]), law[1])) for law in laws}
+    monkeypatch.setattr(kernels, "_BLOCK", 2**40)
+    for spec, r in laws:
+        whole = max_G(make_context(make_distribution(spec), r))
+        for name in ("x_star", "M_minus_1", "err"):
+            assert getattr(got[spec, r], name).hex() == getattr(whole, name).hex(), (spec, r, name)
+
+
+def test_max_G_pruned_scan_cost(monkeypatch):
+    # geometric:b=19 (526 atoms): about 70 grid rows and 50 G_upper rows, not 1001
+    ctx = make_context(make_distribution("geometric:b=19"), 2)
+    rows, bounds = [], []
+    blocks_of, upper = kernels._G_blocks, kernels.G_upper
+    monkeypatch.setattr(kernels, "_G_blocks", lambda c, x, *rest: rows.append(len(x)) or blocks_of(c, x, *rest))
+    monkeypatch.setattr(kernels, "G_upper", lambda c, a, b: bounds.append(len(b)) or upper(c, a, b))
+    max_G(ctx)
+    assert sum(rows) <= 200 and sum(bounds) <= 100
+
+
+@pytest.mark.parametrize("spec, r", [("geometric:b=19", 2), ("geometric:b=19", 4), ("poisson:b=20", 2),
+                                     ("poisson:b=1000", 2)])
+def test_G_at_a_point_does_not_depend_on_its_array(spec, r):
+    # each row is its own dot product: a matrix-vector product (gemv) gave 2 of
+    # 139 grid values of geometric:b=19 another last bit in another block layout
+    ctx = make_context(make_distribution(spec), r)
+    xs = np.linspace(0.0, 1.0, 1001)
+    grid = gw.G_minus_1(ctx, xs)
+    assert gw.G_minus_1(ctx, xs[::7]).tobytes() == grid[::7].tobytes()
+    for x, v in zip(xs.tolist(), grid.tolist()):
+        assert gw.G_minus_1(ctx, x) == v, (spec, r, x)
+    a, b = xs[:-1], xs[1:]
+    pieces = kernels.G_upper(ctx, a, b)
+    assert kernels.G_upper(ctx, a[::7], b[::7]).tobytes() == pieces[::7].tobytes()
+    for j in (0, 1, 500, 998, 999):
+        assert kernels.G_upper(ctx, a[j:j + 1], b[j:j + 1])[0] == pieces[j], (spec, r, j)
 
 
 def test_max_G_grid_is_read_only():

@@ -684,6 +684,27 @@ def test_heavy_and_pruned_moments_match_reference(spec):
         assert got[name] == pytest.approx(want, rel=1e-13, abs=0), name
 
 
+@pytest.mark.parametrize("spec", ["heavy:r=1999", "heavy:r=2001", "heavy:r=3000"])
+def test_body_above_the_summed_head_matches_direct_sums(spec):
+    # the body starts at k = r; its closed-form tail once started at k = 2001
+    # whatever r, so heavy:r=3000 counted k = 2001..2999 (inverse_square 1.249e-07
+    # against 3.705e-08), and its empty head broke harmonic_tail_moment.
+    # k = r..N summed directly, plus the leading term of each remainder past N
+    d = make_distribution(spec)
+    r, n = d.r, 10**6
+    ks = np.arange(r, n + 1, dtype=float)
+    w = (r - 1) / (ks * (ks - 1))
+    harmonic = np.concatenate([[0.0], np.cumsum(1.0 / np.arange(1.0, n - r + 1))])
+    direct = {
+        "inverse_square": (w / ks**2, (r - 1) / (3 * n**3), 1e-12),
+        "fort_upper": (w / ((ks - 1) * (2 * ks - 3)), (r - 1) / (6 * n**3), 1e-12),
+        "harmonic_tail": (w * harmonic, (r - 1) * (math.log(n) + np.euler_gamma + 1) / n, 1e-6),
+    }
+    got = _moments(d, r)
+    for name, (terms, rest, rel) in direct.items():
+        assert got[name] == pytest.approx(math.fsum(terms.tolist()) + rest, rel=rel), name
+
+
 @pytest.mark.parametrize("spec,r", [
     ("heavy:r=2", 1), ("heavy:r=4", 1), ("heavy:r=4", 2), ("pruned:r=2,b=8", 1),
     ("pruned:r=2,b=25", 1), ("pruned:r=3,b=30", 2), ("pruned:r=3,b=30", 1), ("pruned:r=4,b=66", 3),
