@@ -10,15 +10,10 @@ from .offspring import (
     OffspringDistribution,
     PreconditionError,
     SpecError,
-    alpha_moment,
-    fort_upper_moment,
     harmonic_number,
-    harmonic_tail_moment,
     make_distribution,
-    mean,
     parse_spec,
     prune_eta,
-    second_factorial_moment,
 )
 from .kernels import G, G_minus_1, GEvalContext, MaxResult, g, h, make_context, max_G
 from .critical import (

@@ -151,7 +151,9 @@ def _fort_terms(ks: np.ndarray, probs: np.ndarray, excess_2: float = 0.0) -> np.
         math.log(2.0),
         (ks - 1) * np.log(ks) + (ks - 2) * np.log(np.maximum(ks - 2, 1)) - (2 * ks - 3) * np.log(ks - 1),
     )
-    terms = 1.0 - np.exp(-log_maxg) / probs[pos]
+    # an atom of subnormal mass makes its term -inf, whether or not the quotient overflows
+    with np.errstate(over="ignore"):
+        terms = 1.0 - np.exp(-log_maxg) / probs[pos]
     if excess_2 > 0.0:
         terms[ks == 2] = 2.0 * excess_2 / (1.0 + 2.0 * excess_2)
     return terms

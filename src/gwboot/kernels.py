@@ -18,9 +18,13 @@ with P(xi < r) stored in the evaluation context.  One term loop,
 G(x) at a single x alike, and each x's sum over the support is its own dot
 product (``_row_dots``), so G at a point has the same bits in any array: one
 step of the survival recursion costs about 10 us on a support of a few
-hundred atoms and 2-6 us on a point mass or a heavy or pruned law, which sum
-their few terms in scalar code (2-vCPU Xeon, numpy 2.4).  ``max_G`` scans a
-grid of x, on a large support only where ``G_upper`` cannot rule G out.
+hundred atoms.  A point mass or a heavy or pruned law sums its few terms at
+an interior x in scalar code instead, in 2-6 us (2-vCPU Xeon, numpy 2.4);
+``make_context`` alone decides which laws do, by the (k, weight) pairs it
+keeps in the context's ``atoms``.  x = 0 and x = 1 are a one-row block for
+every law, so the limits there are written once, in ``_G_block`` (and in
+the public ``g``).  ``max_G`` scans a grid of x, on a large support only
+where ``G_upper`` cannot rule G out.
 
 For the heavy-tail law with pmf (r-1)/(k(k-1)) the full mixture is
 identically 1, and the deficiency of a truncated mixture,
@@ -60,7 +64,6 @@ __all__ = [
     "h",
     "MaxResult",
     "max_G",
-    "heavy_tail_deficiency",
 ]
 
 _EXACT_COMB_MAX_K = 500
@@ -150,22 +153,6 @@ def _deficiency(r: int, m: int, lx: float | np.ndarray, l1x: float | np.ndarray)
     return d
 
 
-def heavy_tail_deficiency(r: int, m: int, x: float | np.ndarray) -> float | np.ndarray:
-    """D_r(m, x) = 1 - sum_{k=r}^m (r-1)/(k(k-1)) g_k^r(x), x a float or a 1-D array.
-
-    Always in [0, r (r-1)/m]; equals (r-1)/m at x = 1 and 0 at x = 0.  A float
-    and an array element take the same operations, so they agree bit for bit.
-    """
-    if isinstance(x, (np.ndarray, list, tuple)):
-        xs = np.asarray(x, dtype=float)
-        return np.where(xs >= 1.0, (r - 1) / m, np.where(xs > 0.0, _deficiency(r, m, *_libm_logs(xs)), 0.0))
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return (r - 1) / m
-    return float(_deficiency(r, m, math.log(x), math.log1p(-x)))
-
-
 # ---------------------------------------------------------------------------
 # evaluation contexts
 
@@ -189,6 +176,11 @@ class GEvalContext:
     heavy and pruned laws keep only their few atoms there and sum the rest
     through the deficiency D_r.  G - 1 starts from ``defic_scale - 1.0``.
 
+    ``atoms`` holds the (k, weight) pairs of ``ks`` and ``weights`` as Python
+    numbers for a law whose single interior x ``_mixture`` sums in scalar
+    code: one atom, or a nonzero ``defic_scale``.  It is None for every other
+    law, whose single x is one row of the tables.
+
     ``eps_G`` bounds |G_true - G_computed| from the truncation of an
     infinite support: the tail mass times g_r^r <= r.  Exact (0) for finite
     supports.  ``prob_below`` is P(xi < r), the mass the survival map ``h``
@@ -208,27 +200,29 @@ class GEvalContext:
     log_binom: np.ndarray
     powers: np.ndarray
     defic_scale: float
-    atoms: tuple  # (k, weight) pairs of ks and weights as Python numbers
+    atoms: tuple | None
 
 
-def _analytic_mixture(d, r: int, m: int) -> tuple[dict, float]:
-    """(atoms, defic_scale) of a heavy or pruned law at threshold r.
+def _analytic_mixture(d, r: int, m: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """(ks, weights, defic_scale) of a heavy or pruned law at threshold r, ks ascending.
 
     With s = d.r, the law's body (s-1)/(k(k-1)) on max(r, s) <= k <= m is
     (s-1)/(r-1) times heavy_tail(r) truncated at m, whose mixture is
     1 - D_r(m, x), less the atoms r <= k < s that heavy_tail(r) has and the
-    law has not, plus the law's own ``atoms`` (the pruned law's two).  Like
-    an enumerated support, those atoms may number at most ``ENUM_CAP``.
+    law has not, plus the law's own ``atoms`` (the pruned law's two, at s and
+    2s+1, so never one of those).  Like an enumerated support, the atoms may
+    number at most ``ENUM_CAP``.  k(k-1.0) is exact for k < 2^26, so each
+    weight is the correctly rounded quotient.
     """
     s = d.r
     if min(s, m + 1) - r > ENUM_CAP:
         raise too_many_atoms(f"a law of threshold {s} at r = {r}")
     scale = (s - 1) / (r - 1) if m >= r else 0.0
-    atoms = {k: -(s - 1) / (k * (k - 1)) for k in range(r, min(s, m + 1))}
-    for k, w in d.atoms:
-        if k >= r:
-            atoms[k] = atoms.get(k, 0.0) + w
-    return atoms, scale
+    body = np.arange(r, min(s, m + 1))
+    own = [atom for atom in d.atoms if atom[0] >= r]
+    ks = np.concatenate([body, np.array([k for k, _ in own], dtype=np.int64)])
+    weights = np.concatenate([-(s - 1) / (body * (body - 1.0)), np.array([p for _, p in own], dtype=float)])
+    return ks, weights, scale
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -248,9 +242,7 @@ def make_context(
     cutoff = int(dist.truncation_cutoff(tail_target))
     eps = r * dist.tail(cutoff) if dist.support_max is None else 0.0
     if isinstance(dist, HeavyTail):
-        atoms, scale = _analytic_mixture(dist, r, cutoff)
-        ks = np.array(sorted(atoms), dtype=np.int64)
-        w = np.array([atoms[k] for k in sorted(atoms)], dtype=float)
+        ks, w, scale = _analytic_mixture(dist, r, cutoff)
     else:
         if dist.support_max is None and cutoff > ENUM_CAP:  # one atom per k up to the cutoff
             raise too_many_atoms(f"{dist.label()} truncated at tail {tail_target:g}")
@@ -271,7 +263,7 @@ def make_context(
         ks=_frozen(ks), weights=_frozen(w), log_binom=_frozen(log_binom),
         powers=_frozen(ks - 1.0 - np.arange(r, dtype=float)[:, None, None]),
         defic_scale=scale,
-        atoms=tuple(zip(ks.tolist(), w.tolist())),
+        atoms=tuple(zip(ks.tolist(), w.tolist())) if scale or len(ks) == 1 else None,
     )
 
 
@@ -333,24 +325,24 @@ def _G_blocks(ctx: GEvalContext, xs: np.ndarray, lx: np.ndarray, l1x: np.ndarray
 def _mixture(ctx: GEvalContext, x: float, base: float) -> float:
     """base + sum_j weights_j g_{ks_j}^r(x) - defic_scale D_r(cutoff, x) at one x in [0, 1].
 
-    A point mass or a heavy or pruned law is a few closed-form terms, which
-    the scalar kernels sum in a few microseconds, where numpy's per-call
-    overhead makes a row of the tables cost several times that.  Any other
-    support is one row of ``_g_sum`` (at x = 0 and 1, a one-row block), bit
+    x = 0 and x = 1 are a one-row block, whose ``_G_block`` holds the limits
+    there.  At interior x, a context with ``atoms`` (a point mass, or a heavy
+    or pruned law) sums its few closed-form terms in scalar code, a few
+    microseconds where numpy's per-call overhead makes a row of the tables
+    cost several times that; any other support is one row of ``_g_sum``, bit
     for bit the same x in any block of ``G_minus_1``'s array path.
     """
-    if ctx.defic_scale or len(ctx.ks) == 1:
-        total = base
-        for k, w in ctx.atoms:
-            total += w * g(k, ctx.r, x)
-        if ctx.defic_scale:
-            total -= ctx.defic_scale * heavy_tail_deficiency(ctx.r, ctx.cutoff, x)
-        return total
-    if not 0.0 < x < 1.0:  # the limits at the ends, as a one-row block
+    if not 0.0 < x < 1.0:
         xs = np.array([x])
         return float(_G_block(ctx, xs, *_libm_logs(xs), base)[0])
-    # one dot, as each row of a block (``_row_dots``)
-    return float(_g_sum(ctx, math.log(x), math.log1p(-x))[0] @ ctx.weights + base)
+    if ctx.atoms is None:  # one dot, as each row of a block (``_row_dots``)
+        return float(_g_sum(ctx, math.log(x), math.log1p(-x))[0] @ ctx.weights + base)
+    total = base
+    for k, w in ctx.atoms:
+        total += w * g(k, ctx.r, x)
+    if ctx.defic_scale:
+        total -= ctx.defic_scale * float(_deficiency(ctx.r, ctx.cutoff, math.log(x), math.log1p(-x)))
+    return total
 
 
 def _mixture_at(ctx: GEvalContext, x: float | np.ndarray, base: float) -> float | np.ndarray:

@@ -62,11 +62,6 @@ __all__ = [
     "make_distribution",
     "parse_spec",
     "prune_eta",
-    "mean",
-    "second_factorial_moment",
-    "alpha_moment",
-    "harmonic_tail_moment",
-    "fort_upper_moment",
     "harmonic_number",
 ]
 
@@ -881,26 +876,6 @@ def make_distribution(spec: DistributionSpec | str) -> OffspringDistribution:
 def prune_eta(r: int, b: float) -> Pruned:
     """The pruned heavy-tail law with threshold r and mean exactly b."""
     return make_distribution(DistributionSpec(family="pruned", r=r, b=float(b)))
-
-
-def mean(d: OffspringDistribution) -> float:
-    return d.mean()
-
-
-def second_factorial_moment(d: OffspringDistribution) -> float:
-    return d.second_factorial_moment()
-
-
-def alpha_moment(d: OffspringDistribution, alpha: float) -> float:
-    return d.alpha_moment(alpha)
-
-
-def harmonic_tail_moment(d: OffspringDistribution, r: int) -> float:
-    return d.harmonic_tail_moment(r)
-
-
-def fort_upper_moment(d: OffspringDistribution) -> float:
-    return d.fort_upper_moment()
 
 
 # each family once: its spec name, its parameters in label order, its class

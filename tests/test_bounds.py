@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -337,9 +338,17 @@ def test_lb_fort_stop_rule_matches_full_scan(spec):
     # poisson:b=150 has its best atom past the first scanned block
     d = make_distribution(spec)
     ks, probs = d.support_probs(upto=200_000)
-    with np.errstate(over="ignore"):  # masses that underflow far out in the shifted laws
-        full = float(np.max(_fort_terms(ks, probs, _excess_2(d))))
+    full = float(np.max(_fort_terms(ks, probs, _excess_2(d))))
     assert lb_fort(d) == full
+
+
+@pytest.mark.parametrize("b, want", [(1000, -78.19381242745695), (100000, -791.658193019294)])
+def test_lb_fort_of_a_large_poisson_law_warns_nothing(b, want):
+    # atoms of subnormal mass far out make their terms -inf, whether or not the
+    # quotient overflows: no overflow warning reaches the CLI's stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert lb_fort(make_distribution(f"poisson:b={b}")) == pytest.approx(want, rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize("b", range(15, 26))

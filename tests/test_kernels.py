@@ -14,7 +14,6 @@ from gwboot import kernels, offspring
 from gwboot.kernels import (
     binom_lte,
     g,
-    heavy_tail_deficiency,
     make_context,
     max_G,
 )
@@ -101,22 +100,39 @@ def test_binom_lte_small_cases():
 # the truncated heavy-tail deficiency (dual route at small cutoffs)
 
 
+def _deficiency_at(r, m):
+    """x -> D_r(m, x) on [0, 1], as -(G - 1) of heavy_tail(r) cut at m: that context
+    has no atoms, so G - 1 is exactly -D_r, ``_deficiency`` at an interior x and
+    ``_G_block``'s limits at the ends."""
+    ctx = dataclasses.replace(make_context(make_distribution(f"heavy:r={r}"), r), cutoff=m)
+    assert len(ctx.ks) == 0 and ctx.defic_scale == 1.0
+    return lambda x: -gw.G_minus_1(ctx, x)
+
+
+def _deficiency_of_float(r, m, x):
+    """``_deficiency`` at one interior x, from libm's logs."""
+    return float(kernels._deficiency(r, m, math.log(x), math.log1p(-x)))
+
+
 @pytest.mark.parametrize("r", [2, 3, 4, 5])
 def test_deficiency_matches_direct_sum(r):
     for m in (r, r + 1, 13, 60, 211):
+        D = _deficiency_at(r, m)
         for x in XGRID:
             direct = sum((r - 1) / (k * (k - 1)) * g_reference(k, r, x) for k in range(r, m + 1))
-            assert 1.0 - heavy_tail_deficiency(r, m, x) == pytest.approx(direct, abs=1e-12)
+            assert 1.0 - D(x) == pytest.approx(direct, abs=1e-12)
 
 
 def test_deficiency_bounds():
     for r in (2, 3, 4):
         for m in (100, 10**6, 10**9):
+            D = _deficiency_at(r, m)
             for x in XGRID:
-                dval = heavy_tail_deficiency(r, m, x)
-                assert -1e-15 <= dval <= r * (r - 1) / m + 1e-15
-            assert heavy_tail_deficiency(r, m, 1.0) == pytest.approx((r - 1) / m, abs=0)
-            assert heavy_tail_deficiency(r, m, 0.0) == 0.0
+                assert -1e-15 <= D(x) <= r * (r - 1) / m + 1e-15
+                if 0.0 < x < 1.0:
+                    assert D(x) == _deficiency_of_float(r, m, x)
+            assert D(1.0) == pytest.approx((r - 1) / m, abs=0)
+            assert D(0.0) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -305,11 +321,11 @@ def test_G_minus_1_array_matches_points(spec, rs):
 
 
 def test_heavy_tail_deficiency_array_matches_points():
-    xs = np.array(ARRAY_X)
+    xs = np.array(ARRAY_X[1:-1])  # _deficiency takes interior x
     for r, m in [(2, 40), (3, 500), (4, 10**6), (3, 2 * 10**13)]:
-        got = heavy_tail_deficiency(r, m, xs)
+        got = kernels._deficiency(r, m, *kernels._libm_logs(xs))
         for x, v in zip(xs, got):
-            assert v == pytest.approx(heavy_tail_deficiency(r, m, float(x)), rel=1e-12, abs=1e-300)
+            assert v == pytest.approx(_deficiency_of_float(r, m, float(x)), rel=1e-12, abs=1e-300)
 
 
 DEFICIENCY_X = [1e-300, 1e-9, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 1 - 1e-9, 1 - 1e-13]
@@ -318,9 +334,9 @@ DEFICIENCY_X = [1e-300, 1e-9, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 1 - 1e-9, 1 -
 @pytest.mark.parametrize("r, m", [(2, 40), (3, 500), (3, 501), (4, 10**6), (3, 2 * 10**13), (4, 10**13)])
 def test_heavy_tail_deficiency_has_one_definition(r, m):
     # a float and an element of an array take the same operations: the same bits
-    got = heavy_tail_deficiency(r, m, np.array(DEFICIENCY_X))
+    got = kernels._deficiency(r, m, *kernels._libm_logs(np.array(DEFICIENCY_X)))
     for x, v in zip(DEFICIENCY_X, got.tolist()):
-        assert heavy_tail_deficiency(r, m, x) == v, (r, m, x)
+        assert _deficiency_of_float(r, m, x) == v, (r, m, x)
 
 
 @pytest.mark.parametrize("spec, r", [("heavy:r=3", 2), ("heavy:r=4", 2), ("heavy:r=2", 3),
@@ -810,16 +826,41 @@ def test_G_minus_1_single_x_bitwise():
     rng = np.random.default_rng(8)
     xs = [1e-300, 1e-5, 1e-2, 1 - 1e-13] + rng.random(40).tolist()
     rows = 0
-    for spec, r in _criterion_8_laws() + ROW_EXTRA:
+    below = [("pruned:r=30,b=170", 2), ("pruned:r=3,b=16", 2)]  # heavy and pruned laws below their r
+    for spec, r in _criterion_8_laws() + ROW_EXTRA + ANALYTIC_THRESHOLDS + below:
         ctx = make_context(make_distribution(spec), r)
-        if ctx.defic_scale or len(ctx.ks) < 2:
-            continue  # point masses and heavy or pruned laws take the scalar sum of _mixture
+        for x in (0.0, 1.0):  # the limits at the ends are the one-row block's for every law
+            for f in (gw.G, gw.G_minus_1):
+                single = f(ctx, x)
+                assert type(single) is float
+                assert single == f(ctx, np.array([x]))[0], (spec, r, x, f.__name__)
+        if ctx.atoms is not None:
+            continue  # point masses and heavy or pruned laws sum an interior x in scalar code
         rows += 1
         for x in xs:
             single = gw.G_minus_1(ctx, x)
             assert type(single) is float
             assert single == gw.G_minus_1(ctx, np.array([x]))[0], (spec, r, x)
     assert rows >= 100  # the shifted laws, the two-point laws and ROW_EXTRA
+
+
+def test_make_context_keeps_atom_pairs_only_for_the_scalar_sum():
+    # a table law sums one x as a row of the tables: no Python pairs for its 103,181 atoms
+    d = make_distribution("poisson:b=100000")
+    times = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        ctx = make_context(d, 2)
+        times.append(time.perf_counter() - t0)
+    assert ctx.atoms is None and len(ctx.ks) > 100_000
+    assert min(times) < 0.025, times
+    assert make_context(make_distribution("twopoint:b=4,a=9"), 2).atoms is None
+    # a point mass and a heavy or pruned law keep their pairs, in the order of ks
+    assert make_context(make_distribution("regular:b=3"), 2).atoms == ((3, 1.0),)
+    for spec, r in [("heavy:r=3", 3), ("heavy:r=4", 2), ("pruned:r=3,b=16", 2), ("pruned:r=2,b=20", 3)]:
+        ctx = make_context(make_distribution(spec), r)
+        assert ctx.atoms == tuple(zip(ctx.ks.tolist(), ctx.weights.tolist())), (spec, r)
+        assert list(ctx.ks) == sorted(set(ctx.ks.tolist())), (spec, r)
 
 
 def _h_oracle(d, r, x, cutoff):

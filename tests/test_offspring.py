@@ -310,31 +310,31 @@ def test_parse_garbage_rejected():
 
 
 def test_mean_examples():
-    assert gw.mean(make_distribution("regular:b=5")) == 5
-    assert gw.mean(make_distribution("geometric:b=4")) == pytest.approx(4.0, abs=1e-12)
-    assert gw.mean(make_distribution("heavy:r=2")) == math.inf
+    assert make_distribution("regular:b=5").mean() == 5
+    assert make_distribution("geometric:b=4").mean() == pytest.approx(4.0, abs=1e-12)
+    assert make_distribution("heavy:r=2").mean() == math.inf
 
 
 def test_second_factorial_examples():
-    assert gw.second_factorial_moment(make_distribution("regular:b=3")) == 6
+    assert make_distribution("regular:b=3").second_factorial_moment() == 6
     for b in (3.0, 4.5, 10.0):
-        assert gw.second_factorial_moment(
-            make_distribution(f"poisson:b={b}")
-        ) == pytest.approx(b * b - 2, rel=1e-12)
-        assert gw.second_factorial_moment(
-            make_distribution(f"geometric:b={b}")
-        ) == pytest.approx(2 * (b - 1) ** 2, rel=1e-12)
+        assert make_distribution(f"poisson:b={b}").second_factorial_moment() == pytest.approx(
+            b * b - 2, rel=1e-12
+        )
+        assert make_distribution(f"geometric:b={b}").second_factorial_moment() == pytest.approx(
+            2 * (b - 1) ** 2, rel=1e-12
+        )
 
 
 def test_alpha_moment_examples():
-    assert gw.alpha_moment(make_distribution("regular:b=4"), 1.0) == pytest.approx(16.0)
-    assert gw.alpha_moment(make_distribution("heavy:r=2"), 0.5) == math.inf
+    assert make_distribution("regular:b=4").alpha_moment(1.0) == pytest.approx(16.0)
+    assert make_distribution("heavy:r=2").alpha_moment(0.5) == math.inf
     d = make_distribution("pmf:2=0.5,4=0.5")
-    assert gw.alpha_moment(d, 1.0) == pytest.approx(10.0)
+    assert d.alpha_moment(1.0) == pytest.approx(10.0)
     with pytest.raises(PreconditionError):
-        gw.alpha_moment(d, 1.5)
+        d.alpha_moment(1.5)
     with pytest.raises(PreconditionError):
-        gw.alpha_moment(d, 0.0)
+        d.alpha_moment(0.0)
 
 
 def test_heavy_alpha_divergence_matches_partial_sums():
@@ -350,22 +350,50 @@ def test_heavy_alpha_divergence_matches_partial_sums():
 
 
 def test_harmonic_tail_moment_examples():
-    assert gw.harmonic_tail_moment(make_distribution("regular:b=3"), 2) == pytest.approx(1.0)
-    assert gw.harmonic_tail_moment(make_distribution("regular:b=4"), 4) == 0.0
+    assert make_distribution("regular:b=3").harmonic_tail_moment(2) == pytest.approx(1.0)
+    assert make_distribution("regular:b=4").harmonic_tail_moment(4) == 0.0
     d = make_distribution("pmf:2=0.5,4=0.5")
-    assert gw.harmonic_tail_moment(d, 2) == pytest.approx(0.75)
+    assert d.harmonic_tail_moment(2) == pytest.approx(0.75)
     with pytest.raises(PreconditionError):
-        gw.harmonic_tail_moment(d, 3)  # support point 2 below threshold
+        d.harmonic_tail_moment(3)  # support point 2 below threshold
 
 
 def test_fort_upper_moment_examples():
-    assert gw.fort_upper_moment(make_distribution("regular:b=2")) == pytest.approx(1.0)
-    assert gw.fort_upper_moment(make_distribution("regular:b=3")) == pytest.approx(1 / 6)
+    assert make_distribution("regular:b=2").fort_upper_moment() == pytest.approx(1.0)
+    assert make_distribution("regular:b=3").fort_upper_moment() == pytest.approx(1 / 6)
     d = make_distribution("heavy:r=2")
     oracle = sum(
         1.0 / (k * (k - 1)) / ((k - 1) * (2 * k - 3)) for k in range(2, 300_000)
     )
-    assert gw.fort_upper_moment(d) == pytest.approx(oracle, rel=1e-9, abs=0)
+    assert d.fort_upper_moment() == pytest.approx(oracle, rel=1e-9, abs=0)
+
+
+def test_light_tail_moments_past_a_doubled_cutoff_match_50_digit_closed_forms():
+    # geometric:b=5000 leaves too much mass past its first cutoff K, so
+    # _LightTail._expect doubles K once; both moments have closed forms in
+    # rho = (b-2)/(b-1) (mpmath's nsum reads 4e-8 off here)
+    b = 5000
+    d = make_distribution(f"geometric:b={b}")
+    uptos = []
+    support_probs = d.support_probs
+
+    def counted(upto=None):
+        uptos.append(upto)
+        return support_probs(upto=upto)
+
+    d.support_probs = counted
+    with mpmath.workdps(50):
+        rho = mpmath.mpf(b - 2) / (b - 1)
+        cases = [
+            (d.inverse_square_moment, (mpmath.polylog(2, rho) - rho) / (rho**2 * (b - 1))),
+            (d.fort_upper_moment,
+             (2 * mpmath.atanh(mpmath.sqrt(rho)) / mpmath.sqrt(rho) + mpmath.log(1 - rho) / rho) / (b - 1)),
+        ]
+        for moment, want in cases:
+            uptos.clear()
+            got = moment()
+            assert len(uptos) == 2 and uptos[1] == 2 * uptos[0], uptos
+            assert abs(got - float(want)) <= 4 * math.ulp(float(want)), (moment.__name__, got, want)
 
 
 def test_harmonic_number_values():
