@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .offspring import HeavyTail, OffspringDistribution, PreconditionError, Pruned
+from .offspring import HeavyTail, OffspringDistribution, PreconditionError, Pruned, pruned_threshold
 from .critical import CriticalResult, pc_exact
 
 __all__ = [
@@ -60,27 +60,25 @@ class BoundsReport:
     entries: list[BoundEntry]
     pc_ref: Optional[CriticalResult]
 
-    def lower(self) -> list[BoundEntry]:
-        return [e for e in self.entries if e.kind == "lower" and e.valid]
 
-    def upper(self) -> list[BoundEntry]:
-        return [e for e in self.entries if e.kind == "upper" and e.valid]
-
-
-def _clamp(x: float) -> float:
-    return min(1.0, max(0.0, x))
+def _entry(name: str, raw: float, note: str = "", valid: bool = True) -> BoundEntry:
+    """The entry of bound ``name`` (an lb_ name is a lower bound), its value clamped to [0, 1]."""
+    kind = "lower" if name.startswith("lb_") else "upper"
+    return BoundEntry(name, kind, min(1.0, max(0.0, raw)), raw, valid, note)
 
 
 def lb_branching_exact(d: OffspringDistribution, r: int) -> float:
     """exp(-(E(xi)-1)/(r-1) - E(H_{xi-r})).  Vacuous 0 for infinite mean."""
     if d.prob_below(r) > 0:
         raise PreconditionError("lb_branching_exact requires support >= r")
-    b = d.mean()
-    return 0.0 if math.isinf(b) else _branching_bound(b, d.harmonic_tail_moment(r), r)
+    return _branching_entry(d, d.mean(), r).raw
 
 
-def _branching_bound(b: float, harmonic: float, r: int) -> float:
-    return math.exp(-(b - 1.0) / (r - 1.0) - harmonic)
+def _branching_entry(d: OffspringDistribution, b: float, r: int) -> BoundEntry:
+    """lb_branching_exact from the mean b; E(H_{xi-r}) is read only when b is finite."""
+    if math.isinf(b):
+        return _entry("lb_branching_exact", 0.0, "vacuous: infinite mean", False)
+    return _entry("lb_branching_exact", math.exp(-(b - 1.0) / (r - 1.0) - d.harmonic_tail_moment(r)))
 
 
 def lb_branching_simplified(b: float, r: int) -> float:
@@ -93,14 +91,7 @@ def lb_branching_simplified(b: float, r: int) -> float:
 def ub_pruned(r: int, b: float) -> tuple[float, bool]:
     """(2er(r-1) e^{-b/(r-1)}, validity); valid once b > (r-1) log(4er)."""
     value = 2.0 * math.e * r * (r - 1) * math.exp(-b / (r - 1.0))
-    valid = b > (r - 1) * math.log(4 * math.e * r)
-    return value, valid
-
-
-def _h_alpha(r: int, alpha: float, y: float) -> float:
-    if r == 2:
-        return 1.0
-    return 1.0 - alpha * (y - 2.0 * y ** (r - 1 + alpha))
+    return value, b > pruned_threshold(r)
 
 
 def alpha_bound_constant(r: int, alpha: float) -> float:
@@ -117,23 +108,25 @@ def alpha_bound_constant(r: int, alpha: float) -> float:
         raise PreconditionError("r must be >= 2")
     if r == 2:
         h_min = 1.0
-        c1 = (h_min / (2.0 * (1.0 + alpha))) ** (1.0 / alpha)
         c2 = ((1.0 - alpha) / (4.0 * alpha * (1.0 + alpha))) ** (1.0 / alpha)
     else:
         b_star = (1.0 / (2.0 * (r + alpha - 1.0))) ** (1.0 / (r + alpha - 2.0))
-        h_min = _h_alpha(r, alpha, b_star)
-        c1 = (h_min / (2.0 * (1.0 + alpha))) ** (1.0 / alpha)
+        h_min = 1.0 - alpha * (b_star - 2.0 * b_star ** (r - 1 + alpha))
         c2 = (r - 2) * (h_min / (6.0 * alpha * (1.0 + alpha))) ** (1.0 / alpha)
+    c1 = (h_min / (2.0 * (1.0 + alpha))) ** (1.0 / alpha)
     return (r - 1.0) / r * min(c1, c2)
 
 
 def lb_alpha_moment(d: OffspringDistribution, r: int, alpha: float) -> float:
     """c_{r,alpha} (E xi^{1+alpha})^{-1/alpha}; vacuous 0 for infinite moment."""
-    return _alpha_bound(d.alpha_moment(alpha), r, alpha)
+    return _alpha_entry(d.alpha_moment(alpha), r, alpha).raw
 
 
-def _alpha_bound(m: float, r: int, alpha: float) -> float:
-    return 0.0 if math.isinf(m) else alpha_bound_constant(r, alpha) * m ** (-1.0 / alpha)
+def _alpha_entry(m: float, r: int, alpha: float) -> BoundEntry:
+    """lb_alpha_moment from m = E xi^{1+alpha}."""
+    if math.isinf(m):
+        return _entry("lb_alpha_moment", 0.0, f"vacuous: infinite (1+{alpha:g})-moment", False)
+    return _entry("lb_alpha_moment", alpha_bound_constant(r, alpha) * m ** (-1.0 / alpha), f"alpha={alpha:g}")
 
 
 def _fort_terms(ks: np.ndarray, probs: np.ndarray, excess_2: float = 0.0) -> np.ndarray:
@@ -210,24 +203,24 @@ def lb_second_moment(d: OffspringDistribution) -> float:
     (the two agree at E(xi)_2 = 3; near-degenerate laws like the point mass
     at 2 would otherwise receive an invalid bound above their true p_c).
     """
-    return _second_moment_bound(d.second_factorial_moment())
+    return _second_moment_entry(d.second_factorial_moment()).raw
 
 
-def _second_moment_bound(m2: float) -> float:
+def _second_moment_entry(m2: float) -> BoundEntry:
+    """lb_second_moment from m2 = E(xi)_2."""
     if math.isinf(m2):
-        return 0.0
-    if m2 >= 3.0:
-        return 1.0 / (2.0 * m2 - 3.0)
-    return 1.0 - 2.0 / (6.0 - m2)
+        return _entry("lb_second_moment", 0.0, "vacuous: infinite second moment", False)
+    return _entry("lb_second_moment", 1.0 / (2.0 * m2 - 3.0) if m2 >= 3.0 else 1.0 - 2.0 / (6.0 - m2))
 
 
 def lb_second_moment_weak(d: OffspringDistribution) -> float:
-    """1/(2 E(xi^2)), the looser companion of lb_second_moment."""
-    return _second_moment_weak_bound(d.second_factorial_moment(), d.mean())
+    """1/(2 E(xi^2)), the looser companion of lb_second_moment; 0 for infinite moments."""
+    return _second_moment_weak_entry(d.second_factorial_moment(), d.mean()).raw
 
 
-def _second_moment_weak_bound(m2: float, mu: float) -> float:
-    return 0.0 if math.isinf(m2) or math.isinf(mu) else 1.0 / (2.0 * (m2 + mu))
+def _second_moment_weak_entry(m2: float, mu: float) -> BoundEntry:
+    """lb_second_moment_weak from m2 = E(xi)_2 and mu = E(xi); E(xi^2) = m2 + mu."""
+    return _entry("lb_second_moment_weak", 1.0 / (2.0 * (m2 + mu)))
 
 
 def ub_regular_rd(d_reg: int, r: int) -> float:
@@ -253,55 +246,25 @@ def bounds_report(
         raise PreconditionError("alpha must lie in (0, 1)")
     entries: list[BoundEntry] = []
     mean_val = d.mean()
-    below = d.prob_below(r) > 0
-
-    if not below:
-        if math.isinf(mean_val):
-            entries.append(BoundEntry("lb_branching_exact", "lower", 0.0, 0.0, False,
-                                      "vacuous: infinite mean"))
-        else:
-            v = _branching_bound(mean_val, d.harmonic_tail_moment(r), r)
-            entries.append(BoundEntry("lb_branching_exact", "lower", _clamp(v), v, True))
-            if mean_val >= r:
-                v = lb_branching_simplified(mean_val, r)
-                entries.append(BoundEntry("lb_branching_simplified", "lower", _clamp(v), v, True))
-
-    m_alpha = d.alpha_moment(alpha)
-    if math.isinf(m_alpha):
-        entries.append(BoundEntry("lb_alpha_moment", "lower", 0.0, 0.0, False,
-                                  f"vacuous: infinite (1+{alpha:g})-moment"))
-    else:
-        v = _alpha_bound(m_alpha, r, alpha)
-        entries.append(BoundEntry("lb_alpha_moment", "lower", _clamp(v), v, True,
-                                  f"alpha={alpha:g}"))
-
+    if not d.prob_below(r) > 0:
+        entries.append(_branching_entry(d, mean_val, r))
+        if r <= mean_val < math.inf:
+            entries.append(_entry("lb_branching_simplified", lb_branching_simplified(mean_val, r)))
+    entries.append(_alpha_entry(d.alpha_moment(alpha), r, alpha))
     if r == 2 and d.support_min >= 2:
         v = lb_fort(d)
-        entries.append(BoundEntry("lb_fort", "lower", _clamp(v), v, True,
-                                  "negative values are vacuous but correct" if v < 0 else ""))
+        entries.append(_entry("lb_fort", v, "negative values are vacuous but correct" if v < 0 else ""))
         m2 = d.second_factorial_moment()
-        if math.isinf(m2):
-            entries.append(BoundEntry("lb_second_moment", "lower", 0.0, 0.0, False,
-                                      "vacuous: infinite second moment"))
-        else:
-            v = _second_moment_bound(m2)
-            entries.append(BoundEntry("lb_second_moment", "lower", _clamp(v), v, True))
-            v = _second_moment_weak_bound(m2, mean_val)
-            entries.append(BoundEntry("lb_second_moment_weak", "lower", _clamp(v), v, True))
-        v = ub_fort(d)
-        entries.append(BoundEntry("ub_fort", "upper", _clamp(v), v, True))
-        v = ub_fort_weak(d)
-        entries.append(BoundEntry("ub_fort_weak", "upper", _clamp(v), v, True))
-
+        entries.append(_second_moment_entry(m2))
+        if not math.isinf(m2):
+            entries.append(_second_moment_weak_entry(m2, mean_val))
+        entries.append(_entry("ub_fort", ub_fort(d)))
+        entries.append(_entry("ub_fort_weak", ub_fort_weak(d)))
     if d.spec.family == "regular" and int(d.spec.b) >= r:
-        v = ub_regular_rd(int(d.spec.b), r)
-        entries.append(BoundEntry("ub_regular_rd", "upper", _clamp(v), v, True))
-
+        entries.append(_entry("ub_regular_rd", ub_regular_rd(int(d.spec.b), r)))
     if isinstance(d, Pruned) and d.r == r:
         v, valid = ub_pruned(r, d.b)
-        entries.append(BoundEntry("ub_pruned", "upper", _clamp(v), v, valid,
-                                  "" if valid else "below validity threshold"))
-
+        entries.append(_entry("ub_pruned", v, "" if valid else "below validity threshold", valid))
     pc_ref = pc_exact(d, r) if with_reference else None
     return BoundsReport(entries=entries, pc_ref=pc_ref)
 
@@ -313,10 +276,9 @@ def sandwich_violations(report: BoundsReport, tol: float = 1e-8) -> list[str]:
     pc = report.pc_ref.pc
     slack = tol + report.pc_ref.err
     problems = []
-    for e in report.lower():
-        if e.raw > pc + slack:
+    for e in report.entries:
+        if e.valid and e.kind == "lower" and e.raw > pc + slack:
             problems.append(f"{e.name} = {e.raw!r} exceeds pc = {pc!r}")
-    for e in report.upper():
-        if e.raw < pc - slack:
+        elif e.valid and e.kind == "upper" and e.raw < pc - slack:
             problems.append(f"{e.name} = {e.raw!r} is below pc = {pc!r}")
     return problems

@@ -6,8 +6,9 @@ table), ``simulate`` (Monte Carlo estimate of the survival probability),
 ``regular:b=5``, ``twopoint:b=4,a=9``, ``poisson:b=6``, ``geometric:b=4``,
 ``heavy:r=2``, ``pruned:r=2,b=20``, ``pmf:2=0.5,4=0.5``.
 
-Exit codes: 0 success, 2 parse error, 3 violated precondition, 4 internal
-inconsistency (a bound or closed form contradicting the exact value).
+Exit codes: 0 success, 2 parse error, 3 violated precondition or an --out
+that cannot be written, 4 internal inconsistency (a bound or closed form
+contradicting the exact value).
 Reals in CSV output carry 17 significant digits so doubles round-trip;
 a CSV field with a comma (a spec label, an error status) is quoted.
 """
@@ -73,7 +74,8 @@ def _write(args, payload, rows: list[dict], columns: list[str],
            table: list[str] | None = None) -> None:
     """Write ``payload`` as JSON, ``rows`` as CSV under ``columns``, or the table
     lines, as ``--format`` asks; a command without a table writes CSV.  With
-    ``--out`` the text replaces that file atomically."""
+    ``--out`` the text replaces that file atomically; a path that cannot be
+    written is refused with exit 3 and leaves no temporary file."""
     if args.format == "json":
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     elif args.format == "table" and table is not None:
@@ -88,15 +90,17 @@ def _write(args, payload, rows: list[dict], columns: list[str],
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(args.out))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".gwboot-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".gwboot-")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, args.out)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise PreconditionError(f"cannot write {args.out}: {exc.strerror or exc}") from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):  # gone once replaced
             os.unlink(tmp)
-        raise
 
 
 def _resolve_seed(args) -> int:

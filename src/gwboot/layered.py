@@ -171,7 +171,11 @@ def _gap(d: int, r: int, p: float, x: float) -> float:
     return (1.0 - x) - (1.0 - binom_lte(d, q, d - r))
 
 
-def verify_no_fixed_point(d: int, r: int, p: float, min_width: float = 1e-11) -> bool:
+# verify_no_fixed_point gives up on an interval narrower than this
+_MIN_WIDTH = 1e-11
+
+
+def verify_no_fixed_point(d: int, r: int, p: float) -> bool:
     """True iff x = P(Bin(d, (1-x)(1-p)) <= d-r) has no solution in [0, 1).
 
     Strategy: for d = r the gap function is convex and its sign near 1 is
@@ -211,7 +215,7 @@ def verify_no_fixed_point(d: int, r: int, p: float, min_width: float = 1e-11) ->
             return False
         if val > lip * (b - a) / 2.0:
             continue
-        if b - a < min_width:
+        if b - a < _MIN_WIDTH:
             return False  # positive but uncertifiable: treat as a witness
         stack.append((a, mid))
         stack.append((mid, b))

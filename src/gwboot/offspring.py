@@ -62,6 +62,7 @@ __all__ = [
     "make_distribution",
     "parse_spec",
     "prune_eta",
+    "pruned_threshold",
     "harmonic_number",
 ]
 
@@ -225,11 +226,8 @@ class DistributionSpec:
         elif f == "pruned":
             if self.r is None or self.r < 2:
                 raise SpecError("pruned requires integer r >= 2")
-            if self.b is None or self.b < (self.r - 1) * math.log(4 * math.e * self.r):
-                raise SpecError(
-                    "pruned requires b >= (r-1)*log(4*e*r) "
-                    f"= {(self.r - 1) * math.log(4 * math.e * self.r):.6f}"
-                )
+            if self.b is None or self.b < pruned_threshold(self.r):
+                raise SpecError(f"pruned requires b >= (r-1)*log(4*e*r) = {pruned_threshold(self.r):.6f}")
         elif f == "explicit_pmf":
             if not self.pmf:
                 raise SpecError("explicit_pmf requires at least one atom")
@@ -281,17 +279,20 @@ def parse_spec(text: str) -> DistributionSpec:
     family = _SPEC_ALIASES.get(head.strip().lower())
     if family is None:
         raise SpecError(f"unknown family {head!r}")
+    pairs = []
+    for item in rest.split(","):
+        if "=" not in item:
+            raise SpecError(f"malformed parameter {item!r} in {text!r} (expected key=value)")
+        pairs.append(item.split("=", 1))
     try:
         if family == "explicit_pmf":
-            atoms = []
-            for item in rest.split(","):
-                k, p = item.split("=", 1)
-                atoms.append((int(k), _parse_real(p)))
-            return DistributionSpec(family=family, pmf=tuple(atoms))
+            return DistributionSpec(family=family, pmf=tuple((int(k), _parse_real(p)) for k, p in pairs))
         params = {}
-        for item in rest.split(","):
-            key, val = item.split("=", 1)
-            params[key.strip().lower()] = val.strip()
+        for key, val in pairs:
+            key = key.strip().lower()
+            if key in params:
+                raise SpecError(f"parameter {key} given twice in {text!r}")
+            params[key] = val.strip()
         kwargs = {}
         if "b" in params:
             kwargs["b"] = _parse_real(params["b"])
@@ -871,6 +872,11 @@ def make_distribution(spec: DistributionSpec | str) -> OffspringDistribution:
     if isinstance(spec, str):
         spec = parse_spec(spec)
     return _FAMILIES[spec.family][2](spec)
+
+
+def pruned_threshold(r: int) -> float:
+    """(r-1) log(4er): the pruned law needs b at least this, and ub_pruned holds above it."""
+    return (r - 1) * math.log(4 * math.e * r)
 
 
 def prune_eta(r: int, b: float) -> Pruned:

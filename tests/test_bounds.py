@@ -19,6 +19,7 @@ from gwboot.bounds import (
     lb_branching_simplified,
     lb_fort,
     lb_second_moment,
+    lb_second_moment_weak,
     sandwich_violations,
     ub_fort,
     ub_fort_weak,
@@ -387,3 +388,33 @@ def test_bounds_report_reads_each_moment_once(monkeypatch, spec, calls):
     monkeypatch.setattr(type(d), "_expect", counting)
     bounds_report(d, 2, with_reference=False)
     assert len(seen) == calls
+
+
+def _criterion_8_pairs():
+    pairs = [(f"regular:b={b}", r) for b in range(2, 21) for r in range(2, min(b, 4) + 1)]
+    pairs += [(f"{fam}:b={b}", 2) for fam in ("poisson", "geometric") for b in range(3, 21)]
+    pairs += [(f"twopoint:b={b},a={a}", 2) for b in range(3, 9) for a in range(b + 1, 3 * b + 1)]
+    return pairs + [(f"pruned:r=2,b={b}", 2) for b in range(15, 26)]
+
+
+@pytest.mark.parametrize("spec, r", _criterion_8_pairs() + [(f"heavy:r={r}", r) for r in (2, 3, 4)]
+                         + [("pruned:r=3,b=16", 3), ("pruned:r=4,b=66", 4)])
+def test_public_bound_functions_return_their_report_entry(spec, r):
+    # each bound is written once: its public function returns the raw of its report entry
+    d = make_distribution(spec)
+    public = {
+        "lb_branching_exact": lambda: lb_branching_exact(d, r),
+        "lb_branching_simplified": lambda: lb_branching_simplified(d.mean(), r),
+        "lb_alpha_moment": lambda: lb_alpha_moment(d, r, 0.5),
+        "lb_fort": lambda: lb_fort(d),
+        "lb_second_moment": lambda: lb_second_moment(d),
+        "lb_second_moment_weak": lambda: lb_second_moment_weak(d),
+        "ub_fort": lambda: ub_fort(d),
+        "ub_fort_weak": lambda: ub_fort_weak(d),
+        "ub_regular_rd": lambda: ub_regular_rd(int(d.spec.b), r),
+        "ub_pruned": lambda: ub_pruned(r, d.b)[0],
+    }
+    entries = bounds_report(d, r, with_reference=False).entries
+    assert entries
+    for e in entries:
+        assert public[e.name]() == e.raw, e.name

@@ -79,6 +79,14 @@ def test_parameters_the_family_does_not_take_exit_2(capsys, argv):
     assert out == "" and len(err.splitlines()) == 1 and "takes only" in err
 
 
+@pytest.mark.parametrize("spec", ["regular:b=3,b=4", "twopoint:b=4,a=9,a=11", "poisson:b=6,"])
+def test_a_repeated_key_or_an_empty_item_exits_2(capsys, spec):
+    # regular:b=3,b=4 exited 0 and printed p_c of regular:b=4
+    code, out, err = run_cli(capsys, "pc", "--dist", spec, "--r", "2")
+    assert code == 2
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_precondition_exit_code(capsys):
     code, _, err = run_cli(capsys, "pc", "--dist", "regular:b=3", "--r", "1")
     assert code == 3
@@ -368,6 +376,20 @@ def test_out_file_atomic_write(capsys, tmp_path):
     )
     leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".gwboot-")]
     assert leftovers == []
+
+
+@pytest.mark.parametrize("where", ["missing/res.json", "a_directory"])
+def test_out_that_cannot_be_written_exits_3(capsys, tmp_path, where):
+    # a missing directory raised FileNotFoundError from mkstemp and a directory
+    # IsADirectoryError from os.replace: a traceback and exit 1
+    (tmp_path / "a_directory").mkdir()
+    target = tmp_path / where
+    code, out, err = run_cli(capsys, "pc", "--dist", "regular:b=3", "--r", "2", "--out", str(target))
+    assert code == 3
+    assert out == "" and err.startswith(f"error: cannot write {target}: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+    assert sorted(os.listdir(tmp_path)) == ["a_directory"]
+    assert os.listdir(tmp_path / "a_directory") == []
 
 
 def test_sweep_p_grid_with_replicates(capsys):

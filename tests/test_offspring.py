@@ -299,6 +299,20 @@ def test_spec_refuses_parameters_the_family_does_not_take(kwargs):
         DistributionSpec(**kwargs)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("regular:b=3,b=4", "parameter b given twice"),
+    ("twopoint:b=4,a=9,a=11", "parameter a given twice"),
+    ("regular:B=3,b=4", "parameter b given twice"),
+    ("poisson:b=6,", "malformed parameter ''"),
+    ("pmf:2=0.5,3=0.5,", "malformed parameter ''"),
+])
+def test_parse_refuses_a_repeated_key_and_an_empty_item(text, message):
+    # regular:b=3,b=4 built regular:b=4 and twopoint:b=4,a=9,a=11 built a = 11;
+    # an empty item reported "not enough values to unpack"
+    with pytest.raises(SpecError, match=message):
+        parse_spec(text)
+
+
 def test_parse_garbage_rejected():
     for bad in ("regular", "regular:b", "wat:b=3", "regular:q=3", "pmf:", "pmf:x=1"):
         with pytest.raises(SpecError):
