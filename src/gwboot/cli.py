@@ -23,6 +23,7 @@ import json
 import math
 import os
 import secrets
+import stat
 import sys
 import tempfile
 
@@ -70,12 +71,23 @@ def _csv_value(v) -> str:
     return str(v)
 
 
+def _plain_mode(path: str) -> int:
+    """The mode a plain write leaves at ``path``: a file's own, else 0666 less the umask."""
+    try:
+        return stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        return 0o666 & ~umask
+
+
 def _write(args, payload, rows: list[dict], columns: list[str],
            table: list[str] | None = None) -> None:
     """Write ``payload`` as JSON, ``rows`` as CSV under ``columns``, or the table
     lines, as ``--format`` asks; a command without a table writes CSV.  With
-    ``--out`` the text replaces that file atomically; a path that cannot be
-    written is refused with exit 3 and leaves no temporary file."""
+    ``--out`` the text replaces that file atomically, with the mode a plain
+    write would leave; a path that cannot be written is refused with exit 3
+    and leaves no temporary file."""
     if args.format == "json":
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     elif args.format == "table" and table is not None:
@@ -94,6 +106,7 @@ def _write(args, payload, rows: list[dict], columns: list[str],
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".gwboot-")
         with os.fdopen(fd, "w") as fh:
+            os.fchmod(fh.fileno(), _plain_mode(args.out))
             fh.write(text)
         os.replace(tmp, args.out)
     except OSError as exc:

@@ -262,8 +262,10 @@ class _LimitSearch:
     def __init__(self, ctx: GEvalContext, p: float, tol: float):
         self.ctx, self.p, self.tol = ctx, p, tol
         self.evals = 0
-        # |terms| summed for G(x): defic_scale and every weight times g_k^r <= r
-        self.terms = ctx.defic_scale + ctx.r * float(np.abs(ctx.weights).sum())
+        # |terms| summed for G(x): every weight times g_k^r <= r, and each term
+        # defic_scale D_r(m, x) of the body, at most defic_scale (D_r <= 1) and at
+        # most r (the body's mass, at most 1, times g_k^r <= r)
+        self.terms = min(ctx.defic_scale, ctx.r) + ctx.r * float(ctx.weights.sum())
 
     def f(self, x: float) -> float:
         """h(x) - x, counted as one evaluation."""

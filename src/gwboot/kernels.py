@@ -37,8 +37,10 @@ satisfies D_2(m,x) = x^(m-1)/m and
 
 which lets us evaluate truncations at cutoffs far beyond anything a direct
 sum could reach.  One log-space form of it (``_deficiency``) serves a float
-and an array of x.  The pruned family reuses the same deficiency, shifted by
-its two reassigned atoms.
+and an array of x.  At any threshold r, the body (s-1)/(k(k-1)) of a heavy
+or pruned law of threshold s on max(r, s) <= k <= m is (s-1)/(r-1) times
+D_r(max(r, s) - 1, x) - D_r(m, x), where D_r(r-1, x) = 1; no k below s is
+enumerated.  The pruned law adds its two atoms.
 """
 
 from __future__ import annotations
@@ -167,19 +169,20 @@ class GEvalContext:
 
     Every family is held in one form,
 
-        G(x) = defic_scale + sum_j weights_j g_{ks_j}^r(x) - defic_scale D_r(cutoff, x),
+        G(x) = sum_j weights_j g_{ks_j}^r(x) + defic_scale (D_r(low_cutoff, x) - D_r(cutoff, x)),
 
     with ``log_binom[i, 0, j] = log C(ks_j, i)`` and ``powers[i, 0, j] = ks_j - i - 1``
     tabulated once for i < r, shaped (r, 1, len(ks)) so that a float log x
     and an (n, 1) column of them broadcast alike.  Enumerable laws put their
-    support >= r in ``ks`` (defic_scale 0: no constant, no deficiency); the
-    heavy and pruned laws keep only their few atoms there and sum the rest
-    through the deficiency D_r.  G - 1 starts from ``defic_scale - 1.0``.
+    support >= r in ``ks`` (defic_scale 0: no body); the heavy and pruned laws
+    put their own atoms there, every weight a mass, and sum their body through
+    D_r from ``low_cutoff`` = max(r, s) - 1, s the law's threshold.  At r >= s
+    that is D_r(r-1, x) = 1, the constant ``const``, from which G - 1 starts.
 
     ``atoms`` holds the (k, weight) pairs of ``ks`` and ``weights`` as Python
     numbers for a law whose single interior x ``_mixture`` sums in scalar
-    code: one atom, or a nonzero ``defic_scale``.  It is None for every other
-    law, whose single x is one row of the tables.
+    code: one atom, or a body.  It is None for every other law, whose single
+    x is one row of the tables.
 
     ``eps_G`` bounds |G_true - G_computed| from the truncation of an
     infinite support: the tail mass times g_r^r <= r.  Exact (0) for finite
@@ -200,29 +203,22 @@ class GEvalContext:
     log_binom: np.ndarray
     powers: np.ndarray
     defic_scale: float
+    low_cutoff: int
     atoms: tuple | None
 
+    @property
+    def const(self) -> float:
+        """G's constant, defic_scale D_r(r-1, x) = defic_scale where the body starts at r."""
+        return self.defic_scale if self.low_cutoff < self.r else 0.0
 
-def _analytic_mixture(d, r: int, m: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """(ks, weights, defic_scale) of a heavy or pruned law at threshold r, ks ascending.
 
-    With s = d.r, the law's body (s-1)/(k(k-1)) on max(r, s) <= k <= m is
-    (s-1)/(r-1) times heavy_tail(r) truncated at m, whose mixture is
-    1 - D_r(m, x), less the atoms r <= k < s that heavy_tail(r) has and the
-    law has not, plus the law's own ``atoms`` (the pruned law's two, at s and
-    2s+1, so never one of those).  Like an enumerated support, the atoms may
-    number at most ``ENUM_CAP``.  k(k-1.0) is exact for k < 2^26, so each
-    weight is the correctly rounded quotient.
-    """
-    s = d.r
-    if min(s, m + 1) - r > ENUM_CAP:
-        raise too_many_atoms(f"a law of threshold {s} at r = {r}")
-    scale = (s - 1) / (r - 1) if m >= r else 0.0
-    body = np.arange(r, min(s, m + 1))
+def _analytic_mixture(d, r: int, m: int) -> tuple[np.ndarray, np.ndarray, float, int]:
+    """(ks, weights, defic_scale, low_cutoff) of a heavy or pruned law at threshold r,
+    cut at m: its own ``atoms`` at k >= r, ascending, and its body (module docstring)."""
     own = [atom for atom in d.atoms if atom[0] >= r]
-    ks = np.concatenate([body, np.array([k for k, _ in own], dtype=np.int64)])
-    weights = np.concatenate([-(s - 1) / (body * (body - 1.0)), np.array([p for _, p in own], dtype=float)])
-    return ks, weights, scale
+    ks = np.array([k for k, _ in own], dtype=np.int64)
+    weights = np.array([p for _, p in own], dtype=float)
+    return ks, weights, (d.r - 1) / (r - 1) if m >= r else 0.0, max(r, d.r) - 1
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -242,13 +238,13 @@ def make_context(
     cutoff = int(dist.truncation_cutoff(tail_target))
     eps = r * dist.tail(cutoff) if dist.support_max is None else 0.0
     if isinstance(dist, HeavyTail):
-        ks, w, scale = _analytic_mixture(dist, r, cutoff)
+        ks, w, scale, low = _analytic_mixture(dist, r, cutoff)
     else:
         if dist.support_max is None and cutoff > ENUM_CAP:  # one atom per k up to the cutoff
             raise too_many_atoms(f"{dist.label()} truncated at tail {tail_target:g}")
         ks_all, w_all = dist.support_probs(upto=cutoff)
         mask = ks_all >= r
-        ks, w, scale = ks_all[mask], w_all[mask], 0.0
+        ks, w, scale, low = ks_all[mask], w_all[mask], 0.0, r - 1
         if len(ks) > ENUM_CAP:
             raise too_many_atoms(f"{dist.label()} at k >= {r}")
     # log C(k, i) = sum_{j<i} log(k-j) - log i!, a sum of i logs rather than a
@@ -262,7 +258,7 @@ def make_context(
         prob_below=float(dist.prob_below(r)),
         ks=_frozen(ks), weights=_frozen(w), log_binom=_frozen(log_binom),
         powers=_frozen(ks - 1.0 - np.arange(r, dtype=float)[:, None, None]),
-        defic_scale=scale,
+        defic_scale=scale, low_cutoff=low,
         atoms=tuple(zip(ks.tolist(), w.tolist())) if scale or len(ks) == 1 else None,
     )
 
@@ -306,9 +302,11 @@ def _G_block(ctx: GEvalContext, xs: np.ndarray, lx: np.ndarray, l1x: np.ndarray,
     gk[ends] = np.where(xs[ends, None] == 0.0, np.where(ctx.ks == ctx.r, float(ctx.r), 0.0), 1.0)
     out = _row_dots(gk, ctx.weights) + base
     if ctx.defic_scale:
-        d = _deficiency(ctx.r, ctx.cutoff, lx, l1x)
-        d[ends] = np.where(xs[ends] == 0.0, 0.0, (ctx.r - 1) / ctx.cutoff)
-        out -= ctx.defic_scale * d
+        for m, scale in ((ctx.cutoff, -ctx.defic_scale), (ctx.low_cutoff, ctx.defic_scale)):
+            if m >= ctx.r:
+                d = _deficiency(ctx.r, m, lx, l1x)
+                d[ends] = np.where(xs[ends] == 0.0, 0.0, (ctx.r - 1) / m)
+                out += scale * d
     return out
 
 
@@ -323,14 +321,13 @@ def _G_blocks(ctx: GEvalContext, xs: np.ndarray, lx: np.ndarray, l1x: np.ndarray
 
 
 def _mixture(ctx: GEvalContext, x: float, base: float) -> float:
-    """base + sum_j weights_j g_{ks_j}^r(x) - defic_scale D_r(cutoff, x) at one x in [0, 1].
+    """base + G(x) - const, the form of ``GEvalContext`` less its constant, at one x in [0, 1].
 
     x = 0 and x = 1 are a one-row block, whose ``_G_block`` holds the limits
-    there.  At interior x, a context with ``atoms`` (a point mass, or a heavy
-    or pruned law) sums its few closed-form terms in scalar code, a few
-    microseconds where numpy's per-call overhead makes a row of the tables
-    cost several times that; any other support is one row of ``_g_sum``, bit
-    for bit the same x in any block of ``G_minus_1``'s array path.
+    there.  At interior x, a context with ``atoms`` sums its few closed-form
+    terms in scalar code, a few microseconds where numpy's per-call overhead
+    makes a row of the tables cost several times that; any other support is
+    one row of ``_g_sum``, bit for bit the same x in any block of an array.
     """
     if not 0.0 < x < 1.0:
         xs = np.array([x])
@@ -341,7 +338,10 @@ def _mixture(ctx: GEvalContext, x: float, base: float) -> float:
     for k, w in ctx.atoms:
         total += w * g(k, ctx.r, x)
     if ctx.defic_scale:
-        total -= ctx.defic_scale * float(_deficiency(ctx.r, ctx.cutoff, math.log(x), math.log1p(-x)))
+        lx, l1x = math.log(x), math.log1p(-x)
+        total -= ctx.defic_scale * float(_deficiency(ctx.r, ctx.cutoff, lx, l1x))
+        if ctx.low_cutoff >= ctx.r:
+            total += ctx.defic_scale * float(_deficiency(ctx.r, ctx.low_cutoff, lx, l1x))
     return total
 
 
@@ -365,9 +365,9 @@ def _mixture_at(ctx: GEvalContext, x: float | np.ndarray, base: float) -> float 
 
 
 def G_minus_1(ctx: GEvalContext, x: float | np.ndarray) -> float | np.ndarray:
-    """G(x) - 1 at a float or a 1-D array of x, from base ``defic_scale - 1.0``:
+    """G(x) - 1 at a float or a 1-D array of x, from base ``const - 1.0``:
     without cancellation on the analytic path."""
-    return _mixture_at(ctx, x, ctx.defic_scale - 1.0)
+    return _mixture_at(ctx, x, ctx.const - 1.0)
 
 
 def _row_blocks(ctx: GEvalContext, n: int) -> list[slice]:
@@ -380,30 +380,32 @@ def _row_blocks(ctx: GEvalContext, n: int) -> list[slice]:
 def G_upper(ctx: GEvalContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Upper bounds on G over the pieces [a_j, b_j], 0 <= a_j < b_j <= 1, in one pass.
 
-    On a piece x^(k-i-1) <= b^(k-i-1) and (1-x)^i <= (1-a)^i, so each
-    positive weight's g_k^r is at most sum_{i<r} C(k,i) b^(k-i-1) (1-a)^i
-    from the context's tables; negative weights and the deficiency only lower
-    G and are left out, and the truncated tail adds at most ``eps_G``.  The
-    bound is raised by 2^-36 for the rounding of exp, log, the sum and the
-    tables, and by 4 ulps of log (k+1)! at the largest k.  A table entry
-    log C(k, i) is a sum of i < r rounded logs of at most log k, so it is off
-    by at most about r^2 ulps of log k, below 2^-36 for r < 60 at any k the
-    tables hold; the log-factorial term is a margin beyond that.
+    On a piece x^(k-i-1) <= b^(k-i-1) and (1-x)^i <= (1-a)^i, so each weight's
+    g_k^r is at most sum_{i<r} C(k,i) b^(k-i-1) (1-a)^i from the context's
+    tables, and each term c x^j (1-x)^i of D_r(low_cutoff, x) at most c b^j
+    (1-a)^i.  D_r(cutoff, x) only lowers G and is left out, and the truncated
+    tail adds at most ``eps_G``.  The bound is raised by 2^-36 for the rounding
+    of exp, log, the sum and the tables, and by 4 ulps of log (k+1)! at the
+    largest k.  A table entry log C(k, i) is a sum of i < r rounded logs of at
+    most log k, so it is off by at most about r^2 ulps of log k, below 2^-36
+    for r < 60 at any k the tables hold; the log-factorial term is a margin
+    beyond that.
     """
-    lb, l1a = np.log(b)[:, None], np.log1p(-a)[:, None]
-    w = np.maximum(ctx.weights, 0.0)
+    lb, l1a = np.log(b), np.log1p(-a)
     out = np.empty(len(b))
     for rows in _row_blocks(ctx, len(b)):
-        out[rows] = _row_dots(_g_sum(ctx, lb[rows], l1a[rows]), w)
+        out[rows] = _row_dots(_g_sum(ctx, lb[rows, None], l1a[rows, None]), ctx.weights)
+    if ctx.low_cutoff >= ctx.r:
+        out += ctx.defic_scale * _deficiency(ctx.r, ctx.low_cutoff, lb, l1a)
     k = float(ctx.ks.max(initial=1)) + 1.0
     rel = 2.0**-36 + 2.0**-51 * math.lgamma(k + 1.0)
-    return (out + ctx.defic_scale) * (1.0 + rel) + ctx.eps_G
+    return (out + ctx.const) * (1.0 + rel) + ctx.eps_G
 
 
 def G(ctx: GEvalContext, x: float | np.ndarray) -> float | np.ndarray:
     """The mixture sum_{k >= r} pmf(k) g_k^r(x) over the context's support, from
-    base ``defic_scale``: never 1 + (G - 1), which cancels where G is small."""
-    return _mixture_at(ctx, x, ctx.defic_scale)
+    base ``const``: never 1 + (G - 1), which cancels where G is small."""
+    return _mixture_at(ctx, x, ctx.const)
 
 
 def h(ctx: GEvalContext, p: float, x: float) -> float:
@@ -413,17 +415,15 @@ def h(ctx: GEvalContext, p: float, x: float) -> float:
     with fewer than r children in its subtree can never be infected from
     below.  The rest is x G(x), read from the context's tables; p and x are
     checked here and nowhere below, so a step of the recursion costs one G.
-    G is defic_scale plus ``_mixture`` from base 0; defic_scale is exactly 0
-    for an enumerable law, so G is never formed as 1 + (G - 1), which would
-    cancel where G is small (x near 0 at r >= 3).  A heavy or pruned law at
-    a threshold below its own keeps G only to a few 1e-16 absolute, which
-    can round x G(x) below 0 near x = 0; it is clamped there.
+    G is ``const`` plus ``_mixture`` from base 0, never 1 + (G - 1), which
+    would cancel where G is small (x near 0 at r >= 3).  Every term is
+    nonnegative but D_r(cutoff, x); a negative x G(x) is clamped to 0.
     """
     if not 0.0 <= p <= 1.0:
         raise PreconditionError("p must lie in [0, 1]")
     if not 0.0 <= x <= 1.0:
         raise PreconditionError("x must lie in [0, 1]")
-    xg = x * (ctx.defic_scale + _mixture(ctx, x, 0.0))
+    xg = x * (ctx.const + _mixture(ctx, x, 0.0))
     return (1.0 - p) * (ctx.prob_below + (0.0 if xg < 0.0 else xg))
 
 
@@ -436,8 +436,8 @@ class MaxResult:
     """Location of the maximum of G on [0, 1] and its value, held as M - 1.
 
     M - 1 is the best G - 1 that ``max_G`` evaluated, with every bit it has:
-    on the heavy and pruned laws G - 1 carries no O(1) offset, so it keeps
-    full relative precision where M rounds to 1.
+    on the heavy and pruned laws at their own threshold G - 1 carries no O(1)
+    offset, so it keeps full relative precision where M rounds to 1.
     """
 
     x_star: float
@@ -584,7 +584,7 @@ def _scan(ctx: GEvalContext) -> np.ndarray:
     for bit.
     """
     xs, lx, l1x = _grid()
-    base = ctx.defic_scale - 1.0
+    base = ctx.const - 1.0
     n = len(xs) - 1
     if (n + 1) * len(ctx.ks) <= _BLOCK:
         return _G_blocks(ctx, xs, lx, l1x, base)

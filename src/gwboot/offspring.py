@@ -98,53 +98,37 @@ def too_many_atoms(what: str) -> PreconditionError:
 # harmonic numbers
 
 _HARMONIC_CACHE_N = 20000
+_HARMONIC_TABLE = []  # H_0.._HARMONIC_CACHE_N, read-only, built by the first call
 
 
-@functools.cache
-def _harmonic_prefix(n: int) -> np.ndarray:
-    # compensated cumulative sum: per-entry error stays at machine epsilon;
-    # built on first use, since most commands never need a harmonic number
-    out = np.empty(n + 1)
-    out[0] = 0.0
-    s = 0.0
-    c = 0.0
-    for i in range(1, n + 1):
-        y = 1.0 / i - c
-        t = s + y
-        c = (t - s) - y
-        s = t
-        out[i] = s
-    out.flags.writeable = False
-    return out
+def harmonic_number(n):
+    """H_n = sum_{i=1}^n 1/i, with H_0 = 0, at an int or an integer array n >= 0.
 
-
-def _harmonic_series(n):
-    """H_n = ln n + gamma + 1/(2n) - 1/(12n^2) + 1/(120n^4) for n > the cache, float or array.
-
-    The psi asymptotic series is alternating and enveloping, so the first
-    omitted term 1/(252n^6) < 1e-27 bounds the truncation; the rounding of
-    ln n leaves a few ulps of H_n.
+    Up to the cache, a compensated cumulative sum within machine epsilon, built
+    on first use.  Beyond, the psi series ln n + gamma + 1/(2n) - 1/(12n^2) +
+    1/(120n^4): it alternates and envelops, so its first omitted term
+    1/(252n^6) < 1e-27 bounds the truncation; ln n's rounding leaves a few ulps.
     """
-    inv2 = 1.0 / (n * n)
-    return np.log(n) + np.euler_gamma + 0.5 / n - inv2 * (1.0 / 12 - inv2 / 120)
-
-
-def harmonic_number(n: int) -> float:
-    """H_n = sum_{i=1}^n 1/i, with H_0 = 0.  The psi asymptotic series beyond the cache."""
-    if n < 0:
+    if not _HARMONIC_TABLE:
+        table, s, c = np.zeros(_HARMONIC_CACHE_N + 1), 0.0, 0.0
+        for i in range(1, _HARMONIC_CACHE_N + 1):
+            y = 1.0 / i - c
+            t = s + y
+            c = (t - s) - y
+            s = table[i] = t
+        table.flags.writeable = False
+        _HARMONIC_TABLE.append(table)
+    table, array = _HARMONIC_TABLE[0], isinstance(n, np.ndarray)
+    if not array and n < 0:
         raise ValueError("harmonic_number needs n >= 0")
-    if n <= _HARMONIC_CACHE_N:
-        return float(_harmonic_prefix(_HARMONIC_CACHE_N)[n])
-    return float(_harmonic_series(float(n)))
-
-
-def _harmonic_numbers(n: np.ndarray) -> np.ndarray:
-    """harmonic_number over an integer array n >= 0."""
-    table = _harmonic_prefix(_HARMONIC_CACHE_N)
-    if n.max(initial=0) <= _HARMONIC_CACHE_N:
-        return table[n]
-    return np.where(n <= _HARMONIC_CACHE_N, table[np.minimum(n, _HARMONIC_CACHE_N)],
-                    _harmonic_series(np.maximum(n, _HARMONIC_CACHE_N).astype(float)))
+    if (n.max(initial=0) if array else n) <= _HARMONIC_CACHE_N:
+        return table[n] if array else float(table[n])
+    x = np.maximum(n, _HARMONIC_CACHE_N).astype(float) if array else float(n)
+    inv2 = 1.0 / (x * x)
+    series = np.log(x) + np.euler_gamma + 0.5 / x - inv2 * (1.0 / 12 - inv2 / 120)
+    if not array:
+        return float(series)
+    return np.where(n <= _HARMONIC_CACHE_N, table[np.minimum(n, _HARMONIC_CACHE_N)], series)
 
 
 # Euler's gamma to 120 digits, and B_2k/(2k) for k = 1..14 as (numerator, denominator)
@@ -360,7 +344,7 @@ class OffspringDistribution:
         if self.prob_below(r) > 0:
             raise PreconditionError("harmonic_tail_moment requires support >= r")
         # an atom below r has no mass here, so its H_{k-r} may read as H_0
-        return self._expect(lambda ks: _harmonic_numbers(np.maximum(ks - r, 0)),
+        return self._expect(lambda ks: harmonic_number(np.maximum(ks - r, 0)),
                             lambda a, n: _harmonic_tail(r, a, n))
 
     def fort_upper_moment(self) -> float:
@@ -749,16 +733,17 @@ class Pruned(HeavyTail):
 
     def __init__(self, spec: DistributionSpec):
         r, b = int(spec.r), float(spec.b)
-        # k0 has at most int(T/ln 10) + 1 digits and T at most 3 before the point
-        t = b / (r - 1) + harmonic_number(r - 2)
-        prec = 55 + int(t / math.log(10))
-        if prec > _EULER_GAMMA_DIGITS:
-            raise PreconditionError("pruned construction needs b/(r-1) + H_(r-2) < "
-                                    f"{(_EULER_GAMMA_DIGITS - 54) * math.log(10):.2f}")
         D = decimal.Decimal
         with decimal.localcontext() as ctx:
+            ctx.prec = _EULER_GAMMA_DIGITS
+            h_r = _harmonic_decimal(r - 2)
+            # k0 has at most int(T/ln 10) + 1 digits and T at most 3 before the point
+            prec = 55 + int((b / (r - 1) + float(h_r)) / math.log(10))
+            if prec > _EULER_GAMMA_DIGITS:
+                raise PreconditionError("pruned construction needs b/(r-1) + H_(r-2) < "
+                                        f"{(_EULER_GAMMA_DIGITS - 54) * math.log(10):.2f}")
             ctx.prec = prec
-            T = D(b) / (r - 1) + _harmonic_decimal(r - 2)
+            T = D(b) / (r - 1) + h_r
             k0 = int((T - _EULER_GAMMA).exp() + D("0.5"))
             h = _harmonic_decimal(k0 - 1)  # H_{k0-1} while k0 steps
             while h > T:

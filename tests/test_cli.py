@@ -6,6 +6,7 @@ import glob
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 import time
@@ -142,9 +143,7 @@ _BIG = str(10**23)
     ["pc", "--dist", "regular:b=9223372036854775807", "--r", "2"],
     ["pc", "--dist", f"twopoint:b=3,a={_BIG}", "--r", "2"],
     ["pc", "--dist", f"pmf:{_BIG}=1", "--r", "2"],
-    # a heavy law summed below its own threshold has one atom per k in between
     ["pc", "--dist", f"heavy:r={_BIG}", "--r", "2"],
-    ["pc", "--dist", "heavy:r=1000000000000", "--r", "2"],
 ])
 def test_malformed_numbers_exit_with_one_error_line(capsys, argv):
     t0 = time.perf_counter()
@@ -152,6 +151,16 @@ def test_malformed_numbers_exit_with_one_error_line(capsys, argv):
     assert time.perf_counter() - t0 < 1.0
     assert code in (2, 3)
     assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_a_heavy_law_far_above_r_answers_pc_0_within_1s(capsys):
+    # its body above r is D_r(s-1, x) - D_r(cutoff, x), summed in closed form at
+    # any s: no atom per k between r and s
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "pc", "--dist", "heavy:r=1000000000000", "--r", "2", "--format", "json")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0 and err == ""
+    assert json.loads(out)["pc"] == 0.0
 
 
 @pytest.mark.parametrize("spec", ["geometric:b=1e17", "poisson:b=1e17"])
@@ -390,6 +399,25 @@ def test_out_that_cannot_be_written_exits_3(capsys, tmp_path, where):
     assert "Traceback" not in err
     assert sorted(os.listdir(tmp_path)) == ["a_directory"]
     assert os.listdir(tmp_path / "a_directory") == []
+
+
+@pytest.mark.parametrize("umask, before, after", [(0o022, None, 0o644), (0o077, None, 0o600),
+                                                  (0o022, 0o640, 0o640), (0o077, 0o664, 0o664)],
+                         ids=["new-022", "new-077", "kept-640", "kept-664"])
+def test_out_has_the_mode_of_a_plain_write(capsys, tmp_path, umask, before, after):
+    # a new file is 0666 less the umask and a replaced one keeps its mode; the
+    # temporary file's 0600 once stood in both cases
+    target = tmp_path / "res.json"
+    if before is not None:
+        target.write_text("old\n")
+        target.chmod(before)
+    old = os.umask(umask)
+    try:
+        code, _, _ = run_cli(capsys, "pc", "--dist", "regular:b=3", "--r", "2", "--out", str(target))
+    finally:
+        os.umask(old)
+    assert code == 0 and target.read_text().startswith("spec:")
+    assert stat.S_IMODE(target.stat().st_mode) == after
 
 
 def test_sweep_p_grid_with_replicates(capsys):

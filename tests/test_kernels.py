@@ -375,6 +375,46 @@ def test_mismatched_threshold_context_is_fixed_and_fast():
     assert gw.h(ctx, 0.1, x) == pytest.approx(0.9 * x * gw.G(ctx, x), abs=1e-15)
 
 
+@pytest.mark.parametrize("spec", ["heavy:r=4", "pruned:r=4,b=60"])
+@pytest.mark.parametrize("x", [1e-9, 1e-6])
+def test_h_below_a_laws_own_threshold_keeps_relative_precision_near_0(spec, x):
+    # h = 0.9 x G(x), about 0.9 x^3: its terms k = 4..63 summed at 50 digits leave
+    # less than x^60 of it.  An O(s) constant cancelled down to G read 0.0 at 1e-9
+    d = make_distribution(spec)
+    got = gw.h(make_context(d, 2), 0.1, x)
+    with mpmath.workdps(50):
+        xm = mpmath.mpf(x)
+        pmf = {k: mpmath.mpf(3) / (k * (k - 1)) for k in range(4, 64)}
+        for k, w in d.atoms:
+            pmf[k] += w
+        want = mpmath.mpf("0.9") * xm * mpmath.fsum(p * _g_50(k, 2, xm) for k, p in pmf.items())
+        assert abs(got / want - 1) <= 1e-12, (got, want)
+
+
+def test_pc_exact_of_a_heavy_law_far_above_r_is_a_few_evaluations(monkeypatch):
+    # G_upper bounds the body through D_r(s-1, x), so max_G drops every piece
+    # but the one at x = 1; with the body as negative atoms, which G_upper left
+    # out, heavy:r=50 took 4,869 single-x evaluations and heavy:r=400 6.8 s
+    calls = []
+    minus_1 = kernels.G_minus_1
+    monkeypatch.setattr(kernels, "G_minus_1", lambda c, x: calls.append(x) or minus_1(c, x))
+    assert gw.pc_exact(make_distribution("heavy:r=50"), 2).pc == 0.0
+    assert len(calls) <= 10
+    times = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        assert gw.pc_exact(make_distribution("heavy:r=400"), 2).pc == 0.0
+        times.append(time.perf_counter() - t0)
+    assert min(times) < 0.05, times
+
+
+def test_context_weights_are_masses():
+    # a heavy or pruned law keeps only its own atoms; its body is D_r at any r
+    for spec, r in ANALYTIC_THRESHOLDS + _criterion_8_laws():
+        ctx = make_context(make_distribution(spec), r)
+        assert (ctx.weights >= 0.0).all(), (spec, r)
+
+
 def test_h_with_threshold_below_r_heavy_is_fast_and_exact():
     # h at a threshold below the law's own r = 3
     d = make_distribution("heavy:r=3")
@@ -429,10 +469,12 @@ def _deficiency_50(r, m, x):
 def _G_50(d, r):
     """G of a law of the golden rows as an mpmath function: the exact atoms of a
     finite law; for r = 2 on support >= 2, G(x) = (phi(x) + (1-x) phi'(x))/x with
-    phi the pgf, in closed form for the shifted laws; and, at the pruned law's own
-    r, 1 - D_r(k1, x) (its body, by the deficiency identity) plus its atoms at r
-    and 2r+1, whose alpha is rebuilt from harmonic numbers at 50 digits beyond
-    those of k1.
+    phi the pgf, in closed form for the shifted laws; and, for a pruned law of
+    threshold s, its body plus its atoms at s and 2s+1, whose alpha is rebuilt
+    from harmonic numbers at 50 digits beyond those of k1.  The body is
+    1 - D_s(k1, x) at r = s, by the deficiency identity, and at r = 2 the
+    telescoped sum_{k=s}^{k1} (s-1) (x^(k-2)/(k-1) - x^(k-1)/k), since
+    g_k^2(x) = k x^(k-2) - (k-1) x^(k-1).
     """
     mp = mpmath.mpf
     family = d.spec.family
@@ -443,15 +485,16 @@ def _G_50(d, r):
         atoms = [(k, mp(p)) for k, p in zip(d.ks.tolist(), d.probs.tolist()) if k >= r]
         return lambda x: mpmath.fsum(p * _g_50(k, r, x) for k, p in atoms)
     if family == "pruned":
-        assert d.r == r
-        k1 = d.k1
+        s, k1 = d.r, d.k1
+        assert r in (s, 2)
         with mpmath.workdps(mpmath.mp.dps + len(str(k1))):
-            b, H = mp(d.b), lambda n: mpmath.harmonic(n) - mpmath.harmonic(r - 2)
-            assert (r - 1) * H(d.k0 - 1) <= b < (r - 1) * H(d.k0)
-            A = mp(r - 1) / k1
-            alpha = (2 * r + 1 - (b - (r - 1) * H(k1 - 1)) / A) / (r + 1)
-        return lambda x: (1 - _deficiency_50(r, k1, x)
-                          + A * (alpha * _g_50(r, r, x) + (1 - alpha) * _g_50(2 * r + 1, r, x)))
+            b, H = mp(d.b), lambda n: mpmath.harmonic(n) - mpmath.harmonic(s - 2)
+            assert (s - 1) * H(d.k0 - 1) <= b < (s - 1) * H(d.k0)
+            A = mp(s - 1) / k1
+            alpha = (2 * s + 1 - (b - (s - 1) * H(k1 - 1)) / A) / (s + 1)
+        body = ((lambda x: 1 - _deficiency_50(r, k1, x)) if r == s
+                else (lambda x: x ** (s - 2) - (s - 1) * x ** (k1 - 1) / k1))
+        return lambda x: body(x) + A * (alpha * _g_50(s, r, x) + (1 - alpha) * _g_50(2 * s + 1, r, x))
     assert r == 2
     if family == "shifted_poisson":
         lam = mp(d.lam)
@@ -461,7 +504,7 @@ def _G_50(d, r):
     return lambda x: (1 - rho) / (1 - rho * x) * (x + (1 - x) * (2 + rho * x / (1 - rho * x)))
 
 
-def _max_G_50(d, r):
+def _max_G_50(d, r, solver="anderson"):
     """(argmax, max) of G on [0, 1] at 50 digits: the best of 201 grid points,
     refined to the root of G' between its neighbours where G' changes sign."""
     with mpmath.workdps(50):
@@ -471,7 +514,7 @@ def _max_G_50(d, r):
         best = max(range(201), key=lambda i: G(xs[i]))
         lo, hi = xs[max(best - 1, 0)], xs[min(best + 1, 200)]
         if dG(lo) > 0 > dG(hi):
-            x = mpmath.findroot(dG, (lo, hi), solver="anderson")
+            x = mpmath.findroot(dG, (lo, hi), solver=solver)
             return x, G(x)
         return xs[best], G(xs[best])
 
@@ -501,6 +544,20 @@ def test_pc_exact_of_pruned_laws_matches_50_digit_maximum(r, b):
         pc_ref = (M_ref - 1) / M_ref
         assert pc_ref > 0
         assert abs(res.pc - pc_ref) <= 1e-12 * pc_ref, (res.pc, pc_ref)
+
+
+@pytest.mark.parametrize("spec, pc_digits", [("pruned:r=4,b=60", "1.5487180106e-10"),
+                                             ("pruned:r=3,b=40", "4.1440747588e-10")])
+def test_pc_exact_of_pruned_laws_at_r_2_lies_within_err_of_50_digit_pc(spec, pc_digits):
+    # below the law's own threshold the body is summed through D_2, not as
+    # atoms whose O(s) negative weights cancel down to G
+    d = make_distribution(spec)
+    res = gw.pc_exact(d, 2)
+    _, M_ref = _max_G_50(d, 2, "illinois")  # anderson's steps leave [lo, hi] on these
+    with mpmath.workdps(50):
+        pc_ref = (M_ref - 1) / M_ref
+        assert abs(pc_ref / mpmath.mpf(pc_digits) - 1) < 1e-10
+        assert abs(res.pc - pc_ref) <= res.err, (res.pc, pc_ref)
 
 
 def test_pc_exact_of_a_law_with_a_far_atom_matches_50_digit_maximum():

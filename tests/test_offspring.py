@@ -17,8 +17,8 @@ from gwboot.offspring import (
     PreconditionError,
     SpecError,
     _harmonic_decimal,
-    _harmonic_numbers,
     harmonic_number,
+    harmonic_number as _harmonic_numbers,
     make_distribution,
     parse_spec,
     prune_eta,
