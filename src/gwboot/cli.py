@@ -133,16 +133,14 @@ def _parse_grid(text: str) -> list[float]:
         raise SpecError(f"grid {text!r} needs a finite start, stop and step")
     if step <= 0:
         raise SpecError("grid step must be positive")
-    if (b - a) / step >= GRID_MAX_POINTS:
+    span = (b - a) / step + 1e-9  # keeps b where (b - a) / step rounds to just below an integer
+    if span >= GRID_MAX_POINTS:
         raise SpecError(f"grid {text!r} has more than {GRID_MAX_POINTS} points")
-    out = []
-    v = a
-    i = 0
-    while v <= b + 1e-9:
-        out.append(round(v, 12))
-        i += 1
-        v = a + i * step
-    return out
+    if span < 0:
+        return []
+    # 12 decimals, or 9 digits below the step's leading one where that is finer
+    digits = max(12, 9 - math.floor(math.log10(step)))
+    return [round(a + i * step, digits) for i in range(math.floor(span) + 1)]
 
 
 # ---------------------------------------------------------------------------

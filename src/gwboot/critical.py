@@ -10,10 +10,9 @@ positive exactly in the subcritical regime p < p_c.  ``q_limit`` brackets
 that limit instead of stepping until the step is small: the iterates are
 upper bounds, an Aitken extrapolate with h(l) > l is a lower bound, and a
 safeguarded secant closes the bracket.  A limit of 0 has two certificates,
-a bound of G over pieces of [0, q_t] from the kernel tables and, once the
-steps decay sublinearly next to p_c, p_c itself, formed from the maximum of
-G by the rule ``pc_exact`` uses; within its err of p_c the limit is left as
-the interval [0, q_t].
+a bound of G over pieces of [0, q_t] from the kernel tables and, after 128
+steps, p_c itself, formed from the maximum of G by the rule ``pc_exact``
+uses; within its err of p_c the limit is left as the interval [0, q_t].
 """
 
 from __future__ import annotations
@@ -252,8 +251,8 @@ _H_ROUNDING = 2.0**-48
 # once more pieces fail than it started with
 _ZERO_PIECES = 16
 _ZERO_ROUNDS = 6
-# steps at which the step ratio is read for sublinear decay: 64, 128, 256, ...
-_SUBLINEAR_FROM = 64
+# the step at which a search that can still reach 0 asks max_G for the side of p_c
+_DECIDE_AT = 128
 
 
 class _LimitSearch:
@@ -292,7 +291,7 @@ class _LimitSearch:
         ctx, p = self.ctx, self.p
         can_die = ctx.prob_below == 0.0  # with mass below r, h(0) > 0 and the limit too
         q, x1, x0 = 1.0 - p, None, None
-        zero_from, gap_seen, t = q, None, 0
+        zero_from, t = q, 0
         while self.evals < Q_ITERATION_CAP:
             if q == 0.0:
                 return self.certified_zero()
@@ -305,19 +304,14 @@ class _LimitSearch:
                 return self.stalled(q, h_q - q, can_die)
             x0, x1, q = x1, q, h_q + e
             t += 1
+            if can_die and t == _DECIDE_AT:
+                res = self.decide_by_max(q)
+                if res is not None:
+                    return res
+                can_die = False
             if x0 is None:
                 continue
             d1, d2 = x0 - x1, x1 - q
-            if can_die and t >= _SUBLINEAR_FROM and t & (t - 1) == 0:
-                # next to a tangency the steps shrink like 1/t^2: 1 - d2/d1 halves
-                # whenever t doubles, where linear decay keeps it constant
-                gap = 1.0 - d2 / d1
-                if gap_seen is not None and gap <= 0.75 * gap_seen:
-                    res = self.decide_by_max(q)
-                    if res is not None:
-                        return res
-                    can_die = False
-                gap_seen = gap
             if t % 3 or d2 >= d1:
                 continue
             # Aitken's extrapolate q - d2^2/(d1 - d2), moved down by half its
@@ -447,11 +441,11 @@ def q_limit(d: OffspringDistribution, r: int, p: float, tol: float = 1e-12) -> Q
     Two certificates cover a limit of 0 (with P(xi < r) = 0).  Where the
     extrapolate points to 0, ``kernels.G_upper`` bounds G over pieces of
     [0, q_t] from the context's tables, and (1-p) G < 1 there makes h(x) < x
-    on (0, q_t].  Where the step ratio shows sublinear decay (the steps of a
-    tangency shrink like 1/t^2), ``max_G`` is called once and p_c and its err
-    are formed from it as in ``pc_exact``: p > p_c + err certifies 0,
-    p < p_c - err a positive limit, and for p within err of p_c, where
-    neither can hold, the result is [0, last iterate] with converged False.
+    on (0, q_t].  A search still open after 128 steps calls ``max_G`` once,
+    and p_c and its err are formed from it as in ``pc_exact``: p > p_c + err
+    certifies 0, p < p_c - err a positive limit, and for p within err of
+    p_c, where neither can hold, the result is [0, last iterate] with
+    converged False.
     So it is after ``Q_ITERATION_CAP`` evaluations of h; ``iterations``
     counts them.
     """

@@ -624,8 +624,10 @@ def max_G(ctx: GEvalContext) -> MaxResult:
     unimodality assumed of every piece, and the piece takes no further
     evaluation.  Modes of all supported families are wide relative to the
     grid step.  The grid and its libm logs are computed once per process;
-    each value G - 1 on it is ``G_minus_1`` at that x, bit for bit, whether
-    in an array or alone.
+    each value G - 1 on it is ``G_minus_1`` of the grid array at that x, bit
+    for bit, and of that x alone too unless the context has ``atoms`` (a
+    point mass, a heavy or a pruned law): those sum a single interior x in
+    scalar code, a few ulps of max(G, 1) off the grid value.
 
     Candidates within ``_TIE_REL`` |M - 1| of the best tie, and ties report
     the smallest x.  The refinement stops at brackets of width

@@ -10,6 +10,8 @@ import pytest
 
 import gwboot as gw
 from gwboot.bounds import (
+    BoundEntry,
+    BoundsReport,
     _excess_2,
     _fort_terms,
     alpha_bound_constant,
@@ -214,6 +216,24 @@ def test_report_two_point_fort_equals_pc():
     by_name = {e.name: e for e in rep.entries}
     assert by_name["lb_fort"].raw == pytest.approx(rep.pc_ref.pc, abs=1e-12)
     assert sandwich_violations(rep) == []
+
+
+def test_sandwich_violations_reports_valid_bounds_past_the_slack():
+    # slack = tol + err = 1e-8 + 1e-9 on either side of p_c = 0.25
+    pc_ref = gw.CriticalResult(0.25, 0.5, 4 / 3, "maximization", 1e-9)
+    entries = [
+        BoundEntry("lb_high", "lower", 0.2500001, 0.2500001, True),
+        BoundEntry("ub_low", "upper", 0.2499999, 0.2499999, True),
+        BoundEntry("lb_invalid", "lower", 0.9, 0.9, False),
+        BoundEntry("ub_invalid", "upper", 0.1, 0.1, False),
+        BoundEntry("lb_in_slack", "lower", 0.25 + 1e-8, 0.25 + 1e-8, True),
+        BoundEntry("ub_in_slack", "upper", 0.25 - 1e-8, 0.25 - 1e-8, True),
+    ]
+    assert sandwich_violations(BoundsReport(entries, pc_ref)) == [
+        "lb_high = 0.2500001 exceeds pc = 0.25",
+        "ub_low = 0.2499999 is below pc = 0.25",
+    ]
+    assert sandwich_violations(BoundsReport(entries, None)) == []
 
 
 def test_gautschi_inequality():

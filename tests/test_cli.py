@@ -351,6 +351,28 @@ def test_sweep_p_grid_qlimit_drops(capsys):
     assert qlims[-1] < 1e-6  # p = 0.3 is far above pc = 1/9
 
 
+@pytest.mark.parametrize("text, points", [
+    ("1e-13:5e-13:1e-13", [1e-13, 2e-13, 3e-13, 4e-13, 5e-13]),
+    ("0:1e-14:1e-15", [float(f"{i}e-15") for i in range(11)]),
+    ("0:0.3:0.1", [0.0, 0.1, 0.2, 0.3]),
+])
+def test_grid_of_small_steps_has_its_own_points(text, points):
+    # an absolute end slack of 1e-9 and rounding to 12 decimals once gave 10,005
+    # and 1,000,011 points for the first two, starting with p = 0.0 five times
+    from gwboot.cli import _parse_grid
+
+    assert _parse_grid(text) == points
+
+
+def test_sweep_p_grid_of_small_p(capsys):
+    code, out, _ = run_cli(
+        capsys, "sweep", "--dist", "pruned:r=2,b=30", "--r", "2", "--p-grid", "1e-13:5e-13:1e-13",
+    )
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [float(row["p"]) for row in rows] == [1e-13, 2e-13, 3e-13, 4e-13, 5e-13]
+
+
 def test_sweep_rejects_double_grid(capsys):
     code, _, err = run_cli(
         capsys, "sweep", "--dist", "regular:b=3", "--r", "2",

@@ -375,6 +375,22 @@ def test_q_limit_certifies_zero_on_pruned_law_fast():
     assert res.value == 0.0 and res.lower == 0.0 and res.upper == 0.0
 
 
+@pytest.mark.parametrize("spec, r, ratio", [
+    ("pruned:r=2,b=17", 2, 2.0), ("pruned:r=3,b=16", 3, 1.1),
+])
+def test_q_limit_decides_by_max_after_a_fixed_step(spec, r, ratio):
+    # G ~ 1 on a pruned law, so the steps never shrink enough for a rule read from
+    # their ratio, and zero_certified cannot resolve (1-p) G just below 1: the
+    # decision at step _DECIDE_AT certifies 0 (these rows took 328,220 and 2,048)
+    from gwboot.critical import _DECIDE_AT
+
+    d = make_distribution(spec)
+    res = q_limit(d, r, ratio * pc_exact(d, r).pc)
+    assert res.converged
+    assert res.value == 0.0 and res.lower == 0.0 and res.upper == 0.0
+    assert _DECIDE_AT <= res.iterations <= 200
+
+
 def test_q_limit_decides_the_side_of_a_tiny_pc_by_pc_exact():
     # p_c ~ 3.8e-9 with err 1e-10: q_limit reads the side of p_c from pc_exact's
     # p_c and err, so at p_c it claims nothing and 2 err away it takes a side

@@ -882,7 +882,8 @@ ROW_EXTRA = [("poisson:b=8", 3), ("geometric:b=5", 3), ("geometric:b=19", 4),
 def test_G_minus_1_single_x_bitwise():
     rng = np.random.default_rng(8)
     xs = [1e-300, 1e-5, 1e-2, 1 - 1e-13] + rng.random(40).tolist()
-    rows = 0
+    grid = np.linspace(0.0, 1.0, 1001)[1:-1]
+    rows = scalar = 0
     below = [("pruned:r=30,b=170", 2), ("pruned:r=3,b=16", 2)]  # heavy and pruned laws below their r
     for spec, r in _criterion_8_laws() + ROW_EXTRA + ANALYTIC_THRESHOLDS + below:
         ctx = make_context(make_distribution(spec), r)
@@ -892,13 +893,21 @@ def test_G_minus_1_single_x_bitwise():
                 assert type(single) is float
                 assert single == f(ctx, np.array([x]))[0], (spec, r, x, f.__name__)
         if ctx.atoms is not None:
-            continue  # point masses and heavy or pruned laws sum an interior x in scalar code
+            # point masses and heavy or pruned laws sum an interior x in scalar code:
+            # within 8 ulps of max(G, 1) of max_G's grid (6.5 at most here, on
+            # regular:b=20 at r = 4; G - 1 keeps the absolute rounding of 1 where G < 1)
+            scalar += 1
+            for x, in_grid in zip(grid, gw.G_minus_1(ctx, grid)):
+                single = gw.G_minus_1(ctx, float(x))
+                assert abs(single - in_grid) <= 8 * math.ulp(max(1.0 + single, 1.0)), (spec, r, x)
+            continue
         rows += 1
         for x in xs:
             single = gw.G_minus_1(ctx, x)
             assert type(single) is float
             assert single == gw.G_minus_1(ctx, np.array([x]))[0], (spec, r, x)
     assert rows >= 100  # the shifted laws, the two-point laws and ROW_EXTRA
+    assert scalar >= 80  # the regular laws, ANALYTIC_THRESHOLDS and the two below their r
 
 
 def test_make_context_keeps_atom_pairs_only_for_the_scalar_sum():
