@@ -69,7 +69,7 @@ def _entry(name: str, raw: float, note: str = "", valid: bool = True) -> BoundEn
 
 def lb_branching_exact(d: OffspringDistribution, r: int) -> float:
     """exp(-(E(xi)-1)/(r-1) - E(H_{xi-r})).  Vacuous 0 for infinite mean."""
-    if d.prob_below(r) > 0:
+    if d.support_min < r:
         raise PreconditionError("lb_branching_exact requires support >= r")
     return _branching_entry(d, d.mean(), r).raw
 
@@ -246,7 +246,7 @@ def bounds_report(
         raise PreconditionError("alpha must lie in (0, 1)")
     entries: list[BoundEntry] = []
     mean_val = d.mean()
-    if not d.prob_below(r) > 0:
+    if d.support_min >= r:
         entries.append(_branching_entry(d, mean_val, r))
         if r <= mean_val < math.inf:
             entries.append(_entry("lb_branching_simplified", lb_branching_simplified(mean_val, r)))

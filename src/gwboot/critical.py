@@ -63,15 +63,17 @@ class CriticalResult:
 def pc_exact(d: OffspringDistribution, r: int) -> CriticalResult:
     """Critical probability via maximization of G.
 
-    If P(xi < r) > 0 the tree almost surely contains initially healthy
-    blocking pairs for every p < 1, so p_c = 1.  Near M = 1 (e.g. the heavy
-    tail) the result carries an absolute error of order eps_G rather than a
-    claim of exactness, and pc is clamped to [0, 1]: a truncated M just
-    below 1 would otherwise report a p_c below 0 (err is left as it is).
+    If support_min < r, then P(xi < r) > 0 (every family's smallest atom has
+    positive mass, though the float may underflow), so the tree almost surely
+    contains initially healthy blocking pairs for every p < 1 and p_c = 1.
+    Near M = 1 (e.g. the heavy tail) the result carries an absolute error of
+    order eps_G rather than a claim of exactness, and pc is clamped to [0, 1]:
+    a truncated M just below 1 would otherwise report a p_c below 0 (err is
+    left as it is).
     """
     if r < 2:
         raise PreconditionError("pc_exact requires r >= 2")
-    if d.prob_below(r) > 0.0:
+    if d.support_min < r:
         return CriticalResult(
             pc=1.0, x_star=0.0, M=math.inf, method="subcritical-mass", err=0.0,
             spec=d.spec, r=r,
@@ -445,7 +447,9 @@ def q_limit(d: OffspringDistribution, r: int, p: float, tol: float = 1e-12) -> Q
     and p_c and its err are formed from it as in ``pc_exact``: p > p_c + err
     certifies 0, p < p_c - err a positive limit, and for p within err of
     p_c, where neither can hold, the result is [0, last iterate] with
-    converged False.
+    converged False.  Where P(xi < r) > 0 underflows to 0.0 (``poisson:b=760``
+    at r = 3, p above 4.6e-5), h(0) computes 0, and the limit, below the
+    smallest double, comes back as the certified bracket [0, 0].
     So it is after ``Q_ITERATION_CAP`` evaluations of h; ``iterations``
     counts them.
     """

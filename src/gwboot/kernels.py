@@ -177,7 +177,8 @@ class GEvalContext:
     support >= r in ``ks`` (defic_scale 0: no body); the heavy and pruned laws
     put their own atoms there, every weight a mass, and sum their body through
     D_r from ``low_cutoff`` = max(r, s) - 1, s the law's threshold.  At r >= s
-    that is D_r(r-1, x) = 1, the constant ``const``, from which G - 1 starts.
+    that is defic_scale D_r(r-1, x) = defic_scale, the constant ``const`` (0
+    for every other law and at r < s), from which G - 1 starts.
 
     ``atoms`` holds the (k, weight) pairs of ``ks`` and ``weights`` as Python
     numbers for a law whose single interior x ``_mixture`` sums in scalar
@@ -187,7 +188,8 @@ class GEvalContext:
     ``eps_G`` bounds |G_true - G_computed| from the truncation of an
     infinite support: the tail mass times g_r^r <= r.  Exact (0) for finite
     supports.  ``prob_below`` is P(xi < r), the mass the survival map ``h``
-    adds to x G(x); laws with such mass never fully infect for p < 1.
+    adds to x G(x); laws with such mass (``support_min < r``, not this float)
+    never fully infect for p < 1.
 
     A context serves its one threshold r, with ``cutoff`` chosen for the tail
     target given to ``make_context``.  The survival map at another threshold
@@ -204,12 +206,8 @@ class GEvalContext:
     powers: np.ndarray
     defic_scale: float
     low_cutoff: int
+    const: float
     atoms: tuple | None
-
-    @property
-    def const(self) -> float:
-        """G's constant, defic_scale D_r(r-1, x) = defic_scale where the body starts at r."""
-        return self.defic_scale if self.low_cutoff < self.r else 0.0
 
 
 def _analytic_mixture(d, r: int, m: int) -> tuple[np.ndarray, np.ndarray, float, int]:
@@ -258,7 +256,7 @@ def make_context(
         prob_below=float(dist.prob_below(r)),
         ks=_frozen(ks), weights=_frozen(w), log_binom=_frozen(log_binom),
         powers=_frozen(ks - 1.0 - np.arange(r, dtype=float)[:, None, None]),
-        defic_scale=scale, low_cutoff=low,
+        defic_scale=scale, low_cutoff=low, const=scale if low < r else 0.0,
         atoms=tuple(zip(ks.tolist(), w.tolist())) if scale or len(ks) == 1 else None,
     )
 

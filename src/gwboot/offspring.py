@@ -340,8 +340,8 @@ class OffspringDistribution:
                             lambda a, n: _power_series(1.0 - alpha, _ONES, a, n))
 
     def harmonic_tail_moment(self, r: int) -> float:
-        """E(H_{xi-r}); requires P(xi < r) = 0."""
-        if self.prob_below(r) > 0:
+        """E(H_{xi-r}); requires P(xi < r) = 0, that is support_min >= r."""
+        if self.support_min < r:
             raise PreconditionError("harmonic_tail_moment requires support >= r")
         # an atom below r has no mass here, so its H_{k-r} may read as H_0
         return self._expect(lambda ks: harmonic_number(np.maximum(ks - r, 0)),
@@ -496,7 +496,7 @@ class _LightTail(OffspringDistribution):
 
 class ShiftedPoisson(_LightTail):
     """2 + Poisson(b-2): ``tail``, ``prob_below``, ``truncation_cutoff`` and
-    ``support_probs`` read one table of P(X = j), X ~ Poisson(lam), j = 0..J.
+    ``support_probs`` read one table of P(X = j) and P(X >= j), X ~ Poisson(lam), j = 0..J.
 
     J = floor(lam + 15 sqrt(lam)) + 100: by Bernstein's bound
     P(X >= lam + t) <= exp(-t^2/(2(lam + t/3))) at t = 15 sqrt(lam) + 100, less
@@ -507,10 +507,11 @@ class ShiftedPoisson(_LightTail):
     2^-1074 and stalls once a ratio j/lam rounds it back to itself; from the
     highest stall down the table reads 0.  Summing the stalled entries put
     P(xi < r) off by up to 1.3e-11 of max(P(xi < r), 2^-1022) at b = 1e5;
-    zeroed, it is off by at most 8.2e-14 of that up to b = 1e6.  P(X <= j)
-    and P(X >= j) are each summed from their small end; a start at j = 0
-    keeps a tiny P(xi < r) precise.  A table of more than ``ENUM_CAP``
-    entries is refused before it is built.
+    zeroed, it is off by at most 8.2e-14 of that up to b = 1e6.  P(X >= j) is
+    summed from the top and ``prob_below`` from j = 0, each from its small end,
+    so a tiny P(xi < r) stays precise; whether it is positive is read from
+    ``support_min`` (it underflows from b = 748 at r = 3).  A table of more
+    than ``ENUM_CAP`` entries is refused before it is built.
     """
 
     def __init__(self, spec: DistributionSpec):
@@ -521,11 +522,11 @@ class ShiftedPoisson(_LightTail):
         if k < 2:
             return 0.0
         j = k - 2
-        return math.exp(-self.lam + j * math.log(self.lam) - math.lgamma(j + 1)) if self.lam > 0 else (1.0 if j == 0 else 0.0)
+        return math.exp(-self.lam + j * math.log(self.lam) - math.lgamma(j + 1))
 
     @functools.cached_property
-    def _table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only (P(X = j), P(X <= j), P(X >= j)) for j = 0..J, built on first use."""
+    def _table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (P(X = j), P(X >= j)) for j = 0..J, built on first use."""
         lam = self.lam
         J = int(lam + 15.0 * math.sqrt(lam)) + 100
         if J >= ENUM_CAP:
@@ -544,23 +545,19 @@ class ShiftedPoisson(_LightTail):
         if len(stalls):
             p[:stalls[-1] + 1] = 0.0
         p /= p.sum()
-        out = p, np.add.accumulate(p), np.add.accumulate(p[::-1])[::-1]
-        for a in out:
-            a.flags.writeable = False
-        return out
+        above = np.add.accumulate(p[::-1])[::-1]
+        p.flags.writeable = above.flags.writeable = False
+        return p, above
 
     def tail(self, m):
         if m < 2:
             return 1.0
-        above = self._table[2]
-        # the running sums may end a few ulps above 1
+        above = self._table[1]
+        # the running sum may end a few ulps above 1
         return min(1.0, float(above[m - 1])) if m - 1 < len(above) else 0.0
 
     def prob_below(self, r):
-        if r <= 2:
-            return 0.0
-        below = self._table[1]
-        return min(1.0, float(below[min(r - 3, len(below) - 1)]))
+        return 0.0 if r <= 2 else min(1.0, float(np.add.accumulate(self._table[0][:r - 2])[-1]))
 
     def second_factorial_moment(self):
         return self.b**2 - 2.0

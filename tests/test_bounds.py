@@ -192,6 +192,19 @@ def test_report_ignores_zero_mass_atoms(spec, same):
     assert got.pc_ref == dataclasses.replace(want.pc_ref, spec=got.pc_ref.spec)
 
 
+def test_report_of_a_law_whose_mass_below_r_underflows():
+    # P(xi < 3) reads 0.0 at b = 760, but the law keeps mass at 2: no bound
+    # that requires support >= r applies, and p_c is 1
+    d = make_distribution("poisson:b=760")
+    rep = bounds_report(d, 3)
+    assert not [e.name for e in rep.entries if e.name.startswith("lb_branching")]
+    assert rep.pc_ref.pc == 1.0
+    with pytest.raises(PreconditionError):
+        lb_branching_exact(d, 3)
+    with pytest.raises(PreconditionError):
+        d.harmonic_tail_moment(3)
+
+
 @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, math.nan])
 def test_report_rejects_alpha_outside_unit_interval(alpha):
     # alpha = 1 used to mark the (1+1)-moment infinite, though E xi^2 = 25 here

@@ -295,6 +295,16 @@ def test_sweep_b_grid_prefers_closed_form_like_pc(capsys):
     assert json.loads(out)[0]["x_star"] == 0.75
 
 
+def test_sweep_b_grid_across_the_underflow_of_mass_below_r(capsys):
+    # P(xi < 3) reads 0.0 from b = 748 on; every row keeps its mass at 2
+    code, out, _ = run_cli(capsys, "sweep", "--dist", "poisson:b=740", "--r", "3",
+                           "--b-grid", "740:760:1", "--format", "json")
+    assert code == 0
+    rows = json.loads(out)
+    assert len(rows) == 21
+    assert all((row["pc"], row["method"]) == (1.0, "subcritical-mass") for row in rows)
+
+
 def test_sweep_b_grid_of_a_two_point_law(capsys):
     # any family with b sweeps it, keeping its other parameters; b = 11 > a is refused in its row
     code, out, _ = run_cli(capsys, "sweep", "--dist", "twopoint:b=4,a=9", "--r", "2",

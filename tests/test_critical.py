@@ -56,6 +56,36 @@ def test_pc_mass_below_threshold_is_one():
     assert res.method == "subcritical-mass"
 
 
+@pytest.mark.parametrize("b, r", [(748, 3), (754, 4), (766, 6)])
+def test_pc_mass_below_r_that_underflows_is_one(b, r):
+    # the first integer b where P(xi < r) reads 0.0: a float test of that mass
+    # maximised G here instead (pc 4.70e-05, 2.10e-04 and 8.61e-04)
+    d = make_distribution(f"poisson:b={b}")
+    assert d.prob_below(r) == 0.0
+    res = pc_exact(d, r)
+    assert (res.pc, res.method) == (1.0, "subcritical-mass")
+
+
+def test_pc_mass_below_r_of_a_law_too_wide_to_tabulate():
+    # the support decides: no pmf table of more than ENUM_CAP entries is asked for
+    d = make_distribution("poisson:b=3000000")
+    t0 = time.perf_counter()
+    res = pc_exact(d, 3)
+    assert time.perf_counter() - t0 < 0.05
+    assert (res.pc, res.method) == (1.0, "subcritical-mass")
+    assert "_table" not in d.__dict__
+
+
+@pytest.mark.parametrize("p, zero", [(4.5e-5, False), (4.7e-5, True), (1e-4, True)])
+def test_q_limit_where_mass_below_r_underflows(p, zero):
+    # P(xi < 3) reads 0.0 at b = 760, so h(0) computes 0: above the maximum's
+    # p_c (4.59e-5) the limit lies below the smallest double and reads [0, 0]
+    res = q_limit(make_distribution("poisson:b=760"), 3, p)
+    assert res.converged
+    assert (res.lower == res.value == res.upper == 0.0) == zero
+    assert zero or res.lower > 0.999
+
+
 def test_pc_rejects_r_below_2():
     with pytest.raises(PreconditionError):
         pc_exact(make_distribution("regular:b=3"), 1)

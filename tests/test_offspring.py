@@ -372,6 +372,18 @@ def test_harmonic_tail_moment_examples():
         d.harmonic_tail_moment(3)  # support point 2 below threshold
 
 
+@pytest.mark.parametrize("spec", [
+    "regular:b=3", "twopoint:b=3,a=6", "pmf:1=0,3=0.5,5=0.5", "pmf:2=1e-300,7=1", "poisson:b=20",
+    "geometric:b=20", "heavy:r=3", "pruned:r=3,b=30",
+])
+def test_mass_below_r_is_a_fact_of_the_support(spec):
+    # each law's smallest atom has mass, so support_min < r, which pc_exact and
+    # the bounds read, agrees with P(xi < r) > 0 wherever that float is not 0
+    d = make_distribution(spec)
+    assert d.pmf(d.support_min) > 0
+    assert all((d.support_min < r) == (d.prob_below(r) > 0) for r in range(2, 12))
+
+
 def test_fort_upper_moment_examples():
     assert make_distribution("regular:b=2").fort_upper_moment() == pytest.approx(1.0)
     assert make_distribution("regular:b=3").fort_upper_moment() == pytest.approx(1 / 6)
