@@ -87,9 +87,11 @@ def _write(args, payload, rows: list[dict], columns: list[str],
     lines, as ``--format`` asks; a command without a table writes CSV.  With
     ``--out`` the text replaces that file atomically, with the mode a plain
     write would leave; a path that cannot be written is refused with exit 3
-    and leaves no temporary file."""
+    and leaves no temporary file.  JSON (RFC 8259) has no Infinity or NaN, so
+    a non-finite float is written there as null; CSV and the table keep inf."""
     if args.format == "json":
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        strict = json.loads(json.dumps(payload), parse_constant=lambda _: None)
+        text = json.dumps(strict, sort_keys=True, indent=2, allow_nan=False) + "\n"
     elif args.format == "table" and table is not None:
         text = "\n".join(table) + "\n"
     else:

@@ -66,10 +66,10 @@ def pc_exact(d: OffspringDistribution, r: int) -> CriticalResult:
     If support_min < r, then P(xi < r) > 0 (every family's smallest atom has
     positive mass, though the float may underflow), so the tree almost surely
     contains initially healthy blocking pairs for every p < 1 and p_c = 1.
-    Near M = 1 (e.g. the heavy tail) the result carries an absolute error of
-    order eps_G rather than a claim of exactness, and pc is clamped to [0, 1]:
-    a truncated M just below 1 would otherwise report a p_c below 0 (err is
-    left as it is).
+    The result carries an absolute error of order eps_G, from the truncation
+    of a shifted Poisson or geometric law, rather than a claim of exactness,
+    and pc is clamped to [0, 1]: such a truncated M just below 1 would
+    otherwise report a p_c below 0 (err is left as it is).
     """
     if r < 2:
         raise PreconditionError("pc_exact requires r >= 2")

@@ -40,7 +40,8 @@ sum could reach.  One log-space form of it (``_deficiency``) serves a float
 and an array of x.  At any threshold r, the body (s-1)/(k(k-1)) of a heavy
 or pruned law of threshold s on max(r, s) <= k <= m is (s-1)/(r-1) times
 D_r(max(r, s) - 1, x) - D_r(m, x), where D_r(r-1, x) = 1; no k below s is
-enumerated.  The pruned law adds its two atoms.
+enumerated.  The pruned law ends the body at m = k1 and adds two atoms; the
+heavy law sums it to infinity: D_r(m, x) -> 0 on [0, 1] ((r-1)/m at x = 1).
 """
 
 from __future__ import annotations
@@ -185,19 +186,19 @@ class GEvalContext:
     code: one atom, or a body.  It is None for every other law, whose single
     x is one row of the tables.
 
-    ``eps_G`` bounds |G_true - G_computed| from the truncation of an
-    infinite support: the tail mass times g_r^r <= r.  Exact (0) for finite
-    supports.  ``prob_below`` is P(xi < r), the mass the survival map ``h``
-    adds to x G(x); laws with such mass (``support_min < r``, not this float)
-    never fully infect for p < 1.
-
-    A context serves its one threshold r, with ``cutoff`` chosen for the tail
-    target given to ``make_context``.  The survival map at another threshold
-    s >= 2 is ``h(make_context(dist, s), p, x)``.
+    ``cutoff`` is the largest k summed: the top of a finite support or pruned
+    body, None for the heavy body (summed to infinity, so D_r(cutoff) is 0),
+    and for the shifted Poisson and geometric laws, the only ones cut, the
+    first k with tail mass at most ``DEFAULT_TAIL_TARGET``.  ``eps_G`` bounds
+    |G_true - G_computed| from that cut: the tail mass times g_r^r <= r, 0
+    for every other law.  ``prob_below`` is P(xi < r), the mass ``h`` adds to
+    x G(x); laws with such mass (``support_min < r``, not this float) never
+    fully infect for p < 1.  A context serves its one threshold r: the
+    survival map at another s >= 2 is ``h(make_context(dist, s), p, x)``.
     """
 
     r: int
-    cutoff: int
+    cutoff: int | None
     eps_G: float
     prob_below: float
     ks: np.ndarray
@@ -210,13 +211,13 @@ class GEvalContext:
     atoms: tuple | None
 
 
-def _analytic_mixture(d, r: int, m: int) -> tuple[np.ndarray, np.ndarray, float, int]:
-    """(ks, weights, defic_scale, low_cutoff) of a heavy or pruned law at threshold r,
-    cut at m: its own ``atoms`` at k >= r, ascending, and its body (module docstring)."""
+def _analytic_mixture(d: HeavyTail, r: int) -> tuple[np.ndarray, np.ndarray, float, int]:
+    """(ks, weights, defic_scale, low_cutoff) of a heavy or pruned law at threshold r: its
+    own ``atoms`` at k >= r, ascending, and its body up to ``top`` (module docstring)."""
     own = [atom for atom in d.atoms if atom[0] >= r]
     ks = np.array([k for k, _ in own], dtype=np.int64)
     weights = np.array([p for _, p in own], dtype=float)
-    return ks, weights, (d.r - 1) / (r - 1) if m >= r else 0.0, max(r, d.r) - 1
+    return ks, weights, (d.r - 1) / (r - 1) if d.top is None or d.top >= r else 0.0, max(r, d.r) - 1
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -224,22 +225,19 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def make_context(
-    dist: OffspringDistribution,
-    r: int,
-    tail_target: float = DEFAULT_TAIL_TARGET,
-) -> GEvalContext:
+def make_context(dist: OffspringDistribution, r: int) -> GEvalContext:
+    """The context of ``dist`` at threshold r >= 2: a heavy or pruned law is not cut, any
+    other infinite support is cut at tail ``DEFAULT_TAIL_TARGET`` (refused past ``ENUM_CAP``)."""
     if r < 2:
         raise PreconditionError("threshold r must be >= 2")
-    if not 0.0 < tail_target < 1.0:  # NaN fails too
-        raise PreconditionError("tail_target must lie in (0, 1)")
-    cutoff = int(dist.truncation_cutoff(tail_target))
-    eps = r * dist.tail(cutoff) if dist.support_max is None else 0.0
     if isinstance(dist, HeavyTail):
-        ks, w, scale, low = _analytic_mixture(dist, r, cutoff)
+        cutoff, eps = dist.top, 0.0
+        ks, w, scale, low = _analytic_mixture(dist, r)
     else:
+        cutoff = int(dist.truncation_cutoff(DEFAULT_TAIL_TARGET))
+        eps = r * dist.tail(cutoff) if dist.support_max is None else 0.0
         if dist.support_max is None and cutoff > ENUM_CAP:  # one atom per k up to the cutoff
-            raise too_many_atoms(f"{dist.label()} truncated at tail {tail_target:g}")
+            raise too_many_atoms(f"{dist.label()} truncated at tail {DEFAULT_TAIL_TARGET:g}")
         ks_all, w_all = dist.support_probs(upto=cutoff)
         mask = ks_all >= r
         ks, w, scale, low = ks_all[mask], w_all[mask], 0.0, r - 1
@@ -301,7 +299,7 @@ def _G_block(ctx: GEvalContext, xs: np.ndarray, lx: np.ndarray, l1x: np.ndarray,
     out = _row_dots(gk, ctx.weights) + base
     if ctx.defic_scale:
         for m, scale in ((ctx.cutoff, -ctx.defic_scale), (ctx.low_cutoff, ctx.defic_scale)):
-            if m >= ctx.r:
+            if m is not None and m >= ctx.r:
                 d = _deficiency(ctx.r, m, lx, l1x)
                 d[ends] = np.where(xs[ends] == 0.0, 0.0, (ctx.r - 1) / m)
                 out += scale * d
@@ -337,9 +335,9 @@ def _mixture(ctx: GEvalContext, x: float, base: float) -> float:
         total += w * g(k, ctx.r, x)
     if ctx.defic_scale:
         lx, l1x = math.log(x), math.log1p(-x)
-        total -= ctx.defic_scale * float(_deficiency(ctx.r, ctx.cutoff, lx, l1x))
-        if ctx.low_cutoff >= ctx.r:
-            total += ctx.defic_scale * float(_deficiency(ctx.r, ctx.low_cutoff, lx, l1x))
+        for m, scale in ((ctx.cutoff, -ctx.defic_scale), (ctx.low_cutoff, ctx.defic_scale)):
+            if m is not None and m >= ctx.r:
+                total += scale * float(_deficiency(ctx.r, m, lx, l1x))
     return total
 
 

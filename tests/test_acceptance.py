@@ -94,14 +94,13 @@ def test_criterion_6_heavy_tail():
     msgs = []
     for r in (2, 3, 4):
         d = make_distribution(f"heavy:r={r}")
-        ctx = make_context(d, r, tail_target=1e-8)
-        tail = d.tail(ctx.cutoff)
-        assert tail <= 1e-8
+        ctx = make_context(d, r)
+        assert ctx.cutoff is None and ctx.eps_G == 0.0  # summed to infinity
         dev = max(abs(gw.G(ctx, float(x)) - 1.0) for x in xs)
-        assert dev <= r * tail + 1e-15
+        assert dev == 0.0
         pc = pc_exact(d, r).pc
-        assert pc <= 1e-6
-        msgs.append(f"r={r}: max|G-1|={dev:.2e} <= {r * tail:.2e}, pc={pc:.1e}")
+        assert pc == 0.0
+        msgs.append(f"r={r}: max|G-1|={dev:.1e}, pc={pc:.1e}")
     report(6, "; ".join(msgs))
 
 

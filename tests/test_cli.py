@@ -47,12 +47,35 @@ def test_pc_mass_below_threshold(capsys):
 
 
 def test_pc_mismatched_heavy_threshold(capsys):
-    # heavy:r=3 summed at threshold 2: the context is built once and evaluated in ms
+    # heavy:r=3 summed at threshold 2 is G(x) = x: the context is built once and
+    # evaluated in ms, and its body is summed to infinity, so M = G(1) = 1
     code, out, _ = run_cli(capsys, "pc", "--dist", "heavy:r=3", "--r", "2", "--format", "json")
     assert code == 0
     payload = json.loads(out)
     assert payload["method"] == "maximization"
-    assert 0.0 <= payload["pc"] <= payload["err"]  # the truncated M < 1 is clamped, not reported
+    assert payload["pc"] == 0.0 and payload["M"] == 1.0
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON (RFC 8259)")
+
+
+@pytest.mark.parametrize("argv", [
+    ["pc", "--dist", "poisson:b=760", "--r", "3"],
+    ["bounds", "--dist", "poisson:b=760", "--r", "3"],
+    ["sweep", "--dist", "poisson:b=740", "--r", "3", "--b-grid", "740:760:10"],
+    ["pc", "--dist", "pmf:1=0.5,3=0.5", "--r", "2"],
+])
+def test_json_of_a_subcritical_mass_result_is_strict(capsys, argv):
+    # M is infinite here; it was written as Infinity, which a strict parser refuses
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    payload = json.loads(out, parse_constant=_refuse_constant)
+    rows = payload if argv[0] == "sweep" else [payload["pc"] if argv[0] == "bounds" else payload]
+    assert [row["M"] for row in rows] == [None] * len(rows)
+    assert all(row["method"] == "subcritical-mass" for row in rows)
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0 and (",inf," in out) == (argv[0] != "bounds")  # CSV keeps inf
 
 
 def test_pc_table_output(capsys):
@@ -153,9 +176,43 @@ def test_malformed_numbers_exit_with_one_error_line(capsys, argv):
     assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--dist", "regular:b=3", "--r", "2", "--p-grid", "1:2"],
+    ["sweep", "--dist", "regular:b=3", "--r", "2", "--p-grid", "0:1:0"],
+    ["sweep", "--dist", "heavy:r=2", "--r", "2", "--b-grid", "3:5:1"],
+    ["pc", "--dist", "regular:b=2.5", "--r", "2"],
+    ["pc", "--dist", "twopoint:b=4", "--r", "2"],
+    ["pc", "--dist", "twopoint:b=2,a=5", "--r", "2"],
+    ["pc", "--dist", "heavy:r=1", "--r", "2"],
+    ["pc", "--dist", "pruned:r=1,b=5", "--r", "2"],
+    ["pc", "--dist", "pmf:2=0.5,2=0.5", "--r", "2"],
+])
+def test_outside_input_is_refused_with_one_error_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_sweep_p_grid_past_1_ends_in_an_error_row(capsys):
+    code, out, _ = run_cli(capsys, "sweep", "--dist", "regular:b=3", "--r", "2",
+                           "--p-grid", "0.9:1.1:0.1", "--format", "csv")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [row["status"] for row in rows] == ["ok", "ok", "error: p must lie in [0, 1]"]
+
+
+def test_simulate_below_threshold_2_has_no_exact_q(capsys):
+    # h is defined for r >= 2: at r = 1 there is no q_exact and so no z
+    code, out, _ = run_cli(capsys, "simulate", "--dist", "regular:b=3", "--r", "1", "--p", "0.2",
+                           "--n", "3", "--reps", "20", "--seed", "1", "--format", "csv")
+    assert code == 0
+    (row,) = csv.DictReader(io.StringIO(out))
+    assert row["q_exact"] == "" and row["z"] == ""
+
+
 def test_a_heavy_law_far_above_r_answers_pc_0_within_1s(capsys):
-    # its body above r is D_r(s-1, x) - D_r(cutoff, x), summed in closed form at
-    # any s: no atom per k between r and s
+    # its body above r is D_r(s-1, x), summed in closed form at any s: no atom
+    # per k between r and s
     t0 = time.perf_counter()
     code, out, err = run_cli(capsys, "pc", "--dist", "heavy:r=1000000000000", "--r", "2", "--format", "json")
     assert time.perf_counter() - t0 < 1.0

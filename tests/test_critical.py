@@ -10,8 +10,9 @@ import pytest
 from scipy.optimize import brentq
 
 import gwboot as gw
+from gwboot import critical
 from gwboot.critical import pc_closed_form, pc_exact, pc_regular_asymptotic, q_iterate, q_limit
-from gwboot.kernels import make_context
+from gwboot.kernels import MaxResult, make_context
 from gwboot.offspring import PreconditionError, make_distribution, parse_spec
 
 
@@ -31,10 +32,11 @@ def test_pc_regular3_r2():
 
 
 def test_pc_exact_clamps_to_unit_interval():
-    # heavy:r=3 summed at threshold 2 truncates to G(x) = x - 2 x^(m-1)/m < 1, so M < 1
-    res = pc_exact(make_distribution("heavy:r=3"), 2)
-    assert res.M < 1.0
-    assert 0.0 <= res.pc <= res.err
+    # a truncated law's M may round just below 1, which would give p_c < 0
+    res = MaxResult(x_star=0.0, M_minus_1=-1e-13, err=1e-10)
+    pc, err = critical._pc_of_max(res)
+    assert pc == 0.0
+    assert err >= res.err
 
 
 def test_pc_regular_diagonal():
@@ -46,8 +48,8 @@ def test_pc_regular_diagonal():
 def test_pc_heavy_tail_vanishes():
     for r in (2, 3):
         res = pc_exact(make_distribution(f"heavy:r={r}"), r)
-        assert res.pc <= 1e-6
-        assert res.err > 0  # truncation noise acknowledged, not exactness
+        assert res.pc == 0.0 and res.M == 1.0  # the body is summed to infinity
+        assert res.err > 0  # the rounding of max_G, not a claim of exactness
 
 
 def test_pc_mass_below_threshold_is_one():

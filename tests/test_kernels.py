@@ -156,9 +156,10 @@ def test_G_keeps_its_bits_where_it_is_small():
 
 
 def test_G_heavy_tail_is_one():
-    ctx = make_context(make_distribution("heavy:r=2"), 2, tail_target=1e-10)
+    # the body is summed to infinity: D_r(m, x) -> 0 as m -> infinity
+    ctx = make_context(make_distribution("heavy:r=2"), 2)
     for x in XGRID:
-        assert abs(gw.G(ctx, x) - 1.0) <= ctx.eps_G + 1e-15
+        assert gw.G(ctx, x) == 1.0, x
 
 
 def test_G_shifted_geometric_closed_form():
@@ -339,25 +340,36 @@ def test_heavy_tail_deficiency_has_one_definition(r, m):
         assert _deficiency_of_float(r, m, x) == v, (r, m, x)
 
 
+# G of the heavy law of threshold s at threshold r: (s-1)/(r-1) (D_r(max(r, s) - 1, x)
+# - D_r(infinity, x)) with D_2(m, x) = x^(m-1)/m, D_r(r-1, x) = 1 and D_r(infinity, x) = 0
+HEAVY_G = {("heavy:r=3", 2): lambda x: x, ("heavy:r=4", 2): lambda x: x * x,
+           ("heavy:r=2", 3): lambda x: 1 / 2, ("heavy:r=2", 4): lambda x: 1 / 3,
+           ("heavy:r=2", 2): lambda x: 1.0, ("heavy:r=3", 3): lambda x: 1.0}
+
+
 @pytest.mark.parametrize("spec, r", [("heavy:r=3", 2), ("heavy:r=4", 2), ("heavy:r=2", 3),
                                      ("heavy:r=2", 4), ("pruned:r=3,b=8", 2),
                                      ("pruned:r=2,b=6", 3), ("pruned:r=3,b=8", 4)])
 def test_G_mismatched_threshold_matches_direct_sum(spec, r):
-    # small cutoffs, so the truncated support can be summed term by term
+    # a pruned law's support ends at its top, so it is summed term by term; the
+    # heavy law's infinite sum has the closed form of HEAVY_G
     d = make_distribution(spec)
-    ctx = make_context(d, r, tail_target=1e-4)
-    assert ctx.cutoff <= 40_000
+    ctx = make_context(d, r)
     xs = np.array([0.0, 1e-300, 0.1, 0.5, 0.9, 0.999, 1 - 1e-6, 1.0])
     got = gw.G_minus_1(ctx, xs)
     for x, v in zip(xs, got):
-        direct = math.fsum(float(d.pmf(k)) * g(k, r, float(x)) for k in range(r, ctx.cutoff + 1))
-        assert v == pytest.approx(direct - 1.0, abs=1e-13)
+        if ctx.cutoff is None:
+            want = HEAVY_G[spec, r](float(x))
+        else:
+            assert ctx.cutoff <= 40_000
+            want = math.fsum(float(d.pmf(k)) * g(k, r, float(x)) for k in range(r, ctx.cutoff + 1))
+        assert v == pytest.approx(want - 1.0, abs=1e-15 if ctx.cutoff is None else 1e-13)
 
 
 def test_mismatched_threshold_context_is_fixed_and_fast():
     d = make_distribution("heavy:r=3")
     ctx = make_context(d, 2)
-    assert ctx.eps_G == 2 * d.tail(ctx.cutoff)
+    assert ctx.eps_G == 0.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         ctx.eps_G = 1.0
     with pytest.raises(ValueError):
@@ -365,11 +377,10 @@ def test_mismatched_threshold_context_is_fixed_and_fast():
     t0 = time.perf_counter()
     res = gw.pc_exact(d, 2)
     assert time.perf_counter() - t0 < 10.0
-    assert res.err >= ctx.eps_G / res.M**2
-    # the truncated law has G(x) = x - 2 x^(m-1)/m < 1, so p_c sits within err of 0
-    assert abs(res.pc) <= res.err
+    # the law has G(x) = x, so M = G(1) = 1 and p_c = 0
+    assert res.M == 1.0 and res.pc == 0.0
     assert max_G(ctx).M == res.M
-    assert ctx.eps_G == 2 * d.tail(ctx.cutoff)
+    assert ctx.eps_G == 0.0
     # h at the context's own threshold goes through the same mixture
     x = 0.4
     assert gw.h(ctx, 0.1, x) == pytest.approx(0.9 * x * gw.G(ctx, x), abs=1e-15)
@@ -408,6 +419,22 @@ def test_pc_exact_of_a_heavy_law_far_above_r_is_a_few_evaluations(monkeypatch):
     assert min(times) < 0.05, times
 
 
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_heavy_law_at_its_own_threshold_is_exact_and_flat(monkeypatch, r):
+    # summed to infinity, G - 1 is exactly 0 on the grid, a plateau with no piece
+    # to refine; cut at tail 1e-13 it took 42 single-x evaluations and M read
+    # 1 - 1e-13 below the law's own threshold
+    ctx = make_context(make_distribution(f"heavy:r={r}"), r)
+    assert ctx.eps_G == 0.0 and ctx.cutoff is None
+    calls = []
+    minus_1 = kernels.G_minus_1
+    monkeypatch.setattr(kernels, "G_minus_1", lambda c, x: calls.append(x) or minus_1(c, x))
+    assert max_G(ctx).M_minus_1 == 0.0
+    assert calls == []
+    for s in range(r + 1, 5):
+        assert gw.pc_exact(make_distribution(f"heavy:r={s}"), r).M == 1.0
+
+
 def test_context_weights_are_masses():
     # a heavy or pruned law keeps only its own atoms; its body is D_r at any r
     for spec, r in ANALYTIC_THRESHOLDS + _criterion_8_laws():
@@ -420,12 +447,11 @@ def test_h_with_threshold_below_r_heavy_is_fast_and_exact():
     d = make_distribution("heavy:r=3")
     t0 = time.perf_counter()
     val = gw.h(make_context(d, 2), 0.1, 0.5)
-    assert time.perf_counter() - t0 < 0.05  # no enumeration of the 2e13-atom support
+    assert time.perf_counter() - t0 < 0.05  # no enumeration of the infinite support
     assert val == pytest.approx(0.9 * 0.5**2, abs=1e-14)  # E P(Bin(xi, 1-x) <= 1) = x^2 here
-    small = make_context(d, 2, tail_target=1e-4)
+    ctx = make_context(d, 2)
     for x in (0.0, 1e-300, 0.1, 0.5, 0.9, 0.999, 1 - 1e-13, 1.0):
-        want = _h_oracle(d, 2, x, small.cutoff)
-        assert abs(gw.h(small, 0.0, x) - want) <= 1e-14, x
+        assert abs(gw.h(ctx, 0.0, x) - x * x) <= 1e-14, x
     with pytest.raises(PreconditionError):
         gw.h(make_context(d, 2), 1.5, 0.5)
 
@@ -944,8 +970,8 @@ def _h_oracle(d, r, x, cutoff):
     return math.fsum(terms)
 
 
-# every family, with laws that have mass below the threshold; heavy and pruned
-# laws at cutoffs small enough to sum term by term
+# every family, with laws that have mass below the threshold; the third entry
+# is the tail mass a heavy law's direct sum leaves out (None: the whole support)
 H_CASES = [
     ("regular:b=3", 2, None), ("regular:b=5", 2, None), ("regular:b=5", 3, None),
     ("regular:b=7", 4, None),
@@ -960,13 +986,20 @@ H_CASES = [
 ]
 
 
-@pytest.mark.parametrize("spec, r, tail_target", H_CASES)
-def test_h_matches_binomial_sum(spec, r, tail_target):
+@pytest.mark.parametrize("spec, r, tail", H_CASES)
+def test_h_matches_binomial_sum(spec, r, tail):
+    # a heavy law's h is its closed form P(xi < r) + x G(x) (HEAVY_G), which the
+    # direct sum up to a tail mass of ``tail`` must fall short of by at most that
     d = make_distribution(spec)
-    ctx = make_context(d, r) if tail_target is None else make_context(d, r, tail_target)
-    assert ctx.cutoff <= 40_000
+    ctx = make_context(d, r)
+    cutoff = ctx.cutoff if tail is None else d.truncation_cutoff(tail)
+    assert cutoff <= 40_000
     for x in (0.0, 1e-300, 0.1, 0.3, 0.5, 0.9, 0.999, 1 - 1e-13, 1.0):
-        want = _h_oracle(d, r, x, ctx.cutoff)
+        want = _h_oracle(d, r, x, cutoff)
+        if tail is not None:
+            exact = d.prob_below(r) + x * HEAVY_G[spec, r](x)
+            assert exact - tail <= want <= exact + 1e-14, (spec, r, x)
+            want = exact
         for p in (0.0, 0.3):
             assert abs(gw.h(ctx, p, x) - (1 - p) * want) <= 1e-14, (spec, r, x, p)
 
@@ -979,14 +1012,6 @@ def test_h_is_non_negative_below_the_laws_threshold(spec):
     ctx = make_context(make_distribution(spec), 2)
     for x in (1e-12, 1e-9, 1e-6):
         assert 0.0 <= gw.h(ctx, 0.1, x) <= 2 * x**3, x
-
-
-@pytest.mark.parametrize("spec, tail_target", [("heavy:r=2", 0.0), ("geometric:b=4", math.nan),
-                                               ("poisson:b=4", math.nan), ("poisson:b=4", 1.0),
-                                               ("heavy:r=3", -1e-3)])
-def test_make_context_rejects_tail_target_outside_unit_interval(spec, tail_target):
-    with pytest.raises(PreconditionError):
-        make_context(make_distribution(spec), 2, tail_target=tail_target)
 
 
 def test_binom_lte_large_n_is_exact():
