@@ -263,10 +263,11 @@ class _LimitSearch:
     def __init__(self, ctx: GEvalContext, p: float, tol: float):
         self.ctx, self.p, self.tol = ctx, p, tol
         self.evals = 0
-        # |terms| summed for G(x): every weight times g_k^r <= r, and each term
-        # defic_scale D_r(m, x) of the body, at most defic_scale (D_r <= 1) and at
-        # most r (the body's mass, at most 1, times g_k^r <= r)
-        self.terms = min(ctx.defic_scale, ctx.r) + ctx.r * float(ctx.weights.sum())
+        # |terms| summed for G(x): every weight times g_k^r <= r, and each term of
+        # the body, at most its scale, the largest |c| of c D_r(m, x) or ``const`` (D_r <= 1),
+        # and at most r (the body's mass, at most 1, times g_k^r <= r)
+        scale = max((abs(c) for _, c in ctx.body), default=ctx.const)
+        self.terms = min(scale, ctx.r) + ctx.r * float(ctx.weights.sum())
 
     def f(self, x: float) -> float:
         """h(x) - x, counted as one evaluation."""

@@ -42,6 +42,8 @@ or pruned law of threshold s on max(r, s) <= k <= m is (s-1)/(r-1) times
 D_r(max(r, s) - 1, x) - D_r(m, x), where D_r(r-1, x) = 1; no k below s is
 enumerated.  The pruned law ends the body at m = k1 and adds two atoms; the
 heavy law sums it to infinity: D_r(m, x) -> 0 on [0, 1] ((r-1)/m at x = 1).
+``make_context`` alone lists these terms, as a constant ``const`` plus the
+(m, c) pairs of the terms c D_r(m, x) that vary with x, which kernels only sum.
 """
 
 from __future__ import annotations
@@ -145,13 +147,14 @@ def _deficiency(r: int, m: int, lx: float | np.ndarray, l1x: float | np.ndarray)
     """D_r(m, x) at interior x from log x and log(1-x), floats or arrays alike.
 
     The recursion's step (1-x)/((s-1) x) P(Bin(m-1, 1-x) <= s-2) is summed
-    one log-space term per i.
+    one log-space term per i, log C(m-1, i) - log(s-1): C(m-1, i) may pass the
+    largest double (``pruned:r=8,b=1000``, m about 10^62).
     """
     d = np.exp((m - 1) * lx) / m
     for s in range(2, r):
-        step = 0.0
+        step, ls = 0.0, math.log(s - 1)
         for i in range(s - 1):
-            step = step + np.exp(math.log(math.comb(m - 1, i) / (s - 1)) + (i + 1) * l1x + (m - 2 - i) * lx)
+            step = step + np.exp(math.log(math.comb(m - 1, i)) - ls + (i + 1) * l1x + (m - 2 - i) * lx)
         d = s / (s - 1) * d + step
     return d
 
@@ -170,16 +173,17 @@ class GEvalContext:
 
     Every family is held in one form,
 
-        G(x) = sum_j weights_j g_{ks_j}^r(x) + defic_scale (D_r(low_cutoff, x) - D_r(cutoff, x)),
+        G(x) = const + sum_j weights_j g_{ks_j}^r(x) + sum_{(m, c) in body} c D_r(m, x),
 
     with ``log_binom[i, 0, j] = log C(ks_j, i)`` and ``powers[i, 0, j] = ks_j - i - 1``
     tabulated once for i < r, shaped (r, 1, len(ks)) so that a float log x
     and an (n, 1) column of them broadcast alike.  Enumerable laws put their
-    support >= r in ``ks`` (defic_scale 0: no body); the heavy and pruned laws
-    put their own atoms there, every weight a mass, and sum their body through
-    D_r from ``low_cutoff`` = max(r, s) - 1, s the law's threshold.  At r >= s
-    that is defic_scale D_r(r-1, x) = defic_scale, the constant ``const`` (0
-    for every other law and at r < s), from which G - 1 starts.
+    support >= r in ``ks`` (``const`` 0, ``body`` empty); the heavy and pruned
+    laws put their own atoms there, every weight a mass, and their body in
+    ``const`` and ``body``: the top's term -c D_r(top, x) first (none for the
+    heavy law's infinite top), then at r < s, s the law's threshold, the lower
+    cut's c D_r(s-1, x), c = (s-1)/(r-1).  At r >= s that cut is c D_r(r-1, x)
+    = c, the constant ``const`` from which G - 1 starts.
 
     ``atoms`` holds the (k, weight) pairs of ``ks`` and ``weights`` as Python
     numbers for a law whose single interior x ``_mixture`` sums in scalar
@@ -205,19 +209,9 @@ class GEvalContext:
     weights: np.ndarray
     log_binom: np.ndarray
     powers: np.ndarray
-    defic_scale: float
-    low_cutoff: int
+    body: tuple
     const: float
     atoms: tuple | None
-
-
-def _analytic_mixture(d: HeavyTail, r: int) -> tuple[np.ndarray, np.ndarray, float, int]:
-    """(ks, weights, defic_scale, low_cutoff) of a heavy or pruned law at threshold r: its
-    own ``atoms`` at k >= r, ascending, and its body up to ``top`` (module docstring)."""
-    own = [atom for atom in d.atoms if atom[0] >= r]
-    ks = np.array([k for k, _ in own], dtype=np.int64)
-    weights = np.array([p for _, p in own], dtype=float)
-    return ks, weights, (d.r - 1) / (r - 1) if d.top is None or d.top >= r else 0.0, max(r, d.r) - 1
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -232,7 +226,13 @@ def make_context(dist: OffspringDistribution, r: int) -> GEvalContext:
         raise PreconditionError("threshold r must be >= 2")
     if isinstance(dist, HeavyTail):
         cutoff, eps = dist.top, 0.0
-        ks, w, scale, low = _analytic_mixture(dist, r)
+        ks = np.array([k for k, _ in dist.atoms if k >= r], dtype=np.int64)
+        w = np.array([p for k, p in dist.atoms if k >= r], dtype=float)
+        # the body of threshold s is c (D_r(max(r, s) - 1, x) - D_r(top, x)), c = (s-1)/(r-1):
+        # at r >= s its lower cut D_r(r-1, x) = 1 is the constant, and an infinite top adds no term
+        c = (dist.r - 1) / (r - 1) if dist.top is None or dist.top >= r else 0.0
+        body = tuple((m, cm) for m, cm in ((dist.top, -c), (dist.r - 1, c)) if m is not None and m >= r)
+        const = c if dist.r <= r else 0.0
     else:
         cutoff = int(dist.truncation_cutoff(DEFAULT_TAIL_TARGET))
         eps = r * dist.tail(cutoff) if dist.support_max is None else 0.0
@@ -240,7 +240,7 @@ def make_context(dist: OffspringDistribution, r: int) -> GEvalContext:
             raise too_many_atoms(f"{dist.label()} truncated at tail {DEFAULT_TAIL_TARGET:g}")
         ks_all, w_all = dist.support_probs(upto=cutoff)
         mask = ks_all >= r
-        ks, w, scale, low = ks_all[mask], w_all[mask], 0.0, r - 1
+        ks, w, body, const = ks_all[mask], w_all[mask], (), 0.0
         if len(ks) > ENUM_CAP:
             raise too_many_atoms(f"{dist.label()} at k >= {r}")
     # log C(k, i) = sum_{j<i} log(k-j) - log i!, a sum of i logs rather than a
@@ -254,8 +254,8 @@ def make_context(dist: OffspringDistribution, r: int) -> GEvalContext:
         prob_below=float(dist.prob_below(r)),
         ks=_frozen(ks), weights=_frozen(w), log_binom=_frozen(log_binom),
         powers=_frozen(ks - 1.0 - np.arange(r, dtype=float)[:, None, None]),
-        defic_scale=scale, low_cutoff=low, const=scale if low < r else 0.0,
-        atoms=tuple(zip(ks.tolist(), w.tolist())) if scale or len(ks) == 1 else None,
+        body=body, const=const,
+        atoms=tuple(zip(ks.tolist(), w.tolist())) if body or const or len(ks) == 1 else None,
     )
 
 
@@ -297,12 +297,10 @@ def _G_block(ctx: GEvalContext, xs: np.ndarray, lx: np.ndarray, l1x: np.ndarray,
     ends = (xs == 0.0) | (xs == 1.0)
     gk[ends] = np.where(xs[ends, None] == 0.0, np.where(ctx.ks == ctx.r, float(ctx.r), 0.0), 1.0)
     out = _row_dots(gk, ctx.weights) + base
-    if ctx.defic_scale:
-        for m, scale in ((ctx.cutoff, -ctx.defic_scale), (ctx.low_cutoff, ctx.defic_scale)):
-            if m is not None and m >= ctx.r:
-                d = _deficiency(ctx.r, m, lx, l1x)
-                d[ends] = np.where(xs[ends] == 0.0, 0.0, (ctx.r - 1) / m)
-                out += scale * d
+    for m, c in ctx.body:
+        d = _deficiency(ctx.r, m, lx, l1x)
+        d[ends] = np.where(xs[ends] == 0.0, 0.0, (ctx.r - 1) / m)
+        out += c * d
     return out
 
 
@@ -333,11 +331,8 @@ def _mixture(ctx: GEvalContext, x: float, base: float) -> float:
     total = base
     for k, w in ctx.atoms:
         total += w * g(k, ctx.r, x)
-    if ctx.defic_scale:
-        lx, l1x = math.log(x), math.log1p(-x)
-        for m, scale in ((ctx.cutoff, -ctx.defic_scale), (ctx.low_cutoff, ctx.defic_scale)):
-            if m is not None and m >= ctx.r:
-                total += scale * float(_deficiency(ctx.r, m, lx, l1x))
+    for m, c in ctx.body:
+        total += c * float(_deficiency(ctx.r, m, math.log(x), math.log1p(-x)))
     return total
 
 
@@ -378,21 +373,22 @@ def G_upper(ctx: GEvalContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     On a piece x^(k-i-1) <= b^(k-i-1) and (1-x)^i <= (1-a)^i, so each weight's
     g_k^r is at most sum_{i<r} C(k,i) b^(k-i-1) (1-a)^i from the context's
-    tables, and each term c x^j (1-x)^i of D_r(low_cutoff, x) at most c b^j
-    (1-a)^i.  D_r(cutoff, x) only lowers G and is left out, and the truncated
-    tail adds at most ``eps_G``.  The bound is raised by 2^-36 for the rounding
-    of exp, log, the sum and the tables, and by 4 ulps of log (k+1)! at the
-    largest k.  A table entry log C(k, i) is a sum of i < r rounded logs of at
-    most log k, so it is off by at most about r^2 ulps of log k, below 2^-36
-    for r < 60 at any k the tables hold; the log-factorial term is a margin
-    beyond that.
+    tables.  G is ``const`` plus ``body``: each term c' x^j (1-x)^i of a body
+    term c D_r(m, x) with c > 0 is at most c' b^j (1-a)^i, and one with c < 0,
+    the top's, only lowers G and is left out.  The truncated tail adds at most
+    ``eps_G``.  The bound is raised by 2^-36 for the rounding of exp, log, the
+    sum and the tables, and by 4 ulps of log (k+1)! at the largest k.  A table
+    entry log C(k, i) is a sum of i < r rounded logs of at most log k, so it is
+    off by at most about r^2 ulps of log k, below 2^-36 for r < 60 at any k the
+    tables hold; the log-factorial term is a margin beyond that.
     """
     lb, l1a = np.log(b), np.log1p(-a)
     out = np.empty(len(b))
     for rows in _row_blocks(ctx, len(b)):
         out[rows] = _row_dots(_g_sum(ctx, lb[rows, None], l1a[rows, None]), ctx.weights)
-    if ctx.low_cutoff >= ctx.r:
-        out += ctx.defic_scale * _deficiency(ctx.r, ctx.low_cutoff, lb, l1a)
+    for m, c in ctx.body:
+        if c > 0.0:
+            out += c * _deficiency(ctx.r, m, lb, l1a)
     k = float(ctx.ks.max(initial=1)) + 1.0
     rel = 2.0**-36 + 2.0**-51 * math.lgamma(k + 1.0)
     return (out + ctx.const) * (1.0 + rel) + ctx.eps_G
@@ -412,8 +408,8 @@ def h(ctx: GEvalContext, p: float, x: float) -> float:
     below.  The rest is x G(x), read from the context's tables; p and x are
     checked here and nowhere below, so a step of the recursion costs one G.
     G is ``const`` plus ``_mixture`` from base 0, never 1 + (G - 1), which
-    would cancel where G is small (x near 0 at r >= 3).  Every term is
-    nonnegative but D_r(cutoff, x); a negative x G(x) is clamped to 0.
+    would cancel where G is small (x near 0 at r >= 3).  Every term is nonnegative
+    but the body's negative term, the top's; a negative x G(x) is clamped to 0.
     """
     if not 0.0 <= p <= 1.0:
         raise PreconditionError("p must lie in [0, 1]")

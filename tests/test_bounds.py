@@ -451,3 +451,26 @@ def test_public_bound_functions_return_their_report_entry(spec, r):
     assert entries
     for e in entries:
         assert public[e.name]() == e.raw, e.name
+
+
+@pytest.mark.parametrize("call", [
+    lambda: alpha_bound_constant(1, 0.5),
+    lambda: lb_fort(make_distribution("pmf:1=0.5,3=0.5")),
+], ids=["alpha_bound_constant-r", "lb_fort-support"])
+def test_outside_input_is_refused(call):
+    with pytest.raises(PreconditionError):
+        call()
+
+
+@pytest.mark.parametrize("spec,r", [
+    ("pruned:r=8,b=990", 8), ("pruned:r=8,b=1000", 8), ("pruned:r=20,b=1000", 20),
+    ("pruned:r=100,b=800", 100),
+])
+def test_pruned_body_past_the_largest_double_binomial(spec, r):
+    # C(k1 - 1, i) / (r - 1) in the body's D_r exceeds the largest double (k1 about
+    # 10^62 at r = 8, i up to 98 at r = 100): its log is taken of the exact integer
+    d = make_distribution(spec)
+    assert 0.0 < pc_exact(d, r).pc < 1.0
+    rep = bounds_report(d, r)
+    assert 0.0 < rep.pc_ref.pc < 1.0
+    assert sandwich_violations(rep) == []

@@ -532,3 +532,13 @@ def test_result_types_have_slots():
                 assert value == (want.label() if key == "spec" else want)
     assert names == ["CriticalResult", "QLimitResult", "BoundsReport", "BoundEntry", "SimEstimate",
                      "MaxResult"]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: q_iterate(make_distribution("regular:b=3"), 2, 1.5, 3),
+    lambda: q_iterate(make_distribution("regular:b=3"), 2, 0.1, -1),
+    lambda: pc_regular_asymptotic(1, 2),
+], ids=["q_iterate-p", "q_iterate-n", "pc_regular_asymptotic-b"])
+def test_outside_input_is_refused(call):
+    with pytest.raises(PreconditionError):
+        call()

@@ -104,8 +104,8 @@ def _deficiency_at(r, m):
     """x -> D_r(m, x) on [0, 1], as -(G - 1) of heavy_tail(r) cut at m: that context
     has no atoms, so G - 1 is exactly -D_r, ``_deficiency`` at an interior x and
     ``_G_block``'s limits at the ends."""
-    ctx = dataclasses.replace(make_context(make_distribution(f"heavy:r={r}"), r), cutoff=m)
-    assert len(ctx.ks) == 0 and ctx.defic_scale == 1.0
+    ctx = dataclasses.replace(make_context(make_distribution(f"heavy:r={r}"), r), body=((m, -1.0),))
+    assert len(ctx.ks) == 0 and ctx.const == 1.0
     return lambda x: -gw.G_minus_1(ctx, x)
 
 
@@ -1018,3 +1018,13 @@ def test_binom_lte_large_n_is_exact():
     # lgamma differences lose about 3 digits at n = 2e13
     assert binom_lte(2 * 10**13, 1e-13, 1) == pytest.approx(0.40600584970982, rel=1e-12)
     assert binom_lte(10**9, 2e-9, 3) == pytest.approx(math.exp(-2) * (1 + 2 + 2 + 4 / 3), rel=1e-8)
+
+
+@pytest.mark.parametrize("call", [
+    lambda ctx: gw.G_minus_1(ctx, 1.5),
+    lambda ctx: gw.G(ctx, -0.5),
+    lambda ctx: gw.h(ctx, 0.1, 1.5),
+], ids=["G_minus_1", "G", "h"])
+def test_outside_input_is_refused(call):
+    with pytest.raises(PreconditionError):
+        call(make_context(make_distribution("regular:b=3"), 2))

@@ -180,3 +180,22 @@ def test_spec_validation():
         LayeredTreeSpec(d=3, b=2, n_seq=(), m_seq=())
     with pytest.raises(PreconditionError):
         LayeredTreeSpec(d=3, b=2, n_seq=(1,), m_seq=(0,))
+
+
+_SPEC = LayeredTreeSpec(d=3, b=1, n_seq=(2,), m_seq=(1,))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: _SPEC.branching_at(5),
+    lambda: build_layered_tree(_SPEC, -1),
+    lambda: root_infection_curve(2, 3, 0.1, [1]),
+    lambda: root_infection_curve(3, 2, 1.5, [1]),
+    lambda: root_infection_curve(3, 2, 0.1, [-1]),
+    lambda: verify_no_fixed_point(2, 3, 0.1),
+    lambda: verify_no_fixed_point(3, 2, 1.0),
+], ids=["branching_at-depth", "build_layered_tree-depth_cap", "root_infection_curve-d",
+        "root_infection_curve-p", "root_infection_curve-depth", "verify_no_fixed_point-d",
+        "verify_no_fixed_point-p"])
+def test_outside_input_is_refused(call):
+    with pytest.raises(PreconditionError):
+        call()

@@ -435,3 +435,20 @@ def test_single_tree_oracles_refuse_r_below_one():
     marks[4] = True  # a child of vertex 1
     assert list(np.flatnonzero(run_bootstrap(t, marks, 1))) == list(range(t.n_vertices))
     assert not root_fort_status(t, marks, 1)
+
+
+def _tree():
+    return sample_tree(make_distribution("regular:b=2"), 2, seed=1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: sample_tree(make_distribution("regular:b=2"), -1),
+    lambda: sample_tree(make_distribution("regular:b=2"), 2, budget=0),
+    lambda: sample_marks(_tree(), 1.5, np.random.default_rng(1)),
+    lambda: run_bootstrap(_tree(), np.zeros(3, dtype=bool), 2),
+    lambda: root_fort_status(_tree(), np.zeros(3, dtype=bool), 2),
+], ids=["sample_tree-n", "sample_tree-budget", "sample_marks-p", "run_bootstrap-marks",
+        "root_fort_status-marks"])
+def test_outside_input_is_refused(call):
+    with pytest.raises(PreconditionError):
+        call()
