@@ -26,6 +26,14 @@ every law, so the limits there are written once, in ``_G_block`` (and in
 the public ``g``).  ``max_G`` scans a grid of x, on a large support only
 where ``G_upper`` cannot rule G out.
 
+The shifted Poisson and geometric laws list no atom and are not cut: keep
+each child with probability y = 1 - x, and the kept count of 2 + X has a
+closed form (the law's ``thinned``), so x G(x) = P(Bin(xi, y) < r
+<= xi) is a sum of O(r^2) non-negative terms at any b, and G - 1 near x = 1
+is (y - P(xi < r) - P(Bin(xi, y) >= r))/x, without cancellation.  One code
+takes a float and an array (``_thinned``), its exps from libm either way, so
+G - 1 at a point has the same bits in any array; h costs 2-3 us there.
+
 For the heavy-tail law with pmf (r-1)/(k(k-1)) the full mixture is
 identically 1, and the deficiency of a truncated mixture,
 
@@ -84,13 +92,14 @@ _COARSE = (25, 5)  # max_G's coarse grid steps, in grid points, coarsest first
 def _log_binom_sum(n: int, m: int, l_i: float, l_rest: float, e: int = 0) -> float:
     """sum_{i<=m} exp(log C(n, i) + i l_i + (n-i-e) l_rest); terms below e^-745 are 0.
 
-    log C(n, i) is the log of the exact integer: lgamma differences cancel
-    once n is large.
+    log C(n, i) is the log of the exact integer, updated as c = c (n-i) // (i+1):
+    lgamma differences cancel once n is large.
     """
-    total = 0.0
+    total, c = 0.0, 1
     for i in range(m + 1):
-        lg = math.log(math.comb(n, i)) + i * l_i + (n - i - e) * l_rest
+        lg = math.log(c) + i * l_i + (n - i - e) * l_rest
         total += math.exp(lg) if lg > -745.0 else 0.0
+        c = c * (n - i) // (i + 1)
     return total
 
 
@@ -148,13 +157,18 @@ def _deficiency(r: int, m: int, lx: float | np.ndarray, l1x: float | np.ndarray)
 
     The recursion's step (1-x)/((s-1) x) P(Bin(m-1, 1-x) <= s-2) is summed
     one log-space term per i, log C(m-1, i) - log(s-1): C(m-1, i) may pass the
-    largest double (``pruned:r=8,b=1000``, m about 10^62).
+    largest double (``pruned:r=8,b=1000``, m about 10^62).  The logs of the exact
+    binomials are taken once for every s.
     """
+    log_comb, c = [], 1
+    for i in range(r - 2):
+        log_comb.append(math.log(c))
+        c = c * (m - 1 - i) // (i + 1)
     d = np.exp((m - 1) * lx) / m
     for s in range(2, r):
         step, ls = 0.0, math.log(s - 1)
         for i in range(s - 1):
-            step = step + np.exp(math.log(math.comb(m - 1, i)) - ls + (i + 1) * l1x + (m - 2 - i) * lx)
+            step = step + np.exp(log_comb[i] - ls + (i + 1) * l1x + (m - 2 - i) * lx)
         d = s / (s - 1) * d + step
     return d
 
@@ -190,20 +204,18 @@ class GEvalContext:
     code: one atom, or a body.  It is None for every other law, whose single
     x is one row of the tables.
 
-    ``cutoff`` is the largest k summed: the top of a finite support or pruned
-    body, None for the heavy body (summed to infinity, so D_r(cutoff) is 0),
-    and for the shifted Poisson and geometric laws, the only ones cut, the
-    first k with tail mass at most ``DEFAULT_TAIL_TARGET``.  ``eps_G`` bounds
-    |G_true - G_computed| from that cut: the tail mass times g_r^r <= r, 0
-    for every other law.  ``prob_below`` is P(xi < r), the mass ``h`` adds to
-    x G(x); laws with such mass (``support_min < r``, not this float) never
-    fully infect for p < 1.  A context serves its one threshold r: the
-    survival map at another s >= 2 is ``h(make_context(dist, s), p, x)``.
+    ``thin`` is the shifted Poisson or geometric law itself, None for every
+    other law.  Such a law lists no atom (``ks`` is empty, ``const`` 0): G is
+    its thinned form, ``thin.thinned`` over x, in closed form with O(r^2)
+    terms and no cut of the support (see ``_thinned``).  An empty ``ks`` has
+    empty tables and costs no loop over i < r.  ``prob_below`` is P(xi < r),
+    the mass ``h`` adds to x G(x); laws with such mass (``support_min < r``,
+    not this float) never fully infect for p < 1.  A context serves its one
+    threshold r: the survival map at another s >= 2 is
+    ``h(make_context(dist, s), p, x)``.
     """
 
     r: int
-    cutoff: int | None
-    eps_G: float
     prob_below: float
     ks: np.ndarray
     weights: np.ndarray
@@ -212,6 +224,7 @@ class GEvalContext:
     body: tuple
     const: float
     atoms: tuple | None
+    thin: OffspringDistribution | None
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -220,12 +233,16 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def make_context(dist: OffspringDistribution, r: int) -> GEvalContext:
-    """The context of ``dist`` at threshold r >= 2: a heavy or pruned law is not cut, any
-    other infinite support is cut at tail ``DEFAULT_TAIL_TARGET`` (refused past ``ENUM_CAP``)."""
+    """The context of ``dist`` at threshold r >= 2.  No law is cut: a heavy or pruned
+    law is a body in closed form, a shifted Poisson or geometric law its thinned form.
+
+    A shifted law is still refused where a cut at tail ``DEFAULT_TAIL_TARGET`` would
+    pass ``ENUM_CAP`` atoms, the rule its moment sums keep.
+    """
     if r < 2:
         raise PreconditionError("threshold r must be >= 2")
+    thin = None
     if isinstance(dist, HeavyTail):
-        cutoff, eps = dist.top, 0.0
         ks = np.array([k for k, _ in dist.atoms if k >= r], dtype=np.int64)
         w = np.array([p for k, p in dist.atoms if k >= r], dtype=float)
         # the body of threshold s is c (D_r(max(r, s) - 1, x) - D_r(top, x)), c = (s-1)/(r-1):
@@ -233,29 +250,30 @@ def make_context(dist: OffspringDistribution, r: int) -> GEvalContext:
         c = (dist.r - 1) / (r - 1) if dist.top is None or dist.top >= r else 0.0
         body = tuple((m, cm) for m, cm in ((dist.top, -c), (dist.r - 1, c)) if m is not None and m >= r)
         const = c if dist.r <= r else 0.0
-    else:
-        cutoff = int(dist.truncation_cutoff(DEFAULT_TAIL_TARGET))
-        eps = r * dist.tail(cutoff) if dist.support_max is None else 0.0
-        if dist.support_max is None and cutoff > ENUM_CAP:  # one atom per k up to the cutoff
+    elif dist.support_max is None:  # the shifted Poisson and geometric laws
+        if dist.truncation_cutoff(DEFAULT_TAIL_TARGET) > ENUM_CAP:
             raise too_many_atoms(f"{dist.label()} truncated at tail {DEFAULT_TAIL_TARGET:g}")
-        ks_all, w_all = dist.support_probs(upto=cutoff)
+        thin, ks, w, body, const = dist, np.zeros(0, dtype=np.int64), np.zeros(0), (), 0.0
+    else:
+        ks_all, w_all = dist.support_probs()
         mask = ks_all >= r
         ks, w, body, const = ks_all[mask], w_all[mask], (), 0.0
         if len(ks) > ENUM_CAP:
             raise too_many_atoms(f"{dist.label()} at k >= {r}")
+    rows = r if len(ks) else 0  # an empty support needs no table
     # log C(k, i) = sum_{j<i} log(k-j) - log i!, a sum of i logs rather than a
     # difference of log-factorials near log k!
-    log_binom = np.zeros((r, 1, len(ks)))
-    for i in range(1, r):
-        log_binom[i] = log_binom[i - 1] + np.log(ks - (i - 1.0))
-    log_binom -= np.array([math.lgamma(i + 1.0) for i in range(r)])[:, None, None]
+    log_binom = np.zeros((rows, 1, len(ks)))
+    log_binom[1:] = np.log(ks - np.arange(rows - 1.0)[:, None, None])
+    np.add.accumulate(log_binom, axis=0, out=log_binom)  # in order of i, one sum at a time
+    log_binom -= np.array([math.lgamma(i + 1.0) for i in range(rows)])[:, None, None]
     return GEvalContext(
-        r=r, cutoff=cutoff, eps_G=eps,
-        prob_below=float(dist.prob_below(r)),
+        r=r, prob_below=float(dist.prob_below(r)),
         ks=_frozen(ks), weights=_frozen(w), log_binom=_frozen(log_binom),
-        powers=_frozen(ks - 1.0 - np.arange(r, dtype=float)[:, None, None]),
+        powers=_frozen(ks - 1.0 - np.arange(rows, dtype=float)[:, None, None]),
         body=body, const=const,
         atoms=tuple(zip(ks.tolist(), w.tolist())) if body or const or len(ks) == 1 else None,
+        thin=thin,
     )
 
 
@@ -266,13 +284,23 @@ def _g_sum(ctx: GEvalContext, lx: float | np.ndarray, l1x: float | np.ndarray) -
     A float log x gives one row, shape (1, len(ks)); an (n, 1) column gives a
     block, shape (n, len(ks)).  Each term is formed in place, (k-i-1) log x,
     + log C(k, i), + i log(1-x), then exp, and added to the terms before it in
-    order of i, so a row and the same x in a block agree bit for bit.
+    order of i, so a row and the same x in a block agree bit for bit.  In a
+    temporary of more than ``_BLOCK`` terms a term whose log is below -746 is 0
+    without a call of exp, which is slow there (the same 0).  An empty support
+    has no table and takes no loop over i < r.
     """
+    if not len(ctx.ks):
+        return np.zeros((np.size(lx), 0))
     lg = ctx.powers * lx
     lg += ctx.log_binom
     for i in range(1, ctx.r):
         lg[i] += l1x * i
-    np.exp(lg, out=lg)
+    if lg.size > _BLOCK:
+        live = lg > -746.0
+        np.exp(lg, out=lg, where=live)
+        lg[~live] = 0.0
+    else:
+        np.exp(lg, out=lg)
     gk = lg[0]
     for i in range(1, ctx.r):
         gk += lg[i]
@@ -285,16 +313,45 @@ def _row_dots(gk: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (gk[:, None, :] @ w[:, None])[:, 0, 0]
 
 
+def _thinned(ctx: GEvalContext, x, lx, l1x, base: float):
+    """base + G(x) of a shifted law at interior x, a float or an array, from the logs
+    of x and 1 - x: the same operations, so the same bits, for a float and an array.
+
+    G is ``thin.thinned`` at u = x, v = w = 1 - x, over x: a sum of
+    non-negative terms, never 1 + (G - 1).  G - 1 (base -1) takes the tail form
+    (y - P(xi < r) - T(y))/x, y = 1 - x, from x = 1/2 on, where G is near 1
+    and its head less 1 would cancel: T(y) = P(Bin(xi, y) >= r) and y are
+    small there, so G - 1 keeps its relative precision where x_star is near 1.
+    """
+    law, r, y = ctx.thin, ctx.r, 1.0 - x
+    if not isinstance(x, np.ndarray):
+        if base == -1.0 and x >= 0.5:
+            return (y - ctx.prob_below - law.thinned_tail(r, x, y, l1x)) / x
+        return law.thinned(r, x, y, y, lx, l1x) / x + base
+    out = np.empty(len(x))
+    tail = (x >= 0.5) & (base == -1.0)
+    head = ~tail
+    out[tail] = (y[tail] - ctx.prob_below - law.thinned_tail(r, x[tail], y[tail], l1x[tail])) / x[tail]
+    out[head] = law.thinned(r, x[head], y[head], y[head], lx[head], l1x[head]) / x[head] + base
+    return out
+
+
 def _G_block(ctx: GEvalContext, xs: np.ndarray, lx: np.ndarray, l1x: np.ndarray,
              base: float) -> np.ndarray:
     """``_mixture`` from ``base`` on one block of x given ``_libm_logs(xs)``, through
     a (len(xs), len(ctx.ks)) array of g_k^r(x) whose rows ``_row_dots`` sums
-    one by one: a value does not depend on the block it is computed in.
+    one by one: a value does not depend on the block it is computed in.  A
+    shifted law is ``_thinned`` at each interior x.
     """
-    gk = _g_sum(ctx, lx[:, None], l1x[:, None])
     # the limits at x = 0 and at x = 1: g_k^r is r when k = r (0 otherwise) and 1,
-    # D_r is 0 and (r-1)/m
+    # D_r is 0 and (r-1)/m; a shifted law's G is r P(xi = r) and 1 - P(xi < r)
     ends = (xs == 0.0) | (xs == 1.0)
+    if ctx.thin is not None:
+        out = np.where(xs == 0.0, base + ctx.r * ctx.thin.pmf(ctx.r), (base + 1.0) - ctx.prob_below)
+        inner = ~ends
+        out[inner] = _thinned(ctx, xs[inner], lx[inner], l1x[inner], base)
+        return out
+    gk = _g_sum(ctx, lx[:, None], l1x[:, None])
     gk[ends] = np.where(xs[ends, None] == 0.0, np.where(ctx.ks == ctx.r, float(ctx.r), 0.0), 1.0)
     out = _row_dots(gk, ctx.weights) + base
     for m, c in ctx.body:
@@ -318,14 +375,17 @@ def _mixture(ctx: GEvalContext, x: float, base: float) -> float:
     """base + G(x) - const, the form of ``GEvalContext`` less its constant, at one x in [0, 1].
 
     x = 0 and x = 1 are a one-row block, whose ``_G_block`` holds the limits
-    there.  At interior x, a context with ``atoms`` sums its few closed-form
-    terms in scalar code, a few microseconds where numpy's per-call overhead
-    makes a row of the tables cost several times that; any other support is
-    one row of ``_g_sum``, bit for bit the same x in any block of an array.
+    there.  At interior x, a shifted law is ``_thinned`` on floats, and a
+    context with ``atoms`` sums its few closed-form terms in scalar code, a few
+    microseconds where numpy's per-call overhead makes a row of the tables
+    cost several times that; any other support is one row of ``_g_sum``, bit
+    for bit the same x in any block of an array.
     """
     if not 0.0 < x < 1.0:
         xs = np.array([x])
         return float(_G_block(ctx, xs, *_libm_logs(xs), base)[0])
+    if ctx.thin is not None:
+        return _thinned(ctx, x, math.log(x), math.log1p(-x), base)
     if ctx.atoms is None:  # one dot, as each row of a block (``_row_dots``)
         return float(_g_sum(ctx, math.log(x), math.log1p(-x))[0] @ ctx.weights + base)
     total = base
@@ -375,14 +435,26 @@ def G_upper(ctx: GEvalContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     g_k^r is at most sum_{i<r} C(k,i) b^(k-i-1) (1-a)^i from the context's
     tables.  G is ``const`` plus ``body``: each term c' x^j (1-x)^i of a body
     term c D_r(m, x) with c > 0 is at most c' b^j (1-a)^i, and one with c < 0,
-    the top's, only lowers G and is left out.  The truncated tail adds at most
-    ``eps_G``.  The bound is raised by 2^-36 for the rounding of exp, log, the
-    sum and the tables, and by 4 ulps of log (k+1)! at the largest k.  A table
-    entry log C(k, i) is a sum of i < r rounded logs of at most log k, so it is
-    off by at most about r^2 ulps of log k, below 2^-36 for r < 60 at any k the
-    tables hold; the log-factorial term is a margin beyond that.
+    the top's, only lowers G and is left out.  The bound is raised by 2^-36 for
+    the rounding of exp, log, the sum and the tables, and by 4 ulps of log
+    (k+1)! at the largest k.  A table entry log C(k, i) is a sum of i < r
+    rounded logs of at most log k, so it is off by at most about r^2 ulps of
+    log k, below 2^-36 for r < 60 at any k the tables hold; the log-factorial
+    term is a margin beyond that.
+
+    A shifted law bounds the same sum, sum_{i<r} (1-a)^i E[C(xi, i) b^(xi-i-1);
+    xi >= r] (the i-th pgf derivative at b less the atoms below r), as
+    ``thin.thinned`` at u = b, v = 1 - a over b: O(r^2) non-negative terms.
+    Each is a product of a few factors, off by a few ulps, but for an exp,
+    whose argument is off by a few ulps of S = ``thin.exp_size(r)``, the size
+    of its parts (0 for the geometric law, which takes no exp).  The bound is
+    raised by 2^-36 and by 4 ulps of S, and by r 2^-1070 / b for the terms
+    that underflow.
     """
     lb, l1a = np.log(b), np.log1p(-a)
+    if ctx.thin is not None:
+        out = ctx.thin.thinned(ctx.r, b, 1.0 - a, 1.0 - b, lb, l1a) / b
+        return out * (1.0 + 2.0**-36 + 2.0**-51 * ctx.thin.exp_size(ctx.r)) + ctx.r * 2.0**-1070 / b
     out = np.empty(len(b))
     for rows in _row_blocks(ctx, len(b)):
         out[rows] = _row_dots(_g_sum(ctx, lb[rows, None], l1a[rows, None]), ctx.weights)
@@ -391,7 +463,7 @@ def G_upper(ctx: GEvalContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
             out += c * _deficiency(ctx.r, m, lb, l1a)
     k = float(ctx.ks.max(initial=1)) + 1.0
     rel = 2.0**-36 + 2.0**-51 * math.lgamma(k + 1.0)
-    return (out + ctx.const) * (1.0 + rel) + ctx.eps_G
+    return (out + ctx.const) * (1.0 + rel)
 
 
 def G(ctx: GEvalContext, x: float | np.ndarray) -> float | np.ndarray:
@@ -405,8 +477,9 @@ def h(ctx: GEvalContext, p: float, x: float) -> float:
 
     Child counts below the threshold contribute probability one: a vertex
     with fewer than r children in its subtree can never be infected from
-    below.  The rest is x G(x), read from the context's tables; p and x are
-    checked here and nowhere below, so a step of the recursion costs one G.
+    below.  The rest is x G(x), read from the context's tables or a shifted
+    law's thinned form; p and x are checked here and nowhere below, so a step
+    of the recursion costs one G.
     G is ``const`` plus ``_mixture`` from base 0, never 1 + (G - 1), which
     would cancel where G is small (x near 0 at r >= 3).  Every term is nonnegative
     but the body's negative term, the top's; a negative x G(x) is clamped to 0.
@@ -639,4 +712,4 @@ def max_G(ctx: GEvalContext) -> MaxResult:
 
     best = max(fb for _, fb in candidates)
     x_star = min(xb for xb, fb in candidates if fb >= _tie_floor(best))
-    return MaxResult(x_star=float(x_star), M_minus_1=best, err=ctx.eps_G + 1e-10)
+    return MaxResult(x_star=float(x_star), M_minus_1=best, err=1e-10)

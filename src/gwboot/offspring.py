@@ -31,7 +31,10 @@ moment is defined once, as an expectation E f(xi) taken in one array pass:
 * the shifted laws sum their pmf up to a cutoff whose remainder is bounded
   from ``tail``.  The Poisson law reads its tail, P(xi < r), cutoff and atoms
   from one table of P(X = j), j <= J = floor(lam + 15 sqrt(lam)) + 100,
-  divided by its own sum; by Bernstein's bound less than e^-112 lies past J;
+  divided by its own sum; by Bernstein's bound less than e^-112 lies past J.
+  That table serves only tails, moments and the refusal of a law whose cut
+  would pass ``ENUM_CAP`` atoms: the kernels evaluate both laws by thinning
+  (``thinned``), with O(r^2) closed-form terms and no cut;
 * the heavy and pruned laws are one body: ``HeavyTail`` is the pmf
   (r-1)/(k(k-1)) on r <= k <= ``top`` plus a tuple of (k, mass) ``atoms``,
   with no top and no atoms for the heavy law; ``Pruned`` sets top = k1 and
@@ -467,6 +470,11 @@ class _LightTail(OffspringDistribution):
     The sum runs past the default cutoff and is not capped; it refuses only the
     laws ``make_context`` refuses, with more than ``ENUM_CAP`` atoms at that cutoff.
     Both laws have support {2, 3, ...} and mean b.
+
+    The kernels read neither atoms nor cutoff: ``thinned`` and ``thinned_tail``
+    give G and its tail in closed form by thinning.  Keep each child with
+    probability v: xi = 2 + X keeps Bin(2, v) of its first two children and a
+    part M of X, whose law has a closed form for both families.
     """
 
     def __init__(self, spec: DistributionSpec):
@@ -493,6 +501,41 @@ class _LightTail(OffspringDistribution):
                 return total
             K *= 2
 
+    def thinned(self, r: int, u, v, w, lu, lv):
+        """E[sum_{i<r} C(xi, i) v^i u^(xi-i); xi >= r] at u, v in (0, 1], floats or arrays alike.
+
+        w = 1 - u, lu = log u and lv = log v come from the caller.  At v = 1 - u
+        this is P(Bin(xi, v) < r <= xi) = u G(u); with v = 1 - a and u = b it is
+        b times ``G_upper``'s bound on [a, b].  With L_m = E[C(X, m) v^m u^(X-m);
+        X >= r - 2] (``_thin_low``) and P_k = sum_{m<k} L_m it is
+        u^2 P_r + 2uv P_(r-1) + v^2 P_(r-2): a sum of non-negative terms.
+        """
+        prefix, acc = [0.0], 0.0
+        for term in self._thin_low(r, u, v, w, lu, lv):
+            acc = acc + term
+            prefix.append(acc)
+        return u * u * prefix[r] + 2.0 * u * v * prefix[r - 1] + v * v * prefix[r - 2]
+
+    def thinned_tail(self, r: int, x, y, ly):
+        """T(y) = P(Bin(xi, y) >= r) at x = 1 - y in (0, 1), floats or arrays alike; ly = log y.
+
+        With U_n = P(M >= n) for the part M of X kept with probability y
+        (``_thin_high``), T = x^2 U_r + 2xy U_(r-1) + y^2 U_(r-2).
+        """
+        up = self._thin_high(r, x, y, ly)
+        return x * x * up[r] + 2.0 * x * y * up[r - 1] + y * y * up[r - 2]
+
+    def exp_size(self, r: int) -> float:
+        """A bound on the parts of any exp argument in ``thinned`` at threshold r
+        where the term does not underflow: 0, as the geometric form takes no exp."""
+        return 0.0
+
+    def _thin_low(self, r, u, v, w, lu, lv) -> list:
+        raise NotImplementedError
+
+    def _thin_high(self, r, x, y, ly) -> list:
+        raise NotImplementedError
+
 
 class ShiftedPoisson(_LightTail):
     """2 + Poisson(b-2): ``tail``, ``prob_below``, ``truncation_cutoff`` and
@@ -517,6 +560,26 @@ class ShiftedPoisson(_LightTail):
     def __init__(self, spec: DistributionSpec):
         super().__init__(spec)
         self.lam = self.b - 2.0
+        self._log_lam = math.log(self.lam)
+
+    def _thin_low(self, r, u, v, w, lu, lv):
+        """L_m = e^(-lam w) (lam v)^m / m! P(Poisson(lam u) >= r - 2 - m), m < r.
+
+        Thinning splits X into Poisson(lam v) kept and Poisson(lam u) dropped; the
+        first factor is one exp of its log, at v = w the Poisson(lam v) pmf at m.
+        """
+        dropped = _poisson_upper(self.lam * u, lu + self._log_lam, r - 2)
+        t, lkeep, exp = -self.lam * w, lv + self._log_lam, _exp_for(u)
+        return [exp(t + m * lkeep - math.lgamma(m + 1.0)) * dropped[max(r - 2 - m, 0)] for m in range(r)]
+
+    def _thin_high(self, r, x, y, ly):
+        """P(Poisson(lam y) >= n), n = 0..r."""
+        return _poisson_upper(self.lam * y, ly + self._log_lam, r)
+
+    def exp_size(self, r):
+        """745 + r log(lam + 1) + log r!: an argument m log(lam v) - lam w - log m!
+        (or i log(lam u) - lam u - log i!) at least -745 has no part larger."""
+        return 745.0 + r * math.log1p(self.lam) + math.lgamma(r + 1.0)
 
     def pmf(self, k):
         if k < 2:
@@ -585,6 +648,40 @@ class ShiftedGeometric(_LightTail):
         super().__init__(spec)
         # log((b-2)/(b-1)), which stays below 0 where the ratio rounds to 1
         self.log_rho = math.log1p(-1.0 / (self.b - 1.0))
+        # rho and 1 - rho, neither formed as a difference of the other
+        self._rho, self._stop = (self.b - 2.0) / (self.b - 1.0), 1.0 / (self.b - 1.0)
+
+    def _keep(self, u, w):
+        """(1 - rho u, rho u), the first as (1 - rho) + rho w: no cancellation near u = 1."""
+        return self._stop + self._rho * w, self._rho * u
+
+    def _thin_low(self, r, u, v, w, lu, lv):
+        """L_m = (1-rho)/(1-z) theta^m P(Bin(r-2, 1-z) <= m), z = rho u, theta = rho v/(1-z).
+
+        The pair (kept, dropped) of X has P(m, d) = (1-rho) C(m+d, m) (rho v)^m (rho u)^d,
+        and sum_{d >= n} C(m+d, m) z^d = (1-z)^-(m+1) P(Bin(m+n, 1-z) <= m).
+        """
+        keep, z = self._keep(u, w)
+        theta, n = self._rho * v / keep, r - 2
+        zs, ks = [1.0], [1.0]  # z^i and (1-z)^i, i <= r-2
+        for _ in range(n):
+            zs.append(zs[-1] * z)
+            ks.append(ks[-1] * keep)
+        out, below, scale = [], 0.0, self._stop / keep
+        for m in range(r):
+            if m < n:
+                below = below + math.comb(n, m) * ks[m] * zs[n - m]
+            out.append(scale * below if m < n else scale)
+            scale = scale * theta
+        return out
+
+    def _thin_high(self, r, x, y, ly):
+        """P(M >= n) = theta^n, n = 0..r: the kept part is geometric, theta = rho y/(1 - rho x)."""
+        keep, _ = self._keep(x, y)
+        theta, out = self._rho * y / keep, [1.0]
+        for _ in range(r):
+            out.append(out[-1] * theta)
+        return out
 
     def pmf(self, k):
         if k < 2:
@@ -595,6 +692,10 @@ class ShiftedGeometric(_LightTail):
         if m < 1:
             return 1.0
         return math.exp((m - 1) * self.log_rho)
+
+    def prob_below(self, r):
+        """1 - rho^(r-2) as -expm1: 1 - tail(r-1) cancels where rho is near 1."""
+        return 0.0 if r <= 2 else -math.expm1((r - 2) * self.log_rho)
 
     def second_factorial_moment(self):
         return 2.0 * (self.b - 1.0) ** 2
@@ -765,6 +866,66 @@ class Pruned(HeavyTail):
         self.top = k1
         self.atoms = ((r, self.alpha * self.A), (2 * r + 1, (1.0 - self.alpha) * self.A))
         super().__init__(spec)
+
+
+def _exp_array(t: np.ndarray) -> np.ndarray:
+    """libm's exp of each element, the bits of ``math.exp`` of a float.  Arguments
+    are cut at 709, where only ``G_upper``'s bound (always an array) can reach: a
+    bound of 8e307 rules nothing out."""
+    return np.fromiter(map(math.exp, np.minimum(t, 709.0).tolist()), float, len(t))
+
+
+def _exp_for(x):
+    """The exp of the thinned forms for x: ``_exp_array`` for an array, libm's for a float."""
+    return _exp_array if isinstance(x, np.ndarray) else math.exp
+
+
+@functools.cache
+def _series_length(top: int) -> int:
+    """The number of terms of ``_poisson_upper``'s series that any s < top needs:
+    the first n with prod_{j<=n} top/(top+j) <= 2^-60."""
+    n, term = 0, 1.0
+    while term > 2.0**-60:
+        n += 1
+        term = term * top / (top + n)
+    return n
+
+
+def _poisson_upper(s, ls, top: int) -> list:
+    """[P(Poisson(s) >= n) for n = 0..top] at s > 0 given ls = log s, floats or arrays alike.
+
+    Each pmf value is one exp of its log.  Where s >= n the value is
+    1 - P(X < n), which is above 1/2, so it keeps its digits; where
+    s < n it is e^-s sum_{i>=n} s^i/i!: the series from ``top``,
+    1 + sum_k prod_{j<=k} s/(top+j), then a pmf value added per step down to
+    n.  A float stops once a term is below 2^-60 (of a sum of at least 1); an
+    array sums the terms every s < top needs, which add nothing past that, so
+    it keeps the float's bits.
+    """
+    if top < 1:
+        return [1.0]
+    exp = _exp_for(s)
+    pmf = [exp(i * ls - s - math.lgamma(i + 1.0)) for i in range(top + 1)]
+    out, below = [1.0], 0.0
+    for n in range(1, top + 1):
+        below = below + pmf[n - 1]
+        out.append(1.0 - below)
+    array = isinstance(s, np.ndarray)
+    if not (array or s < top):
+        return out
+    t = np.minimum(s, float(top)) if array else s  # an element with s >= top keeps its complement
+    term, total = (np.ones(len(s)), np.ones(len(s))) if array else (1.0, 1.0)
+    for k in range(top + 1, top + 1 + _series_length(top)):
+        term *= t
+        term /= k
+        total += term
+        if not array and term <= 2.0**-60:
+            break
+    tail = pmf[top] * total
+    for n in range(top, 0, -1):
+        out[n] = np.where(s < n, tail, out[n]) if array else (tail if s < n else out[n])
+        tail = tail + pmf[n - 1]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -167,7 +167,7 @@ def test_G_shifted_geometric_closed_form():
         ctx = make_context(make_distribution(f"geometric:b={b}"), 2)
         for x in XGRID:
             want = (2 * (b - 1) - (2 * b - 3) * x) / ((b - 1) - (b - 2) * x) ** 2
-            assert gw.G(ctx, x) == pytest.approx(want, abs=ctx.eps_G + 1e-11)
+            assert gw.G(ctx, x) == pytest.approx(want, abs=1e-11)
     ctx = make_context(make_distribution("geometric:b=3"), 2)
     assert gw.G(ctx, 0.0) == pytest.approx(1.0, abs=1e-11)
 
@@ -177,7 +177,7 @@ def test_G_shifted_poisson_closed_form():
         ctx = make_context(make_distribution(f"poisson:b={b}"), 2)
         for x in XGRID:
             want = math.exp(-(b - 2) * (1 - x)) * (2 + (b - 3) * x - (b - 2) * x**2)
-            assert gw.G(ctx, x) == pytest.approx(want, abs=ctx.eps_G + 1e-11)
+            assert gw.G(ctx, x) == pytest.approx(want, abs=1e-11)
 
 
 def test_G_pruned_matches_enumeration_small_b():
@@ -273,17 +273,17 @@ def test_max_result_invariants():
                     ("poisson:b=8", 2), ("pruned:r=2,b=15", 2)]:
         ctx = make_context(make_distribution(spec), r)
         res = max_G(ctx)
-        assert res.M >= 1.0 - ctx.eps_G - 1e-10          # M >= G(1) = 1
-        assert res.M <= r + ctx.eps_G + 1e-10            # M <= g_r^r(0) = r
+        assert res.M >= 1.0 - 1e-10          # M >= G(1) = 1
+        assert res.M <= r + 1e-10            # M <= g_r^r(0) = r
         assert 0.0 <= res.x_star <= 1.0
 
 
 def test_G_dominated_by_diagonal_kernel():
-    # G(x) <= g_r^r(x) within the truncation budget
+    # G(x) <= g_r^r(x) within rounding
     for spec, r in [("geometric:b=4", 2), ("poisson:b=5", 2), ("twopoint:b=3,a=7", 2)]:
         ctx = make_context(make_distribution(spec), r)
         for x in XGRID:
-            assert gw.G(ctx, x) <= g(r, r, x) + ctx.eps_G + 1e-12
+            assert gw.G(ctx, x) <= g(r, r, x) + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -358,20 +358,19 @@ def test_G_mismatched_threshold_matches_direct_sum(spec, r):
     xs = np.array([0.0, 1e-300, 0.1, 0.5, 0.9, 0.999, 1 - 1e-6, 1.0])
     got = gw.G_minus_1(ctx, xs)
     for x, v in zip(xs, got):
-        if ctx.cutoff is None:
+        if d.top is None:
             want = HEAVY_G[spec, r](float(x))
         else:
-            assert ctx.cutoff <= 40_000
-            want = math.fsum(float(d.pmf(k)) * g(k, r, float(x)) for k in range(r, ctx.cutoff + 1))
-        assert v == pytest.approx(want - 1.0, abs=1e-15 if ctx.cutoff is None else 1e-13)
+            assert d.top <= 40_000
+            want = math.fsum(float(d.pmf(k)) * g(k, r, float(x)) for k in range(r, d.top + 1))
+        assert v == pytest.approx(want - 1.0, abs=1e-15 if d.top is None else 1e-13)
 
 
 def test_mismatched_threshold_context_is_fixed_and_fast():
     d = make_distribution("heavy:r=3")
     ctx = make_context(d, 2)
-    assert ctx.eps_G == 0.0
     with pytest.raises(dataclasses.FrozenInstanceError):
-        ctx.eps_G = 1.0
+        ctx.const = 1.0
     with pytest.raises(ValueError):
         ctx.weights[0] = 1.0
     t0 = time.perf_counter()
@@ -380,7 +379,6 @@ def test_mismatched_threshold_context_is_fixed_and_fast():
     # the law has G(x) = x, so M = G(1) = 1 and p_c = 0
     assert res.M == 1.0 and res.pc == 0.0
     assert max_G(ctx).M == res.M
-    assert ctx.eps_G == 0.0
     # h at the context's own threshold goes through the same mixture
     x = 0.4
     assert gw.h(ctx, 0.1, x) == pytest.approx(0.9 * x * gw.G(ctx, x), abs=1e-15)
@@ -425,7 +423,7 @@ def test_heavy_law_at_its_own_threshold_is_exact_and_flat(monkeypatch, r):
     # to refine; cut at tail 1e-13 it took 42 single-x evaluations and M read
     # 1 - 1e-13 below the law's own threshold
     ctx = make_context(make_distribution(f"heavy:r={r}"), r)
-    assert ctx.eps_G == 0.0 and ctx.cutoff is None
+    assert ctx.body == () and ctx.const == 1.0
     calls = []
     minus_1 = kernels.G_minus_1
     monkeypatch.setattr(kernels, "G_minus_1", lambda c, x: calls.append(x) or minus_1(c, x))
@@ -704,7 +702,7 @@ def test_max_G_grid_is_G_minus_1_bitwise(monkeypatch):
 
     monkeypatch.setattr(kernels, "_G_blocks", recording)
     pruned = 0
-    for spec, r in _criterion_8_laws() + ROW_EXTRA + ANALYTIC_THRESHOLDS:
+    for spec, r in _criterion_8_laws() + ROW_EXTRA + ANALYTIC_THRESHOLDS + SCAN_EXTRA:
         ctx = make_context(make_distribution(spec), r)
         want = gw.G_minus_1(ctx, xs)
         seen.clear()
@@ -717,17 +715,30 @@ def test_max_G_grid_is_G_minus_1_bitwise(monkeypatch):
         idx = np.concatenate([i for i, _ in seen])
         assert len(idx) == len(set(idx.tolist())) < 1001, (spec, r)
         assert np.concatenate([v for _, v in seen]).tobytes() == want[idx].tobytes(), (spec, r)
-    assert pruned >= 20  # 27 of 191: the larger Poisson and geometric laws
+    assert pruned >= 2  # the two wide pmfs of SCAN_EXTRA; the shifted laws list no atoms
 
 
+def _pmf_spec(ks, weights):
+    """An explicit pmf on the integers ks, its weights scaled to sum to 1."""
+    w = np.asarray(weights, dtype=float)
+    return "pmf:" + ",".join(f"{k}={p!r}" for k, p in zip(ks, (w / w.sum()).tolist()))
+
+
+# explicit pmfs of a few hundred to a few thousand atoms, where a grid spans
+# several blocks: geometric weights on k = 2..527 and 2..1751, and Poisson(998)
+# weights on 2 + (850..1150)
+WIDE_PMFS = [_pmf_spec(range(2, 528), (17 / 18) ** np.arange(526.0)),
+             _pmf_spec(range(2, 1752), (58 / 59) ** np.arange(1750.0)),
+             _pmf_spec(range(852, 1153), [math.exp(j * math.log(998) - 998 - math.lgamma(j + 1))
+                                           for j in range(850, 1151)])]
 # supports of several blocks, where max_G evaluates only part of the grid
-SCAN_EXTRA = [("geometric:b=60", 2), ("poisson:b=1000", 2), ("pmf:3=0.9,3000000=0.1", 2)]
+SCAN_EXTRA = [(WIDE_PMFS[1], 2), (WIDE_PMFS[2], 2), ("pmf:3=0.9,3000000=0.1", 2)]
 
 
 def test_max_G_pruned_scan_equals_a_whole_grid_scan(monkeypatch):
     # with every grid one block, max_G evaluates all 1001 points: the pieces it
     # refines, and so its result, are the same bit for bit
-    laws = _criterion_8_laws() + ROW_EXTRA + ANALYTIC_THRESHOLDS + SCAN_EXTRA
+    laws = _criterion_8_laws() + ROW_EXTRA + ANALYTIC_THRESHOLDS + SCAN_EXTRA + [(WIDE_PMFS[0], 3)]
     got = {law: max_G(make_context(make_distribution(law[0]), law[1])) for law in laws}
     monkeypatch.setattr(kernels, "_BLOCK", 2**40)
     for spec, r in laws:
@@ -737,8 +748,8 @@ def test_max_G_pruned_scan_equals_a_whole_grid_scan(monkeypatch):
 
 
 def test_max_G_pruned_scan_cost(monkeypatch):
-    # geometric:b=19 (526 atoms): about 70 grid rows and 50 G_upper rows, not 1001
-    ctx = make_context(make_distribution("geometric:b=19"), 2)
+    # 526 atoms (geometric:b=19 cut at tail 1e-13): about 70 grid rows and 50 G_upper rows, not 1001
+    ctx = make_context(make_distribution(WIDE_PMFS[0]), 2)
     rows, bounds = [], []
     blocks_of, upper = kernels._G_blocks, kernels.G_upper
     monkeypatch.setattr(kernels, "_G_blocks", lambda c, x, *rest: rows.append(len(x)) or blocks_of(c, x, *rest))
@@ -748,7 +759,8 @@ def test_max_G_pruned_scan_cost(monkeypatch):
 
 
 @pytest.mark.parametrize("spec, r", [("geometric:b=19", 2), ("geometric:b=19", 4), ("poisson:b=20", 2),
-                                     ("poisson:b=1000", 2)])
+                                     ("poisson:b=1000", 2), ("poisson:b=8", 4), (WIDE_PMFS[0], 2),
+                                     (WIDE_PMFS[2], 3)])
 def test_G_at_a_point_does_not_depend_on_its_array(spec, r):
     # each row is its own dot product: a matrix-vector product (gemv) gave 2 of
     # 139 grid values of geometric:b=19 another last bit in another block layout
@@ -937,15 +949,18 @@ def test_G_minus_1_single_x_bitwise():
 
 
 def test_make_context_keeps_atom_pairs_only_for_the_scalar_sum():
-    # a table law sums one x as a row of the tables: no Python pairs for its 103,181 atoms
-    d = make_distribution("poisson:b=100000")
-    times = []
-    for _ in range(3):
-        t0 = time.perf_counter()
-        ctx = make_context(d, 2)
-        times.append(time.perf_counter() - t0)
-    assert ctx.atoms is None and len(ctx.ks) > 100_000
-    assert min(times) < 0.025, times
+    # a table law sums one x as a row of the tables: no Python pairs for its 20,000 atoms;
+    # a shifted law lists no atom at all (it listed 103,181 for poisson:b=100000)
+    d = make_distribution(_pmf_spec(range(2, 20002), 0.9995 ** np.arange(20000.0)))
+    for law, size in [(d, 20_000), (make_distribution("poisson:b=100000"), 0)]:
+        times = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            ctx = make_context(law, 2)
+            times.append(time.perf_counter() - t0)
+        assert ctx.atoms is None and len(ctx.ks) == size
+        assert min(times) < 0.025, times
+    assert ctx.thin is not None and ctx.log_binom.size == 0
     assert make_context(make_distribution("twopoint:b=4,a=9"), 2).atoms is None
     # a point mass and a heavy or pruned law keep their pairs, in the order of ks
     assert make_context(make_distribution("regular:b=3"), 2).atoms == ((3, 1.0),)
@@ -980,7 +995,7 @@ H_CASES = [
     ("twopoint:b=4,a=9", 2, None), ("twopoint:b=3,a=6", 2, None), ("twopoint:b=3,a=6", 3, None),
     ("twopoint:b=3,a=6", 4, None),
     ("pmf:1=0.5,3=0.5", 2, None), ("pmf:1=0.2,2=0.3,5=0.5", 2, None),
-    ("pmf:1=0.2,2=0.3,5=0.5", 3, None),
+    ("pmf:1=0.2,2=0.3,5=0.5", 3, None), ("pmf:1=0.5,2=0.5", 3, None),
     ("heavy:r=2", 2, 1e-4), ("heavy:r=3", 3, 1e-4), ("heavy:r=2", 3, 1e-4), ("heavy:r=3", 2, 1e-4),
     ("pruned:r=3,b=8", 3, None), ("pruned:r=2,b=6", 2, None), ("pruned:r=2,b=6", 3, None),
 ]
@@ -992,7 +1007,7 @@ def test_h_matches_binomial_sum(spec, r, tail):
     # direct sum up to a tail mass of ``tail`` must fall short of by at most that
     d = make_distribution(spec)
     ctx = make_context(d, r)
-    cutoff = ctx.cutoff if tail is None else d.truncation_cutoff(tail)
+    cutoff = d.truncation_cutoff(tail or 1e-16)  # the whole finite support, or a shifted law to tail 1e-16
     assert cutoff <= 40_000
     for x in (0.0, 1e-300, 0.1, 0.3, 0.5, 0.9, 0.999, 1 - 1e-13, 1.0):
         want = _h_oracle(d, r, x, cutoff)
@@ -1028,3 +1043,134 @@ def test_binom_lte_large_n_is_exact():
 def test_outside_input_is_refused(call):
     with pytest.raises(PreconditionError):
         call(make_context(make_distribution("regular:b=3"), 2))
+
+
+# ---------------------------------------------------------------------------
+# the shifted Poisson and geometric laws, evaluated by thinning
+
+
+def _shifted_50(d, r, x):
+    """(G, G - 1, P(xi < r) + x G) of a shifted law at x from its pmf summed in closed
+    form: G = sum_{i<r} (1-x)^i (E[C(xi, i) x^(xi-i)] - the atoms below r) / x, each
+    expectation a pgf derivative.  The atoms below r cancel all but about x^(r-i) of
+    it, so the digits grow with r |log10 x|."""
+    dps = 60 + (int(-r * math.log10(x)) if 0.0 < x < 1.0 else 0)
+    with mpmath.workdps(dps):
+        xm = mpmath.mpf(x)
+        if d.spec.family == "shifted_poisson":
+            lam = mpmath.mpf(d.spec.b) - 2
+            pmf = lambda k: mpmath.exp(-lam) * lam ** (k - 2) / mpmath.factorial(k - 2)
+            moment = lambda l: lam ** l / mpmath.factorial(l) * mpmath.exp(-lam * (1 - xm))  # E C(X,l) x^(X-l)
+        else:
+            rho = (mpmath.mpf(d.spec.b) - 2) / (mpmath.mpf(d.spec.b) - 1)
+            pmf = lambda k: (1 - rho) * rho ** (k - 2)
+            moment = lambda l: (1 - rho) * rho ** l / (1 - rho * xm) ** (l + 1)
+        below = mpmath.fsum(pmf(k) for k in range(2, r))
+        if x == 0.0:
+            G = r * pmf(r)
+        else:
+            total = 0
+            for i in range(r):
+                full = mpmath.fsum(mpmath.binomial(2, i - l) * xm ** (2 - i + l) * moment(l)
+                                   for l in range(max(0, i - 2), i + 1))
+                full -= mpmath.fsum(pmf(k) * mpmath.binomial(k, i) * xm ** (k - i) for k in range(max(2, i), r))
+                total += (1 - xm) ** i * full
+            G = total / xm
+        return float(G), float(G - 1), float(below + xm * G)
+
+
+SHIFTED_X = [0.0, 1e-300, 1e-9, 0.01, 0.5, 0.99, 1 - 1e-13, 1.0]
+# geometric:b=1e5 stays refused (a cut at tail 1e-13 would need 2.9e6 atoms)
+SHIFTED_LAWS = ([f"poisson:b={b}" for b in (3, 8, 20, 1000, 100000)]
+                + [f"geometric:b={b}" for b in (3, 8, 20, 1000, 10000)])
+
+
+@pytest.mark.parametrize("spec", ["poisson:b=3", "poisson:b=8", "geometric:b=3", "geometric:b=8"])
+def test_shifted_50_digit_reference_matches_the_pmf_sum(spec):
+    # the closed-form sums above against sum_k pmf(k) g_k^r(x) term by term, cut
+    # once the mass left is below 1e-50
+    d = make_distribution(spec)
+    with mpmath.workdps(50):
+        b = mpmath.mpf(d.spec.b)
+        if d.spec.family == "shifted_poisson":
+            pmf = lambda k: mpmath.exp(2 - b) * (b - 2) ** (k - 2) / mpmath.factorial(k - 2)
+        else:
+            pmf = lambda k: (b - 2) ** (k - 2) / (b - 1) ** (k - 1)
+        for r in (2, 3, 4):
+            for x in (0.01, 0.5, 0.99):
+                xm, total, mass, k = mpmath.mpf(x), 0, mpmath.fsum(pmf(k) for k in range(2, r)), r
+                while 1 - mass > 1e-50:
+                    total += pmf(k) * _g_50(k, r, xm)
+                    mass += pmf(k)
+                    k += 1
+                assert abs(float(total) - _shifted_50(d, r, x)[0]) <= 1e-15 * float(total), (spec, r, x)
+
+
+@pytest.mark.parametrize("spec", SHIFTED_LAWS)
+def test_shifted_laws_match_50_digit_sums(spec):
+    # G and G - 1 within 1e-11 relative (G - 1 also 1e-15 absolute: G(0) - 1 is 0 on
+    # geometric:b=3 at r = 2), h within 1e-14; the laws list no atoms and are not cut
+    d = make_distribution(spec)
+    for r in (2, 3, 4):
+        ctx = make_context(d, r)
+        assert len(ctx.ks) == 0 and ctx.thin is d
+        for x in SHIFTED_X:
+            G, G_minus_1, h_0 = _shifted_50(d, r, x)
+            assert abs(gw.G(ctx, x) - G) <= 1e-11 * abs(G) + 1e-300, (spec, r, x)
+            assert abs(gw.G_minus_1(ctx, x) - G_minus_1) <= 1e-11 * abs(G_minus_1) + 1e-15, (spec, r, x)
+            for p in (0.0, 0.3):
+                assert abs(gw.h(ctx, p, x) - (1 - p) * h_0) <= 1e-14, (spec, r, x, p)
+
+
+@pytest.mark.parametrize("spec", SHIFTED_LAWS)
+def test_G_upper_bounds_the_shifted_laws(spec):
+    # every piece of a 50-piece grid, and narrow pieces at 0 and 1: G_upper >= G at
+    # 200 points of each
+    d = make_distribution(spec)
+    edges = np.linspace(0.0, 1.0, 51)
+    a = np.r_[edges[:-1], 0.0, 0.0, 0.999, 1 - 1e-9, 1e-300]
+    b = np.r_[edges[1:], 1e-3, 1e-9, 1.0, 1.0, 1e-200]
+    for r in (2, 3, 4):
+        ctx = make_context(d, r)
+        upper = kernels.G_upper(ctx, a, b)
+        for lo, hi, bound in zip(a, b, upper.tolist()):
+            top = float(gw.G(ctx, np.linspace(lo, hi, 200)).max())
+            assert bound >= top, (spec, r, lo, hi, bound, top)
+
+
+@pytest.mark.parametrize("spec", ["poisson:b=20", "poisson:b=1000", "poisson:b=100000",
+                                  "geometric:b=19", "geometric:b=1000", "geometric:b=10000"])
+def test_pc_exact_of_shifted_laws_matches_the_closed_form(spec):
+    # G - 1 takes the tail form near x = 1, where x_star lies: the table path was
+    # 6.6e-6 relative off on poisson:b=100000 and 4.0e-5 on geometric:b=10000
+    d = make_distribution(spec)
+    res, closed = gw.pc_exact(d, 2), gw.pc_closed_form(d.spec, 2)
+    assert abs(res.pc / closed.pc - 1) <= 1e-10, (res.pc, closed.pc)
+    assert res.err == pytest.approx(1e-10 / res.M**2, rel=1e-3)
+
+
+def test_empty_support_costs_nothing():
+    # no log-binomial table and no loop over i < r for a context without atoms:
+    # heavy:r=100000 at its own threshold took 0.63 s in both
+    d = make_distribution("heavy:r=100000")
+    times = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        res = gw.pc_exact(d, 100_000)
+        times.append(time.perf_counter() - t0)
+    assert min(times) < 0.05, times
+    assert (res.pc, res.x_star, res.M, res.err.hex()) == (0.0, 0.0, 1.0, "0x1.b7da6026391abp-34")
+
+
+def test_point_mass_at_a_large_threshold_keeps_its_bits():
+    # g at k = r = 3000 updates C(k, i) as one exact integer instead of calling
+    # math.comb for each i (0.5 s of the 0.7 s pc_exact took)
+    d = make_distribution("regular:b=3000")
+    times = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        res = gw.pc_exact(d, 3000)
+        times.append(time.perf_counter() - t0)
+    assert min(times) < 0.1, times
+    assert [v.hex() for v in (res.pc, res.x_star, res.M, res.err)] == [
+        "0x1.ffd44f3078264p-1", "0x0.0p+0", "0x1.7700000000000p+11", "0x1.236ee9dfe3b4cp-50"]

@@ -247,8 +247,17 @@ def test_geometric_tail_where_the_ratio_rounds_to_one():
     assert d.tail(k) <= 1e-13 and k < 31 * b
 
 
-# ---------------------------------------------------------------------------
-# parsing grammar
+@pytest.mark.parametrize("b", [3, 20, 1e4, 1e6, 1e17])
+def test_geometric_prob_below_keeps_relative_precision(b):
+    # P(xi < r) = 1 - rho^(r-2), which 1 - tail(r-1) formed with 1e-12 relative
+    # error at b = 1e4; h adds it, and q_limit's rounding bound counts it in ulps
+    d = make_distribution(f"geometric:b={b}")
+    with mpmath.workdps(50):
+        rho = (mpmath.mpf(b) - 2) / (mpmath.mpf(b) - 1)
+        for r in (3, 4, 10):
+            want = float(1 - rho ** (r - 2))
+            assert d.prob_below(r) == pytest.approx(want, rel=1e-14, abs=0), (b, r)
+    assert d.prob_below(2) == 0.0
 
 
 def test_parse_case_insensitive_and_rational():
