@@ -10,9 +10,11 @@ positive exactly in the subcritical regime p < p_c.  ``q_limit`` brackets
 that limit instead of stepping until the step is small: the iterates are
 upper bounds, an Aitken extrapolate with h(l) > l is a lower bound, and a
 safeguarded secant closes the bracket.  A limit of 0 has two certificates,
-a bound of G over pieces of [0, q_t] from the kernel tables and, after 128
-steps, p_c itself, formed from the maximum of G by the rule ``pc_exact``
-uses; within its err of p_c the limit is left as the interval [0, q_t].
+a bound of G over pieces of [0, q_t] from the kernel tables and, at step 32,
+p_c itself, formed from the maximum of G by the rule ``pc_exact`` uses;
+within its err of p_c the limit is left as the interval [0, q_t].  Below
+p_c - err the same maximum places the limit right of x_star, where one array
+of G on the grid brackets it.
 """
 
 from __future__ import annotations
@@ -230,7 +232,7 @@ class QLimitResult:
 
     Without a certified bracket ``converged`` is False and the bracket is
     [0, value], value being the last iterate.  ``iterations`` counts
-    evaluations of h.
+    evaluations of h, and of G at each point of an array.
     """
 
     value: float
@@ -253,11 +255,19 @@ _H_ROUNDING = 2.0**-48
 _ZERO_PIECES = 16
 _ZERO_ROUNDS = 6
 # the step at which a search that can still reach 0 asks max_G for the side of p_c
-_DECIDE_AT = 128
+_DECIDE_AT = 32
 
 
 class _LimitSearch:
-    """One ``q_limit`` call: the context, p, tol and the h evaluations made so far."""
+    """One ``q_limit`` call: the context, p, tol and the evaluations made so far.
+
+    ``run`` steps from 1 - p and tries Aitken's lower end every third step.  A
+    search that can still reach 0 stops at step ``_DECIDE_AT`` or at a stall
+    and asks ``max_G`` once (``decide_by_max``): a certified 0 above p_c + err,
+    [0, q] unconverged within err, and below p_c - err one grid bracket right
+    of x_star (``bracket_right_of``).  Where that finds no bracket, and on
+    every law with mass below r, the search steps on to the cap.
+    """
 
     def __init__(self, ctx: GEvalContext, p: float, tol: float):
         self.ctx, self.p, self.tol = ctx, p, tol
@@ -362,14 +372,65 @@ class _LimitSearch:
 
     def decide_by_max(self, q: float) -> Optional[QLimitResult]:
         """The side of p_c that p lies on, by ``pc_exact``'s rule: the limit 0 for
-        p > p_c + err, None (a positive limit) for p < p_c - err, and [0, q]
-        unconverged where p lies within err of p_c."""
-        pc, err = _pc_of_max(kernels.max_G(self.ctx))
+        p > p_c + err and [0, q] unconverged where p lies within err of p_c.  For
+        p < p_c - err the limit is positive: the root right of x_star that
+        ``bracket_right_of`` closes, or None (step on) where it finds no bracket."""
+        res = kernels.max_G(self.ctx)
+        pc, err = _pc_of_max(res)
         if self.p > pc + err:
             return self.certified_zero()
         if self.p < pc - err:
-            return None
+            return self.bracket_right_of(res.x_star, q)
         return QLimitResult(q, 0.0, q, False, self.evals)
+
+    def bracket_right_of(self, x_star: float, q: float) -> Optional[QLimitResult]:
+        """q* closed from a bracket read off one array of G, or None.
+
+        For p < p_c - err, (1-p) G(x_star) > 1, and q >= q* since q is an
+        iterate, so (1-p) G = 1 has a root in [x_star, q].  G is evaluated at
+        x_star, at ``max_G``'s grid points in (x_star, q) and at q, as one array.
+        If those values never rise (by more than G's rounding, 2 ``_H_ROUNDING``
+        per unit of ``terms``), the last point with f > eps is a lower end,
+        proven as any: f(lo) > eps(lo) means q* >= lo.  The next point with
+        f < -eps is the upper end.  It rests on the assumption ``max_G`` makes,
+        that G has no mode narrower than ``GRID_STEP``: then grid values that do
+        not rise on [x_star, q] mean that G decreases there, so (1-p) G = 1 has
+        one root there, and that root is q*.  Where x_star = 0 and no grid point
+        has f > eps, the root lies below the grid, and the points q 2^-k,
+        k = 0..1074, take the grid's place.  The two ends are evaluated again by
+        the scalar ``f`` that ``close`` goes on with (the array path of a point
+        mass, a heavy or a pruned law is a few ulps off it).  None where G
+        rises (another mode right of x_star), where no bracket is found, or
+        where the scalar values do not confirm it.
+        """
+        if not x_star < q:
+            return None
+        ends = self.ends_on(*kernels.G_on_grid(self.ctx, x_star, q))
+        if ends == (None, None) and x_star == 0.0:
+            xs = np.r_[0.0, q * np.exp2(np.arange(-1074.0, 1.0))]
+            ends = self.ends_on(xs, kernels.G(self.ctx, xs))
+        if ends is None or None in ends:
+            return None
+        lo, hi = ends
+        f_lo, f_hi = self.f(lo), self.f(hi)
+        if f_lo > self.eps(lo) and f_hi < -self.eps(hi):
+            return self.close(lo, f_lo, hi, f_hi)
+        return None
+
+    def ends_on(self, xs: np.ndarray, vals: np.ndarray) -> Optional[tuple]:
+        """(lo, hi) among the increasing points xs, where G = vals, each counted as
+        one evaluation: lo the last point with f > eps, hi the next with f < -eps,
+        each None where there is none.  None where the values rise."""
+        self.evals += len(xs)
+        if (np.diff(vals) > 2.0 * _H_ROUNDING * self.terms).any():
+            return None
+        f, e = (1.0 - self.p) * (xs * vals) - xs, self.eps(xs)
+        above = np.flatnonzero(f > e)
+        if not len(above):
+            return None, None
+        i = above[-1]
+        below = np.flatnonzero(f[i + 1:] < -e[i + 1:])
+        return float(xs[i]), (float(xs[i + 1 + below[0]]) if len(below) else None)
 
     def close(self, lo: float, f_lo: float, hi: float, f_hi: float) -> QLimitResult:
         """Shrink [lo, hi] to width tol: f(lo) > eps(lo), hi an upper bound on q*.
@@ -439,15 +500,29 @@ def q_limit(d: OffspringDistribution, r: int, p: float, tol: float = 1e-12) -> Q
     Two certificates cover a limit of 0 (with P(xi < r) = 0).  Where the
     extrapolate points to 0, ``kernels.G_upper`` bounds G over pieces of
     [0, q_t] from the context's tables, and (1-p) G < 1 there makes h(x) < x
-    on (0, q_t].  A search still open after 128 steps calls ``max_G`` once,
-    and p_c and its err are formed from it as in ``pc_exact``: p > p_c + err
-    certifies 0, p < p_c - err a positive limit, and for p within err of
-    p_c, where neither can hold, the result is [0, last iterate] with
+    on (0, q_t].  A search still open at step 32 (``_DECIDE_AT``), or stalled
+    before it, calls ``max_G`` once, and p_c and its err are formed from it
+    as in ``pc_exact``: p > p_c + err certifies 0, and for p within err of
+    p_c, where no certificate can hold, the result is [0, last iterate] with
     converged False.  Where P(xi < r) > 0 underflows to 0.0 (``poisson:b=760``
     at r = 3, p above 4.6e-5), h(0) computes 0, and the limit, below the
     smallest double, comes back as the certified bracket [0, 0].
-    So it is after ``Q_ITERATION_CAP`` evaluations of h; ``iterations``
-    counts them.
+
+    For p < p_c - err the limit is the root of (1-p) G = 1 right of x_star,
+    the maximum's location: G at x_star, at ``max_G``'s grid points in
+    (x_star, q_t) and at q_t is one array, and where those values never rise
+    (within G's rounding) the last point with h(x) - x > eps and the next
+    with h(x) - x < -eps bracket the limit, closed as above.  The upper end
+    rests on the mode assumption of ``max_G`` again: G has no mode narrower
+    than ``GRID_STEP``.  Where x_star = 0 and the root lies below the first
+    grid point, the points q_t 2^-k take the grid's place.  q* jumps at p_c:
+    q* -> x_star as p rises to p_c, and q* = 0 above it.
+
+    Where the values rise (another mode right of x_star), where no bracket
+    is found, and on every law with mass below r, the search steps on as
+    before, Aitken's lower ends and all.  Every search ends after
+    ``Q_ITERATION_CAP`` evaluations, unconverged.  ``iterations`` counts the
+    evaluations of h, and of G at each point of an array.
     """
     if not 0.0 <= p <= 1.0:
         raise PreconditionError("p must lie in [0, 1]")

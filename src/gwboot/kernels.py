@@ -24,7 +24,8 @@ an interior x in scalar code instead, in 2-6 us (2-vCPU Xeon, numpy 2.4);
 keeps in the context's ``atoms``.  x = 0 and x = 1 are a one-row block for
 every law, so the limits there are written once, in ``_G_block`` (and in
 the public ``g``).  ``max_G`` scans a grid of x, on a large support only
-where ``G_upper`` cannot rule G out.
+where ``G_upper`` cannot rule G out; ``G_on_grid`` evaluates G on a stretch
+of the same grid from its cached logs.
 
 The shifted Poisson and geometric laws list no atom and are not cut: keep
 each child with probability y = 1 - x, and the kept count of 2 + X has a
@@ -74,6 +75,7 @@ __all__ = [
     "G",
     "G_minus_1",
     "G_upper",
+    "G_on_grid",
     "h",
     "MaxResult",
     "max_G",
@@ -592,6 +594,17 @@ def _grid() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``max_G``'s scan points and their ``_libm_logs``, built once per process, read-only."""
     xs = np.linspace(0.0, 1.0, round(1.0 / GRID_STEP) + 1)
     return tuple(_frozen(a) for a in (xs, *_libm_logs(xs)))
+
+
+def G_on_grid(ctx: GEvalContext, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """(xs, G(xs)) at xs = a, the ``_grid()`` points in (a, b), and b, for 0 <= a < b <= 1:
+    one array, the grid points' logs read from the cache, those of a and b from libm."""
+    xs, lx, l1x = _grid()
+    inner = slice(np.searchsorted(xs, a, "right"), np.searchsorted(xs, b, "left"))
+    la, l1a = _libm_logs(np.array([a, b]))
+    pts = np.r_[a, xs[inner], b]
+    return pts, _G_blocks(ctx, pts, np.r_[la[0], lx[inner], la[1]], np.r_[l1a[0], l1x[inner], l1a[1]],
+                          ctx.const)
 
 
 def _tie_floor(best: float) -> float:

@@ -436,6 +436,99 @@ def test_q_limit_decides_the_side_of_a_tiny_pc_by_pc_exact():
     assert below.converged and below.lower > 0.0
 
 
+# (spec, delta) at r = 2, p = p_c (1 - delta): rows that stepped toward a saddle-node
+# ghost for 12,876 evaluations (regular), 604,062 (pruned b = 12 at 1e-2) or up to the
+# 10^6 cap, 5.5-13.8 s, before the decision at step 32 led to one grid bracket
+SLOW_ROWS = [
+    ("pruned:r=2,b=12", 1e-2), ("pruned:r=2,b=12", 1e-4), ("twopoint:b=4,a=9", 1e-6),
+    ("pruned:r=2,b=15", 1e-2), ("pruned:r=2,b=19", 1e-2), ("regular:b=3", 1e-8),
+]
+SLOW_ROW_ATOMS = {
+    "regular:b=3": [(3, Fraction(1))],
+    "twopoint:b=4,a=9": [(2, Fraction(5, 7)), (9, Fraction(2, 7))],
+}
+
+
+@pytest.mark.parametrize("spec, delta", SLOW_ROWS, ids=[f"{s}-{d:g}" for s, d in SLOW_ROWS])
+def test_q_limit_next_to_pc_brackets_the_root_right_of_x_star_fast(spec, delta):
+    from gwboot.critical import _LimitSearch
+
+    d = make_distribution(spec)
+    p, tol = pc_exact(d, 2).pc * (1 - delta), 1e-12
+    timings = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        res = q_limit(d, 2, p, tol=tol)
+        timings.append(time.perf_counter() - t0)
+    assert min(timings) < 0.01
+    assert res.converged and 0.0 < res.lower <= res.value <= res.upper
+    if spec in SLOW_ROW_ATOMS:
+        limit = _poly_limit(SLOW_ROW_ATOMS[spec], 2, p)
+        with mpmath.workdps(50):
+            assert mpmath.mpf(res.lower) <= limit <= mpmath.mpf(res.upper), res
+        return
+    # a pruned law's G is flat to about 1e-8 near its mode, so |1 - h'| is small and
+    # the band where the sign of h(x) - x is below eps is wider than tol
+    ctx, x = make_context(d, 2), res.value
+    slope = abs(1 - (gw.h(ctx, p, x + 1e-6) - gw.h(ctx, p, x - 1e-6)) / 2e-6)
+    assert res.upper - res.lower <= tol + 8 * _LimitSearch(ctx, p, tol).eps(x) / slope
+    if (spec, delta) == ("pruned:r=2,b=12", 1e-2):
+        # the converged value of the stepping search, after 604,062 evaluations
+        assert res.lower <= 0.9698456213911694 <= res.upper
+        assert res.value == pytest.approx(0.9698456213911694, abs=res.upper - res.lower)
+
+
+def _G_regular(b, r):
+    return lambda x: sum(mpmath.binomial(b, i) * x ** (b - i - 1) * (1 - x) ** i for i in range(r))
+
+
+def _G_poisson_r2(b):
+    # 2 + Poisson(lam): E[x^(xi-1) + xi x^(xi-2) (1-x)] in closed form
+    lam = mpmath.mpf(b) - 2
+    return lambda x: mpmath.exp(lam * (x - 1)) * (x + (1 - x) * (2 + lam * x))
+
+
+@pytest.mark.parametrize("spec, r, G", [
+    ("regular:b=3", 2, _G_regular(3, 2)), ("regular:b=5", 3, _G_regular(5, 3)),
+    ("poisson:b=6", 2, _G_poisson_r2(6)),
+], ids=["regular:b=3-2", "regular:b=5-3", "poisson:b=6-2"])
+def test_q_limit_jumps_from_x_star_by_the_saddle_node_law(spec, r, G):
+    # q*(p) = x_star + sqrt(2 (M - 1/(1-p)) / |G''(x_star)|) + O(delta) at p = p_c (1 - delta);
+    # the next term, G''' (M - 1/(1-p)) / (3 G''^2), is at most 0.021 delta on these laws
+    d = make_distribution(spec)
+    crit = pc_exact(d, r)
+    with mpmath.workdps(50):
+        x_star = mpmath.findroot(lambda x: mpmath.diff(G, x), crit.x_star)
+        M, g2 = G(x_star), mpmath.diff(G, x_star, 2)
+        for k in range(4, 9):
+            delta = 10.0**-k
+            p = crit.pc * (1 - delta)
+            res = q_limit(d, r, p)
+            jump = x_star + mpmath.sqrt(2 * (M - 1 / (1 - mpmath.mpf(p))) / abs(g2))
+            assert res.converged
+            assert abs(mpmath.mpf(res.value) - jump) <= 0.1 * delta, (delta, res)
+
+
+@pytest.mark.parametrize("spec, atoms, p, limit", [
+    # x_star = 0, and a second mode G = 1.0278874330688705 at x = 0.93727: p lies 1e-6
+    # below the p at which it dips under 1/(1-p), so G rises on [x_star, q]
+    ("pmf:2=0.6,8=0.4", [(2, Fraction(3, 5)), (8, Fraction(2, 5))],
+     (1 - 1 / 1.0278874330688705) * (1 - 1e-6), 0.9373414),
+    # mass below r: no decision by max_G, the iterates step to the limit
+    ("pmf:1=0.02,6=0.98", [(1, Fraction(1, 50)), (6, Fraction(49, 50))],
+     0.0192961301651 * (1 - 1e-8), 0.9589979),
+], ids=["pmf:2=0.6,8=0.4", "pmf:1=0.02,6=0.98"])
+def test_q_limit_steps_on_where_the_grid_bracket_does_not_hold(spec, atoms, p, limit):
+    # a grid bracket without the check that G never rises returned 0.2891843 on the
+    # first row, and one from 0 on the law with mass below r 0.0196141, both converged
+    res = q_limit(make_distribution(spec), 2, p)
+    assert res.converged
+    assert res.value == pytest.approx(limit, abs=1e-7)
+    exact = _poly_limit(atoms, 2, p)
+    with mpmath.workdps(50):
+        assert mpmath.mpf(res.lower) <= exact <= mpmath.mpf(res.upper), res
+
+
 def test_results_hold_python_floats():
     # two-point laws with a >= 2b - 1 peak at the grid end x = 0
     d = make_distribution("twopoint:b=4,a=9")
