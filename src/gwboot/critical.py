@@ -241,9 +241,6 @@ class QLimitResult:
     converged: bool
     iterations: int
 
-    def __float__(self):
-        return self.value
-
 
 # 2^-48 (32 ulps) per unit of the terms summed for h(x) - x: the stated
 # rounding bound, at least 5 times the largest error of h seen against

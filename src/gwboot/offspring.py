@@ -26,14 +26,13 @@ moment is defined once, as an expectation E f(xi) taken in one array pass:
 
 * the regular, two-point and explicit laws share one finite base: their
   atoms of positive mass with exact pmf values, also as read-only (ks,
-  probs) arrays.  A moment is the ``math.fsum`` of f(ks) probs; ``sample``
-  searches a uniform per draw in the cumulative sums (a point mass draws none);
+  probs) arrays.  A moment is the ``math.fsum`` of f(ks) probs;
 * the shifted laws sum their pmf up to a cutoff whose remainder is bounded
   from ``tail``.  The Poisson law reads its tail, P(xi < r), cutoff and atoms
   from one table of P(X = j), j <= J = floor(lam + 15 sqrt(lam)) + 100,
   divided by its own sum; by Bernstein's bound less than e^-112 lies past J.
-  That table serves only tails, moments and the refusal of a law whose cut
-  would pass ``ENUM_CAP`` atoms: the kernels evaluate both laws by thinning
+  That table serves tails, moments, the sampler and the refusal of a law whose
+  cut would pass ``ENUM_CAP`` atoms: the kernels evaluate both laws by thinning
   (``thinned``), with O(r^2) closed-form terms and no cut;
 * the heavy and pruned laws are one body: ``HeavyTail`` is the pmf
   (r-1)/(k(k-1)) on r <= k <= ``top`` plus a tuple of (k, mass) ``atoms``,
@@ -44,6 +43,12 @@ moment is defined once, as an expectation E f(xi) taken in one array pass:
   closed form (Euler-Maclaurin sums of powers, and summation by parts for
   harmonic numbers), infinite where the series diverges; ``sample`` inverts
   the body's CDF 1 - (r-1)/k between the atoms.
+
+Every other law samples through one ``AliasTable`` on the base class, built
+on its first draw in exact integers: the finite laws' atoms, the Poisson
+table's entries of nonzero weight, and the geometric atoms up to a
+memoryless tail column.  Every law of more than one atom reads one raw
+64-bit word per draw (and a geometric draw in its tail column one more).
 """
 
 from __future__ import annotations
@@ -311,6 +316,10 @@ class OffspringDistribution:
     the heavy-tail bodies use past their head.  A law overrides a moment
     only where it has an exact closed form: the shifted laws' mean b and
     E xi(xi-1).  ``pmf``, ``sample`` and ``_expect`` read one holding of the law.
+
+    Every law whose atoms can be tabulated (all but the heavy body) draws
+    through one ``AliasTable`` built from ``_tabulated`` on the first draw
+    and kept on the law: one raw 64-bit word per child count.
     """
 
     spec: DistributionSpec
@@ -373,8 +382,17 @@ class OffspringDistribution:
         """(ks, probs) arrays for the support truncated at ``upto``."""
         raise NotImplementedError
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+    def _tabulated(self) -> tuple[list[int], list, int]:
+        """(values, masses, step) for ``AliasTable.build``: see there."""
         raise NotImplementedError
+
+    @functools.cached_property
+    def _alias(self) -> AliasTable:
+        return AliasTable.build(*self._tabulated())
+
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """``size`` child counts from the law's alias table (``AliasTable.draw``)."""
+        return self._alias.draw(rng, size)
 
     def label(self) -> str:
         return self.spec.label()
@@ -389,8 +407,8 @@ class _Finite(OffspringDistribution):
     The atoms map k to its exact pmf value (a ``Fraction`` for the regular and
     two-point laws, the spec's float for an explicit pmf), which ``pmf`` looks
     up (an exact 0 off the support).  The same atoms as read-only (ks, probs)
-    arrays give ``support_probs`` (whatever ``upto`` is), every moment (one
-    ``math.fsum``) and ``sample``.
+    arrays give ``support_probs`` (whatever ``upto`` is) and every moment (one
+    ``math.fsum``); ``sample`` tabulates the exact values.
     """
 
     def __init__(self, spec: DistributionSpec, atoms: list):
@@ -417,16 +435,8 @@ class _Finite(OffspringDistribution):
     def _expect(self, f, tail):
         return math.fsum((f(self.ks) * self.probs).tolist())
 
-    @functools.cached_property
-    def _cdf(self) -> np.ndarray:
-        # F at every atom but the last, which takes all the mass above
-        return np.cumsum(self.probs[:-1])
-
-    def sample(self, rng, size):
-        """The first atom whose F exceeds a uniform u; a point mass draws nothing."""
-        if len(self.ks) == 1:
-            return np.full(size, self.ks[0], dtype=np.int64)
-        return self.ks[np.searchsorted(self._cdf, rng.random(size), side="right")]
+    def _tabulated(self):
+        return list(self._pmf), list(self._pmf.values()), 0
 
 
 class Regular(_Finite):
@@ -637,8 +647,12 @@ class ShiftedPoisson(_LightTail):
         probs = self._table[0][:max(K - 1, 0)]
         return np.arange(2, len(probs) + 2), probs
 
-    def sample(self, rng, size):
-        return 2 + rng.poisson(self.lam, size).astype(np.int64)
+    def _tabulated(self):
+        """Every entry of the pmf table; only those of nonzero weight stay atoms,
+        which ends the table about 8.7 sd either side of lam at lam = 1e5 (5,541
+        of its 104,842 entries).  Past J it leaves out less than e^-112."""
+        p = self._table[0]
+        return list(range(2, len(p) + 2)), p.tolist(), 0
 
 
 class ShiftedGeometric(_LightTail):
@@ -711,9 +725,20 @@ class ShiftedGeometric(_LightTail):
         ks = np.arange(2, K + 1)
         return ks, np.exp((ks - 2) * self.log_rho) / (self.b - 1.0)
 
-    def sample(self, rng, size):
-        # numpy's geometric counts trials (>= 1); we want failures before success
-        return 2 + (rng.geometric(1.0 / (self.b - 1.0), size) - 1).astype(np.int64)
+    def _tabulated(self):
+        """The atoms 2..L+1 and a tail column of mass rho^L, step L.
+
+        L is the first length with rho^L <= 2^-64, at most ``_TABLE_ATOMS`` - 1.
+        By memorylessness xi - L given xi >= L + 2 is xi again, so a draw of the
+        tail column is L plus a fresh draw.  A draw reads 1/(1 - rho^L) words
+        on average, about (b - 1)/L once L is at its cap; a law whose draw would
+        read more than ``_TABLE_ATOMS`` is refused (b above about 1.7e7).
+        """
+        L = min(_TABLE_ATOMS - 1, math.ceil(-64.0 * math.log(2.0) / self.log_rho))
+        if -math.expm1(L * self.log_rho) * _TABLE_ATOMS < 1.0:
+            raise PreconditionError(f"sampling {self.label()} would read more than "
+                                    f"{_TABLE_ATOMS} words per draw; infeasible")
+        return list(range(2, L + 2)) + [0], [self.pmf(k) for k in range(2, L + 2)] + [self.tail(L + 1)], L
 
 
 class HeavyTail(OffspringDistribution):
@@ -926,6 +951,101 @@ def _poisson_upper(s, ls, top: int) -> list:
         out[n] = np.where(s < n, tail, out[n]) if array else (tail if s < n else out[n])
         tail = tail + pmf[n - 1]
     return out
+
+
+# ---------------------------------------------------------------------------
+# alias tables: one raw 64-bit word per draw
+
+# the most atoms a geometric table holds, its tail column included, and the
+# most words one of its draws may read on average
+_TABLE_ATOMS = 1 << 12
+
+
+def _word_weights(masses: list) -> list[int]:
+    """Integers summing to 2^64, each within 1 of m 2^64 / S, S the sum of the masses.
+
+    Floats and Fractions alike are taken exactly: every quotient m 2^64 / S is
+    rounded down, and the words still short of 2^64 go one each to the largest
+    remainders, ties to the first mass.
+    """
+    weights = [0] * len(masses)
+    some = [i for i, m in enumerate(masses) if m]
+    pairs = [masses[i].as_integer_ratio() for i in some]
+    den = math.lcm(*(d for _, d in pairs))
+    nums = [n * (den // d) << 64 for n, d in pairs]
+    total = sum(nums) >> 64
+    cut = [divmod(n, total) for n in nums]
+    for i, (q, _) in zip(some, cut):
+        weights[i] = q
+    short = (1 << 64) - sum(weights)
+    for j in sorted(range(len(cut)), key=lambda j: cut[j][1], reverse=True)[:short]:
+        weights[some[j]] += 1
+    return weights
+
+
+@dataclass(frozen=True, eq=False)
+class AliasTable:
+    """Walker's alias method (Walker 1977; Vose 1991) in exact integers.
+
+    The table holds the ``values`` of nonzero weight (``_word_weights``: they
+    sum to 2^64) in n = 2^c >= 2 columns of 2^(64-c) words each.  A draw
+    reads one raw 64-bit word W: its top c bits pick the column i, and W
+    below ``cuts[i]`` draws the column's atom, else its alias; one gather from
+    ``lookup`` (the n atoms, then the n aliases) returns it.  So P(draw = k)
+    is exactly its weight / 2^64, within 2^-64 of pmf(k) / S, S the mass the
+    law tabulates.  A table of one atom reads no word.
+
+    A ``step`` L > 0 marks a memoryless tail: the atom 0 stands for L plus a
+    fresh draw.  ``draw`` reads one word per count, then one word for each
+    count that drew the tail, in the order of the counts, until none does.
+    """
+
+    values: tuple[int, ...]
+    step: int
+    shift: np.uint64  # 64 - c
+    cuts: np.ndarray  # uint64, one per column
+    lookup: np.ndarray  # int64, atoms then aliases
+
+    @classmethod
+    def build(cls, values: list[int], masses: list, step: int) -> AliasTable:
+        """The table of ``values`` weighted by ``masses`` (Fractions or floats),
+        those of weight 0 dropped; Vose's pairing of columns below and above
+        their share, in integers, fills each column exactly."""
+        kept = [(v, w) for v, w in zip(values, _word_weights(masses)) if w]
+        values, left = (list(c) for c in zip(*kept))
+        c = max(1, (len(values) - 1).bit_length())
+        n, width = 1 << c, 1 << (64 - c)
+        left += [0] * (n - len(left))
+        own = values + [0] * (n - len(values))
+        alias = own.copy()
+        below = [i for i in range(n) if left[i] < width]
+        above = [i for i in range(n) if left[i] >= width]
+        cuts = [i * width for i in range(n)]  # a full column draws its atom as its alias
+        while below:  # the weights fill the n columns exactly, so above runs out with below
+            i, j = below.pop(), above[-1]
+            cuts[i] += left[i]
+            alias[i] = own[j]
+            left[j] -= width - left[i]
+            if left[j] < width:
+                below.append(above.pop())
+        return cls(tuple(values), step, np.uint64(64 - c), np.array(cuts, dtype=np.uint64),
+                   np.array(own + alias, dtype=np.int64))
+
+    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """``size`` draws as int64, from raw words of ``rng``'s bit generator."""
+        if len(self.values) == 1:
+            return np.full(size, self.values[0], dtype=np.int64)
+        out = self._pick(rng.bit_generator.random_raw(size))
+        at = (out == 0).nonzero()[0] if self.step else ()
+        while len(at):
+            fresh = self._pick(rng.bit_generator.random_raw(len(at)))
+            out[at] += fresh + self.step
+            at = at[fresh == 0]
+        return out
+
+    def _pick(self, words: np.ndarray) -> np.ndarray:
+        col = (words >> self.shift).view(np.int64)
+        return self.lookup[col + (words >= self.cuts[col]) * len(self.cuts)]
 
 
 # ---------------------------------------------------------------------------

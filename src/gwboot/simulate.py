@@ -28,12 +28,21 @@ integer sum, so the result is bit-identical however blocks are scheduled.
 The last block holds the remainder, so a run with fewer replicates is not
 a prefix of a longer one.
 
-``STREAM_VERSION`` names the layout of a block's stream.  Version 3 is:
-the child counts level by level (none for a law with one atom); then ceil(N/8) raw 64-bit words read as
-little-endian bytes, one byte U per vertex in breadth-first order (level
-by level, tree by tree within a level); then one uniform V per vertex with
-U = floor(256 p), in that order.  A vertex is marked iff U < floor(256 p),
-or U = floor(256 p) and V < 256 p - floor(256 p).
+``STREAM_VERSION`` names the layout of a block's stream.  Version 4 is:
+the child counts level by level, one raw 64-bit word per vertex in
+breadth-first order (none for a law with one atom); a shifted geometric
+count that draws its table's tail column reads one more word, after the
+level's words, in the order of the vertices, until none does.  Then
+ceil(N/8) raw words read as little-endian bytes, one byte U per vertex in
+breadth-first order (level by level, tree by tree within a level); then one
+uniform V per vertex with U = floor(256 p), in that order.  A vertex is
+marked iff U < floor(256 p), or U = floor(256 p) and V < 256 p - floor(256 p).
+
+A count's word goes through the law's alias table (``offspring.AliasTable``),
+built in exact integers: P(count = k) is exactly an integer weight / 2^64,
+within 2^-64 of the law's pmf(k) over the mass its table holds.  The heavy
+and pruned laws invert their CDF at the uniform (W >> 11) 2^-53 of the word
+W.  No count goes through a numpy sampler, whose algorithm numpy may change.
 """
 
 from __future__ import annotations
@@ -64,7 +73,7 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 10_000_000
-STREAM_VERSION = 3  # one byte per vertex for the marks, a uniform per tie
+STREAM_VERSION = 4  # one word per child count, one byte per vertex for the marks
 BLOCK_VERTICES = 1 << 16  # expected vertices per Monte Carlo block
 _LITTLE_U64 = np.dtype("<u8")
 
@@ -257,7 +266,7 @@ def sample_tree(
 def sample_marks(tree: SampledTree, p: float, rng: np.random.Generator) -> np.ndarray:
     """I.i.d. Bernoulli(p) initial-infection marks, one per vertex.
 
-    Drawn as a Monte Carlo block draws them (stream version 3): one byte of
+    Drawn as a Monte Carlo block draws them (stream version 4): one byte of
     ceil(N/8) raw words per vertex in breadth-first order, then one uniform
     per vertex whose byte equals floor(256 p); see ``_draw_marks``.
     """

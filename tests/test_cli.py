@@ -664,7 +664,7 @@ def test_formats_carry_the_same_values(capsys, argv):
             assert _carries(value, e["value"]) and " ".join(note) == e["note"]
     elif cmd == "simulate":
         assert sorted(payload) == sorted(_MC_KEYS + ["truncated", "stream_version"])
-        assert payload["stream_version"] == gwboot.simulate.STREAM_VERSION == 3
+        assert payload["stream_version"] == gwboot.simulate.STREAM_VERSION == 4
         _check_csv(out["csv"], [payload], _MC_KEYS)
         _check_key_lines(out["table"], payload, _MC_KEYS + ["truncated", "stream_version"])
     else:

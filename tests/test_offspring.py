@@ -17,6 +17,7 @@ from gwboot.offspring import (
     PreconditionError,
     SpecError,
     _harmonic_decimal,
+    _word_weights,
     harmonic_number,
     harmonic_number as _harmonic_numbers,
     make_distribution,
@@ -645,20 +646,28 @@ def test_prune_eta_moment_consistency():
     )
 
 
-INVERSION_LAWS = [
+HEAVY_LAWS = ["heavy:r=2", "heavy:r=3", "heavy:r=4",
+              "pruned:r=2,b=4", "pruned:r=2,b=8", "pruned:r=3,b=12", "pruned:r=4,b=18"]
+TABLE_LAWS = [
     "regular:b=3", "twopoint:b=4,a=9", "twopoint:b=7/2,a=6", "twopoint:b=5,a=5", "pmf:2=0.5,4=0.5",
     "pmf:3=0.1,5=0.2,6=0.3,10=0.4", "pmf:1=0,3=0.25,4=0.5,6=0.25",
-    "heavy:r=2", "heavy:r=3", "heavy:r=4",
-    "pruned:r=2,b=4", "pruned:r=2,b=8", "pruned:r=3,b=12", "pruned:r=4,b=18",
+    "poisson:b=4", "poisson:b=100", "poisson:b=10000",
+    "geometric:b=3", "geometric:b=4.5", "geometric:b=10000",
 ]
 
 
-@pytest.mark.parametrize("spec", INVERSION_LAWS)
-def test_sample_inverts_own_pmf(spec):
-    # sample reads one uniform u per draw (a point mass reads none) and returns
-    # the smallest k with F(k) >= u, F summed from pmf() up to K = 3000; a draw
-    # with u > F(K) need only lie past K.  The pruned laws here end below K
-    d = make_distribution(spec)
+def _alias_pick(table, w):
+    """The alias lookup of one word in pure Python: the top c bits pick column
+    i, and the word below cuts[i] draws its atom, else its alias."""
+    n = len(table.cuts)
+    i = w >> (64 - (n.bit_length() - 1))
+    return int(table.lookup[i] if w < int(table.cuts[i]) else table.lookup[n + i])
+
+
+def _check_heavy_inversion(d):
+    # one uniform u per draw, the smallest k with F(k) >= u, F summed from
+    # pmf() up to K = 3000; a draw with u > F(K) need only lie past K.  The
+    # pruned laws here end below K
     K = 3000
     F = np.array([float(c) for c in itertools.accumulate(d.pmf(k) for k in range(1, K + 1))])
     draws = d.sample(np.random.default_rng(11), 20_000)
@@ -668,6 +677,96 @@ def test_sample_inverts_own_pmf(spec):
     assert inside.mean() > 0.99
     assert np.array_equal(draws[inside], first[inside])
     assert (draws[~inside] > K).all()
+
+
+def _check_alias_table(d):
+    # the weights are the tabulated masses scaled to 2^64 and rounded, each
+    # within 1; the columns give every value exactly its weight; draws are the
+    # pure-Python lookup of the same raw words, a draw of the tail column (0)
+    # reading one more word per round after all the first words, and no more
+    values, masses, step = d._tabulated()
+    table, weights = d._alias, _word_weights(masses)
+    assert sum(weights) == 2**64
+    S = sum(Fraction(m) for m in masses)
+    for w, m in zip(weights, masses):
+        assert abs(w - Fraction(m) * 2**64 / S) < 1
+    weight = {v: w for v, w in zip(values, weights) if w}
+    assert table.values == tuple(weight)
+    if step == 0:  # the finite laws tabulate pmf(), the Poisson law its normalised table
+        exact = d.support_max is not None
+        for v, m in zip(values, masses):
+            assert m == (d.pmf(v) if exact else pytest.approx(d.pmf(v), rel=1e-9, abs=1e-300))
+    else:
+        assert values == list(range(2, step + 2)) + [0] and masses[-1] == d.tail(step + 1)
+    n = len(table.cuts)
+    width, got = 2**64 // n, {}
+    for i, cut in enumerate(table.cuts.tolist()):
+        own, other = int(table.lookup[i]), int(table.lookup[n + i])
+        got[own] = got.get(own, 0) + cut - i * width
+        got[other] = got.get(other, 0) + (i + 1) * width - cut
+    assert {v: w for v, w in got.items() if w} == weight
+    size, sampler = 3000, np.random.Generator(np.random.Philox(7))
+    draws = d.sample(sampler, size)
+    words = iter(np.random.Philox(7).random_raw(20 * size).tolist())
+    if len(table.values) == 1:
+        assert (draws == table.values[0]).all()
+    else:
+        want = [_alias_pick(table, next(words)) for _ in range(size)]
+        tails = [i for i, v in enumerate(want) if v == 0]
+        while tails:
+            fresh = {i: _alias_pick(table, next(words)) for i in tails}
+            for i, v in fresh.items():
+                want[i] += step + v
+            tails = [i for i in tails if fresh[i] == 0]
+        assert draws.tolist() == want
+    assert sampler.bit_generator.random_raw(1)[0] == next(words)  # no word more was read
+
+
+@pytest.mark.parametrize("spec", HEAVY_LAWS + TABLE_LAWS)
+def test_sample_inverts_own_pmf(spec):
+    # the heavy body inverts its CDF at one uniform per draw; every other law
+    # reads one raw word per draw through its alias table (a point mass none)
+    d = make_distribution(spec)
+    if spec in HEAVY_LAWS:
+        _check_heavy_inversion(d)
+    else:
+        _check_alias_table(d)
+
+
+@pytest.mark.parametrize("spec", ["poisson:b=4", "poisson:b=6", "geometric:b=3", "geometric:b=10000"])
+def test_table_draws_follow_the_pmf(spec):
+    # 10^6 draws: P(xi <= k) within 5 SE at every k where it lies in (1e-4, 1 - 1e-4)
+    # for the first three; geometric:b=10000 draws its tail column (L = 4095) with
+    # probability 0.66, so its CDF is checked either side of L and 2L and far out
+    d, N = make_distribution(spec), 10**6
+    draws = np.sort(d.sample(np.random.Generator(np.random.Philox(2024)), N))
+    if spec == "geometric:b=10000":
+        L = d._alias.step
+        assert L == 4095 and draws[-1] > 4 * L
+        ks = [100, L, L + 1, L + 2, 2 * L + 1, 2 * L + 2, 10_000, 30_000, 60_000]
+    else:
+        ks = range(2, int(d.mean() * 10))
+    checked = 0
+    for k in ks:
+        want = 1.0 - d.tail(k)
+        if not 1e-4 < want < 1 - 1e-4:
+            continue
+        got = np.searchsorted(draws, k, side="right") / N
+        assert abs(got - want) <= 5 * math.sqrt(want * (1 - want) / N), k
+        checked += 1
+    assert checked >= 5
+    sd = math.sqrt(d.second_factorial_moment() + d.mean() - d.mean() ** 2)
+    assert abs(draws.mean() - d.mean()) <= 5 * sd / math.sqrt(N)
+
+
+def test_geometric_table_refuses_a_draw_of_too_many_words():
+    # a draw reads 1/(1 - rho^4095) words on average: 2,442 at b = 1e7, and
+    # 2.4e13 at b = 1e17, which numpy's own sampler drew at once
+    rng = np.random.Generator(np.random.Philox(1))
+    assert make_distribution("geometric:b=1e7").sample(rng, 3).min() >= 2
+    for spec in ("geometric:b=2e7", "geometric:b=1e17"):
+        with pytest.raises(PreconditionError, match="words per draw"):
+            make_distribution(spec).sample(rng, 1)
 
 
 def test_prune_eta_sampling_matches_pmf():

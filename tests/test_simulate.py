@@ -338,19 +338,31 @@ def test_replicate_rng_is_philox_keyed_by_seed_and_block(seed):
                               np.random.Philox(key=seed % 2**64, counter=[0, 0, 0, j]).random_raw(9))
 
 
+def test_a_uniform_is_the_top_53_bits_of_one_word():
+    # stream version 4 reads one word per child count on every law: the heavy
+    # body's uniform, Generator.random, is (W >> 11) 2^-53 of one raw word W
+    u = replicate_rng(2024, 3).random(1000)
+    w = replicate_rng(2024, 3).bit_generator.random_raw(1000)
+    assert np.array_equal(u, (w >> np.uint64(11)).astype(float) * 2.0**-53)
+
+
 def test_replicate_rng_rejects_seeds_outside_the_key_range():
     for seed in (-1, 2**128):
         with pytest.raises(PreconditionError):
             replicate_rng(seed, 0)
 
 
-# seeded calls at seed 2024, stream version 3: (spec, r, p, n, replicates, budget,
-# block size, surviving roots, truncated replicates).  Besides the shifted
-# geometric law they cover the finite sampler (two-point, explicit pmf) and the
-# heavy-body sampler (heavy, under a budget that truncates, and pruned)
+# seeded calls at seed 2024, stream version 4: (spec, r, p, n, replicates, budget,
+# block size, surviving roots, truncated replicates).  They cover the alias
+# tables of the shifted geometric and Poisson laws and of the finite laws
+# (two-point, explicit pmf) and the heavy-body sampler (heavy, under a budget
+# that truncates, and pruned).  The explicit pmf's dyadic table maps each word
+# to the atom its CDF inversion gave under version 3, and the heavy body reads
+# its words as before, so those three rows kept their version 3 counts
 STREAM_GOLDENS = [
-    ("geometric:b=3", 2, 0.15, 4, 1000, 10**7, 541, 685, 0),
-    ("twopoint:b=4,a=9", 2, 0.25, 4, 1000, 10**7, 192, 321, 0),
+    ("geometric:b=3", 2, 0.15, 4, 1000, 10**7, 541, 676, 0),
+    ("poisson:b=4", 2, 0.2, 4, 1000, 10**7, 192, 102, 0),
+    ("twopoint:b=4,a=9", 2, 0.25, 4, 1000, 10**7, 192, 333, 0),
     ("pmf:3=0.25,4=0.5,6=0.25", 3, 0.2, 4, 1000, 10**7, 153, 744, 0),
     ("heavy:r=2", 2, 0.3, 4, 300, 2000, 32, 54, 86),
     ("pruned:r=2,b=4", 2, 0.3, 3, 300, 10**7, 771, 82, 0),
@@ -363,7 +375,7 @@ def test_estimate_qn_stream_golden(spec, r, p, n, reps, budget, block, safe, tru
     # pins the stream layout: a change to how replicates draw from their
     # streams must fail here until STREAM_VERSION is bumped
     d = make_distribution(spec)
-    assert STREAM_VERSION == 3
+    assert STREAM_VERSION == 4
     assert block_size(d, n, budget) == block
     est = estimate_qn(d, r, p, n, reps, seed=2024, budget=budget)
     assert est.stream_version == STREAM_VERSION
