@@ -15,11 +15,12 @@ p_c = 1 - 1/M.  The one-level survival map has one form for every law,
 
 with P(xi < r) stored in the evaluation context.  One term loop,
 ``_g_sum``, reads the context's log-binomial tables for a block of x and for
-G(x) at a single x alike, and each x's sum over the support is its own dot
-product (``_row_dots``), so G at a point has the same bits in any array: one
-step of the survival recursion costs about 10 us on a support of a few
-hundred atoms.  A point mass or a heavy or pruned law sums its few terms at
-an interior x in scalar code instead, in 2-6 us (2-vCPU Xeon, numpy 2.4);
+G(x) at a single x alike, with x innermost, so each numpy op loops over x in
+C; each x's sum over the support is its own dot product (``_row_dots``), so
+G at a point has the same bits in any array: one step of the survival
+recursion costs about 10 us on a support of a few hundred atoms.  A point
+mass or a heavy or pruned law sums its few terms at an interior x in scalar
+code instead, in 2-6 us (2-vCPU Xeon, numpy 2.4);
 ``make_context`` alone decides which laws do, by the (k, weight) pairs it
 keeps in the context's ``atoms``.  x = 0 and x = 1 are a one-row block for
 every law, so the limits there are written once, in ``_G_block`` (and in
@@ -32,8 +33,9 @@ each child with probability y = 1 - x, and the kept count of 2 + X has a
 closed form (the law's ``thinned``), so x G(x) = P(Bin(xi, y) < r
 <= xi) is a sum of O(r^2) non-negative terms at any b, and G - 1 near x = 1
 is (y - P(xi < r) - P(Bin(xi, y) >= r))/x, without cancellation.  One code
-takes a float and an array (``_thinned``), its exps from libm either way, so
-G - 1 at a point has the same bits in any array; h costs 2-3 us there.
+takes a float and an array (``_thinned``), its exps numpy's either way
+(``offspring._exp``), so G - 1 at a point has the same bits in any array; h
+costs 2-4 us there at r = 2.
 
 For the heavy-tail law with pmf (r-1)/(k(k-1)) the full mixture is
 identically 1, and the deficiency of a truncated mixture,
@@ -64,8 +66,7 @@ from typing import Callable
 
 import numpy as np
 
-from .offspring import (DEFAULT_TAIL_TARGET, ENUM_CAP, HeavyTail, OffspringDistribution, PreconditionError,
-                        too_many_atoms)
+from .offspring import ENUM_CAP, HeavyTail, OffspringDistribution, PreconditionError, too_many_atoms
 
 __all__ = [
     "g",
@@ -178,9 +179,10 @@ def _deficiency(r: int, m: int, lx: float | np.ndarray, l1x: float | np.ndarray)
 # ---------------------------------------------------------------------------
 # evaluation contexts
 
-# (x, k) elements of one block of g_k^r(x); ``_g_sum``'s (i, x, k) temporary
-# holds r times as many, 2 MB at r = 4
+# (i, k, x) elements of ``_g_sum``'s temporary in one block of x, 512 kB
 _BLOCK = 1 << 16
+# the fewest elements of that temporary whose underflowing terms skip exp
+_LIVE_MIN = 1 << 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,10 +193,10 @@ class GEvalContext:
 
         G(x) = const + sum_j weights_j g_{ks_j}^r(x) + sum_{(m, c) in body} c D_r(m, x),
 
-    with ``log_binom[i, 0, j] = log C(ks_j, i)`` and ``powers[i, 0, j] = ks_j - i - 1``
-    tabulated once for i < r, shaped (r, 1, len(ks)) so that a float log x
-    and an (n, 1) column of them broadcast alike.  Enumerable laws put their
-    support >= r in ``ks`` (``const`` 0, ``body`` empty); the heavy and pruned
+    with ``log_binom[i, j, 0] = log C(ks_j, i)`` and ``powers[i, j, 0] = ks_j - i - 1``
+    tabulated once for i < r, shaped (r, len(ks), 1) so that a float log x
+    and a (1, n) row of them broadcast alike, x innermost.  Enumerable laws put
+    their support >= r in ``ks`` (``const`` 0, ``body`` empty); the heavy and pruned
     laws put their own atoms there, every weight a mass, and their body in
     ``const`` and ``body``: the top's term -c D_r(top, x) first (none for the
     heavy law's infinite top), then at r < s, s the law's threshold, the lower
@@ -239,7 +241,8 @@ def make_context(dist: OffspringDistribution, r: int) -> GEvalContext:
     law is a body in closed form, a shifted Poisson or geometric law its thinned form.
 
     A shifted law is still refused where a cut at tail ``DEFAULT_TAIL_TARGET`` would
-    pass ``ENUM_CAP`` atoms, the rule its moment sums keep.
+    pass ``ENUM_CAP`` atoms, the rule its moment sums keep (``refuse_past_cap``,
+    which builds no table).
     """
     if r < 2:
         raise PreconditionError("threshold r must be >= 2")
@@ -253,8 +256,7 @@ def make_context(dist: OffspringDistribution, r: int) -> GEvalContext:
         body = tuple((m, cm) for m, cm in ((dist.top, -c), (dist.r - 1, c)) if m is not None and m >= r)
         const = c if dist.r <= r else 0.0
     elif dist.support_max is None:  # the shifted Poisson and geometric laws
-        if dist.truncation_cutoff(DEFAULT_TAIL_TARGET) > ENUM_CAP:
-            raise too_many_atoms(f"{dist.label()} truncated at tail {DEFAULT_TAIL_TARGET:g}")
+        dist.refuse_past_cap()
         thin, ks, w, body, const = dist, np.zeros(0, dtype=np.int64), np.zeros(0), (), 0.0
     else:
         ks_all, w_all = dist.support_probs()
@@ -265,48 +267,67 @@ def make_context(dist: OffspringDistribution, r: int) -> GEvalContext:
     rows = r if len(ks) else 0  # an empty support needs no table
     # log C(k, i) = sum_{j<i} log(k-j) - log i!, a sum of i logs rather than a
     # difference of log-factorials near log k!
-    log_binom = np.zeros((rows, 1, len(ks)))
-    log_binom[1:] = np.log(ks - np.arange(rows - 1.0)[:, None, None])
+    log_binom = np.zeros((rows, len(ks), 1))
+    log_binom[1:] = np.log(ks[:, None] - np.arange(rows - 1.0)[:, None, None])
     np.add.accumulate(log_binom, axis=0, out=log_binom)  # in order of i, one sum at a time
     log_binom -= np.array([math.lgamma(i + 1.0) for i in range(rows)])[:, None, None]
     return GEvalContext(
         r=r, prob_below=float(dist.prob_below(r)),
         ks=_frozen(ks), weights=_frozen(w), log_binom=_frozen(log_binom),
-        powers=_frozen(ks - 1.0 - np.arange(rows, dtype=float)[:, None, None]),
+        powers=_frozen(ks[:, None] - 1.0 - np.arange(rows, dtype=float)[:, None, None]),
         body=body, const=const,
         atoms=tuple(zip(ks.tolist(), w.tolist())) if body or const or len(ks) == 1 else None,
         thin=thin,
     )
 
 
-def _g_sum(ctx: GEvalContext, lx: float | np.ndarray, l1x: float | np.ndarray) -> np.ndarray:
-    """sum_{i<r} C(k, i) x^(k-i-1) (1-x)^i for each k of ``ctx.ks``, from the logs
-    of x and 1-x (or any values in their place), summed in log space term by term.
+@functools.cache
+def _counts(r: int) -> np.ndarray:
+    """The read-only (r, 1, 1) column i = 0..r-1 of ``_g_sum``'s terms i log(1-x)."""
+    return _frozen(np.arange(r, dtype=float)[:, None, None])
 
-    A float log x gives one row, shape (1, len(ks)); an (n, 1) column gives a
-    block, shape (n, len(ks)).  Each term is formed in place, (k-i-1) log x,
-    + log C(k, i), + i log(1-x), then exp, and added to the terms before it in
-    order of i, so a row and the same x in a block agree bit for bit.  In a
-    temporary of more than ``_BLOCK`` terms a term whose log is below -746 is 0
-    without a call of exp, which is slow there (the same 0).  An empty support
-    has no table and takes no loop over i < r.
-    """
-    if not len(ctx.ks):
-        return np.zeros((np.size(lx), 0))
-    lg = ctx.powers * lx
-    lg += ctx.log_binom
-    for i in range(1, ctx.r):
-        lg[i] += l1x * i
-    if lg.size > _BLOCK:
+
+def _exp_live(lg: np.ndarray) -> np.ndarray:
+    """exp of lg in place.  In more than ``_LIVE_MIN`` terms a log below -746 is 0
+    without a call of exp, which is slow there (the same 0)."""
+    if lg.size > _LIVE_MIN:
         live = lg > -746.0
         np.exp(lg, out=lg, where=live)
         lg[~live] = 0.0
     else:
         np.exp(lg, out=lg)
-    gk = lg[0]
-    for i in range(1, ctx.r):
-        gk += lg[i]
-    return gk
+    return lg
+
+
+def _g_sum(ctx: GEvalContext, lx: float | np.ndarray, l1x: float | np.ndarray) -> np.ndarray:
+    """sum_{i<r} C(k, i) x^(k-i-1) (1-x)^i for each k of ``ctx.ks``, from the logs
+    of x and 1-x (or any values in their place), summed in log space term by term.
+
+    A float log x gives one row, shape (1, len(ks)); a (1, n) row of them gives
+    a block, shape (n, len(ks)).  The (r, len(ks), n) temporary has x
+    innermost, so each op loops over x in C.  Each term is formed in place,
+    (k-i-1) log x, + log C(k, i), + i log(1-x), then exp, and the terms are
+    summed in order of i: so a row and the same x in a block agree bit for
+    bit.  Where r is at most the len(ks) n sums, each step over i is one op on
+    the whole block; past that (a large r, a single x) the steps are one op
+    each, the sum one ``np.add.accumulate`` (a scan over i per sum).  The block
+    is turned to one row per x (a float's row is already one, and is not
+    copied).  An empty support has no table and takes no loop over i < r.
+    """
+    if not len(ctx.ks):
+        return np.zeros((np.size(lx), 0))
+    lg = ctx.powers * lx
+    lg += ctx.log_binom
+    if ctx.r * ctx.r > lg.size:
+        lg += _counts(ctx.r) * l1x
+        gk = np.add.accumulate(_exp_live(lg), axis=0, out=lg)[-1]
+    else:
+        for i in range(1, ctx.r):
+            lg[i] += l1x * i
+        gk = _exp_live(lg)[0]
+        for i in range(1, ctx.r):
+            gk += lg[i]
+    return np.ascontiguousarray(gk.T)
 
 
 def _row_dots(gk: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -353,7 +374,7 @@ def _G_block(ctx: GEvalContext, xs: np.ndarray, lx: np.ndarray, l1x: np.ndarray,
         inner = ~ends
         out[inner] = _thinned(ctx, xs[inner], lx[inner], l1x[inner], base)
         return out
-    gk = _g_sum(ctx, lx[:, None], l1x[:, None])
+    gk = _g_sum(ctx, lx[None], l1x[None])
     gk[ends] = np.where(xs[ends, None] == 0.0, np.where(ctx.ks == ctx.r, float(ctx.r), 0.0), 1.0)
     out = _row_dots(gk, ctx.weights) + base
     for m, c in ctx.body:
@@ -424,8 +445,10 @@ def G_minus_1(ctx: GEvalContext, x: float | np.ndarray) -> float | np.ndarray:
 
 
 def _row_blocks(ctx: GEvalContext, n: int) -> list[slice]:
-    """Slices of n rows, each with about ``_BLOCK`` (row, k) elements or fewer."""
-    blocks = max(1, -(-n * len(ctx.ks) // _BLOCK))
+    """Slices of n rows, each with about ``_BLOCK`` (i, k, row) elements of ``_g_sum``'s
+    temporary or fewer: r len(ks) per row.  Rows are independent (``_row_dots``), so
+    the split moves no bit."""
+    blocks = max(1, -(-n * ctx.r * len(ctx.ks) // _BLOCK))
     rows = max(1, -(-n // blocks))
     return [slice(lo, lo + rows) for lo in range(0, n, rows)]
 
@@ -447,11 +470,11 @@ def G_upper(ctx: GEvalContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     A shifted law bounds the same sum, sum_{i<r} (1-a)^i E[C(xi, i) b^(xi-i-1);
     xi >= r] (the i-th pgf derivative at b less the atoms below r), as
     ``thin.thinned`` at u = b, v = 1 - a over b: O(r^2) non-negative terms.
-    Each is a product of a few factors, off by a few ulps, but for an exp,
-    whose argument is off by a few ulps of S = ``thin.exp_size(r)``, the size
-    of its parts (0 for the geometric law, which takes no exp).  The bound is
-    raised by 2^-36 and by 4 ulps of S, and by r 2^-1070 / b for the terms
-    that underflow.
+    Each is a product of a few factors, off by a few ulps, but for an exp
+    (numpy's, at most 0.66 ulp off), whose argument is off by a few ulps of
+    S = ``thin.exp_size(r)``, the size of its parts (0 for the geometric law,
+    which takes no exp).  The bound is raised by 2^-36 and by 4 ulps of S, and
+    by r 2^-1070 / b for the terms that underflow.
     """
     lb, l1a = np.log(b), np.log1p(-a)
     if ctx.thin is not None:
@@ -459,7 +482,7 @@ def G_upper(ctx: GEvalContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return out * (1.0 + 2.0**-36 + 2.0**-51 * ctx.thin.exp_size(ctx.r)) + ctx.r * 2.0**-1070 / b
     out = np.empty(len(b))
     for rows in _row_blocks(ctx, len(b)):
-        out[rows] = _row_dots(_g_sum(ctx, lb[rows, None], l1a[rows, None]), ctx.weights)
+        out[rows] = _row_dots(_g_sum(ctx, lb[None, rows], l1a[None, rows]), ctx.weights)
     for m, c in ctx.body:
         if c > 0.0:
             out += c * _deficiency(ctx.r, m, lb, l1a)
@@ -645,9 +668,10 @@ def _brackets(ctx: GEvalContext, xs: np.ndarray, vals: np.ndarray) -> list[tuple
 def _scan(ctx: GEvalContext) -> np.ndarray:
     """G - 1 on ``_grid()`` where ``_brackets`` may need it, NaN elsewhere.
 
-    A grid that fits one block (1001 len(ks) <= ``_BLOCK`` elements) is
-    evaluated whole.  Otherwise every ``_COARSE[0]``-th point is evaluated, and
-    the points 0, 1, n-1 and n of the end pieces.  Each interval between them,
+    A grid of at most ``_BLOCK`` (x, k) pairs (1001 len(ks) <= ``_BLOCK``) is
+    evaluated whole, in blocks of r len(ks) terms per x (``_row_blocks``).
+    Otherwise every ``_COARSE[0]``-th point is evaluated, and the points 0, 1,
+    n-1 and n of the end pieces.  Each interval between them,
     widened by one grid step on each side, is bounded by one ``G_upper`` call;
     an interval is kept only if its bound, raised by 2^-34 relative for the
     rounding of ``G_upper`` (2^-36), reaches 1 plus the tie floor of the best

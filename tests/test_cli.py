@@ -117,6 +117,16 @@ def test_precondition_exit_code(capsys):
     assert "error" in err
 
 
+def test_a_poisson_law_past_the_table_cap_exits_3(capsys):
+    # the pmf table of poisson:b=1978802 would hold ENUM_CAP entries: refused
+    # from its length alone, as the moment sums refuse it; b = 1978801 answers
+    code, out, err = run_cli(capsys, "pc", "--dist", "poisson:b=1978802", "--r", "2")
+    assert code == 3
+    assert out == "" and err.startswith("error: ") and "pmf table" in err
+    code, out, _ = run_cli(capsys, "pc", "--dist", "poisson:b=1978801", "--r", "2")
+    assert code == 0 and "pc:" in out
+
+
 def test_bounds_threshold_below_2_exit_code(capsys):
     # refused before the branching bound, which divides by r - 1
     code, out, err = run_cli(capsys, "bounds", "--dist", "regular:b=3", "--r", "1")

@@ -78,6 +78,23 @@ def test_pc_mass_below_r_of_a_law_too_wide_to_tabulate():
     assert "_table" not in d.__dict__
 
 
+def test_pc_of_a_wide_poisson_law_builds_no_pmf_table():
+    # make_context decides the refusal from the table's length in closed form:
+    # pc_exact at r = 2 took 66 ms, 50 of them building a table of 1,015,100
+    # entries that the thinned form never reads
+    d = make_distribution("poisson:b=1e6")
+    t0 = time.perf_counter()
+    res = pc_exact(d, 2)
+    assert time.perf_counter() - t0 < 0.02
+    assert "_table" not in d.__dict__
+    assert res.pc == pytest.approx(pc_closed_form(d.spec, 2).pc, rel=1e-9, abs=0)
+    last = make_distribution("poisson:b=1978801")  # the widest law that answers
+    pc_exact(last, 2)
+    assert "_table" not in last.__dict__
+    with pytest.raises(PreconditionError, match="pmf table"):
+        pc_exact(make_distribution("poisson:b=1978802"), 2)
+
+
 @pytest.mark.parametrize("p, zero", [(4.5e-5, False), (4.7e-5, True), (1e-4, True)])
 def test_q_limit_where_mass_below_r_underflows(p, zero):
     # P(xi < 3) reads 0.0 at b = 760, so h(0) computes 0: above the maximum's

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import time
+import tracemalloc
 from math import comb
 
 import mpmath
@@ -594,7 +595,9 @@ def test_pc_exact_of_a_law_with_a_far_atom_matches_50_digit_maximum():
 
 
 def test_make_context_caps_the_number_of_atoms(monkeypatch):
-    monkeypatch.setattr(kernels, "ENUM_CAP", 2)
+    # a finite law's cap is read in kernels, a shifted law's in its own refuse_past_cap
+    for module in (offspring, kernels):
+        monkeypatch.setattr(module, "ENUM_CAP", 2)
     assert len(make_context(make_distribution("pmf:1=0.5,2=0.25,3000000=0.25"), 2).ks) == 2
     with pytest.raises(gw.PreconditionError):
         make_context(make_distribution("pmf:2=0.5,3=0.25,4=0.25"), 2)
@@ -637,7 +640,7 @@ def _grid_pieces(vals):
 
 
 def _one_block(ctx):
-    """Whether max_G scans this context's grid whole: 1001 rows fit one block."""
+    """Whether max_G scans this context's grid whole: 1001 (x, k) pairs fit ``_BLOCK``."""
     return 1001 * len(ctx.ks) <= kernels._BLOCK
 
 
@@ -679,8 +682,9 @@ def test_max_G_evaluates_grid_in_blocks(monkeypatch, spec, r):
     # the grid's logs are computed once per process: a second max_G takes none,
     # also not for the heavy and pruned deficiency
     assert log_calls == []
-    assert len(blocks) <= max(1, math.ceil(1001 * len(ctx.ks) / 2**16))
-    assert max(blocks) * len(ctx.ks) <= 2**16 + len(ctx.ks)
+    terms = r * len(ctx.ks)  # of _g_sum's temporary per row, which a block counts
+    assert len(blocks) <= max(1, math.ceil(1001 * terms / 2**16))
+    assert max(blocks) * terms <= 2**16 + terms
     assert len(points) < 120 * len(_grid_pieces(minus_1(ctx, np.linspace(0.0, 1.0, 1001))))
 
 
@@ -758,13 +762,22 @@ def test_max_G_pruned_scan_cost(monkeypatch):
     assert sum(rows) <= 200 and sum(bounds) <= 100
 
 
+# multi-atom laws at r up to 8, whose single x is a row of the tables: a
+# single x or a single piece steps over i < r in one op each (r^2 > r len(ks)),
+# the grid one op per i over the block
+TABLE_ROWS = [("twopoint:b=5,a=9", 2), ("pmf:2=0.2,5=0.3,9=0.4,13=0.1", 4), ("pmf:2=0.2,5=0.3,9=0.4,13=0.1", 5),
+              ("pmf:3=0.1,8=0.2,9=0.3,12=0.25,20=0.15", 3), ("pmf:3=0.1,8=0.2,9=0.3,12=0.25,20=0.15", 6),
+              ("pmf:3=0.1,8=0.2,9=0.3,12=0.25,20=0.15", 8)]
+
+
 @pytest.mark.parametrize("spec, r", [("geometric:b=19", 2), ("geometric:b=19", 4), ("poisson:b=20", 2),
                                      ("poisson:b=1000", 2), ("poisson:b=8", 4), (WIDE_PMFS[0], 2),
-                                     (WIDE_PMFS[2], 3)])
+                                     (WIDE_PMFS[2], 3)] + TABLE_ROWS)
 def test_G_at_a_point_does_not_depend_on_its_array(spec, r):
     # each row is its own dot product: a matrix-vector product (gemv) gave 2 of
     # 139 grid values of geometric:b=19 another last bit in another block layout
     ctx = make_context(make_distribution(spec), r)
+    assert ctx.atoms is None
     xs = np.linspace(0.0, 1.0, 1001)
     grid = gw.G_minus_1(ctx, xs)
     assert gw.G_minus_1(ctx, xs[::7]).tobytes() == grid[::7].tobytes()
@@ -775,6 +788,46 @@ def test_G_at_a_point_does_not_depend_on_its_array(spec, r):
     assert kernels.G_upper(ctx, a[::7], b[::7]).tobytes() == pieces[::7].tobytes()
     for j in (0, 1, 500, 998, 999):
         assert kernels.G_upper(ctx, a[j:j + 1], b[j:j + 1])[0] == pieces[j], (spec, r, j)
+
+
+@pytest.mark.parametrize("spec, r", TABLE_ROWS + [("regular:b=30", 8), (WIDE_PMFS[0], 3)])
+def test_G_in_blocks_split_by_r_keeps_its_bits(monkeypatch, spec, r):
+    # _row_blocks counts r len(ks) terms per row: a split into blocks of a few
+    # rows, and into one row each, moves no bit of G - 1 or G_upper
+    ctx = make_context(make_distribution(spec), r)
+    xs = np.linspace(0.0, 1.0, 1001)
+    whole, upper = gw.G_minus_1(ctx, xs), kernels.G_upper(ctx, xs[:-1], xs[1:])
+    for block in (7 * r * len(ctx.ks), 1):
+        monkeypatch.setattr(kernels, "_BLOCK", block)
+        assert len(kernels._row_blocks(ctx, 1001)) > 100
+        assert gw.G_minus_1(ctx, xs).tobytes() == whole.tobytes(), (spec, r, block)
+        assert kernels.G_upper(ctx, xs[:-1], xs[1:]).tobytes() == upper.tobytes(), (spec, r, block)
+
+
+# the thinned Poisson law over b, at x near both ends and on both sides of the
+# tail form's switch at x = 1/2
+THIN_XS = np.r_[1e-300, 1e-9, 1e-3, np.linspace(0.02, 0.98, 60), 0.5, np.nextafter(0.5, 0.0),
+                1 - 1e-3, 1 - 1e-9, 1 - 1e-15]
+
+
+@pytest.mark.parametrize("b", [3, 7.5, 30, 1000, 100000])
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
+def test_thinned_G_at_a_point_does_not_depend_on_its_array(b, r):
+    # numpy's exp takes a float and an array alike, with the bits of the same
+    # argument at any place in any array: a float, arrays 1 to 33 long at four
+    # offsets, and a strided view agree bit for bit (libm's exp for a float
+    # differed from numpy's array exp in about 1 in 20 arguments)
+    ctx = make_context(make_distribution(f"poisson:b={b}"), r)
+    xs = THIN_XS
+    for f in (gw.G, gw.G_minus_1):
+        single = np.array([f(ctx, x) for x in xs.tolist()])
+        for n in range(1, 34):
+            for lo in (0, 1, 7, len(xs) - n):
+                assert f(ctx, xs[lo:lo + n]).tobytes() == single[lo:lo + n].tobytes(), (b, r, n, lo)
+        assert f(ctx, xs[::3]).tobytes() == single[::3].tobytes(), (b, r)
+        assert f(ctx, xs[::-1]).tobytes() == single[::-1].tobytes(), (b, r)
+    for x in xs.tolist():
+        assert gw.h(ctx, 0.25, x) == 0.75 * (ctx.prob_below + x * gw.G(ctx, x)), (b, r, x)
 
 
 def test_max_G_grid_is_read_only():
@@ -1174,3 +1227,13 @@ def test_point_mass_at_a_large_threshold_keeps_its_bits():
     assert min(times) < 0.1, times
     assert [v.hex() for v in (res.pc, res.x_star, res.M, res.err)] == [
         "0x1.ffd44f3078264p-1", "0x0.0p+0", "0x1.7700000000000p+11", "0x1.236ee9dfe3b4cp-50"]
+    # the grid's blocks count r: at most 2^16 terms of 8 bytes in _g_sum's
+    # temporary, 1.3 MB at the peak (a 24 MB temporary of all 1001 rows before)
+    tracemalloc.start()
+    try:
+        again = gw.pc_exact(d, 3000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, peak
+    assert again == res

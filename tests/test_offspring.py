@@ -17,6 +17,7 @@ from gwboot.offspring import (
     PreconditionError,
     SpecError,
     _harmonic_decimal,
+    _poisson_upper,
     _word_weights,
     harmonic_number,
     harmonic_number as _harmonic_numbers,
@@ -185,6 +186,41 @@ def test_shifted_poisson_keeps_a_tiny_mass_below_r(b, r):
         want = mpmath.exp(-lam) * mpmath.fsum(lam**j / mpmath.factorial(j) for j in range(r - 2))
     assert d.prob_below(r) == pytest.approx(float(want), rel=1e-12, abs=0)
     assert gw.pc_exact(d, r).method == "subcritical-mass"
+
+
+@pytest.mark.parametrize("top", range(9))
+def test_poisson_upper_of_an_array_is_that_of_each_float(top):
+    # the array's series is one running product and one running sum over a
+    # block of rows, in the float loop's order, and its exps are numpy's for
+    # both: every element has the bits of the float, s < top or not
+    s = np.r_[np.geomspace(1e-8, 1e3, 157), np.arange(1.0, 10.0), np.nextafter(np.arange(1.0, 10.0), 0.0)]
+    ls = np.log(s)
+    arrays = _poisson_upper(s, ls, top)
+    floats = [_poisson_upper(v, lv, top) for v, lv in zip(s.tolist(), ls.tolist())]
+    assert len(arrays) == top + 1
+    for n in range(top + 1):
+        want = np.array([f[n] for f in floats])
+        got = np.broadcast_to(arrays[n], s.shape)
+        assert got.tobytes() == want.tobytes(), (top, n, s[got != want])
+    with mpmath.workdps(40):  # and the values are P(Poisson(s) >= n), the regularised lower gamma P(n, s)
+        for v, f in zip(s.tolist()[::13], floats[::13]):
+            for n in range(1, top + 1):
+                want = mpmath.gammainc(n, 0, v, regularized=True)
+                assert f[n] == pytest.approx(float(want), rel=1e-13, abs=0), (top, v, n)
+
+
+def test_poisson_refusal_needs_no_pmf_table():
+    # the pmf table of j <= J = floor(lam + 15 sqrt(lam)) + 100 passes ENUM_CAP
+    # from b = 1978802 on; the refusal reads J alone, and a law that answers
+    # builds no table at r = 2 (poisson:b=1e6 built one of 1,015,100 entries)
+    last, first = make_distribution("poisson:b=1978801"), make_distribution("poisson:b=1978802")
+    assert (last._J, first._J) == (1_999_999, 2_000_000)
+    last.refuse_past_cap()
+    with pytest.raises(PreconditionError, match="pmf table"):
+        first.refuse_past_cap()
+    with pytest.raises(PreconditionError, match="pmf table"):
+        first.alpha_moment(0.5)
+    assert "_table" not in last.__dict__ and "_table" not in first.__dict__
 
 
 def test_rejects_mass_at_zero():
