@@ -15,8 +15,9 @@ p_c = 1 - 1/M.  The one-level survival map has one form for every law,
 
 with P(xi < r) stored in the evaluation context.  One term loop,
 ``_g_sum``, reads the context's log-binomial tables for a block of x and for
-G(x) at a single x alike, with x innermost, so each numpy op loops over x in
-C; each x's sum over the support is its own dot product (``_row_dots``), so
+G(x) at a single x alike, the longer of the atoms and the x of a block
+innermost, so each numpy op loops over it in C; each x's sum over the
+support is its own dot product (``_row_dots``), so
 G at a point has the same bits in any array: one step of the survival
 recursion costs about 10 us on a support of a few hundred atoms.  A point
 mass or a heavy or pruned law sums its few terms at an interior x in scalar
@@ -34,8 +35,8 @@ closed form (the law's ``thinned``), so x G(x) = P(Bin(xi, y) < r
 <= xi) is a sum of O(r^2) non-negative terms at any b, and G - 1 near x = 1
 is (y - P(xi < r) - P(Bin(xi, y) >= r))/x, without cancellation.  One code
 takes a float and an array (``_thinned``), its exps numpy's either way
-(``offspring._exp``), so G - 1 at a point has the same bits in any array; h
-costs 2-4 us there at r = 2.
+(``offspring._exp``), so G - 1 at a point has the same bits in any array
+where numpy's exp does (see there); h costs 2-3 us there at r = 2.
 
 For the heavy-tail law with pmf (r-1)/(k(k-1)) the full mixture is
 identically 1, and the deficiency of a truncated mixture,
@@ -181,8 +182,10 @@ def _deficiency(r: int, m: int, lx: float | np.ndarray, l1x: float | np.ndarray)
 
 # (i, k, x) elements of ``_g_sum``'s temporary in one block of x, 512 kB
 _BLOCK = 1 << 16
-# the fewest elements of that temporary whose underflowing terms skip exp
-_LIVE_MIN = 1 << 12
+# a larger temporary bounds its logs from below first, to skip exp where they
+# underflow (``_exp_live``); the bound costs 4 us, 5-10% of a 4k-16k block
+# (2-vCPU Xeon, numpy 2.4)
+_LIVE_MIN = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,11 +196,13 @@ class GEvalContext:
 
         G(x) = const + sum_j weights_j g_{ks_j}^r(x) + sum_{(m, c) in body} c D_r(m, x),
 
-    with ``log_binom[i, j, 0] = log C(ks_j, i)`` and ``powers[i, j, 0] = ks_j - i - 1``
-    tabulated once for i < r, shaped (r, len(ks), 1) so that a float log x
-    and a (1, n) row of them broadcast alike, x innermost.  Enumerable laws put
-    their support >= r in ``ks`` (``const`` 0, ``body`` empty); the heavy and pruned
-    laws put their own atoms there, every weight a mass, and their body in
+    with ``log_binom[i, 0, j] = log C(ks_j, i)`` and ``powers[i, 0, j] = ks_j - i - 1``
+    tabulated once for i < r, shaped (r, 1, len(ks)) so that a float log x
+    and an (n, 1) column of them broadcast alike, k innermost; a block of
+    more x than atoms views them as (r, len(ks), 1), x innermost (``_g_sum``).
+    Enumerable laws put their support >= r in ``ks`` (``const`` 0, ``body``
+    empty); the heavy and pruned laws put their own atoms there, in ascending
+    order as every law's, every weight a mass, and their body in
     ``const`` and ``body``: the top's term -c D_r(top, x) first (none for the
     heavy law's infinite top), then at r < s, s the law's threshold, the lower
     cut's c D_r(s-1, x), c = (s-1)/(r-1).  At r >= s that cut is c D_r(r-1, x)
@@ -267,14 +272,14 @@ def make_context(dist: OffspringDistribution, r: int) -> GEvalContext:
     rows = r if len(ks) else 0  # an empty support needs no table
     # log C(k, i) = sum_{j<i} log(k-j) - log i!, a sum of i logs rather than a
     # difference of log-factorials near log k!
-    log_binom = np.zeros((rows, len(ks), 1))
-    log_binom[1:] = np.log(ks[:, None] - np.arange(rows - 1.0)[:, None, None])
+    log_binom = np.zeros((rows, 1, len(ks)))
+    log_binom[1:] = np.log(ks - np.arange(rows - 1.0)[:, None, None])
     np.add.accumulate(log_binom, axis=0, out=log_binom)  # in order of i, one sum at a time
     log_binom -= np.array([math.lgamma(i + 1.0) for i in range(rows)])[:, None, None]
     return GEvalContext(
         r=r, prob_below=float(dist.prob_below(r)),
         ks=_frozen(ks), weights=_frozen(w), log_binom=_frozen(log_binom),
-        powers=_frozen(ks[:, None] - 1.0 - np.arange(rows, dtype=float)[:, None, None]),
+        powers=_frozen(ks - 1.0 - np.arange(rows, dtype=float)[:, None, None]),
         body=body, const=const,
         atoms=tuple(zip(ks.tolist(), w.tolist())) if body or const or len(ks) == 1 else None,
         thin=thin,
@@ -287,10 +292,12 @@ def _counts(r: int) -> np.ndarray:
     return _frozen(np.arange(r, dtype=float)[:, None, None])
 
 
-def _exp_live(lg: np.ndarray) -> np.ndarray:
-    """exp of lg in place.  In more than ``_LIVE_MIN`` terms a log below -746 is 0
-    without a call of exp, which is slow there (the same 0)."""
-    if lg.size > _LIVE_MIN:
+def _exp_live(lg: np.ndarray, lowest: float) -> np.ndarray:
+    """exp of lg in place, given a lower bound on its elements.  Where the bound lies
+    below -746, a log below -746 is 0 without a call of exp, which is slow there
+    (the same 0): 3-8 times faster on blocks of 60k terms where most logs are that
+    low, though twice the plain exp where none is."""
+    if lowest < -746.0:
         live = lg > -746.0
         np.exp(lg, out=lg, where=live)
         lg[~live] = 0.0
@@ -303,31 +310,47 @@ def _g_sum(ctx: GEvalContext, lx: float | np.ndarray, l1x: float | np.ndarray) -
     """sum_{i<r} C(k, i) x^(k-i-1) (1-x)^i for each k of ``ctx.ks``, from the logs
     of x and 1-x (or any values in their place), summed in log space term by term.
 
-    A float log x gives one row, shape (1, len(ks)); a (1, n) row of them gives
-    a block, shape (n, len(ks)).  The (r, len(ks), n) temporary has x
-    innermost, so each op loops over x in C.  Each term is formed in place,
-    (k-i-1) log x, + log C(k, i), + i log(1-x), then exp, and the terms are
-    summed in order of i: so a row and the same x in a block agree bit for
-    bit.  Where r is at most the len(ks) n sums, each step over i is one op on
-    the whole block; past that (a large r, a single x) the steps are one op
-    each, the sum one ``np.add.accumulate`` (a scan over i per sum).  The block
-    is turned to one row per x (a float's row is already one, and is not
-    copied).  An empty support has no table and takes no loop over i < r.
+    A float log x gives one row, shape (1, len(ks)); a 1-D array of n gives a
+    block, shape (n, len(ks)).  The (r, ., .) temporary has the longer of its
+    two other axes innermost, so each op loops over it in C: k for a single x
+    or a block of at most len(ks) x (the tables as held, x a column), x for a
+    larger block (the tables viewed as (r, len(ks), 1), x a row; the result
+    is turned to one row per x).  Each term is formed in place, (k-i-1) log x,
+    + log C(k, i), + i log(1-x), then exp, and the terms are summed in order
+    of i: by one op per i on the whole temporary, or where r passes the
+    len(ks) n sums (a point mass at a large r, a single piece) by one scan
+    over i per sum (``np.add.accumulate``), as r ops cost about r us and n
+    scans about 12 n ns; at r = 2 the loop's two ops are fewer than the
+    scan's three.  The operations on each element are the same in
+    either layout and either sum, so a row and the same x in any block agree
+    bit for bit.  An empty support has no table and takes no loop over i < r.
     """
     if not len(ctx.ks):
         return np.zeros((np.size(lx), 0))
-    lg = ctx.powers * lx
-    lg += ctx.log_binom
-    if ctx.r * ctx.r > lg.size:
-        lg += _counts(ctx.r) * l1x
-        gk = np.add.accumulate(_exp_live(lg), axis=0, out=lg)[-1]
+    block = isinstance(lx, np.ndarray)
+    x_inner = block and len(lx) > len(ctx.ks)
+    if x_inner:
+        shape = (ctx.r, len(ctx.ks), 1)
+        lg = ctx.powers.reshape(shape) * lx
+        lg += ctx.log_binom.reshape(shape)
     else:
+        if block:
+            lx, l1x = lx[:, None], l1x[:, None]
+        lg = ctx.powers * lx
+        lg += ctx.log_binom
+    lowest = 0.0
+    if lg.size > _LIVE_MIN:  # no log lies below this: logs <= 0, log C(k, i) >= 0, ks ascend
+        lowest = (ctx.ks[-1] - 1.0) * np.min(lx) + (ctx.r - 1.0) * np.min(l1x)
+    if 2 < ctx.r and ctx.r * ctx.r > lg.size:  # r > len(ks) n: one scan over i per sum
+        lg += _counts(ctx.r) * l1x
+        gk = np.add.accumulate(_exp_live(lg, lowest), axis=0, out=lg)[-1]
+    else:  # one op per i on the whole block
         for i in range(1, ctx.r):
             lg[i] += l1x * i
-        gk = _exp_live(lg)[0]
+        gk = _exp_live(lg, lowest)[0]
         for i in range(1, ctx.r):
             gk += lg[i]
-    return np.ascontiguousarray(gk.T)
+    return np.ascontiguousarray(gk.T) if x_inner else gk
 
 
 def _row_dots(gk: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -374,7 +397,7 @@ def _G_block(ctx: GEvalContext, xs: np.ndarray, lx: np.ndarray, l1x: np.ndarray,
         inner = ~ends
         out[inner] = _thinned(ctx, xs[inner], lx[inner], l1x[inner], base)
         return out
-    gk = _g_sum(ctx, lx[None], l1x[None])
+    gk = _g_sum(ctx, lx, l1x)
     gk[ends] = np.where(xs[ends, None] == 0.0, np.where(ctx.ks == ctx.r, float(ctx.r), 0.0), 1.0)
     out = _row_dots(gk, ctx.weights) + base
     for m, c in ctx.body:
@@ -482,7 +505,7 @@ def G_upper(ctx: GEvalContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return out * (1.0 + 2.0**-36 + 2.0**-51 * ctx.thin.exp_size(ctx.r)) + ctx.r * 2.0**-1070 / b
     out = np.empty(len(b))
     for rows in _row_blocks(ctx, len(b)):
-        out[rows] = _row_dots(_g_sum(ctx, lb[None, rows], l1a[None, rows]), ctx.weights)
+        out[rows] = _row_dots(_g_sum(ctx, lb[rows], l1a[rows]), ctx.weights)
     for m, c in ctx.body:
         if c > 0.0:
             out += c * _deficiency(ctx.r, m, lb, l1a)

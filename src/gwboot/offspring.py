@@ -912,14 +912,20 @@ class Pruned(HeavyTail):
 
 def _exp(t):
     """numpy's exp of a float or of each element of an array: the thinned forms'
-    one exp, so a float has the bits of the same argument at any place in any
-    array (numpy 2.4 on a Xeon: no mismatch over 10^5 arguments, in arrays 1 to
-    33 long at any offset and in a strided view).  Its error is at most 0.66
-    ulp (libm's 0.50).  Arguments are cut at 709, where only ``G_upper``'s bound (always an
-    array) can reach: a bound of 8e307 rules nothing out."""
+    one exp, whose error is at most 0.66 ulp (libm's 0.50).
+
+    A float has the bits of the same argument at any place in any array where
+    numpy's exp loop is the same for a 0-d and an n-element contiguous input
+    (numpy 2.4 on a Xeon: no mismatch over 10^5 arguments, in arrays 1 to 33
+    long at any offset and in a strided view);
+    ``test_thinned_G_at_a_point_does_not_depend_on_its_array`` checks it.
+    Array arguments are cut at 709, where only ``G_upper``'s bound can reach: a
+    bound of 8e307 rules nothing out.  A float, from a single x, is the log
+    of a probability.
+    """
     if isinstance(t, np.ndarray):
         return np.exp(np.minimum(t, 709.0))
-    return float(np.exp(min(t, 709.0)))
+    return float(np.exp(t))
 
 
 @functools.cache

@@ -763,8 +763,9 @@ def test_max_G_pruned_scan_cost(monkeypatch):
 
 
 # multi-atom laws at r up to 8, whose single x is a row of the tables: a
-# single x or a single piece steps over i < r in one op each (r^2 > r len(ks)),
-# the grid one op per i over the block
+# single x or a single piece sums over i < r by one scan where r > len(ks)
+# (r = 5, 6, 8), else by one op per i as the grid does; blocks of fewer x
+# than atoms hold k innermost, larger ones x
 TABLE_ROWS = [("twopoint:b=5,a=9", 2), ("pmf:2=0.2,5=0.3,9=0.4,13=0.1", 4), ("pmf:2=0.2,5=0.3,9=0.4,13=0.1", 5),
               ("pmf:3=0.1,8=0.2,9=0.3,12=0.25,20=0.15", 3), ("pmf:3=0.1,8=0.2,9=0.3,12=0.25,20=0.15", 6),
               ("pmf:3=0.1,8=0.2,9=0.3,12=0.25,20=0.15", 8)]
