@@ -29,14 +29,7 @@ __all__ = [
     "lb_branching_exact",
     "lb_branching_simplified",
     "ub_pruned",
-    "alpha_bound_constant",
-    "lb_alpha_moment",
     "lb_fort",
-    "ub_fort",
-    "ub_fort_weak",
-    "lb_second_moment",
-    "lb_second_moment_weak",
-    "ub_regular_rd",
     "bounds_report",
     "sandwich_violations",
 ]
@@ -117,13 +110,8 @@ def alpha_bound_constant(r: int, alpha: float) -> float:
     return (r - 1.0) / r * min(c1, c2)
 
 
-def lb_alpha_moment(d: OffspringDistribution, r: int, alpha: float) -> float:
-    """c_{r,alpha} (E xi^{1+alpha})^{-1/alpha}; vacuous 0 for infinite moment."""
-    return _alpha_entry(d.alpha_moment(alpha), r, alpha).raw
-
-
 def _alpha_entry(m: float, r: int, alpha: float) -> BoundEntry:
-    """lb_alpha_moment from m = E xi^{1+alpha}."""
+    """lb_alpha_moment, c_{r,alpha} m^{-1/alpha} from m = E xi^{1+alpha}; vacuous 0 for infinite m."""
     if math.isinf(m):
         return _entry("lb_alpha_moment", 0.0, f"vacuous: infinite (1+{alpha:g})-moment", False)
     return _entry("lb_alpha_moment", alpha_bound_constant(r, alpha) * m ** (-1.0 / alpha), f"alpha={alpha:g}")
@@ -184,42 +172,23 @@ def lb_fort(d: OffspringDistribution) -> float:
         top *= 4
 
 
-def ub_fort(d: OffspringDistribution) -> float:
-    """E(1/((xi-1)(2xi-3))), an upper bound on p_c for r = 2."""
-    return d.fort_upper_moment()
-
-
-def ub_fort_weak(d: OffspringDistribution) -> float:
-    """E(4/xi^2), the looser companion of ub_fort."""
-    return 4.0 * d.inverse_square_moment()
-
-
-def lb_second_moment(d: OffspringDistribution) -> float:
-    """Second-factorial-moment lower bound for r = 2.
-
-    The quadratic minorant of G peaks at x_v = 1 - 1/(E(xi)_2 - 2); the
-    usual form 1/(2 E(xi)_2 - 3) assumes x_v in [0,1], i.e. E(xi)_2 >= 3.
-    Below that the maximum sits at x = 0 and the bound is 1 - 2/(6 - E(xi)_2)
-    (the two agree at E(xi)_2 = 3; near-degenerate laws like the point mass
-    at 2 would otherwise receive an invalid bound above their true p_c).
-    """
-    return _second_moment_entry(d.second_factorial_moment()).raw
-
-
 def _second_moment_entry(m2: float) -> BoundEntry:
-    """lb_second_moment from m2 = E(xi)_2."""
+    """lb_second_moment, the second-factorial-moment lower bound for r = 2, from m2 = E(xi)_2.
+
+    The quadratic minorant of G peaks at x_v = 1 - 1/(m2 - 2); the usual form
+    1/(2 m2 - 3) assumes x_v in [0,1], i.e. m2 >= 3.  Below that the maximum
+    sits at x = 0 and the bound is 1 - 2/(6 - m2) (the two agree at m2 = 3;
+    near-degenerate laws like the point mass at 2 would otherwise receive an
+    invalid bound above their true p_c).
+    """
     if math.isinf(m2):
         return _entry("lb_second_moment", 0.0, "vacuous: infinite second moment", False)
     return _entry("lb_second_moment", 1.0 / (2.0 * m2 - 3.0) if m2 >= 3.0 else 1.0 - 2.0 / (6.0 - m2))
 
 
-def lb_second_moment_weak(d: OffspringDistribution) -> float:
-    """1/(2 E(xi^2)), the looser companion of lb_second_moment; 0 for infinite moments."""
-    return _second_moment_weak_entry(d.second_factorial_moment(), d.mean()).raw
-
-
 def _second_moment_weak_entry(m2: float, mu: float) -> BoundEntry:
-    """lb_second_moment_weak from m2 = E(xi)_2 and mu = E(xi); E(xi^2) = m2 + mu."""
+    """lb_second_moment_weak, 1/(2 E(xi^2)), the looser companion of lb_second_moment,
+    from m2 = E(xi)_2 and mu = E(xi); E(xi^2) = m2 + mu."""
     return _entry("lb_second_moment_weak", 1.0 / (2.0 * (m2 + mu)))
 
 
@@ -258,8 +227,8 @@ def bounds_report(
         entries.append(_second_moment_entry(m2))
         if not math.isinf(m2):
             entries.append(_second_moment_weak_entry(m2, mean_val))
-        entries.append(_entry("ub_fort", ub_fort(d)))
-        entries.append(_entry("ub_fort_weak", ub_fort_weak(d)))
+        entries.append(_entry("ub_fort", d.fort_upper_moment()))  # E(1/((xi-1)(2xi-3)))
+        entries.append(_entry("ub_fort_weak", 4.0 * d.inverse_square_moment()))  # E(4/xi^2)
     if d.spec.family == "regular" and int(d.spec.b) >= r:
         entries.append(_entry("ub_regular_rd", ub_regular_rd(int(d.spec.b), r)))
     if isinstance(d, Pruned) and d.r == r:

@@ -259,8 +259,9 @@ class _LimitSearch:
     """One ``q_limit`` call: the context, p, tol and the evaluations made so far.
 
     ``run`` steps from 1 - p and tries Aitken's lower end every third step.  A
-    search that can still reach 0 stops at step ``_DECIDE_AT`` or at a stall
-    and asks ``max_G`` once (``decide_by_max``): a certified 0 above p_c + err,
+    search that can still reach 0 stops at step ``_DECIDE_AT``, or at a stall
+    that one probe at q - tol/2 does not close, and asks ``max_G`` once
+    (``decide_by_max``): a certified 0 above p_c + err,
     [0, q] unconverged within err, and below p_c - err one grid bracket right
     of x_star (``bracket_right_of``).  Where that finds no bracket, and on
     every law with mass below r, the search steps on to the cap.
@@ -307,7 +308,15 @@ class _LimitSearch:
             h_q = _step(ctx, p, q)
             self.evals += 1
             if h_q + e >= q:
-                return self.stalled(q, h_q - q, can_die)
+                # a stall, h(q) - q within eps(q): a lower end tol/2 below q closes
+                # the bracket, or else p lies next to p_c
+                if self.tol / 2 <= GRID_STEP:
+                    lower = max(q - self.tol / 2, 0.0)
+                    f_lower = self.f(lower)
+                    if f_lower > self.eps(lower):
+                        return self.close(lower, f_lower, q, h_q - q)
+                res = self.decide_by_max(q) if can_die else None
+                return res or QLimitResult(q, 0.0, q, False, self.evals)
             x0, x1, q = x1, q, h_q + e
             t += 1
             if can_die and t == _DECIDE_AT:
@@ -333,21 +342,6 @@ class _LimitSearch:
                 if f_lower > self.eps(lower):
                     return self.close(lower, f_lower, x1, -(d2 + e))
         return QLimitResult(q, 0.0, q, False, self.evals)
-
-    def stalled(self, q: float, f_q: float, can_die: bool) -> QLimitResult:
-        """h(q) - q lies within eps(q): look for a lower end max(q - w, 0), w = tol/2,
-        tol, 2 tol, ... up to ``GRID_STEP``; past that p is next to p_c."""
-        w = self.tol / 2
-        while w <= GRID_STEP and self.evals < Q_ITERATION_CAP:
-            lower = max(q - w, 0.0)
-            f_lower = self.f(lower)
-            if f_lower > self.eps(lower):
-                return self.close(lower, f_lower, q, f_q)
-            if lower == 0.0:
-                break
-            w *= 2
-        res = self.decide_by_max(q) if can_die else None
-        return res or QLimitResult(q, 0.0, q, False, self.evals)
 
     def zero_certified(self, q: float) -> bool:
         """True if (1-p) G < 1 on (0, q], so that h(x) < x there and 0 is the limit."""
@@ -393,25 +387,48 @@ class _LimitSearch:
         that G has no mode narrower than ``GRID_STEP``: then grid values that do
         not rise on [x_star, q] mean that G decreases there, so (1-p) G = 1 has
         one root there, and that root is q*.  Where x_star = 0 and no grid point
-        has f > eps, the root lies below the grid, and the points q 2^-k,
-        k = 0..1074, take the grid's place.  The two ends are evaluated again by
-        the scalar ``f`` that ``close`` goes on with (the array path of a point
-        mass, a heavy or a pruned law is a few ulps off it).  None where G
-        rises (another mode right of x_star), where no bracket is found, or
-        where the scalar values do not confirm it.
+        has f > eps, the root lies below the grid, and ``halving`` finds it.  The
+        grid's two ends are evaluated again by the scalar ``f`` that ``close``
+        goes on with (the array path of a point mass, a heavy or a pruned law is
+        a few ulps off it).  None where G rises (another mode right of x_star), where
+        no bracket is found, or where the scalar values do not confirm it.
         """
         if not x_star < q:
             return None
         ends = self.ends_on(*kernels.G_on_grid(self.ctx, x_star, q))
         if ends == (None, None) and x_star == 0.0:
-            xs = np.r_[0.0, q * np.exp2(np.arange(-1074.0, 1.0))]
-            ends = self.ends_on(xs, kernels.G(self.ctx, xs))
+            return self.halving(q)
         if ends is None or None in ends:
             return None
         lo, hi = ends
         f_lo, f_hi = self.f(lo), self.f(hi)
         if f_lo > self.eps(lo) and f_hi < -self.eps(hi):
             return self.close(lo, f_lo, hi, f_hi)
+        return None
+
+    def halving(self, q: float) -> Optional[QLimitResult]:
+        """q* closed below the first grid point, where x_star = 0 and no grid point
+        has f > eps, or None.
+
+        The lower end is the first of q/2, q/4, ... with f > eps, the upper end
+        the next point back up, doubling toward q, with f < -eps; each is taken
+        by the scalar ``f``.  The grid values on [0, q], which do not rise, keep
+        the mode assumption ``bracket_right_of`` states.
+        """
+        fs = []  # f(q 2^-k) for k = 1, 2, ..., none of them above eps
+        while True:
+            lo = math.ldexp(q, -len(fs) - 1)
+            if lo == 0.0:
+                return None
+            f_lo = self.f(lo)
+            if f_lo > self.eps(lo):
+                break
+            fs.append(f_lo)
+        for k in range(len(fs), -1, -1):
+            hi = math.ldexp(q, -k)
+            f_hi = fs[k - 1] if k else self.f(q)
+            if f_hi < -self.eps(hi):
+                return self.close(lo, f_lo, hi, f_hi)
         return None
 
     def ends_on(self, xs: np.ndarray, vals: np.ndarray) -> Optional[tuple]:
@@ -492,7 +509,10 @@ def q_limit(d: OffspringDistribution, r: int, p: float, tol: float = 1e-12) -> Q
     the bracket is about the band |h(x) - x| <= eps(x): at most a few eps
     over the slope |1 - h'| wider than tol.  The upper end assumes that G has
     no mode narrower than ``GRID_STEP``, the assumption ``max_G`` makes, so
-    the bracket starts only once iterate - l <= GRID_STEP.
+    the bracket starts only once iterate - l <= GRID_STEP.  An iterate q_t at
+    which h(q_t) - q_t lies within eps(q_t) is a stall: q_t - tol/2 is tried
+    once as a lower end, and where it fails the search asks ``max_G`` as below
+    or, with mass below r, ends at [0, q_t] unconverged.
 
     Two certificates cover a limit of 0 (with P(xi < r) = 0).  Where the
     extrapolate points to 0, ``kernels.G_upper`` bounds G over pieces of
@@ -512,7 +532,8 @@ def q_limit(d: OffspringDistribution, r: int, p: float, tol: float = 1e-12) -> Q
     with h(x) - x < -eps bracket the limit, closed as above.  The upper end
     rests on the mode assumption of ``max_G`` again: G has no mode narrower
     than ``GRID_STEP``.  Where x_star = 0 and the root lies below the first
-    grid point, the points q_t 2^-k take the grid's place.  q* jumps at p_c:
+    grid point, q_t is halved until h(x) - x > eps, and the next point back up
+    with h(x) - x < -eps is the upper end.  q* jumps at p_c:
     q* -> x_star as p rises to p_c, and q* = 0 above it.
 
     Where the values rise (another mode right of x_star), where no bracket

@@ -77,7 +77,6 @@ __all__ = [
     "G",
     "G_minus_1",
     "G_upper",
-    "G_on_grid",
     "h",
     "MaxResult",
     "max_G",

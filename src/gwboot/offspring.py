@@ -70,8 +70,6 @@ __all__ = [
     "OffspringDistribution",
     "make_distribution",
     "parse_spec",
-    "prune_eta",
-    "pruned_threshold",
     "harmonic_number",
 ]
 
@@ -374,10 +372,6 @@ class OffspringDistribution:
     def prob_below(self, r: int) -> float:
         """P(xi < r)."""
         return 0.0 if r <= self.support_min else 1.0 - self.tail(r - 1)
-
-    def truncation_cutoff(self, tail_target: float) -> int:
-        """Smallest convenient K with tail(K) <= tail_target: the top atom of a finite support."""
-        return self.support_max
 
     def support_probs(self, upto: Optional[int] = None) -> tuple[np.ndarray, np.ndarray]:
         """(ks, probs) arrays for the support truncated at ``upto``."""
@@ -804,11 +798,6 @@ class HeavyTail(OffspringDistribution):
         ks, ws = (np.array(c) for c in zip(*self.atoms))
         return math.fsum([body, *(ws * f(ks)).tolist()])
 
-    def truncation_cutoff(self, tail_target):
-        if self.top is not None:
-            return self.top
-        return max(self.r, math.ceil((self.r - 1) / tail_target))
-
     def support_probs(self, upto=None):
         top = upto
         if self.top is not None:
@@ -1158,7 +1147,7 @@ def _body_expect(rr: int, top: Optional[int], f, tail) -> float:
 
 
 # ---------------------------------------------------------------------------
-# public constructors and functional wrappers
+# public constructors
 
 
 def make_distribution(spec: DistributionSpec | str) -> OffspringDistribution:
@@ -1171,11 +1160,6 @@ def make_distribution(spec: DistributionSpec | str) -> OffspringDistribution:
 def pruned_threshold(r: int) -> float:
     """(r-1) log(4er): the pruned law needs b at least this, and ub_pruned holds above it."""
     return (r - 1) * math.log(4 * math.e * r)
-
-
-def prune_eta(r: int, b: float) -> Pruned:
-    """The pruned heavy-tail law with threshold r and mean exactly b."""
-    return make_distribution(DistributionSpec(family="pruned", r=r, b=float(b)))
 
 
 # each family once: its spec name, its parameters in label order, its class

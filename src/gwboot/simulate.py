@@ -65,10 +65,7 @@ __all__ = [
     "run_bootstrap",
     "root_fort_status",
     "SimEstimate",
-    "check_estimate_args",
     "estimate_qn",
-    "expected_tree_size",
-    "block_size",
     "replicate_rng",
 ]
 

@@ -16,7 +16,7 @@ import gwboot as gw
 from gwboot.bounds import bounds_report, lb_branching_exact, sandwich_violations, ub_pruned
 from gwboot.critical import pc_closed_form, pc_exact, q_iterate
 from gwboot.kernels import binom_lte, g, make_context
-from gwboot.offspring import harmonic_number, make_distribution, parse_spec, prune_eta
+from gwboot.offspring import harmonic_number, make_distribution, parse_spec
 from gwboot.simulate import estimate_qn, root_fort_status, run_bootstrap, sample_marks, sample_tree
 from gwboot.layered import verify_no_fixed_point
 
@@ -107,7 +107,7 @@ def test_criterion_6_heavy_tail():
 def test_criterion_7_pruned_sandwich():
     msgs = []
     for b in (15.0, 20.0, 25.0):
-        eta = prune_eta(2, b)
+        eta = make_distribution(f"pruned:r=2,b={b!r}")
         assert abs(eta.mean() - b) <= 1e-10
         pc = pc_exact(eta, 2).pc
         lo = lb_branching_exact(eta, 2)

@@ -16,20 +16,21 @@ from gwboot.bounds import (
     _fort_terms,
     alpha_bound_constant,
     bounds_report,
-    lb_alpha_moment,
     lb_branching_exact,
     lb_branching_simplified,
     lb_fort,
-    lb_second_moment,
-    lb_second_moment_weak,
     sandwich_violations,
-    ub_fort,
-    ub_fort_weak,
     ub_pruned,
     ub_regular_rd,
 )
 from gwboot.critical import pc_exact
-from gwboot.offspring import PreconditionError, make_distribution, prune_eta
+from gwboot.offspring import PreconditionError, make_distribution
+
+
+def entry(d, r, name, alpha=0.5):
+    """The raw value of the report entry ``name`` of (d, r)."""
+    entries = bounds_report(d, r, alpha=alpha, with_reference=False).entries
+    return {e.name: e.raw for e in entries}[name]
 
 
 def test_lb_branching_exact_values():
@@ -44,7 +45,7 @@ def test_lb_branching_exact_values():
 
 
 def test_lb_branching_exact_pruned_sandwich():
-    eta = prune_eta(2, 20.0)
+    eta = make_distribution("pruned:r=2,b=20.0")
     v = lb_branching_exact(eta, 2)
     assert 0 < v <= pc_exact(eta, 2).pc
 
@@ -80,7 +81,7 @@ def test_ub_pruned_values():
 
 def test_ub_pruned_sandwich():
     for b in (15.0, 20.0, 25.0):
-        eta = prune_eta(2, b)
+        eta = make_distribution(f"pruned:r=2,b={b!r}")
         assert pc_exact(eta, 2).pc <= ub_pruned(2, b)[0]
 
 
@@ -94,11 +95,11 @@ def test_alpha_constant_continuity_r3():
 
 def test_lb_alpha_moment_values():
     d = make_distribution("regular:b=4")
-    v = lb_alpha_moment(d, 2, 0.5)
+    v = entry(d, 2, "lb_alpha_moment", alpha=0.5)
     # E(xi^1.5) = 8, exponent -1/alpha = -2
     assert v == pytest.approx(alpha_bound_constant(2, 0.5) / 64.0, rel=1e-12)
     assert 0 < v <= pc_exact(d, 2).pc
-    assert lb_alpha_moment(make_distribution("heavy:r=2"), 2, 0.5) == 0.0
+    assert entry(make_distribution("heavy:r=2"), 2, "lb_alpha_moment", alpha=0.5) == 0.0
     with pytest.raises(PreconditionError):
         alpha_bound_constant(2, 1.0)
 
@@ -109,7 +110,7 @@ def test_lb_alpha_sandwich_grid():
         d = make_distribution(spec)
         pc = pc_exact(d, r).pc
         for alpha in (0.25, 0.5, 0.75, 0.9):
-            assert lb_alpha_moment(d, r, alpha) <= pc + 1e-8
+            assert entry(d, r, "lb_alpha_moment", alpha=alpha) <= pc + 1e-8
 
 
 def test_lb_fort_values():
@@ -126,32 +127,33 @@ def test_lb_fort_may_be_negative():
 
 
 def test_ub_fort_values():
-    assert ub_fort(make_distribution("regular:b=3")) == pytest.approx(1 / 6, rel=1e-12)
-    assert ub_fort(make_distribution("regular:b=2")) == pytest.approx(1.0, rel=1e-12)
+    assert entry(make_distribution("regular:b=3"), 2, "ub_fort") == pytest.approx(1 / 6, rel=1e-12)
+    assert entry(make_distribution("regular:b=2"), 2, "ub_fort") == pytest.approx(1.0, rel=1e-12)
     d = make_distribution("geometric:b=3")
-    assert ub_fort(d) >= pc_exact(d, 2).pc - 1e-12
-    assert ub_fort_weak(d) >= ub_fort(d) - 1e-12
+    assert entry(d, 2, "ub_fort") >= pc_exact(d, 2).pc - 1e-12
+    assert entry(d, 2, "ub_fort_weak") >= entry(d, 2, "ub_fort") - 1e-12
 
 
 def test_lb_second_moment_values():
-    assert lb_second_moment(make_distribution("regular:b=3")) == pytest.approx(1 / 9, rel=1e-12)
+    def lb_second_moment(spec):
+        return entry(make_distribution(spec), 2, "lb_second_moment")
+
+    assert lb_second_moment("regular:b=3") == pytest.approx(1 / 9, rel=1e-12)
     for b in (3.0, 5.0, 9.0):
-        assert lb_second_moment(make_distribution(f"poisson:b={b}")) == pytest.approx(
-            1.0 / (2 * b * b - 7), rel=1e-12
-        )
-        assert lb_second_moment(make_distribution(f"geometric:b={b}")) == pytest.approx(
+        assert lb_second_moment(f"poisson:b={b}") == pytest.approx(1.0 / (2 * b * b - 7), rel=1e-12)
+        assert lb_second_moment(f"geometric:b={b}") == pytest.approx(
             1.0 / (4 * (b - 1) ** 2 - 3), rel=1e-12
         )
     # degenerate corner: E(xi(xi-1)) = 2 < 3 falls back to the endpoint form
-    assert lb_second_moment(make_distribution("regular:b=2")) == pytest.approx(0.5, abs=1e-15)
-    assert lb_second_moment(make_distribution("heavy:r=2")) == 0.0
+    assert lb_second_moment("regular:b=2") == pytest.approx(0.5, abs=1e-15)
+    assert lb_second_moment("heavy:r=2") == 0.0
 
 
 def test_lb_second_moment_endpoint_regime_is_still_a_lower_bound():
     # laws barely above the point mass at 2
     for eps in (0.01, 0.05, 0.2):
         d = make_distribution(f"pmf:2={1-eps},3={eps}")
-        assert lb_second_moment(d) <= pc_exact(d, 2).pc + 1e-10
+        assert entry(d, 2, "lb_second_moment") <= pc_exact(d, 2).pc + 1e-10
 
 
 def test_ub_regular_rd():
@@ -216,7 +218,7 @@ def test_report_rejects_alpha_outside_unit_interval(alpha):
                                   (4, 92), (4, 99.7)])
 def test_pruned_far_from_threshold_smoke(r, b):
     # laws the double-precision k0 search could not build
-    d = prune_eta(r, b)
+    d = make_distribution(f"pruned:r={r},b={b}")
     rep = bounds_report(d, r)
     assert 0.0 <= rep.pc_ref.pc <= 1.0
     assert sandwich_violations(rep) == []
@@ -433,21 +435,17 @@ def _criterion_8_pairs():
 @pytest.mark.parametrize("spec, r", _criterion_8_pairs() + [(f"heavy:r={r}", r) for r in (2, 3, 4)]
                          + [("pruned:r=3,b=16", 3), ("pruned:r=4,b=66", 4)])
 def test_public_bound_functions_return_their_report_entry(spec, r):
-    # each bound is written once: its public function returns the raw of its report entry
+    # each bound is written once: a bound with a function of its own returns the raw
+    # of its report entry; the moment bounds are read from the report alone
     d = make_distribution(spec)
     public = {
         "lb_branching_exact": lambda: lb_branching_exact(d, r),
         "lb_branching_simplified": lambda: lb_branching_simplified(d.mean(), r),
-        "lb_alpha_moment": lambda: lb_alpha_moment(d, r, 0.5),
         "lb_fort": lambda: lb_fort(d),
-        "lb_second_moment": lambda: lb_second_moment(d),
-        "lb_second_moment_weak": lambda: lb_second_moment_weak(d),
-        "ub_fort": lambda: ub_fort(d),
-        "ub_fort_weak": lambda: ub_fort_weak(d),
         "ub_regular_rd": lambda: ub_regular_rd(int(d.spec.b), r),
         "ub_pruned": lambda: ub_pruned(r, d.b)[0],
     }
-    entries = bounds_report(d, r, with_reference=False).entries
+    entries = [e for e in bounds_report(d, r, with_reference=False).entries if e.name in public]
     assert entries
     for e in entries:
         assert public[e.name]() == e.raw, e.name

@@ -490,6 +490,31 @@ def test_q_limit_next_to_pc_brackets_the_root_right_of_x_star_fast(spec, delta):
         assert res.value == pytest.approx(0.9698456213911694, abs=res.upper - res.lower)
 
 
+X_STAR_0_ATOMS = {
+    "twopoint:b=4,a=9": [(2, Fraction(5, 7)), (9, Fraction(2, 7))],
+    "twopoint:b=3,a=6": [(2, Fraction(3, 4)), (6, Fraction(1, 4))],
+}
+
+
+@pytest.mark.parametrize("spec, delta", [
+    ("twopoint:b=4,a=9", 1e-3), ("twopoint:b=4,a=9", 1e-6), ("twopoint:b=3,a=6", 1e-3),
+])
+def test_q_limit_halves_down_to_a_root_below_the_grid(spec, delta):
+    # x_star = 0 and the root lies below the first grid point: the iterate is halved
+    # by the scalar h down to the root, where the 1,075 points q 2^-k, taken as one
+    # array, made 1,178-1,182 evaluations
+    d = make_distribution(spec)
+    crit = pc_exact(d, 2)
+    assert crit.x_star == 0.0
+    p = crit.pc * (1 - delta)
+    res = q_limit(d, 2, p)
+    assert res.converged and 0.0 < res.lower <= res.value <= res.upper < critical.GRID_STEP
+    assert res.iterations < 150
+    limit = _poly_limit(X_STAR_0_ATOMS[spec], 2, p)
+    with mpmath.workdps(50):
+        assert mpmath.mpf(res.lower) <= limit <= mpmath.mpf(res.upper), res
+
+
 def _G_regular(b, r):
     return lambda x: sum(mpmath.binomial(b, i) * x ** (b - i - 1) * (1 - x) ** i for i in range(r))
 

@@ -182,7 +182,7 @@ def test_G_shifted_poisson_closed_form():
 
 
 def test_G_pruned_matches_enumeration_small_b():
-    eta = gw.prune_eta(2, 5.0)
+    eta = make_distribution("pruned:r=2,b=5.0")
     ks, probs = eta.support_probs()
     ctx = make_context(eta, 2)
     for x in XGRID:
@@ -1061,7 +1061,14 @@ def test_h_matches_binomial_sum(spec, r, tail):
     # direct sum up to a tail mass of ``tail`` must fall short of by at most that
     d = make_distribution(spec)
     ctx = make_context(d, r)
-    cutoff = d.truncation_cutoff(tail or 1e-16)  # the whole finite support, or a shifted law to tail 1e-16
+    # the whole finite support, a heavy law to tail mass ``tail`` (its tail past K is
+    # (r-1)/K), or a shifted law to tail 1e-16
+    if d.support_max is not None:
+        cutoff = d.support_max
+    elif tail is not None:
+        cutoff = math.ceil((d.r - 1) / tail)
+    else:
+        cutoff = d.truncation_cutoff(1e-16)
     assert cutoff <= 40_000
     for x in (0.0, 1e-300, 0.1, 0.3, 0.5, 0.9, 0.999, 1 - 1e-13, 1.0):
         want = _h_oracle(d, r, x, cutoff)

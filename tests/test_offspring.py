@@ -23,7 +23,6 @@ from gwboot.offspring import (
     harmonic_number as _harmonic_numbers,
     make_distribution,
     parse_spec,
-    prune_eta,
 )
 
 ALL_SPECS = [
@@ -42,9 +41,19 @@ ALL_SPECS = [
 ]
 
 
+def cutoff(d, tail_target):
+    """A K with tail(K) <= tail_target: a finite law's top atom, (r-1)/tail_target for the
+    heavy law (its tail past K is (r-1)/K), a shifted law's own truncation cutoff."""
+    if d.support_max is not None:
+        return d.support_max
+    if d.spec.family == "heavy_tail":
+        return max(d.r, math.ceil((d.r - 1) / tail_target))
+    return d.truncation_cutoff(tail_target)
+
+
 def brute_force_moment(d, f, tail_target=1e-12, cap=500_000):
     """Independent oracle: direct summation over the truncated support."""
-    K = d.truncation_cutoff(tail_target)
+    K = cutoff(d, tail_target)
     assert K <= cap
     ks, probs = d.support_probs(upto=K)
     return float(sum(p * f(int(k)) for k, p in zip(ks, probs)))
@@ -518,7 +527,7 @@ def test_moments_match_brute_force(spec):
             brute_force_moment(d, lambda k: k**1.5), rel=1e-9, abs=0
         )
     if d.prob_below(2) == 0:
-        if d.truncation_cutoff(1e-12) <= 500_000:
+        if cutoff(d, 1e-12) <= 500_000:
             assert d.harmonic_tail_moment(2) == pytest.approx(
                 brute_force_moment(d, lambda k: harmonic_number(k - 2)), rel=1e-9, abs=0
             )
@@ -560,7 +569,7 @@ def test_explicit_pmf_properties(weights):
 
 def test_prune_eta_small_case_brute_force():
     # small enough to enumerate: total mass 1, mean exactly b
-    eta = prune_eta(2, 4.0)
+    eta = make_distribution("pruned:r=2,b=4.0")
     assert eta.k0 == 31 and eta.k1 == 27
     ks, probs = eta.support_probs()
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
@@ -569,7 +578,7 @@ def test_prune_eta_small_case_brute_force():
 
 
 def test_prune_eta_threshold_3():
-    eta = prune_eta(3, 8.0)
+    eta = make_distribution("pruned:r=3,b=8.0")
     ks, probs = eta.support_probs()
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
     assert float(ks @ probs) == pytest.approx(8.0, abs=1e-10)
@@ -579,7 +588,7 @@ def test_prune_eta_threshold_3():
 
 def test_prune_eta_b15_mean_by_direct_summation():
     # independent of the psi series: harmonic sum by brute force
-    eta = prune_eta(2, 15.0)
+    eta = make_distribution("pruned:r=2,b=15.0")
     ks = np.arange(2, eta.k1 + 1, dtype=np.float64)
     body_mean = float(np.sum(1.0 / (ks - 1.0)))
     total = body_mean + eta.alpha * eta.A * 2 + (1 - eta.alpha) * eta.A * 5
@@ -588,7 +597,7 @@ def test_prune_eta_b15_mean_by_direct_summation():
 
 
 def test_prune_eta_b20_facts():
-    eta = prune_eta(2, 20.0)
+    eta = make_distribution("pruned:r=2,b=20.0")
     assert eta.k0 > math.exp(19.0)
     assert abs(eta.mean() - 20.0) <= 1e-10
     assert 0 < eta.alpha < 1
@@ -612,7 +621,7 @@ def test_prune_eta_alpha_matches_50_digit_reference(r, b):
     # double harmonic numbers gave 0.0466). The reference K keeps 50 digits
     # of its own: at r = 2, b = 100 (k0 = 1.5e43) a plain 50-digit K is off by
     # 3.5e-6 of alpha.
-    eta = prune_eta(r, float(b))
+    eta = make_distribution(f"pruned:r={r},b={float(b)!r}")
     with mpmath.workdps(50):
         H = mpmath.harmonic
         assert (r - 1) * (H(eta.k0 - 1) - H(r - 2)) <= b < (r - 1) * (H(eta.k0) - H(r - 2))
@@ -631,7 +640,7 @@ def test_prune_eta_builds_up_to_b_100(r):
     with mpmath.workdps(50):
         H = mpmath.harmonic
         for b in grid[::3] + [100.0]:
-            eta = prune_eta(r, b)
+            eta = make_distribution(f"pruned:r={r},b={b!r}")
             lo, hi = ((r - 1) * (H(m) - H(r - 2)) for m in (eta.k0 - 1, eta.k0))
             assert lo <= b < hi, b
             assert 0.0 < eta.alpha < 1.0 and eta.k1 == eta.k0 - 2 * r, b
@@ -642,7 +651,7 @@ def test_prune_eta_below_validity_rejected():
     r = 2
     threshold = (r - 1) * math.log(4 * math.e * r)
     with pytest.raises(SpecError):
-        prune_eta(r, threshold - 0.1)
+        make_distribution(f"pruned:r={r},b={threshold - 0.1!r}")
 
 
 @pytest.mark.parametrize("r, m", [(2, 13), (2, 400), (2, 10**6), (2, 10**12), (3, 60), (4, 200),
@@ -656,21 +665,21 @@ def test_prune_eta_k0_on_both_sides_of_a_step(r, m):
         at = float(step)
         if at < step:
             at = math.nextafter(at, math.inf)
-    assert prune_eta(r, at).k0 == m
-    assert prune_eta(r, math.nextafter(at, 0.0)).k0 == m - 1
+    assert make_distribution(f"pruned:r={r},b={at!r}").k0 == m
+    assert make_distribution(f"pruned:r={r},b={math.nextafter(at, 0.0)!r}").k0 == m - 1
 
 
 def test_prune_eta_beyond_the_decimal_precision_rejected():
     # gamma is held to 120 digits, which serves k0 up to about 1e65
-    assert prune_eta(2, 151.9).k0 > 10**65
+    assert make_distribution("pruned:r=2,b=151.9").k0 > 10**65
     for b in (152.0, 1000.0):
         with pytest.raises(PreconditionError):
-            prune_eta(2, b)
+            make_distribution(f"pruned:r=2,b={b!r}")
 
 
 def test_prune_eta_moment_consistency():
     # moments summed through _expect vs enumeration (small case)
-    eta = prune_eta(2, 4.0)
+    eta = make_distribution("pruned:r=2,b=4.0")
     ks, probs = eta.support_probs()
     ks = ks.astype(float)
     assert eta.second_factorial_moment() == pytest.approx(
@@ -806,7 +815,7 @@ def test_geometric_table_refuses_a_draw_of_too_many_words():
 
 
 def test_prune_eta_sampling_matches_pmf():
-    eta = prune_eta(2, 4.0)
+    eta = make_distribution("pruned:r=2,b=4.0")
     rng = np.random.default_rng(42)
     draws = eta.sample(rng, 200_000)
     assert draws.min() >= 2 and draws.max() <= eta.k1
