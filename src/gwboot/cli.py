@@ -203,8 +203,8 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
-def _warn_budget(d: OffspringDistribution, n: int, budget: int) -> None:
-    expected = simulate.expected_tree_size(d, n)
+def _warn_budget(d: OffspringDistribution, n: int, p: float, budget: int) -> None:
+    expected = simulate.expected_tree_size(d, n, p)
     if expected > budget / 2:
         print(
             f"warning: expected tree size ~{expected:.3g} exceeds half the node budget {budget}",
@@ -240,7 +240,7 @@ def cmd_simulate(args) -> int:
     seed = _resolve_seed(args)
     budget = _budget(args)
     simulate.check_estimate_args(args.r, args.p, args.n, args.reps, budget)
-    _warn_budget(d, args.n, budget)
+    _warn_budget(d, args.n, args.p, budget)
     row = _mc_row(d, args.r, args.p, args.n, args.reps, seed, budget)
     _write(args, row, [row], _MC_COLUMNS, [f"{k}: {_csv_value(v)}" for k, v in row.items()])
     return EXIT_OK

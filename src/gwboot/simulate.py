@@ -19,24 +19,31 @@ On any finite tree the eternally healthy set is exactly the union of
 initially healthy blocking sets, so the two must agree on the root.
 
 Monte Carlo replicates are simulated in blocks of B trees grown together as
-one forest: one draw of child counts per level for the whole block, then
-the marks of all its vertices (``_draw_marks``), then one bottom-up fort
-pass.  B is a function of the law's mean, the depth n and the node budget
-only (``block_size``).  Block j draws from the counter-based Philox stream
-keyed by (master seed, block index j); the estimate is an order-insensitive
-integer sum, so the result is bit-identical however blocks are scheduled.
-The last block holds the remainder, so a run with fewer replicates is not
-a prefix of a longer one.
+one forest, marks first (``_grow_marked``): each level's marks are drawn
+before its child counts, and only unmarked vertices get children.  A marked
+vertex is infected whatever lies below it, so its subtree cannot change the
+root's status; growing it would only cost time.  One bottom-up fort pass
+then decides every root.  B is a function of the law's mean, p, the depth n
+and the node budget only (``block_size``).  Block j draws from the
+counter-based Philox stream keyed by (master seed, block index j); the
+estimate is an order-insensitive integer sum, so the result is bit-identical
+however blocks are scheduled.  The last block holds the remainder, so a run
+with fewer replicates is not a prefix of a longer one.
 
-``STREAM_VERSION`` names the layout of a block's stream.  Version 4 is:
-the child counts level by level, one raw 64-bit word per vertex in
-breadth-first order (none for a law with one atom); a shifted geometric
-count that draws its table's tail column reads one more word, after the
-level's words, in the order of the vertices, until none does.  Then
-ceil(N/8) raw words read as little-endian bytes, one byte U per vertex in
-breadth-first order (level by level, tree by tree within a level); then one
-uniform V per vertex with U = floor(256 p), in that order.  A vertex is
-marked iff U < floor(256 p), or U = floor(256 p) and V < 256 p - floor(256 p).
+``STREAM_VERSION`` names the layout of a block's stream.  Version 5 is, for
+each level i = 0..n in turn: the marks of the level's vertices in
+breadth-first order (tree by tree within the level), drawn by
+``_draw_marks``, then, for i < n, one raw 64-bit word per unmarked vertex of
+the level, in the same order, for its child count (none for a law with one
+atom); a shifted geometric count that draws its table's tail column reads
+one more word, after the level's words, in the order of the vertices, until
+none does.  The marks of a level of N vertices are ceil(N/8) raw words read
+as little-endian bytes, one byte U per vertex; then one uniform V per vertex
+with U = floor(256 p), in that order.  A vertex is marked iff
+U < floor(256 p), or U = floor(256 p) and V < 256 p - floor(256 p).  Growth
+stops, and the stream with it, once every tree of the block is over the
+budget.  Version 4 drew the child counts of every vertex, level by level,
+and then the marks of the whole forest.
 
 A count's word goes through the law's alias table (``offspring.AliasTable``),
 built in exact integers: P(count = k) is exactly an integer weight / 2^64,
@@ -70,7 +77,7 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 10_000_000
-STREAM_VERSION = 4  # one word per child count, one byte per vertex for the marks
+STREAM_VERSION = 5  # per level: one byte per mark, then one word per unmarked child count
 BLOCK_VERTICES = 1 << 16  # expected vertices per Monte Carlo block
 _LITTLE_U64 = np.dtype("<u8")
 
@@ -132,9 +139,10 @@ def _draw_marks(rng: np.random.Generator, size: int, p: float) -> np.ndarray:
     return marks
 
 
-def expected_tree_size(d: OffspringDistribution, n: int) -> float:
-    """Expected vertex count of levels 0..n, sum_{i<=n} m^i (inf if m is)."""
-    m = d.mean()
+def expected_tree_size(d: OffspringDistribution, n: int, p: float) -> float:
+    """Expected vertices grown to depth n when only unmarked vertices have
+    children, sum_{i<=n} ((1-p) m)^i (inf if m is); p = 0 is the full tree."""
+    m = (1.0 - p) * d.mean() if p < 1.0 else 0.0  # at p = 1 only the root grows
     if math.isinf(m):
         return math.inf
     total, level = 0.0, 1.0
@@ -144,10 +152,10 @@ def expected_tree_size(d: OffspringDistribution, n: int) -> float:
     return total
 
 
-def block_size(d: OffspringDistribution, n: int, budget: int) -> int:
-    """Trees per Monte Carlo block: about BLOCK_VERTICES expected vertices,
-    counting each tree at most at the budget."""
-    return max(1, int(BLOCK_VERTICES // min(expected_tree_size(d, n), budget)))
+def block_size(d: OffspringDistribution, n: int, p: float, budget: int) -> int:
+    """Trees per Monte Carlo block: about BLOCK_VERTICES expected grown
+    vertices, counting each tree at most at the budget."""
+    return max(1, int(BLOCK_VERTICES // min(expected_tree_size(d, n, p), budget)))
 
 
 def _grow(draw: Callable[[int, int], np.ndarray], n: int, budget: int,
@@ -261,11 +269,14 @@ def sample_tree(
 
 
 def sample_marks(tree: SampledTree, p: float, rng: np.random.Generator) -> np.ndarray:
-    """I.i.d. Bernoulli(p) initial-infection marks, one per vertex.
+    """I.i.d. Bernoulli(p) initial-infection marks, one per vertex of the full tree.
 
-    Drawn as a Monte Carlo block draws them (stream version 4): one byte of
+    Drawn by ``_draw_marks`` for all N vertices at once: one byte of
     ceil(N/8) raw words per vertex in breadth-first order, then one uniform
-    per vertex whose byte equals floor(256 p); see ``_draw_marks``.
+    per vertex whose byte equals floor(256 p).  A Monte Carlo block draws
+    its marks level by level, before the child counts, and grows only
+    unmarked vertices (stream version 5), so it does not take the tree and
+    marks that ``sample_tree`` and this function take from the same stream.
     """
     if not 0.0 <= p <= 1.0:
         raise PreconditionError("p must lie in [0, 1]")
@@ -326,7 +337,12 @@ def root_fort_status(tree: SampledTree, marks: np.ndarray, r: int) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class SimEstimate:
-    """Monte Carlo estimate of the root-survival probability q_n."""
+    """Monte Carlo estimate of the root-survival probability q_n.
+
+    ``truncated`` counts the replicates whose grown vertices (the root and
+    the children of unmarked vertices) passed the node budget; they are
+    left out of ``effective`` and of the estimate.
+    """
 
     estimate: float
     se: float
@@ -343,18 +359,46 @@ class SimEstimate:
         return asdict(self)
 
 
+def _grow_marked(d: OffspringDistribution, p: float, n: int, budget: int, roots: int,
+                 rng: np.random.Generator) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """A forest of ``roots`` trees grown marks first, in stream version 5.
+
+    Each level's marks are drawn before its child counts, and only its
+    unmarked vertices draw one; a marked vertex keeps no children.  Returns
+    ``(offsets, marks, dropped)`` as ``_grow`` builds them, with the marks of
+    every grown vertex in breadth-first order; the budget bounds the grown
+    vertices of each tree.  Once every tree is dropped nothing more is drawn
+    and ``marks`` stops at the last level drawn.
+    """
+    marks: list[np.ndarray] = []
+
+    def draw(i: int, width: int) -> np.ndarray:
+        level = _draw_marks(rng, width, p)
+        marks.append(level)
+        grown = width - int(np.count_nonzero(level))
+        if grown == width:
+            return d.sample(rng, width)
+        c = np.zeros(width, dtype=np.int64)
+        c[~level] = d.sample(rng, grown)
+        return c
+
+    offsets, dropped = _grow(draw, n, budget, roots)
+    if not dropped.all():  # growth reached depth n: the marks of its leaves
+        marks.append(_draw_marks(rng, int(offsets[-1][-1]) if offsets else roots, p))
+    return offsets, np.concatenate(marks), dropped
+
+
 def _simulate_block(d: OffspringDistribution, r: int, p: float, n: int, budget: int,
                     roots: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Root-survival and budget-drop flags of ``roots`` replicates.
 
-    Stream order is fixed: child counts level by level for the whole
-    forest, then the marks of every vertex in breadth-first order, drawn by
-    ``_draw_marks``.  A dropped replicate's survival flag is False.
+    The forest is grown by ``_grow_marked`` and decided by one fort pass.  A
+    dropped replicate's survival flag is False.
     """
-    offsets, dropped = _grow(lambda i, w: d.sample(rng, w), n, budget, roots)
-    total = roots + sum(int(off[-1]) for off in offsets)
-    safe = _fort_pass(offsets, _draw_marks(rng, total, p), r)
-    return safe & ~dropped, dropped
+    offsets, marks, dropped = _grow_marked(d, p, n, budget, roots, rng)
+    if dropped.all():
+        return np.zeros(roots, dtype=bool), dropped
+    return _fort_pass(offsets, marks, r) & ~dropped, dropped
 
 
 def check_estimate_args(r: int, p: float, n: int, replicates: int, budget: int) -> None:
@@ -383,11 +427,11 @@ def estimate_qn(
 
     Deterministic given (seed, replicates): block j of ``block_size``
     replicates consumes only its own Philox stream, and the reduction is a
-    sum of integers.  Budget-truncated replicates are excluded from the
-    estimate and counted.
+    sum of integers.  Replicates whose grown vertices pass the budget are
+    excluded from the estimate and counted in ``truncated``.
     """
     check_estimate_args(r, p, n, replicates, budget)
-    block = block_size(d, n, budget)
+    block = block_size(d, n, p, budget)
     safe_count = 0
     truncated = 0
     for j, start in enumerate(range(0, replicates, block)):

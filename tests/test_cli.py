@@ -570,18 +570,27 @@ def test_inconsistency_exit_code(capsys, monkeypatch):
 
 
 def test_budget_warning(capsys):
-    # deterministic tree of 1 + 4 + 16 + 64 + 256 = 341 vertices fits the
-    # budget of 400 but exceeds half of it, so the warning fires
+    # the expected size counts the vertices a block grows, the children of
+    # unmarked vertices: sum ((1-p) 4)^i over levels 0..4 at p = 0.3 is 95.1,
+    # past half the budget of 150, so the warning fires
+    code, _, err = run_cli(
+        capsys, "simulate", "--dist", "regular:b=4", "--r", "2", "--p", "0.3",
+        "--n", "4", "--reps", "10", "--seed", "1", "--budget", "150",
+    )
+    assert code == 0
+    assert "warning" in err
+    assert "expected tree size ~95.1 " in err
+    # under a budget of 400 it stays silent, though the full tree of
+    # 1 + 4 + 16 + 64 + 256 = 341 vertices would pass half of it
     code, _, err = run_cli(
         capsys, "simulate", "--dist", "regular:b=4", "--r", "2", "--p", "0.3",
         "--n", "4", "--reps", "10", "--seed", "1", "--budget", "400",
     )
     assert code == 0
-    assert "warning" in err
-    assert "expected tree size ~341 " in err
-    # the expected size counts every level: 1 + 3 + 9 + 27 + 81 = 121
+    assert err == ""
+    # at p = 0 every vertex grows: 1 + 3 + 9 + 27 + 81 = 121
     code, _, err = run_cli(
-        capsys, "simulate", "--dist", "regular:b=3", "--r", "2", "--p", "0.3",
+        capsys, "simulate", "--dist", "regular:b=3", "--r", "2", "--p", "0",
         "--n", "4", "--reps", "10", "--seed", "1", "--budget", "200",
     )
     assert code == 0
@@ -674,7 +683,7 @@ def test_formats_carry_the_same_values(capsys, argv):
             assert _carries(value, e["value"]) and " ".join(note) == e["note"]
     elif cmd == "simulate":
         assert sorted(payload) == sorted(_MC_KEYS + ["truncated", "stream_version"])
-        assert payload["stream_version"] == gwboot.simulate.STREAM_VERSION == 4
+        assert payload["stream_version"] == gwboot.simulate.STREAM_VERSION == 5
         _check_csv(out["csv"], [payload], _MC_KEYS)
         _check_key_lines(out["table"], payload, _MC_KEYS + ["truncated", "stream_version"])
     else:

@@ -20,6 +20,7 @@ from gwboot.simulate import (
     sample_marks,
     sample_tree,
     _draw_marks,
+    _grow_marked,
     _simulate_block,
 )
 
@@ -128,21 +129,36 @@ def test_dual_oracle_small_batch():
 
 @pytest.mark.parametrize("spec", MIXED)
 def test_single_tree_api_equals_a_one_root_block(spec):
-    # sample_tree, sample_marks and root_fort_status on block j's stream give
-    # the root outcome and truncation flag of a block of one replicate
+    # the tree and marks a one-root block grew, taken as a SampledTree, give
+    # the block's root outcome under run_bootstrap; the block grew no child
+    # under a marked vertex, and dropped the tree iff its grown vertices
+    # passed the budget
     d = make_distribution(spec)
-    seen_truncated = False
+    seen_truncated = seen_pruned = False
     for seed in (3, 2024, 2**64 + 5):
         for j, n, p, r, budget in ((0, 0, 0.3, 2, 10), (1, 3, 0.2, 2, 10**4), (2, 4, 0.1, 3, 20),
                                    (7, 5, 0.05, 1, 10**4), (9, 2, 0.5, 2, 10**4)):
-            rng = replicate_rng(seed, j)
-            tree = sample_tree(d, n, budget=budget, rng=rng)
-            marks = sample_marks(tree, p, rng)
-            safe, dropped = _simulate_block(d, r, p, n, budget, 1, replicate_rng(seed, j))
-            assert tree.truncated == bool(dropped[0])
-            assert (root_fort_status(tree, marks, r) and not tree.truncated) == bool(safe[0])
-            seen_truncated |= tree.truncated
-    assert seen_truncated
+            law = _Recorder(d)
+            offsets, marks, dropped = _grow_marked(law, p, n, budget, 1, replicate_rng(seed, j))
+            safe, block_dropped = _simulate_block(d, r, p, n, budget, 1, replicate_rng(seed, j))
+            assert list(block_dropped) == list(dropped)
+            grown = 1 + sum(int(c.sum()) for c in law.draws)
+            assert bool(dropped[0]) == (grown > budget)
+            if dropped[0]:
+                assert not safe[0]
+                seen_truncated = True
+                continue
+            tree = SampledTree(offsets, False)
+            assert len(tree.level_sizes) == n + 1 and len(marks) == tree.n_vertices == grown
+            lo = 0
+            for off in offsets:
+                level = marks[lo:lo + len(off) - 1]
+                assert not np.diff(off)[level].any()
+                seen_pruned |= bool(level.any() and off[-1])
+                lo += len(off) - 1
+            assert bool(safe[0]) == (not run_bootstrap(tree, marks, r)[0])
+            assert bool(safe[0]) == root_fort_status(tree, marks, r)
+    assert seen_truncated and seen_pruned
 
 
 def test_estimate_qn_edge_probabilities():
@@ -173,8 +189,8 @@ def test_estimate_order_insensitive():
     # block outcomes depend only on (seed, block index); any scheduling
     # order of the blocks produces the same integer sum
     d = make_distribution("twopoint:b=3,a=5")
-    reps, budget = 1500, 10**7
-    size = block_size(d, 4, budget)
+    reps, budget = 4500, 10**7
+    size = block_size(d, 4, 0.3, budget)
     starts = range(0, reps, size)
     assert len(starts) == 3 and reps % size  # two full blocks and a remainder
     perm = np.random.default_rng(0).permutation(len(starts))
@@ -210,42 +226,12 @@ def _tree_alone(level_counts):
                        truncated=False)
 
 
-def _split_forest(draws, roots, budget):
-    """Per-tree level counts and drop flags, by the per-tree budget rule.
-
-    Tree t's level-i vertices are a contiguous run of level i, in tree
-    order.  A tree whose vertex total exceeds the budget keeps the level
-    that did it as leaves and has no vertices below; a kept tree ends in a
-    level of leaves.
-    """
-    trees = [[] for _ in range(roots)]
-    dropped = [False] * roots
-    totals = [1] * roots
-    widths = [1] * roots
-    for raw in draws:
-        lo = 0
-        for t in range(roots):
-            c = raw[lo:lo + widths[t]].copy()
-            lo += widths[t]
-            if dropped[t]:
-                continue
-            totals[t] += int(c.sum())
-            if totals[t] > budget:
-                dropped[t] = True
-                c[:] = 0
-            trees[t].append(c)
-            widths[t] = int(c.sum())
-    for t in range(roots):
-        if not dropped[t]:
-            trees[t].append(np.zeros(widths[t], dtype=np.int64))
-    return trees, dropped
-
-
 def _replay_marks(stream, size, p):
-    """Marks of stream version 3, spelled out: ceil(size/8) raw 64-bit words,
-    each cut into bytes from the least significant up, one byte U per vertex;
-    with t = floor(256 p) a vertex is marked iff U < t, and each vertex with
-    U == t, in order, takes one uniform V and is marked iff V < 256 p - t."""
+    """Marks of ``size`` vertices as stream versions 3 to 5 draw them, spelled
+    out: ceil(size/8) raw 64-bit words, each cut into bytes from the least
+    significant up, one byte U per vertex; with t = floor(256 p) a vertex is
+    marked iff U < t, and each vertex with U == t, in order, takes one
+    uniform V and is marked iff V < 256 p - t."""
     words = stream.bit_generator.random_raw(-(-size // 8))
     u = [(int(w) >> (8 * i)) & 0xFF for w in words for i in range(8)][:size]
     t = math.floor(256 * p)
@@ -256,54 +242,137 @@ def _replay_marks(stream, size, p):
     return np.array(marks, dtype=bool)
 
 
+def _replay_block(d, stream, roots, n, p, budget):
+    """Per-tree level counts and marks, drop flags and count draws of a block,
+    spelled out from stream version 5.
+
+    For each level i = 0..n: the marks of the level's vertices, tree by tree
+    (``_replay_marks``); then, for i < n, one child count per unmarked
+    vertex in the same order, from one ``d.sample`` of their number; a
+    marked vertex has no children.  Tree t's level-i vertices are a
+    contiguous run of level i.  A tree whose vertex total passes the budget
+    keeps the level that did it as leaves and has no vertices below; a kept
+    tree ends in a level of leaves.  Nothing is drawn once every tree is
+    dropped.
+    """
+    counts = [[] for _ in range(roots)]
+    marks = [[] for _ in range(roots)]
+    dropped = [False] * roots
+    totals = [1] * roots
+    widths = [1] * roots
+    draws = []
+    for i in range(n + 1):
+        if all(dropped):
+            break
+        level = _replay_marks(stream, sum(widths), p)
+        if i < n:
+            draws.append(d.sample(stream, len(level) - int(level.sum())))
+            born = iter(draws[-1].tolist())
+            level_counts = np.array([0 if mark else next(born) for mark in level], dtype=np.int64)
+        lo = 0
+        for t in range(roots):
+            if dropped[t]:
+                continue
+            w = widths[t]
+            marks[t].append(level[lo:lo + w])
+            c = level_counts[lo:lo + w] if i < n else np.zeros(w, dtype=np.int64)
+            lo += w
+            totals[t] += int(c.sum())
+            if totals[t] > budget:
+                dropped[t] = True
+                c = np.zeros_like(c)
+            counts[t].append(c)
+            widths[t] = int(c.sum())
+    return counts, marks, dropped, draws
+
+
 @pytest.mark.parametrize("spec", MIXED)
 def test_forest_matches_per_tree_oracles(spec):
-    # every tree of a block, taken out and built alone, must get the same
-    # root outcome from run_bootstrap and the same truncation flag from the
-    # per-tree budget rule as the forest gave it
+    # replaying the spelled-out stream version 5, every tree of a block, taken
+    # out and built alone, must get the same root outcome from run_bootstrap
+    # and the same truncation flag from the per-tree budget rule as the forest
+    # gave it, and the block must read the same draws and stop where the
+    # replay stops
     d = make_distribution(spec)
     rng = np.random.default_rng(7)
     budget = 60 if spec.startswith("heavy") else 200
+    seen = set()
     for n in range(6):
         for p in (0.0, 1.0, float(rng.uniform(0.05, 0.6))):
             r = int(rng.integers(2, 4))
             roots = int(rng.integers(2, 40))
             seed = int(rng.integers(2**62))
             law = _Recorder(d)
-            safe, dropped = _simulate_block(law, r, p, n, budget, roots, replicate_rng(seed, 3))
-            trees, want_dropped = _split_forest(law.draws, roots, budget)
-            assert list(dropped) == want_dropped
-            if all(want_dropped):
-                assert not safe.any()
-                continue
-            # replay the block's stream: child counts level by level, then
-            # the marks of every vertex, level by level and tree by tree
+            block_rng = replicate_rng(seed, 3)
+            safe, dropped = _simulate_block(law, r, p, n, budget, roots, block_rng)
             replay = replicate_rng(seed, 3)
-            for raw in law.draws:
-                assert np.array_equal(d.sample(replay, len(raw)), raw)
-            marks = _replay_marks(replay, sum(len(c) for tree in trees for c in tree), p)
-            pos = 0
-            own = [[] for _ in range(roots)]
-            for i in range(n + 1):
-                for t, tree in enumerate(trees):
-                    if i < len(tree):
-                        own[t].append(marks[pos:pos + len(tree[i])])
-                        pos += len(tree[i])
-            assert pos == len(marks)
+            trees, own, want_dropped, draws = _replay_block(d, replay, roots, n, p, budget)
+            assert list(dropped) == want_dropped
+            assert len(law.draws) == len(draws)
+            assert all(np.array_equal(a, b) for a, b in zip(law.draws, draws))
+            assert np.array_equal(block_rng.bit_generator.random_raw(4),
+                                  replay.bit_generator.random_raw(4))
             for t, tree in enumerate(trees):
                 if want_dropped[t]:
                     assert not safe[t]
                     continue
                 alone = _tree_alone(tree)
                 assert alone.level_sizes == [len(c) for c in tree] and len(tree) == n + 1
-                closure = run_bootstrap(alone, np.concatenate(own[t]), r)
+                marks = np.concatenate(own[t])
+                closure = run_bootstrap(alone, marks, r)
                 assert bool(safe[t]) == (not closure[0])
+                seen.add(bool(safe[t]))
+                if any(m.any() for m in own[t][:-1]) and n:
+                    seen.add("pruned")
+    assert {"pruned", True, False} <= seen
+
+
+def _prune(tree, marks):
+    """The tree without the subtrees of its marked vertices, and its marks."""
+    keep = np.ones(1, dtype=bool)  # which vertices of the level are in the pruned tree
+    lo = 0
+    offsets, kept_marks = [], []
+    for off in tree.offsets:
+        level = marks[lo:lo + len(keep)]
+        lo += len(keep)
+        c = np.diff(off)
+        grows = keep & ~level
+        offsets.append(np.concatenate([[0], np.cumsum(c[keep] * grows[keep])]))
+        kept_marks.append(level[keep])
+        keep = np.repeat(grows, c)
+    kept_marks.append(marks[lo:lo + len(keep)][keep])
+    assert lo + len(keep) == len(marks)
+    return SampledTree(offsets, tree.truncated), np.concatenate(kept_marks)
+
+
+@pytest.mark.parametrize("spec", MIXED)
+def test_pruning_marked_subtrees_keeps_the_root_outcome(spec):
+    # a marked vertex is infected whatever lies below it, so dropping its
+    # subtree from a full tree changes neither oracle's verdict on the root;
+    # this is what lets a Monte Carlo block grow only unmarked vertices
+    d = make_distribution(spec)
+    rng = np.random.default_rng(36)
+    smaller = 0
+    for i in range(60):
+        tree = sample_tree(d, int(rng.integers(0, 6)), budget=2000, seed=int(rng.integers(2**62)))
+        p = (0.0, 1.0, float(rng.uniform(0.05, 0.7)))[i % 3]
+        marks = sample_marks(tree, p, rng)
+        pruned, pruned_marks = _prune(tree, marks)
+        assert len(pruned_marks) == pruned.n_vertices <= tree.n_vertices
+        smaller += pruned.n_vertices < tree.n_vertices
+        for r in (1, 2, 3):
+            full = root_fort_status(tree, marks, r)
+            assert root_fort_status(pruned, pruned_marks, r) == full
+            assert bool(run_bootstrap(tree, marks, r)[0]) == (not full)
+            assert bool(run_bootstrap(pruned, pruned_marks, r)[0]) == (not full)
+    assert smaller
 
 
 @pytest.mark.parametrize("p", [0.0, 1.0, 0.5, 0.1072, 27 / 256, np.nextafter(27 / 256, 0),
                                np.nextafter(0.0, 1), np.nextafter(1.0, 0)])
 def test_sample_marks_follows_the_spelled_out_stream(p):
-    # same marks and same draws consumed as the stream version 3 layout
+    # same marks and same draws consumed as the spelled-out mark layout of
+    # stream versions 3 to 5
     tree = sample_tree(make_distribution("geometric:b=3"), 5, seed=8)
     assert tree.n_vertices % 8  # a part word at the end
     for j in range(4):
@@ -339,8 +408,8 @@ def test_replicate_rng_is_philox_keyed_by_seed_and_block(seed):
 
 
 def test_a_uniform_is_the_top_53_bits_of_one_word():
-    # stream version 4 reads one word per child count on every law: the heavy
-    # body's uniform, Generator.random, is (W >> 11) 2^-53 of one raw word W
+    # stream versions 4 and 5 read one word per child count on every law: the
+    # heavy body's uniform, Generator.random, is (W >> 11) 2^-53 of one raw word W
     u = replicate_rng(2024, 3).random(1000)
     w = replicate_rng(2024, 3).bit_generator.random_raw(1000)
     assert np.array_equal(u, (w >> np.uint64(11)).astype(float) * 2.0**-53)
@@ -352,20 +421,20 @@ def test_replicate_rng_rejects_seeds_outside_the_key_range():
             replicate_rng(seed, 0)
 
 
-# seeded calls at seed 2024, stream version 4: (spec, r, p, n, replicates, budget,
+# seeded calls at seed 2024, stream version 5: (spec, r, p, n, replicates, budget,
 # block size, surviving roots, truncated replicates).  They cover the alias
 # tables of the shifted geometric and Poisson laws and of the finite laws
 # (two-point, explicit pmf) and the heavy-body sampler (heavy, under a budget
-# that truncates, and pruned).  The explicit pmf's dyadic table maps each word
-# to the atom its CDF inversion gave under version 3, and the heavy body reads
-# its words as before, so those three rows kept their version 3 counts
+# that truncates, and pruned).  Version 4 read 676, 102, 333, 744, 54 and 82
+# surviving roots and truncated 86 heavy replicates; the block sizes grew
+# because a block now counts only the vertices it grows
 STREAM_GOLDENS = [
-    ("geometric:b=3", 2, 0.15, 4, 1000, 10**7, 541, 676, 0),
-    ("poisson:b=4", 2, 0.2, 4, 1000, 10**7, 192, 102, 0),
-    ("twopoint:b=4,a=9", 2, 0.25, 4, 1000, 10**7, 192, 333, 0),
-    ("pmf:3=0.25,4=0.5,6=0.25", 3, 0.2, 4, 1000, 10**7, 153, 744, 0),
-    ("heavy:r=2", 2, 0.3, 4, 300, 2000, 32, 54, 86),
-    ("pruned:r=2,b=4", 2, 0.3, 3, 300, 10**7, 771, 82, 0),
+    ("geometric:b=3", 2, 0.15, 4, 1000, 10**7, 950, 688, 0),
+    ("poisson:b=4", 2, 0.2, 4, 1000, 10**7, 430, 117, 0),
+    ("twopoint:b=4,a=9", 2, 0.25, 4, 1000, 10**7, 541, 320, 0),
+    ("pmf:3=0.25,4=0.5,6=0.25", 3, 0.2, 4, 1000, 10**7, 346, 721, 0),
+    ("heavy:r=2", 2, 0.3, 4, 300, 2000, 32, 51, 23),
+    ("pruned:r=2,b=4", 2, 0.3, 3, 300, 10**7, 1950, 79, 0),
 ]
 
 
@@ -375,8 +444,8 @@ def test_estimate_qn_stream_golden(spec, r, p, n, reps, budget, block, safe, tru
     # pins the stream layout: a change to how replicates draw from their
     # streams must fail here until STREAM_VERSION is bumped
     d = make_distribution(spec)
-    assert STREAM_VERSION == 4
-    assert block_size(d, n, budget) == block
+    assert STREAM_VERSION == 5
+    assert block_size(d, n, p, budget) == block
     est = estimate_qn(d, r, p, n, reps, seed=2024, budget=budget)
     assert est.stream_version == STREAM_VERSION
     assert est.as_dict()["stream_version"] == STREAM_VERSION
@@ -384,15 +453,23 @@ def test_estimate_qn_stream_golden(spec, r, p, n, reps, budget, block, safe, tru
 
 
 def test_expected_tree_size_and_block_size():
-    assert expected_tree_size(make_distribution("regular:b=3"), 4) == 121.0
-    assert expected_tree_size(make_distribution("regular:b=2"), 0) == 1.0
-    assert expected_tree_size(make_distribution("heavy:r=2"), 3) == float("inf")
-    assert expected_tree_size(make_distribution("regular:b=9"), 400) == float("inf")
-    assert block_size(make_distribution("regular:b=3"), 4, 10**7) == 2**16 // 121
-    assert block_size(make_distribution("regular:b=3"), 4, 100) == 2**16 // 100
-    assert block_size(make_distribution("heavy:r=2"), 3, 300) == 2**16 // 300
-    assert block_size(make_distribution("heavy:r=2"), 3, 10**7) == 1
-    assert block_size(make_distribution("regular:b=3"), 10, 10**7) == 1
+    # the expected grown vertices sum ((1-p) m)^i over levels 0..n; p = 0 is the full tree
+    assert expected_tree_size(make_distribution("regular:b=3"), 4, 0.0) == 121.0
+    assert expected_tree_size(make_distribution("regular:b=4"), 4, 0.5) == 31.0
+    assert expected_tree_size(make_distribution("regular:b=4"), 4, 1.0) == 1.0
+    assert expected_tree_size(make_distribution("regular:b=2"), 0, 0.5) == 1.0
+    assert expected_tree_size(make_distribution("heavy:r=2"), 3, 0.0) == float("inf")
+    assert expected_tree_size(make_distribution("heavy:r=2"), 3, 0.5) == float("inf")
+    assert expected_tree_size(make_distribution("heavy:r=2"), 3, 1.0) == 1.0
+    assert expected_tree_size(make_distribution("regular:b=9"), 400, 0.0) == float("inf")
+    assert block_size(make_distribution("regular:b=3"), 4, 0.0, 10**7) == 2**16 // 121
+    assert block_size(make_distribution("regular:b=4"), 4, 0.5, 10**7) == 2**16 // 31
+    assert block_size(make_distribution("regular:b=3"), 4, 0.0, 100) == 2**16 // 100
+    assert block_size(make_distribution("heavy:r=2"), 3, 0.1, 300) == 2**16 // 300
+    assert block_size(make_distribution("heavy:r=2"), 3, 0.1, 10**7) == 1
+    assert block_size(make_distribution("regular:b=3"), 10, 0.0, 10**7) == 1
+    # mc-large's first row: 29,437 expected grown vertices against 88,573
+    assert block_size(make_distribution("regular:b=3"), 10, 0.11, 10**7) == 2
 
 
 def test_estimate_qn_truncation_reported():
