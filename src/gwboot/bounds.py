@@ -83,6 +83,8 @@ def lb_branching_simplified(b: float, r: int) -> float:
 
 def ub_pruned(r: int, b: float) -> tuple[float, bool]:
     """(2er(r-1) e^{-b/(r-1)}, validity); valid once b > (r-1) log(4er)."""
+    if r < 2:
+        raise PreconditionError("r must be >= 2")
     value = 2.0 * math.e * r * (r - 1) * math.exp(-b / (r - 1.0))
     return value, b > pruned_threshold(r)
 

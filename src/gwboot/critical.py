@@ -12,9 +12,10 @@ upper bounds, an Aitken extrapolate with h(l) > l is a lower bound, and a
 safeguarded secant closes the bracket.  A limit of 0 has two certificates,
 a bound of G over pieces of [0, q_t] from the kernel tables and, at step 32,
 p_c itself, formed from the maximum of G by the rule ``pc_exact`` uses;
-within its err of p_c the limit is left as the interval [0, q_t].  Below
-p_c - err the same maximum places the limit right of x_star, where one array
-of G on the grid brackets it.
+within its err of p_c only the bound can certify 0, and else the limit is
+left as the interval [0, q_t].  Below p_c - err the same maximum places the
+limit right of x_star, where G on the grid, read from the maximum's scan,
+brackets it.
 """
 
 from __future__ import annotations
@@ -232,7 +233,8 @@ class QLimitResult:
 
     Without a certified bracket ``converged`` is False and the bracket is
     [0, value], value being the last iterate.  ``iterations`` counts
-    evaluations of h, and of G at each point of an array.
+    evaluations of h and of G; the grid values read from ``max_G``'s scan
+    are not counted again.
     """
 
     value: float
@@ -261,10 +263,11 @@ class _LimitSearch:
     ``run`` steps from 1 - p and tries Aitken's lower end every third step.  A
     search that can still reach 0 stops at step ``_DECIDE_AT``, or at a stall
     that one probe at q - tol/2 does not close, and asks ``max_G`` once
-    (``decide_by_max``): a certified 0 above p_c + err,
-    [0, q] unconverged within err, and below p_c - err one grid bracket right
-    of x_star (``bracket_right_of``).  Where that finds no bracket, and on
-    every law with mass below r, the search steps on to the cap.
+    (``decide_by_max``): a certified 0 above p_c + err, within err a 0 that
+    ``zero_certified`` proves or else [0, q] unconverged, and below p_c - err
+    one grid bracket right of x_star (``bracket_right_of``).  Where that
+    finds no bracket, and on every law with mass below r, the search steps on
+    to the cap.
     """
 
     def __init__(self, ctx: GEvalContext, p: float, tol: float):
@@ -363,7 +366,8 @@ class _LimitSearch:
 
     def decide_by_max(self, q: float) -> Optional[QLimitResult]:
         """The side of p_c that p lies on, by ``pc_exact``'s rule: the limit 0 for
-        p > p_c + err and [0, q] unconverged where p lies within err of p_c.  For
+        p > p_c + err.  Where p lies within err of p_c the limit is 0 if
+        ``zero_certified(q)`` proves it, else [0, q] unconverged.  For
         p < p_c - err the limit is positive: the root right of x_star that
         ``bracket_right_of`` closes, or None (step on) where it finds no bracket."""
         res = kernels.max_G(self.ctx)
@@ -371,15 +375,18 @@ class _LimitSearch:
         if self.p > pc + err:
             return self.certified_zero()
         if self.p < pc - err:
-            return self.bracket_right_of(res.x_star, q)
+            return self.bracket_right_of(res, q)
+        if self.zero_certified(q):
+            return self.certified_zero()
         return QLimitResult(q, 0.0, q, False, self.evals)
 
-    def bracket_right_of(self, x_star: float, q: float) -> Optional[QLimitResult]:
+    def bracket_right_of(self, res: kernels.MaxResult, q: float) -> Optional[QLimitResult]:
         """q* closed from a bracket read off one array of G, or None.
 
         For p < p_c - err, (1-p) G(x_star) > 1, and q >= q* since q is an
-        iterate, so (1-p) G = 1 has a root in [x_star, q].  G is evaluated at
-        x_star, at ``max_G``'s grid points in (x_star, q) and at q, as one array.
+        iterate, so (1-p) G = 1 has a root in [x_star, q].  G at x_star (M)
+        and at the grid points in (x_star, q) is read from ``max_G``'s result
+        ``res``, and G at q is evaluated, one evaluation (``G_on_grid``).
         If those values never rise (by more than G's rounding, 2 ``_H_ROUNDING``
         per unit of ``terms``), the last point with f > eps is a lower end,
         proven as any: f(lo) > eps(lo) means q* >= lo.  The next point with
@@ -388,15 +395,17 @@ class _LimitSearch:
         not rise on [x_star, q] mean that G decreases there, so (1-p) G = 1 has
         one root there, and that root is q*.  Where x_star = 0 and no grid point
         has f > eps, the root lies below the grid, and ``halving`` finds it.  The
-        grid's two ends are evaluated again by the scalar ``f`` that ``close``
-        goes on with (the array path of a point mass, a heavy or a pruned law is
-        a few ulps off it).  None where G rises (another mode right of x_star), where
-        no bracket is found, or where the scalar values do not confirm it.
+        bracket's two ends are evaluated again by the scalar ``f`` that ``close``
+        goes on with (G - 1 + 1 on the grid, and the array path of a point mass,
+        a heavy or a pruned law, are a few ulps off it).  None where G rises
+        (another mode right of x_star), where no bracket is found, or where the
+        scalar values do not confirm it.
         """
-        if not x_star < q:
+        if not res.x_star < q:
             return None
-        ends = self.ends_on(*kernels.G_on_grid(self.ctx, x_star, q))
-        if ends == (None, None) and x_star == 0.0:
+        self.evals += 1
+        ends = self.ends_on(*kernels.G_on_grid(self.ctx, res, q))
+        if ends == (None, None) and res.x_star == 0.0:
             return self.halving(q)
         if ends is None or None in ends:
             return None
@@ -432,10 +441,9 @@ class _LimitSearch:
         return None
 
     def ends_on(self, xs: np.ndarray, vals: np.ndarray) -> Optional[tuple]:
-        """(lo, hi) among the increasing points xs, where G = vals, each counted as
-        one evaluation: lo the last point with f > eps, hi the next with f < -eps,
-        each None where there is none.  None where the values rise."""
-        self.evals += len(xs)
+        """(lo, hi) among the increasing points xs, where G = vals: lo the last
+        point with f > eps, hi the next with f < -eps, each None where there is
+        none.  None where the values rise."""
         if (np.diff(vals) > 2.0 * _H_ROUNDING * self.terms).any():
             return None
         f, e = (1.0 - self.p) * (xs * vals) - xs, self.eps(xs)
@@ -520,27 +528,28 @@ def q_limit(d: OffspringDistribution, r: int, p: float, tol: float = 1e-12) -> Q
     on (0, q_t].  A search still open at step 32 (``_DECIDE_AT``), or stalled
     before it, calls ``max_G`` once, and p_c and its err are formed from it
     as in ``pc_exact``: p > p_c + err certifies 0, and for p within err of
-    p_c, where no certificate can hold, the result is [0, last iterate] with
-    converged False.  Where P(xi < r) > 0 underflows to 0.0 (``poisson:b=760``
-    at r = 3, p above 4.6e-5), h(0) computes 0, and the limit, below the
-    smallest double, comes back as the certified bracket [0, 0].
+    p_c the bound on G above is tried on [0, q_t], and where it fails the
+    result is [0, last iterate] with converged False.  Where P(xi < r) > 0
+    underflows to 0.0 (``poisson:b=760`` at r = 3, p above 4.6e-5), h(0)
+    computes 0, and the limit, below the smallest double, comes back as the
+    certified bracket [0, 0].
 
     For p < p_c - err the limit is the root of (1-p) G = 1 right of x_star,
-    the maximum's location: G at x_star, at ``max_G``'s grid points in
-    (x_star, q_t) and at q_t is one array, and where those values never rise
-    (within G's rounding) the last point with h(x) - x > eps and the next
-    with h(x) - x < -eps bracket the limit, closed as above.  The upper end
-    rests on the mode assumption of ``max_G`` again: G has no mode narrower
-    than ``GRID_STEP``.  Where x_star = 0 and the root lies below the first
-    grid point, q_t is halved until h(x) - x > eps, and the next point back up
-    with h(x) - x < -eps is the upper end.  q* jumps at p_c:
+    the maximum's location: G at x_star (M) and at ``max_G``'s grid points
+    in (x_star, q_t) is read from its scan and G at q_t is evaluated, and
+    where those values never rise (within G's rounding) the last point with
+    h(x) - x > eps and the next with h(x) - x < -eps bracket the limit,
+    closed as above.  The upper end rests on the mode assumption of ``max_G``
+    again: G has no mode narrower than ``GRID_STEP``.  Where x_star = 0 and
+    the root lies below the first grid point, q_t is halved until h(x) - x >
+    eps, and the next point back up with h(x) - x < -eps is the upper end.  q* jumps at p_c:
     q* -> x_star as p rises to p_c, and q* = 0 above it.
 
     Where the values rise (another mode right of x_star), where no bracket
     is found, and on every law with mass below r, the search steps on as
     before, Aitken's lower ends and all.  Every search ends after
     ``Q_ITERATION_CAP`` evaluations, unconverged.  ``iterations`` counts the
-    evaluations of h, and of G at each point of an array.
+    evaluations of h and of G, not the grid values read from ``max_G``.
     """
     if not 0.0 <= p <= 1.0:
         raise PreconditionError("p must lie in [0, 1]")

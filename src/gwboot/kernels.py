@@ -25,9 +25,9 @@ code instead, in 2-6 us (2-vCPU Xeon, numpy 2.4);
 ``make_context`` alone decides which laws do, by the (k, weight) pairs it
 keeps in the context's ``atoms``.  x = 0 and x = 1 are a one-row block for
 every law, so the limits there are written once, in ``_G_block`` (and in
-the public ``g``).  ``max_G`` scans a grid of x, on a large support only
-where ``G_upper`` cannot rule G out; ``G_on_grid`` evaluates G on a stretch
-of the same grid from its cached logs.
+the public ``g``).  ``max_G`` evaluates G - 1 on a grid of x, whole, in one
+call, and keeps the values beside the maximum; ``G_on_grid`` reads G on a
+stretch of that grid from them.
 
 The shifted Poisson and geometric laws list no atom and are not cut: keep
 each child with probability y = 1 - x, and the kept count of 2 + X has a
@@ -62,7 +62,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -89,7 +89,6 @@ BRACKET_WIDTH = 1e-12
 _X_REL = 1e-9  # max_G refines to this fraction of the distance to the nearer end
 _TIE_REL = 1e-10  # max_G's candidates within this fraction of |M - 1| of the best tie
 _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0  # the golden section of a bracket's side
-_COARSE = (25, 5)  # max_G's coarse grid steps, in grid points, coarsest first
 
 
 def _log_binom_sum(n: int, m: int, l_i: float, l_rest: float, e: int = 0) -> float:
@@ -108,6 +107,10 @@ def _log_binom_sum(n: int, m: int, l_i: float, l_rest: float, e: int = 0) -> flo
 
 def binom_lte(n: int, q: float, m: int) -> float:
     """P(Bin(n, q) <= m) for small m; log-space terms once n is large."""
+    if not 0.0 <= q <= 1.0:  # NaN fails too
+        raise PreconditionError("binom_lte requires q in [0, 1]")
+    if n < 0:
+        raise PreconditionError("binom_lte requires n >= 0")
     if m >= n:
         return 1.0
     if m < 0:
@@ -550,11 +553,14 @@ class MaxResult:
     M - 1 is the best G - 1 that ``max_G`` evaluated, with every bit it has:
     on the heavy and pruned laws at their own threshold G - 1 carries no O(1)
     offset, so it keeps full relative precision where M rounds to 1.
+    ``grid`` is G - 1 at each ``_grid()`` point, read-only, as ``max_G``
+    scanned it (``G_on_grid`` reads it); it takes no part in ``==`` or repr.
     """
 
     x_star: float
     M_minus_1: float
     err: float
+    grid: np.ndarray = field(compare=False, repr=False)
 
     @property
     def M(self) -> float:
@@ -641,15 +647,13 @@ def _grid() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(_frozen(a) for a in (xs, *_libm_logs(xs)))
 
 
-def G_on_grid(ctx: GEvalContext, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """(xs, G(xs)) at xs = a, the ``_grid()`` points in (a, b), and b, for 0 <= a < b <= 1:
-    one array, the grid points' logs read from the cache, those of a and b from libm."""
-    xs, lx, l1x = _grid()
-    inner = slice(np.searchsorted(xs, a, "right"), np.searchsorted(xs, b, "left"))
-    la, l1a = _libm_logs(np.array([a, b]))
-    pts = np.r_[a, xs[inner], b]
-    return pts, _G_blocks(ctx, pts, np.r_[la[0], lx[inner], la[1]], np.r_[l1a[0], l1x[inner], l1a[1]],
-                          ctx.const)
+def G_on_grid(ctx: GEvalContext, res: MaxResult, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """(xs, G(xs)) at xs = x_star, the ``_grid()`` points in (x_star, b), and b, for
+    x_star < b <= 1, from ``max_G``'s result ``res``: M at x_star and 1 + ``res.grid``
+    at the grid points are read, and G is evaluated at b alone."""
+    xs = _grid()[0]
+    inner = slice(np.searchsorted(xs, res.x_star, "right"), np.searchsorted(xs, b, "left"))
+    return np.r_[res.x_star, xs[inner], b], np.r_[res.M, 1.0 + res.grid[inner], G(ctx, np.array([b]))]
 
 
 def _tie_floor(best: float) -> float:
@@ -666,10 +670,6 @@ def _brackets(ctx: GEvalContext, xs: np.ndarray, vals: np.ndarray) -> list[tuple
     so flat stretches cost nothing.  A piece whose ``G_upper`` bound lies below
     1 plus the tie floor of the best grid value is dropped: no value in it
     could tie the best grid value or any better one.
-
-    ``vals`` is NaN where ``_scan`` evaluated nothing.  A comparison with NaN
-    is False, so a peak needs the point and both its neighbours evaluated, and
-    the best grid value is the best evaluated one (``fmax`` skips NaN).
     """
     mid, left, right = vals[1:-1], vals[:-2], vals[2:]
     peaks = np.flatnonzero((mid >= left) & (mid >= right) & ((mid > left) | (mid > right))).tolist()
@@ -683,70 +683,24 @@ def _brackets(ctx: GEvalContext, xs: np.ndarray, vals: np.ndarray) -> list[tuple
         return []
     lo, hi = np.array(pieces).T
     upper = G_upper(ctx, xs[lo], xs[hi])
-    floor = 1.0 + _tie_floor(float(np.fmax.reduce(vals)))
+    floor = 1.0 + _tie_floor(float(vals.max()))
     return [piece for piece, bound in zip(pieces, upper.tolist()) if bound >= floor]
-
-
-def _scan(ctx: GEvalContext) -> np.ndarray:
-    """G - 1 on ``_grid()`` where ``_brackets`` may need it, NaN elsewhere.
-
-    A grid of at most ``_BLOCK`` (x, k) pairs (1001 len(ks) <= ``_BLOCK``) is
-    evaluated whole, in blocks of r len(ks) terms per x (``_row_blocks``).
-    Otherwise every ``_COARSE[0]``-th point is evaluated, and the points 0, 1,
-    n-1 and n of the end pieces.  Each interval between them,
-    widened by one grid step on each side, is bounded by one ``G_upper`` call;
-    an interval is kept only if its bound, raised by 2^-34 relative for the
-    rounding of ``G_upper`` (2^-36), reaches 1 plus the tie floor of the best
-    value so far.  The kept intervals are split to every ``_COARSE[1]``-th
-    point and bounded in the same way, and the kept ones then to the grid.
-
-    A bound on an interval is one on every 3-point piece and grid point in it,
-    so a dropped interval holds no piece that ``_brackets`` would keep from the
-    whole grid, and no value above the best one evaluated.  G at a point does
-    not depend on the points evaluated with it (``_row_dots``), so the pieces
-    kept, their values and the best value are those of a whole-grid scan, bit
-    for bit.
-    """
-    xs, lx, l1x = _grid()
-    base = ctx.const - 1.0
-    n = len(xs) - 1
-    if (n + 1) * len(ctx.ks) <= _BLOCK:
-        return _G_blocks(ctx, xs, lx, l1x, base)
-    vals = np.full(n + 1, np.nan)
-
-    def fill(idx: np.ndarray) -> None:
-        idx = idx[np.isnan(vals[idx])]
-        vals[idx] = _G_blocks(ctx, xs[idx], lx[idx], l1x[idx], base)
-
-    step = _COARSE[0]
-    starts = np.arange(0, n, step)
-    fill(np.r_[starts, n, 1, n - 1])
-    for sub in _COARSE[1:] + (1,):
-        bound = G_upper(ctx, xs[np.maximum(starts - 1, 0)], xs[np.minimum(starts + step + 1, n)])
-        starts = starts[bound * (1.0 + 2.0**-34) >= 1.0 + _tie_floor(float(np.fmax.reduce(vals)))]
-        starts = (starts[:, None] + np.arange(0, step, sub)).ravel()
-        fill(starts)
-        step = sub
-    return vals
 
 
 def max_G(ctx: GEvalContext) -> MaxResult:
     """Global maximum of G over [0, 1].
 
-    A scan of a grid with step ``GRID_STEP`` finds the pieces that may hold
-    the maximum (``_brackets``): the grid neighbours of each local maximum and
+    G - 1 on the whole grid of step ``GRID_STEP``, one ``_G_blocks`` call
+    (returned as ``MaxResult.grid``), finds the pieces that may hold the
+    maximum (``_brackets``): the grid neighbours of each local maximum and
     the end pieces where G falls away from x = 0 or 1, less those whose
     ``G_upper`` bound, from one vectorised call, cannot reach the best grid
-    value.  On a support too large for one block the scan goes coarse to
-    fine (``_scan``): it evaluates only the grid pieces whose ``G_upper``
-    bound can reach the best value so far, and finds the same pieces and
-    values as a scan of the whole grid, bit for bit.  Each piece left is
-    refined (``_refine``) by Brent's method seeded with its three grid
-    points, so its first step is a parabola's vertex.  An end piece is first
-    probed at ``BRACKET_WIDTH`` from its end; where G there is below G at the
-    end, the mode lies within ``BRACKET_WIDTH`` of the end under the
-    unimodality assumed of every piece, and the piece takes no further
-    evaluation.  Modes of all supported families are wide relative to the
+    value.  Each piece left is refined (``_refine``) by Brent's method
+    seeded with its three grid points, so its first step is a parabola's
+    vertex.  An end piece is first probed at ``BRACKET_WIDTH`` from its end;
+    where G there is below G at the end, the mode lies within
+    ``BRACKET_WIDTH`` of the end under the unimodality assumed of every
+    piece, and the piece takes no further evaluation.  Modes of all supported families are wide relative to the
     grid step.  The grid and its libm logs are computed once per process;
     each value G - 1 on it is ``G_minus_1`` of the grid array at that x, bit
     for bit, and of that x alone too unless the context has ``atoms`` (a
@@ -761,8 +715,8 @@ def max_G(ctx: GEvalContext) -> MaxResult:
     1e-8 relative on the pruned laws, 1e-7 on ``geometric:b=4`` at r = 4.
     """
     f = lambda x: G_minus_1(ctx, x)
-    xs = _grid()[0]
-    vals = _scan(ctx)
+    xs, lx, l1x = _grid()
+    vals = _frozen(_G_blocks(ctx, xs, lx, l1x, ctx.const - 1.0))
     pt = lambda i: (float(xs[i]), float(vals[i]))
 
     candidates = [pt(0), pt(-1)]
@@ -771,4 +725,4 @@ def max_G(ctx: GEvalContext) -> MaxResult:
 
     best = max(fb for _, fb in candidates)
     x_star = min(xb for xb, fb in candidates if fb >= _tie_floor(best))
-    return MaxResult(x_star=float(x_star), M_minus_1=best, err=1e-10)
+    return MaxResult(x_star=float(x_star), M_minus_1=best, err=1e-10, grid=vals)

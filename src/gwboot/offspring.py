@@ -126,7 +126,7 @@ def harmonic_number(n):
         table.flags.writeable = False
         _HARMONIC_TABLE.append(table)
     table, array = _HARMONIC_TABLE[0], isinstance(n, np.ndarray)
-    if not array and n < 0:
+    if (n.min(initial=0) if array else n) < 0:
         raise ValueError("harmonic_number needs n >= 0")
     if (n.max(initial=0) if array else n) <= _HARMONIC_CACHE_N:
         return table[n] if array else float(table[n])

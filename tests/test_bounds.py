@@ -454,7 +454,8 @@ def test_public_bound_functions_return_their_report_entry(spec, r):
 @pytest.mark.parametrize("call", [
     lambda: alpha_bound_constant(1, 0.5),
     lambda: lb_fort(make_distribution("pmf:1=0.5,3=0.5")),
-], ids=["alpha_bound_constant-r", "lb_fort-support"])
+    lambda: ub_pruned(1, 5.0),
+], ids=["alpha_bound_constant-r", "lb_fort-support", "ub_pruned-r"])
 def test_outside_input_is_refused(call):
     with pytest.raises(PreconditionError):
         call()

@@ -33,7 +33,7 @@ def test_pc_regular3_r2():
 
 def test_pc_exact_clamps_to_unit_interval():
     # a truncated law's M may round just below 1, which would give p_c < 0
-    res = MaxResult(x_star=0.0, M_minus_1=-1e-13, err=1e-10)
+    res = MaxResult(x_star=0.0, M_minus_1=-1e-13, err=1e-10, grid=np.zeros(1001))
     pc, err = critical._pc_of_max(res)
     assert pc == 0.0
     assert err >= res.err
@@ -435,6 +435,19 @@ def test_q_limit_decides_by_max_after_a_fixed_step(spec, r, ratio):
     assert _DECIDE_AT <= res.iterations <= 200
 
 
+def test_q_limit_within_err_of_pc_tries_the_zero_certificate():
+    # p_c ~ 2.55e-11 lies below its err 1e-10, so 2 p_c is within err of p_c and
+    # max_G cannot take a side; G_upper still proves (1-p) G < 1 on (0, q], so the
+    # limit is a certified 0 (it was [0, 0.99999999910] unconverged), in 35 evaluations
+    d = make_distribution("pruned:r=2,b=25")
+    crit = pc_exact(d, 2)
+    assert 2 * crit.pc < crit.pc + crit.err
+    res = q_limit(d, 2, 2 * crit.pc)
+    assert res.converged
+    assert res.value == 0.0 and res.lower == 0.0 and res.upper == 0.0
+    assert res.iterations <= 40
+
+
 def test_q_limit_decides_the_side_of_a_tiny_pc_by_pc_exact():
     # p_c ~ 3.8e-9 with err 1e-10: q_limit reads the side of p_c from pc_exact's
     # p_c and err, so at p_c it claims nothing and 2 err away it takes a side
@@ -488,6 +501,23 @@ def test_q_limit_next_to_pc_brackets_the_root_right_of_x_star_fast(spec, delta):
         # the converged value of the stepping search, after 604,062 evaluations
         assert res.lower <= 0.9698456213911694 <= res.upper
         assert res.value == pytest.approx(0.9698456213911694, abs=res.upper - res.lower)
+
+
+@pytest.mark.parametrize("spec, delta", SLOW_ROWS, ids=[f"{s}-{d:g}" for s, d in SLOW_ROWS])
+def test_q_limit_grid_bracket_reads_max_G_scan(monkeypatch, spec, delta):
+    # G on the grid right of x_star is read from max_G's one whole-grid scan: the
+    # only other array is G at the last iterate, one point, counted once
+    import gwboot.kernels as kernels_mod
+
+    d = make_distribution(spec)
+    p = pc_exact(d, 2).pc * (1 - delta)
+    before = q_limit(d, 2, p)
+    sizes, blocks_of = [], kernels_mod._G_blocks
+    monkeypatch.setattr(kernels_mod, "_G_blocks",
+                        lambda c, xs, *rest: sizes.append(len(xs)) or blocks_of(c, xs, *rest))
+    res = q_limit(d, 2, p)
+    assert res == before
+    assert sizes == [1001, 1]
 
 
 X_STAR_0_ATOMS = {

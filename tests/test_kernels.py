@@ -639,25 +639,18 @@ def _grid_pieces(vals):
     return pieces + [(0, 1)] * bool(vals[0] > vals[1]) + [(n - 1, n)] * bool(vals[-1] > vals[-2])
 
 
-def _one_block(ctx):
-    """Whether max_G scans this context's grid whole: 1001 (x, k) pairs fit ``_BLOCK``."""
-    return 1001 * len(ctx.ks) <= kernels._BLOCK
-
-
 @pytest.mark.parametrize("spec, r", [("regular:b=5", 3), ("poisson:b=8", 2), ("geometric:b=19", 2),
                                      ("twopoint:b=4,a=9", 2), ("heavy:r=3", 2),
                                      ("pruned:r=2,b=20", 2), ("pmf:2=0.25,3=0.5,7=0.25", 3)])
 def test_max_G_evaluates_grid_in_blocks(monkeypatch, spec, r):
     ctx = make_context(make_distribution(spec), r)
     max_G(ctx)  # the grid and its logs exist from here on
-    blocks, read, points, log_calls = [], [], [], []  # rows per block, (x, G - 1) read, ndim-0 flags, logs taken
+    blocks, points, log_calls = [], [], []  # rows per block, ndim-0 flags, logs taken
     block, minus_1, logs = kernels._G_block, kernels.G_minus_1, kernels._libm_logs
 
     def counting_block(c, xs, *rest):
         blocks.append(len(xs))
-        out = block(c, xs, *rest)
-        read.extend(zip(xs.tolist(), out.tolist()))
-        return out
+        return block(c, xs, *rest)
 
     def counting_logs(xs):
         log_calls.append(len(xs))
@@ -673,12 +666,7 @@ def test_max_G_evaluates_grid_in_blocks(monkeypatch, spec, r):
     max_G(ctx)
     monkeypatch.undo()
     assert all(points)  # G_minus_1 only refines single points
-    if _one_block(ctx):  # one pass over the whole grid
-        assert sum(blocks) == 1001
-    else:  # the points G_upper cannot rule out, each G at its own x bit for bit
-        assert len(read) == len({x for x, _ in read}) < 1001
-        for x, v in read:
-            assert v == minus_1(ctx, x), (spec, r, x)
+    assert sum(blocks) == 1001  # one pass over the whole grid
     # the grid's logs are computed once per process: a second max_G takes none,
     # also not for the heavy and pruned deficiency
     assert log_calls == []
@@ -694,9 +682,9 @@ ANALYTIC_THRESHOLDS = [(spec, r) for spec in ("heavy:r=2", "heavy:r=3", "heavy:r
 
 
 def test_max_G_grid_is_G_minus_1_bitwise(monkeypatch):
-    # the cached grid logs are a fast path, not a fork: every grid value max_G
-    # reads is G_minus_1 on np.linspace(0, 1, 1001) at that point, and a grid
-    # that fits one block is read whole, in one call
+    # the cached grid logs are a fast path, not a fork: max_G reads the whole grid
+    # in one call, and every value is G_minus_1 on np.linspace(0, 1, 1001) at that
+    # point; MaxResult.grid holds those values, read-only
     xs = np.linspace(0.0, 1.0, 1001)
     blocks_of, seen = kernels._G_blocks, []
 
@@ -705,21 +693,14 @@ def test_max_G_grid_is_G_minus_1_bitwise(monkeypatch):
         return seen[-1][1]
 
     monkeypatch.setattr(kernels, "_G_blocks", recording)
-    pruned = 0
     for spec, r in _criterion_8_laws() + ROW_EXTRA + ANALYTIC_THRESHOLDS + SCAN_EXTRA:
         ctx = make_context(make_distribution(spec), r)
         want = gw.G_minus_1(ctx, xs)
         seen.clear()
-        max_G(ctx)
-        if _one_block(ctx):
-            assert len(seen) == 1, (spec, r)
-            assert seen[0][1].tobytes() == want.tobytes(), (spec, r)
-            continue
-        pruned += 1
-        idx = np.concatenate([i for i, _ in seen])
-        assert len(idx) == len(set(idx.tolist())) < 1001, (spec, r)
-        assert np.concatenate([v for _, v in seen]).tobytes() == want[idx].tobytes(), (spec, r)
-    assert pruned >= 2  # the two wide pmfs of SCAN_EXTRA; the shifted laws list no atoms
+        res = max_G(ctx)
+        assert len(seen) == 1, (spec, r)
+        assert seen[0][1].tobytes() == want.tobytes(), (spec, r)
+        assert res.grid.tobytes() == want.tobytes() and not res.grid.flags.writeable, (spec, r)
 
 
 def _pmf_spec(ks, weights):
@@ -735,13 +716,13 @@ WIDE_PMFS = [_pmf_spec(range(2, 528), (17 / 18) ** np.arange(526.0)),
              _pmf_spec(range(2, 1752), (58 / 59) ** np.arange(1750.0)),
              _pmf_spec(range(852, 1153), [math.exp(j * math.log(998) - 998 - math.lgamma(j + 1))
                                            for j in range(850, 1151)])]
-# supports of several blocks, where max_G evaluates only part of the grid
+# supports of several blocks, whose grid max_G evaluates in several _G_block calls
 SCAN_EXTRA = [(WIDE_PMFS[1], 2), (WIDE_PMFS[2], 2), ("pmf:3=0.9,3000000=0.1", 2)]
 
 
 def test_max_G_pruned_scan_equals_a_whole_grid_scan(monkeypatch):
-    # with every grid one block, max_G evaluates all 1001 points: the pieces it
-    # refines, and so its result, are the same bit for bit
+    # with every grid one block, _G_blocks makes one _G_block call of all 1001
+    # points: the pieces max_G refines, and so its result, are the same bit for bit
     laws = _criterion_8_laws() + ROW_EXTRA + ANALYTIC_THRESHOLDS + SCAN_EXTRA + [(WIDE_PMFS[0], 3)]
     got = {law: max_G(make_context(make_distribution(law[0]), law[1])) for law in laws}
     monkeypatch.setattr(kernels, "_BLOCK", 2**40)
@@ -751,15 +732,16 @@ def test_max_G_pruned_scan_equals_a_whole_grid_scan(monkeypatch):
             assert getattr(got[spec, r], name).hex() == getattr(whole, name).hex(), (spec, r, name)
 
 
-def test_max_G_pruned_scan_cost(monkeypatch):
-    # 526 atoms (geometric:b=19 cut at tail 1e-13): about 70 grid rows and 50 G_upper rows, not 1001
-    ctx = make_context(make_distribution(WIDE_PMFS[0]), 2)
-    rows, bounds = [], []
-    blocks_of, upper = kernels._G_blocks, kernels.G_upper
-    monkeypatch.setattr(kernels, "_G_blocks", lambda c, x, *rest: rows.append(len(x)) or blocks_of(c, x, *rest))
-    monkeypatch.setattr(kernels, "G_upper", lambda c, a, b: bounds.append(len(b)) or upper(c, a, b))
-    max_G(ctx)
-    assert sum(rows) <= 200 and sum(bounds) <= 100
+def test_pc_exact_of_a_wide_pmf_scans_its_grid_whole_in_time():
+    # 10^4 atoms, weights e^(-j/1000) on k = 2 + j: the whole grid is 10^7 (x, k)
+    # terms in about 150 blocks (65-80 ms on a 2-vCPU Xeon); x_star and M are pinned
+    # to the bits they had when the scan evaluated only the pieces G_upper kept
+    d = make_distribution(_pmf_spec(range(2, 10002), np.exp(-np.arange(10000.0) / 1000)))
+    t0 = time.perf_counter()
+    res = gw.pc_exact(d, 2)
+    assert time.perf_counter() - t0 < 1.0
+    assert res.x_star.hex() == "0x1.ffffef2b38395p-1"
+    assert res.M.hex() == "0x1.00000434aace8p+0"
 
 
 # multi-atom laws at r up to 8, whose single x is a row of the tables: a
@@ -1100,7 +1082,13 @@ def test_binom_lte_large_n_is_exact():
     lambda ctx: gw.G_minus_1(ctx, 1.5),
     lambda ctx: gw.G(ctx, -0.5),
     lambda ctx: gw.h(ctx, 0.1, 1.5),
-], ids=["G_minus_1", "G", "h"])
+    lambda ctx: binom_lte(5, math.nan, 1),
+    lambda ctx: binom_lte(600, math.nan, 1),
+    lambda ctx: binom_lte(5, 1.5, 1),
+    lambda ctx: binom_lte(5, -0.5, 1),
+    lambda ctx: binom_lte(-3, 0.5, 1),
+], ids=["G_minus_1", "G", "h", "binom_lte-q-nan", "binom_lte-q-nan-large-n", "binom_lte-q-above",
+        "binom_lte-q-below", "binom_lte-n"])
 def test_outside_input_is_refused(call):
     with pytest.raises(PreconditionError):
         call(make_context(make_distribution("regular:b=3"), 2))

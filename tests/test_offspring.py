@@ -1043,11 +1043,12 @@ def test_finite_moments_match_spec_reference(spec):
 
 @pytest.mark.parametrize("call,error", [
     (lambda: harmonic_number(-1), ValueError),
+    (lambda: harmonic_number(np.array([3, -1])), ValueError),
     (lambda: DistributionSpec("binomial", b=3.0), SpecError),
     (lambda: DistributionSpec("two_point", b=4.0, a=9.5), SpecError),
     (lambda: DistributionSpec("explicit_pmf", pmf=()), SpecError),
     (lambda: make_distribution("pmf:1=0.5,3=0.5").fort_upper_moment(), PreconditionError),
-], ids=["harmonic_number-n", "spec-family", "spec-two_point-a", "spec-empty-pmf",
+], ids=["harmonic_number-n", "harmonic_number-array", "spec-family", "spec-two_point-a", "spec-empty-pmf",
         "fort_upper_moment-support"])
 def test_outside_input_is_refused(call, error):
     with pytest.raises(error):
