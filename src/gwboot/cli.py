@@ -279,8 +279,10 @@ def cmd_sweep(args) -> int:
     else:
         grid = _parse_grid(args.p_grid)
         d = make_distribution(parse_spec(args.dist))
-        seed = _resolve_seed(args) if args.reps else None
         budget = _budget(args)
+        if args.reps:  # the Monte Carlo arguments once, before a seed is drawn; p is each row's own
+            simulate.check_estimate_args(args.r, 0.0, args.n, args.reps, budget)
+        seed = _resolve_seed(args) if args.reps else None
         columns = (_MC_COLUMNS if args.reps else ["spec", "r", "p"]) + [
             "qlimit", "converged", "status"]
         for p in grid:

@@ -550,9 +550,16 @@ def q_limit(d: OffspringDistribution, r: int, p: float, tol: float = 1e-12) -> Q
     before, Aitken's lower ends and all.  Every search ends after
     ``Q_ITERATION_CAP`` evaluations, unconverged.  ``iterations`` counts the
     evaluations of h and of G, not the grid values read from ``max_G``.
+
+    At p = 0 no step is taken: h(1) = P(xi < r) + G(1) = 1 on every law, so
+    q_t = 1 at every t, and the result is the certified bracket [1, 1], also
+    on a law whose p_c is 0 (``heavy:r=2``).
     """
     if not 0.0 <= p <= 1.0:
         raise PreconditionError("p must lie in [0, 1]")
     if not tol > 0:  # NaN fails too
         raise PreconditionError("tol must be positive")
-    return _LimitSearch(make_context(d, r), p, tol).run()
+    ctx = make_context(d, r)
+    if p == 0.0:
+        return QLimitResult(1.0, 1.0, 1.0, True, 0)
+    return _LimitSearch(ctx, p, tol).run()

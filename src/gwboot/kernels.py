@@ -161,21 +161,16 @@ def _libm_logs(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _deficiency(r: int, m: int, lx: float | np.ndarray, l1x: float | np.ndarray):
     """D_r(m, x) at interior x from log x and log(1-x), floats or arrays alike.
 
-    The recursion's step (1-x)/((s-1) x) P(Bin(m-1, 1-x) <= s-2) is summed
-    one log-space term per i, log C(m-1, i) - log(s-1): C(m-1, i) may pass the
-    largest double (``pruned:r=8,b=1000``, m about 10^62).  The logs of the exact
-    binomials are taken once for every s.
+    The recursion's step (1-x)/((s-1) x) P(Bin(m-1, 1-x) <= s-2) is a running
+    sum over i <= s-2 of C(m-1, i) (1-x)^(i+1) x^(m-2-i), divided by s-1; each
+    term is formed once, as one exp of its log: C(m-1, i) may pass the largest
+    double (``pruned:r=8,b=1000``, m about 10^62).
     """
-    log_comb, c = [], 1
-    for i in range(r - 2):
-        log_comb.append(math.log(c))
-        c = c * (m - 1 - i) // (i + 1)
-    d = np.exp((m - 1) * lx) / m
+    d, below, c = np.exp((m - 1) * lx) / m, 0.0, 1  # c = C(m-1, s-2)
     for s in range(2, r):
-        step, ls = 0.0, math.log(s - 1)
-        for i in range(s - 1):
-            step = step + np.exp(log_comb[i] - ls + (i + 1) * l1x + (m - 2 - i) * lx)
-        d = s / (s - 1) * d + step
+        below = below + np.exp(math.log(c) + (s - 1) * l1x + (m - s) * lx)
+        d = s / (s - 1) * d + below / (s - 1)
+        c = c * (m - s + 1) // (s - 1)
     return d
 
 
@@ -245,11 +240,11 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 def make_context(dist: OffspringDistribution, r: int) -> GEvalContext:
     """The context of ``dist`` at threshold r >= 2.  No law is cut: a heavy or pruned
-    law is a body in closed form, a shifted Poisson or geometric law its thinned form.
+    law is a body in closed form, a shifted Poisson or geometric law its thinned form,
+    and a finite law lists its atoms up to ``support_max``.
 
-    A shifted law is still refused where a cut at tail ``DEFAULT_TAIL_TARGET`` would
-    pass ``ENUM_CAP`` atoms, the rule its moment sums keep (``refuse_past_cap``,
-    which builds no table).
+    A shifted law is still refused where it would list more than ``ENUM_CAP`` atoms,
+    the rule its moment sums keep (its ``refuse_past_cap``, which builds no table).
     """
     if r < 2:
         raise PreconditionError("threshold r must be >= 2")
@@ -266,7 +261,7 @@ def make_context(dist: OffspringDistribution, r: int) -> GEvalContext:
         dist.refuse_past_cap()
         thin, ks, w, body, const = dist, np.zeros(0, dtype=np.int64), np.zeros(0), (), 0.0
     else:
-        ks_all, w_all = dist.support_probs()
+        ks_all, w_all = dist.support_probs(dist.support_max)
         mask = ks_all >= r
         ks, w, body, const = ks_all[mask], w_all[mask], (), 0.0
         if len(ks) > ENUM_CAP:

@@ -27,14 +27,13 @@ moment is defined once, as an expectation E f(xi) taken in one array pass:
 * the regular, two-point and explicit laws share one finite base: their
   atoms of positive mass with exact pmf values, also as read-only (ks,
   probs) arrays.  A moment is the ``math.fsum`` of f(ks) probs;
-* the shifted laws sum their pmf up to a cutoff whose remainder is bounded
-  from ``tail``.  The Poisson law reads its tail, P(xi < r), cutoff and atoms
-  from one table of P(X = j), j <= J = floor(lam + 15 sqrt(lam)) + 100,
-  divided by its own sum; by Bernstein's bound less than e^-112 lies past J.
-  That table serves tails, moments and the sampler; a law whose cut would
-  pass ``ENUM_CAP`` atoms is refused from J alone (``refuse_past_cap``): the
-  kernels evaluate both laws by thinning (``thinned``), with O(r^2)
-  closed-form terms and no cut;
+* the shifted laws end each sum where the law ends.  The Poisson law reads
+  its tail, P(xi < r), moments and atoms from one table of P(X = j), j <= J =
+  floor(lam + 15 sqrt(lam)) + 100, divided by its own sum: by Bernstein's
+  bound less than e^-112 lies past J.  The geometric law doubles its end until
+  its remainder bound is negligible.  Each refuses more than ``ENUM_CAP``
+  atoms (``refuse_past_cap``); the kernels evaluate both laws by thinning
+  (``thinned``), with O(r^2) closed-form terms and no cut;
 * the heavy and pruned laws are one body: ``HeavyTail`` is the pmf
   (r-1)/(k(k-1)) on r <= k <= ``top`` plus a tuple of (k, mass) ``atoms``,
   with no top and no atoms for the heavy law; ``Pruned`` sets top = k1 and
@@ -77,10 +76,9 @@ INF = math.inf
 
 _PMF_MASS_TOL = 1e-12
 # the most atoms an enumeration may hold: a finite law's atoms at or above the
-# threshold, an infinite law's up to its truncation cutoff, a pmf table's entries
+# threshold, a heavy body's listed atoms, the Poisson table's entries and the
+# geometric law's atoms up to its cut at tail ``_REFUSAL_TAIL``
 ENUM_CAP = 2_000_000
-# the tail mass a truncated infinite support leaves unless a caller asks otherwise
-DEFAULT_TAIL_TARGET = 1e-13
 # integer parameters (regular b, two-point a, r, pmf support points) stop at
 # 2^53, below which a double holds every integer and int64 holds them with room
 _INT_PARAM_MAX = 2**53
@@ -373,7 +371,7 @@ class OffspringDistribution:
         """P(xi < r)."""
         return 0.0 if r <= self.support_min else 1.0 - self.tail(r - 1)
 
-    def support_probs(self, upto: Optional[int] = None) -> tuple[np.ndarray, np.ndarray]:
+    def support_probs(self, upto: int) -> tuple[np.ndarray, np.ndarray]:
         """(ks, probs) arrays for the support truncated at ``upto``."""
         raise NotImplementedError
 
@@ -424,7 +422,7 @@ class _Finite(OffspringDistribution):
     def prob_below(self, r):
         return float(self.probs[self.ks < r].sum())
 
-    def support_probs(self, upto=None):
+    def support_probs(self, upto):
         return self.ks, self.probs
 
     def _expect(self, f, tail):
@@ -465,18 +463,11 @@ class ExplicitPMF(_Finite):
 
 
 class _LightTail(OffspringDistribution):
-    """Moments of the shifted Poisson and geometric laws as one pmf pass.
+    """The shifted Poisson and geometric laws: support {2, 3, ...} and mean b.
 
-    Both laws are log-concave, so the tail ratio q(m) = tail(m+1)/tail(m)
-    never increases, and every moment here has 0 <= f(k) <= k^2 on k >= 2.
-    Summing the pmf up to K therefore leaves at most
-    E(xi^2; xi > K) = K^2 tail(K) + sum_{j>=K} (2j+1) tail(j)
-                   <= tail(K) (K^2 + (2K+1)/(1-q) + 2q/(1-q)^2),  q = q(K).
-    The sum runs past the default cutoff and is not capped; it refuses only the
-    laws ``make_context`` refuses, with more than ``ENUM_CAP`` atoms at that cutoff.
-    Both laws have support {2, 3, ...} and mean b.
-
-    The kernels read neither atoms nor cutoff: ``thinned`` and ``thinned_tail``
+    Each law's ``refuse_past_cap`` refuses it where it would list more than
+    ``ENUM_CAP`` atoms; ``make_context`` and every moment sum call it.
+    The kernels read neither atoms nor a cut: ``thinned`` and ``thinned_tail``
     give G and its tail in closed form by thinning.  Keep each child with
     probability v: xi = 2 + X keeps Bin(2, v) of its first two children and a
     part M of X, whose law has a closed form for both families.
@@ -490,26 +481,6 @@ class _LightTail(OffspringDistribution):
 
     def mean(self):
         return self.b
-
-    def refuse_past_cap(self) -> None:
-        """Raise ``too_many_atoms`` for a law whose cut at tail ``DEFAULT_TAIL_TARGET``
-        would pass ``ENUM_CAP`` atoms: the one refusal of ``make_context`` and the moments."""
-        if self.truncation_cutoff(DEFAULT_TAIL_TARGET) > ENUM_CAP:
-            raise too_many_atoms(f"{self.label()} truncated at tail {DEFAULT_TAIL_TARGET:g}")
-
-    def _expect(self, f, tail) -> float:
-        self.refuse_past_cap()
-        K = self.truncation_cutoff(_LIGHT_TAIL_START)
-        while True:
-            ks, probs = self.support_probs(upto=K)
-            total = math.fsum((f(ks) * probs).tolist())
-            t = self.tail(K)
-            if t == 0.0:
-                return total
-            q = self.tail(K + 1) / t
-            if t * (K * K + (2 * K + 1) / (1 - q) + 2 * q / (1 - q) ** 2) <= _REL_REMAINDER * total:
-                return total
-            K *= 2
 
     def thinned(self, r: int, u, v, w, lu, lv):
         """E[sum_{i<r} C(xi, i) v^i u^(xi-i); xi >= r] at u, v in (0, 1], floats or arrays alike.
@@ -548,8 +519,8 @@ class _LightTail(OffspringDistribution):
 
 
 class ShiftedPoisson(_LightTail):
-    """2 + Poisson(b-2): ``tail``, ``prob_below``, ``truncation_cutoff`` and
-    ``support_probs`` read one table of P(X = j) and P(X >= j), X ~ Poisson(lam), j = 0..J.
+    """2 + Poisson(b-2): ``tail``, ``prob_below``, ``support_probs`` and every
+    moment read one table of P(X = j) and P(X >= j), X ~ Poisson(lam), j = 0..J.
 
     J = floor(lam + 15 sqrt(lam)) + 100: by Bernstein's bound
     P(X >= lam + t) <= exp(-t^2/(2(lam + t/3))) at t = 15 sqrt(lam) + 100, less
@@ -563,8 +534,9 @@ class ShiftedPoisson(_LightTail):
     zeroed, it is off by at most 8.2e-14 of that up to b = 1e6.  P(X >= j) is
     summed from the top and ``prob_below`` from j = 0, each from its small end,
     so a tiny P(xi < r) stays precise; whether it is positive is read from
-    ``support_min`` (it underflows from b = 748 at r = 3).  A table of more
-    than ``ENUM_CAP`` entries is refused before it is built, and from J alone
+    ``support_min`` (it underflows from b = 748 at r = 3).  A moment is one
+    ``math.fsum`` over the whole table.  A table of more than ``ENUM_CAP``
+    entries is refused before it is built, and from J alone
     (``refuse_past_cap``) where no table is asked for.
     """
 
@@ -575,13 +547,7 @@ class ShiftedPoisson(_LightTail):
         self._J = int(self.lam + 15.0 * math.sqrt(self.lam)) + 100  # the table's last j
 
     def refuse_past_cap(self):
-        """Refuse a pmf table of more than ``ENUM_CAP`` entries, from J alone.
-
-        This is the rule of the base class without the table: the cut at tail
-        ``DEFAULT_TAIL_TARGET``, k = floor(lam + 10 sqrt(lam + 1) + 20) + 2, lies
-        inside the table (P(xi > k) < e^-40 by Bernstein's bound), so only
-        the table can pass the cap.
-        """
+        """Refuse a pmf table of more than ``ENUM_CAP`` entries (b > 1,978,801), from J alone."""
         if self._J >= ENUM_CAP:
             raise too_many_atoms(f"{self.label()}'s pmf table")
 
@@ -646,17 +612,14 @@ class ShiftedPoisson(_LightTail):
     def second_factorial_moment(self):
         return self.b**2 - 2.0
 
-    def truncation_cutoff(self, tail_target):
-        k = int(self.lam + 10 * math.sqrt(self.lam + 1) + 20) + 2
-        while self.tail(k) > tail_target:
-            k = int(1.5 * k) + 10
-        return k
-
-    def support_probs(self, upto=None):
+    def support_probs(self, upto):
         """The table's atoms 2..upto, or 2..J+2 where upto lies past the table."""
-        K = upto if upto is not None else self.truncation_cutoff(DEFAULT_TAIL_TARGET)
-        probs = self._table[0][:max(K - 1, 0)]
+        probs = self._table[0][:max(upto - 1, 0)]
         return np.arange(2, len(probs) + 2), probs
+
+    def _expect(self, f, tail):
+        ks, probs = self.support_probs(self._J + 2)
+        return math.fsum((f(ks) * probs).tolist())
 
     def _tabulated(self):
         """Every entry of the pmf table; only those of nonzero weight stay atoms,
@@ -667,7 +630,13 @@ class ShiftedPoisson(_LightTail):
 
 
 class ShiftedGeometric(_LightTail):
-    """P(xi = k+2) = (1/(b-1)) ((b-2)/(b-1))^k, k >= 0."""
+    """P(xi = k+2) = (1/(b-1)) ((b-2)/(b-1))^k, k >= 0.
+
+    Every moment here has 0 <= f(k) <= k^2 on k >= 2, and tail(m+1)/tail(m) = q = rho,
+    so the pmf summed up to K leaves at most
+    E(xi^2; xi > K) = K^2 tail(K) + sum_{j>=K} (2j+1) tail(j)
+                   <= tail(K) (K^2 + (2K+1)/(1-q) + 2q/(1-q)^2).
+    """
 
     def __init__(self, spec: DistributionSpec):
         super().__init__(spec)
@@ -725,15 +694,33 @@ class ShiftedGeometric(_LightTail):
     def second_factorial_moment(self):
         return 2.0 * (self.b - 1.0) ** 2
 
-    def truncation_cutoff(self, tail_target):
-        k = 2 + int(math.log(tail_target) / self.log_rho) + 2
-        while self.tail(k) > tail_target:
-            k += 10
-        return k
+    def _cut(self, t: float) -> int:
+        """k = 4 + int(log t / log rho), which has (k-1) log rho < log t + 2 log rho:
+        tail(k) = rho^(k-1) <= t, the two spare factors rho covering the rounding
+        of the logs up to b of 1e13 (from about 1e15, far past the refusal, they do not)."""
+        return 4 + int(math.log(t) / self.log_rho)
 
-    def support_probs(self, upto=None):
-        K = upto if upto is not None else self.truncation_cutoff(DEFAULT_TAIL_TARGET)
-        ks = np.arange(2, K + 1)
+    def refuse_past_cap(self):
+        """Refuse a law whose cut at tail ``_REFUSAL_TAIL`` passes ``ENUM_CAP`` atoms (b > 66,815)."""
+        if self._cut(_REFUSAL_TAIL) > ENUM_CAP:
+            raise too_many_atoms(f"{self.label()} truncated at tail {_REFUSAL_TAIL:g}")
+
+    def _expect(self, f, tail):
+        self.refuse_past_cap()
+        K = self._cut(_LIGHT_TAIL_START)
+        while True:
+            ks, probs = self.support_probs(K)
+            total = math.fsum((f(ks) * probs).tolist())
+            t = self.tail(K)
+            if t == 0.0:
+                return total
+            q = self.tail(K + 1) / t
+            if t * (K * K + (2 * K + 1) / (1 - q) + 2 * q / (1 - q) ** 2) <= _REL_REMAINDER * total:
+                return total
+            K *= 2
+
+    def support_probs(self, upto):
+        ks = np.arange(2, upto + 1)
         return ks, np.exp((ks - 2) * self.log_rho) / (self.b - 1.0)
 
     def _tabulated(self):
@@ -798,12 +785,10 @@ class HeavyTail(OffspringDistribution):
         ks, ws = (np.array(c) for c in zip(*self.atoms))
         return math.fsum([body, *(ws * f(ks)).tolist()])
 
-    def support_probs(self, upto=None):
-        top = upto
-        if self.top is not None:
-            top = self.top if upto is None else min(self.top, upto)
-        if top is None or top - self.r + 1 > ENUM_CAP:
-            raise too_many_atoms(f"{self.label()} up to k = {'infinity' if top is None else top}")
+    def support_probs(self, upto):
+        top = upto if self.top is None else min(self.top, upto)
+        if top - self.r + 1 > ENUM_CAP:
+            raise too_many_atoms(f"{self.label()} up to k = {top}")
         ks = np.arange(self.r, top + 1)
         probs = (self.r - 1.0) / (ks * (ks - 1.0))
         for j, w in self.atoms:
@@ -1069,10 +1054,12 @@ class AliasTable:
 
 
 # ---------------------------------------------------------------------------
-# moment sums: light-tail stop rule and closed-form tails of the heavy body
+# moment sums: the geometric law's ends and closed-form tails of the heavy body
 
-# the shifted laws start at tail(K) <= this and double K until the remainder
-# bound of _LightTail is below _REL_REMAINDER of the sum
+# the geometric law's cut (``_cut``) at _REFUSAL_TAIL decides its refusal, and
+# its moments double K from the cut at _LIGHT_TAIL_START until the remainder
+# bound is below _REL_REMAINDER of the sum
+_REFUSAL_TAIL = 1e-13
 _LIGHT_TAIL_START = 1e-30
 _REL_REMAINDER = 2.0**-56
 

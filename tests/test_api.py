@@ -43,9 +43,13 @@ def test_deleted_names_are_gone():
     for mod, names in DELETED.items():
         for name in names:
             assert not hasattr(mod, name) and not hasattr(gwboot, name), name
-    # the finite, heavy and pruned laws have no truncation cutoff; the shifted laws keep theirs
-    for spec in ("regular:b=3", "twopoint:b=4,a=9", "pmf:2=0.5,4=0.5", "heavy:r=2", "pruned:r=2,b=8"):
+    # no law has a truncation cutoff, and the shifted laws' shared base neither
+    # sums a moment nor refuses: each law does both itself
+    for spec in ("regular:b=3", "twopoint:b=4,a=9", "pmf:2=0.5,4=0.5", "heavy:r=2", "pruned:r=2,b=8",
+                 "poisson:b=4", "geometric:b=4"):
         assert not hasattr(offspring.make_distribution(spec), "truncation_cutoff"), spec
+    assert "_expect" not in vars(offspring._LightTail)
+    assert "refuse_past_cap" not in vars(offspring._LightTail)
 
 
 def test_readme_lists_the_public_names_per_module():

@@ -151,6 +151,20 @@ def test_simulate_validates_before_it_warns(capsys):
     assert out == "" and err.splitlines() == ["error: budget must be >= 1"]
 
 
+@pytest.mark.parametrize("extra, message", [
+    (["--reps", "-5"], "need at least one replicate"),
+    (["--reps", "5", "--n", "-1"], "depth must be >= 0"),
+    (["--reps", "5", "--budget", "0"], "budget must be >= 1"),
+])
+def test_sweep_validates_monte_carlo_arguments_once(capsys, extra, message):
+    # refused as simulate refuses them, before a seed is drawn: these printed a
+    # generated seed and one error status per row, and exited 0
+    code, out, err = run_cli(capsys, "sweep", "--dist", "regular:b=3", "--r", "2",
+                             "--p-grid", "0:1:0.5", *extra)
+    assert code == 3
+    assert out == "" and err.splitlines() == [f"error: {message}"]
+
+
 @pytest.mark.parametrize("alpha", ["1", "0", "nan"])
 def test_bounds_alpha_outside_unit_interval_exit_code(capsys, alpha):
     code, out, err = run_cli(capsys, "bounds", "--dist", "regular:b=5", "--r", "2", "--alpha", alpha)

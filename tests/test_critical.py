@@ -247,6 +247,11 @@ def test_q_limit_edges():
     d = make_distribution("regular:b=3")
     assert q_limit(d, 2, 0.0).value == pytest.approx(1.0)
     assert q_limit(d, 2, 1.0).value == 0.0
+    # at p = 0, q_t = 1 at every t, also on a law whose p_c is 0: the search
+    # returned 1 in the bracket [0, 1], unconverged, as p lies within err of p_c
+    for spec, r in [("heavy:r=2", 2), ("heavy:r=3", 3)]:
+        res = q_limit(make_distribution(spec), r, 0.0)
+        assert (res.value, res.lower, res.upper, res.converged) == (1.0, 1.0, 1.0, True), spec
 
 
 def test_q_limit_supercritical_dies():

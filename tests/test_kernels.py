@@ -1,6 +1,7 @@
 """Kernel evaluation, mixtures, the survival map, and maximization."""
 
 import dataclasses
+import itertools
 import math
 import time
 import tracemalloc
@@ -183,7 +184,7 @@ def test_G_shifted_poisson_closed_form():
 
 def test_G_pruned_matches_enumeration_small_b():
     eta = make_distribution("pruned:r=2,b=5.0")
-    ks, probs = eta.support_probs()
+    ks, probs = eta.support_probs(eta.top)
     ctx = make_context(eta, 2)
     for x in XGRID:
         direct = float(sum(p * g_reference(int(k), 2, x) for k, p in zip(ks, probs)))
@@ -601,12 +602,12 @@ def test_make_context_caps_the_number_of_atoms(monkeypatch):
     assert len(make_context(make_distribution("pmf:1=0.5,2=0.25,3000000=0.25"), 2).ks) == 2
     with pytest.raises(gw.PreconditionError):
         make_context(make_distribution("pmf:2=0.5,3=0.25,4=0.25"), 2)
-    with pytest.raises(gw.PreconditionError):  # an infinite law: one atom per k up to the cutoff
+    with pytest.raises(gw.PreconditionError):  # a geometric law: one atom per k up to its cut
         make_context(make_distribution("geometric:b=3"), 2)
 
 
 def test_moment_sums_refuse_exactly_the_laws_make_context_refuses(monkeypatch):
-    # one ENUM_CAP rule at make_context's default cutoff; the moments' own,
+    # one ENUM_CAP rule, each law's refuse_past_cap; the moments' own,
     # longer enumeration is not capped
     for module in (offspring, kernels):
         monkeypatch.setattr(module, "ENUM_CAP", 200)
@@ -1044,13 +1045,13 @@ def test_h_matches_binomial_sum(spec, r, tail):
     d = make_distribution(spec)
     ctx = make_context(d, r)
     # the whole finite support, a heavy law to tail mass ``tail`` (its tail past K is
-    # (r-1)/K), or a shifted law to tail 1e-16
+    # (r-1)/K), or a shifted law up to the first K of tail at most 1e-16
     if d.support_max is not None:
         cutoff = d.support_max
     elif tail is not None:
         cutoff = math.ceil((d.r - 1) / tail)
     else:
-        cutoff = d.truncation_cutoff(1e-16)
+        cutoff = next(k for k in itertools.count(2) if d.tail(k) <= 1e-16)
     assert cutoff <= 40_000
     for x in (0.0, 1e-300, 0.1, 0.3, 0.5, 0.9, 0.999, 1 - 1e-13, 1.0):
         want = _h_oracle(d, r, x, cutoff)

@@ -43,12 +43,12 @@ ALL_SPECS = [
 
 def cutoff(d, tail_target):
     """A K with tail(K) <= tail_target: a finite law's top atom, (r-1)/tail_target for the
-    heavy law (its tail past K is (r-1)/K), a shifted law's own truncation cutoff."""
+    heavy law (its tail past K is (r-1)/K), the first such K of a shifted law."""
     if d.support_max is not None:
         return d.support_max
     if d.spec.family == "heavy_tail":
         return max(d.r, math.ceil((d.r - 1) / tail_target))
-    return d.truncation_cutoff(tail_target)
+    return next(k for k in itertools.count(2) if d.tail(k) <= tail_target)
 
 
 def brute_force_moment(d, f, tail_target=1e-12, cap=500_000):
@@ -83,7 +83,8 @@ def test_zero_mass_atoms_are_not_held(spec, same):
     # hold the atoms of the law they equal and replay its draws
     d, e = make_distribution(spec), make_distribution(same)
     assert (d.support_min, d.support_max) == (e.support_min, e.support_max)
-    assert [a.tolist() for a in d.support_probs()] == [a.tolist() for a in e.support_probs()]
+    assert ([a.tolist() for a in d.support_probs(d.support_max)]
+            == [a.tolist() for a in e.support_probs(e.support_max)])
     assert all(d.pmf(k) == e.pmf(k) for k in range(7))
     rng_d, rng_e = np.random.default_rng(3), np.random.default_rng(3)
     assert np.array_equal(d.sample(rng_d, 1000), e.sample(rng_e, 1000))
@@ -117,7 +118,8 @@ def test_shifted_poisson_matches_50_digit_reference():
     tol, tiny = 1.8e-13, 2.0**-1022
     for b in sorted({*np.linspace(2.0, 40.0, 39)[1:], 2.0 + 1e-3, 2.5, 7 / 3, 20.0}):
         d = make_distribution(DistributionSpec(family="shifted_poisson", b=float(b)))
-        top = d.truncation_cutoff(1e-13) + 50
+        # 50 past k = lam + 10 sqrt(lam + 1) + 22, where P(xi > k) < e^-40 by Bernstein's bound
+        top = int(d.lam + 10 * math.sqrt(d.lam + 1) + 20) + 52
         with mpmath.workdps(50):
             lam = mpmath.mpf(d.lam)
             pmf = [mpmath.exp(-lam)]  # P(xi = j + 2), on until the rest is below 1e-30 of P(xi = top + 2)
@@ -129,9 +131,9 @@ def test_shifted_poisson_matches_50_digit_reference():
         def close(got, want):
             return abs(got - want) <= tol * max(want, tiny)
 
-        for ks, probs in (d.support_probs(), d.support_probs(upto=top)):
-            assert ks.tolist() == list(range(2, len(ks) + 2)), b
-            assert all(close(p, pmf[k - 2]) for k, p in zip(ks.tolist(), probs.tolist())), b
+        ks, probs = d.support_probs(upto=top)
+        assert ks.tolist() == list(range(2, top + 1)), b
+        assert all(close(p, pmf[k - 2]) for k, p in zip(ks.tolist(), probs.tolist())), b
         assert all(close(d.tail(m), above[max(m - 1, 0)]) for m in range(top + 1)), b
         assert d.prob_below(2) == 0.0
         assert all(close(d.prob_below(r), below[r - 3]) for r in range(3, top + 2)), b
@@ -143,7 +145,7 @@ def test_shifted_poisson_support_and_tail_sum_to_one(b):
     # anchor at the mode, the atoms and tail summed to 1 - 5.7e-13, 1 - 5.8e-12
     # and 1 + 2.1e-10 at these b, the error of the anchor exp(-lam + m log lam - lgamma(m+1))
     d = make_distribution(f"poisson:b={b}")
-    K = d.truncation_cutoff(1e-13)
+    K = cutoff(d, 1e-13)
     _, probs = d.support_probs(upto=K)
     assert abs(math.fsum(probs.tolist()) + d.tail(K) - 1.0) <= 4 * math.ulp(1.0)
 
@@ -152,7 +154,7 @@ def test_shifted_poisson_probabilities_stay_at_most_one():
     # the table's running sums of P(X = j) can end a few ulps above 1
     for b in np.arange(2.05, 60.0, 0.25).tolist():
         d = make_distribution(DistributionSpec(family="shifted_poisson", b=b))
-        top = d.truncation_cutoff(1e-30) + 200  # past the table's last entry
+        top = d._J + 2 + 200  # past the table's last entry, k = J + 2
         assert max(d.tail(m) for m in range(top)) <= 1.0, b
         assert max(d.prob_below(r) for r in range(top)) <= 1.0, b
 
@@ -232,6 +234,21 @@ def test_poisson_refusal_needs_no_pmf_table():
     assert "_table" not in last.__dict__ and "_table" not in first.__dict__
 
 
+def test_geometric_refusal_edge():
+    # the cut at tail 1e-13, 4 + int(log(1e-13) / log rho), passes ENUM_CAP from
+    # b = 66816 on: make_context and the moment sums refuse that law, and the law
+    # just below it answers, within its err of the closed form
+    last, first = make_distribution("geometric:b=66815"), make_distribution("geometric:b=66816")
+    assert (last._cut(1e-13), first._cut(1e-13)) == (1_999_972, 2_000_002)
+    last.refuse_past_cap()
+    res = gw.pc_exact(last, 2)
+    assert abs(res.pc - gw.pc_closed_form(last.spec, 2).pc) <= res.err
+    with pytest.raises(PreconditionError, match="tail 1e-13"):
+        gw.make_context(first, 2)
+    with pytest.raises(PreconditionError, match="tail 1e-13"):
+        first.alpha_moment(0.5)
+
+
 def test_rejects_mass_at_zero():
     with pytest.raises(SpecError):
         parse_spec("pmf:0=0.5,2=0.5")
@@ -289,8 +306,10 @@ def test_geometric_tail_where_the_ratio_rounds_to_one():
     d = make_distribution(f"geometric:b={b}")
     assert d.tail(10**17 + 1) == pytest.approx(math.exp(-1e17 / (b - 1)), rel=1e-12)
     assert d.pmf(10**17 + 2) == pytest.approx(math.exp(-1e17 / (b - 1)) / (b - 1), rel=1e-12)
-    k = d.truncation_cutoff(1e-13)
+    k = d._cut(1e-13)  # the cut that decides the refusal
     assert d.tail(k) <= 1e-13 and k < 31 * b
+    with pytest.raises(PreconditionError, match="tail 1e-13"):
+        d.refuse_past_cap()
 
 
 @pytest.mark.parametrize("b", [3, 20, 1e4, 1e6, 1e17])
@@ -450,17 +469,17 @@ def test_fort_upper_moment_examples():
 
 
 def test_light_tail_moments_past_a_doubled_cutoff_match_50_digit_closed_forms():
-    # geometric:b=5000 leaves too much mass past its first cutoff K, so
-    # _LightTail._expect doubles K once; both moments have closed forms in
+    # geometric:b=5000 leaves too much mass past its first cut K, so
+    # ShiftedGeometric._expect doubles K once; both moments have closed forms in
     # rho = (b-2)/(b-1) (mpmath's nsum reads 4e-8 off here)
     b = 5000
     d = make_distribution(f"geometric:b={b}")
     uptos = []
     support_probs = d.support_probs
 
-    def counted(upto=None):
+    def counted(upto):
         uptos.append(upto)
-        return support_probs(upto=upto)
+        return support_probs(upto)
 
     d.support_probs = counted
     with mpmath.workdps(50):
@@ -571,7 +590,7 @@ def test_prune_eta_small_case_brute_force():
     # small enough to enumerate: total mass 1, mean exactly b
     eta = make_distribution("pruned:r=2,b=4.0")
     assert eta.k0 == 31 and eta.k1 == 27
-    ks, probs = eta.support_probs()
+    ks, probs = eta.support_probs(eta.top)
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
     assert float(ks @ probs) == pytest.approx(4.0, abs=1e-10)
     assert 0 < eta.alpha < 1
@@ -579,7 +598,7 @@ def test_prune_eta_small_case_brute_force():
 
 def test_prune_eta_threshold_3():
     eta = make_distribution("pruned:r=3,b=8.0")
-    ks, probs = eta.support_probs()
+    ks, probs = eta.support_probs(eta.top)
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
     assert float(ks @ probs) == pytest.approx(8.0, abs=1e-10)
     assert eta.support_min == 3
@@ -680,7 +699,7 @@ def test_prune_eta_beyond_the_decimal_precision_rejected():
 def test_prune_eta_moment_consistency():
     # moments summed through _expect vs enumeration (small case)
     eta = make_distribution("pruned:r=2,b=4.0")
-    ks, probs = eta.support_probs()
+    ks, probs = eta.support_probs(eta.top)
     ks = ks.astype(float)
     assert eta.second_factorial_moment() == pytest.approx(
         float((ks * (ks - 1)) @ probs), rel=1e-10, abs=0
