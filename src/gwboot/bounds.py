@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .offspring import HeavyTail, OffspringDistribution, PreconditionError, Pruned, pruned_threshold
+from .offspring import ENUM_CAP, HeavyTail, OffspringDistribution, PreconditionError, Pruned, pruned_threshold
 from .critical import CriticalResult, pc_exact
 
 __all__ = [
@@ -156,20 +156,23 @@ def lb_fort(d: OffspringDistribution) -> float:
     k^(k-1) (k-2)^(k-2) / (k-1)^(2k-3) for k >= 3.  Atoms with zero mass
     contribute nothing.  Every peak is at most 2, so an atom k > m
     contributes at most 1 - 1/(2 p_k) <= 1 - 1/(2 tail(m)); the scan over
-    the support stops at the first m where that cannot beat the best term.
-    A pruned law with r = 2 has p_2 = 1/2 + a, with a its atom at 2; its
-    k = 2 term is 2a/(1 + 2a), read from a rather than from the double p_2.
+    the support stops at the first m where that cannot beat the best term,
+    or at the ``ENUM_CAP``-th atom, the most a support lists, with the best
+    term so far: each term is a lower bound on its own (a heavy law of large
+    threshold s would scan toward k ~ 2 s^2).  A pruned law with r = 2 has
+    p_2 = 1/2 + a, with a its atom at 2; its k = 2 term is 2a/(1 + 2a), read
+    from a rather than from the double p_2.
     """
     if d.support_min < 2:
         raise PreconditionError("lb_fort requires support >= 2")
-    top = 2 * d.support_min + 64
+    top, cap = 2 * d.support_min + 64, d.support_min + ENUM_CAP - 1
     best = -math.inf
     excess_2 = _excess_2(d)
     while True:
-        ks, probs = d.support_probs(upto=top)
+        ks, probs = d.support_probs(upto=min(top, cap))
         best = max(best, float(np.max(_fort_terms(ks, probs, excess_2), initial=-math.inf)))
         t = d.tail(int(ks[-1]))
-        if t == 0.0 or 1.0 - 0.5 / t <= best:
+        if t == 0.0 or 1.0 - 0.5 / t <= best or top >= cap:
             return best
         top *= 4
 

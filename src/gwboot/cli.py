@@ -249,6 +249,8 @@ def cmd_simulate(args) -> int:
 def cmd_sweep(args) -> int:
     if (args.p_grid is None) == (args.b_grid is None):
         raise SpecError("sweep needs exactly one of --p-grid or --b-grid")
+    if args.r < 2:  # every row's q_limit or p_c needs it: refused once, before a seed is drawn
+        raise PreconditionError("threshold r must be >= 2")
     rows: list[dict] = []
     problems: list[str] = []
     if args.b_grid is not None:

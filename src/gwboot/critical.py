@@ -9,13 +9,13 @@ h_{r,p}(q_t); it decreases to the largest fixed point of h, which is
 positive exactly in the subcritical regime p < p_c.  ``q_limit`` brackets
 that limit instead of stepping until the step is small: the iterates are
 upper bounds, an Aitken extrapolate with h(l) > l is a lower bound, and a
-safeguarded secant closes the bracket.  A limit of 0 has two certificates,
-a bound of G over pieces of [0, q_t] from the kernel tables and, at step 32,
-p_c itself, formed from the maximum of G by the rule ``pc_exact`` uses;
-within its err of p_c only the bound can certify 0, and else the limit is
-left as the interval [0, q_t].  Below p_c - err the same maximum places the
-limit right of x_star, where G on the grid, read from the maximum's scan,
-brackets it.
+safeguarded secant closes the bracket.  Stepping ends by step 32, where one
+maximum of G decides.  On a law that can die, p_c and its err, formed from
+it by the rule ``pc_exact`` uses, give the limit 0 above p_c + err, within
+err a 0 only where a bound of G over pieces of [0, q_t] proves it (that
+bound may certify 0 sooner) and else the interval [0, q_t], and below
+p_c - err a root right of x_star.  With mass below r the limit is a root
+right of 0.  Each root is bracketed from G on the maximum's grid.
 """
 
 from __future__ import annotations
@@ -42,9 +42,6 @@ __all__ = [
     "q_limit",
     "pc_regular_asymptotic",
 ]
-
-Q_ITERATION_CAP = 1_000_000
-
 
 @dataclass(frozen=True, slots=True)
 class CriticalResult:
@@ -233,7 +230,7 @@ class QLimitResult:
 
     Without a certified bracket ``converged`` is False and the bracket is
     [0, value], value being the last iterate.  ``iterations`` counts
-    evaluations of h and of G; the grid values read from ``max_G``'s scan
+    evaluations of h, F and G; the grid values read from ``max_G``'s scan
     are not counted again.
     """
 
@@ -253,21 +250,17 @@ _H_ROUNDING = 2.0**-48
 # once more pieces fail than it started with
 _ZERO_PIECES = 16
 _ZERO_ROUNDS = 6
-# the step at which a search that can still reach 0 asks max_G for the side of p_c
+# the step at which every search stops stepping and asks max_G once
 _DECIDE_AT = 32
 
 
 class _LimitSearch:
     """One ``q_limit`` call: the context, p, tol and the evaluations made so far.
 
-    ``run`` steps from 1 - p and tries Aitken's lower end every third step.  A
-    search that can still reach 0 stops at step ``_DECIDE_AT``, or at a stall
-    that one probe at q - tol/2 does not close, and asks ``max_G`` once
-    (``decide_by_max``): a certified 0 above p_c + err, within err a 0 that
-    ``zero_certified`` proves or else [0, q] unconverged, and below p_c - err
-    one grid bracket right of x_star (``bracket_right_of``).  Where that
-    finds no bracket, and on every law with mass below r, the search steps on
-    to the cap.
+    ``run`` steps from 1 - p and tries Aitken's lower end every third step.
+    Stepping ends at step ``_DECIDE_AT``, or at a stall that one probe at
+    q - tol/2 does not close, with one ``decide``: by the side of p_c on a law
+    that can die, and else by one bracket read off ``max_G``'s grid.
     """
 
     def __init__(self, ctx: GEvalContext, p: float, tol: float):
@@ -288,6 +281,11 @@ class _LimitSearch:
         self.evals += 1
         return kernels.h(self.ctx, self.p, x) - x
 
+    def F_minus_1(self, x: float) -> float:
+        """F(x) - 1 = P(xi < r)/x + G(x) - 1 at x > 0, counted as one evaluation."""
+        self.evals += 1
+        return self.ctx.prob_below / x + kernels.G_minus_1(self.ctx, x)
+
     def eps(self, x: float) -> float:
         """Bound on the error of ``f(x)`` against h(x) - x: ``_H_ROUNDING`` per unit
         of x, P(xi < r) and the terms of x G(x)."""
@@ -297,12 +295,15 @@ class _LimitSearch:
     def certified_zero(self) -> QLimitResult:
         return QLimitResult(0.0, 0.0, 0.0, True, self.evals)
 
+    def unconverged(self, q: float) -> QLimitResult:
+        return QLimitResult(q, 0.0, q, False, self.evals)
+
     def run(self) -> QLimitResult:
         ctx, p = self.ctx, self.p
         can_die = ctx.prob_below == 0.0  # with mass below r, h(0) > 0 and the limit too
         q, x1, x0 = 1.0 - p, None, None
         zero_from, t = q, 0
-        while self.evals < Q_ITERATION_CAP:
+        while True:
             if q == 0.0:
                 return self.certified_zero()
             # h(q) + eps(q) >= the exact h(q) >= q*, so every iterate stays an
@@ -312,21 +313,17 @@ class _LimitSearch:
             self.evals += 1
             if h_q + e >= q:
                 # a stall, h(q) - q within eps(q): a lower end tol/2 below q closes
-                # the bracket, or else p lies next to p_c
+                # the bracket, or else ``decide`` does
                 if self.tol / 2 <= GRID_STEP:
                     lower = max(q - self.tol / 2, 0.0)
                     f_lower = self.f(lower)
                     if f_lower > self.eps(lower):
                         return self.close(lower, f_lower, q, h_q - q)
-                res = self.decide_by_max(q) if can_die else None
-                return res or QLimitResult(q, 0.0, q, False, self.evals)
+                return self.decide(q)
             x0, x1, q = x1, q, h_q + e
             t += 1
-            if can_die and t == _DECIDE_AT:
-                res = self.decide_by_max(q)
-                if res is not None:
-                    return res
-                can_die = False
+            if t == _DECIDE_AT:
+                return self.decide(q)
             if x0 is None:
                 continue
             d1, d2 = x0 - x1, x1 - q
@@ -344,7 +341,6 @@ class _LimitSearch:
                 f_lower = self.f(lower)
                 if f_lower > self.eps(lower):
                     return self.close(lower, f_lower, x1, -(d2 + e))
-        return QLimitResult(q, 0.0, q, False, self.evals)
 
     def zero_certified(self, q: float) -> bool:
         """True if (1-p) G < 1 on (0, q], so that h(x) < x there and 0 is the limit."""
@@ -364,98 +360,88 @@ class _LimitSearch:
             a, b = cuts[:, :-1].ravel(), cuts[:, 1:].ravel()
         return False
 
-    def decide_by_max(self, q: float) -> Optional[QLimitResult]:
-        """The side of p_c that p lies on, by ``pc_exact``'s rule: the limit 0 for
-        p > p_c + err.  Where p lies within err of p_c the limit is 0 if
-        ``zero_certified(q)`` proves it, else [0, q] unconverged.  For
-        p < p_c - err the limit is positive: the root right of x_star that
-        ``bracket_right_of`` closes, or None (step on) where it finds no bracket."""
+    def decide(self, q: float) -> QLimitResult:
+        """The limit from one ``max_G`` call, where the iterate q has stopped.
+
+        On a law with no mass below r, p's side of p_c by ``pc_exact``'s rule:
+        0 above p_c + err; within err a 0 that ``zero_certified(q)`` proves, else
+        [0, q] unconverged; below p_c - err the root right of x_star, where
+        (1-p) M > 1.  With mass below r, F = P(xi < r)/x + G is infinite at
+        x = 0, so the root lies right of 0.  Either root is ``bracket``'s.
+        """
         res = kernels.max_G(self.ctx)
+        if self.ctx.prob_below > 0.0:
+            return self.bracket(res, q, 0.0, 1.0 + float(res.grid[0]))
         pc, err = _pc_of_max(res)
         if self.p > pc + err:
             return self.certified_zero()
         if self.p < pc - err:
-            return self.bracket_right_of(res, q)
-        if self.zero_certified(q):
-            return self.certified_zero()
-        return QLimitResult(q, 0.0, q, False, self.evals)
+            return self.bracket(res, q, res.x_star, res.M)
+        return self.certified_zero() if self.zero_certified(q) else self.unconverged(q)
 
-    def bracket_right_of(self, res: kernels.MaxResult, q: float) -> Optional[QLimitResult]:
-        """q* closed from a bracket read off one array of G, or None.
+    def bracket(self, res: kernels.MaxResult, q: float, x0: float, G0: float) -> QLimitResult:
+        """q*, the largest root of (1-p) F = 1 on [x0, q], closed from one bracket,
+        or [0, q] unconverged.
 
-        For p < p_c - err, (1-p) G(x_star) > 1, and q >= q* since q is an
-        iterate, so (1-p) G = 1 has a root in [x_star, q].  G at x_star (M)
-        and at the grid points in (x_star, q) is read from ``max_G``'s result
-        ``res``, and G at q is evaluated, one evaluation (``G_on_grid``).
-        If those values never rise (by more than G's rounding, 2 ``_H_ROUNDING``
-        per unit of ``terms``), the last point with f > eps is a lower end,
-        proven as any: f(lo) > eps(lo) means q* >= lo.  The next point with
-        f < -eps is the upper end.  It rests on the assumption ``max_G`` makes,
-        that G has no mode narrower than ``GRID_STEP``: then grid values that do
-        not rise on [x_star, q] mean that G decreases there, so (1-p) G = 1 has
-        one root there, and that root is q*.  Where x_star = 0 and no grid point
-        has f > eps, the root lies below the grid, and ``halving`` finds it.  The
-        bracket's two ends are evaluated again by the scalar ``f`` that ``close``
-        goes on with (G - 1 + 1 on the grid, and the array path of a point mass,
-        a heavy or a pruned law, are a few ulps off it).  None where G rises
-        (another mode right of x_star), where no bracket is found, or where the
-        scalar values do not confirm it.
+        The points are x0, where G = G0, the ``_grid()`` points in (x0, q), where
+        ``max_G`` scanned G (``res.grid``), and q, where G is evaluated once.
+        The lower end is the last point with f > eps, as f(lo) > eps(lo) proves
+        q* >= lo, or else 0, a lower end of any root.  Each grid maximum of F
+        right of it, risen to by more than F's rounding (2 ``_H_ROUNDING`` per
+        unit of ``terms`` and of P/x), whose bound ``G_upper`` + P/a reaches
+        1/(1-p), is refined by ``kernels._refine``: the rightmost peak with
+        f > eps becomes the lower end, and one within eps leaves [0, q]
+        unconverged.  The upper end is the next point with f < -eps: where G
+        has no mode narrower than ``GRID_STEP``, as ``max_G`` assumes,
+        (1-p) F = 1 has one root in [lo, hi].  Each end is confirmed by the
+        scalar ``f`` that ``close`` goes on with (the grid's G - 1 + 1, and the
+        array path of a point mass, a heavy or a pruned law, are a few ulps off it).
         """
-        if not res.x_star < q:
-            return None
+        ctx, p, P = self.ctx, self.p, self.ctx.prob_below
+        if not x0 < q:
+            return self.unconverged(q)
+        grid = kernels._grid()[0]
+        inner = slice(np.searchsorted(grid, x0, "right"), np.searchsorted(grid, q, "left"))
         self.evals += 1
-        ends = self.ends_on(*kernels.G_on_grid(self.ctx, res, q))
-        if ends == (None, None) and res.x_star == 0.0:
-            return self.halving(q)
-        if ends is None or None in ends:
-            return None
-        lo, hi = ends
-        f_lo, f_hi = self.f(lo), self.f(hi)
-        if f_lo > self.eps(lo) and f_hi < -self.eps(hi):
-            return self.close(lo, f_lo, hi, f_hi)
-        return None
-
-    def halving(self, q: float) -> Optional[QLimitResult]:
-        """q* closed below the first grid point, where x_star = 0 and no grid point
-        has f > eps, or None.
-
-        The lower end is the first of q/2, q/4, ... with f > eps, the upper end
-        the next point back up, doubling toward q, with f < -eps; each is taken
-        by the scalar ``f``.  The grid values on [0, q], which do not rise, keep
-        the mode assumption ``bracket_right_of`` states.
-        """
-        fs = []  # f(q 2^-k) for k = 1, 2, ..., none of them above eps
-        while True:
-            lo = math.ldexp(q, -len(fs) - 1)
-            if lo == 0.0:
-                return None
-            f_lo = self.f(lo)
-            if f_lo > self.eps(lo):
-                break
-            fs.append(f_lo)
-        for k in range(len(fs), -1, -1):
-            hi = math.ldexp(q, -k)
-            f_hi = fs[k - 1] if k else self.f(q)
-            if f_hi < -self.eps(hi):
-                return self.close(lo, f_lo, hi, f_hi)
-        return None
-
-    def ends_on(self, xs: np.ndarray, vals: np.ndarray) -> Optional[tuple]:
-        """(lo, hi) among the increasing points xs, where G = vals: lo the last
-        point with f > eps, hi the next with f < -eps, each None where there is
-        none.  None where the values rise."""
-        if (np.diff(vals) > 2.0 * _H_ROUNDING * self.terms).any():
-            return None
-        f, e = (1.0 - self.p) * (xs * vals) - xs, self.eps(xs)
+        xs = np.r_[x0, grid[inner], q]
+        Gs = np.r_[G0, 1.0 + res.grid[inner], kernels.G(ctx, np.array([q]))]
+        f, e = (1.0 - p) * (P + xs * Gs) - xs, self.eps(xs)
         above = np.flatnonzero(f > e)
-        if not len(above):
-            return None, None
-        i = above[-1]
-        below = np.flatnonzero(f[i + 1:] < -e[i + 1:])
-        return float(xs[i]), (float(xs[i + 1 + below[0]]) if len(below) else None)
+        if not len(above) and x0 > 0.0:
+            return self.unconverged(q)
+        i = above[-1] if len(above) else 0
+        lo, f_lo = float(xs[i]), (float(f[0]) if xs[i] == 0.0 else None)
+        P_x = P / xs[1:]
+        F = np.r_[np.inf, Gs[1:] + P_x]  # the start is a maximum of F: M, or infinite at 0
+        rises = np.flatnonzero(np.diff(F[1:]) > 2.0 * _H_ROUNDING * (self.terms + P_x[:-1])) + 2
+        tops = np.flatnonzero((F[1:-1] >= F[:-2]) & (F[1:-1] > F[2:])) + 1
+        at = np.searchsorted(tops, rises[rises > i])
+        peaks = np.unique(tops[at[at < len(tops)]])
+        if len(peaks):
+            a = xs[peaks - 1]
+            reach = (1.0 - p) * (kernels.G_upper(ctx, a, xs[peaks + 1]) + P / a) >= 1.0
+            pt = lambda k: (float(xs[k]), float(F[k] - 1.0))
+            for j in peaks[reach][::-1]:
+                x = kernels._refine(self.F_minus_1, pt(j - 1), pt(j + 1), pt(j))[0]
+                f_x, e_x = self.f(x), self.eps(x)
+                if f_x > e_x:
+                    lo, f_lo = x, f_x
+                    break
+                if f_x >= -e_x:
+                    return self.unconverged(q)
+        right = np.flatnonzero((xs > lo) & (f < -e))
+        if not len(right):
+            return self.unconverged(q)
+        hi = float(xs[right[0]])
+        f_hi = self.f(hi)
+        if f_lo is None:
+            f_lo = self.f(lo)
+        if (f_lo > self.eps(lo) or lo == 0.0) and f_hi < -self.eps(hi):
+            return self.close(lo, f_lo, hi, f_hi)
+        return self.unconverged(q)
 
     def close(self, lo: float, f_lo: float, hi: float, f_hi: float) -> QLimitResult:
-        """Shrink [lo, hi] to width tol: f(lo) > eps(lo), hi an upper bound on q*.
+        """Shrink [lo, hi] to width tol: f(lo) > eps(lo) or lo = 0, hi an upper bound on q*.
 
         Illinois secant steps (the value kept at an end that survives twice is
         halved), kept tol/2 inside the bracket so that a point on the far side
@@ -464,7 +450,7 @@ class _LimitSearch:
         """
         tol = self.tol
         s_lo, s_hi, side, widths = f_lo, f_hi, 0, [hi - lo]
-        while hi - lo > tol and self.evals < Q_ITERATION_CAP:
+        while hi - lo > tol:
             if len(widths) >= 3 and hi - lo > widths[-3] / 2:
                 m = 0.5 * (lo + hi)
             else:
@@ -519,37 +505,35 @@ def q_limit(d: OffspringDistribution, r: int, p: float, tol: float = 1e-12) -> Q
     no mode narrower than ``GRID_STEP``, the assumption ``max_G`` makes, so
     the bracket starts only once iterate - l <= GRID_STEP.  An iterate q_t at
     which h(q_t) - q_t lies within eps(q_t) is a stall: q_t - tol/2 is tried
-    once as a lower end, and where it fails the search asks ``max_G`` as below
-    or, with mass below r, ends at [0, q_t] unconverged.
+    once as a lower end, and where it fails stepping ends as below.
 
-    Two certificates cover a limit of 0 (with P(xi < r) = 0).  Where the
-    extrapolate points to 0, ``kernels.G_upper`` bounds G over pieces of
-    [0, q_t] from the context's tables, and (1-p) G < 1 there makes h(x) < x
-    on (0, q_t].  A search still open at step 32 (``_DECIDE_AT``), or stalled
-    before it, calls ``max_G`` once, and p_c and its err are formed from it
-    as in ``pc_exact``: p > p_c + err certifies 0, and for p within err of
-    p_c the bound on G above is tried on [0, q_t], and where it fails the
-    result is [0, last iterate] with converged False.  Where P(xi < r) > 0
-    underflows to 0.0 (``poisson:b=760`` at r = 3, p above 4.6e-5), h(0)
-    computes 0, and the limit, below the smallest double, comes back as the
-    certified bracket [0, 0].
+    Stepping ends at step 32 (``_DECIDE_AT``), or at a stall before it, with
+    one call of ``max_G``.  On a law with P(xi < r) = 0, p_c and its err are
+    formed from it as in ``pc_exact``: p > p_c + err certifies 0, and for p
+    within err of p_c, ``kernels.G_upper`` bounds G over pieces of [0, q_t]
+    from the context's tables, where (1-p) G < 1 makes h(x) < x on (0, q_t]
+    and the limit 0; where that fails the result is [0, q_t] with converged
+    False.  The same bound certifies 0 before step 32 where the extrapolate
+    points to 0.  Where P(xi < r) > 0 underflows to 0.0 (``poisson:b=760`` at
+    r = 3, p above 4.6e-5), h(0) computes 0, and the limit, below the
+    smallest double, comes back as the certified bracket [0, 0].
 
-    For p < p_c - err the limit is the root of (1-p) G = 1 right of x_star,
-    the maximum's location: G at x_star (M) and at ``max_G``'s grid points
-    in (x_star, q_t) is read from its scan and G at q_t is evaluated, and
-    where those values never rise (within G's rounding) the last point with
-    h(x) - x > eps and the next with h(x) - x < -eps bracket the limit,
-    closed as above.  The upper end rests on the mode assumption of ``max_G``
-    again: G has no mode narrower than ``GRID_STEP``.  Where x_star = 0 and
-    the root lies below the first grid point, q_t is halved until h(x) - x >
-    eps, and the next point back up with h(x) - x < -eps is the upper end.  q* jumps at p_c:
-    q* -> x_star as p rises to p_c, and q* = 0 above it.
-
-    Where the values rise (another mode right of x_star), where no bracket
-    is found, and on every law with mass below r, the search steps on as
-    before, Aitken's lower ends and all.  Every search ends after
-    ``Q_ITERATION_CAP`` evaluations, unconverged.  ``iterations`` counts the
-    evaluations of h and of G, not the grid values read from ``max_G``.
+    Otherwise the limit is the largest root of (1-p) F = 1 on [0, q_t], with
+    F = P(xi < r)/x + G, so that h(x) - x = x ((1-p) F - 1): right of x_star,
+    where (1-p) M > 1, for p < p_c - err, and right of 0, where F is
+    infinite, with mass below r.  G at that start, at ``max_G``'s grid points
+    up to q_t (read from its scan) and at q_t (evaluated) gives the last point
+    with h(x) - x > eps, a lower end, and the next with h(x) - x < -eps, the
+    upper end; 0 is a lower end of any root.  Where F rises right of the
+    lower end, each grid maximum of F that a bound of G can lift to
+    1/(1-p) is refined as ``max_G`` refines G's: a peak with h(x) - x > eps
+    becomes the lower end, one within eps leaves [0, q_t] unconverged.  The
+    upper end rests on the mode assumption of ``max_G``: G has no mode
+    narrower than ``GRID_STEP``.  The bracket is closed as above; where none
+    is found the result is [0, q_t] unconverged, and no search steps on.  q*
+    jumps at p_c: q* -> x_star as p rises to p_c, and q* = 0 above it.
+    ``iterations`` counts the evaluations of h, F and G, not the grid values
+    read from ``max_G``.
 
     At p = 0 no step is taken: h(1) = P(xi < r) + G(1) = 1 on every law, so
     q_t = 1 at every t, and the result is the certified bracket [1, 1], also

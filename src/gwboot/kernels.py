@@ -26,8 +26,7 @@ code instead, in 2-6 us (2-vCPU Xeon, numpy 2.4);
 keeps in the context's ``atoms``.  x = 0 and x = 1 are a one-row block for
 every law, so the limits there are written once, in ``_G_block`` (and in
 the public ``g``).  ``max_G`` evaluates G - 1 on a grid of x, whole, in one
-call, and keeps the values beside the maximum; ``G_on_grid`` reads G on a
-stretch of that grid from them.
+call, and keeps the values beside the maximum, where ``q_limit`` reads them.
 
 The shifted Poisson and geometric laws list no atom and are not cut: keep
 each child with probability y = 1 - x, and the kept count of 2 + X has a
@@ -549,7 +548,7 @@ class MaxResult:
     on the heavy and pruned laws at their own threshold G - 1 carries no O(1)
     offset, so it keeps full relative precision where M rounds to 1.
     ``grid`` is G - 1 at each ``_grid()`` point, read-only, as ``max_G``
-    scanned it (``G_on_grid`` reads it); it takes no part in ``==`` or repr.
+    scanned it (``q_limit``'s bracket reads it); it takes no part in ``==`` or repr.
     """
 
     x_star: float
@@ -640,15 +639,6 @@ def _grid() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``max_G``'s scan points and their ``_libm_logs``, built once per process, read-only."""
     xs = np.linspace(0.0, 1.0, round(1.0 / GRID_STEP) + 1)
     return tuple(_frozen(a) for a in (xs, *_libm_logs(xs)))
-
-
-def G_on_grid(ctx: GEvalContext, res: MaxResult, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """(xs, G(xs)) at xs = x_star, the ``_grid()`` points in (x_star, b), and b, for
-    x_star < b <= 1, from ``max_G``'s result ``res``: M at x_star and 1 + ``res.grid``
-    at the grid points are read, and G is evaluated at b alone."""
-    xs = _grid()[0]
-    inner = slice(np.searchsorted(xs, res.x_star, "right"), np.searchsorted(xs, b, "left"))
-    return np.r_[res.x_star, xs[inner], b], np.r_[res.M, 1.0 + res.grid[inner], G(ctx, np.array([b]))]
 
 
 def _tie_floor(best: float) -> float:

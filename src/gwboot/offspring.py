@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import decimal
 import functools
+import itertools
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -709,8 +710,9 @@ class ShiftedGeometric(_LightTail):
         self.refuse_past_cap()
         K = self._cut(_LIGHT_TAIL_START)
         while True:
-            ks, probs = self.support_probs(K)
-            total = math.fsum((f(ks) * probs).tolist())
+            # one chain of chunks into fsum, which rounds once: only a chunk is boxed at a time
+            chunks = (np.arange(lo, min(lo + _SUM_CHUNK, K + 1)) for lo in range(2, K + 1, _SUM_CHUNK))
+            total = math.fsum(itertools.chain.from_iterable((f(ks) * self._probs(ks)).tolist() for ks in chunks))
             t = self.tail(K)
             if t == 0.0:
                 return total
@@ -719,9 +721,12 @@ class ShiftedGeometric(_LightTail):
                 return total
             K *= 2
 
+    def _probs(self, ks):
+        return np.exp((ks - 2) * self.log_rho) / (self.b - 1.0)
+
     def support_probs(self, upto):
         ks = np.arange(2, upto + 1)
-        return ks, np.exp((ks - 2) * self.log_rho) / (self.b - 1.0)
+        return ks, self._probs(ks)
 
     def _tabulated(self):
         """The atoms 2..L+1 and a tail column of mass rho^L, step L.
@@ -1062,6 +1067,8 @@ class AliasTable:
 _REFUSAL_TAIL = 1e-13
 _LIGHT_TAIL_START = 1e-30
 _REL_REMAINDER = 2.0**-56
+# its sums take the atoms this many at a time
+_SUM_CHUNK = 1 << 16
 
 # body terms k <= _BODY_HEAD are summed one by one; beyond, f(k)/(k(k-1)) is
 # a power series in 1/k cut after 8 terms, which leaves (1.5/2000)^8 ~ 1e-25:

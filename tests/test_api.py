@@ -11,14 +11,15 @@ MODULES = (offspring, kernels, critical, bounds, simulate, layered)
 # names taken off __all__ that other gwboot modules still import
 INTERNAL = {
     offspring: ["pruned_threshold"],
-    kernels: ["G_on_grid"],
     bounds: ["alpha_bound_constant", "ub_regular_rd"],
     simulate: ["check_estimate_args", "expected_tree_size", "block_size"],
 }
 
-# names deleted because another public call returns the same value
+# names deleted because another public call returns the same value, or no caller is left
 DELETED = {
     offspring: ["prune_eta"],
+    kernels: ["G_on_grid"],
+    critical: ["Q_ITERATION_CAP"],
     bounds: ["lb_alpha_moment", "lb_second_moment", "lb_second_moment_weak", "ub_fort", "ub_fort_weak"],
 }
 

@@ -24,7 +24,7 @@ from gwboot.bounds import (
     ub_regular_rd,
 )
 from gwboot.critical import pc_exact
-from gwboot.offspring import PreconditionError, make_distribution
+from gwboot.offspring import ENUM_CAP, PreconditionError, make_distribution
 
 
 def entry(d, r, name, alpha=0.5):
@@ -376,6 +376,21 @@ def test_lb_fort_stop_rule_matches_full_scan(spec):
     ks, probs = d.support_probs(upto=200_000)
     full = float(np.max(_fort_terms(ks, probs, _excess_2(d))))
     assert lb_fort(d) == full
+
+
+@pytest.mark.parametrize("s", [1000, 3000])
+def test_lb_fort_of_a_wide_heavy_law_stops_at_enum_cap(s):
+    # the stop rule scanned toward k ~ 2 s^2 and refused past ENUM_CAP atoms, so
+    # bounds_report raised; the best of the first ENUM_CAP atoms is a lower bound
+    d = make_distribution(f"heavy:r={s}")
+    ks, probs = d.support_probs(upto=d.support_min + ENUM_CAP - 1)
+    assert lb_fort(d) == float(np.max(_fort_terms(ks, probs)))
+    entry = {e.name: e for e in gw.bounds_report(d, 2, with_reference=False).entries}["lb_fort"]
+    assert entry.valid and entry.raw < -(s - 2)
+
+
+def test_lb_fort_below_enum_cap_keeps_its_value():
+    assert lb_fort(make_distribution("heavy:r=400")) == -398.99874477413459
 
 
 @pytest.mark.parametrize("b, want", [(1000, -78.19381242745695), (100000, -791.658193019294)])

@@ -165,6 +165,17 @@ def test_sweep_validates_monte_carlo_arguments_once(capsys, extra, message):
     assert out == "" and err.splitlines() == [f"error: {message}"]
 
 
+@pytest.mark.parametrize("grid", [
+    ["--p-grid", "0:1:0.5"], ["--p-grid", "0:1:0.5", "--reps", "5"], ["--b-grid", "3:4:1"],
+], ids=["p-grid", "p-grid-reps", "b-grid"])
+def test_sweep_refuses_r_below_2_once(capsys, grid):
+    # as pc and bounds refuse it: these printed an error status on every row (and a
+    # generated seed with --reps), and exited 0
+    code, out, err = run_cli(capsys, "sweep", "--dist", "regular:b=3", "--r", "1", *grid)
+    assert code == 3
+    assert out == "" and err.splitlines() == ["error: threshold r must be >= 2"]
+
+
 @pytest.mark.parametrize("alpha", ["1", "0", "nan"])
 def test_bounds_alpha_outside_unit_interval_exit_code(capsys, alpha):
     code, out, err = run_cli(capsys, "bounds", "--dist", "regular:b=5", "--r", "2", "--alpha", alpha)

@@ -535,9 +535,9 @@ X_STAR_0_ATOMS = {
     ("twopoint:b=4,a=9", 1e-3), ("twopoint:b=4,a=9", 1e-6), ("twopoint:b=3,a=6", 1e-3),
 ])
 def test_q_limit_halves_down_to_a_root_below_the_grid(spec, delta):
-    # x_star = 0 and the root lies below the first grid point: the iterate is halved
-    # by the scalar h down to the root, where the 1,075 points q 2^-k, taken as one
-    # array, made 1,178-1,182 evaluations
+    # x_star = 0 and the root lies below the first grid point, where the iterate was
+    # once halved down to it (110 evaluations; 1,182 with the 1,075 points q 2^-k as
+    # one array): 0 is the lower end of any root, so the secant closes [0, that point]
     d = make_distribution(spec)
     crit = pc_exact(d, 2)
     assert crit.x_star == 0.0
@@ -586,19 +586,48 @@ def test_q_limit_jumps_from_x_star_by_the_saddle_node_law(spec, r, G):
     # below the p at which it dips under 1/(1-p), so G rises on [x_star, q]
     ("pmf:2=0.6,8=0.4", [(2, Fraction(3, 5)), (8, Fraction(2, 5))],
      (1 - 1 / 1.0278874330688705) * (1 - 1e-6), 0.9373414),
-    # mass below r: no decision by max_G, the iterates step to the limit
+    # mass below r: F = P(xi < r)/x + G has a second mode, and the grid misses where
+    # (1-p) F > 1 next to it
     ("pmf:1=0.02,6=0.98", [(1, Fraction(1, 50)), (6, Fraction(49, 50))],
      0.0192961301651 * (1 - 1e-8), 0.9589979),
 ], ids=["pmf:2=0.6,8=0.4", "pmf:1=0.02,6=0.98"])
-def test_q_limit_steps_on_where_the_grid_bracket_does_not_hold(spec, atoms, p, limit):
-    # a grid bracket without the check that G never rises returned 0.2891843 on the
-    # first row, and one from 0 on the law with mass below r 0.0196141, both converged
+def test_q_limit_refines_a_mode_of_F_right_of_the_grid_bracket(spec, atoms, p, limit):
+    # a grid bracket that ignores the rise of F returned 0.2891843 on the first row,
+    # and 0.0196141 on the law with mass below r, both converged; the search that
+    # stepped on instead took 1,235 and 10,585 evaluations
     res = q_limit(make_distribution(spec), 2, p)
     assert res.converged
+    assert res.iterations <= 150
     assert res.value == pytest.approx(limit, abs=1e-7)
     exact = _poly_limit(atoms, 2, p)
     with mpmath.workdps(50):
         assert mpmath.mpf(res.lower) <= exact <= mpmath.mpf(res.upper), res
+
+
+# p_s = 1 - 1/F(x_s), F = 0.02/x + G at its interior maximum x_s ~ 0.959 (mpmath):
+# the saddle-node of pmf:1=0.02,6=0.98 at r = 2, where the upper fixed point is born
+P_SADDLE = 0.019296130163826458
+SADDLE_ATOMS = [(1, Fraction(1, 50)), (6, Fraction(49, 50))]
+
+
+@pytest.mark.parametrize("delta", [1e-6, -1e-6, 1e-8, -1e-8, 1e-10, -1e-10, 1e-12, -1e-12])
+def test_q_limit_with_mass_below_r_converges_next_to_its_saddle_node(delta):
+    # the search that stepped on toward 10^6 evaluations took 1,041 or more here, up
+    # to 2.1 s, and left p_s (1 + 1e-12) unconverged
+    d = make_distribution("pmf:1=0.02,6=0.98")
+    p = P_SADDLE * (1 + delta)
+    q_limit(d, 2, p)
+    timings = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        res = q_limit(d, 2, p)
+        timings.append(time.perf_counter() - t0)
+    assert min(timings) < 0.01
+    assert res.converged and res.iterations <= 150
+    limit = _poly_limit(SADDLE_ATOMS, 2, p)
+    assert (limit > 0.9) == (delta < 0)  # the upper root below p_s, the lower above
+    with mpmath.workdps(50):
+        assert mpmath.mpf(res.lower) <= limit <= mpmath.mpf(res.upper), res
 
 
 def test_results_hold_python_floats():
@@ -609,18 +638,6 @@ def test_results_hold_python_floats():
     assert crit.x_star == 0.0
     for v in (crit.pc, crit.M, crit.x_star, crit.err, res.value, res.lower, res.upper):
         assert type(v) is float
-
-
-def test_q_limit_iteration_cap_yields_interval(monkeypatch):
-    import gwboot.critical as crit_mod
-
-    monkeypatch.setattr(crit_mod, "Q_ITERATION_CAP", 25)
-    d = make_distribution("regular:b=3")
-    res = q_limit(d, 2, pc_exact(d, 2).pc, tol=1e-16)  # critically slow decay
-    assert not res.converged
-    assert res.lower == 0.0
-    assert res.upper == res.value
-    assert res.iterations == 25
 
 
 def test_pc_monotone_in_regular_degree():
