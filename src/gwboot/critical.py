@@ -10,12 +10,12 @@ positive exactly in the subcritical regime p < p_c.  ``q_limit`` brackets
 that limit instead of stepping until the step is small: the iterates are
 upper bounds, an Aitken extrapolate with h(l) > l is a lower bound, and a
 safeguarded secant closes the bracket.  Stepping ends by step 32, where one
-maximum of G decides.  On a law that can die, p_c and its err, formed from
-it by the rule ``pc_exact`` uses, give the limit 0 above p_c + err, within
-err a 0 only where a bound of G over pieces of [0, q_t] proves it (that
-bound may certify 0 sooner) and else the interval [0, q_t], and below
-p_c - err a root right of x_star.  With mass below r the limit is a root
-right of 0.  Each root is bracketed from G on the maximum's grid.
+scan of G on a grid decides.  On a law that can die, p_c and its err,
+formed from the maximum of G by the rule ``pc_exact`` uses, give the limit
+0 above p_c + err, within err a 0 only where a bound of G over pieces of
+[0, q_t] proves it (that bound may certify 0 sooner) and else the interval
+[0, q_t], and below p_c - err a root right of x_star.  With mass below r
+the limit is a root right of 0.  Each root is bracketed from G on the grid.
 """
 
 from __future__ import annotations
@@ -230,7 +230,7 @@ class QLimitResult:
 
     Without a certified bracket ``converged`` is False and the bracket is
     [0, value], value being the last iterate.  ``iterations`` counts
-    evaluations of h, F and G; the grid values read from ``max_G``'s scan
+    evaluations of h, F and G; the grid values read from ``kernels._scan``
     are not counted again.
     """
 
@@ -250,7 +250,7 @@ _H_ROUNDING = 2.0**-48
 # once more pieces fail than it started with
 _ZERO_PIECES = 16
 _ZERO_ROUNDS = 6
-# the step at which every search stops stepping and asks max_G once
+# the step at which every search stops stepping and scans G once
 _DECIDE_AT = 32
 
 
@@ -260,7 +260,7 @@ class _LimitSearch:
     ``run`` steps from 1 - p and tries Aitken's lower end every third step.
     Stepping ends at step ``_DECIDE_AT``, or at a stall that one probe at
     q - tol/2 does not close, with one ``decide``: by the side of p_c on a law
-    that can die, and else by one bracket read off ``max_G``'s grid.
+    that can die, and else by one bracket read off the grid of ``kernels._scan``.
     """
 
     def __init__(self, ctx: GEvalContext, p: float, tol: float):
@@ -361,30 +361,32 @@ class _LimitSearch:
         return False
 
     def decide(self, q: float) -> QLimitResult:
-        """The limit from one ``max_G`` call, where the iterate q has stopped.
+        """The limit where the iterate q has stopped, from one scan of G.
 
-        On a law with no mass below r, p's side of p_c by ``pc_exact``'s rule:
-        0 above p_c + err; within err a 0 that ``zero_certified(q)`` proves, else
-        [0, q] unconverged; below p_c - err the root right of x_star, where
-        (1-p) M > 1.  With mass below r, F = P(xi < r)/x + G is infinite at
-        x = 0, so the root lies right of 0.  Either root is ``bracket``'s.
+        With mass below r, F = P(xi < r)/x + G is infinite at x = 0, so the root
+        lies right of 0, bracketed on ``kernels._scan`` alone.  Else one ``max_G``
+        gives p's side of p_c by ``pc_exact``'s rule: 0 above p_c + err; within
+        err a 0 that ``zero_certified(q)`` proves, else [0, q] unconverged;
+        below p_c - err the root right of x_star, where (1-p) M > 1.  Either
+        root is ``bracket``'s.
         """
-        res = kernels.max_G(self.ctx)
         if self.ctx.prob_below > 0.0:
-            return self.bracket(res, q, 0.0, 1.0 + float(res.grid[0]))
+            grid = kernels._scan(self.ctx)
+            return self.bracket(grid, q, 0.0, 1.0 + float(grid[0]))
+        res = kernels.max_G(self.ctx)
         pc, err = _pc_of_max(res)
         if self.p > pc + err:
             return self.certified_zero()
         if self.p < pc - err:
-            return self.bracket(res, q, res.x_star, res.M)
+            return self.bracket(res.grid, q, res.x_star, res.M)
         return self.certified_zero() if self.zero_certified(q) else self.unconverged(q)
 
-    def bracket(self, res: kernels.MaxResult, q: float, x0: float, G0: float) -> QLimitResult:
+    def bracket(self, scan: np.ndarray, q: float, x0: float, G0: float) -> QLimitResult:
         """q*, the largest root of (1-p) F = 1 on [x0, q], closed from one bracket,
         or [0, q] unconverged.
 
         The points are x0, where G = G0, the ``_grid()`` points in (x0, q), where
-        ``max_G`` scanned G (``res.grid``), and q, where G is evaluated once.
+        ``scan`` holds G - 1 (``kernels._scan``), and q, where G is evaluated once.
         The lower end is the last point with f > eps, as f(lo) > eps(lo) proves
         q* >= lo, or else 0, a lower end of any root.  Each grid maximum of F
         right of it, risen to by more than F's rounding (2 ``_H_ROUNDING`` per
@@ -404,7 +406,7 @@ class _LimitSearch:
         inner = slice(np.searchsorted(grid, x0, "right"), np.searchsorted(grid, q, "left"))
         self.evals += 1
         xs = np.r_[x0, grid[inner], q]
-        Gs = np.r_[G0, 1.0 + res.grid[inner], kernels.G(ctx, np.array([q]))]
+        Gs = np.r_[G0, 1.0 + scan[inner], kernels.G(ctx, np.array([q]))]
         f, e = (1.0 - p) * (P + xs * Gs) - xs, self.eps(xs)
         above = np.flatnonzero(f > e)
         if not len(above) and x0 > 0.0:
@@ -505,12 +507,13 @@ def q_limit(d: OffspringDistribution, r: int, p: float, tol: float = 1e-12) -> Q
     no mode narrower than ``GRID_STEP``, the assumption ``max_G`` makes, so
     the bracket starts only once iterate - l <= GRID_STEP.  An iterate q_t at
     which h(q_t) - q_t lies within eps(q_t) is a stall: q_t - tol/2 is tried
-    once as a lower end, and where it fails stepping ends as below.
+    once as a lower end if tol/2 <= GRID_STEP, and unless it closes the
+    bracket stepping ends as below.
 
     Stepping ends at step 32 (``_DECIDE_AT``), or at a stall before it, with
-    one call of ``max_G``.  On a law with P(xi < r) = 0, p_c and its err are
-    formed from it as in ``pc_exact``: p > p_c + err certifies 0, and for p
-    within err of p_c, ``kernels.G_upper`` bounds G over pieces of [0, q_t]
+    one scan of G on ``max_G``'s grid.  On a law with P(xi < r) = 0, ``max_G``
+    gives p_c and its err as in ``pc_exact``: p > p_c + err certifies 0, and for
+    p within err of p_c, ``kernels.G_upper`` bounds G over pieces of [0, q_t]
     from the context's tables, where (1-p) G < 1 makes h(x) < x on (0, q_t]
     and the limit 0; where that fails the result is [0, q_t] with converged
     False.  The same bound certifies 0 before step 32 where the extrapolate
@@ -521,8 +524,8 @@ def q_limit(d: OffspringDistribution, r: int, p: float, tol: float = 1e-12) -> Q
     Otherwise the limit is the largest root of (1-p) F = 1 on [0, q_t], with
     F = P(xi < r)/x + G, so that h(x) - x = x ((1-p) F - 1): right of x_star,
     where (1-p) M > 1, for p < p_c - err, and right of 0, where F is
-    infinite, with mass below r.  G at that start, at ``max_G``'s grid points
-    up to q_t (read from its scan) and at q_t (evaluated) gives the last point
+    infinite, with mass below r.  G at that start, at the grid points up to
+    q_t (read from the scan) and at q_t (evaluated) gives the last point
     with h(x) - x > eps, a lower end, and the next with h(x) - x < -eps, the
     upper end; 0 is a lower end of any root.  Where F rises right of the
     lower end, each grid maximum of F that a bound of G can lift to
@@ -533,7 +536,7 @@ def q_limit(d: OffspringDistribution, r: int, p: float, tol: float = 1e-12) -> Q
     is found the result is [0, q_t] unconverged, and no search steps on.  q*
     jumps at p_c: q* -> x_star as p rises to p_c, and q* = 0 above it.
     ``iterations`` counts the evaluations of h, F and G, not the grid values
-    read from ``max_G``.
+    read from the scan.
 
     At p = 0 no step is taken: h(1) = P(xi < r) + G(1) = 1 on every law, so
     q_t = 1 at every t, and the result is the certified bracket [1, 1], also

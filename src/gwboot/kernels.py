@@ -16,17 +16,19 @@ p_c = 1 - 1/M.  The one-level survival map has one form for every law,
 with P(xi < r) stored in the evaluation context.  One term loop,
 ``_g_sum``, reads the context's log-binomial tables for a block of x and for
 G(x) at a single x alike, the longer of the atoms and the x of a block
-innermost, so each numpy op loops over it in C; each x's sum over the
-support is its own dot product (``_row_dots``), so
-G at a point has the same bits in any array: one step of the survival
-recursion costs about 10 us on a support of a few hundred atoms.  A point
-mass or a heavy or pruned law sums its few terms at an interior x in scalar
-code instead, in 2-6 us (2-vCPU Xeon, numpy 2.4);
+innermost, so each numpy op loops over it in C.  Each x's weighted terms
+are summed over the support in one fixed order, numpy's pairwise sum along
+a contiguous row, and never by BLAS, so G at a point has the same bits in
+any array and on any host, whatever its thread count: one step of the
+survival recursion costs about 10 us on a support of a few hundred atoms.
+A point mass or a heavy or pruned law sums its few terms at an interior x
+in scalar code instead, in 2-6 us (2-vCPU Xeon, numpy 2.4);
 ``make_context`` alone decides which laws do, by the (k, weight) pairs it
 keeps in the context's ``atoms``.  x = 0 and x = 1 are a one-row block for
 every law, so the limits there are written once, in ``_G_block`` (and in
-the public ``g``).  ``max_G`` evaluates G - 1 on a grid of x, whole, in one
-call, and keeps the values beside the maximum, where ``q_limit`` reads them.
+the public ``g``).  ``_scan`` evaluates G - 1 on a grid of x, whole, in one
+call; ``max_G`` refines its maxima and keeps the values beside the maximum,
+and ``q_limit``'s bracket reads them.
 
 The shifted Poisson and geometric laws list no atom and are not cut: keep
 each child with probability y = 1 - x, and the kept count of 2 + X has a
@@ -303,26 +305,25 @@ def _exp_live(lg: np.ndarray, lowest: float) -> np.ndarray:
 
 
 def _g_sum(ctx: GEvalContext, lx: float | np.ndarray, l1x: float | np.ndarray) -> np.ndarray:
-    """sum_{i<r} C(k, i) x^(k-i-1) (1-x)^i for each k of ``ctx.ks``, from the logs
-    of x and 1-x (or any values in their place), summed in log space term by term.
+    """G's table sum, sum_j weights_j g_{ks_j}^r(x), from the logs of x and 1-x (or
+    any values in their place): shape (1,) for a float, (n,) for a block of n.
 
-    A float log x gives one row, shape (1, len(ks)); a 1-D array of n gives a
-    block, shape (n, len(ks)).  The (r, ., .) temporary has the longer of its
-    two other axes innermost, so each op loops over it in C: k for a single x
-    or a block of at most len(ks) x (the tables as held, x a column), x for a
-    larger block (the tables viewed as (r, len(ks), 1), x a row; the result
-    is turned to one row per x).  Each term is formed in place, (k-i-1) log x,
-    + log C(k, i), + i log(1-x), then exp, and the terms are summed in order
-    of i: by one op per i on the whole temporary, or where r passes the
-    len(ks) n sums (a point mass at a large r, a single piece) by one scan
-    over i per sum (``np.add.accumulate``), as r ops cost about r us and n
-    scans about 12 n ns; at r = 2 the loop's two ops are fewer than the
-    scan's three.  The operations on each element are the same in
-    either layout and either sum, so a row and the same x in any block agree
-    bit for bit.  An empty support has no table and takes no loop over i < r.
+    The (r, ., .) temporary has the longer of its two other axes innermost, so
+    each op loops over it in C: k for a single x or a block of at most len(ks)
+    x (the tables as held, x a column), x for a larger block (the tables
+    viewed as (r, len(ks), 1), x a row, turned to one row per x at the end).
+    Each term is formed in place, (k-i-1) log x, + log C(k, i), + i log(1-x),
+    then exp, and summed in order of i: by one op per i on the whole
+    temporary, or where r passes the len(ks) n sums (a point mass at a large
+    r, a single piece) by one scan over i per sum (``np.add.accumulate``), as
+    r ops cost about r us and n scans about 12 n ns.  Each row is then
+    weighted and summed over k by numpy's pairwise ``add.reduce`` along the
+    contiguous row, one fixed order and no BLAS, so a row and the same x in
+    any block, on any host, agree bit for bit.  An empty support has no table
+    and takes no loop over i < r.
     """
     if not len(ctx.ks):
-        return np.zeros((np.size(lx), 0))
+        return np.zeros(np.size(lx))
     block = isinstance(lx, np.ndarray)
     x_inner = block and len(lx) > len(ctx.ks)
     if x_inner:
@@ -346,13 +347,25 @@ def _g_sum(ctx: GEvalContext, lx: float | np.ndarray, l1x: float | np.ndarray) -
         gk = _exp_live(lg, lowest)[0]
         for i in range(1, ctx.r):
             gk += lg[i]
-    return np.ascontiguousarray(gk.T) if x_inner else gk
+    gk = np.ascontiguousarray(gk.T) if x_inner else gk
+    gk *= ctx.weights
+    return np.add.reduce(gk, axis=-1)
 
 
-def _row_dots(gk: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """gk_j . w for each row j of gk, one dot per row: a row's bits do not depend
-    on the rows beside it, as those of a matrix-vector product (gemv) do."""
-    return (gk[:, None, :] @ w[:, None])[:, 0, 0]
+def _row_blocks(ctx: GEvalContext, n: int) -> list[slice]:
+    """Slices of n rows, each with about ``_BLOCK`` (i, k, row) elements of ``_g_sum``'s
+    temporary or fewer, r len(ks) per row: rows are summed alone, so no bit moves."""
+    blocks = max(1, -(-n * ctx.r * len(ctx.ks) // _BLOCK))
+    rows = max(1, -(-n // blocks))
+    return [slice(lo, lo + rows) for lo in range(0, n, rows)]
+
+
+def _table_sum(ctx: GEvalContext, lx: np.ndarray, l1x: np.ndarray) -> np.ndarray:
+    """``_g_sum`` at each entry of 1-D arrays of logs, one ``_row_blocks`` slice at a time."""
+    out = np.empty(len(lx))
+    for rows in _row_blocks(ctx, len(lx)):
+        out[rows] = _g_sum(ctx, lx[rows], l1x[rows])
+    return out
 
 
 def _thinned(ctx: GEvalContext, x, lx, l1x, base: float):
@@ -380,11 +393,8 @@ def _thinned(ctx: GEvalContext, x, lx, l1x, base: float):
 
 def _G_block(ctx: GEvalContext, xs: np.ndarray, lx: np.ndarray, l1x: np.ndarray,
              base: float) -> np.ndarray:
-    """``_mixture`` from ``base`` on one block of x given ``_libm_logs(xs)``, through
-    a (len(xs), len(ctx.ks)) array of g_k^r(x) whose rows ``_row_dots`` sums
-    one by one: a value does not depend on the block it is computed in.  A
-    shifted law is ``_thinned`` at each interior x.
-    """
+    """``_mixture`` from ``base`` on a 1-D array of x given ``_libm_logs(xs)``: the
+    ``_table_sum`` plus the body, or a shifted law ``_thinned`` at each interior x."""
     # the limits at x = 0 and at x = 1: g_k^r is r when k = r (0 otherwise) and 1,
     # D_r is 0 and (r-1)/m; a shifted law's G is r P(xi = r) and 1 - P(xi < r)
     ends = (xs == 0.0) | (xs == 1.0)
@@ -393,23 +403,14 @@ def _G_block(ctx: GEvalContext, xs: np.ndarray, lx: np.ndarray, l1x: np.ndarray,
         inner = ~ends
         out[inner] = _thinned(ctx, xs[inner], lx[inner], l1x[inner], base)
         return out
-    gk = _g_sum(ctx, lx, l1x)
-    gk[ends] = np.where(xs[ends, None] == 0.0, np.where(ctx.ks == ctx.r, float(ctx.r), 0.0), 1.0)
-    out = _row_dots(gk, ctx.weights) + base
+    out = _table_sum(ctx, lx, l1x)
+    limits = np.where(xs[ends, None] == 0.0, np.where(ctx.ks == ctx.r, float(ctx.r), 0.0), 1.0)
+    out[ends] = np.add.reduce(limits * ctx.weights, axis=-1)  # summed as ``_g_sum`` sums a row
+    out += base
     for m, c in ctx.body:
         d = _deficiency(ctx.r, m, lx, l1x)
         d[ends] = np.where(xs[ends] == 0.0, 0.0, (ctx.r - 1) / m)
         out += c * d
-    return out
-
-
-def _G_blocks(ctx: GEvalContext, xs: np.ndarray, lx: np.ndarray, l1x: np.ndarray,
-              base: float) -> np.ndarray:
-    """``_mixture`` from ``base`` on a 1-D array of x given its logs, one ``_G_block``
-    per ``_row_blocks`` slice."""
-    out = np.empty(len(xs))
-    for rows in _row_blocks(ctx, len(xs)):
-        out[rows] = _G_block(ctx, xs[rows], lx[rows], l1x[rows], base)
     return out
 
 
@@ -428,8 +429,8 @@ def _mixture(ctx: GEvalContext, x: float, base: float) -> float:
         return float(_G_block(ctx, xs, *_libm_logs(xs), base)[0])
     if ctx.thin is not None:
         return _thinned(ctx, x, math.log(x), math.log1p(-x), base)
-    if ctx.atoms is None:  # one dot, as each row of a block (``_row_dots``)
-        return float(_g_sum(ctx, math.log(x), math.log1p(-x))[0] @ ctx.weights + base)
+    if ctx.atoms is None:  # one row, summed as each row of a block
+        return float(_g_sum(ctx, math.log(x), math.log1p(-x))[0] + base)
     total = base
     for k, w in ctx.atoms:
         total += w * g(k, ctx.r, x)
@@ -441,8 +442,8 @@ def _mixture(ctx: GEvalContext, x: float, base: float) -> float:
 def _mixture_at(ctx: GEvalContext, x: float | np.ndarray, base: float) -> float | np.ndarray:
     """``_mixture`` from ``base`` at a float or a 1-D array of x in [0, 1].
 
-    Arrays are evaluated in blocks of about 2^16 (x, k) elements by
-    ``_G_block``; a single x is ``_mixture``.
+    An array is ``_G_block``, in blocks of about 2^16 (i, k, x) table terms;
+    a single x is ``_mixture``.
     """
     if not isinstance(x, (np.ndarray, list, tuple)):
         x = float(x)
@@ -453,7 +454,7 @@ def _mixture_at(ctx: GEvalContext, x: float | np.ndarray, base: float) -> float 
     if xs.ndim > 1 or not ((xs >= 0.0) & (xs <= 1.0)).all():  # NaN fails both
         raise PreconditionError("x must lie in [0, 1]")
     flat = xs.reshape(-1)
-    out = _G_blocks(ctx, flat, *_libm_logs(flat), base)
+    out = _G_block(ctx, flat, *_libm_logs(flat), base)
     return float(out[0]) if xs.ndim == 0 else out
 
 
@@ -461,15 +462,6 @@ def G_minus_1(ctx: GEvalContext, x: float | np.ndarray) -> float | np.ndarray:
     """G(x) - 1 at a float or a 1-D array of x, from base ``const - 1.0``:
     without cancellation on the analytic path."""
     return _mixture_at(ctx, x, ctx.const - 1.0)
-
-
-def _row_blocks(ctx: GEvalContext, n: int) -> list[slice]:
-    """Slices of n rows, each with about ``_BLOCK`` (i, k, row) elements of ``_g_sum``'s
-    temporary or fewer: r len(ks) per row.  Rows are independent (``_row_dots``), so
-    the split moves no bit."""
-    blocks = max(1, -(-n * ctx.r * len(ctx.ks) // _BLOCK))
-    rows = max(1, -(-n // blocks))
-    return [slice(lo, lo + rows) for lo in range(0, n, rows)]
 
 
 def G_upper(ctx: GEvalContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -499,9 +491,7 @@ def G_upper(ctx: GEvalContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if ctx.thin is not None:
         out = ctx.thin.thinned(ctx.r, b, 1.0 - a, 1.0 - b, lb, l1a) / b
         return out * (1.0 + 2.0**-36 + 2.0**-51 * ctx.thin.exp_size(ctx.r)) + ctx.r * 2.0**-1070 / b
-    out = np.empty(len(b))
-    for rows in _row_blocks(ctx, len(b)):
-        out[rows] = _row_dots(_g_sum(ctx, lb[rows], l1a[rows]), ctx.weights)
+    out = _table_sum(ctx, lb, l1a)
     for m, c in ctx.body:
         if c > 0.0:
             out += c * _deficiency(ctx.r, m, lb, l1a)
@@ -672,21 +662,27 @@ def _brackets(ctx: GEvalContext, xs: np.ndarray, vals: np.ndarray) -> list[tuple
     return [piece for piece, bound in zip(pieces, upper.tolist()) if bound >= floor]
 
 
+def _scan(ctx: GEvalContext) -> np.ndarray:
+    """G - 1 at each ``_grid()`` point, read-only: one ``_G_block`` call."""
+    xs, lx, l1x = _grid()
+    return _frozen(_G_block(ctx, xs, lx, l1x, ctx.const - 1.0))
+
+
 def max_G(ctx: GEvalContext) -> MaxResult:
     """Global maximum of G over [0, 1].
 
-    G - 1 on the whole grid of step ``GRID_STEP``, one ``_G_blocks`` call
-    (returned as ``MaxResult.grid``), finds the pieces that may hold the
-    maximum (``_brackets``): the grid neighbours of each local maximum and
-    the end pieces where G falls away from x = 0 or 1, less those whose
-    ``G_upper`` bound, from one vectorised call, cannot reach the best grid
-    value.  Each piece left is refined (``_refine``) by Brent's method
-    seeded with its three grid points, so its first step is a parabola's
-    vertex.  An end piece is first probed at ``BRACKET_WIDTH`` from its end;
-    where G there is below G at the end, the mode lies within
-    ``BRACKET_WIDTH`` of the end under the unimodality assumed of every
-    piece, and the piece takes no further evaluation.  Modes of all supported families are wide relative to the
-    grid step.  The grid and its libm logs are computed once per process;
+    G - 1 on the whole grid of step ``GRID_STEP``, ``_scan`` (returned as
+    ``MaxResult.grid``), finds the pieces that may hold the maximum
+    (``_brackets``): the grid neighbours of each local maximum and the end
+    pieces where G falls away from x = 0 or 1, less those whose ``G_upper``
+    bound, from one vectorised call, cannot reach the best grid value.  Each
+    piece left is refined (``_refine``) by Brent's method seeded with its
+    three grid points, so its first step is a parabola's vertex.  An end
+    piece is first probed at ``BRACKET_WIDTH`` from its end; where G there
+    is below G at the end, the mode lies within ``BRACKET_WIDTH`` of the end
+    under the unimodality assumed of every piece, and the piece takes no
+    further evaluation.  Modes of all supported families are wide relative
+    to the grid step.  The grid and its libm logs are computed once per process;
     each value G - 1 on it is ``G_minus_1`` of the grid array at that x, bit
     for bit, and of that x alone too unless the context has ``atoms`` (a
     point mass, a heavy or a pruned law): those sum a single interior x in
@@ -700,8 +696,7 @@ def max_G(ctx: GEvalContext) -> MaxResult:
     1e-8 relative on the pruned laws, 1e-7 on ``geometric:b=4`` at r = 4.
     """
     f = lambda x: G_minus_1(ctx, x)
-    xs, lx, l1x = _grid()
-    vals = _frozen(_G_blocks(ctx, xs, lx, l1x, ctx.const - 1.0))
+    xs, vals = _grid()[0], _scan(ctx)
     pt = lambda i: (float(xs[i]), float(vals[i]))
 
     candidates = [pt(0), pt(-1)]

@@ -517,9 +517,9 @@ def test_q_limit_grid_bracket_reads_max_G_scan(monkeypatch, spec, delta):
     d = make_distribution(spec)
     p = pc_exact(d, 2).pc * (1 - delta)
     before = q_limit(d, 2, p)
-    sizes, blocks_of = [], kernels_mod._G_blocks
-    monkeypatch.setattr(kernels_mod, "_G_blocks",
-                        lambda c, xs, *rest: sizes.append(len(xs)) or blocks_of(c, xs, *rest))
+    sizes, array_of = [], kernels_mod._G_block
+    monkeypatch.setattr(kernels_mod, "_G_block",
+                        lambda c, xs, *rest: sizes.append(len(xs)) or array_of(c, xs, *rest))
     res = q_limit(d, 2, p)
     assert res == before
     assert sizes == [1001, 1]
@@ -611,9 +611,16 @@ SADDLE_ATOMS = [(1, Fraction(1, 50)), (6, Fraction(49, 50))]
 
 
 @pytest.mark.parametrize("delta", [1e-6, -1e-6, 1e-8, -1e-8, 1e-10, -1e-10, 1e-12, -1e-12])
-def test_q_limit_with_mass_below_r_converges_next_to_its_saddle_node(delta):
+def test_q_limit_with_mass_below_r_converges_next_to_its_saddle_node(monkeypatch, delta):
     # the search that stepped on toward 10^6 evaluations took 1,041 or more here, up
-    # to 2.1 s, and left p_s (1 + 1e-12) unconverged
+    # to 2.1 s, and left p_s (1 + 1e-12) unconverged.  Each search decides from one
+    # grid scan (kernels._scan): with mass below r the root lies right of 0 wherever
+    # the maximum of G is, so no max_G call refines it (9-10 evaluations more)
+    import gwboot.kernels as kernels_mod
+
+    scans, scan = [], kernels_mod._scan
+    monkeypatch.setattr(kernels_mod, "_scan", lambda c: scans.append(c) or scan(c))
+    monkeypatch.setattr(kernels_mod, "max_G", lambda c: pytest.fail("max_G called"))
     d = make_distribution("pmf:1=0.02,6=0.98")
     p = P_SADDLE * (1 + delta)
     q_limit(d, 2, p)
@@ -623,10 +630,43 @@ def test_q_limit_with_mass_below_r_converges_next_to_its_saddle_node(delta):
         res = q_limit(d, 2, p)
         timings.append(time.perf_counter() - t0)
     assert min(timings) < 0.01
+    assert len(scans) == 4
     assert res.converged and res.iterations <= 150
     limit = _poly_limit(SADDLE_ATOMS, 2, p)
     assert (limit > 0.9) == (delta < 0)  # the upper root below p_s, the lower above
     with mpmath.workdps(50):
+        assert mpmath.mpf(res.lower) <= limit <= mpmath.mpf(res.upper), res
+
+
+def test_q_limit_decides_at_a_stall_its_probe_cannot_close(monkeypatch):
+    # at tol = 0.01 the probe q - tol/2 would lie beyond GRID_STEP, where the bracket
+    # has no upper end it trusts, so a stall goes straight to decide, long before
+    # step _DECIDE_AT
+    from gwboot.critical import _DECIDE_AT
+
+    stalls, decide = [], critical._LimitSearch.decide
+    monkeypatch.setattr(critical._LimitSearch, "decide", lambda self, q: stalls.append(q) or decide(self, q))
+    p = 1e-6
+    res = q_limit(make_distribution("regular:b=3"), 2, p, tol=0.01)
+    assert len(stalls) == 1 and res.iterations < _DECIDE_AT
+    assert res.converged and res.upper - res.lower <= 0.01
+    with mpmath.workdps(50):
+        assert mpmath.mpf(res.lower) <= _poly_limit([(3, Fraction(1))], 2, p) <= mpmath.mpf(res.upper), res
+
+
+def test_q_limit_retries_the_zero_certificate_lower_down(monkeypatch):
+    # on twopoint:b=4,a=9 (x_star = 0) at p = 0.46 p_c, the extrapolate once points
+    # to 0; the certificate fails there, as the limit is positive, a next try would
+    # start from half that iterate, and the search goes on to the root
+    tried, certified = [], critical._LimitSearch.zero_certified
+    monkeypatch.setattr(critical._LimitSearch, "zero_certified",
+                        lambda self, q: tried.append(q) or certified(self, q))
+    p = 0.13849517654682353
+    res = q_limit(make_distribution("twopoint:b=4,a=9"), 2, p)
+    assert len(tried) == 1
+    assert res.converged and res.value > 0.3
+    with mpmath.workdps(50):
+        limit = _poly_limit(X_STAR_0_ATOMS["twopoint:b=4,a=9"], 2, p)
         assert mpmath.mpf(res.lower) <= limit <= mpmath.mpf(res.upper), res
 
 

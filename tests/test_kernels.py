@@ -3,6 +3,9 @@
 import dataclasses
 import itertools
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from math import comb
@@ -646,12 +649,18 @@ def _grid_pieces(vals):
 def test_max_G_evaluates_grid_in_blocks(monkeypatch, spec, r):
     ctx = make_context(make_distribution(spec), r)
     max_G(ctx)  # the grid and its logs exist from here on
-    blocks, points, log_calls = [], [], []  # rows per block, ndim-0 flags, logs taken
-    block, minus_1, logs = kernels._G_block, kernels.G_minus_1, kernels._libm_logs
+    # x per array evaluation, rows per block of its table sum, ndim-0 flags, logs taken
+    arrays, blocks, points, log_calls = [], [], [], []
+    array, block, minus_1, logs = kernels._G_block, kernels._g_sum, kernels.G_minus_1, kernels._libm_logs
 
-    def counting_block(c, xs, *rest):
-        blocks.append(len(xs))
-        return block(c, xs, *rest)
+    def counting_array(c, xs, *rest):
+        arrays.append(len(xs))
+        return array(c, xs, *rest)
+
+    def counting_block(c, lx, l1x):
+        if isinstance(lx, np.ndarray) and sum(blocks) < arrays[-1]:  # not G_upper's pieces
+            blocks.append(len(lx))
+        return block(c, lx, l1x)
 
     def counting_logs(xs):
         log_calls.append(len(xs))
@@ -661,19 +670,21 @@ def test_max_G_evaluates_grid_in_blocks(monkeypatch, spec, r):
         points.append(np.ndim(x) == 0)
         return minus_1(c, x)
 
-    monkeypatch.setattr(kernels, "_G_block", counting_block)
+    monkeypatch.setattr(kernels, "_G_block", counting_array)
+    monkeypatch.setattr(kernels, "_g_sum", counting_block)
     monkeypatch.setattr(kernels, "G_minus_1", counting_minus_1)
     monkeypatch.setattr(kernels, "_libm_logs", counting_logs)
     max_G(ctx)
     monkeypatch.undo()
     assert all(points)  # G_minus_1 only refines single points
-    assert sum(blocks) == 1001  # one pass over the whole grid
+    assert arrays == [1001]  # one pass over the whole grid,
+    assert sum(blocks) == (0 if ctx.thin else 1001)  # its table sum in one loop of blocks
     # the grid's logs are computed once per process: a second max_G takes none,
     # also not for the heavy and pruned deficiency
     assert log_calls == []
     terms = r * len(ctx.ks)  # of _g_sum's temporary per row, which a block counts
     assert len(blocks) <= max(1, math.ceil(1001 * terms / 2**16))
-    assert max(blocks) * terms <= 2**16 + terms
+    assert max(blocks, default=0) * terms <= 2**16 + terms
     assert len(points) < 120 * len(_grid_pieces(minus_1(ctx, np.linspace(0.0, 1.0, 1001))))
 
 
@@ -687,13 +698,13 @@ def test_max_G_grid_is_G_minus_1_bitwise(monkeypatch):
     # in one call, and every value is G_minus_1 on np.linspace(0, 1, 1001) at that
     # point; MaxResult.grid holds those values, read-only
     xs = np.linspace(0.0, 1.0, 1001)
-    blocks_of, seen = kernels._G_blocks, []
+    array_of, seen = kernels._G_block, []
 
     def recording(c, x, *rest):
-        seen.append((np.rint(x * 1000).astype(int), blocks_of(c, x, *rest)))
+        seen.append((np.rint(x * 1000).astype(int), array_of(c, x, *rest)))
         return seen[-1][1]
 
-    monkeypatch.setattr(kernels, "_G_blocks", recording)
+    monkeypatch.setattr(kernels, "_G_block", recording)
     for spec, r in _criterion_8_laws() + ROW_EXTRA + ANALYTIC_THRESHOLDS + SCAN_EXTRA:
         ctx = make_context(make_distribution(spec), r)
         want = gw.G_minus_1(ctx, xs)
@@ -717,12 +728,12 @@ WIDE_PMFS = [_pmf_spec(range(2, 528), (17 / 18) ** np.arange(526.0)),
              _pmf_spec(range(2, 1752), (58 / 59) ** np.arange(1750.0)),
              _pmf_spec(range(852, 1153), [math.exp(j * math.log(998) - 998 - math.lgamma(j + 1))
                                            for j in range(850, 1151)])]
-# supports of several blocks, whose grid max_G evaluates in several _G_block calls
+# supports of several blocks, whose grid max_G sums in several _g_sum calls
 SCAN_EXTRA = [(WIDE_PMFS[1], 2), (WIDE_PMFS[2], 2), ("pmf:3=0.9,3000000=0.1", 2)]
 
 
 def test_max_G_pruned_scan_equals_a_whole_grid_scan(monkeypatch):
-    # with every grid one block, _G_blocks makes one _G_block call of all 1001
+    # with every grid one block, _table_sum makes one _g_sum call of all 1001
     # points: the pieces max_G refines, and so its result, are the same bit for bit
     laws = _criterion_8_laws() + ROW_EXTRA + ANALYTIC_THRESHOLDS + SCAN_EXTRA + [(WIDE_PMFS[0], 3)]
     got = {law: max_G(make_context(make_distribution(law[0]), law[1])) for law in laws}
@@ -736,13 +747,55 @@ def test_max_G_pruned_scan_equals_a_whole_grid_scan(monkeypatch):
 def test_pc_exact_of_a_wide_pmf_scans_its_grid_whole_in_time():
     # 10^4 atoms, weights e^(-j/1000) on k = 2 + j: the whole grid is 10^7 (x, k)
     # terms in about 150 blocks (65-80 ms on a 2-vCPU Xeon); x_star and M are pinned
-    # to the bits they had when the scan evaluated only the pieces G_upper kept
+    # to the bits of each row's pairwise sum over k (BLAS's dot, whose order depends
+    # on the host, read 0x1.ffffef2b38395p-1 and 0x1.00000434aace8p+0)
     d = make_distribution(_pmf_spec(range(2, 10002), np.exp(-np.arange(10000.0) / 1000)))
     t0 = time.perf_counter()
     res = gw.pc_exact(d, 2)
     assert time.perf_counter() - t0 < 1.0
-    assert res.x_star.hex() == "0x1.ffffef2b38395p-1"
-    assert res.M.hex() == "0x1.00000434aace8p+0"
+    assert res.x_star.hex() == "0x1.ffffef2b1e201p-1"
+    assert res.M.hex() == "0x1.00000434aace7p+0"
+    # M is within an ulp of 1 of G(x_star) summed at 40 digits, g_k^2(x) =
+    # x^(k-2) (x + k (1-x)): 1.7e-16 off (3.4e-16 by BLAS's dot)
+    with mpmath.workdps(40):
+        x = mpmath.mpf(res.x_star)
+        power, terms = mpmath.mpf(1), []
+        for k, p in zip(*(a.tolist() for a in d.support_probs(d.support_max))):
+            terms.append(p * power * (x + k * (1 - x)))
+            power *= x
+        assert abs(res.M - mpmath.fsum(terms)) <= 2.0**-52
+
+
+# G - 1 of a 10^5-atom pmf (weights e^(-j/10^4) on k = 2 + j) at three x near its
+# mode, as floats and as one array, printed as hex
+_WIDE_G_SCRIPT = """
+import numpy as np
+import gwboot as gw
+from gwboot.offspring import DistributionSpec, make_distribution
+w = np.exp(-np.arange(1e5) / 1e4)
+pmf = tuple(zip(range(2, 100002), (w / w.sum()).tolist()))
+ctx = gw.make_context(make_distribution(DistributionSpec(family="explicit_pmf", pmf=pmf)), 2)
+xs = [0.9999, 0.999999, 0.999999958]
+print(*(gw.G_minus_1(ctx, x).hex() for x in xs), *(v.hex() for v in gw.G_minus_1(ctx, np.array(xs)).tolist()))
+"""
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one CPU: BLAS runs one thread whatever it is told, "
+                    "so a sum that depends on the thread count cannot show it")
+def test_G_of_a_wide_pmf_does_not_depend_on_the_blas_thread_count():
+    # each row's sum over k is numpy's pairwise sum: an OpenBLAS dot sums a long row
+    # in an order that depends on its thread count (G - 1 at 0.9999 moved by 4 ulps)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gw.__file__)))
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", _WIDE_G_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        out.append(proc.stdout.split())
+    assert out[0] == out[1]
+    assert out[0][:3] == out[0][3:]  # a float has the bits of the same x in an array
 
 
 # multi-atom laws at r up to 8, whose single x is a row of the tables: a
@@ -758,7 +811,7 @@ TABLE_ROWS = [("twopoint:b=5,a=9", 2), ("pmf:2=0.2,5=0.3,9=0.4,13=0.1", 4), ("pm
                                      ("poisson:b=1000", 2), ("poisson:b=8", 4), (WIDE_PMFS[0], 2),
                                      (WIDE_PMFS[2], 3)] + TABLE_ROWS)
 def test_G_at_a_point_does_not_depend_on_its_array(spec, r):
-    # each row is its own dot product: a matrix-vector product (gemv) gave 2 of
+    # each row is summed alone, in one fixed order: a matrix-vector product (gemv) gave 2 of
     # 139 grid values of geometric:b=19 another last bit in another block layout
     ctx = make_context(make_distribution(spec), r)
     assert ctx.atoms is None

@@ -485,33 +485,36 @@ def test_fort_upper_moment_examples():
 
 
 def test_light_tail_moments_past_a_doubled_cutoff_match_50_digit_closed_forms():
-    # geometric:b=5000 leaves too much mass past its first cut K, so
+    # geometric:b=5000 and b=10^4 leave too much mass past the first cut K of
+    # E(1/xi^2) and of the fort moment (from about b = 1,500 and 2,000 on), so
     # ShiftedGeometric._expect doubles K once; both moments have closed forms in
-    # rho = (b-2)/(b-1) (mpmath's nsum reads 4e-8 off here)
-    b = 5000
-    d = make_distribution(f"geometric:b={b}")
-    uptos = []  # the last atom of each pass, which sums its atoms from k = 2 in chunks
-    probs = d._probs
+    # rho = (b-2)/(b-1) (mpmath's nsum reads 4e-8 off here).  E(H_{xi-2}), whose
+    # first cut holds, is sum_{m>=1} rho^m / m = ln(b - 1)
+    for b in (5000, 10**4):
+        d = make_distribution(f"geometric:b={b}")
+        uptos = []  # the last atom of each pass, which sums its atoms from k = 2 in chunks
+        probs = d._probs
 
-    def counted(ks):
-        if ks[0] == 2:
-            uptos.append(None)
-        uptos[-1] = int(ks[-1])
-        return probs(ks)
+        def counted(ks):
+            if ks[0] == 2:
+                uptos.append(None)
+            uptos[-1] = int(ks[-1])
+            return probs(ks)
 
-    d._probs = counted
-    with mpmath.workdps(50):
-        rho = mpmath.mpf(b - 2) / (b - 1)
-        cases = [
-            (d.inverse_square_moment, (mpmath.polylog(2, rho) - rho) / (rho**2 * (b - 1))),
-            (d.fort_upper_moment,
-             (2 * mpmath.atanh(mpmath.sqrt(rho)) / mpmath.sqrt(rho) + mpmath.log(1 - rho) / rho) / (b - 1)),
-        ]
-        for moment, want in cases:
-            uptos.clear()
-            got = moment()
-            assert len(uptos) == 2 and uptos[1] == 2 * uptos[0], uptos
-            assert abs(got - float(want)) <= 4 * math.ulp(float(want)), (moment.__name__, got, want)
+        d._probs = counted
+        with mpmath.workdps(50):
+            rho = mpmath.mpf(b - 2) / (b - 1)
+            cases = [
+                (d.inverse_square_moment, 2, (mpmath.polylog(2, rho) - rho) / (rho**2 * (b - 1))),
+                (d.fort_upper_moment, 2,
+                 (2 * mpmath.atanh(mpmath.sqrt(rho)) / mpmath.sqrt(rho) + mpmath.log(1 - rho) / rho) / (b - 1)),
+                (lambda: d.harmonic_tail_moment(2), 1, mpmath.log(b - 1)),
+            ]
+            for moment, passes, want in cases:
+                uptos.clear()
+                got = moment()
+                assert len(uptos) == passes and uptos[-1] == 2 ** (passes - 1) * uptos[0], (b, uptos)
+                assert abs(got - float(want)) <= 4 * math.ulp(float(want)), (b, got, want)
 
 
 def test_harmonic_number_values():
